@@ -410,8 +410,11 @@ func BenchmarkEngineThroughputObs(b *testing.B) {
 // sequential, so the event count per simulated second cannot move with
 // the shard count. Mevents/wallsec is the scaling figure; the parallel
 // engine's epoch barriers are pure overhead on a single-core host, so
-// speedup only appears with at least as many cores as shards. The
-// injected wall clock (exp.PermutationConfig.Clock) turns on the group's
+// speedup only appears with at least as many cores as shards. It is
+// computed over the run phase only: the injected wall clock
+// (exp.PermutationConfig.Clock) splits each trial into build (topology,
+// routing, partition, attach) and run (the event loop), and build_frac
+// reports build's share of the two. The same clock turns on the group's
 // barrier/work attribution, so barrier_frac reports the share of shard
 // wall time stalled at epoch barriers — the self-profiling figure that
 // explains the scaling curve.
@@ -420,6 +423,7 @@ func BenchmarkShardedFatTree(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			var events uint64
 			var simsec float64
+			var buildNs, runNs float64
 			var barrierNs, shardNs float64
 			for i := 0; i < b.N; i++ {
 				cfg := exp.PermutationConfig{}
@@ -433,6 +437,8 @@ func BenchmarkShardedFatTree(b *testing.B) {
 				r := exp.Permutation(cfg)
 				events += r.Events
 				simsec += cfg.Duration.Seconds()
+				buildNs += float64(r.BuildNs)
+				runNs += float64(r.RunNs)
 				if r.Group != nil {
 					for _, sh := range r.Group.PerShard {
 						barrierNs += float64(sh.BarrierNs)
@@ -441,7 +447,8 @@ func BenchmarkShardedFatTree(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(events)/simsec/1e6, "Mevents/simsec")
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds()/1e6, "Mevents/wallsec")
+			b.ReportMetric(float64(events)/(runNs/1e9)/1e6, "Mevents/wallsec")
+			b.ReportMetric(buildNs/(buildNs+runNs), "build_frac")
 			if shardNs > 0 {
 				b.ReportMetric(barrierNs/shardNs, "barrier_frac")
 			}

@@ -149,7 +149,14 @@ func means(rep *Report) map[string]map[string]float64 {
 		cnt[name][metric]++
 	}
 	for _, b := range rep.Benches {
-		name := strings.SplitN(b.Name, "-", 2)[0] // strip -GOMAXPROCS suffix
+		// Strip the -GOMAXPROCS suffix, and only that: sub-benchmark names
+		// may hold dashes of their own (ComputeRoutes/fattree-k16-2).
+		name := b.Name
+		if i := strings.LastIndex(name, "-"); i >= 0 {
+			if _, err := strconv.Atoi(name[i+1:]); err == nil {
+				name = name[:i]
+			}
+		}
 		add(name, "ns/op", b.NsPerOp)
 		for m, v := range b.Metrics {
 			add(name, m, v)

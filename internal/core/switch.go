@@ -525,7 +525,7 @@ func (st *PortState) DelayQueueLen() int { return len(st.delayQ) }
 type SwitchState struct {
 	cfg    SwitchConfig
 	sw     *netsim.Switch
-	states map[*netsim.Port]*PortState
+	states []*PortState // by Port.Index()
 }
 
 // Attach enables TFC on a switch: every port gets a PortState hook, and
@@ -533,19 +533,25 @@ type SwitchState struct {
 // returned SwitchState allows inspection.
 func Attach(s *sim.Simulator, sw *netsim.Switch, cfg SwitchConfig) *SwitchState {
 	cfg.fillDefaults()
-	ss := &SwitchState{cfg: cfg, sw: sw, states: make(map[*netsim.Port]*PortState)}
-	for _, p := range sw.Ports() {
+	ss := &SwitchState{cfg: cfg, sw: sw, states: make([]*PortState, len(sw.Ports()))}
+	for i, p := range sw.Ports() {
 		st := newPortState(s, p, &ss.cfg)
 		st.lastRefill = s.Now()
 		p.Hook = st
-		ss.states[p] = st
+		ss.states[i] = st
 	}
 	sw.Interceptor = ss
 	return ss
 }
 
-// PortState returns the TFC state of one of the switch's ports.
-func (ss *SwitchState) PortState(p *netsim.Port) *PortState { return ss.states[p] }
+// PortState returns the TFC state of one of the switch's ports: nil for
+// no port, another node's port, or a port wired after Attach.
+func (ss *SwitchState) PortState(p *netsim.Port) *PortState {
+	if p == nil || p.Owner != ss.sw || p.Index() >= len(ss.states) {
+		return nil
+	}
+	return ss.states[p.Index()]
+}
 
 // Intercept implements netsim.Interceptor: RMA ACKs consult the delay
 // arbiter of the port their data traverses (the route toward the ACK's
@@ -555,8 +561,7 @@ func (ss *SwitchState) Intercept(pkt *netsim.Packet, out *netsim.Port, sw *netsi
 	if pkt.Flags&rmaAck != rmaAck || ss.cfg.DisableDelay {
 		return false
 	}
-	dataPort := sw.PortFor(pkt.Flow, pkt.Src)
-	st := ss.states[dataPort]
+	st := ss.PortState(sw.PortFor(pkt.Flow, pkt.Src))
 	if st == nil {
 		return false
 	}

@@ -221,7 +221,7 @@ type Shaper struct {
 	mss  int
 	// QueueCap is the per-port credit queue limit (default 16).
 	QueueCap int
-	bkts     map[*netsim.Port]*bucket
+	bkts     []bucket // by Port.Index() of the switch's ports at attach
 	// Dropped counts shaped-away credits.
 	Dropped int64
 	// Queued counts credits that waited in a credit queue.
@@ -248,10 +248,10 @@ func AttachShaper(s *sim.Simulator, sw *netsim.Switch, rho0 float64) *Shaper {
 		rho0 = 0.97
 	}
 	sh := &Shaper{s: s, rho0: rho0, mss: transport.DefaultMSS, QueueCap: 16,
-		bkts: make(map[*netsim.Port]*bucket)}
+		bkts: make([]bucket, len(sw.Ports()))}
 	dataWire := float64(sh.mss + netsim.HeaderBytes + netsim.WireOverheadBytes)
-	for _, p := range sw.Ports() {
-		sh.bkts[p] = &bucket{
+	for i, p := range sw.Ports() {
+		sh.bkts[i] = bucket{
 			tokens: 1,
 			rate:   rho0 * p.Rate.BytesPerSecond() / dataWire,
 		}
@@ -268,10 +268,10 @@ func (sh *Shaper) Intercept(pkt *netsim.Packet, out *netsim.Port, sw *netsim.Swi
 		return false
 	}
 	dataPort := sw.PortFor(pkt.Flow, pkt.Src)
-	b := sh.bkts[dataPort]
-	if b == nil {
+	if dataPort == nil || dataPort.Index() >= len(sh.bkts) {
 		return false
 	}
+	b := &sh.bkts[dataPort.Index()]
 	sh.refill(b)
 	if b.tokens >= 1 && len(b.queue) == 0 {
 		b.tokens--

@@ -140,3 +140,81 @@ func BenchmarkIncastBurst(b *testing.B) {
 	runtime.ReadMemStats(&ms1)
 	reportPerHop(b, ms1.Mallocs-ms0.Mallocs, net)
 }
+
+// benchFatTree wires a k-ary fat tree in exp.FatTree's creation order
+// (cores; then per pod its aggregation switches, and its edge switches each
+// followed by their hosts) without routing it, and returns one switch of
+// every layer plus all hosts.
+func benchFatTree(k int) (net *Network, layers [3]*Switch, hosts []*Host) {
+	net = NewNetwork(sim.New(1))
+	half := k / 2
+	link := LinkConfig{Rate: Gbps, Delay: 5 * sim.Microsecond}
+	cores := make([]*Switch, half*half)
+	for i := range cores {
+		cores[i] = net.NewSwitch("core")
+	}
+	for p := 0; p < k; p++ {
+		aggs := make([]*Switch, half)
+		for a := range aggs {
+			aggs[a] = net.NewSwitch("agg")
+			for c := 0; c < half; c++ {
+				net.Connect(aggs[a], cores[a*half+c], link)
+			}
+		}
+		for e := 0; e < half; e++ {
+			edge := net.NewSwitch("edge")
+			for _, agg := range aggs {
+				net.Connect(edge, agg, link)
+			}
+			for h := 0; h < half; h++ {
+				host := net.NewHost("h")
+				net.Connect(host, edge, link)
+				hosts = append(hosts, host)
+			}
+		}
+	}
+	edge := hosts[0].NIC().Peer.(*Switch)
+	agg := edge.Ports()[0].Peer.(*Switch)
+	return net, [3]*Switch{edge, agg, cores[0]}, hosts
+}
+
+// BenchmarkComputeRoutes times routing a built k=16 fat tree (1024 hosts,
+// 320 switches): the set-up every large-fabric trial pays once, and what
+// its tables cost in memory (B/op).
+func BenchmarkComputeRoutes(b *testing.B) {
+	b.Run("fattree-k16", func(b *testing.B) {
+		b.ReportAllocs()
+		net, _, _ := benchFatTree(16)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			net.ComputeRoutes()
+		}
+	})
+}
+
+var benchPort *Port
+
+// BenchmarkRouteLookup times the per-hop route lookup on an edge, an
+// aggregation and a core switch of the k=16 fat tree in turn: one_dst asks
+// for the same destination every time, many_dst walks all 1024 hosts (what
+// a loaded fabric switch sees: forward and reverse routes of many flows
+// interleaved). The two must cost the same, and neither may allocate
+// (scripts/bench.sh gates allocs/op at 0).
+func BenchmarkRouteLookup(b *testing.B) {
+	net, layers, hosts := benchFatTree(16)
+	net.ComputeRoutes()
+	for _, bc := range []struct {
+		name string
+		mask int
+	}{{"one_dst", 0}, {"many_dst", len(hosts) - 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchPort = layers[i%3].PortFor(FlowID(i), hosts[i&bc.mask].ID())
+			}
+			if benchPort == nil {
+				b.Fatal("no route")
+			}
+		})
+	}
+}

@@ -246,3 +246,20 @@ func TestJitterStatisticalShape(t *testing.T) {
 		t.Errorf("only %d/500 draws small; distribution should be mostly-small", small)
 	}
 }
+
+// A switch that needs more distinct port sets than its uint16 route index
+// can address must fail construction loudly, never wrap around to another
+// destination's set.
+func TestRouteSetIndexOverflowPanics(t *testing.T) {
+	net := NewNetwork(sim.New(1))
+	sw := net.NewSwitch("sw")
+	h := net.NewHost("h")
+	out, _ := net.Connect(sw, h, LinkConfig{Rate: Gbps, Delay: sim.Microsecond})
+	sw.routeSets = make([][]*Port, maxRouteSets)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("interning route set 65537 did not panic")
+		}
+	}()
+	sw.internRouteSet([]*Port{out})
+}

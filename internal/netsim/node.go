@@ -2,7 +2,9 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 
 	"tfcsim/internal/sim"
 )
@@ -36,7 +38,7 @@ func (n *nodeBase) ID() NodeID            { return n.id }
 func (n *nodeBase) Name() string          { return n.name }
 func (n *nodeBase) Ports() []*Port        { return n.ports }
 func (n *nodeBase) Sim() *sim.Simulator   { return n.sh.sim }
-func (n *nodeBase) addPort(p *Port)       { n.ports = append(n.ports, p) }
+func (n *nodeBase) addPort(p *Port)       { p.pos = len(n.ports); n.ports = append(n.ports, p) }
 func (n *nodeBase) setShard(sh *netShard) { n.sh = sh }
 
 // Interceptor lets a scheme take over forwarding of selected packets at a
@@ -56,12 +58,12 @@ type Interceptor interface {
 // it TFC's per-port window assignment — stays stable.
 type Switch struct {
 	nodeBase
-	routes map[NodeID][]*Port
-	// One-entry route cache: consecutive packets to one destination (the
-	// common case on a loaded path) skip the map lookup. Invalidated by
-	// ComputeRoutes.
-	cachedDst   NodeID
-	cachedPorts []*Port
+	// Route table, installed by Network.ComputeRoutes: routeIdx[dst] indexes
+	// routeSets, this switch's distinct equal-cost port sets (many
+	// destinations share one; routeSets[0] is the empty "no route" set). A
+	// lookup is a bounds check and two loads whatever the destination mix.
+	routeIdx  []uint16
+	routeSets [][]*Port
 	// Interceptor, if non-nil, may defer forwarding of selected packets.
 	Interceptor Interceptor
 	// Unroutable counts packets with no route (diagnostics).
@@ -70,7 +72,7 @@ type Switch struct {
 
 // Receive forwards the packet toward its destination.
 func (sw *Switch) Receive(pkt *Packet, from *Port) {
-	out := sw.routeFor(pkt.Flow, pkt.Dst)
+	out := sw.PortFor(pkt.Flow, pkt.Dst)
 	if out == nil {
 		sw.Unroutable++
 		sw.sh.release(pkt)
@@ -82,22 +84,6 @@ func (sw *Switch) Receive(pkt *Packet, from *Port) {
 	out.Enqueue(pkt)
 }
 
-// routeFor picks the (flow-consistent) output port toward dst.
-func (sw *Switch) routeFor(flow FlowID, dst NodeID) *Port {
-	ports := sw.cachedPorts
-	if dst != sw.cachedDst || ports == nil {
-		ports = sw.routes[dst]
-		if len(ports) == 0 {
-			return nil
-		}
-		sw.cachedDst, sw.cachedPorts = dst, ports
-	}
-	if len(ports) == 1 {
-		return ports[0]
-	}
-	return ports[flowHash(flow)%uint64(len(ports))]
-}
-
 // flowHash mixes a flow ID into a well-distributed value (SplitMix64
 // finalizer).
 func flowHash(f FlowID) uint64 {
@@ -107,22 +93,56 @@ func flowHash(f FlowID) uint64 {
 	return x ^ (x >> 31)
 }
 
-// PortTo returns the first (lowest-index) transmit port used to reach
-// dst, or nil. With ECMP, PathTo gives the flow-specific choice.
-func (sw *Switch) PortTo(dst NodeID) *Port {
-	ports := sw.routes[dst]
-	if len(ports) == 0 {
+// PortsTo returns all equal-cost transmit ports toward dst, in creation
+// order; nil if dst is unreachable or unknown to the last ComputeRoutes.
+// The slice is shared by every destination with the same port set:
+// callers must not modify it.
+func (sw *Switch) PortsTo(dst NodeID) []*Port {
+	if uint(dst) >= uint(len(sw.routeIdx)) {
 		return nil
 	}
-	return ports[0]
+	return sw.routeSets[sw.routeIdx[dst]]
 }
 
-// PortsTo returns all equal-cost transmit ports toward dst.
-func (sw *Switch) PortsTo(dst NodeID) []*Port { return sw.routes[dst] }
+// PortTo returns the first (lowest-index) transmit port used to reach
+// dst, or nil. With ECMP, PortFor gives the flow-specific choice.
+func (sw *Switch) PortTo(dst NodeID) *Port {
+	if ports := sw.PortsTo(dst); len(ports) > 0 {
+		return ports[0]
+	}
+	return nil
+}
 
-// PortFor returns the port a given flow toward dst uses.
+// PortFor returns the (flow-consistent) port a given flow toward dst
+// uses, or nil.
 func (sw *Switch) PortFor(flow FlowID, dst NodeID) *Port {
-	return sw.routeFor(flow, dst)
+	ports := sw.PortsTo(dst)
+	switch len(ports) {
+	case 0:
+		return nil
+	case 1:
+		return ports[0]
+	}
+	return ports[flowHash(flow)%uint64(len(ports))]
+}
+
+// maxRouteSets is the number of distinct port sets (the empty one
+// included) a switch's uint16 route index can address.
+const maxRouteSets = 1 << 16
+
+// internRouteSet returns the routeSets index of ports, appending a copy
+// the first time a set is seen.
+func (sw *Switch) internRouteSet(ports []*Port) uint16 {
+	for i, set := range sw.routeSets {
+		if slices.Equal(set, ports) {
+			return uint16(i)
+		}
+	}
+	if len(sw.routeSets) == maxRouteSets {
+		panic(fmt.Sprintf("netsim: switch %s needs more than %d distinct route port sets", sw.name, maxRouteSets))
+	}
+	sw.routeSets = append(sw.routeSets, slices.Clone(ports))
+	return uint16(len(sw.routeSets) - 1)
 }
 
 // Endpoint consumes packets addressed to a flow at a host.
@@ -495,7 +515,6 @@ func (n *Network) NewHost(name string) *Host {
 func (n *Network) NewSwitch(name string) *Switch {
 	sw := &Switch{
 		nodeBase: nodeBase{id: n.nextID, name: name, net: n, sh: n.shards[0]},
-		routes:   make(map[NodeID][]*Port),
 	}
 	n.nextID++
 	n.nodes = append(n.nodes, sw)
@@ -539,55 +558,58 @@ func (n *Network) Connect(a, b Node, cfg LinkConfig) (ab, ba *Port) {
 // destination, all ports on a shortest path qualify (equal-cost
 // multipath); flows are spread over them with consistent hashing. Hosts
 // need no routes — they have a single NIC. Deterministic: port sets keep
-// creation order.
+// creation order. Call it again after adding nodes or links.
+//
+// Links are full-duplex, so one BFS outward from each destination gives
+// every node's hop distance to it, and a node's next hops are its ports
+// whose peer is one hop closer — all of which are settled by the time the
+// BFS expands that node. The distance slice and queue are reused across
+// destinations: no all-pairs table is ever held.
 func (n *Network) ComputeRoutes() {
-	const inf = int(^uint(0) >> 1)
-	// All-pairs hop distances via one BFS per node.
-	dist := make(map[NodeID][]int, len(n.nodes))
-	for _, src := range n.nodes {
-		d := make([]int, len(n.nodes))
-		for i := range d {
-			d[i] = inf
+	const unseen = math.MaxInt32
+	// Flat adjacency (a node's ID is its index in n.nodes): node u's ports
+	// are adj[first[u]:first[u+1]], each with its peer's ID alongside, so
+	// the searches below walk two small arrays instead of chasing every
+	// Port and its Peer through the heap once per destination.
+	first := make([]int32, len(n.nodes)+1)
+	var adj []*Port
+	var peer []NodeID
+	for u, node := range n.nodes {
+		if sw, ok := node.(*Switch); ok {
+			sw.routeIdx = make([]uint16, len(n.nodes))
+			sw.routeSets = [][]*Port{nil}
 		}
-		d[src.ID()] = 0
-		frontier := []Node{src}
-		for len(frontier) > 0 {
-			var next []Node
-			for _, u := range frontier {
-				for _, p := range u.Ports() {
-					v := p.Peer
-					if d[v.ID()] == inf {
-						d[v.ID()] = d[u.ID()] + 1
-						next = append(next, v)
-					}
-				}
-			}
-			frontier = next
+		for _, p := range node.Ports() {
+			adj = append(adj, p)
+			peer = append(peer, p.Peer.ID())
 		}
-		dist[src.ID()] = d
+		first[u+1] = int32(len(adj))
 	}
-	for _, node := range n.nodes {
-		sw, ok := node.(*Switch)
-		if !ok {
-			continue
+	dist := make([]int32, len(n.nodes))
+	queue := make([]NodeID, 0, len(n.nodes))
+	var hops []*Port
+	for dst := range n.nodes {
+		for i := range dist {
+			dist[i] = unseen
 		}
-		sw.routes = make(map[NodeID][]*Port, len(n.nodes))
-		sw.cachedDst, sw.cachedPorts = 0, nil
-		for _, dst := range n.nodes {
-			if dst.ID() == sw.ID() {
-				continue
-			}
-			d := dist[sw.ID()][dst.ID()]
-			if d == inf {
-				continue
-			}
-			var ports []*Port
-			for _, p := range sw.Ports() {
-				if dist[p.Peer.ID()][dst.ID()] == d-1 {
-					ports = append(ports, p)
+		dist[dst] = 0
+		queue = append(queue[:0], NodeID(dst))
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
+			du := dist[u]
+			hops = hops[:0]
+			for i := first[u]; i < first[u+1]; i++ {
+				switch v := peer[i]; dist[v] {
+				case unseen:
+					dist[v] = du + 1
+					queue = append(queue, v)
+				case du - 1:
+					hops = append(hops, adj[i])
 				}
 			}
-			sw.routes[dst.ID()] = ports
+			if sw, ok := n.nodes[u].(*Switch); ok && len(hops) > 0 {
+				sw.routeIdx[dst] = sw.internRouteSet(hops)
+			}
 		}
 	}
 }

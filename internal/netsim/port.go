@@ -54,6 +54,7 @@ type Port struct {
 	peerSh *netShard
 	cross  bool
 	idx    uint64
+	pos    int // position in Owner.Ports()
 	lrand  *rand.Rand
 
 	Rate  Rate
@@ -112,6 +113,10 @@ type Port struct {
 	MaxQueue   int
 	MaxQueueAt sim.Time
 }
+
+// Index returns the port's position in Owner.Ports(): a dense key under
+// which a scheme can keep per-port state of one switch in a slice.
+func (p *Port) Index() int { return p.pos }
 
 // QueueBytes returns the current backlog in frame bytes (excluding the
 // frame being serialized).

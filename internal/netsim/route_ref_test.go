@@ -1,0 +1,278 @@
+package netsim_test
+
+// An independent routing oracle (ROADMAP aim 3). referenceRoutes is the
+// map-based all-pairs-BFS routing the simulator shipped before the dense
+// per-switch tables: it shares no code with Network.ComputeRoutes (one BFS
+// per source into an N×N distance table, a map per switch) and sees the
+// network only through its public surface. Every topology the experiments
+// build, plus the edge cases a table keyed by NodeID can get wrong, is
+// diffed against it for every (switch, destination): same ports, same
+// order.
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"tfcsim/internal/exp"
+	"tfcsim/internal/netsim"
+	"tfcsim/internal/sim"
+)
+
+// referenceRoutes returns, per switch, the equal-cost next-hop ports toward
+// every reachable destination, in port creation order.
+func referenceRoutes(n *netsim.Network) map[*netsim.Switch]map[netsim.NodeID][]*netsim.Port {
+	const inf = int(^uint(0) >> 1)
+	nodes := n.Nodes()
+	dist := make(map[netsim.NodeID][]int, len(nodes))
+	for _, src := range nodes {
+		d := make([]int, len(nodes))
+		for i := range d {
+			d[i] = inf
+		}
+		d[src.ID()] = 0
+		frontier := []netsim.Node{src}
+		for len(frontier) > 0 {
+			var next []netsim.Node
+			for _, u := range frontier {
+				for _, p := range u.Ports() {
+					v := p.Peer
+					if d[v.ID()] == inf {
+						d[v.ID()] = d[u.ID()] + 1
+						next = append(next, v)
+					}
+				}
+			}
+			frontier = next
+		}
+		dist[src.ID()] = d
+	}
+	routes := make(map[*netsim.Switch]map[netsim.NodeID][]*netsim.Port)
+	for _, node := range nodes {
+		sw, ok := node.(*netsim.Switch)
+		if !ok {
+			continue
+		}
+		routes[sw] = make(map[netsim.NodeID][]*netsim.Port, len(nodes))
+		for _, dst := range nodes {
+			if dst.ID() == sw.ID() {
+				continue
+			}
+			d := dist[sw.ID()][dst.ID()]
+			if d == inf {
+				continue
+			}
+			var ports []*netsim.Port
+			for _, p := range sw.Ports() {
+				if dist[p.Peer.ID()][dst.ID()] == d-1 {
+					ports = append(ports, p)
+				}
+			}
+			routes[sw][dst.ID()] = ports
+		}
+	}
+	return routes
+}
+
+// flowsChecked is how many flow IDs PortFor is tried with per (switch,
+// destination); TestECMPFlowConsistency covers the spreading itself.
+const flowsChecked = 4
+
+// checkAgainstReference diffs the installed tables against the oracle for
+// every (switch, destination), and checks the lookups derived from a port
+// set (PortTo = first, PortFor = a member of the set, stable per flow).
+func checkAgainstReference(t *testing.T, n *netsim.Network) {
+	t.Helper()
+	ref := referenceRoutes(n)
+	bad := 0
+	for _, node := range n.Nodes() {
+		sw, ok := node.(*netsim.Switch)
+		if !ok {
+			continue
+		}
+		for _, dst := range n.Nodes() {
+			want := ref[sw][dst.ID()]
+			got := sw.PortsTo(dst.ID())
+			if !slices.Equal(got, want) {
+				if bad++; bad <= 5 {
+					t.Errorf("%s -> %s: PortsTo = %s, reference %s", sw.Name(), dst.Name(), labels(got), labels(want))
+				}
+				continue
+			}
+			if len(want) == 0 {
+				if got != nil || sw.PortTo(dst.ID()) != nil || sw.PortFor(1, dst.ID()) != nil {
+					t.Errorf("%s -> %s: unreachable, but a lookup is non-nil", sw.Name(), dst.Name())
+				}
+				continue
+			}
+			if sw.PortTo(dst.ID()) != want[0] {
+				t.Errorf("%s -> %s: PortTo is not the first equal-cost port", sw.Name(), dst.Name())
+			}
+			for f := netsim.FlowID(1); f <= flowsChecked; f++ {
+				p := sw.PortFor(f, dst.ID())
+				if !slices.Contains(want, p) || sw.PortFor(f, dst.ID()) != p {
+					t.Errorf("%s -> %s: PortFor(%d) outside the equal-cost set or unstable", sw.Name(), dst.Name(), f)
+				}
+			}
+		}
+	}
+	if bad > 5 {
+		t.Errorf("... and %d more (switch, destination) pairs differ", bad-5)
+	}
+}
+
+func labels(ports []*netsim.Port) string {
+	if ports == nil {
+		return "nil"
+	}
+	s := make([]string, len(ports))
+	for i, p := range ports {
+		s[i] = p.Label
+	}
+	return fmt.Sprint(s)
+}
+
+var refLink = netsim.LinkConfig{Rate: netsim.Gbps, Delay: sim.Microsecond}
+
+// dumbbell is h1 - sw - h2.
+func dumbbell() *netsim.Network {
+	n := netsim.NewNetwork(sim.New(1))
+	h1, sw, h2 := n.NewHost("h1"), n.NewSwitch("sw"), n.NewHost("h2")
+	n.Connect(h1, sw, refLink)
+	n.Connect(sw, h2, refLink)
+	n.ComputeRoutes()
+	return n
+}
+
+// diamond is h1 - s1 - {a, b} - s2 - h2 (two equal-cost paths) with a
+// doubled a - s2 cable, so one equal-cost set holds two ports to one peer.
+func diamond() *netsim.Network {
+	n := netsim.NewNetwork(sim.New(1))
+	h1, h2 := n.NewHost("h1"), n.NewHost("h2")
+	s1, s2, a, b := n.NewSwitch("s1"), n.NewSwitch("s2"), n.NewSwitch("a"), n.NewSwitch("b")
+	n.Connect(h1, s1, refLink)
+	n.Connect(s1, a, refLink)
+	n.Connect(s1, b, refLink)
+	n.Connect(a, s2, refLink)
+	n.Connect(b, s2, refLink)
+	n.Connect(a, s2, refLink)
+	n.Connect(s2, h2, refLink)
+	n.ComputeRoutes()
+	return n
+}
+
+func TestRoutesMatchReference(t *testing.T) {
+	tcp := exp.TopoConfig{Proto: exp.TCP}
+	star, _, _, _ := exp.Star(tcp, 40, netsim.Gbps, 64<<10)
+	topos := []struct {
+		name string
+		net  *netsim.Network
+	}{
+		{"dumbbell", dumbbell()},
+		{"ecmp-diamond", diamond()},
+		{"star-40", star.Net},
+		{"testbed", exp.Testbed(tcp).Net},
+		{"multi-bottleneck", exp.MultiBottleneck(tcp).Net},
+		{"leafspine-4x4", exp.LeafSpine(tcp, 4, 4, 64<<10).Net},
+		{"leafspine-18x20", exp.LeafSpine(tcp, 18, 20, 64<<10).Net},
+		{"fattree-k4", exp.FatTree(tcp, 4, netsim.Gbps, 64<<10).Net},
+		{"fattree-k8", exp.FatTree(tcp, 8, netsim.Gbps, 64<<10).Net},
+	}
+	for _, tp := range topos {
+		t.Run(tp.name, func(t *testing.T) { checkAgainstReference(t, tp.net) })
+	}
+	t.Run("fattree-k16", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("430 k (switch, destination) pairs")
+		}
+		checkAgainstReference(t, exp.FatTree(tcp, 16, netsim.Gbps, 64<<10).Net)
+	})
+}
+
+// Two islands: nothing routes across, the lookups say so with nil, and a
+// packet sent across anyway is counted as unroutable at the first switch.
+func TestRoutesDisconnected(t *testing.T) {
+	s := sim.New(1)
+	n := netsim.NewNetwork(s)
+	h1, sw1 := n.NewHost("h1"), n.NewSwitch("sw1")
+	h2, sw2 := n.NewHost("h2"), n.NewSwitch("sw2")
+	lone := n.NewSwitch("lone")
+	n.Connect(h1, sw1, refLink)
+	n.Connect(h2, sw2, refLink)
+	n.ComputeRoutes()
+	checkAgainstReference(t, n)
+	if sw1.PortsTo(h2.ID()) != nil || sw1.PortsTo(lone.ID()) != nil || lone.PortsTo(h1.ID()) != nil {
+		t.Fatal("a route crosses between disconnected islands")
+	}
+	if sw1.PortTo(h1.ID()) == nil || sw2.PortTo(h2.ID()) == nil {
+		t.Fatal("routes inside an island are missing")
+	}
+	h1.Send(&netsim.Packet{Flow: 1, Src: h1.ID(), Dst: h2.ID(), Payload: 10})
+	s.Run()
+	if sw1.Unroutable != 1 {
+		t.Fatalf("sw1.Unroutable = %d, want 1", sw1.Unroutable)
+	}
+}
+
+// A network that grows after it was routed: until ComputeRoutes runs again
+// the new node's ID lies beyond every table and must read as "no route";
+// the second call must refresh every switch, including port sets that
+// only widened (s1 gains a second equal-cost path to h2).
+func TestRoutesRefreshAfterGrowth(t *testing.T) {
+	n := netsim.NewNetwork(sim.New(1))
+	h1, h2 := n.NewHost("h1"), n.NewHost("h2")
+	s1, s2, a := n.NewSwitch("s1"), n.NewSwitch("s2"), n.NewSwitch("a")
+	n.Connect(h1, s1, refLink)
+	n.Connect(s1, a, refLink)
+	n.Connect(a, s2, refLink)
+	n.Connect(s2, h2, refLink)
+	n.ComputeRoutes()
+	checkAgainstReference(t, n)
+	before := s1.PortsTo(h2.ID())
+
+	b := n.NewSwitch("b")
+	h3 := n.NewHost("h3")
+	n.Connect(s1, b, refLink)
+	n.Connect(b, s2, refLink)
+	n.Connect(h3, b, refLink)
+	for _, sw := range []*netsim.Switch{s1, s2, a, b} {
+		if sw.PortsTo(h3.ID()) != nil || sw.PortTo(h3.ID()) != nil || sw.PortFor(1, h3.ID()) != nil {
+			t.Fatalf("%s routes to a host added after ComputeRoutes", sw.Name())
+		}
+	}
+	if got := s1.PortsTo(h2.ID()); !slices.Equal(got, before) {
+		t.Fatal("routes changed without a ComputeRoutes call")
+	}
+
+	n.ComputeRoutes()
+	checkAgainstReference(t, n)
+	if got := len(s1.PortsTo(h2.ID())); got != 2 {
+		t.Fatalf("s1 has %d equal-cost ports to h2 after the refresh, want 2", got)
+	}
+	if len(before) != 1 {
+		t.Fatal("a port set handed out earlier was modified by the refresh")
+	}
+	if s1.PortTo(h3.ID()) == nil {
+		t.Fatal("no route to the new host after the refresh")
+	}
+}
+
+// NodeIDs no table row exists for: negative, one past the end, huge; on a
+// routed switch and on one ComputeRoutes never saw.
+func TestRouteLookupOutOfRange(t *testing.T) {
+	n := dumbbell()
+	routed := n.Nodes()[1].(*netsim.Switch)
+	unrouted := n.NewSwitch("late")
+	ids := []netsim.NodeID{-1, math.MinInt32, netsim.NodeID(len(n.Nodes())), math.MaxInt32}
+	for _, sw := range []*netsim.Switch{routed, unrouted} {
+		for _, id := range append(ids, unrouted.ID(), sw.ID()) {
+			if sw.PortsTo(id) != nil || sw.PortTo(id) != nil || sw.PortFor(7, id) != nil {
+				t.Errorf("%s: lookup of NodeID %d is non-nil", sw.Name(), id)
+			}
+		}
+	}
+	if unrouted.PortTo(0) != nil {
+		t.Error("a switch added after ComputeRoutes has a route")
+	}
+}

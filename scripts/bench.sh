@@ -38,13 +38,14 @@ go test -run '^$' -bench '^BenchmarkEngineThroughput(Telemetry|Obs)?$' -count=5 
 
 # The hot-path microbenchmarks, one pass each.
 go test -run '^$' -bench '^Benchmark(TimerChurn|TimerChurnStop|EventTarget|HeapDepth)' ./internal/sim/ | tee -a "$txt"
-go test -run '^$' -bench '^Benchmark(SaturatedPort|IncastBurst)$' ./internal/netsim/ | tee -a "$txt"
+go test -run '^$' -bench '^Benchmark(SaturatedPort|IncastBurst|ComputeRoutes|RouteLookup)$' ./internal/netsim/ | tee -a "$txt"
 
 # Diff against the most recent committed BENCH_*.json (other than the one
 # being written), and gate hard on the alloc budgets: the steady-state
 # engine path must stay allocation-free both bare and with the full
 # observatory attached (the obs gate matches the telemetry-on baseline
-# in BENCH_2.json, which is also zero).
+# in BENCH_2.json, which is also zero), and so must the per-hop route
+# lookup whatever the destination mix.
 prev=""
 for f in $(git ls-files 'BENCH_*.json' | sort -V); do
 	[ "$f" = "$json" ] && continue
@@ -56,5 +57,7 @@ prevargs=""
 go run ./cmd/benchjson -label "$label" -o "$json" $prevargs \
 	-gate 'BenchmarkEngineThroughput:allocs/pkt-hop<=0' \
 	-gate 'BenchmarkEngineThroughputObs:allocs/pkt-hop<=0' \
+	-gate 'BenchmarkRouteLookup/one_dst:allocs/op<=0' \
+	-gate 'BenchmarkRouteLookup/many_dst:allocs/op<=0' \
 	"$txt"
 echo "wrote $json"
