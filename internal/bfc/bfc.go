@@ -17,11 +17,8 @@
 package bfc
 
 import (
-	"fmt"
-
 	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
-	"tfcsim/internal/tcp"
 	"tfcsim/internal/transport"
 )
 
@@ -38,88 +35,34 @@ const (
 	DefaultPauseTimeout = 200 * sim.Microsecond
 )
 
-// Config parameterizes one BFC connection.
+// Config parameterizes one BFC connection: the protocol-independent
+// transport.DialConfig (its Probe sees the fixed window as Cwnd, plus
+// RTO / recovery / retransmit events) plus BFC's two knobs.
 type Config struct {
-	Sim   *sim.Simulator
-	Local *netsim.Host // sender side
-	Peer  *netsim.Host // receiver side
-	Flow  netsim.FlowID
+	transport.DialConfig
 
-	MSS    int   // default transport.DefaultMSS
-	Window int64 // fixed send window in bytes, default DefaultWindow
-
-	MinRTO       sim.Time // default 200ms (matching the TCP baseline)
-	MaxRTO       sim.Time // default 60s
+	Window       int64    // fixed send window in bytes, default DefaultWindow
 	PauseTimeout sim.Time // default DefaultPauseTimeout
-
-	// OnDrain fires every time all currently queued bytes become
-	// acknowledged; OnComplete fires once on close-and-drained.
-	OnDrain    func()
-	OnComplete func()
-
-	// Probe receives congestion telemetry, reusing the TCP probe shape:
-	// Cwnd reports the (fixed) window, plus RTO / recovery / retransmit
-	// events.
-	Probe tcp.Probe
 }
-
-func (c *Config) fillDefaults() {
-	if c.MSS == 0 {
-		c.MSS = transport.DefaultMSS
-	}
-	if c.Window == 0 {
-		c.Window = DefaultWindow
-	}
-	if c.MinRTO == 0 {
-		c.MinRTO = 200 * sim.Millisecond
-	}
-	if c.MaxRTO == 0 {
-		c.MaxRTO = 60 * sim.Second
-	}
-	if c.PauseTimeout == 0 {
-		c.PauseTimeout = DefaultPauseTimeout
-	}
-}
-
-// Sender states.
-const (
-	stateClosed = iota
-	stateSynSent
-	stateEstablished
-	stateDone
-)
 
 // Sender is the sending half of a BFC connection: a fixed-window,
 // ACK-clocked sender that obeys XOF/XON backpressure from switches.
-// Loss recovery keeps TCP's machinery (fast retransmit on three dupacks,
-// go-back-N RTO) because backpressure prevents congestion drops but not
-// wire loss or link failures.
+// Loss recovery is transport.Reliable's (fast retransmit on three
+// dupacks, go-back-N RTO) because backpressure prevents congestion drops
+// but not wire loss or link failures.
 type Sender struct {
-	cfg Config
-	st  transport.Stats
-	est *transport.RTTEstimator
+	transport.Reliable
 
-	state   int
-	sndUna  int64
-	sndNxt  int64
-	budget  int64 // total bytes handed to Send
-	closing bool
-	finSent bool
+	window       int64
+	pauseTimeout sim.Time
 
-	dupacks int
 	inFR    bool
 	recover int64
 
-	rto        *transport.RTOTimer
-	rtoBackoff uint
-
-	// Pause state: while paused the sender transmits nothing. pauseUntil
-	// is the XOF expiry; an XON clears it early, a refreshed XOF extends
-	// it, and the lazily re-armed pauseTimer resumes transmission when it
-	// expires without either.
-	paused     bool
-	pauseUntil sim.Time
-	pauseTimer sim.Timer
+	// pause is armed while the sender is backpressured, and transmits
+	// nothing: an XOF (re)arms it one pause timeout ahead, an XON stops
+	// it early, and expiry without either resumes transmission.
+	pause *transport.LazyTimer
 
 	// Pauses counts XOF signals received (sender-side stat).
 	Pauses int64
@@ -127,325 +70,117 @@ type Sender struct {
 
 // NewSender creates (and registers at the local host) the sending side.
 func NewSender(cfg Config) *Sender {
-	cfg.fillDefaults()
-	s := &Sender{
-		cfg: cfg,
-		est: transport.NewRTTEstimator(cfg.MinRTO, cfg.MaxRTO, 0),
+	s := &Sender{window: cfg.Window, pauseTimeout: cfg.PauseTimeout}
+	if s.window == 0 {
+		s.window = DefaultWindow
 	}
-	s.rto = transport.NewRTOTimer(cfg.Sim, s.onRTO)
+	if s.pauseTimeout == 0 {
+		s.pauseTimeout = DefaultPauseTimeout
+	}
+	s.Init(cfg.DialConfig, s.onRTO)
+	// Timeout without XON or refresh: probe onward. If the congestion is
+	// still there, the first arriving packet triggers a fresh XOF.
+	s.pause = transport.NewLazyTimer(cfg.Sim, s.trySend)
 	cfg.Local.Register(cfg.Flow, s)
 	return s
 }
 
 // Dial creates a sender and its matching receiver (the plain cumulative-
-// ACK TCP receiver — BFC needs nothing receiver-side), registering both.
-func Dial(cfg Config) (*Sender, *tcp.Receiver) {
-	s := NewSender(cfg)
-	r := tcp.NewReceiver(cfg.Peer.Sim(), cfg.Peer, cfg.Local, cfg.Flow)
-	return s, r
+// ACK receiver — BFC needs nothing receiver-side), registering both.
+func Dial(cfg Config) (*Sender, *transport.Receiver) {
+	return NewSender(cfg), transport.NewReceiver(cfg.Peer, cfg.Local, cfg.Flow)
 }
-
-// Stats exposes the sender's statistics record.
-func (s *Sender) Stats() *transport.Stats { return &s.st }
-
-// Acked returns cumulative acknowledged bytes.
-func (s *Sender) Acked() int64 { return s.sndUna }
-
-// Queued returns cumulative bytes handed to Send.
-func (s *Sender) Queued() int64 { return s.budget }
-
-// SRTT returns the smoothed RTT estimate (0 before the first sample).
-func (s *Sender) SRTT() sim.Time { return s.est.SRTT() }
 
 // Paused reports whether the sender is currently backpressured.
-func (s *Sender) Paused() bool { return s.paused }
-
-// Open sends the SYN.
-func (s *Sender) Open() {
-	if s.state != stateClosed {
-		return
-	}
-	s.state = stateSynSent
-	s.st.Start = s.cfg.Sim.Now()
-	s.sendSYN()
-}
+func (s *Sender) Paused() bool { return s.pause.Armed() }
 
 // Send queues n more bytes on the stream.
 func (s *Sender) Send(n int64) {
-	if n <= 0 || s.closing {
-		return
-	}
-	s.budget += n
-	if s.state == stateEstablished {
+	if s.Queue(n) {
 		s.trySend()
 	}
 }
 
-// Close marks the stream finished; a FIN goes out once drained.
-func (s *Sender) Close() {
-	s.closing = true
-	if s.state == stateEstablished && s.sndUna == s.budget {
-		s.finish()
-	}
-}
-
-func (s *Sender) flight() int64 { return s.sndNxt - s.sndUna }
-
-func (s *Sender) sendSYN() {
-	p := s.cfg.Local.NewPacket()
-	*p = netsim.Packet{
-		Flow: s.cfg.Flow, Src: s.cfg.Local.ID(), Dst: s.cfg.Peer.ID(),
-		Flags: netsim.FlagSYN, SentAt: s.cfg.Sim.Now(), Window: netsim.WindowUnset,
-	}
-	s.cfg.Local.Send(p)
-	s.armRTO()
-}
-
-func (s *Sender) mkData(seq int64, n int) *netsim.Packet {
-	p := s.cfg.Local.NewPacket()
-	*p = netsim.Packet{
-		Flow: s.cfg.Flow, Src: s.cfg.Local.ID(), Dst: s.cfg.Peer.ID(),
-		Seq: seq, Payload: n, SentAt: s.cfg.Sim.Now(), Window: netsim.WindowUnset,
-	}
-	return p
-}
-
 func (s *Sender) trySend() {
-	if s.state != stateEstablished || s.paused {
+	if !s.Established() || s.Paused() {
 		return
 	}
-	for s.sndNxt < s.budget {
-		seg := int64(s.cfg.MSS)
-		if rem := s.budget - s.sndNxt; rem < seg {
-			seg = rem
-		}
-		if s.flight() > 0 && s.flight()+seg > s.cfg.Window {
+	for s.SndNxt < s.Budget {
+		seg := s.SegLen(s.SndNxt)
+		if s.Flight() > 0 && s.Flight()+seg > s.window {
 			break
 		}
-		if s.st.FirstSend == 0 && s.st.BytesAcked == 0 {
-			s.st.FirstSend = s.cfg.Sim.Now()
-		}
-		s.cfg.Local.Send(s.mkData(s.sndNxt, int(seg)))
-		s.sndNxt += seg
+		s.SendNew(s.Segment(s.SndNxt, seg, 0))
 	}
-	if s.flight() > 0 && !s.rto.Armed() {
-		s.armRTO()
+	if s.Flight() > 0 {
+		s.ArmIfIdle()
 	}
-}
-
-// retransmit resends one segment starting at seq without advancing sndNxt.
-func (s *Sender) retransmit(seq int64) {
-	seg := int64(s.cfg.MSS)
-	if rem := s.budget - seq; rem < seg {
-		seg = rem
-	}
-	if seg <= 0 {
-		return
-	}
-	s.st.RtxBytes += seg
-	if s.cfg.Probe != nil {
-		s.cfg.Probe.Retransmit(s.cfg.Sim.Now(), s.cfg.Flow, seg)
-	}
-	s.cfg.Local.Send(s.mkData(seq, int(seg)))
-}
-
-func (s *Sender) armRTO() {
-	// Clamp before shifting, exactly as the TCP sender does: a long
-	// blackout's backoff must saturate at MaxRTO, not overflow.
-	d := s.est.RTO()
-	if d > s.cfg.MaxRTO>>s.rtoBackoff {
-		d = s.cfg.MaxRTO
-	} else {
-		d <<= s.rtoBackoff
-	}
-	s.rto.Arm(d)
 }
 
 func (s *Sender) onRTO() {
-	if s.state == stateDone {
-		return
-	}
-	s.st.Timeouts++
-	s.rtoBackoff++
-	if s.cfg.Probe != nil {
-		s.cfg.Probe.RTOFired(s.cfg.Sim.Now(), s.cfg.Flow, s.rtoBackoff)
-	}
-	if s.state == stateSynSent {
-		s.sendSYN()
-		return
-	}
-	if s.flight() <= 0 {
+	if !s.Timeout() {
 		return
 	}
 	// A pause riding into an RTO is stale information — the XOF refresh
 	// chain is clearly broken (blackout, flushed queue) — so the timeout
 	// overrides it. Without this a lost XON plus a lost retransmission
 	// window could deadlock the flow.
-	s.paused = false
-	if s.inFR && s.cfg.Probe != nil {
-		s.cfg.Probe.Recovery(s.cfg.Sim.Now(), s.cfg.Flow, false)
+	s.pause.Stop()
+	if s.inFR {
+		s.ProbeRecovery(false)
 	}
-	s.sndNxt = s.sndUna // go-back-N
-	s.dupacks = 0
 	s.inFR = false
-	s.st.RtxBytes += minI64(int64(s.cfg.MSS), s.budget-s.sndUna)
-	if s.cfg.Probe != nil {
-		s.cfg.Probe.Retransmit(s.cfg.Sim.Now(), s.cfg.Flow, minI64(int64(s.cfg.MSS), s.budget-s.sndUna))
-	}
+	s.GoBackN()
 	s.trySend()
-	s.armRTO()
-}
-
-func (s *Sender) onXOF() {
-	s.Pauses++
-	s.paused = true
-	s.pauseUntil = s.cfg.Sim.Now() + s.cfg.PauseTimeout
-	if !s.pauseTimer.Active() {
-		s.pauseTimer = s.cfg.Sim.At(s.pauseUntil, s.onPauseExpiry)
-	}
-	// An already-pending timer fires at or before the new deadline and
-	// re-arms itself from onPauseExpiry — the RTOTimer lazy pattern.
-}
-
-func (s *Sender) onXON() {
-	if !s.paused {
-		return
-	}
-	s.paused = false
-	s.trySend()
-}
-
-func (s *Sender) onPauseExpiry() {
-	if !s.paused {
-		return
-	}
-	if now := s.cfg.Sim.Now(); now < s.pauseUntil {
-		s.pauseTimer = s.cfg.Sim.At(s.pauseUntil, s.onPauseExpiry)
-		return
-	}
-	// Timeout without XON or refresh: probe onward. If the congestion is
-	// still there, the first arriving packet triggers a fresh XOF.
-	s.paused = false
-	s.trySend()
+	s.ArmRTO()
 }
 
 // Deliver handles an incoming packet (XOF/XON, SYNACK, or ACK).
 func (s *Sender) Deliver(pkt *netsim.Packet) {
-	if s.state == stateDone {
+	if s.Done() {
 		return
 	}
 	if pkt.Flags&netsim.FlagXOF != 0 {
-		s.onXOF()
+		s.Pauses++
+		s.pause.Arm(s.pauseTimeout)
 		return
 	}
 	if pkt.Flags&netsim.FlagXON != 0 {
-		s.onXON()
+		if s.Paused() {
+			s.pause.Stop()
+			s.trySend()
+		}
 		return
 	}
 	if pkt.Flags&netsim.FlagSYN != 0 && pkt.Flags&netsim.FlagACK != 0 {
-		if s.state == stateSynSent {
-			s.state = stateEstablished
-			s.rtoBackoff = 0
-			s.est.Observe(s.cfg.Sim.Now() - pkt.SentAt)
-			s.rto.Stop()
-			if s.cfg.Probe != nil {
-				s.cfg.Probe.Cwnd(s.cfg.Sim.Now(), s.cfg.Flow, s.cfg.Window, s.cfg.Window)
-			}
+		if s.Connected(pkt) {
+			s.ProbeCwnd(s.window, s.window)
 			s.trySend()
-			if s.budget == 0 && s.closing {
-				s.finish()
-			}
+			s.FinishIfClosed()
 		}
 		return
 	}
 	if pkt.Flags&netsim.FlagACK == 0 {
 		return
 	}
-	ack := pkt.Ack
-	switch {
-	case ack > s.sndUna:
-		newly := ack - s.sndUna
-		s.st.BytesAcked += newly
-		s.est.Observe(s.cfg.Sim.Now() - pkt.SentAt)
-		s.sndUna = ack
-		if s.sndNxt < s.sndUna {
-			s.sndNxt = s.sndUna
-		}
-		s.rtoBackoff = 0
+	switch newly, dup := s.Ack(pkt); {
+	case newly > 0:
 		if s.inFR {
-			if ack >= s.recover {
+			if pkt.Ack >= s.recover {
 				s.inFR = false
-				s.dupacks = 0
-				if s.cfg.Probe != nil {
-					s.cfg.Probe.Recovery(s.cfg.Sim.Now(), s.cfg.Flow, false)
-				}
+				s.ProbeRecovery(false)
 			} else {
 				// Partial ACK: retransmit the next hole, stay in recovery.
-				s.retransmit(s.sndUna)
+				s.Retransmit(0)
 			}
-		} else {
-			s.dupacks = 0
 		}
-		if s.flight() > 0 {
-			s.armRTO()
-		} else {
-			s.rto.Stop()
-		}
+		s.Rearm(s.Flight() > 0)
 		s.trySend()
-		if s.sndUna == s.budget {
-			if s.cfg.OnDrain != nil {
-				s.cfg.OnDrain()
-			}
-			if s.closing {
-				s.finish()
-			}
-		}
-	case ack == s.sndUna && s.flight() > 0:
-		s.dupacks++
-		if !s.inFR && s.dupacks == 3 {
-			s.st.FastRtx++
-			s.recover = s.sndNxt
-			s.inFR = true
-			if s.cfg.Probe != nil {
-				s.cfg.Probe.Recovery(s.cfg.Sim.Now(), s.cfg.Flow, true)
-			}
-			s.retransmit(s.sndUna)
-			s.armRTO()
-		}
+		s.Drained()
+	case dup && !s.inFR && s.Dupacks == 3:
+		s.recover = s.SndNxt
+		s.inFR = true
+		s.ProbeRecovery(true)
+		s.FastRetransmit(0)
 	}
-}
-
-func (s *Sender) finish() {
-	if s.state == stateDone {
-		return
-	}
-	s.state = stateDone
-	if !s.finSent {
-		s.finSent = true
-		p := s.cfg.Local.NewPacket()
-		*p = netsim.Packet{
-			Flow: s.cfg.Flow, Src: s.cfg.Local.ID(), Dst: s.cfg.Peer.ID(),
-			Flags: netsim.FlagFIN, Seq: s.sndNxt, SentAt: s.cfg.Sim.Now(),
-			Window: netsim.WindowUnset,
-		}
-		s.cfg.Local.Send(p)
-	}
-	s.rto.Stop()
-	s.st.Done = true
-	s.st.Completed = s.cfg.Sim.Now()
-	if s.cfg.OnComplete != nil {
-		s.cfg.OnComplete()
-	}
-}
-
-func (s *Sender) String() string {
-	return fmt.Sprintf("bfc.Sender{flow=%d una=%d nxt=%d paused=%v}",
-		s.cfg.Flow, s.sndUna, s.sndNxt, s.paused)
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -5,7 +5,7 @@ import (
 
 	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
-	"tfcsim/internal/tcp"
+	"tfcsim/internal/transport"
 )
 
 // rig is a dumbbell with BFC attached: h1 --10G-- sw --1G-- h2, so queues
@@ -34,8 +34,8 @@ func newRig(buf int) *rig {
 	return r
 }
 
-func (r *rig) conn(flow netsim.FlowID, opts ...func(*Config)) (*Sender, *tcp.Receiver) {
-	cfg := Config{Sim: r.s, Local: r.h1, Peer: r.h2, Flow: flow}
+func (r *rig) conn(flow netsim.FlowID, opts ...func(*Config)) (*Sender, *transport.Receiver) {
+	cfg := Config{DialConfig: transport.DialConfig{Sim: r.s, Local: r.h1, Peer: r.h2, Flow: flow}}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -46,7 +46,7 @@ func TestHandshakeAndTransfer(t *testing.T) {
 	r := newRig(256 << 10)
 	snd, rcv := r.conn(1)
 	done := false
-	snd.cfg.OnComplete = func() { done = true }
+	snd.Cfg.OnComplete = func() { done = true }
 	r.s.At(0, func() {
 		snd.Open()
 		snd.Send(10 * 1460)
@@ -169,7 +169,7 @@ func TestPauseTimeoutRecoversLostXON(t *testing.T) {
 	const total = 2 << 20
 	snd, rcv := r.conn(1)
 	done := false
-	snd.cfg.OnComplete = func() { done = true }
+	snd.Cfg.OnComplete = func() { done = true }
 	r.s.At(0, func() {
 		snd.Open()
 		snd.Send(total)

@@ -1,9 +1,6 @@
 package bfc
 
-import (
-	"tfcsim/internal/tcp"
-	"tfcsim/internal/transport"
-)
+import "tfcsim/internal/transport"
 
 // init registers BFC with the transport registry: fixed-window senders
 // plus per-flow pause/resume hooks on every switch port.
@@ -12,13 +9,7 @@ func init() {
 		Desc:    "BFC-style per-hop backpressure: per-flow XOF/XON pause thresholds at switches",
 		Compare: true,
 		Dial: func(c transport.DialConfig) transport.Conn {
-			probe, _ := c.Probe.(tcp.Probe)
-			s, r := Dial(Config{
-				Sim: c.Sim, Local: c.Local, Peer: c.Peer, Flow: c.Flow,
-				MSS: c.MSS, MinRTO: c.MinRTO,
-				OnDrain: c.OnDrain, OnComplete: c.OnComplete,
-				Probe: probe,
-			})
+			s, r := Dial(Config{DialConfig: c})
 			return transport.Conn{Sender: s, Received: r.Received, SRTT: s.SRTT}
 		},
 		Attach: func(a transport.AttachConfig) any {

@@ -5,6 +5,7 @@ import (
 
 	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
+	"tfcsim/internal/transport"
 )
 
 // rig: nSenders hosts -> sw -> recv host, all 1 Gbps, 5us links, TFC on sw.
@@ -41,8 +42,8 @@ func newRig(nSenders, bufBytes int, scfg SwitchConfig) *rig {
 	return r
 }
 
-func (r *rig) conn(i int, flow netsim.FlowID, opts ...func(*Config)) (*Sender, *Receiver) {
-	cfg := Config{Sim: r.s, Local: r.senders[i], Peer: r.recv, Flow: flow}
+func (r *rig) conn(i int, flow netsim.FlowID, opts ...func(*Config)) (*Sender, *transport.Receiver) {
+	cfg := Config{DialConfig: transport.DialConfig{Sim: r.s, Local: r.senders[i], Peer: r.recv, Flow: flow}}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -54,7 +55,7 @@ func TestSingleFlowTransfer(t *testing.T) {
 	snd, rcv := r.conn(0, 1)
 	done := false
 	r.s.At(0, func() {
-		snd.cfg.OnComplete = func() { done = true }
+		snd.Cfg.OnComplete = func() { done = true }
 		snd.Open()
 		snd.Send(1 << 20)
 		snd.Close()
@@ -88,7 +89,7 @@ func TestWindowAcquisitionBeforeData(t *testing.T) {
 	// already arrived.
 	for i := 0; i < 2000 && snd.Acked() < 100*1460; i++ {
 		r.s.RunUntil(r.s.Now() + 10*sim.Microsecond)
-		if snd.sndNxt > 0 && snd.RMAs == 0 {
+		if snd.SndNxt > 0 && snd.RMAs == 0 {
 			t.Fatal("data sent before window acquisition completed")
 		}
 	}
@@ -246,7 +247,7 @@ func TestHighFanInNoLossWithDelayArbiter(t *testing.T) {
 	done := 0
 	for i := 0; i < n; i++ {
 		snd, _ := r.conn(i, netsim.FlowID(i+1), func(c *Config) {})
-		snd.cfg.OnComplete = func() { done++ }
+		snd.Cfg.OnComplete = func() { done++ }
 		r.s.At(0, func() {
 			snd.Open()
 			snd.Send(64 << 10)
@@ -408,7 +409,7 @@ func TestEmptyFlowCompletes(t *testing.T) {
 	snd, rcv := r.conn(0, 1)
 	done := false
 	r.s.At(0, func() {
-		snd.cfg.OnComplete = func() { done = true }
+		snd.Cfg.OnComplete = func() { done = true }
 		snd.Open()
 		snd.Close()
 	})

@@ -6,81 +6,37 @@ import (
 	"tfcsim/internal/transport"
 )
 
-// Config parameterizes one TFC connection.
+// Config parameterizes one TFC connection: the protocol-independent
+// transport.DialConfig plus TFC's one knob.
 type Config struct {
-	Sim   *sim.Simulator
-	Local *netsim.Host // sender side
-	Peer  *netsim.Host // receiver side
-	Flow  netsim.FlowID
+	transport.DialConfig
 
-	MSS    int
-	MinRTO sim.Time // default 200ms (loss is rare under TFC; kept for parity with TCP)
-	MaxRTO sim.Time
-	RcvWnd int64 // receiver advertised window (min'd into RMA windows)
 	// Weight is the flow's share weight for TFC's weighted allocation
 	// policy (paper §4.1): a weight-w flow is assigned w fair shares of
 	// the token pool at every switch. Default 1; max 255.
 	Weight int
-
-	// OnDrain fires whenever all queued bytes become acknowledged.
-	OnDrain func()
-	// OnComplete fires once when the flow closes fully acknowledged.
-	OnComplete func()
 }
 
-func (c *Config) fillDefaults() {
-	if c.MSS == 0 {
-		c.MSS = transport.DefaultMSS
-	}
-	if c.MinRTO == 0 {
-		c.MinRTO = 200 * sim.Millisecond
-	}
-	if c.MaxRTO == 0 {
-		c.MaxRTO = 60 * sim.Second
-	}
-	if c.RcvWnd == 0 {
-		c.RcvWnd = transport.DefaultRcvWnd
-	}
-	if c.Weight <= 0 {
-		c.Weight = 1
-	} else if c.Weight > 255 {
-		c.Weight = 255
-	}
-}
+// weight is Weight as it travels in the packet header.
+func (c Config) weight() uint8 { return uint8(min(max(c.Weight, 1), 255)) }
 
-// Sender states.
-const (
-	stClosed = iota
-	stSynSent
-	stAwaitWindow // window-acquisition phase (paper §4.6)
-	stData
-	stDone
-)
-
-// Sender is the sending half of a TFC connection. Its congestion window is
-// entirely switch-assigned: it is whatever the last RMA ACK carried. The
-// sender marks the first packet of every round with RM (one RM per RMA
-// received), giving switches their effective-flow count and RTT samples.
+// Sender is the sending half of a TFC connection: an ordinary reliable
+// byte stream (transport.Reliable — reliability is TCP's, paper §5.3)
+// whose window is entirely switch-assigned: it is whatever the last RMA
+// ACK carried. The sender marks the first packet of every round with RM
+// (one RM per RMA received), giving switches their effective-flow count
+// and RTT samples.
 type Sender struct {
-	cfg Config
-	st  transport.Stats
-	est *transport.RTTEstimator
+	transport.Reliable
 
-	state    int
-	sndUna   int64
-	sndNxt   int64
-	budget   int64
-	closing  bool
-	finSent  bool
 	cwnd     int64 // bytes; from last RMA
 	markNext bool
-	dupacks  int
-
-	rto        *transport.RTOTimer
-	rtoBackoff uint
-	lastAckAt  sim.Time
-	minRTT     sim.Time // smallest RTT sample seen (pacing-free baseline)
-	tailSeq    int64    // seq of the in-flight window-limited sub-MSS segment, -1 if none
+	// awaiting is the window-acquisition phase (paper §4.6): a probe is
+	// out and no data moves until its RMA brings the window.
+	awaiting  bool
+	lastAckAt sim.Time
+	minRTT    sim.Time // smallest RTT sample seen (pacing-free baseline)
+	tailSeq   int64    // seq of the in-flight window-limited sub-MSS segment, -1 if none
 
 	// RMAs counts window updates received (diagnostics).
 	RMAs int64
@@ -90,50 +46,22 @@ type Sender struct {
 
 // NewSender creates (and registers at the local host) a TFC sender.
 func NewSender(cfg Config) *Sender {
-	cfg.fillDefaults()
-	s := &Sender{
-		cfg:     cfg,
-		est:     transport.NewRTTEstimator(cfg.MinRTO, cfg.MaxRTO, 0),
-		tailSeq: -1,
-	}
-	s.rto = transport.NewRTOTimer(cfg.Sim, s.onRTO)
+	s := &Sender{tailSeq: -1}
+	s.Init(cfg.DialConfig, s.onRTO)
+	// The SYN is RM-marked so switches count the new flow (Fig 2).
+	s.SynFlags = netsim.FlagRM
+	s.Weight = cfg.weight()
 	cfg.Local.Register(cfg.Flow, s)
 	return s
 }
 
-// Dial creates a TFC sender and its matching receiver. The receiver runs
-// on the peer host's simulator — distinct from cfg.Sim once the network
-// is partitioned across shards.
-func Dial(cfg Config) (*Sender, *Receiver) {
-	s := NewSender(cfg)
-	r := NewReceiver(cfg.Peer.Sim(), cfg.Peer, cfg.Local, cfg.Flow, cfg.RcvWnd)
-	return s, r
+// Dial creates a TFC sender and its matching receiver.
+func Dial(cfg Config) (*Sender, *transport.Receiver) {
+	return NewSender(cfg), transport.NewReceiver(cfg.Peer, cfg.Local, cfg.Flow)
 }
-
-// Stats exposes the flow statistics record.
-func (s *Sender) Stats() *transport.Stats { return &s.st }
-
-// Acked returns cumulative acknowledged bytes.
-func (s *Sender) Acked() int64 { return s.sndUna }
-
-// Queued returns cumulative bytes handed to Send.
-func (s *Sender) Queued() int64 { return s.budget }
 
 // Cwnd returns the switch-assigned window in bytes.
 func (s *Sender) Cwnd() int64 { return s.cwnd }
-
-// SRTT returns the smoothed RTT estimate (0 before the first sample).
-func (s *Sender) SRTT() sim.Time { return s.est.SRTT() }
-
-// Open sends the RM-marked SYN (counted by switches, Fig 2).
-func (s *Sender) Open() {
-	if s.state != stClosed {
-		return
-	}
-	s.state = stSynSent
-	s.st.Start = s.cfg.Sim.Now()
-	s.sendSYN()
-}
 
 // Send queues n more bytes on the stream. A flow resuming after an idle
 // period re-acquires its window with a probe first: its stale window no
@@ -143,16 +71,11 @@ func (s *Sender) Open() {
 // the bottleneck. This mirrors the establishment-time window-acquisition
 // phase (§4.6) applied to the on-off flows of §2.
 func (s *Sender) Send(n int64) {
-	if n <= 0 || s.closing {
+	wasIdle := s.SndUna == s.Budget
+	if !s.Queue(n) || s.awaiting {
 		return
 	}
-	wasIdle := s.state == stData && s.sndUna == s.budget
-	s.budget += n
-	if s.state != stData {
-		return
-	}
-	if wasIdle && s.cfg.Sim.Now()-s.lastAckAt > s.idleProbeAfter() {
-		s.state = stAwaitWindow
+	if wasIdle && s.Cfg.Sim.Now()-s.lastAckAt > s.idleProbeAfter() {
 		s.sendProbe()
 		return
 	}
@@ -172,68 +95,35 @@ func (s *Sender) idleProbeAfter() sim.Time {
 	return sim.Millisecond
 }
 
-func (s *Sender) observeRTT(rtt sim.Time) {
-	s.est.Observe(rtt)
-	if s.minRTT == 0 || rtt < s.minRTT {
+func (s *Sender) trackMinRTT(pkt *netsim.Packet) {
+	if rtt := s.Cfg.Sim.Now() - pkt.SentAt; s.minRTT == 0 || rtt < s.minRTT {
 		s.minRTT = rtt
 	}
 }
 
-// Close marks the stream finished; FIN goes out once drained.
-func (s *Sender) Close() {
-	s.closing = true
-	if (s.state == stData || s.state == stAwaitWindow) && s.sndUna == s.budget {
-		s.finish()
-	}
-}
-
-func (s *Sender) flight() int64 { return s.sndNxt - s.sndUna }
-
-func (s *Sender) sendSYN() {
-	p := s.cfg.Local.NewPacket()
-	*p = netsim.Packet{
-		Flow: s.cfg.Flow, Src: s.cfg.Local.ID(), Dst: s.cfg.Peer.ID(),
-		Flags:  netsim.FlagSYN | netsim.FlagRM,
-		SentAt: s.cfg.Sim.Now(), Window: netsim.WindowUnset,
-		Weight: uint8(s.cfg.Weight),
-	}
-	s.cfg.Local.Send(p)
-	s.armRTO()
-}
-
-// sendProbe emits the zero-payload RM packet of the window-acquisition
-// phase: it is counted as an effective flow and its RMA ACK carries the
-// proper window before any data is transmitted, avoiding the burst drops
-// of synchronized new flows (paper §4.6).
+// sendProbe enters the window-acquisition phase by emitting its
+// zero-payload RM packet: it is counted as an effective flow and its RMA
+// ACK carries the proper window before any data is transmitted, avoiding
+// the burst drops of synchronized new flows (paper §4.6).
 func (s *Sender) sendProbe() {
+	s.awaiting = true
 	s.Probes++
-	p := s.cfg.Local.NewPacket()
-	*p = netsim.Packet{
-		Flow: s.cfg.Flow, Src: s.cfg.Local.ID(), Dst: s.cfg.Peer.ID(),
-		Flags:  netsim.FlagRM,
-		Seq:    s.sndNxt,
-		SentAt: s.cfg.Sim.Now(), Window: netsim.WindowUnset,
-		Weight: uint8(s.cfg.Weight),
-	}
-	s.cfg.Local.Send(p)
-	s.armRTO()
+	s.Cfg.Local.Send(s.Segment(s.SndNxt, 0, netsim.FlagRM))
+	s.ArmRTO()
 }
 
-func (s *Sender) mkData(seq int64, n int, rm bool) *netsim.Packet {
-	p := s.cfg.Local.NewPacket()
-	*p = netsim.Packet{
-		Flow: s.cfg.Flow, Src: s.cfg.Local.ID(), Dst: s.cfg.Peer.ID(),
-		Seq: seq, Payload: n, SentAt: s.cfg.Sim.Now(), Window: netsim.WindowUnset,
-		Weight: uint8(s.cfg.Weight),
+// roundMark returns (and consumes) the RM flag if the next segment is to
+// carry the round mark.
+func (s *Sender) roundMark(rm bool) netsim.Flag {
+	if !rm {
+		return 0
 	}
-	if rm {
-		p.Flags |= netsim.FlagRM
-	}
-	return p
+	s.markNext = false
+	return netsim.FlagRM
 }
 
 func (s *Sender) trySend() {
-	if s.state != stData {
+	if !s.Established() || s.awaiting {
 		return
 	}
 	// The switch assigns byte windows that rarely land on packet
@@ -246,18 +136,12 @@ func (s *Sender) trySend() {
 	// far below rho0. A window below one MSS degenerates to one small
 	// packet per RMA — and with the switch delay arbiter active, such
 	// RMAs arrive bumped to one MSS and paced (§4.6).
-	mss := int64(s.cfg.MSS)
-	target := s.cwnd
-	if target < mss {
-		target = mss // never below one packet (arbiter-disabled fallback)
-	}
-	for s.sndNxt < s.budget {
-		rem := s.budget - s.sndNxt
-		seg := mss
-		if rem < seg {
-			seg = rem
-		}
-		room := target - s.flight()
+	mss := int64(s.Cfg.MSS)
+	target := max(s.cwnd, mss) // never below one packet (arbiter-disabled fallback)
+	for s.SndNxt < s.Budget {
+		rem := s.Budget - s.SndNxt
+		seg := min(mss, rem)
+		room := target - s.Flight()
 		if room <= 0 {
 			break
 		}
@@ -283,87 +167,42 @@ func (s *Sender) trySend() {
 			// into a storm of tiny packets whose header overhead consumes
 			// a large share of the link. Waiting one ACK lets room grow
 			// back to a full segment.
-			if s.tailSeq >= 0 && s.sndUna <= s.tailSeq {
+			if s.tailSeq >= 0 && s.SndUna <= s.tailSeq {
 				break
 			}
-			s.tailSeq = s.sndNxt
+			s.tailSeq = s.SndNxt
 		}
-		if s.st.FirstSend == 0 {
-			s.st.FirstSend = s.cfg.Sim.Now()
-		}
-		s.cfg.Local.Send(s.mkData(s.sndNxt, int(seg), rm))
-		if rm {
-			s.markNext = false
-		}
-		s.sndNxt += seg
+		s.SendNew(s.Segment(s.SndNxt, seg, s.roundMark(rm)))
 	}
-	if s.flight() > 0 && !s.rto.Armed() {
-		s.armRTO()
+	if s.Flight() > 0 {
+		s.ArmIfIdle()
 	}
-}
-
-func (s *Sender) retransmit(seq int64) {
-	seg := int64(s.cfg.MSS)
-	if rem := s.budget - seq; rem < seg {
-		seg = rem
-	}
-	if seg <= 0 {
-		return
-	}
-	s.st.RtxBytes += seg
-	s.cfg.Local.Send(s.mkData(seq, int(seg), s.markNext))
-	s.markNext = false
-}
-
-func (s *Sender) armRTO() {
-	// Clamp before shifting: the naive d << backoff overflows int64 for
-	// backoffs past ~32 and slips past a post-shift MaxRTO check (see the
-	// identical fix in internal/tcp).
-	d := s.est.RTO()
-	if d > s.cfg.MaxRTO>>s.rtoBackoff {
-		d = s.cfg.MaxRTO
-	} else {
-		d <<= s.rtoBackoff
-	}
-	s.rto.Arm(d)
 }
 
 func (s *Sender) onRTO() {
-	switch s.state {
-	case stSynSent:
-		s.st.Timeouts++
-		s.rtoBackoff++
-		s.sendSYN()
-	case stAwaitWindow:
-		s.st.Timeouts++
-		s.rtoBackoff++
+	if s.awaiting {
+		s.CountTimeout()
 		s.sendProbe()
-	case stData:
-		if s.flight() <= 0 {
-			return
-		}
-		s.st.Timeouts++
-		s.rtoBackoff++
-		s.sndNxt = s.sndUna // go-back-N
-		s.tailSeq = -1
-		s.markNext = true // re-mark so switches re-count us
-		s.dupacks = 0
-		s.st.RtxBytes += minI64(int64(s.cfg.MSS), s.budget-s.sndUna)
-		s.trySend()
-		s.armRTO()
+		return
 	}
+	if !s.Timeout() {
+		return
+	}
+	s.tailSeq = -1
+	s.markNext = true // re-mark so switches re-count us
+	s.GoBackN()
+	s.trySend()
+	s.ArmRTO()
 }
 
 // Deliver processes SYNACKs and (RMA-)ACKs.
 func (s *Sender) Deliver(pkt *netsim.Packet) {
-	if s.state == stDone {
+	if s.Done() {
 		return
 	}
 	if pkt.Flags&netsim.FlagSYN != 0 && pkt.Flags&netsim.FlagACK != 0 {
-		if s.state == stSynSent {
-			s.state = stAwaitWindow
-			s.rtoBackoff = 0
-			s.observeRTT(s.cfg.Sim.Now() - pkt.SentAt)
+		if s.Connected(pkt) {
+			s.trackMinRTT(pkt)
 			s.sendProbe()
 		}
 		return
@@ -371,160 +210,35 @@ func (s *Sender) Deliver(pkt *netsim.Packet) {
 	if pkt.Flags&netsim.FlagACK == 0 {
 		return
 	}
-	s.lastAckAt = s.cfg.Sim.Now()
+	s.lastAckAt = s.Cfg.Sim.Now()
 	if pkt.Flags&netsim.FlagRMA != 0 {
 		s.RMAs++
 		s.cwnd = pkt.Window
 		s.markNext = true
-		if s.state == stAwaitWindow {
+		if s.awaiting {
 			// Window acquired: enter the data phase.
-			s.state = stData
-			s.rtoBackoff = 0
-			s.rto.Stop()
-			if s.budget == 0 && s.closing {
-				s.finish()
+			s.awaiting = false
+			s.Backoff = 0
+			s.StopRTO()
+			s.FinishIfClosed() // an empty flow closed during the handshake
+			if s.Done() {
 				return
 			}
 		}
 	}
-	if s.state != stData {
+	if !s.Established() || s.awaiting {
 		return
 	}
-	ack := pkt.Ack
-	switch {
-	case ack > s.sndUna:
-		s.st.BytesAcked += ack - s.sndUna
-		s.observeRTT(s.cfg.Sim.Now() - pkt.SentAt)
-		s.sndUna = ack
-		if s.sndNxt < s.sndUna {
-			s.sndNxt = s.sndUna
-		}
-		s.rtoBackoff = 0
-		s.dupacks = 0
-		if s.flight() > 0 {
-			s.armRTO()
-		} else {
-			s.rto.Stop()
-		}
+	switch newly, dup := s.Ack(pkt); {
+	case newly > 0:
+		s.trackMinRTT(pkt)
+		s.Rearm(s.Flight() > 0)
 		s.trySend()
-		if s.sndUna == s.budget {
-			if s.cfg.OnDrain != nil {
-				s.cfg.OnDrain()
-			}
-			if s.closing {
-				s.finish()
-			}
-		}
-	case ack == s.sndUna && s.flight() > 0:
+		s.Drained()
+	case dup && s.Dupacks == 3:
 		// TFC has no loss-driven window to cut; dup-ACK-triggered
 		// retransmission simply repairs the (rare) hole.
-		s.dupacks++
-		if s.dupacks == 3 {
-			s.st.FastRtx++
-			s.retransmit(s.sndUna)
-			s.armRTO()
-		}
+		s.FastRetransmit(s.roundMark(s.markNext))
 	}
 	s.trySend()
-}
-
-func (s *Sender) finish() {
-	if s.state == stDone {
-		return
-	}
-	s.state = stDone
-	if !s.finSent {
-		s.finSent = true
-		p := s.cfg.Local.NewPacket()
-		*p = netsim.Packet{
-			Flow: s.cfg.Flow, Src: s.cfg.Local.ID(), Dst: s.cfg.Peer.ID(),
-			Flags: netsim.FlagFIN, Seq: s.sndNxt,
-			SentAt: s.cfg.Sim.Now(), Window: netsim.WindowUnset,
-		}
-		s.cfg.Local.Send(p)
-	}
-	s.rto.Stop()
-	s.st.Done = true
-	s.st.Completed = s.cfg.Sim.Now()
-	if s.cfg.OnComplete != nil {
-		s.cfg.OnComplete()
-	}
-}
-
-// Receiver is the receiving half: per-packet cumulative ACKs; packets
-// carrying RM are answered with RMA ACKs whose window field is
-// min(advertised window, the window stamped by switches on the RM packet)
-// — paper §5.3.
-type Receiver struct {
-	sim   *sim.Simulator
-	host  *netsim.Host
-	peer  *netsim.Host
-	flow  netsim.FlowID
-	awnd  int64
-	reasm transport.Reassembly
-
-	// FinAt records FIN arrival (0 if none).
-	FinAt sim.Time
-	// OnData fires after every in-order advance.
-	OnData func(total int64)
-}
-
-// NewReceiver creates (and registers at host) a TFC receiver.
-func NewReceiver(s *sim.Simulator, host, peer *netsim.Host, flow netsim.FlowID, awnd int64) *Receiver {
-	if awnd == 0 {
-		awnd = transport.DefaultRcvWnd
-	}
-	r := &Receiver{sim: s, host: host, peer: peer, flow: flow, awnd: awnd}
-	host.Register(flow, r)
-	return r
-}
-
-// Received returns cumulative in-order bytes.
-func (r *Receiver) Received() int64 { return r.reasm.Next() }
-
-// Deliver processes an arriving packet.
-func (r *Receiver) Deliver(pkt *netsim.Packet) {
-	switch {
-	case pkt.Flags&netsim.FlagSYN != 0:
-		p := r.host.NewPacket()
-		*p = netsim.Packet{
-			Flow: r.flow, Src: r.host.ID(), Dst: r.peer.ID(),
-			Flags: netsim.FlagSYN | netsim.FlagACK, Ack: r.reasm.Next(),
-			SentAt: pkt.SentAt, Window: netsim.WindowUnset,
-		}
-		r.host.Send(p)
-	case pkt.Flags&netsim.FlagFIN != 0:
-		r.FinAt = r.sim.Now()
-	case pkt.Payload > 0 || pkt.Flags&netsim.FlagRM != 0:
-		before := r.reasm.Next()
-		next := before
-		if pkt.Payload > 0 {
-			next = r.reasm.Add(pkt.Seq, pkt.Payload)
-		}
-		ack := r.host.NewPacket()
-		*ack = netsim.Packet{
-			Flow: r.flow, Src: r.host.ID(), Dst: r.peer.ID(),
-			Flags: netsim.FlagACK, Ack: next,
-			SentAt: pkt.SentAt, Window: netsim.WindowUnset,
-		}
-		if pkt.Flags&netsim.FlagRM != 0 {
-			ack.Flags |= netsim.FlagRMA
-			w := pkt.Window
-			if w > r.awnd {
-				w = r.awnd
-			}
-			ack.Window = w
-		}
-		r.host.Send(ack)
-		if next > before && r.OnData != nil {
-			r.OnData(next)
-		}
-	}
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -5,6 +5,7 @@ import (
 
 	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
+	"tfcsim/internal/transport"
 )
 
 // chainRig: h1..hn -> s1 -> s2 -> recv, with the s2->recv link slower so
@@ -54,7 +55,7 @@ func TestPathMinimumWindow(t *testing.T) {
 	r := newChainRig(2, 100*netsim.Mbps)
 	var snds []*Sender
 	for i, h := range r.senders {
-		snd, _ := Dial(Config{Sim: r.s, Local: h, Peer: r.recv, Flow: netsim.FlowID(i + 1)})
+		snd, _ := Dial(Config{DialConfig: transport.DialConfig{Sim: r.s, Local: h, Peer: r.recv, Flow: netsim.FlowID(i + 1)}})
 		snds = append(snds, snd)
 		r.s.At(0, func() { snd.Open(); snd.Send(1 << 30) })
 	}
@@ -94,7 +95,7 @@ func TestTFCSurvivesRandomLoss(t *testing.T) {
 	done := 0
 	for i := 0; i < 2; i++ {
 		snd, _ := r.conn(i, netsim.FlowID(i+1))
-		snd.cfg.OnComplete = func() { done++ }
+		snd.Cfg.OnComplete = func() { done++ }
 		snds = append(snds, snd)
 		r.s.At(0, func() {
 			snd.Open()

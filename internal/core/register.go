@@ -12,11 +12,7 @@ func init() {
 		Desc:    "Token Flow Control: switch-computed per-round windows (the paper's scheme)",
 		Compare: true,
 		Dial: func(c transport.DialConfig) transport.Conn {
-			s, r := Dial(Config{
-				Sim: c.Sim, Local: c.Local, Peer: c.Peer, Flow: c.Flow,
-				MSS: c.MSS, MinRTO: c.MinRTO,
-				OnDrain: c.OnDrain, OnComplete: c.OnComplete,
-			})
+			s, r := Dial(Config{DialConfig: c})
 			return transport.Conn{Sender: s, Received: r.Received, SRTT: s.SRTT}
 		},
 		Attach: func(a transport.AttachConfig) any {

@@ -53,15 +53,11 @@ func TestWeightDefaultsToFair(t *testing.T) {
 }
 
 func TestWeightClamping(t *testing.T) {
-	cfg := Config{Weight: -5}
-	cfg.fillDefaults()
-	if cfg.Weight != 1 {
-		t.Fatalf("negative weight clamped to %d, want 1", cfg.Weight)
+	if w := (Config{Weight: -5}).weight(); w != 1 {
+		t.Fatalf("negative weight clamped to %d, want 1", w)
 	}
-	cfg = Config{Weight: 1000}
-	cfg.fillDefaults()
-	if cfg.Weight != 255 {
-		t.Fatalf("huge weight clamped to %d, want 255", cfg.Weight)
+	if w := (Config{Weight: 1000}).weight(); w != 255 {
+		t.Fatalf("huge weight clamped to %d, want 255", w)
 	}
 }
 

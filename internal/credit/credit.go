@@ -26,16 +26,11 @@ import (
 	"tfcsim/internal/transport"
 )
 
-// Config parameterizes one credit-transport connection.
+// Config parameterizes one credit-transport connection: the
+// protocol-independent transport.DialConfig (Local is the data sender,
+// Peer the credit source) plus the receiver's rate-control knobs.
 type Config struct {
-	Sim   *sim.Simulator
-	Local *netsim.Host // data sender
-	Peer  *netsim.Host // data receiver (credit source)
-	Flow  netsim.FlowID
-
-	MSS    int
-	MinRTO sim.Time // retransmission safety net (default 200ms)
-	MaxRTO sim.Time
+	transport.DialConfig
 
 	// InitRate is the initial per-flow credit rate as a fraction of the
 	// receiver NIC rate (default 1/8).
@@ -47,37 +42,10 @@ type Config struct {
 	// time-based so that recovery from a rate collapse is not itself
 	// paced by the collapsed rate).
 	Epoch sim.Time
-
-	OnDrain    func()
-	OnComplete func()
-
-	// Probe, if set, receives credit-transport telemetry (RTO firings,
-	// credit-rate moves). Disabled path is one nil-check per event.
-	Probe Probe
-}
-
-// Probe observes the credit transport for the telemetry layer
-// (internal/telemetry). All callbacks are read-only observers. Each
-// callback carries the observed endpoint's current virtual time: sender
-// and receiver run on different simulators once the network is
-// partitioned, so the probe cannot consult a single clock.
-type Probe interface {
-	// RTOFired runs when the sender's retransmission safety net expires.
-	RTOFired(now sim.Time, flow netsim.FlowID, backoff uint)
-	// CreditRate runs after every receiver rate adjustment (credits/s).
-	CreditRate(now sim.Time, flow netsim.FlowID, perSec float64)
 }
 
 func (c *Config) fill() {
-	if c.MSS == 0 {
-		c.MSS = transport.DefaultMSS
-	}
-	if c.MinRTO == 0 {
-		c.MinRTO = 200 * sim.Millisecond
-	}
-	if c.MaxRTO == 0 {
-		c.MaxRTO = 60 * sim.Second
-	}
+	c.FillDefaults()
 	if c.InitRate == 0 {
 		c.InitRate = 1.0 / 8
 	}
@@ -90,21 +58,10 @@ func (c *Config) fill() {
 }
 
 // Sender is the data-sending half: it transmits one segment per received
-// credit and nothing otherwise (apart from the RTO safety net).
+// credit and nothing otherwise (apart from the RTO safety net, which
+// re-requests credits). Reliability is transport.Reliable's.
 type Sender struct {
-	cfg Config
-	st  transport.Stats
-	est *transport.RTTEstimator
-
-	opened  bool
-	sndUna  int64
-	sndNxt  int64
-	budget  int64
-	closing bool
-	done    bool
-
-	rto        *transport.RTOTimer
-	rtoBackoff uint
+	transport.Reliable
 
 	// CreditsUsed / CreditsWasted count received credits by outcome.
 	CreditsUsed   int64
@@ -113,12 +70,8 @@ type Sender struct {
 
 // NewSender creates (and registers) the sending half.
 func NewSender(cfg Config) *Sender {
-	cfg.fill()
-	s := &Sender{
-		cfg: cfg,
-		est: transport.NewRTTEstimator(cfg.MinRTO, cfg.MaxRTO, 0),
-	}
-	s.rto = transport.NewRTOTimer(cfg.Sim, s.onRTO)
+	s := &Sender{}
+	s.Init(cfg.DialConfig, s.onRTO)
 	cfg.Local.Register(cfg.Flow, s)
 	return s
 }
@@ -128,163 +81,74 @@ func NewSender(cfg Config) *Sender {
 // epoch timers are receiver-side state), so the two endpoints run on
 // their own shards once the network is partitioned.
 func Dial(cfg Config) (*Sender, *Receiver) {
-	s := NewSender(cfg)
-	r := NewReceiver(cfg)
-	return s, r
+	return NewSender(cfg), NewReceiver(cfg)
 }
 
-// Stats exposes the flow statistics record.
-func (s *Sender) Stats() *transport.Stats { return &s.st }
-
-// Acked returns cumulative acknowledged bytes.
-func (s *Sender) Acked() int64 { return s.sndUna }
-
-// Queued returns cumulative bytes handed to Send.
-func (s *Sender) Queued() int64 { return s.budget }
-
-// SRTT returns the smoothed RTT estimate.
-func (s *Sender) SRTT() sim.Time { return s.est.SRTT() }
-
-// Open announces the flow to the receiver (SYN): the receiver starts its
-// credit stream when data is requested.
+// Open announces the flow to the receiver (SYN). There is no handshake
+// reply to wait for: the receiver starts its credit stream when data is
+// requested.
 func (s *Sender) Open() {
-	if s.opened {
-		return
+	if s.OpenEstablished() {
+		s.sendCtl(netsim.FlagSYN)
+		s.ArmRTO()
 	}
-	s.opened = true
-	s.st.Start = s.cfg.Sim.Now()
-	s.sendCtl(netsim.FlagSYN)
-	s.armRTO()
 }
 
 // Send queues n more bytes; a credit request tells the receiver to
 // (re)start crediting.
 func (s *Sender) Send(n int64) {
-	if n <= 0 || s.closing {
-		return
-	}
-	s.budget += n
-	if s.opened {
-		s.sendCtl(netsim.FlagCRD) // credit request
+	if s.Queue(n) {
+		s.sendCtl(netsim.FlagCRD)
 	}
 }
 
-// Close finishes the stream once drained.
-func (s *Sender) Close() {
-	s.closing = true
-	if s.opened && s.sndUna == s.budget {
-		s.finish()
-	}
-}
-
+// sendCtl sends a control packet carrying the remaining-bytes hint the
+// receiver sizes its credit stream by.
 func (s *Sender) sendCtl(fl netsim.Flag) {
-	p := s.cfg.Local.NewPacket()
-	*p = netsim.Packet{
-		Flow: s.cfg.Flow, Src: s.cfg.Local.ID(), Dst: s.cfg.Peer.ID(),
-		Flags: fl, Seq: s.sndNxt, SentAt: s.cfg.Sim.Now(),
-		Window: s.budget - s.sndNxt,
-	}
-	s.cfg.Local.Send(p)
+	p := s.Segment(s.SndNxt, 0, fl)
+	p.Window = s.Budget - s.SndNxt
+	s.Cfg.Local.Send(p)
 }
 
 // Deliver processes credits (and their piggybacked cumulative ACKs).
 func (s *Sender) Deliver(pkt *netsim.Packet) {
-	if s.done {
+	if s.Done() || pkt.Flags&netsim.FlagACK == 0 {
 		return
 	}
-	if pkt.Flags&netsim.FlagACK == 0 {
-		return
-	}
-	// Piggybacked cumulative ACK.
-	if pkt.Ack > s.sndUna {
-		s.st.BytesAcked += pkt.Ack - s.sndUna
-		s.sndUna = pkt.Ack
-		if s.sndNxt < s.sndUna {
-			s.sndNxt = s.sndUna
-		}
-		s.est.Observe(s.cfg.Sim.Now() - pkt.SentAt)
-		s.rtoBackoff = 0
-		if s.sndUna == s.budget {
-			s.rto.Stop()
-			if s.cfg.OnDrain != nil {
-				s.cfg.OnDrain()
-			}
-			if s.closing {
-				s.finish()
-				return
-			}
-		} else {
-			s.armRTO()
+	if newly, _ := s.Ack(pkt); newly > 0 {
+		// Everything queued is outstanding, sent or not: the credits for
+		// it have been requested.
+		s.Rearm(s.SndUna < s.Budget)
+		s.Drained()
+		if s.Done() {
+			return
 		}
 	}
 	if pkt.Flags&netsim.FlagCRD == 0 {
 		return // plain ACK: no credit to spend
 	}
-	// Spend the credit on one segment.
-	if s.sndNxt < s.budget {
-		seg := int64(s.cfg.MSS)
-		if rem := s.budget - s.sndNxt; rem < seg {
-			seg = rem
-		}
-		if s.st.FirstSend == 0 {
-			s.st.FirstSend = s.cfg.Sim.Now()
-		}
-		p := s.cfg.Local.NewPacket()
-		*p = netsim.Packet{
-			Flow: s.cfg.Flow, Src: s.cfg.Local.ID(), Dst: s.cfg.Peer.ID(),
-			Seq: s.sndNxt, Payload: int(seg), SentAt: s.cfg.Sim.Now(),
-			Window: s.budget - s.sndNxt - seg, // remaining-after hint
-		}
-		s.cfg.Local.Send(p)
-		s.sndNxt += seg
-		s.CreditsUsed++
-		if !s.rto.Armed() {
-			s.armRTO()
-		}
-	} else {
+	if s.SndNxt == s.Budget {
 		s.CreditsWasted++
+		return
 	}
-}
-
-func (s *Sender) armRTO() {
-	// Clamp before shifting: the naive d << backoff overflows int64 for
-	// backoffs past ~32 and slips past a post-shift MaxRTO check (see the
-	// identical fix in internal/tcp).
-	d := s.est.RTO()
-	if d > s.cfg.MaxRTO>>s.rtoBackoff {
-		d = s.cfg.MaxRTO
-	} else {
-		d <<= s.rtoBackoff
-	}
-	s.rto.Arm(d)
+	// Spend the credit on one segment.
+	seg := s.SegLen(s.SndNxt)
+	p := s.Segment(s.SndNxt, seg, 0)
+	p.Window = s.Budget - s.SndNxt - seg // remaining-after hint
+	s.SendNew(p)
+	s.CreditsUsed++
+	s.ArmIfIdle()
 }
 
 func (s *Sender) onRTO() {
-	if s.done || s.sndUna == s.budget {
+	if s.Done() || s.SndUna == s.Budget {
 		return
 	}
-	s.st.Timeouts++
-	s.rtoBackoff++
-	if s.cfg.Probe != nil {
-		s.cfg.Probe.RTOFired(s.cfg.Sim.Now(), s.cfg.Flow, s.rtoBackoff)
-	}
-	// Go-back-N and re-request credits.
-	s.st.RtxBytes += s.sndNxt - s.sndUna
-	s.sndNxt = s.sndUna
+	s.CountTimeout()
+	// Go-back-N and re-request credits. The whole flight is booked as
+	// retransmitted (the window senders book one segment per timeout).
+	s.Stats().RtxBytes += s.Flight()
+	s.Rewind()
 	s.sendCtl(netsim.FlagCRD)
-	s.armRTO()
-}
-
-func (s *Sender) finish() {
-	if s.done {
-		return
-	}
-	s.done = true
-	s.sendCtl(netsim.FlagFIN)
-	s.rto.Stop()
-	s.st.Done = true
-	s.st.Completed = s.cfg.Sim.Now()
-	if s.cfg.OnComplete != nil {
-		s.cfg.OnComplete()
-	}
+	s.ArmRTO()
 }

@@ -5,6 +5,7 @@ import (
 
 	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
+	"tfcsim/internal/transport"
 )
 
 // rig: n senders -> sw -> recv with the credit shaper attached.
@@ -41,7 +42,7 @@ func newRig(n, buf int) *rig {
 }
 
 func (r *rig) dial(i int, flow netsim.FlowID, opts ...func(*Config)) (*Sender, *Receiver) {
-	cfg := Config{Sim: r.s, Local: r.senders[i], Peer: r.recv, Flow: flow}
+	cfg := Config{DialConfig: transport.DialConfig{Sim: r.s, Local: r.senders[i], Peer: r.recv, Flow: flow}}
 	for _, o := range opts {
 		o(&cfg)
 	}

@@ -8,9 +8,11 @@ import (
 
 // Receiver is the credit source: it paces credit packets to the sender at
 // an adaptively controlled rate and piggybacks cumulative ACKs on them.
+// Reassembly, FIN bookkeeping and ACK building are the embedded
+// transport.Receiver's; when ACKs leave is decided here.
 type Receiver struct {
-	cfg   Config
-	reasm transport.Reassembly
+	transport.Receiver
+	cfg Config
 
 	crediting bool
 	pacer     sim.Timer
@@ -24,11 +26,6 @@ type Receiver struct {
 	barren     int // consecutive epochs with zero productive credits
 	epochTimer sim.Timer
 
-	// FinAt records FIN arrival.
-	FinAt sim.Time
-	// OnData fires on every in-order advance.
-	OnData func(total int64)
-
 	// CreditsSent counts credits emitted (diagnostics).
 	CreditsSent int64
 }
@@ -40,6 +37,7 @@ func NewReceiver(cfg Config) *Receiver {
 	cfg.fill()
 	cfg.Sim = cfg.Peer.Sim()
 	r := &Receiver{cfg: cfg, remaining: -1}
+	r.Receiver = transport.Receiver{Host: cfg.Peer, Peer: cfg.Local, Flow: cfg.Flow}
 	nicBps := cfg.Peer.NIC().Rate.BytesPerSecond()
 	dataWire := float64(cfg.MSS + netsim.HeaderBytes + netsim.WireOverheadBytes)
 	r.maxRate = nicBps / dataWire // credits/s that fill the NIC with data
@@ -48,9 +46,6 @@ func NewReceiver(cfg Config) *Receiver {
 	return r
 }
 
-// Received returns cumulative in-order bytes.
-func (r *Receiver) Received() int64 { return r.reasm.Next() }
-
 // Rate returns the current credit rate in credits/second.
 func (r *Receiver) Rate() float64 { return r.rate }
 
@@ -58,7 +53,7 @@ func (r *Receiver) Rate() float64 { return r.rate }
 func (r *Receiver) Deliver(pkt *netsim.Packet) {
 	switch {
 	case pkt.Flags&netsim.FlagFIN != 0:
-		r.FinAt = r.cfg.Sim.Now()
+		r.Fin()
 		r.stop()
 	case pkt.Flags&netsim.FlagSYN != 0 || pkt.Flags&netsim.FlagCRD != 0:
 		// Flow announcement or explicit credit request.
@@ -67,14 +62,10 @@ func (r *Receiver) Deliver(pkt *netsim.Packet) {
 			r.start()
 		}
 	case pkt.Payload > 0:
-		before := r.reasm.Next()
-		next := r.reasm.Add(pkt.Seq, pkt.Payload)
+		r.Reasm.Add(pkt.Seq, pkt.Payload)
 		r.remaining = pkt.Window
 		r.epochUsed++
-		if next > before && r.OnData != nil {
-			r.OnData(next)
-		}
-		if r.remaining <= 0 && r.reasm.Buffered() == 0 {
+		if r.remaining <= 0 && r.Reasm.Buffered() == 0 {
 			// Everything announced has arrived in order; the stream will
 			// re-request credits if more data shows up. The completing
 			// cumulative ACK travels as a *plain* ACK, not a credit: a
@@ -186,27 +177,13 @@ func (r *Receiver) feedback() {
 
 func (r *Receiver) sendCredit() {
 	r.CreditsSent++
-	p := r.cfg.Peer.NewPacket()
-	*p = netsim.Packet{
-		Flow: r.cfg.Flow, Src: r.cfg.Peer.ID(), Dst: r.cfg.Local.ID(),
-		Flags: netsim.FlagCRD | netsim.FlagACK,
-		Ack:   r.reasm.Next(), SentAt: r.cfg.Sim.Now(),
-		Window: netsim.WindowUnset,
-	}
-	r.cfg.Peer.Send(p)
+	r.SendAck(netsim.FlagCRD|netsim.FlagACK, r.cfg.Sim.Now(), netsim.WindowUnset)
 }
 
 // sendAck emits a plain cumulative ACK (not subject to credit shaping and
 // never spending a credit at the sender).
 func (r *Receiver) sendAck() {
-	p := r.cfg.Peer.NewPacket()
-	*p = netsim.Packet{
-		Flow: r.cfg.Flow, Src: r.cfg.Peer.ID(), Dst: r.cfg.Local.ID(),
-		Flags: netsim.FlagACK,
-		Ack:   r.reasm.Next(), SentAt: r.cfg.Sim.Now(),
-		Window: netsim.WindowUnset,
-	}
-	r.cfg.Peer.Send(p)
+	r.SendAck(netsim.FlagACK, r.cfg.Sim.Now(), netsim.WindowUnset)
 }
 
 // Shaper rate-limits credit packets at switches so the data they trigger

@@ -10,13 +10,7 @@ func init() {
 	transport.Register("credit", transport.Factory{
 		Desc: "ExpressPass-style receiver-driven credits with switch credit shaping",
 		Dial: func(c transport.DialConfig) transport.Conn {
-			probe, _ := c.Probe.(Probe)
-			s, r := Dial(Config{
-				Sim: c.Sim, Local: c.Local, Peer: c.Peer, Flow: c.Flow,
-				MSS: c.MSS, MinRTO: c.MinRTO,
-				OnDrain: c.OnDrain, OnComplete: c.OnComplete,
-				Probe: probe,
-			})
+			s, r := Dial(Config{DialConfig: c})
 			return transport.Conn{Sender: s, Received: r.Received, SRTT: s.SRTT}
 		},
 		Attach: func(a transport.AttachConfig) any {

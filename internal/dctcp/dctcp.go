@@ -9,6 +9,7 @@ package dctcp
 import (
 	"tfcsim/internal/netsim"
 	"tfcsim/internal/tcp"
+	"tfcsim/internal/transport"
 )
 
 // Marking thresholds used in TFC's evaluation: K = 32 KB on the 1 Gbps
@@ -61,16 +62,9 @@ func KFor(rate netsim.Rate) int {
 	return DefaultK1G
 }
 
-// NewSender creates a DCTCP sender (g = 1/16 unless overridden in cfg).
-func NewSender(cfg tcp.Config) *tcp.Sender {
-	if cfg.DCTCP == nil {
-		cfg.DCTCP = &tcp.DCTCPParams{G: 1.0 / 16}
-	}
-	return tcp.NewSender(cfg)
-}
-
-// Dial creates a DCTCP sender and its receiver.
-func Dial(cfg tcp.Config) (*tcp.Sender, *tcp.Receiver) {
+// Dial creates a DCTCP sender (g = 1/16 unless overridden in cfg) and its
+// receiver.
+func Dial(cfg tcp.Config) (*tcp.Sender, *transport.Receiver) {
 	if cfg.DCTCP == nil {
 		cfg.DCTCP = &tcp.DCTCPParams{G: 1.0 / 16}
 	}

@@ -6,6 +6,7 @@ import (
 	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
 	"tfcsim/internal/tcp"
+	"tfcsim/internal/transport"
 )
 
 func TestKFor(t *testing.T) {
@@ -104,7 +105,7 @@ func TestDCTCPQueueBoundedNearK(t *testing.T) {
 	net.Connect(sw, h2, netsim.LinkConfig{Rate: netsim.Gbps, Delay: 5 * sim.Microsecond, BufA: 256 << 10})
 	net.ComputeRoutes()
 	AttachMarking(sw, DefaultK1G)
-	snd, rcv := Dial(tcp.Config{Sim: s, Local: h1, Peer: h2, Flow: 1})
+	snd, rcv := Dial(tcp.Config{DialConfig: transport.DialConfig{Sim: s, Local: h1, Peer: h2, Flow: 1}})
 	s.At(0, func() { snd.Open(); snd.Send(100 << 20) })
 	s.RunUntil(500 * sim.Millisecond)
 	port := sw.PortTo(h2.ID())
@@ -130,7 +131,7 @@ func TestDCTCPVsTCPQueueComparison(t *testing.T) {
 		net.Connect(h1, sw, netsim.LinkConfig{Rate: 10 * netsim.Gbps, Delay: 5 * sim.Microsecond})
 		net.Connect(sw, h2, netsim.LinkConfig{Rate: netsim.Gbps, Delay: 5 * sim.Microsecond, BufA: 256 << 10})
 		net.ComputeRoutes()
-		cfg := tcp.Config{Sim: s, Local: h1, Peer: h2, Flow: 1}
+		cfg := tcp.Config{DialConfig: transport.DialConfig{Sim: s, Local: h1, Peer: h2, Flow: 1}}
 		var snd *tcp.Sender
 		if dctcp {
 			AttachMarking(sw, DefaultK1G)

@@ -8,6 +8,7 @@ import (
 
 	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
+	"tfcsim/internal/transport"
 )
 
 // harness registers a sender on a minimal one-link network whose far end
@@ -35,7 +36,7 @@ func newHarness(t *testing.T, opts ...func(*Config)) *harness {
 	net.ComputeRoutes()
 	h := &harness{s: s}
 	h.h2 = h2
-	c := Config{Sim: s, Local: h1, Peer: h2, Flow: 1}
+	c := Config{DialConfig: transport.DialConfig{Sim: s, Local: h1, Peer: h2, Flow: 1}}
 	for _, o := range opts {
 		o(&c)
 	}
@@ -201,9 +202,9 @@ func TestUnitRTOCollapsesWindow(t *testing.T) {
 	if h.snd.Cwnd() != 1460 {
 		t.Fatalf("cwnd after RTO = %d, want 1 MSS", h.snd.Cwnd())
 	}
-	if h.snd.sndNxt != h.snd.sndUna+1460 {
+	if h.snd.SndNxt != h.snd.SndUna+1460 {
 		t.Fatalf("go-back-N: sndNxt=%d sndUna=%d, want one segment resent",
-			h.snd.sndNxt, h.snd.sndUna)
+			h.snd.SndNxt, h.snd.SndUna)
 	}
 }
 

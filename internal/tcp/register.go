@@ -9,22 +9,8 @@ func init() {
 		Desc:    "TCP NewReno, testbed-era tuning (IW2, 200ms min RTO, per-packet ACKs)",
 		Compare: true,
 		Dial: func(c transport.DialConfig) transport.Conn {
-			s, r := Dial(Config{
-				Sim: c.Sim, Local: c.Local, Peer: c.Peer, Flow: c.Flow,
-				MSS: c.MSS, MinRTO: c.MinRTO,
-				OnDrain: c.OnDrain, OnComplete: c.OnComplete,
-				Probe: probeOf(c.Probe),
-			})
+			s, r := Dial(Config{DialConfig: c})
 			return transport.Conn{Sender: s, Received: r.Received, SRTT: s.SRTT}
 		},
 	})
-}
-
-// probeOf extracts a tcp.Probe from an opaque registry probe, tolerating
-// nil and foreign types (the registry contract).
-func probeOf(v any) Probe {
-	if p, ok := v.(Probe); ok {
-		return p
-	}
-	return nil
 }

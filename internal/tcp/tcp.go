@@ -1,6 +1,8 @@
 // Package tcp implements TCP NewReno over the netsim substrate: slow
-// start, congestion avoidance, fast retransmit / fast recovery (RFC 6582),
-// and RFC 6298 retransmission timeouts. It also contains the optional
+// start, congestion avoidance and fast retransmit / fast recovery (RFC
+// 6582) as a window policy on top of the shared reliable-delivery core
+// (transport.Reliable, which owns sequence/ACK bookkeeping, handshake,
+// RFC 6298 timeouts and retransmission). It also contains the optional
 // DCTCP window machinery (enabled through Config.DCTCP) so that package
 // dctcp can stay a thin layer adding ECN marking at switches.
 //
@@ -11,8 +13,6 @@
 package tcp
 
 import (
-	"fmt"
-
 	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
 	"tfcsim/internal/transport"
@@ -26,18 +26,12 @@ type DCTCPParams struct {
 	InitAlpha float64
 }
 
-// Config parameterizes one TCP connection.
+// Config parameterizes one TCP connection: the protocol-independent
+// transport.DialConfig plus NewReno's own knobs.
 type Config struct {
-	Sim   *sim.Simulator
-	Local *netsim.Host // sender side
-	Peer  *netsim.Host // receiver side
-	Flow  netsim.FlowID
+	transport.DialConfig
 
-	MSS          int      // default transport.DefaultMSS
-	InitCwndSegs int      // initial window in segments, default 2
-	MinRTO       sim.Time // default 200ms (Linux default of the paper era)
-	MaxRTO       sim.Time // default 60s
-	RcvWnd       int64    // advertised window, default 4MB (not enforced)
+	InitCwndSegs int // initial window in segments, default 2
 
 	// DCTCP enables DCTCP behaviour: ECT on data packets, per-window
 	// marked-fraction estimation, and proportional cwnd reduction.
@@ -52,63 +46,7 @@ type Config struct {
 	// by the tiny-buffer variant to keep standing queues off shallow
 	// buffers; 0 leaves the window unbounded.
 	CwndCap int64
-
-	// OnDrain fires every time all currently queued bytes become
-	// acknowledged (used by request/response workloads on persistent
-	// connections).
-	OnDrain func()
-	// OnComplete fires once, when the flow is closed and fully
-	// acknowledged.
-	OnComplete func()
-
-	// Probe, if set, receives congestion-control telemetry (cwnd moves,
-	// RTO firings, recovery transitions, retransmissions). Disabled path
-	// is one nil-check per event; probes must not mutate sender state.
-	Probe Probe
 }
-
-// Probe observes a connection's congestion control for the telemetry
-// layer (internal/telemetry). All callbacks are read-only observers.
-// Each callback carries the sender's current virtual time explicitly: in
-// a partitioned network senders run on per-shard simulators, so a shared
-// probe implementation has no single clock to consult.
-type Probe interface {
-	// Cwnd runs after any congestion-window change.
-	Cwnd(now sim.Time, flow netsim.FlowID, cwnd, ssthresh int64)
-	// RTOFired runs when the retransmission timer expires; backoff is
-	// the exponential-backoff step count including this firing.
-	RTOFired(now sim.Time, flow netsim.FlowID, backoff uint)
-	// Recovery runs on fast-recovery entry (enter=true) and exit.
-	Recovery(now sim.Time, flow netsim.FlowID, enter bool)
-	// Retransmit runs for every retransmitted segment.
-	Retransmit(now sim.Time, flow netsim.FlowID, bytes int64)
-}
-
-func (c *Config) fillDefaults() {
-	if c.MSS == 0 {
-		c.MSS = transport.DefaultMSS
-	}
-	if c.InitCwndSegs == 0 {
-		c.InitCwndSegs = 2
-	}
-	if c.MinRTO == 0 {
-		c.MinRTO = 200 * sim.Millisecond
-	}
-	if c.MaxRTO == 0 {
-		c.MaxRTO = 60 * sim.Second
-	}
-	if c.RcvWnd == 0 {
-		c.RcvWnd = transport.DefaultRcvWnd
-	}
-}
-
-// Sender states.
-const (
-	stateClosed = iota
-	stateSynSent
-	stateEstablished
-	stateDone
-)
 
 type dctcpState struct {
 	alpha       float64
@@ -118,80 +56,54 @@ type dctcpState struct {
 	windowEnd   int64
 }
 
-// Sender is the sending half of a TCP connection.
+// Sender is the sending half of a TCP connection: a NewReno congestion
+// window deciding when transport.Reliable's segments may leave.
 type Sender struct {
-	cfg Config
-	st  transport.Stats
-	est *transport.RTTEstimator
-
-	state   int
-	sndUna  int64
-	sndNxt  int64
-	budget  int64 // total bytes handed to Send
-	closing bool
-	finSent bool
+	transport.Reliable
 
 	cwnd     int64 // bytes
+	cwndCap  int64 // Config.CwndCap
 	ssthresh int64
-	dupacks  int
 	inFR     bool
 	recover  int64
 
-	rto        *transport.RTOTimer
-	rtoBackoff uint
-
 	// Pacing gate (Config.Pace): the next time a data segment may leave,
 	// and the timer that resumes trySend when the gate reopens.
+	pace      bool
 	paceFree  sim.Time
 	paceTimer sim.Timer
 
 	dctcp *dctcpState
+	ect   netsim.Flag // FlagECT on data segments when DCTCP is on
 }
 
 // NewSender creates (and registers at the local host) the sending side.
 func NewSender(cfg Config) *Sender {
-	cfg.fillDefaults()
-	s := &Sender{
-		cfg:      cfg,
-		est:      transport.NewRTTEstimator(cfg.MinRTO, cfg.MaxRTO, 0),
-		ssthresh: 1 << 30,
+	if cfg.InitCwndSegs == 0 {
+		cfg.InitCwndSegs = 2
 	}
-	s.rto = transport.NewRTOTimer(cfg.Sim, s.onRTO)
-	s.cwnd = int64(cfg.InitCwndSegs * cfg.MSS)
+	s := &Sender{ssthresh: 1 << 30, cwndCap: cfg.CwndCap, pace: cfg.Pace}
+	s.Init(cfg.DialConfig, s.onRTO)
+	s.cwnd = int64(cfg.InitCwndSegs * s.Cfg.MSS)
 	if cfg.DCTCP != nil {
 		g := cfg.DCTCP.G
 		if g == 0 {
 			g = 1.0 / 16
 		}
 		s.dctcp = &dctcpState{alpha: cfg.DCTCP.InitAlpha, g: g}
+		s.ect = netsim.FlagECT
 	}
 	cfg.Local.Register(cfg.Flow, s)
 	return s
 }
 
-// Dial creates a sender and its matching receiver, registering both. The
-// receiver runs on the peer host's simulator — distinct from cfg.Sim
-// once the network is partitioned across shards.
-func Dial(cfg Config) (*Sender, *Receiver) {
-	s := NewSender(cfg)
-	r := NewReceiver(cfg.Peer.Sim(), cfg.Peer, cfg.Local, cfg.Flow)
-	return s, r
+// Dial creates a sender and its matching receiver, registering both.
+func Dial(cfg Config) (*Sender, *transport.Receiver) {
+	return NewSender(cfg), transport.NewReceiver(cfg.Peer, cfg.Local, cfg.Flow)
 }
-
-// Stats exposes the sender's statistics record.
-func (s *Sender) Stats() *transport.Stats { return &s.st }
-
-// Acked returns cumulative acknowledged bytes.
-func (s *Sender) Acked() int64 { return s.sndUna }
-
-// Queued returns cumulative bytes handed to Send.
-func (s *Sender) Queued() int64 { return s.budget }
 
 // Cwnd returns the current congestion window in bytes.
 func (s *Sender) Cwnd() int64 { return s.cwnd }
-
-// SRTT returns the smoothed RTT estimate (0 before the first sample).
-func (s *Sender) SRTT() sim.Time { return s.est.SRTT() }
 
 // Alpha returns the DCTCP marked-fraction estimate (0 if not DCTCP).
 func (s *Sender) Alpha() float64 {
@@ -201,84 +113,29 @@ func (s *Sender) Alpha() float64 {
 	return s.dctcp.alpha
 }
 
-// Open sends the SYN.
-func (s *Sender) Open() {
-	if s.state != stateClosed {
-		return
-	}
-	s.state = stateSynSent
-	s.st.Start = s.cfg.Sim.Now()
-	s.sendSYN()
-}
-
 // Send queues n more bytes on the stream.
 func (s *Sender) Send(n int64) {
-	if n <= 0 || s.closing {
-		return
-	}
-	s.budget += n
-	if s.state == stateEstablished {
+	if s.Queue(n) {
 		s.trySend()
 	}
 }
 
-// Close marks the stream finished; a FIN goes out once drained.
-func (s *Sender) Close() {
-	s.closing = true
-	if s.state == stateEstablished && s.sndUna == s.budget {
-		s.finish()
-	}
-}
-
-func (s *Sender) flight() int64 { return s.sndNxt - s.sndUna }
-
-func (s *Sender) sendSYN() {
-	p := s.cfg.Local.NewPacket()
-	*p = netsim.Packet{
-		Flow: s.cfg.Flow, Src: s.cfg.Local.ID(), Dst: s.cfg.Peer.ID(),
-		Flags: netsim.FlagSYN, SentAt: s.cfg.Sim.Now(), Window: netsim.WindowUnset,
-	}
-	s.cfg.Local.Send(p)
-	s.armRTO()
-}
-
-func (s *Sender) mkData(seq int64, n int) *netsim.Packet {
-	// Field assignments, not a struct literal: NewPacket returns a zeroed
-	// packet, so writing only the non-zero fields skips a redundant 96-byte
-	// copy on the per-segment fast path.
-	p := s.cfg.Local.NewPacket()
-	p.Flow, p.Src, p.Dst = s.cfg.Flow, s.cfg.Local.ID(), s.cfg.Peer.ID()
-	p.Seq, p.Payload = seq, n
-	p.SentAt, p.Window = s.cfg.Sim.Now(), netsim.WindowUnset
-	if s.dctcp != nil {
-		p.Flags |= netsim.FlagECT
-	}
-	return p
-}
-
 func (s *Sender) trySend() {
-	if s.state != stateEstablished {
+	if !s.Established() {
 		return
 	}
-	for s.sndNxt < s.budget {
-		seg := int64(s.cfg.MSS)
-		if rem := s.budget - s.sndNxt; rem < seg {
-			seg = rem
-		}
-		if s.flight() > 0 && s.flight()+seg > s.cwnd {
+	for s.SndNxt < s.Budget {
+		seg := s.SegLen(s.SndNxt)
+		if s.Flight() > 0 && s.Flight()+seg > s.cwnd {
 			break
 		}
-		if s.cfg.Pace && !s.paceReady(seg) {
+		if s.pace && !s.paceReady(seg) {
 			break
 		}
-		if s.st.FirstSend == 0 && s.st.BytesAcked == 0 {
-			s.st.FirstSend = s.cfg.Sim.Now()
-		}
-		s.cfg.Local.Send(s.mkData(s.sndNxt, int(seg)))
-		s.sndNxt += seg
+		s.SendNew(s.Segment(s.SndNxt, seg, s.ect))
 	}
-	if s.flight() > 0 && !s.rto.Armed() {
-		s.armRTO()
+	if s.Flight() > 0 {
+		s.ArmIfIdle()
 	}
 }
 
@@ -287,16 +144,16 @@ func (s *Sender) trySend() {
 // bursts. While the gate is closed a timer re-enters trySend when it
 // reopens, so pacing never strands queued data.
 func (s *Sender) paceReady(seg int64) bool {
-	now := s.cfg.Sim.Now()
+	now := s.Cfg.Sim.Now()
 	if s.paceFree > now {
 		if !s.paceTimer.Active() {
 			// The sender is its own event target (RunEvent == trySend), so
 			// re-arming the pacing gate allocates nothing.
-			s.paceTimer = s.cfg.Sim.Schedule(s.paceFree, s)
+			s.paceTimer = s.Cfg.Sim.Schedule(s.paceFree, s)
 		}
 		return false
 	}
-	if srtt := s.est.SRTT(); srtt > 0 && s.cwnd > 0 {
+	if srtt := s.SRTT(); srtt > 0 && s.cwnd > 0 {
 		s.paceFree = now + sim.Time(int64(srtt)*seg/s.cwnd)
 	}
 	return true
@@ -308,197 +165,107 @@ func (s *Sender) RunEvent() { s.trySend() }
 
 // clampCwnd applies the Config.CwndCap bound after any window growth.
 func (s *Sender) clampCwnd() {
-	if s.cfg.CwndCap > 0 && s.cwnd > s.cfg.CwndCap {
-		s.cwnd = s.cfg.CwndCap
+	if s.cwndCap > 0 && s.cwnd > s.cwndCap {
+		s.cwnd = s.cwndCap
 	}
-}
-
-// retransmit resends one segment starting at seq without advancing sndNxt.
-func (s *Sender) retransmit(seq int64) {
-	seg := int64(s.cfg.MSS)
-	if rem := s.budget - seq; rem < seg {
-		seg = rem
-	}
-	if seg <= 0 {
-		return
-	}
-	s.st.RtxBytes += seg
-	if s.cfg.Probe != nil {
-		s.cfg.Probe.Retransmit(s.cfg.Sim.Now(), s.cfg.Flow, seg)
-	}
-	s.cfg.Local.Send(s.mkData(seq, int(seg)))
 }
 
 // probeCwnd reports the current window to the telemetry probe, if any.
-func (s *Sender) probeCwnd() {
-	if s.cfg.Probe != nil {
-		s.cfg.Probe.Cwnd(s.cfg.Sim.Now(), s.cfg.Flow, s.cwnd, s.ssthresh)
-	}
-}
-
-func (s *Sender) armRTO() {
-	// Clamp before shifting: d << backoff overflows int64 once backoff
-	// grows past ~32 (a long blackout), wrapping negative or to zero and
-	// slipping past a post-shift MaxRTO check. d > MaxRTO>>b is exactly
-	// d<<b > MaxRTO for the non-overflowing range (Go shifts >= 64 of a
-	// positive int64 yield 0, so huge backoffs clamp too).
-	d := s.est.RTO()
-	if d > s.cfg.MaxRTO>>s.rtoBackoff {
-		d = s.cfg.MaxRTO
-	} else {
-		d <<= s.rtoBackoff
-	}
-	s.rto.Arm(d)
-}
+func (s *Sender) probeCwnd() { s.ProbeCwnd(s.cwnd, s.ssthresh) }
 
 func (s *Sender) onRTO() {
-	if s.state == stateDone {
+	if !s.Timeout() {
 		return
 	}
-	s.st.Timeouts++
-	s.rtoBackoff++
-	if s.cfg.Probe != nil {
-		s.cfg.Probe.RTOFired(s.cfg.Sim.Now(), s.cfg.Flow, s.rtoBackoff)
+	mss := int64(s.Cfg.MSS)
+	s.ssthresh = max(s.Flight()/2, 2*mss)
+	s.cwnd = mss
+	if s.inFR {
+		s.ProbeRecovery(false)
 	}
-	if s.state == stateSynSent {
-		s.sendSYN()
-		return
-	}
-	fl := s.flight()
-	if fl <= 0 {
-		return
-	}
-	s.ssthresh = maxI64(fl/2, int64(2*s.cfg.MSS))
-	s.cwnd = int64(s.cfg.MSS)
-	if s.inFR && s.cfg.Probe != nil {
-		s.cfg.Probe.Recovery(s.cfg.Sim.Now(), s.cfg.Flow, false)
-	}
-	s.sndNxt = s.sndUna // go-back-N
-	s.dupacks = 0
 	s.inFR = false
-	s.st.RtxBytes += minI64(int64(s.cfg.MSS), s.budget-s.sndUna)
-	if s.cfg.Probe != nil {
-		s.cfg.Probe.Retransmit(s.cfg.Sim.Now(), s.cfg.Flow, minI64(int64(s.cfg.MSS), s.budget-s.sndUna))
-	}
+	s.GoBackN()
 	s.probeCwnd()
 	s.trySend()
-	s.armRTO()
+	s.ArmRTO()
 }
 
 // Deliver handles an incoming packet (ACK or SYNACK).
 func (s *Sender) Deliver(pkt *netsim.Packet) {
-	if s.state == stateDone {
+	if s.Done() {
 		return
 	}
 	if pkt.Flags&netsim.FlagSYN != 0 && pkt.Flags&netsim.FlagACK != 0 {
-		if s.state == stateSynSent {
-			s.state = stateEstablished
-			s.rtoBackoff = 0
-			s.est.Observe(s.cfg.Sim.Now() - pkt.SentAt)
-			s.rto.Stop()
-			if s.dctcp != nil {
-				s.dctcp.windowEnd = 0
-			}
+		if s.Connected(pkt) {
 			s.trySend()
-			if s.budget == 0 && s.closing {
-				s.finish()
-			}
+			s.FinishIfClosed()
 		}
 		return
 	}
 	if pkt.Flags&netsim.FlagACK == 0 {
 		return
 	}
-	ack := pkt.Ack
+	mss := int64(s.Cfg.MSS)
+	newly, dup := s.Ack(pkt)
 	switch {
-	case ack > s.sndUna:
-		newly := ack - s.sndUna
-		s.st.BytesAcked += newly
-		s.est.Observe(s.cfg.Sim.Now() - pkt.SentAt)
-		s.sndUna = ack
-		if s.sndNxt < s.sndUna {
-			s.sndNxt = s.sndUna
-		}
-		s.rtoBackoff = 0
-		if s.inFR {
-			if ack >= s.recover {
-				// Full acknowledgment: leave fast recovery.
-				s.inFR = false
-				s.dupacks = 0
-				s.cwnd = s.ssthresh
-				s.clampCwnd()
-				if s.cfg.Probe != nil {
-					s.cfg.Probe.Recovery(s.cfg.Sim.Now(), s.cfg.Flow, false)
-				}
-			} else {
-				// Partial ACK (RFC 6582): retransmit the next hole,
-				// deflate, stay in recovery.
-				s.retransmit(s.sndUna)
-				s.cwnd = maxI64(s.cwnd-newly+int64(s.cfg.MSS), int64(s.cfg.MSS))
-			}
-		} else {
-			s.dupacks = 0
+	case newly > 0:
+		switch {
+		case !s.inFR:
 			s.growCwnd(newly, pkt.Flags&netsim.FlagECE != 0)
+		case pkt.Ack >= s.recover:
+			// Full acknowledgment: leave fast recovery.
+			s.inFR = false
+			s.cwnd = s.ssthresh
+			s.clampCwnd()
+			s.ProbeRecovery(false)
+		default:
+			// Partial ACK (RFC 6582): retransmit the next hole,
+			// deflate, stay in recovery.
+			s.Retransmit(s.ect)
+			s.cwnd = max(s.cwnd-newly+mss, mss)
 		}
 		s.probeCwnd()
-		if s.flight() > 0 {
-			s.armRTO()
-		} else {
-			s.rto.Stop()
-		}
+		s.Rearm(s.Flight() > 0)
 		s.trySend()
-		if s.sndUna == s.budget {
-			if s.cfg.OnDrain != nil {
-				s.cfg.OnDrain()
-			}
-			if s.closing {
-				s.finish()
-			}
-		}
-	case ack == s.sndUna && s.flight() > 0:
-		s.dupacks++
-		if s.inFR {
-			s.cwnd += int64(s.cfg.MSS) // window inflation
-			s.clampCwnd()
-			s.probeCwnd()
-			s.trySend()
-		} else if s.dupacks == 3 {
-			s.st.FastRtx++
-			s.ssthresh = maxI64(s.flight()/2, int64(2*s.cfg.MSS))
-			s.recover = s.sndNxt
-			s.inFR = true
-			s.cwnd = s.ssthresh + int64(3*s.cfg.MSS)
-			s.clampCwnd()
-			if s.cfg.Probe != nil {
-				s.cfg.Probe.Recovery(s.cfg.Sim.Now(), s.cfg.Flow, true)
-			}
-			s.probeCwnd()
-			s.retransmit(s.sndUna)
-			s.armRTO()
-		}
+		s.Drained()
+	case dup && s.inFR:
+		s.cwnd += mss // window inflation
+		s.clampCwnd()
+		s.probeCwnd()
+		s.trySend()
+	case dup && s.Dupacks == 3:
+		s.ssthresh = max(s.Flight()/2, 2*mss)
+		s.recover = s.SndNxt
+		s.inFR = true
+		s.cwnd = s.ssthresh + 3*mss
+		s.clampCwnd()
+		s.ProbeRecovery(true)
+		s.probeCwnd()
+		s.FastRetransmit(s.ect)
 	}
 }
 
 // growCwnd applies slow start / congestion avoidance and, for DCTCP, the
 // per-window proportional reduction.
 func (s *Sender) growCwnd(newly int64, ece bool) {
+	mss := int64(s.Cfg.MSS)
 	if s.dctcp != nil {
 		d := s.dctcp
 		d.ackedBytes += newly
 		if ece {
 			d.markedBytes += newly
 		}
-		if s.sndUna >= d.windowEnd {
+		if s.SndUna >= d.windowEnd {
 			if d.ackedBytes > 0 {
 				f := float64(d.markedBytes) / float64(d.ackedBytes)
 				d.alpha = (1-d.g)*d.alpha + d.g*f
 				if d.markedBytes > 0 {
-					s.cwnd = maxI64(int64(float64(s.cwnd)*(1-d.alpha/2)), int64(s.cfg.MSS))
+					s.cwnd = max(int64(float64(s.cwnd)*(1-d.alpha/2)), mss)
 					s.ssthresh = s.cwnd
 				}
 			}
 			d.ackedBytes, d.markedBytes = 0, 0
-			d.windowEnd = s.sndNxt
+			d.windowEnd = s.SndNxt
 			if ece {
 				// The window that just ended saw marks; growth pauses.
 				return
@@ -506,119 +273,9 @@ func (s *Sender) growCwnd(newly int64, ece bool) {
 		}
 	}
 	if s.cwnd < s.ssthresh {
-		s.cwnd += minI64(newly, int64(s.cfg.MSS))
+		s.cwnd += min(newly, mss)
 	} else {
-		add := int64(s.cfg.MSS) * int64(s.cfg.MSS) / s.cwnd
-		if add < 1 {
-			add = 1
-		}
-		s.cwnd += add
+		s.cwnd += max(mss*mss/s.cwnd, 1)
 	}
 	s.clampCwnd()
-}
-
-func (s *Sender) finish() {
-	if s.state == stateDone {
-		return
-	}
-	s.state = stateDone
-	if !s.finSent {
-		s.finSent = true
-		p := s.cfg.Local.NewPacket()
-		*p = netsim.Packet{
-			Flow: s.cfg.Flow, Src: s.cfg.Local.ID(), Dst: s.cfg.Peer.ID(),
-			Flags: netsim.FlagFIN, Seq: s.sndNxt, SentAt: s.cfg.Sim.Now(),
-			Window: netsim.WindowUnset,
-		}
-		s.cfg.Local.Send(p)
-	}
-	s.rto.Stop()
-	s.st.Done = true
-	s.st.Completed = s.cfg.Sim.Now()
-	if s.cfg.OnComplete != nil {
-		s.cfg.OnComplete()
-	}
-}
-
-func (s *Sender) String() string {
-	return fmt.Sprintf("tcp.Sender{flow=%d una=%d nxt=%d cwnd=%d}",
-		s.cfg.Flow, s.sndUna, s.sndNxt, s.cwnd)
-}
-
-// Receiver is the receiving half: cumulative per-packet ACKs with ECN echo
-// and out-of-order reassembly. It is shared by TCP, DCTCP and (with RMA
-// handling) wrapped by TFC's receiver.
-type Receiver struct {
-	sim   *sim.Simulator
-	host  *netsim.Host
-	peer  *netsim.Host
-	flow  netsim.FlowID
-	reasm transport.Reassembly
-
-	// Received is the cumulative in-order byte count.
-	// FinAt records FIN arrival (0 if none yet).
-	FinAt sim.Time
-	// OnData, if set, fires after every in-order advance with the new
-	// cumulative count.
-	OnData func(total int64)
-}
-
-// NewReceiver creates (and registers at host) the receiving side.
-func NewReceiver(s *sim.Simulator, host, peer *netsim.Host, flow netsim.FlowID) *Receiver {
-	r := &Receiver{sim: s, host: host, peer: peer, flow: flow}
-	host.Register(flow, r)
-	return r
-}
-
-// Received returns the cumulative in-order bytes delivered.
-func (r *Receiver) Received() int64 { return r.reasm.Next() }
-
-// Deliver processes an arriving packet.
-func (r *Receiver) Deliver(pkt *netsim.Packet) {
-	switch {
-	case pkt.Flags&netsim.FlagSYN != 0:
-		p := r.host.NewPacket()
-		*p = netsim.Packet{
-			Flow: r.flow, Src: r.host.ID(), Dst: r.peer.ID(),
-			Flags:  netsim.FlagSYN | netsim.FlagACK,
-			Ack:    r.reasm.Next(),
-			SentAt: pkt.SentAt, Window: netsim.WindowUnset,
-		}
-		r.send(p)
-	case pkt.Flags&netsim.FlagFIN != 0:
-		r.FinAt = r.sim.Now()
-	case pkt.Payload > 0:
-		before := r.reasm.Next()
-		next := r.reasm.Add(pkt.Seq, pkt.Payload)
-		flags := netsim.FlagACK
-		if pkt.Flags&netsim.FlagCE != 0 {
-			flags |= netsim.FlagECE
-		}
-		// Field assignments for the same reason as mkData: the ACK path
-		// runs once per delivered segment.
-		p := r.host.NewPacket()
-		p.Flow, p.Src, p.Dst = r.flow, r.host.ID(), r.peer.ID()
-		p.Flags, p.Ack = flags, next
-		p.SentAt, p.Window = pkt.SentAt, netsim.WindowUnset
-		r.send(p)
-		if next > before && r.OnData != nil {
-			r.OnData(next)
-		}
-	}
-}
-
-func (r *Receiver) send(pkt *netsim.Packet) { r.host.Send(pkt) }
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

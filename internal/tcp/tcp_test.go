@@ -5,6 +5,7 @@ import (
 
 	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
+	"tfcsim/internal/transport"
 )
 
 // rig is a dumbbell: h1 --1G-- sw --1G-- h2 with configurable bottleneck
@@ -33,8 +34,8 @@ func newRig(buf int) *rig {
 	return r
 }
 
-func (r *rig) conn(flow netsim.FlowID, opts ...func(*Config)) (*Sender, *Receiver) {
-	cfg := Config{Sim: r.s, Local: r.h1, Peer: r.h2, Flow: flow}
+func (r *rig) conn(flow netsim.FlowID, opts ...func(*Config)) (*Sender, *transport.Receiver) {
+	cfg := Config{DialConfig: transport.DialConfig{Sim: r.s, Local: r.h1, Peer: r.h2, Flow: flow}}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -45,7 +46,7 @@ func TestHandshakeAndTransfer(t *testing.T) {
 	r := newRig(256 << 10)
 	snd, rcv := r.conn(1)
 	done := false
-	snd.cfg.OnComplete = func() { done = true }
+	snd.Cfg.OnComplete = func() { done = true }
 	r.s.At(0, func() {
 		snd.Open()
 		snd.Send(10 * 1460)
@@ -99,7 +100,7 @@ func TestSlowStartDoubling(t *testing.T) {
 	var cwndEarly int64
 	r.s.At(2*sim.Millisecond, func() { cwndEarly = snd.Cwnd() })
 	r.s.RunUntil(5 * sim.Millisecond)
-	if cwndEarly <= int64(4*snd.cfg.MSS) {
+	if cwndEarly <= int64(4*snd.Cfg.MSS) {
 		t.Fatalf("cwnd after 2ms = %d, slow start seems broken", cwndEarly)
 	}
 }
@@ -160,7 +161,7 @@ func TestSYNRetransmit(t *testing.T) {
 	// Let two SYN timeouts pass, then heal the path.
 	r.s.At(8*sim.Second, func() { r.bott.Hook = nil })
 	done := false
-	snd.cfg.OnComplete = func() { done = true }
+	snd.Cfg.OnComplete = func() { done = true }
 	r.s.At(9*sim.Second, func() {
 		snd.Send(1460)
 		snd.Close()
@@ -233,7 +234,7 @@ func TestCloseIdempotentAndEmptyFlow(t *testing.T) {
 	r := newRig(256 << 10)
 	snd, rcv := r.conn(1)
 	completions := 0
-	snd.cfg.OnComplete = func() { completions++ }
+	snd.Cfg.OnComplete = func() { completions++ }
 	r.s.At(0, func() {
 		snd.Open()
 		snd.Close()
@@ -293,7 +294,7 @@ func TestDCTCPAlphaTracksMarks(t *testing.T) {
 	if snd.Alpha() < 0.5 {
 		t.Fatalf("alpha = %.3f after persistent marking, want high", snd.Alpha())
 	}
-	if snd.Cwnd() > int64(4*snd.cfg.MSS) {
+	if snd.Cwnd() > int64(4*snd.Cfg.MSS) {
 		t.Fatalf("cwnd = %d under persistent marking, want small", snd.Cwnd())
 	}
 }

@@ -6,11 +6,10 @@ import (
 
 	"tfcsim/internal/bfc"
 	"tfcsim/internal/core"
-	"tfcsim/internal/credit"
 	"tfcsim/internal/faults"
 	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
-	"tfcsim/internal/tcp"
+	"tfcsim/internal/transport"
 )
 
 // flowName formats the per-flow track/event label.
@@ -386,9 +385,9 @@ func RegisterTFCGauges(t *Trial, ss *core.SwitchState, sw *netsim.Switch) {
 
 // --- tcp / dctcp / credit: transports ---
 
-// transportProbe implements both tcp.Probe and credit.Probe (the RTO
-// callback is shared): cwnd histogram + counter events, RTO instants,
-// fast-recovery spans, retransmit byte counters, credit-rate events.
+// transportProbe implements transport.Probe: cwnd histogram + counter
+// events, RTO instants, fast-recovery spans, retransmit byte counters,
+// credit-rate events.
 type transportProbe struct {
 	t                    *Trial
 	rtxBytes, rtos, recs *Counter
@@ -465,18 +464,9 @@ func (p *transportProbe) flush(now sim.Time) {
 	}
 }
 
-// TCPProbe returns the trial's tcp.Probe (nil for a nil trial), for
-// wiring into tcp.Config / dctcp configs.
-func (t *Trial) TCPProbe() tcp.Probe {
-	if t == nil {
-		return nil
-	}
-	t.tp.ensure()
-	return &t.tp
-}
-
-// CreditProbe returns the trial's credit.Probe (nil for a nil trial).
-func (t *Trial) CreditProbe() credit.Probe {
+// TransportProbe returns the trial's sender-side transport.Probe (nil
+// for a nil trial), for wiring into a transport.DialConfig.
+func (t *Trial) TransportProbe() transport.Probe {
 	if t == nil {
 		return nil
 	}
@@ -516,23 +506,20 @@ func (t *Trial) PauseProbe() bfc.PauseProbe {
 
 // --- transport registry dispatch ---
 //
-// The registry moves probes across the transport boundary as opaque any
-// values (telemetry imports the protocol packages, so they cannot import
-// telemetry back). These two dispatchers map a registered transport name
-// to the trial's matching probe; unknown names get nil, which every
-// transport tolerates.
+// These two dispatchers map a registered transport name to the trial's
+// matching probe; unknown names get nil, which every transport tolerates.
+// Sender-side probes are typed (transport.Probe); switch-side probes are
+// protocol-specific and cross the registry as opaque any values
+// (telemetry imports the protocol packages, so they cannot import
+// telemetry back).
 
 // DialProbe returns the sender-side telemetry probe for a named
-// transport, shaped for workload.Dialer.Probe. Nil-trial safe.
-func (t *Trial) DialProbe(proto string) any {
-	if t == nil {
-		return nil
-	}
+// transport, shaped for workload.Dialer.Probe. Nil-trial safe. The TFC
+// sender is not probed.
+func (t *Trial) DialProbe(proto string) transport.Probe {
 	switch proto {
-	case "tcp", "dctcp", "tinytcp", "bfc":
-		return t.TCPProbe()
-	case "credit":
-		return t.CreditProbe()
+	case "tcp", "dctcp", "tinytcp", "bfc", "credit":
+		return t.TransportProbe()
 	}
 	return nil
 }

@@ -29,11 +29,11 @@ func TestNilTrialIsDisabled(t *testing.T) {
 	if tr.Key() != "" {
 		t.Fatalf("nil trial key = %q", tr.Key())
 	}
-	if p := tr.TCPProbe(); p != nil {
-		t.Fatalf("nil trial TCPProbe = %v, want nil interface", p)
+	if p := tr.TransportProbe(); p != nil {
+		t.Fatalf("nil trial TransportProbe = %v, want nil interface", p)
 	}
-	if p := tr.CreditProbe(); p != nil {
-		t.Fatalf("nil trial CreditProbe = %v, want nil interface", p)
+	if p := tr.DialProbe("tcp"); p != nil {
+		t.Fatalf("nil trial DialProbe = %v, want nil interface", p)
 	}
 	if f := tr.MarkProbe(); f != nil {
 		t.Fatal("nil trial MarkProbe should be nil")

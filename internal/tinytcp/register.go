@@ -12,13 +12,7 @@ func init() {
 		Desc:    "tiny-buffer TCP: paced NewReno with a capped window, sized for ~10-packet buffers",
 		Compare: true,
 		Dial: func(c transport.DialConfig) transport.Conn {
-			probe, _ := c.Probe.(tcp.Probe)
-			s, r := Dial(tcp.Config{
-				Sim: c.Sim, Local: c.Local, Peer: c.Peer, Flow: c.Flow,
-				MSS: c.MSS, MinRTO: c.MinRTO,
-				OnDrain: c.OnDrain, OnComplete: c.OnComplete,
-				Probe: probe,
-			})
+			s, r := Dial(tcp.Config{DialConfig: c})
 			return transport.Conn{Sender: s, Received: r.Received, SRTT: s.SRTT}
 		},
 	})

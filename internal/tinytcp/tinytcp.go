@@ -25,7 +25,7 @@ const DefaultCwndCapSegs = 32
 // Dial creates a paced, window-capped TCP connection. Zero-valued Pace
 // and CwndCap fields are overridden; everything else in cfg is passed
 // through to package tcp.
-func Dial(cfg tcp.Config) (*tcp.Sender, *tcp.Receiver) {
+func Dial(cfg tcp.Config) (*tcp.Sender, *transport.Receiver) {
 	cfg.Pace = true
 	if cfg.CwndCap == 0 {
 		mss := cfg.MSS

@@ -29,8 +29,8 @@ func newRig(buf int) *rig {
 	return &rig{s: s, h1: h1, h2: h2, bott: sw.PortTo(h2.ID())}
 }
 
-func (r *rig) conn(flow netsim.FlowID) (*tcp.Sender, *tcp.Receiver) {
-	return Dial(tcp.Config{Sim: r.s, Local: r.h1, Peer: r.h2, Flow: flow})
+func (r *rig) conn(flow netsim.FlowID) (*tcp.Sender, *transport.Receiver) {
+	return Dial(tcp.Config{DialConfig: transport.DialConfig{Sim: r.s, Local: r.h1, Peer: r.h2, Flow: flow}})
 }
 
 func TestCwndNeverExceedsCap(t *testing.T) {
@@ -89,7 +89,7 @@ func TestCapBoundsStandingQueue(t *testing.T) {
 		if tiny {
 			snd, _ = r.conn(1)
 		} else {
-			snd, _ = tcp.Dial(tcp.Config{Sim: r.s, Local: r.h1, Peer: r.h2, Flow: 1})
+			snd, _ = tcp.Dial(tcp.Config{DialConfig: transport.DialConfig{Sim: r.s, Local: r.h1, Peer: r.h2, Flow: 1}})
 		}
 		r.s.At(0, func() { snd.Open(); snd.Send(20 << 20); snd.Close() })
 		r.s.Run()

@@ -10,7 +10,8 @@ import (
 )
 
 // DialConfig carries the protocol-independent parameters of one
-// connection. Factories translate it into their own Config type.
+// connection. Protocol packages embed it in their own Config next to
+// their protocol-only knobs.
 type DialConfig struct {
 	Sim   *sim.Simulator
 	Local *netsim.Host // sender side
@@ -18,18 +19,28 @@ type DialConfig struct {
 	Flow  netsim.FlowID
 
 	MSS    int      // 0 selects DefaultMSS
-	MinRTO sim.Time // 0 selects the protocol default
+	MinRTO sim.Time // 0 selects DefaultMinRTO
 
 	// OnDrain fires whenever all currently queued bytes are acknowledged;
 	// OnComplete once after Close.
 	OnDrain    func()
 	OnComplete func()
 
-	// Probe is the protocol-specific per-connection telemetry observer
-	// (e.g. a tcp.Probe), supplied opaquely so the registry does not
-	// depend on the telemetry layer. Factories type-assert it to their
-	// own probe interface and must tolerate nil or foreign types.
-	Probe any
+	// Probe, if set, receives the connection's telemetry (RTO firings,
+	// retransmissions, window and recovery moves, credit-rate moves).
+	// Disabled path is one nil-check per event; probes must not mutate
+	// sender state.
+	Probe Probe
+}
+
+// FillDefaults sets the zero-valued knobs to their defaults.
+func (c *DialConfig) FillDefaults() {
+	if c.MSS == 0 {
+		c.MSS = DefaultMSS
+	}
+	if c.MinRTO == 0 {
+		c.MinRTO = DefaultMinRTO
+	}
 }
 
 // Conn is the protocol-agnostic result of a Factory's Dial.
@@ -55,7 +66,9 @@ type AttachConfig struct {
 	// Factories type-assert and must tolerate nil or foreign types.
 	Knobs any
 	// Probe is the protocol-specific switch-side telemetry observer,
-	// opaque for the same reason as DialConfig.Probe.
+	// supplied opaquely so the registry does not depend on the telemetry
+	// layer or on any protocol package. Factories type-assert it to their
+	// own probe type and must tolerate nil or foreign types.
 	Probe any
 }
 

@@ -1,11 +1,12 @@
-// Package transport provides plumbing shared by the transport protocols
-// (TCP NewReno, DCTCP, TFC): RFC 6298 RTT estimation, in-order reassembly,
-// per-flow statistics, and flow-ID allocation.
+// Package transport holds what every transport protocol shares: the
+// reliable-delivery core each sender embeds (Reliable: sequence/ACK
+// bookkeeping, handshake and FIN, RTO with backoff, retransmission), the
+// cumulative-ACK Receiver, RFC 6298 RTT estimation, in-order reassembly,
+// per-flow statistics, flow-ID allocation, and the registry through which
+// the harness dials any protocol by name.
 package transport
 
 import (
-	"sort"
-
 	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
 )
@@ -29,11 +30,11 @@ type RTTEstimator struct {
 }
 
 // NewRTTEstimator builds an estimator with the given RTO clamps. Zero
-// arguments select the defaults (min as given, max 60 s, initial 3 ms —
+// arguments select the defaults (min as given, max MaxRTO, initial 3 ms —
 // scaled for data-center RTTs).
 func NewRTTEstimator(minRTO, maxRTO, initRTO sim.Time) *RTTEstimator {
 	if maxRTO == 0 {
-		maxRTO = 60 * sim.Second
+		maxRTO = MaxRTO
 	}
 	if initRTO == 0 {
 		initRTO = DefaultInitRTO
@@ -150,30 +151,38 @@ func (r *Reassembly) Add(start int64, n int) int64 {
 	if start < r.next {
 		start = r.next
 	}
-	// Insert/merge [start, end) into segs.
-	i := sort.Search(len(r.segs), func(i int) bool { return r.segs[i].end >= start })
+	// Insert/merge [start, end) into segs. The first candidate is found by
+	// a linear scan: the list holds one entry per hole, a handful at most.
+	i := 0
+	for i < len(r.segs) && r.segs[i].end < start {
+		i++
+	}
 	merged := seg{start, end}
 	j := i
 	for j < len(r.segs) && r.segs[j].start <= merged.end {
-		if r.segs[j].start < merged.start {
-			merged.start = r.segs[j].start
-		}
-		if r.segs[j].end > merged.end {
-			merged.end = r.segs[j].end
-		}
+		merged.start = min(merged.start, r.segs[j].start)
+		merged.end = max(merged.end, r.segs[j].end)
 		j++
 	}
-	// Splice merged over segs[i:j] in place. Both branches reuse the
-	// existing backing array, so a receiver in steady state (bounded
-	// out-of-order window) never allocates here after the first few adds.
+	// Splice merged over segs[i:j] in place. The backing array only ever
+	// grows (doubling, when a new hole finds it full), so a receiver in
+	// steady state (bounded out-of-order window) never allocates here
+	// after the first few adds.
 	if j == i {
 		// No overlap: open a hole at i.
-		r.segs = append(r.segs, seg{})
-		copy(r.segs[i+1:], r.segs[i:])
+		n := len(r.segs)
+		if n == cap(r.segs) {
+			grown := make([]seg, n, 2*n+4)
+			copy(grown, r.segs)
+			r.segs = grown
+		}
+		r.segs = r.segs[:n+1]
+		copy(r.segs[i+1:], r.segs[i:n])
 		r.segs[i] = merged
 	} else {
 		r.segs[i] = merged
-		r.segs = append(r.segs[:i+1], r.segs[j:]...)
+		k := copy(r.segs[i+1:], r.segs[j:])
+		r.segs = r.segs[:i+1+k]
 	}
 	// Advance next over any now-contiguous prefix, compacting in place to
 	// keep the slice capacity (segs[1:] would strand it).
@@ -219,12 +228,13 @@ type Sender interface {
 	Close()
 }
 
-// RTOTimer is a lazily re-armed retransmission timer. Arming it merely
-// records the new deadline; the underlying simulator timer is only
-// (re)scheduled when none is pending or when it fires early, so an
-// ACK-clocked sender re-arming on every ACK creates O(1) live timer
-// entries per RTO period instead of one per ACK.
-type RTOTimer struct {
+// LazyTimer is a lazily re-armed deadline timer. Arming it merely records
+// the new deadline; the underlying simulator timer is only (re)scheduled
+// when none is pending or when it fires early, so an ACK-clocked sender
+// re-arming its retransmission timeout on every ACK creates O(1) live
+// timer entries per RTO period instead of one per ACK. Every sender's RTO
+// runs on one, and so does BFC's pause timeout (refreshed by every XOF).
+type LazyTimer struct {
 	s        *sim.Simulator
 	fn       func()
 	deadline sim.Time
@@ -232,17 +242,17 @@ type RTOTimer struct {
 	armed    bool
 }
 
-// NewRTOTimer creates a timer that runs fn when an armed deadline expires.
-func NewRTOTimer(s *sim.Simulator, fn func()) *RTOTimer {
-	return &RTOTimer{s: s, fn: fn}
+// NewLazyTimer creates a timer that runs fn when an armed deadline expires.
+func NewLazyTimer(s *sim.Simulator, fn func()) *LazyTimer {
+	return &LazyTimer{s: s, fn: fn}
 }
 
 // Deadline returns the currently armed deadline (meaningful only while
 // the timer is armed). Tests use it to check the arming arithmetic.
-func (t *RTOTimer) Deadline() sim.Time { return t.deadline }
+func (t *LazyTimer) Deadline() sim.Time { return t.deadline }
 
 // Arm (re)sets the timer to fire d from now.
-func (t *RTOTimer) Arm(d sim.Time) {
+func (t *LazyTimer) Arm(d sim.Time) {
 	t.deadline = t.s.Now() + d
 	t.armed = true
 	if w, ok := t.timer.When(); ok {
@@ -256,16 +266,16 @@ func (t *RTOTimer) Arm(d sim.Time) {
 	t.schedule()
 }
 
-// schedule arms the underlying simulator timer. The RTOTimer itself is
+// schedule arms the underlying simulator timer. The LazyTimer itself is
 // the event target, so re-arming never allocates a closure.
-func (t *RTOTimer) schedule() {
+func (t *LazyTimer) schedule() {
 	t.timer = t.s.Schedule(t.deadline, t)
 }
 
 // RunEvent implements sim.EventTarget.
-func (t *RTOTimer) RunEvent() { t.onFire() }
+func (t *LazyTimer) RunEvent() { t.onFire() }
 
-func (t *RTOTimer) onFire() {
+func (t *LazyTimer) onFire() {
 	if !t.armed {
 		return
 	}
@@ -278,7 +288,7 @@ func (t *RTOTimer) onFire() {
 }
 
 // Stop disarms the timer (a pending underlying timer becomes a no-op).
-func (t *RTOTimer) Stop() { t.armed = false }
+func (t *LazyTimer) Stop() { t.armed = false }
 
 // Armed reports whether a deadline is pending.
-func (t *RTOTimer) Armed() bool { return t.armed }
+func (t *LazyTimer) Armed() bool { return t.armed }

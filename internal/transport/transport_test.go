@@ -168,7 +168,7 @@ func TestStatsFCT(t *testing.T) {
 func TestRTOTimerFires(t *testing.T) {
 	s := sim.New(1)
 	fired := 0
-	rt := NewRTOTimer(s, func() { fired++ })
+	rt := NewLazyTimer(s, func() { fired++ })
 	rt.Arm(10 * sim.Millisecond)
 	s.RunUntil(20 * sim.Millisecond)
 	if fired != 1 {
@@ -183,7 +183,7 @@ func TestRTOTimerLazyRearm(t *testing.T) {
 	s := sim.New(1)
 	fired := 0
 	var firedAt sim.Time
-	rt := NewRTOTimer(s, func() { fired++; firedAt = s.Now() })
+	rt := NewLazyTimer(s, func() { fired++; firedAt = s.Now() })
 	rt.Arm(10 * sim.Millisecond)
 	// Re-arm 1000 times over the first 5ms (like per-ACK re-arming).
 	for i := 1; i <= 1000; i++ {
@@ -208,7 +208,7 @@ func TestRTOTimerLazyRearm(t *testing.T) {
 func TestRTOTimerStop(t *testing.T) {
 	s := sim.New(1)
 	fired := 0
-	rt := NewRTOTimer(s, func() { fired++ })
+	rt := NewLazyTimer(s, func() { fired++ })
 	rt.Arm(10 * sim.Millisecond)
 	s.At(5*sim.Millisecond, func() { rt.Stop() })
 	s.RunUntil(sim.Second)
@@ -226,7 +226,7 @@ func TestRTOTimerStop(t *testing.T) {
 func TestRTOTimerArmShorter(t *testing.T) {
 	s := sim.New(1)
 	var firedAt sim.Time
-	rt := NewRTOTimer(s, func() { firedAt = s.Now() })
+	rt := NewLazyTimer(s, func() { firedAt = s.Now() })
 	rt.Arm(100 * sim.Millisecond)
 	s.At(sim.Millisecond, func() { rt.Arm(5 * sim.Millisecond) }) // earlier deadline
 	s.RunUntil(sim.Second)

@@ -56,10 +56,8 @@ type Dialer struct {
 	MinRTO sim.Time
 	IDs    transport.IDGen
 	// Probe, if set, supplies the sender-side telemetry probe for a given
-	// protocol name. The value is protocol-defined (tcp.Probe for the
-	// TCP-family transports, credit.Probe for credit, ...) and crosses the
-	// registry as an opaque any; transports ignore probes of foreign types.
-	Probe func(proto string) any
+	// protocol name (nil leaves that protocol's senders unobserved).
+	Probe func(proto string) transport.Probe
 }
 
 // Dial wires a (src -> dst) connection. onDrain fires whenever all queued
@@ -72,7 +70,7 @@ func (d *Dialer) Dial(src, dst *netsim.Host, onDrain, onComplete func()) *Conn {
 		panic(fmt.Sprintf("workload: %v", err))
 	}
 	flow := d.IDs.Next()
-	var probe any
+	var probe transport.Probe
 	if d.Probe != nil {
 		probe = d.Probe(string(d.Proto))
 	}

@@ -1,0 +1,53 @@
+#!/usr/bin/env sh
+# identity.sh — prove the working tree's experiment output is byte-identical
+# to another commit's.
+#
+#   scripts/identity.sh <ref>        # e.g. scripts/identity.sh HEAD~1
+#
+# Checks out <ref> into a temporary directory (git archive: nothing is left
+# in .git), builds cmd/tfcsim from both trees, runs `tfcsim all` at quick
+# scale on each at `-j 1 -shards 1` and at `-j 8 -shards 3` with text, CSV,
+# trace and metrics export, blanks the two run-dependent fields of the text
+# (the header's j= and the footer's wall seconds; trial and sim-event counts
+# stay in the comparison), and cmp's every file.
+# Byte-identity to the parent is the repository's fixed point: a refactor
+# passes this before anything else is worth measuring.
+set -eu
+cd "$(dirname "$0")/.."
+
+ref="${1:?usage: scripts/identity.sh <ref>}"
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
+echo "==> build $ref and the working tree"
+mkdir "$tmp/src"
+git archive "$ref" | tar -x -C "$tmp/src"
+(cd "$tmp/src" && go build -o "$tmp/tfcsim.ref" ./cmd/tfcsim)
+go build -o "$tmp/tfcsim.new" ./cmd/tfcsim
+
+run() { # run <binary> <outdir> <j> <shards>
+	mkdir -p "$2/csv"
+	"$1" all -j "$3" -shards "$4" -out "$2/out.txt" -csv "$2/csv" \
+		-trace "$2/trace.json" -metrics "$2/metrics.json" >/dev/null 2>"$tmp/stderr.log" ||
+		{ cat "$tmp/stderr.log" >&2; exit 1; }
+	sed -e 's/, j=[0-9]*) ==$/, j=N) ==/' -e 's/, [0-9.]*s wall --$/, Ns wall --/' \
+		"$2/out.txt" >"$2/text"
+	rm "$2/out.txt"
+}
+
+for cfg in "1 1" "8 3"; do
+	set -- $cfg
+	echo "==> tfcsim all -j $1 -shards $2 ($ref, then working tree)"
+	run "$tmp/tfcsim.ref" "$tmp/ref-$1-$2" "$1" "$2"
+	run "$tmp/tfcsim.new" "$tmp/new-$1-$2" "$1" "$2"
+done
+
+# Every file of every run against the reference's sequential run: that one
+# comparison covers ref-vs-tree and -j/-shards invariance at once.
+base="$tmp/ref-1-1"
+fail=0
+for d in "$tmp/ref-8-3" "$tmp/new-1-1" "$tmp/new-8-3"; do
+	diff -rq "$base" "$d" >&2 || fail=1
+done
+[ "$fail" = 0 ] || exit 1
+echo "byte-identical to $ref: text, CSV, trace, metrics at -j1/-shards1 and -j8/-shards3"
