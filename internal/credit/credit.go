@@ -95,10 +95,13 @@ func (s *Sender) Open() {
 }
 
 // Send queues n more bytes; a credit request tells the receiver to
-// (re)start crediting.
+// (re)start crediting. The request can be lost like anything else, and a
+// receiver that never saw it stays silent, so the retransmission timer
+// must be running behind it (a drained connection has stopped it).
 func (s *Sender) Send(n int64) {
 	if s.Queue(n) {
 		s.sendCtl(netsim.FlagCRD)
+		s.ArmIfIdle()
 	}
 }
 

@@ -187,3 +187,30 @@ func TestRecoveryAfterDataLoss(t *testing.T) {
 		t.Fatal("transfer did not recover from injected loss")
 	}
 }
+
+func TestLostCreditRequestRecovers(t *testing.T) {
+	// A persistent connection (incast rounds, on-off flows): the first
+	// message drains, which stops the retransmission timer, and the
+	// credit request announcing the second message is lost on the
+	// sender's uplink. The receiver has nothing to credit and stays
+	// silent; only the sender's timer can re-request. Send used to leave
+	// it unarmed, and the flow hung forever.
+	r := newRig(1, 256<<10)
+	drains := 0
+	snd, rcv := r.dial(0, 1, func(c *Config) { c.OnDrain = func() { drains++ } })
+	r.s.At(0, func() { snd.Open(); snd.Send(64 << 10) })
+	r.s.RunUntil(100 * sim.Millisecond)
+	if drains != 1 {
+		t.Fatalf("first message: %d drains, want 1", drains)
+	}
+	uplink := r.senders[0].NIC()
+	uplink.SetDown(false)
+	snd.Send(64 << 10)
+	r.s.RunUntil(r.s.Now() + 2*sim.Millisecond)
+	uplink.SetUp()
+	r.s.RunUntil(r.s.Now() + 10*sim.Second)
+	if drains != 2 || rcv.Received() != 128<<10 {
+		t.Fatalf("second message stuck: drains=%d received=%d acked=%d timeouts=%d",
+			drains, rcv.Received(), snd.Acked(), snd.Stats().Timeouts)
+	}
+}

@@ -139,6 +139,24 @@ func TestConformance(t *testing.T) {
 				t.Fatal("the completing ACK was dropped and no timeout recovered it")
 			}
 		}},
+		{"resume-loss", func(t *testing.T, d *dumbbell) {
+			// A persistent connection resumes after its first message
+			// drained (and stopped the timer); whatever the protocol
+			// sends first — data, a window probe, a credit request — is
+			// lost.
+			d.s.At(0, func() { d.conn.Sender.Open(); d.conn.Sender.Send(msg) })
+			d.s.RunUntil(100 * sim.Millisecond)
+			if d.drains != 1 {
+				t.Fatalf("first message: %d drains, want 1", d.drains)
+			}
+			d.fwd.drop = once(1, any1)
+			d.conn.Sender.Send(msg)
+			d.conn.Sender.Close()
+			d.finish(t)
+			if d.drains != 2 {
+				t.Fatalf("%d drains, want 2", d.drains)
+			}
+		}},
 		{"blackout", func(t *testing.T, d *dumbbell) {
 			// Long enough to push the backoff past 32 shifts. From the 1 ms MinRTO the backoff doubles to the 60 s cap in
 			// 16 timeouts (65.5 s), then fires once a minute: 40 timeouts
