@@ -28,7 +28,8 @@ import (
 	"tfcsim/internal/telemetry"
 )
 
-func usage() {
+// usage prints the help text and returns the usage-error exit status.
+func usage() int {
 	fmt.Fprintf(os.Stderr, `tfcsim — reproduction harness for TFC (EuroSys 2016)
 
 Usage:
@@ -62,28 +63,42 @@ Flags for run/all:
   -cpuprofile FILE     write a CPU profile of the run (go tool pprof)
   -memprofile FILE     write a heap profile taken after the run
 `, strings.Join(tfcsim.Protocols(), ", "), runtime.GOMAXPROCS(0))
-	os.Exit(2)
+	return 2
 }
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
+	// Ctrl-C cancels cleanly: in-flight trials finish, queued ones are
+	// skipped, and the run reports the cancellation.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	code := cli(ctx, os.Args[1:], os.Stdout)
+	stop()
+	os.Exit(code)
+}
+
+// cli runs one tfcsim command line, writing results to stdout, and
+// returns the exit status. Every clean-up a run needs — stopping the -http
+// endpoint, closing the -out file, finishing the profiles — is deferred
+// here, so it also runs when the run fails or ctx is cancelled; only main
+// calls os.Exit.
+func cli(ctx context.Context, argv []string, stdout io.Writer) (code int) {
+	if len(argv) < 1 {
+		return usage()
 	}
-	switch os.Args[1] {
+	switch argv[0] {
 	case "list":
 		for _, e := range tfcsim.Experiments() {
-			fmt.Printf("%-18s %-22s %s\n", e.Name, e.Figure, e.Desc)
+			fmt.Fprintf(stdout, "%-18s %-22s %s\n", e.Name, e.Figure, e.Desc)
 		}
 	case "verify":
 		report, ok := tfcsim.VerifyAll()
-		fmt.Print(report)
+		fmt.Fprint(stdout, report)
 		if !ok {
-			fmt.Println("some claims FAILED")
-			os.Exit(1)
+			fmt.Fprintln(stdout, "some claims FAILED")
+			return 1
 		}
-		fmt.Println("all claims hold")
+		fmt.Fprintln(stdout, "all claims hold")
 	case "run", "all":
-		fs := flag.NewFlagSet(os.Args[1], flag.ExitOnError)
+		fs := flag.NewFlagSet(argv[0], flag.ExitOnError)
 		scale := fs.String("scale", "quick", "experiment scale: quick or paper")
 		protoFlag := fs.String("proto", "",
 			"comma-separated protocol subset for matrix experiments (empty = experiment defaults)")
@@ -101,29 +116,31 @@ func main() {
 		verbose := fs.Bool("v", false, "print per-trial progress to stderr")
 		cpuprofile := fs.String("cpuprofile", "", "write CPU profile to this file")
 		memprofile := fs.String("memprofile", "", "write heap profile to this file")
-		args := os.Args[2:]
+		all := argv[0] == "all"
+		args := argv[1:]
 		var name string
-		if os.Args[1] == "run" {
+		if !all {
 			if len(args) == 0 || args[0] == "" || args[0][0] == '-' {
-				usage()
+				return usage()
 			}
 			name = args[0]
 			args = args[1:]
 		}
 		if err := fs.Parse(args); err != nil {
-			os.Exit(2)
+			return 2
 		}
 		if *cpuprofile != "" {
 			f, err := os.Create(*cpuprofile)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return 1
 			}
+			defer f.Close()
 			if err := pprof.StartCPUProfile(f); err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return 1
 			}
-			defer func() { pprof.StopCPUProfile(); f.Close() }()
+			defer pprof.StopCPUProfile()
 		}
 		if *memprofile != "" {
 			path := *memprofile
@@ -140,11 +157,6 @@ func main() {
 				}
 			}()
 		}
-
-		// Ctrl-C cancels cleanly: in-flight trials finish, queued ones are
-		// skipped, and the run reports the cancellation.
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-		defer stop()
 
 		opts := tfcsim.RunOptions{
 			Scale:       tfcsim.Scale(*scale),
@@ -165,7 +177,7 @@ func main() {
 				if !tfcsim.ProtocolRegistered(p) {
 					fmt.Fprintf(os.Stderr, "tfcsim: unknown protocol %q (registered: %s)\n",
 						p, strings.Join(tfcsim.Protocols(), ", "))
-					usage()
+					return usage()
 				}
 				opts.Protos = append(opts.Protos, tfcsim.Proto(p))
 			}
@@ -173,7 +185,7 @@ func main() {
 		if *httpAddr != "" || *spansEvery > 0 || *watchdogs {
 			if *spansEvery > 0 && *tracePath == "" {
 				fmt.Fprintln(os.Stderr, "tfcsim: -spans requires -trace (spans are recorded into the trace file)")
-				os.Exit(2)
+				return 2
 			}
 			o := tfcsim.NewObservatory(tfcsim.ObsOptions{
 				HTTPAddr:  *httpAddr,
@@ -184,7 +196,7 @@ func main() {
 			})
 			if err := o.Start(); err != nil {
 				fmt.Fprintln(os.Stderr, "tfcsim: obs:", err)
-				os.Exit(1)
+				return 1
 			}
 			defer o.Stop()
 			opts.Obs = o
@@ -197,23 +209,36 @@ func main() {
 			}
 		}
 
-		var w io.Writer = os.Stdout
+		w := stdout
 		if *out != "" {
 			f, err := os.Create(*out)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return 1
 			}
-			defer f.Close()
-			w = io.MultiWriter(os.Stdout, f)
+			defer func() {
+				if err := f.Close(); err != nil {
+					fmt.Fprintln(os.Stderr, err)
+					code = 1
+				}
+			}()
+			w = io.MultiWriter(stdout, f)
 		}
 
 		j := *jobs
 		if j <= 0 {
 			j = runtime.GOMAXPROCS(0)
 		}
-		all := os.Args[1] == "all"
-		run := func(e tfcsim.Experiment) {
+		exps := tfcsim.Experiments()
+		if !all {
+			e, ok := tfcsim.Find(name)
+			if !ok {
+				fmt.Fprintf(os.Stderr, "tfcsim: unknown experiment %q (try `tfcsim list`)\n", name)
+				return 1
+			}
+			exps = []tfcsim.Experiment{e}
+		}
+		for _, e := range exps {
 			o := opts
 			if *tracePath != "" || *metricsPath != "" {
 				o.Telemetry = &telemetry.Options{
@@ -223,28 +248,18 @@ func main() {
 			}
 			res, err := e.Run(ctx, o)
 			if err != nil {
+				// Returning, not exiting: the deferred clean-ups above must run.
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return 1
 			}
 			fmt.Fprintf(w, "== %s (scale=%s, seed=%d, j=%d) ==\n%s", res.Name, res.Scale, res.Seed, j, res.Text)
 			fmt.Fprintf(w, "-- %d trials, %d sim events, %.2fs wall --\n\n",
 				len(res.Trials), res.Events, res.Wall.Seconds())
 		}
-		if !all {
-			e, ok := tfcsim.Find(name)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "tfcsim: unknown experiment %q (try `tfcsim list`)\n", name)
-				os.Exit(1)
-			}
-			run(e)
-		} else {
-			for _, e := range tfcsim.Experiments() {
-				run(e)
-			}
-		}
 	default:
-		usage()
+		return usage()
 	}
+	return 0
 }
 
 // perExpPath keeps path as-is for a single-experiment run; for `all` it

@@ -1,7 +1,9 @@
 // Command tfctrace runs a small two-flow scenario and prints a
 // tcpdump-style packet lifecycle trace, which is the quickest way to watch
 // a transport's control machinery (TFC's RM-marked rounds and window
-// stamping, BFC's XOF/XON backpressure, DCTCP's CE marks) in action.
+// stamping, BFC's XOF/XON backpressure, DCTCP's CE marks) in action. It
+// is one more consumer of the simulator's event stream: a netsim.Probe
+// that prints the packet-lifecycle records.
 //
 // Usage:
 //
@@ -15,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -22,19 +25,55 @@ import (
 	"tfcsim/internal/netsim"
 )
 
-func main() {
-	proto := flag.String("proto", "tfc",
+func main() { os.Exit(run(os.Stdout, os.Args[1:])) }
+
+// printer is the text view: it prints the first max packet-lifecycle
+// records (of one flow, if only is set) and ignores every other kind.
+type printer struct {
+	w     io.Writer
+	lines int
+	max   int
+	only  int64
+}
+
+// Observe implements netsim.Probe.
+func (p *printer) Observe(ev netsim.Event) {
+	switch ev.Kind {
+	case netsim.EvHostSend, netsim.EvEnqueue, netsim.EvDrop, netsim.EvTx, netsim.EvDeliver, netsim.EvStray:
+	default:
+		return
+	}
+	if p.lines >= p.max || (p.only != 0 && int64(ev.Flow) != p.only) {
+		return
+	}
+	p.lines++
+	pkt := ev.Pkt
+	fmt.Fprintf(p.w, "%10s  %-5s %-10s flow=%d seq=%-7d ack=%-7d len=%-4d w=%-6s %s\n",
+		ev.At, ev.Kind, ev.Where(), pkt.Flow, pkt.Seq, pkt.Ack, pkt.Payload,
+		windowStr(pkt.Window), pkt.Flags)
+}
+
+// run is the whole command: it parses args, runs the scenario and writes
+// the trace to w, returning the exit status.
+func run(w io.Writer, args []string) int {
+	fs := flag.NewFlagSet("tfctrace", flag.ContinueOnError)
+	proto := fs.String("proto", "tfc",
 		"transport protocol: "+strings.Join(tfcsim.Protocols(), ", "))
-	flows := flag.Int("flows", 2, "number of concurrent flows")
-	us := flag.Int64("us", 500, "microseconds of virtual time to trace")
-	max := flag.Int("max", 200, "maximum trace lines")
-	only := flag.Int64("flow", 0, "trace only this flow ID (0 = all)")
-	flag.Parse()
+	flows := fs.Int("flows", 2, "number of concurrent flows")
+	us := fs.Int64("us", 500, "microseconds of virtual time to trace")
+	max := fs.Int("max", 200, "maximum trace lines")
+	only := fs.Int64("flow", 0, "trace only this flow ID (0 = all)")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 	if !tfcsim.ProtocolRegistered(*proto) {
 		fmt.Fprintf(os.Stderr, "tfctrace: unknown protocol %q (registered: %s)\n",
 			*proto, strings.Join(tfcsim.Protocols(), ", "))
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
 
 	s := tfcsim.NewSimulator(1)
@@ -54,22 +93,11 @@ func main() {
 	net.ComputeRoutes()
 	if _, err := tfcsim.AttachTransport(s, *proto, []*tfcsim.Switch{sw}, tfcsim.Gbps); err != nil {
 		fmt.Fprintln(os.Stderr, "tfctrace:", err)
-		os.Exit(2)
+		return 2
 	}
 
-	lines := 0
-	net.Trace = func(ev netsim.TraceEvent, at tfcsim.Time, where string, pkt *tfcsim.Packet) {
-		if lines >= *max {
-			return
-		}
-		if *only != 0 && int64(pkt.Flow) != *only {
-			return
-		}
-		lines++
-		fmt.Printf("%10s  %-5s %-10s flow=%d seq=%-7d ack=%-7d len=%-4d w=%-6s %s\n",
-			at, ev, where, pkt.Flow, pkt.Seq, pkt.Ack, pkt.Payload,
-			windowStr(pkt.Window), pkt.Flags)
-	}
+	view := &printer{w: w, max: *max, only: *only}
+	net.Probe = view
 
 	d := &tfcsim.Dialer{Sim: s, Proto: tfcsim.Proto(*proto)}
 	for _, h := range senders {
@@ -80,7 +108,8 @@ func main() {
 		})
 	}
 	s.RunUntil(tfcsim.Time(*us) * tfcsim.Microsecond)
-	fmt.Printf("... traced %d events over %dus of virtual time\n", lines, *us)
+	fmt.Fprintf(w, "... traced %d events over %dus of virtual time\n", view.lines, *us)
+	return 0
 }
 
 func windowStr(w int64) string {

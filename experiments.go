@@ -67,7 +67,7 @@ type RunOptions struct {
 	// Obs, if set, attaches the runtime observatory to the run: the live
 	// introspection endpoint, causal packet spans, and the invariant
 	// watchdogs (see internal/obs). Works with or without Telemetry — when
-	// Telemetry is nil a silent collector is minted so the probe layer is
+	// Telemetry is nil a silent collector is minted so the event stream is
 	// live but no trace/metrics files are written. The observatory is a
 	// pure observer: results stay byte-identical with it on or off.
 	Obs *obs.Observatory
@@ -206,10 +206,10 @@ func (e Experiment) Run(ctx context.Context, opts RunOptions) (*Result, error) {
 		rc.tel = telemetry.NewCollector(*opts.Telemetry)
 		res.Telemetry = rc.tel
 	} else if opts.Obs != nil {
-		// The observatory rides on the telemetry probe layer: mint a silent
-		// collector (no output paths, so WriteFiles is a no-op) purely to
-		// carry the per-trial hooks.
-		rc.tel = telemetry.NewCollector(telemetry.Options{})
+		// The observatory's consumers register on telemetry trials: mint a
+		// silent collector (no output paths, so WriteFiles is a no-op) purely
+		// to carry them, with the smallest trace ring — nothing can read it.
+		rc.tel = telemetry.NewCollector(telemetry.Options{RingCap: 1})
 	}
 	opts.Obs.Attach(e.Name, rc.tel)
 	start := time.Now() //tfcvet:allow wallclock — Result.Wall reports real elapsed time; it never feeds simulation state or CSV data

@@ -7,11 +7,12 @@ import (
 	"strings"
 )
 
-// Probepure enforces the observer contract stated on every probe
-// interface (netsim.Probe, core.Probe, tcp.Probe, credit.Probe, the
-// faults.Injector.Probe callback, and the telemetry sinks behind them):
-// probes run inside the forwarding path, on the simulation's virtual
-// timeline, and must be invisible to it. A probe that mutates simulator
+// Probepure enforces the observer contract stated on netsim.Probe, the
+// simulator's one observer interface, for everything that consumes its
+// event stream (telemetry.Trial and the consumers it fans out to, obs's
+// span tracer, flight ring and watchdogs, tfctrace's text view) and for
+// the faults.Scheduler.Probe callback: probes run inside the forwarding
+// path, on the simulation's virtual timeline, and must be invisible to it. A probe that mutates simulator
 // or entity state, draws from a deterministic Rand stream, or schedules
 // an event changes the trajectory it claims to observe — and because
 // probes are usually enabled only for instrumented trials, the bug
@@ -23,14 +24,13 @@ import (
 //
 //   - methods through which a receiver type implements an interface
 //     named *Probe defined in a tfcsim/internal package (imported or
-//     local);
-//   - methods whose receiver type name ends in Probe (telemetry's
-//     unexported netProbe/tfcProbe/... sinks) or Watchdog (obs's
-//     invariant predicates — they run inside probe callbacks and are
-//     held to the same contract);
+//     local) — every Observe(netsim.Event), whatever its type is called;
+//   - methods whose receiver type name ends in Probe or Watchdog (obs's
+//     invariant predicates — they run inside Observe and are held to the
+//     same contract);
 //   - declared functions/methods whose own name ends in Probe — the
-//     factories (telemetry.Trial.MarkProbe and friends) whose returned
-//     closures are the installed probe bodies; function literals are
+//     factories (telemetry.Trial.FaultProbe, DialProbe) whose returned
+//     closures or values are the installed probe bodies; function literals are
 //     attributed to their enclosing declaration — or in Snapshot (obs's
 //     state readers: they sample live simulator/port state and must be
 //     pure reads whether they run as virtual-time events or behind the
@@ -64,7 +64,7 @@ var probeStateScope = regexp.MustCompile(`^tfcsim/internal/(sim|netsim|core|cred
 // additive — a missing entry shows up as a finding to triage, never as a
 // silent pass.
 var probepureReadonly = map[string]bool{
-	"ID": true, "Name": true, "String": true, "Label": true,
+	"ID": true, "Name": true, "String": true, "Label": true, "Ordinal": true,
 	"Now": true, "Seed": true, "Executed": true, "Pending": true, "Live": true,
 	"Sim": true, "Network": true, "NIC": true, "Ports": true, "Nodes": true,
 	"Endpoint": true, "Paused": true, "Group": true, "Shards": true,
@@ -239,9 +239,9 @@ func probepureCheckCall(pass *Pass, decl *ast.FuncDecl, call *ast.CallExpr, simS
 	if probepureReadonly[fn.Name()] {
 		return
 	}
-	// Forwarding into another probe (telemetry sinks fan out to obs's
-	// TrialHooks.Net) is allowed: the callee implements a *Probe interface
-	// and is checked as a root itself.
+	// Forwarding into another probe (a fan-out handing the record on) is
+	// allowed: the callee implements a *Probe interface and is checked as a
+	// root itself.
 	if named := namedOf(pass.TypesInfo.TypeOf(recv)); named != nil {
 		if _, isIface := named.Underlying().(*types.Interface); isIface &&
 			strings.HasSuffix(named.Obj().Name(), "Probe") {

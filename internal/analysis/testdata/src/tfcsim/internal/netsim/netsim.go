@@ -61,11 +61,28 @@ func (p *Port) QueueBytes() int { return p.QBytes }
 // Enqueue admits a packet to the port.
 func (p *Port) Enqueue(pkt *Packet) {}
 
-// Probe observes forwarding-path events; implementations must be
-// read-only (the contract probepure machine-checks).
+// EventKind classifies an observation record.
+type EventKind uint8
+
+// A few of the real kinds.
+const (
+	EvEnqueue EventKind = iota
+	EvDrop
+	EvSlot
+)
+
+// Event mirrors the one observation record, passed to probes by value.
+type Event struct {
+	Kind EventKind
+	Port *Port
+	Pkt  *Packet
+	A    int64
+}
+
+// Probe is the one observer interface; implementations must be read-only
+// (the contract probepure machine-checks).
 type Probe interface {
-	PortEnqueue(p *Port, pkt *Packet)
-	PortDrop(p *Port, pkt *Packet)
+	Observe(Event)
 }
 
 // Host is an attachment point mirroring netsim.Host.

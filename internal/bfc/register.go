@@ -14,14 +14,10 @@ func init() {
 		},
 		Attach: func(a transport.AttachConfig) any {
 			knobs, _ := a.Knobs.(*SwitchKnobs)
-			probe, _ := a.Probe.(PauseProbe)
 			var hooks []*Hook
 			for _, sw := range a.Switches {
 				// Each switch's hooks run on its own shard simulator.
-				for _, h := range AttachSwitch(sw.Sim(), sw, knobs) {
-					h.SetProbe(probe)
-					hooks = append(hooks, h)
-				}
+				hooks = append(hooks, AttachSwitch(sw.Sim(), sw, knobs)...)
 			}
 			return hooks
 		},

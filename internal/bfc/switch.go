@@ -38,11 +38,6 @@ func (k *SwitchKnobs) fillDefaults() {
 	}
 }
 
-// PauseProbe observes pause/resume signals for the telemetry layer:
-// invoked with paused=true for every XOF emitted and paused=false for
-// every XON. Passed through the registry as the opaque attach probe.
-type PauseProbe func(port *netsim.Port, flow netsim.FlowID, paused bool)
-
 type flowState struct {
 	gate FlowGate
 	src  netsim.NodeID // flow source, the XOF/XON destination
@@ -63,7 +58,6 @@ type Hook struct {
 	sw    *netsim.Switch
 	port  *netsim.Port
 	knobs SwitchKnobs
-	probe PauseProbe
 
 	flows     map[netsim.FlowID]*flowState
 	total     int64    // tracked occupancy across all flows (bytes)
@@ -99,9 +93,6 @@ func AttachSwitch(s *sim.Simulator, sw *netsim.Switch, knobs *SwitchKnobs) []*Ho
 	}
 	return hooks
 }
-
-// SetProbe wires a pause/resume observer into the hook.
-func (h *Hook) SetProbe(p PauseProbe) { h.probe = p }
 
 // Port returns the port this hook is attached to.
 func (h *Hook) Port() *netsim.Port { return h.port }
@@ -179,8 +170,12 @@ func (h *Hook) drain(flow netsim.FlowID, fb int64) {
 // the reverse path: losable, delayable — the sender's pause timeout and
 // the gate's refresh XOFs cover both).
 func (h *Hook) signal(flow netsim.FlowID, dst netsim.NodeID, flag netsim.Flag) {
-	if h.probe != nil {
-		h.probe(h.port, flow, flag == netsim.FlagXOF)
+	if pr := h.port.Network().Probe; pr != nil {
+		ev := netsim.Event{Kind: netsim.EvPause, At: h.sim.Now(), Port: h.port, Flow: flow}
+		if flag == netsim.FlagXOF {
+			ev.A = 1
+		}
+		pr.Observe(ev)
 	}
 	p := h.port.NewPacket()
 	*p = netsim.Packet{

@@ -20,9 +20,6 @@ func init() {
 			if k, ok := a.Knobs.(*SwitchConfig); ok && k != nil {
 				cfg = *k
 			}
-			if p, ok := a.Probe.(Probe); ok && p != nil {
-				cfg.Probe = p
-			}
 			states := make(map[*netsim.Switch]*SwitchState, len(a.Switches))
 			for _, sw := range a.Switches {
 				// Each switch's state runs on its own shard simulator.

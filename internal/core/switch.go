@@ -43,33 +43,11 @@ type SwitchConfig struct {
 	// slot's measurements (drives Figs 6 and 7).
 	OnSlot func(port *netsim.Port, info SlotInfo)
 
-	// Probe, if set, receives TFC control-plane telemetry (slot closes,
-	// window stamps, delay-arbiter holds/grants). Disabled path is one
-	// nil-check per event; implementations must not mutate sim state.
-	Probe Probe
-
 	// TestTokenSkew, when nonzero, is added to the token value after every
 	// slot's clamping — a deliberately broken accounting used only by the
 	// observability tests to prove the token-conservation watchdog catches
 	// a real violation. Never set outside tests.
 	TestTokenSkew float64
-}
-
-// Probe observes TFC's control plane for the telemetry layer
-// (internal/telemetry). All callbacks are read-only observers.
-type Probe interface {
-	// SlotEnd runs when a time slot closes at a port, after token
-	// adjustment (eqs. 7-8) and window computation.
-	SlotEnd(port *netsim.Port, info SlotInfo)
-	// WindowStamp runs when a passing packet's window field is stamped
-	// down to the port's assignment.
-	WindowStamp(port *netsim.Port, flow netsim.FlowID, window int64)
-	// DelayHold runs when the ACK delay arbiter queues an RMA ACK;
-	// held is the arbiter queue length including this ACK.
-	DelayHold(port *netsim.Port, flow netsim.FlowID, held int)
-	// DelayGrant runs when a held ACK is released; held is the queue
-	// length after the release.
-	DelayGrant(port *netsim.Port, flow netsim.FlowID, held int)
 }
 
 func (c *SwitchConfig) fillDefaults() {
@@ -250,8 +228,8 @@ func (st *PortState) OnEnqueue(pkt *netsim.Packet, port *netsim.Port) bool {
 		}
 		pkt.Window = wi
 		st.Stamped++
-		if st.cfg.Probe != nil {
-			st.cfg.Probe.WindowStamp(st.port, pkt.Flow, wi)
+		if pr := st.port.Network().Probe; pr != nil {
+			pr.Observe(netsim.Event{Kind: netsim.EvStamp, At: st.s.Now(), Port: st.port, Flow: pkt.Flow, A: wi})
 		}
 	}
 	return true
@@ -374,17 +352,15 @@ func (st *PortState) endSlot(pkt *netsim.Packet) {
 	}
 	st.w = st.t / st.eSmooth
 	st.Slots++
-	if st.cfg.OnSlot != nil || st.cfg.Probe != nil {
-		info := SlotInfo{
+	if st.cfg.OnSlot != nil {
+		st.cfg.OnSlot(st.port, SlotInfo{
 			Time: now, RTTm: rttm, RTTb: st.rttb, E: st.e,
 			Rho: rho, T: st.t, W: st.w,
-		}
-		if st.cfg.OnSlot != nil {
-			st.cfg.OnSlot(st.port, info)
-		}
-		if st.cfg.Probe != nil {
-			st.cfg.Probe.SlotEnd(st.port, info)
-		}
+		})
+	}
+	if pr := st.port.Network().Probe; pr != nil {
+		pr.Observe(netsim.Event{Kind: netsim.EvSlot, At: now, Port: st.port,
+			A: int64(rttm), B: int64(st.e), X: st.t, Y: st.w, Z: rho})
 	}
 	st.e = int(pkt.Weight)
 	if st.e == 0 {
@@ -476,8 +452,9 @@ func (st *PortState) handleRMA(pkt *netsim.Packet, out *netsim.Port) bool {
 	//tfcvet:allow poolsafe,hotalloc — deliberate ownership transfer (returning true tells the switch the ACK is held; onRelease re-injects it), and the hold queue drains by truncation so its backing array amortizes to steady capacity
 	st.delayQ = append(st.delayQ, heldAck{pkt, out})
 	st.DelayedAcks++
-	if st.cfg.Probe != nil {
-		st.cfg.Probe.DelayHold(st.port, pkt.Flow, len(st.delayQ))
+	if pr := st.port.Network().Probe; pr != nil {
+		pr.Observe(netsim.Event{Kind: netsim.EvHold, At: st.s.Now(), Port: st.port,
+			Flow: pkt.Flow, A: int64(len(st.delayQ))})
 	}
 	st.scheduleRelease()
 	return true
@@ -506,8 +483,9 @@ func (st *PortState) onRelease() {
 		st.delayQ = st.delayQ[:len(st.delayQ)-1]
 		h.pkt.Window = int64(st.cfg.MSS)
 		st.counter -= mss
-		if st.cfg.Probe != nil {
-			st.cfg.Probe.DelayGrant(st.port, h.pkt.Flow, len(st.delayQ))
+		if pr := st.port.Network().Probe; pr != nil {
+			pr.Observe(netsim.Event{Kind: netsim.EvGrant, At: st.s.Now(), Port: st.port,
+				Flow: h.pkt.Flow, A: int64(len(st.delayQ))})
 		}
 		h.out.Enqueue(h.pkt)
 	}

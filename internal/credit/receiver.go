@@ -157,7 +157,7 @@ func (r *Receiver) feedback() {
 		r.rate = min
 	}
 	if r.cfg.Probe != nil {
-		r.cfg.Probe.CreditRate(r.cfg.Sim.Now(), r.cfg.Flow, r.rate)
+		r.cfg.Probe.Observe(netsim.Event{Kind: netsim.EvCreditRate, At: r.cfg.Sim.Now(), Flow: r.cfg.Flow, X: r.rate})
 	}
 	if r.epochUsed == 0 {
 		r.barren++

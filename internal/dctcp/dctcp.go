@@ -25,9 +25,6 @@ type MarkHook struct {
 	K int
 	// Marked counts CE marks applied (diagnostics).
 	Marked int64
-	// OnMark, if set, observes every CE mark (telemetry). The packet is
-	// not passed: probes must not retain or mutate it.
-	OnMark func(port *netsim.Port, flow netsim.FlowID)
 }
 
 // OnEnqueue implements netsim.PortHook.
@@ -35,8 +32,8 @@ func (h *MarkHook) OnEnqueue(pkt *netsim.Packet, port *netsim.Port) bool {
 	if pkt.Flags&netsim.FlagECT != 0 && port.QueueBytes() >= h.K {
 		pkt.Flags |= netsim.FlagCE
 		h.Marked++
-		if h.OnMark != nil {
-			h.OnMark(port, pkt.Flow)
+		if pr := port.Network().Probe; pr != nil {
+			pr.Observe(netsim.Event{Kind: netsim.EvMark, At: port.Sim().Now(), Port: port, Flow: pkt.Flow})
 		}
 	}
 	return true

@@ -1,7 +1,6 @@
 package dctcp
 
 import (
-	"tfcsim/internal/netsim"
 	"tfcsim/internal/tcp"
 	"tfcsim/internal/transport"
 )
@@ -17,13 +16,9 @@ func init() {
 			return transport.Conn{Sender: s, Received: r.Received, SRTT: s.SRTT}
 		},
 		Attach: func(a transport.AttachConfig) any {
-			onMark, _ := a.Probe.(func(*netsim.Port, netsim.FlowID))
 			var hooks []*MarkHook
 			for _, sw := range a.Switches {
-				for _, h := range AttachMarking(sw, KFor(a.MarkRate)) {
-					h.OnMark = onMark
-					hooks = append(hooks, h)
-				}
+				hooks = append(hooks, AttachMarking(sw, KFor(a.MarkRate))...)
 			}
 			return hooks
 		},

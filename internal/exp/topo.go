@@ -207,12 +207,11 @@ func (e *Env) finish(cfg *TopoConfig, markRate netsim.Rate) {
 	e.Attach = f.Attach(transport.AttachConfig{
 		Sim: e.Sim, Switches: e.Switches, MarkRate: markRate,
 		Knobs: cfg.transportKnobs(),
-		Probe: cfg.Telemetry.SwitchProbe(string(cfg.Proto)),
 	})
 	if states, ok := e.Attach.(map[*netsim.Switch]*core.SwitchState); ok {
 		e.TFCState = states
 	}
-	telemetry.RegisterTransportGauges(cfg.Telemetry, e.Attach, e.Switches)
+	telemetry.InstrumentTransport(cfg.Telemetry, string(cfg.Proto), e.Attach, e.Switches)
 }
 
 // partition folds the builder's placement plan onto cfg.Shards shards and

@@ -214,7 +214,9 @@ func (h *Host) Network() *Network { return h.net }
 func (h *Host) Send(pkt *Packet) {
 	s := h.sh.sim
 	at := s.Now()
-	h.net.trace(TraceHostSend, at, h.name, pkt)
+	if h.net.Probe != nil {
+		h.observe(EvHostSend, pkt)
+	}
 	nic := h.NIC()
 	if h.ProcJitter > 0 && h.procFree <= at && !nic.Busy() && nic.QueueLen() == 0 {
 		// Capped exponential: mostly-small delays with occasional spikes
@@ -301,77 +303,23 @@ func (h *Host) deliver(pkt *Packet) {
 			}
 			if ep == nil {
 				h.Stray++
-				h.net.trace(TraceStray, h.sh.sim.Now(), h.name, pkt)
+				if h.net.Probe != nil {
+					h.observe(EvStray, pkt)
+				}
 				h.sh.release(pkt)
 				return
 			}
 		}
 		h.cachedFlow, h.cachedEp = pkt.Flow, ep
 	}
-	h.net.trace(TraceDeliver, h.sh.sim.Now(), h.name, pkt)
 	if h.net.Probe != nil {
-		h.net.Probe.HostDeliver(h, pkt)
+		h.observe(EvDeliver, pkt)
 	}
 	ep.Deliver(pkt)
 	// Delivery is the packet's release point: Deliver must consume the
 	// packet synchronously (every in-tree endpoint does), so ownership
 	// returns to the host's shard pool here.
 	h.sh.release(pkt)
-}
-
-// TraceEvent classifies a packet lifecycle notification.
-type TraceEvent uint8
-
-// Packet lifecycle events, in the order they occur along a path.
-const (
-	TraceHostSend TraceEvent = iota // transport handed the packet to the host
-	TraceEnqueue                    // packet admitted to a port queue
-	TraceDrop                       // packet dropped (drop-tail, hook, or loss)
-	TraceTx                         // frame fully serialized onto the link
-	TraceDeliver                    // delivered to the destination endpoint
-	TraceStray                      // arrived at a host with no endpoint
-)
-
-// String names the event.
-func (e TraceEvent) String() string {
-	switch e {
-	case TraceHostSend:
-		return "SEND"
-	case TraceEnqueue:
-		return "ENQ"
-	case TraceDrop:
-		return "DROP"
-	case TraceTx:
-		return "TX"
-	case TraceDeliver:
-		return "RECV"
-	case TraceStray:
-		return "STRAY"
-	}
-	return "?"
-}
-
-// Probe observes forwarding-path events for the telemetry layer
-// (internal/telemetry). Implementations must treat the *Packet and *Port
-// arguments as read-only snapshots: copy any fields they need and retain
-// neither pointer — with pooling on, the packet is recycled as soon as
-// the probe returns. Probes run on the simulation's virtual timeline and
-// must not mutate simulation state or draw from its Rand.
-type Probe interface {
-	// PortEnqueue runs after pkt is admitted to p's queue.
-	PortEnqueue(p *Port, pkt *Packet)
-	// PortDequeue runs when pkt leaves the queue to start serialization.
-	PortDequeue(p *Port, pkt *Packet)
-	// PortTx runs when pkt's frame has fully serialized onto p's wire
-	// (the start of its propagation leg).
-	PortTx(p *Port, pkt *Packet)
-	// PortDrop runs for every drop (wire loss, hook veto, drop-tail, cut).
-	PortDrop(p *Port, pkt *Packet)
-	// HostDeliver runs when pkt reaches its destination endpoint at h,
-	// immediately before delivery (the end of the packet's journey).
-	HostDeliver(h *Host, pkt *Packet)
-	// LinkState runs when p's link fails (down=true) or recovers.
-	LinkState(p *Port, down bool)
 }
 
 // Network is a collection of nodes plus the shared simulator and routing.
@@ -383,22 +331,17 @@ type Network struct {
 	Sim    *sim.Simulator
 	nodes  []Node
 	nextID NodeID
-	// Trace, when set, receives every packet lifecycle event (tcpdump-like
-	// observability; adds one nil-check per event when unset). The trace
-	// callback runs on shard goroutines in a partitioned network — only
-	// use it on sequential runs.
-	Trace func(ev TraceEvent, at sim.Time, where string, pkt *Packet)
-	// Probe, when set, receives forwarding-path telemetry events. Like
-	// Trace, the disabled path is one nil-check per event. In a
-	// partitioned network probe callbacks run concurrently on shard
-	// goroutines; the telemetry layer serializes internally.
+	// Probe, when set, receives every observation record the simulator
+	// emits on this network — the forwarding path's and, through
+	// Port.Network, the attached switch-side schemes'. The disabled path is
+	// one nil-check per emit point.
 	Probe Probe
 
 	// PoolPackets opts this network into packet recycling: NewPacket draws
 	// from a free list that ReleasePacket refills when a packet's single
 	// ownership chain ends (delivery, drop, stray, or unroutable). With
 	// pooling on, nothing may hold a *Packet past the Deliver/OnEnqueue/
-	// Trace call it was passed to — copy the fields instead. Off by
+	// Observe call it was passed to — copy the fields instead. Off by
 	// default: packets are then ordinary garbage-collected allocations and
 	// ReleasePacket is a no-op.
 	PoolPackets bool
@@ -416,12 +359,6 @@ type Network struct {
 // deepening queue) costs one allocation per 64 packets instead of one
 // each.
 const pktSlab = 64
-
-func (n *Network) trace(ev TraceEvent, at sim.Time, where string, pkt *Packet) {
-	if n.Trace != nil {
-		n.Trace(ev, at, where, pkt)
-	}
-}
 
 // NewPacket returns a zeroed packet, recycled from a free list when
 // PoolPackets is set. Transports allocate through Host.NewPacket (or
@@ -499,6 +436,10 @@ func NewNetwork(s *sim.Simulator) *Network {
 
 // Nodes returns all nodes in creation order.
 func (n *Network) Nodes() []Node { return n.nodes }
+
+// NumPorts returns how many ports the network has: every Port.Ordinal is
+// below it.
+func (n *Network) NumPorts() int { return int(n.portSeq) }
 
 // NewHost adds a host.
 func (n *Network) NewHost(name string) *Host {

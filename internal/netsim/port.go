@@ -118,6 +118,11 @@ type Port struct {
 // which a scheme can keep per-port state of one switch in a slice.
 func (p *Port) Index() int { return p.pos }
 
+// Ordinal returns the port's creation index within its network: dense
+// from zero, so an observer can keep per-port state of the whole network
+// in a slice.
+func (p *Port) Ordinal() int { return int(p.idx) }
+
 // QueueBytes returns the current backlog in frame bytes (excluding the
 // frame being serialized).
 func (p *Port) QueueBytes() int { return p.qBytes }
@@ -144,7 +149,7 @@ func (p *Port) SetDown(flush bool) {
 	p.down = true
 	p.cutTx = p.busy
 	if p.net.Probe != nil {
-		p.net.Probe.LinkState(p, true)
+		p.net.Probe.Observe(Event{Kind: EvLink, At: p.sim.Now(), Port: p, A: 1})
 	}
 	if flush {
 		for p.qLen > 0 {
@@ -163,7 +168,7 @@ func (p *Port) SetUp() {
 	}
 	p.down = false
 	if p.net.Probe != nil {
-		p.net.Probe.LinkState(p, false)
+		p.net.Probe.Observe(Event{Kind: EvLink, At: p.sim.Now(), Port: p})
 	}
 	if !p.busy && p.qLen > 0 {
 		p.startTx()
@@ -247,9 +252,8 @@ func (p *Port) growQ2(n int) {
 func (p *Port) drop(pkt *Packet) {
 	p.Drops++
 	p.DropBytes += int64(pkt.FrameBytes())
-	p.net.trace(TraceDrop, p.sim.Now(), p.Label, pkt)
 	if p.net.Probe != nil {
-		p.net.Probe.PortDrop(p, pkt)
+		p.observe(EvDrop, pkt)
 	}
 	p.sh.release(pkt)
 }
@@ -285,7 +289,6 @@ func (p *Port) Enqueue(pkt *Packet) {
 		p.drop(pkt)
 		return
 	}
-	p.net.trace(TraceEnqueue, p.sim.Now(), p.Label, pkt)
 	p.pushQ(pkt)
 	p.qBytes += fb
 	if p.qBytes > p.MaxQueue {
@@ -293,7 +296,7 @@ func (p *Port) Enqueue(pkt *Packet) {
 		p.MaxQueueAt = p.sim.Now()
 	}
 	if p.net.Probe != nil {
-		p.net.Probe.PortEnqueue(p, pkt)
+		p.observe(EvEnqueue, pkt)
 	}
 	if !p.busy {
 		p.startTx()
@@ -376,7 +379,7 @@ func (p *Port) startTx() {
 	p.qBytes -= pkt.FrameBytes()
 	p.busy = true
 	if p.net.Probe != nil {
-		p.net.Probe.PortDequeue(p, pkt)
+		p.observe(EvDequeue, pkt)
 	}
 	p.txEv.pkt = pkt
 	p.sim.ScheduleAfter(p.txTime(pkt.WireBytes()), &p.txEv)
@@ -398,9 +401,8 @@ func (p *Port) finishTx(pkt *Packet) {
 	p.TxPackets++
 	p.TxFrames += int64(pkt.FrameBytes())
 	now := p.sim.Now()
-	p.net.trace(TraceTx, now, p.Label, pkt)
 	if p.net.Probe != nil {
-		p.net.Probe.PortTx(p, pkt)
+		p.observe(EvTx, pkt)
 	}
 	pkt.Hops++
 	if p.cross {

@@ -2,31 +2,20 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 
 	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
 )
 
-// Flight-recorder event kinds (interned constants: ring appends never
-// allocate).
-const (
-	fkEnqueue = "enq"
-	fkDequeue = "deq"
-	fkDrop    = "drop"
-	fkSlot    = "slot"
-	fkPause   = "pause"
-	fkRTO     = "rto"
-	fkLink    = "link"
-)
-
-// flightEvent is one fixed-size ring entry. A and B are kind-specific:
-// enq/deq/drop carry (seq, queue bytes after), slot carries (token
-// value, effective flows), pause carries (paused, 0), rto carries
-// (backoff, 0), link carries (down, 0).
+// flightEvent is the dump shape of one ring entry. Kind is the record's
+// kind name in lower case; A and B are kind-specific: enq/deq/drop carry
+// (seq, queue bytes after), slot carries (token value, effective flows),
+// pause carries (paused, 0), rto carries (backoff, 0), link carries
+// (down, 0).
 type flightEvent struct {
 	At   sim.Time `json:"t_ns"`
 	Kind string   `json:"kind"`
@@ -39,59 +28,57 @@ type flightEvent struct {
 // portLast is the flight recorder's rolling per-port view: the last seen
 // queue depth and event time, dumped as the sorted state snapshot.
 type portLast struct {
+	port       *netsim.Port
 	Port       string   `json:"port"`
 	LastNs     sim.Time `json:"last_ns"`
 	QueueBytes int64    `json:"queue_bytes"`
 	Events     int64    `json:"events"`
 }
 
-// flightRing is a bounded ring of recent probe events plus a per-port
-// last-state map, all trial-local and mutex-guarded: a watchdog
-// violation dumps a consistent view without touching live simulation
-// state from the wrong goroutine. Appends are fixed-cost and
-// allocation-free after warm-up.
+// flightRing is a bounded ring of recent records plus a per-port
+// last-state view (indexed by Port.Ordinal, sized at instrumentation), all
+// trial-local and mutex-guarded: a watchdog violation dumps a consistent
+// view without touching live simulation state from the wrong goroutine.
+// Appends are fixed-cost and allocation-free.
 type flightRing struct {
 	mu    sync.Mutex
-	buf   []flightEvent
+	buf   []netsim.Event
 	next  int
 	full  bool
 	total uint64
-	ports map[string]*portLast
+	ports []portLast
 }
 
 func newFlightRing(cap int) *flightRing {
-	return &flightRing{
-		buf:   make([]flightEvent, cap),
-		ports: make(map[string]*portLast),
+	return &flightRing{buf: make([]netsim.Event, cap)}
+}
+
+// Observe records ev if it is of a kind a post-mortem wants: queue moves,
+// drops, link transitions, TFC slots, BFC pauses and RTO firings.
+func (r *flightRing) Observe(ev netsim.Event) {
+	switch ev.Kind {
+	case netsim.EvEnqueue, netsim.EvDequeue, netsim.EvDrop, netsim.EvLink,
+		netsim.EvSlot, netsim.EvPause, netsim.EvRTO:
+	default:
+		return
 	}
-}
-
-// note records a packet event (kinds enq/deq/drop).
-func (r *flightRing) note(at sim.Time, kind, port string, pkt *netsim.Packet, qBytes int64) {
-	r.noteRaw(at, kind, port, int64(pkt.Flow), pkt.Seq, qBytes)
-}
-
-// noteRaw records an event with kind-specific payload values.
-func (r *flightRing) noteRaw(at sim.Time, kind, port string, flow, a, b int64) {
 	r.mu.Lock()
-	r.buf[r.next] = flightEvent{At: at, Kind: kind, Port: port, Flow: flow, A: a, B: b}
+	r.buf[r.next] = ev
+	r.buf[r.next].Pkt = nil // the packet is recycled once Observe returns
 	r.next++
 	if r.next == len(r.buf) {
 		r.next = 0
 		r.full = true
 	}
 	r.total++
-	if port != "" {
-		pl := r.ports[port]
-		if pl == nil {
-			pl = &portLast{Port: port}
-			r.ports[port] = pl
-		}
-		pl.LastNs = at
+	if ev.Port != nil {
+		pl := &r.ports[ev.Port.Ordinal()]
+		pl.port = ev.Port
+		pl.LastNs = ev.At
 		pl.Events++
-		switch kind {
-		case fkEnqueue, fkDequeue, fkDrop:
-			pl.QueueBytes = b
+		switch ev.Kind {
+		case netsim.EvEnqueue, netsim.EvDequeue, netsim.EvDrop:
+			pl.QueueBytes = ev.B
 		}
 	}
 	r.mu.Unlock()
@@ -110,30 +97,39 @@ type flightDump struct {
 }
 
 // dump writes the ring (oldest first) and the sorted per-port state
-// snapshot to path as JSON.
-func (r *flightRing) dump(path, run, trial, watchdog, detail string) error {
+// snapshot to path as JSON; label names a port.
+func (r *flightRing) dump(path, run, trial, watchdog, detail string, label func(*netsim.Port) string) error {
 	r.mu.Lock()
 	var recent []flightEvent
+	start, n := 0, r.next
 	if r.full {
-		recent = append(recent, r.buf[r.next:]...)
-		recent = append(recent, r.buf[:r.next]...)
-	} else {
-		recent = append(recent, r.buf[:r.next]...)
+		start, n = r.next, len(r.buf)
+	}
+	for i := 0; i < n; i++ {
+		ev := r.buf[(start+i)%len(r.buf)]
+		fe := flightEvent{At: ev.At, Kind: strings.ToLower(ev.Kind.String()),
+			Flow: int64(ev.Flow), A: ev.A, B: ev.B}
+		if ev.Port != nil {
+			fe.Port = label(ev.Port)
+		}
+		if ev.Kind == netsim.EvSlot {
+			fe.A = int64(ev.X) // the token value
+		}
+		recent = append(recent, fe)
 	}
 	ports := make([]portLast, 0, len(r.ports))
 	for _, pl := range r.ports {
-		ports = append(ports, *pl)
+		if pl.Events > 0 {
+			pl.Port = label(pl.port)
+			ports = append(ports, pl)
+		}
 	}
 	total := r.total
 	r.mu.Unlock()
 	sort.Slice(ports, func(i, j int) bool { return ports[i].Port < ports[j].Port })
-	dropped := uint64(0)
-	if total > uint64(len(recent)) {
-		dropped = total - uint64(len(recent))
-	}
 	d := flightDump{
 		Schema: "tfcsim-flight-v1", Run: run, Trial: trial,
-		Watchdog: watchdog, Detail: detail, Dropped: dropped,
+		Watchdog: watchdog, Detail: detail, Dropped: total - uint64(len(recent)),
 		Ports: ports, Recent: recent,
 	}
 	f, err := os.Create(path)
@@ -147,11 +143,4 @@ func (r *flightRing) dump(path, run, trial, watchdog, detail string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// portSnapKey formats a port's unique snapshot label, matching
-// telemetry's metric key shape (labels alone can collide; node IDs
-// cannot).
-func portSnapKey(p *netsim.Port) string {
-	return fmt.Sprintf("%s#%d-%d", p.Label, p.Owner.ID(), p.Peer.ID())
 }

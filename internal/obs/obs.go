@@ -1,8 +1,9 @@
 // Package obs is the runtime observatory: live introspection of a
 // running simulation, engine self-profiling, causal packet spans, and
-// invariant watchdogs — all layered on the telemetry probe stream
-// (telemetry.TrialHooks), so the instrumented packages need no knowledge
-// of it and the hot path pays nothing when it is disabled.
+// invariant watchdogs — all consumers of the one netsim.Event stream,
+// registered beside telemetry's own metrics on each telemetry.Trial, so
+// the instrumented packages need no knowledge of it and the hot path pays
+// nothing when it is disabled.
 //
 // Everything obs computes from the simulation is a pure read: spans and
 // profiling go to the trial's telemetry recorder/registry (virtual-time
@@ -18,7 +19,6 @@ package obs
 import (
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -88,15 +88,17 @@ func (o *Options) fill() {
 
 // Observatory is the process-wide observability hub: one per tfcsim
 // invocation, attached to each experiment's telemetry collector in turn.
-// It implements telemetry.TrialObserver.
+// It holds a trial only while its run is in progress: FinishRun lets go
+// of the trial's simulator, network and flight ring, keeping (when the
+// endpoint is serving) just the summary row the endpoint renders.
 type Observatory struct {
 	opts Options
 
-	mu     sync.Mutex
-	run    string // current experiment name
-	trials []*trialObs
-	byKey  map[string]*trialObs
-	dumps  int // flight dumps written (names stay unique)
+	mu       sync.Mutex
+	run      string      // current experiment name
+	trials   []*trialObs // trials of unfinished runs
+	finished []TrialJSON // endpoint rows of finished trials (only while serving)
+	dumps    int         // flight dumps written (names stay unique)
 
 	violations atomic.Uint64
 
@@ -107,11 +109,8 @@ type Observatory struct {
 // call Start).
 func New(opts Options) *Observatory {
 	opts.fill()
-	return &Observatory{opts: opts, byKey: make(map[string]*trialObs)}
+	return &Observatory{opts: opts}
 }
-
-// Options returns the observatory's (filled) options.
-func (o *Observatory) Options() Options { return o.opts }
 
 // Violations returns the number of watchdog violations recorded so far.
 func (o *Observatory) Violations() uint64 { return o.violations.Load() }
@@ -138,15 +137,6 @@ func (o *Observatory) Stop() {
 	o.srv = nil
 }
 
-// Addr returns the endpoint's bound address ("" when not serving) —
-// useful when HTTPAddr was ":0".
-func (o *Observatory) Addr() string {
-	if o == nil || o.srv == nil {
-		return ""
-	}
-	return o.srv.addr()
-}
-
 // Warm pre-sizes every registered trial's live-journey table for the
 // given number of concurrently in-flight sampled packets — the span
 // tracer's analog of Simulator.Warm and Network.Warm. Benchmarks call it
@@ -158,20 +148,16 @@ func (o *Observatory) Warm(journeys int) {
 	if o == nil {
 		return
 	}
-	o.mu.Lock()
-	trials := make([]*trialObs, len(o.trials))
-	copy(trials, o.trials)
-	o.mu.Unlock()
-	for _, to := range trials {
+	for _, to := range o.snapshotTrials() {
 		if to.spans != nil {
 			to.spans.warm(journeys)
 		}
 	}
 }
 
-// Attach registers a run and installs the observatory as the collector's
-// trial observer. Call once per experiment before trials are minted.
-// Nil-safe on both sides.
+// Attach registers a run and makes the observatory mint the consumer of
+// every trial the collector creates. Call once per experiment before
+// trials are minted. Nil-safe on both sides.
 func (o *Observatory) Attach(run string, c *telemetry.Collector) {
 	if o == nil || c == nil {
 		return
@@ -179,13 +165,12 @@ func (o *Observatory) Attach(run string, c *telemetry.Collector) {
 	o.mu.Lock()
 	o.run = run
 	o.mu.Unlock()
-	c.SetObserver(o)
+	c.SetObserver(o.observeTrial)
 }
 
-// ObserveTrial implements telemetry.TrialObserver: it mints the per-trial
-// hook set wired to the observatory's spans, watchdogs, profiling, and
-// endpoint snapshots.
-func (o *Observatory) ObserveTrial(key string, t *telemetry.Trial) *telemetry.TrialHooks {
+// observeTrial mints one trial's consumer, carrying whichever of the span
+// tracer, flight ring, watchdogs and endpoint state the options ask for.
+func (o *Observatory) observeTrial(key string, t *telemetry.Trial) telemetry.Consumer {
 	to := &trialObs{o: o, key: key, t: t}
 	if o.opts.SpanEvery > 0 {
 		to.spans = newSpanTracer(t, o.opts.SpanEvery, o.opts.SpanSeed)
@@ -197,66 +182,38 @@ func (o *Observatory) ObserveTrial(key string, t *telemetry.Trial) *telemetry.Tr
 		to.pair = &pairWatchdog{to: to}
 		to.rto = &rtoWatchdog{to: to, threshold: o.opts.RTOStormBackoff}
 	}
-	httpOn := o.opts.HTTPAddr != ""
-	if httpOn {
+	if o.opts.HTTPAddr != "" {
 		to.flows = make(map[netsim.FlowID]struct{})
 	}
 	o.mu.Lock()
 	to.run = o.run
 	o.trials = append(o.trials, to)
-	o.byKey[to.run+"/"+key] = to
 	o.mu.Unlock()
-
-	hooks := &telemetry.TrialHooks{
-		Bound: func(s *sim.Simulator) {
-			to.pulse = &sim.Pulse{}
-			s.SetPulse(to.pulse)
-			to.ctl = s
-			if httpOn {
-				var tick func()
-				tick = func() {
-					to.takeSnapshot()
-					s.After(o.opts.SampleEvery, tick)
-				}
-				s.After(o.opts.SampleEvery, tick)
-			}
-		},
-		Instrumented: func(n *netsim.Network) { to.instrumented(n) },
-		Flush: func(now sim.Time) {
-			if to.spans != nil {
-				to.spans.flush(now)
-			}
-			to.done.Store(true)
-		},
-	}
-	if to.spans != nil || to.flight != nil || httpOn {
-		hooks.Net = to
-	}
-	if to.token != nil {
-		hooks.SlotEnd = to.slotEnd
-		hooks.Pause = to.pause
-		hooks.RTO = to.rtoFired
-	}
-	return hooks
+	return to
 }
 
-// FinishRun marks every trial of the named run as done (the endpoint's
-// state column and the liveness watchdog key off it). Experiments call
-// it after their last trial completes; trials whose collector exports
-// files are also marked individually at flush. Nil-safe.
+// FinishRun marks every trial of the named run as done and lets go of
+// them; while the endpoint is serving, each leaves its summary row behind.
+// Experiments call it after their last trial completes. Nil-safe.
 func (o *Observatory) FinishRun(run string) {
 	if o == nil {
 		return
 	}
 	o.mu.Lock()
-	trials := make([]*trialObs, len(o.trials))
-	copy(trials, o.trials)
-	o.mu.Unlock()
-	for _, to := range trials {
-		if to.run == run {
-			to.done.Store(true)
+	defer o.mu.Unlock()
+	live := o.trials[:0]
+	for _, to := range o.trials {
+		if to.run != run {
+			live = append(live, to)
+			continue
+		}
+		to.done.Store(true)
+		if o.srv != nil {
+			o.finished = append(o.finished, to.summary())
 		}
 	}
+	clear(o.trials[len(live):])
+	o.trials = live
 }
 
 // violation records a watchdog violation: a structured stderr diagnostic
@@ -271,7 +228,7 @@ func (o *Observatory) violation(to *trialObs, kind, detail string) {
 		n := o.dumps
 		o.mu.Unlock()
 		path := fmt.Sprintf("%s/flight-%03d-%s.json", o.opts.FlightDir, n, kind)
-		if err := to.flight.dump(path, to.run, to.key, kind, detail); err != nil {
+		if err := to.flight.dump(path, to.run, to.key, kind, detail, to.t.PortLabel); err != nil {
 			dump = " dump-error=" + err.Error()
 		} else {
 			dump = " dump=" + path
@@ -284,25 +241,11 @@ func (o *Observatory) violation(to *trialObs, kind, detail string) {
 	fmt.Fprintf(os.Stderr, "obs: WATCHDOG %s trial=%q %s%s\n", kind, trial, detail, dump)
 }
 
-// snapshotTrials returns the registered trials in registration order
-// (stable: runner trial minting is serialized by the collector lock).
+// snapshotTrials returns the trials of unfinished runs in registration
+// order (stable: runner trial minting is serialized by the collector
+// lock).
 func (o *Observatory) snapshotTrials() []*trialObs {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	out := make([]*trialObs, len(o.trials))
-	copy(out, o.trials)
-	return out
-}
-
-// sortedKeys returns "run/key" identifiers of all registered trials,
-// sorted (for the endpoint's stable listing).
-func (o *Observatory) sortedKeys() []string {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	keys := make([]string, 0, len(o.byKey))
-	for k := range o.byKey {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return append([]*trialObs(nil), o.trials...)
 }

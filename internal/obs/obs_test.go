@@ -4,10 +4,13 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"tfcsim/internal/core"
+	"tfcsim/internal/faults"
 	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
 	"tfcsim/internal/telemetry"
@@ -24,20 +27,12 @@ func TestTokenSkewWatchdog(t *testing.T) {
 	c := telemetry.NewCollector(telemetry.Options{})
 	o.Attach("skew", c)
 
-	s := sim.New(1)
-	n := netsim.NewNetwork(s)
-	a, b := n.NewHost("a"), n.NewHost("b")
-	sw := n.NewSwitch("sw")
-	n.Connect(a, sw, netsim.LinkConfig{Rate: netsim.Gbps, Delay: 5 * sim.Microsecond})
-	n.Connect(sw, b, netsim.LinkConfig{Rate: netsim.Gbps, Delay: 5 * sim.Microsecond, BufA: 256 << 10})
-	n.ComputeRoutes()
-
+	s, n, a, b, sw := dumbbell()
 	tr := c.Trial("t0")
 	tr.Bind(s)
-	cfg := core.SwitchConfig{TestTokenSkew: -1e6}
-	telemetry.InstrumentTFC(tr, &cfg)
-	core.Attach(s, sw, cfg)
+	core.Attach(s, sw, core.SwitchConfig{TestTokenSkew: -1e6})
 	telemetry.InstrumentNetwork(tr, n)
+	telemetry.InstrumentTransport(tr, "tfc", nil, nil)
 
 	d := &workload.Dialer{Sim: s, Proto: workload.TFC}
 	conn := d.Dial(a, b, nil, nil)
@@ -112,10 +107,10 @@ func TestSampledFlowDeterministic(t *testing.T) {
 func TestFlightRingWrap(t *testing.T) {
 	r := newFlightRing(4)
 	for i := 0; i < 10; i++ {
-		r.noteRaw(sim.Time(i), fkRTO, "", int64(i), 0, 0)
+		r.Observe(netsim.Event{Kind: netsim.EvRTO, At: sim.Time(i), Flow: netsim.FlowID(i)})
 	}
 	path := filepath.Join(t.TempDir(), "dump.json")
-	if err := r.dump(path, "run", "trial", "wd", "detail"); err != nil {
+	if err := r.dump(path, "run", "trial", "wd", "detail", nil); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -204,5 +199,102 @@ func TestValidateSpans(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// dumbbell builds a - sw - b at 1 Gbps on a fresh simulator.
+func dumbbell() (*sim.Simulator, *netsim.Network, *netsim.Host, *netsim.Host, *netsim.Switch) {
+	s := sim.New(1)
+	n := netsim.NewNetwork(s)
+	a, b := n.NewHost("a"), n.NewHost("b")
+	sw := n.NewSwitch("sw")
+	n.Connect(a, sw, netsim.LinkConfig{Rate: netsim.Gbps, Delay: 5 * sim.Microsecond})
+	n.Connect(sw, b, netsim.LinkConfig{Rate: netsim.Gbps, Delay: 5 * sim.Microsecond, BufA: 256 << 10})
+	n.ComputeRoutes()
+	return s, n, a, b, sw
+}
+
+// TestFlightRecordsLinkDown blacks a port out under the watchdogs and
+// forces a dump: the flight recorder must hold the link going down and
+// then coming back up, in that order.
+func TestFlightRecordsLinkDown(t *testing.T) {
+	dir := t.TempDir()
+	o := New(Options{Watchdogs: true, FlightDir: dir})
+	c := telemetry.NewCollector(telemetry.Options{})
+	o.Attach("blackout", c)
+	s, n, _, b, sw := dumbbell()
+	tr := c.Trial("t0")
+	tr.Bind(s)
+	telemetry.InstrumentNetwork(tr, n)
+
+	faults.NewScheduler(s).LinkDown(sim.Millisecond, sim.Millisecond, false, sw.PortTo(b.ID()))
+	s.RunUntil(5 * sim.Millisecond)
+	o.violation(o.trials[0], "forced", "test dump")
+
+	dumps, _ := filepath.Glob(filepath.Join(dir, "flight-*-forced.json"))
+	if len(dumps) != 1 {
+		t.Fatalf("forced violation wrote %d dumps, want 1", len(dumps))
+	}
+	raw, err := os.ReadFile(dumps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dump struct {
+		Recent []struct {
+			At   int64  `json:"t_ns"`
+			Kind string `json:"kind"`
+			Port string `json:"port"`
+			A    int64  `json:"a"`
+		} `json:"recent"`
+	}
+	if err := json.Unmarshal(raw, &dump); err != nil {
+		t.Fatal(err)
+	}
+	var links []int64
+	for _, ev := range dump.Recent {
+		if ev.Kind == "link" {
+			if !strings.HasPrefix(ev.Port, "sw->b#") {
+				t.Errorf("link event on port %q, want sw->b", ev.Port)
+			}
+			links = append(links, ev.A)
+		}
+	}
+	if len(links) != 2 || links[0] != 1 || links[1] != 0 {
+		t.Fatalf("link transitions in the flight dump = %v, want [1 0] (down, then up)", links)
+	}
+}
+
+// TestFinishRunReleasesTrials checks the observatory stops referencing a
+// run's trials — and through them the simulator, network and flight ring —
+// once the run is finished: a value only the trial references must become
+// collectable.
+func TestFinishRunReleasesTrials(t *testing.T) {
+	o := New(Options{Watchdogs: true, FlightDir: "-"})
+	collected := make(chan struct{})
+	func() {
+		c := telemetry.NewCollector(telemetry.Options{RingCap: 1})
+		o.Attach("run", c)
+		s, n, _, _, _ := dumbbell()
+		tr := c.Trial("t0")
+		tr.Bind(s)
+		telemetry.InstrumentNetwork(tr, n)
+		canary := new([64]byte)
+		runtime.SetFinalizer(canary, func(*[64]byte) { close(collected) })
+		tr.Gauge("canary", func() float64 { return float64(canary[0]) })
+		s.RunUntil(sim.Millisecond)
+		o.FinishRun("run")
+	}()
+	released := false
+	for i := 0; i < 10 && !released; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			released = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	runtime.KeepAlive(o)
+	if !released {
+		t.Fatal("a finished run's trial is still reachable from the Observatory")
 	}
 }

@@ -25,11 +25,6 @@ type server struct {
 	hs    *http.Server
 	stop0 chan struct{}
 	wg    sync.WaitGroup
-
-	mu      sync.Mutex
-	prev    map[*trialObs]uint64 // last sampled executed count
-	stalled map[*trialObs]int    // consecutive stalled samples
-	flagged map[*trialObs]bool   // liveness violation already reported
 }
 
 // SnapshotJSON is the endpoint's top-level response shape.
@@ -79,12 +74,7 @@ func newServer(o *Observatory) (*server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &server{
-		o: o, ln: ln, stop0: make(chan struct{}),
-		prev:    make(map[*trialObs]uint64),
-		stalled: make(map[*trialObs]int),
-		flagged: make(map[*trialObs]bool),
-	}
+	s := &server{o: o, ln: ln, stop0: make(chan struct{})}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/snapshot", s.handleSnapshot)
 	mux.HandleFunc("/", s.handleIndex)
@@ -98,8 +88,6 @@ func newServer(o *Observatory) (*server, error) {
 	fmt.Fprintf(os.Stderr, "obs: live endpoint on http://%s/\n", ln.Addr())
 	return s, nil
 }
-
-func (s *server) addr() string { return s.ln.Addr().String() }
 
 func (s *server) stop() {
 	close(s.stop0)
@@ -124,26 +112,21 @@ func (s *server) monitor() {
 		}
 		for _, to := range s.o.snapshotTrials() {
 			_, exec := to.progress()
-			s.mu.Lock()
-			prev, seen := s.prev[to]
-			s.prev[to] = exec
-			delta := exec - prev
-			if !seen {
+			delta := exec - to.lastExec
+			if !to.seen {
 				delta = 0
 			}
 			stallFlag := false
-			if to.done.Load() {
-				s.stalled[to] = 0
-			} else if seen && delta == 0 && exec > 0 {
-				s.stalled[to]++
-				if s.stalled[to] >= s.o.opts.LivenessSec && !s.flagged[to] {
-					s.flagged[to] = true
+			if !to.done.Load() && to.seen && delta == 0 && exec > 0 {
+				to.stalled++
+				if to.stalled >= s.o.opts.LivenessSec && !to.flagged {
+					to.flagged = true
 					stallFlag = true
 				}
 			} else {
-				s.stalled[to] = 0
+				to.stalled = 0
 			}
-			s.mu.Unlock()
+			to.lastExec, to.seen = exec, true
 			to.rate.Store(delta)
 			if stallFlag && s.o.opts.Watchdogs {
 				s.o.violation(to, "shard-liveness",
@@ -169,57 +152,65 @@ func (to *trialObs) progress() (virtualNs int64, executed uint64) {
 	return virtualNs, executed
 }
 
-// snapshot assembles the endpoint response.
+// summary is the trial's endpoint row. Once the trial is done it is
+// final, which is what FinishRun keeps of a trial it lets go of.
+func (to *trialObs) summary() TrialJSON {
+	vt, exec := to.progress()
+	tj := TrialJSON{
+		Key:          to.key,
+		Run:          to.run,
+		Done:         to.done.Load(),
+		VirtualNs:    vt,
+		Executed:     exec,
+		EventsPerSec: to.rate.Load(),
+	}
+	for _, p := range to.shardPulses {
+		t, e := p.Load()
+		tj.Shards = append(tj.Shards, ShardJSON{VirtualNs: int64(t), Executed: e})
+	}
+	if snap := to.snap.Load(); snap != nil {
+		tj.ActiveFlows = snap.ActiveFlows
+		tj.Ports = snap.Ports
+	}
+	if tj.Done && to.group != nil {
+		gs := to.group.Stats()
+		gj := &GroupJSON{
+			Shards: gs.Shards, LookaheadNs: int64(gs.Lookahead),
+			Epochs: gs.Epochs, Ties: gs.Ties,
+			InstantEvents: gs.InstantEvents,
+			MailDelivered: gs.MailDelivered, MailPeak: gs.MailPeak,
+		}
+		for _, sh := range gs.PerShard {
+			gj.HeapDispatch += sh.HeapDispatch
+			gj.LaneDispatch += sh.LaneDispatch
+		}
+		tj.Group = gj
+	}
+	return tj
+}
+
+// snapshot assembles the endpoint response: the rows of finished trials
+// plus those of the trials still running, sorted by run and key.
 func (s *server) snapshot() SnapshotJSON {
 	s.o.mu.Lock()
-	run := s.o.run
-	s.o.mu.Unlock()
 	out := SnapshotJSON{
 		Schema:     "tfcsim-obs-v1",
-		Run:        run,
+		Run:        s.o.run,
 		Violations: s.o.Violations(),
+		Trials:     append([]TrialJSON(nil), s.o.finished...),
 	}
-	trials := s.o.snapshotTrials()
-	sort.Slice(trials, func(i, j int) bool {
-		if trials[i].run != trials[j].run {
-			return trials[i].run < trials[j].run
+	live := append([]*trialObs(nil), s.o.trials...)
+	s.o.mu.Unlock()
+	for _, to := range live {
+		out.Trials = append(out.Trials, to.summary())
+	}
+	sort.Slice(out.Trials, func(i, j int) bool {
+		a, b := &out.Trials[i], &out.Trials[j]
+		if a.Run != b.Run {
+			return a.Run < b.Run
 		}
-		return trials[i].key < trials[j].key
+		return a.Key < b.Key
 	})
-	for _, to := range trials {
-		vt, exec := to.progress()
-		tj := TrialJSON{
-			Key:          to.key,
-			Run:          to.run,
-			Done:         to.done.Load(),
-			VirtualNs:    vt,
-			Executed:     exec,
-			EventsPerSec: to.rate.Load(),
-		}
-		for _, p := range to.shardPulses {
-			t, e := p.Load()
-			tj.Shards = append(tj.Shards, ShardJSON{VirtualNs: int64(t), Executed: e})
-		}
-		if snap := to.snap.Load(); snap != nil {
-			tj.ActiveFlows = snap.ActiveFlows
-			tj.Ports = snap.Ports
-		}
-		if tj.Done && to.group != nil {
-			gs := to.group.Stats()
-			gj := &GroupJSON{
-				Shards: gs.Shards, LookaheadNs: int64(gs.Lookahead),
-				Epochs: gs.Epochs, Ties: gs.Ties,
-				InstantEvents: gs.InstantEvents,
-				MailDelivered: gs.MailDelivered, MailPeak: gs.MailPeak,
-			}
-			for _, sh := range gs.PerShard {
-				gj.HeapDispatch += sh.HeapDispatch
-				gj.LaneDispatch += sh.LaneDispatch
-			}
-			tj.Group = gj
-		}
-		out.Trials = append(out.Trials, tj)
-	}
 	return out
 }
 

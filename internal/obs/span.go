@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"tfcsim/internal/netsim"
@@ -190,7 +189,7 @@ func (t *spanTable) grow() {
 
 // spanTracer records causal packet spans for sampled flows into the
 // trial's telemetry recorder. It is driven purely by forwarding-path
-// probe callbacks; all timestamps are virtual, all emitted events enter
+// records; all timestamps are virtual, all emitted events enter
 // the recorder's canonical order, so the exported trace is byte-identical
 // at any parallelism. The state map is guarded by its own mutex: a given
 // packet's hop callbacks are causally ordered across shard goroutines,
@@ -259,80 +258,56 @@ func (tr *spanTracer) step(key spanKey, now sim.Time, name string, terminal bool
 	tr.live.put(key, spanState{last: now, hop: st.hop + 1})
 }
 
-func (tr *spanTracer) portEnqueue(p *netsim.Port, pkt *netsim.Packet) {
-	if !pkt.IsData() || !SampledFlow(pkt.Flow, tr.every, tr.seed) {
+// Observe advances the journey of the data packet a forwarding-path
+// record is about; every other record is ignored.
+func (tr *spanTracer) Observe(ev netsim.Event) {
+	if ev.Pkt == nil || !ev.Pkt.IsData() {
 		return
 	}
-	key := spanKey{pkt.Flow, pkt.Seq}
-	now := p.Sim().Now()
-	if _, isHost := p.Owner.(*netsim.Host); isHost {
+	key := spanKey{ev.Flow, ev.A}
+	switch ev.Kind {
+	case netsim.EvEnqueue:
+		if !SampledFlow(ev.Flow, tr.every, tr.seed) {
+			return
+		}
+		if _, isHost := ev.Port.Owner.(*netsim.Host); !isHost {
+			// Switch enqueue: close the propagation leg from the previous hop.
+			tr.step(key, ev.At, spanWire, false)
+			return
+		}
 		// Journey root: first enqueue at the sender's NIC. A colliding live
 		// chain means the sender retransmitted the same seq — close the old
 		// chain as aborted and do not trace the retransmission (its hops
 		// would be indistinguishable from the original's).
 		tr.mu.Lock()
 		if st, dup := tr.live.get(key); dup {
-			tr.emit(key, spanAbort, st.last, now, st.hop)
+			tr.emit(key, spanAbort, st.last, ev.At, st.hop)
 			tr.live.del(key)
 		} else {
-			tr.live.put(key, spanState{last: now, hop: 0})
+			tr.live.put(key, spanState{last: ev.At, hop: 0})
 		}
 		tr.mu.Unlock()
-		return
+	case netsim.EvDequeue:
+		tr.step(key, ev.At, spanQueue, false)
+	case netsim.EvTx:
+		tr.step(key, ev.At, spanXmit, false)
+	case netsim.EvDrop:
+		tr.step(key, ev.At, spanDrop, true)
+	case netsim.EvDeliver:
+		tr.step(key, ev.At, spanDeliver, true)
 	}
-	// Switch enqueue: close the propagation leg from the previous hop.
-	tr.step(key, now, spanWire, false)
-}
-
-func (tr *spanTracer) portDequeue(p *netsim.Port, pkt *netsim.Packet) {
-	if !pkt.IsData() {
-		return
-	}
-	tr.step(spanKey{pkt.Flow, pkt.Seq}, p.Sim().Now(), spanQueue, false)
-}
-
-func (tr *spanTracer) portTx(p *netsim.Port, pkt *netsim.Packet) {
-	if !pkt.IsData() {
-		return
-	}
-	tr.step(spanKey{pkt.Flow, pkt.Seq}, p.Sim().Now(), spanXmit, false)
-}
-
-func (tr *spanTracer) portDrop(p *netsim.Port, pkt *netsim.Packet) {
-	if !pkt.IsData() {
-		return
-	}
-	tr.step(spanKey{pkt.Flow, pkt.Seq}, p.Sim().Now(), spanDrop, true)
-}
-
-func (tr *spanTracer) hostDeliver(h *netsim.Host, pkt *netsim.Packet) {
-	if !pkt.IsData() {
-		return
-	}
-	tr.step(spanKey{pkt.Flow, pkt.Seq}, h.NIC().Sim().Now(), spanDeliver, true)
 }
 
 // flush closes every still-open journey at the trial's final virtual
-// time, in sorted key order (table order must not reach the recorder —
-// it depends on insertion history, which shard scheduling can vary).
+// time. Table order reaches the recorder, but not the trace: the recorder
+// orders canonically.
 func (tr *spanTracer) flush(now sim.Time) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	keys := make([]spanKey, 0, tr.live.n)
 	for _, s := range tr.live.slots {
 		if s.live {
-			keys = append(keys, s.key)
+			tr.emit(s.key, spanOpen, s.st.last, now, s.st.hop)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].flow != keys[j].flow {
-			return keys[i].flow < keys[j].flow
-		}
-		return keys[i].seq < keys[j].seq
-	})
-	for _, k := range keys {
-		st, _ := tr.live.get(k)
-		tr.emit(k, spanOpen, st.last, now, st.hop)
-		tr.live.del(k)
-	}
+	tr.live = spanTable{}
 }

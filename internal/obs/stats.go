@@ -4,16 +4,16 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"tfcsim/internal/core"
 	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
 	"tfcsim/internal/telemetry"
 )
 
-// trialObs is the observatory's per-trial state: it implements
-// netsim.Probe (multiplexing to the span tracer, the flight recorder,
-// and the endpoint's active-flow set) and carries the watchdogs and the
-// lock-free progress mailboxes the HTTP side reads.
+// trialObs is the observatory's consumer of one trial's event stream
+// (telemetry.Consumer): it hands each record to the flight ring, the span
+// tracer and the watchdogs that are switched on, keeps the endpoint's
+// active-flow set, and carries the lock-free progress mailboxes the HTTP
+// side reads.
 type trialObs struct {
 	o    *Observatory
 	run  string
@@ -30,8 +30,13 @@ type trialObs struct {
 	group       *sim.Group
 
 	// rate is the monitor-computed recent event throughput (events/sec
-	// of wall time), read by the endpoint.
-	rate atomic.Uint64
+	// of wall time), read by the endpoint. lastExec, seen, stalled and
+	// flagged are the monitor goroutine's own bookkeeping.
+	rate     atomic.Uint64
+	lastExec uint64
+	seen     bool
+	stalled  int
+	flagged  bool
 
 	// snap is the endpoint's latest port/flow snapshot, swapped in whole
 	// by the virtual-time sampling tick (which runs on the control
@@ -39,13 +44,11 @@ type trialObs struct {
 	snap atomic.Pointer[TrialSnapshot]
 
 	// ports are the instrumented network's switch ports, fixed at
-	// instrumentation time; labels are interned once so snapshot/flight
-	// recording never formats on the hot path.
+	// instrumentation time.
 	ports []*netsim.Port
 
-	mu     sync.Mutex
-	labels map[*netsim.Port]string
-	flows  map[netsim.FlowID]struct{} // active flows (endpoint only)
+	mu    sync.Mutex
+	flows map[netsim.FlowID]struct{} // active flows (endpoint only)
 
 	spans  *spanTracer
 	flight *flightRing
@@ -69,22 +72,37 @@ type PortSnap struct {
 	QueueLen   int    `json:"queue_len"`
 }
 
-// instrumented captures the trial's topology handles once the network is
-// built: switch ports for snapshots, and the shard group (if any) for
-// per-shard pulses and profiling.
-func (to *trialObs) instrumented(n *netsim.Network) {
+// Bound implements telemetry.Consumer: it attaches the control
+// simulator's progress mailbox and, when the endpoint is on, schedules the
+// snapshot tick.
+func (to *trialObs) Bound(s *sim.Simulator) {
+	to.pulse = &sim.Pulse{}
+	s.SetPulse(to.pulse)
+	to.ctl = s
+	if to.flows == nil {
+		return
+	}
+	var tick func()
+	tick = func() {
+		to.takeSnapshot()
+		s.After(to.o.opts.SampleEvery, tick)
+	}
+	s.After(to.o.opts.SampleEvery, tick)
+}
+
+// Instrumented implements telemetry.Consumer: it captures the trial's
+// topology handles once the network is built — switch ports for
+// snapshots, and the shard group (if any) for per-shard pulses and
+// profiling.
+func (to *trialObs) Instrumented(n *netsim.Network) {
 	for _, node := range n.Nodes() {
-		sw, ok := node.(*netsim.Switch)
-		if !ok {
-			continue
+		if sw, ok := node.(*netsim.Switch); ok {
+			to.ports = append(to.ports, sw.Ports()...)
 		}
-		to.ports = append(to.ports, sw.Ports()...)
 	}
-	to.mu.Lock()
-	if to.labels == nil {
-		to.labels = make(map[*netsim.Port]string, len(to.ports))
+	if to.flight != nil {
+		to.flight.ports = make([]portLast, n.NumPorts())
 	}
-	to.mu.Unlock()
 	if g := n.Group(); g != nil {
 		to.group = g
 		to.shardPulses = make([]*sim.Pulse, g.Shards())
@@ -96,20 +114,13 @@ func (to *trialObs) instrumented(n *netsim.Network) {
 	}
 }
 
-// portLabel interns the port's snapshot label (owner#src-dst, matching
-// telemetry's metric keys). Lookup-only map keyed by pointer.
-func (to *trialObs) portLabel(p *netsim.Port) string {
-	to.mu.Lock()
-	defer to.mu.Unlock()
-	if s, ok := to.labels[p]; ok {
-		return s
+// Flush implements telemetry.Consumer: still-open packet journeys close
+// at the trial's final virtual time.
+func (to *trialObs) Flush(now sim.Time) {
+	if to.spans != nil {
+		to.spans.flush(now)
 	}
-	if to.labels == nil {
-		to.labels = make(map[*netsim.Port]string)
-	}
-	s := portSnapKey(p)
-	to.labels[p] = s
-	return s
+	to.done.Store(true)
 }
 
 // takeSnapshot samples port queues and the active-flow count into the
@@ -124,7 +135,7 @@ func (to *trialObs) takeSnapshot() {
 	s.Ports = make([]PortSnap, 0, len(to.ports))
 	for _, p := range to.ports {
 		s.Ports = append(s.Ports, PortSnap{
-			Label:      to.portLabel(p),
+			Label:      to.t.PortLabel(p),
 			QueueBytes: int64(p.QueueBytes()),
 			QueueLen:   p.QueueLen(),
 		})
@@ -132,92 +143,35 @@ func (to *trialObs) takeSnapshot() {
 	to.snap.Store(s)
 }
 
-// --- netsim.Probe (multiplexer) ---
-
-func (to *trialObs) PortEnqueue(p *netsim.Port, pkt *netsim.Packet) {
+// Observe implements netsim.Probe: one record in, handed to each part
+// that is switched on.
+func (to *trialObs) Observe(ev netsim.Event) {
 	if to.flight != nil {
-		to.flight.note(p.Sim().Now(), fkEnqueue, to.portLabel(p), pkt, int64(p.QueueBytes()))
+		to.flight.Observe(ev)
 	}
-	if to.flows != nil {
-		if _, isHost := p.Owner.(*netsim.Host); isHost && pkt.IsData() {
+	if to.spans != nil {
+		to.spans.Observe(ev)
+	}
+	switch ev.Kind {
+	case netsim.EvEnqueue:
+		if to.flows == nil || !ev.Pkt.IsData() {
+			break
+		}
+		if _, isHost := ev.Port.Owner.(*netsim.Host); isHost {
 			to.mu.Lock()
-			if pkt.Flags&netsim.FlagFIN != 0 {
-				delete(to.flows, pkt.Flow)
+			if ev.Pkt.Flags&netsim.FlagFIN != 0 {
+				delete(to.flows, ev.Flow)
 			} else {
-				to.flows[pkt.Flow] = struct{}{}
+				to.flows[ev.Flow] = struct{}{}
 			}
 			to.mu.Unlock()
 		}
+	case netsim.EvSlot:
+		to.token.check(ev)
+		to.zeroq.check(ev)
+	case netsim.EvPause:
+		to.pair.check(ev)
+	case netsim.EvRTO:
+		to.rto.check(ev)
 	}
-	if to.spans != nil {
-		to.spans.portEnqueue(p, pkt)
-	}
-}
-
-func (to *trialObs) PortDequeue(p *netsim.Port, pkt *netsim.Packet) {
-	if to.flight != nil {
-		to.flight.note(p.Sim().Now(), fkDequeue, to.portLabel(p), pkt, int64(p.QueueBytes()))
-	}
-	if to.spans != nil {
-		to.spans.portDequeue(p, pkt)
-	}
-}
-
-func (to *trialObs) PortTx(p *netsim.Port, pkt *netsim.Packet) {
-	if to.spans != nil {
-		to.spans.portTx(p, pkt)
-	}
-}
-
-func (to *trialObs) PortDrop(p *netsim.Port, pkt *netsim.Packet) {
-	if to.flight != nil {
-		to.flight.note(p.Sim().Now(), fkDrop, to.portLabel(p), pkt, int64(p.QueueBytes()))
-	}
-	if to.spans != nil {
-		to.spans.portDrop(p, pkt)
-	}
-}
-
-func (to *trialObs) HostDeliver(h *netsim.Host, pkt *netsim.Packet) {
-	if to.spans != nil {
-		to.spans.hostDeliver(h, pkt)
-	}
-}
-
-func (to *trialObs) LinkState(p *netsim.Port, down bool) {
-	if to.flight != nil {
-		v := int64(0)
-		if down {
-			v = 1
-		}
-		to.flight.noteRaw(p.Sim().Now(), fkLink, to.portLabel(p), 0, v, 0)
-	}
-}
-
-// --- watchdog-facing hook callbacks ---
-
-func (to *trialObs) slotEnd(p *netsim.Port, info core.SlotInfo) {
-	if to.flight != nil {
-		to.flight.noteRaw(info.Time, fkSlot, to.portLabel(p), 0, int64(info.T), int64(info.E))
-	}
-	to.token.check(p, info)
-	to.zeroq.check(p, info)
-}
-
-func (to *trialObs) pause(p *netsim.Port, flow netsim.FlowID, paused bool) {
-	if to.flight != nil {
-		v := int64(0)
-		if paused {
-			v = 1
-		}
-		to.flight.noteRaw(p.Sim().Now(), fkPause, to.portLabel(p), int64(flow), v, 0)
-	}
-	to.pair.check(p, flow, paused)
-}
-
-func (to *trialObs) rtoFired(now sim.Time, flow netsim.FlowID, backoff uint) {
-	if to.flight != nil {
-		to.flight.noteRaw(now, fkRTO, "", int64(flow), int64(backoff), 0)
-	}
-	to.rto.check(now, flow, backoff)
 }

@@ -4,14 +4,13 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
-	"tfcsim/internal/core"
 	"tfcsim/internal/netsim"
-	"tfcsim/internal/sim"
 )
 
 // The invariant watchdogs check simulation invariants on the virtual
-// timeline, driven purely by probe callbacks: they never schedule
+// timeline, driven purely by observed records: they never schedule
 // events, never draw randomness, and never mutate simulation state, so
 // enabling them cannot change any result (tfcvet's probepure analyzer
 // machine-checks this — methods on *watchdog receivers are probe roots).
@@ -29,39 +28,33 @@ import (
 // 1 so the adjustment drains standing queues).
 type tokenWatchdog struct {
 	to      *trialObs
-	mu      sync.Mutex
-	tripped bool
+	tripped atomic.Bool
 }
 
-func (w *tokenWatchdog) check(p *netsim.Port, info core.SlotInfo) {
+// check takes an EvSlot record: T, W and rho in X, Y and Z, E in B.
+func (w *tokenWatchdog) check(ev netsim.Event) {
 	if w == nil {
 		return
 	}
+	T, W, E, rho := ev.X, ev.Y, ev.B, ev.Z
 	bad := ""
 	switch {
-	case math.IsNaN(info.T) || math.IsInf(info.T, 0):
-		bad = fmt.Sprintf("token value not finite: T=%v", info.T)
-	case info.T <= 0:
-		bad = fmt.Sprintf("token pool drained below the MSS floor: T=%.1f", info.T)
-	case math.IsNaN(info.W) || math.IsInf(info.W, 0):
-		bad = fmt.Sprintf("window not finite: W=%v", info.W)
-	case info.W > info.T*(1+1e-9)+1e-6:
-		bad = fmt.Sprintf("window exceeds token pool: W=%.1f > T=%.1f", info.W, info.T)
-	case info.E < 1:
-		bad = fmt.Sprintf("effective flow count below 1: E=%d", info.E)
-	case math.IsNaN(info.Rho) || math.IsInf(info.Rho, 0) || info.Rho <= 0:
-		bad = fmt.Sprintf("measured utilization not finite-positive: rho=%v", info.Rho)
+	case math.IsNaN(T) || math.IsInf(T, 0):
+		bad = fmt.Sprintf("token value not finite: T=%v", T)
+	case T <= 0:
+		bad = fmt.Sprintf("token pool drained below the MSS floor: T=%.1f", T)
+	case math.IsNaN(W) || math.IsInf(W, 0):
+		bad = fmt.Sprintf("window not finite: W=%v", W)
+	case W > T*(1+1e-9)+1e-6:
+		bad = fmt.Sprintf("window exceeds token pool: W=%.1f > T=%.1f", W, T)
+	case E < 1:
+		bad = fmt.Sprintf("effective flow count below 1: E=%d", E)
+	case math.IsNaN(rho) || math.IsInf(rho, 0) || rho <= 0:
+		bad = fmt.Sprintf("measured utilization not finite-positive: rho=%v", rho)
 	}
-	if bad == "" {
-		return
-	}
-	w.mu.Lock()
-	first := !w.tripped
-	w.tripped = true
-	w.mu.Unlock()
-	if first {
+	if bad != "" && !w.tripped.Swap(true) {
 		w.to.o.violation(w.to, "token-conservation",
-			fmt.Sprintf("port=%q t=%dns %s", w.to.portLabel(p), int64(info.Time), bad))
+			fmt.Sprintf("port=%q t=%dns %s", w.to.t.PortLabel(ev.Port), int64(ev.At), bad))
 	}
 }
 
@@ -74,26 +67,18 @@ func (w *tokenWatchdog) check(p *netsim.Port, info core.SlotInfo) {
 type zeroQueueWatchdog struct {
 	to      *trialObs
 	bound   int64
-	mu      sync.Mutex
-	tripped bool
+	tripped atomic.Bool
 }
 
-func (w *zeroQueueWatchdog) check(p *netsim.Port, info core.SlotInfo) {
+func (w *zeroQueueWatchdog) check(ev netsim.Event) {
 	if w == nil {
 		return
 	}
-	q := int64(p.QueueBytes())
-	if q <= w.bound {
-		return
-	}
-	w.mu.Lock()
-	first := !w.tripped
-	w.tripped = true
-	w.mu.Unlock()
-	if first {
+	q := int64(ev.Port.QueueBytes())
+	if q > w.bound && !w.tripped.Swap(true) {
 		w.to.o.violation(w.to, "zero-queueing",
 			fmt.Sprintf("port=%q t=%dns queue=%dB exceeds bound=%dB",
-				w.to.portLabel(p), int64(info.Time), q, w.bound))
+				w.to.t.PortLabel(ev.Port), int64(ev.At), q, w.bound))
 	}
 }
 
@@ -115,29 +100,24 @@ type pairWatchdog struct {
 	tripped bool
 }
 
-func (w *pairWatchdog) check(p *netsim.Port, flow netsim.FlowID, paused bool) {
+func (w *pairWatchdog) check(ev netsim.Event) {
 	if w == nil {
 		return
 	}
-	k := pairKey{p, flow}
+	k := pairKey{ev.Port, ev.Flow}
+	paused := ev.A != 0
 	w.mu.Lock()
 	if w.paused == nil {
 		w.paused = make(map[pairKey]bool)
 	}
-	was := w.paused[k]
+	violated := !paused && !w.paused[k] && !w.tripped
 	w.paused[k] = paused
-	first := !w.tripped
-	bad := ""
-	if !paused && !was {
-		bad = "XON without XOF: flow resumed while not paused"
-	}
-	if bad != "" {
-		w.tripped = true
-	}
+	w.tripped = w.tripped || violated
 	w.mu.Unlock()
-	if bad != "" && first {
+	if violated {
 		w.to.o.violation(w.to, "bfc-pairing",
-			fmt.Sprintf("port=%q flow=%d t=%dns %s", w.to.portLabel(p), flow, int64(p.Sim().Now()), bad))
+			fmt.Sprintf("port=%q flow=%d t=%dns XON without XOF: flow resumed while not paused",
+				w.to.t.PortLabel(ev.Port), ev.Flow, int64(ev.At)))
 	}
 }
 
@@ -148,21 +128,16 @@ func (w *pairWatchdog) check(p *netsim.Port, flow netsim.FlowID, paused bool) {
 type rtoWatchdog struct {
 	to        *trialObs
 	threshold uint
-	mu        sync.Mutex
-	tripped   bool
+	tripped   atomic.Bool
 }
 
-func (w *rtoWatchdog) check(now sim.Time, flow netsim.FlowID, backoff uint) {
-	if w == nil || backoff < w.threshold {
+func (w *rtoWatchdog) check(ev netsim.Event) {
+	if w == nil || uint(ev.A) < w.threshold {
 		return
 	}
-	w.mu.Lock()
-	first := !w.tripped
-	w.tripped = true
-	w.mu.Unlock()
-	if first {
+	if !w.tripped.Swap(true) {
 		w.to.o.violation(w.to, "rto-storm",
 			fmt.Sprintf("flow=%d t=%dns backoff=%d reached threshold=%d",
-				flow, int64(now), backoff, w.threshold))
+				ev.Flow, int64(ev.At), ev.A, w.threshold))
 	}
 }

@@ -1,6 +1,6 @@
 // Package telemetry is the simulation-native observability layer: a
 // typed metrics registry (counters, gauges, fixed-bucket histograms)
-// sampled on a virtual-time cadence, and a bounded ring-buffer event
+// sampled on a virtual-time cadence, and a bounded event
 // recorder that exports Chrome trace-event JSON loadable in Perfetto or
 // chrome://tracing.
 //
@@ -15,10 +15,12 @@
 //
 //   - a Collector owns the per-run output files and mints one Trial per
 //     experiment trial (keyed; keys order the merged output);
-//   - a Trial owns one simulator's registry + recorder and hands out
-//     the probe adapters that the instrumented packages (netsim, core,
-//     tcp, credit, dctcp, faults) call through their nil-checked hook
-//     fields. A nil *Trial disables everything at zero cost.
+//   - a Trial owns one simulator's registry + recorder and is the
+//     netsim.Probe the instrumented packages (netsim, core, transport,
+//     credit, dctcp, bfc) emit their records to: it keeps its own metrics
+//     and trace spans from them and hands the same record on to the
+//     Consumers registered on it (see probes.go). A nil *Trial disables
+//     everything at zero cost.
 package telemetry
 
 import (
@@ -65,7 +67,7 @@ type Collector struct {
 	opts     Options
 	mu       sync.Mutex
 	trials   map[string]*Trial
-	observer TrialObserver
+	observer func(key string, t *Trial) Consumer
 }
 
 // NewCollector creates a collector with the given options.
@@ -73,9 +75,6 @@ func NewCollector(opts Options) *Collector {
 	opts.fill()
 	return &Collector{opts: opts, trials: make(map[string]*Trial)}
 }
-
-// Options returns the collector's (filled) options.
-func (c *Collector) Options() Options { return c.opts }
 
 // Trial mints the telemetry sink for one trial. key must be unique for
 // the run and deterministic (derive it from the trial index and grid
@@ -93,7 +92,7 @@ func (c *Collector) Trial(key string) *Trial {
 	}
 	t := newTrial(key, c.opts)
 	if c.observer != nil {
-		t.hooks = c.observer.ObserveTrial(key, t)
+		t.consumers = append(t.consumers, c.observer(key, t))
 	}
 	c.trials[key] = t
 	return t
@@ -115,10 +114,41 @@ func (c *Collector) sorted() []*Trial {
 	return out
 }
 
+// Consumer is a peer of the trial's own metrics and trace spans: the
+// trial hands it every record it observes, plus three lifecycle calls.
+// Observe is held to the netsim.Probe contract (read-only, no scheduling,
+// no Rand, goroutine-safe); the lifecycle calls run in set-up or export
+// context on the trial's own goroutine.
+type Consumer interface {
+	netsim.Probe
+	// Bound fires from Bind with the trial's (control) simulator, before
+	// any event runs: the one place a consumer may schedule.
+	Bound(s *sim.Simulator)
+	// Instrumented fires from InstrumentNetwork once the tap is attached.
+	Instrumented(n *netsim.Network)
+	// Flush fires once when the trial flushes at export, with the trial's
+	// final virtual time.
+	Flush(now sim.Time)
+}
+
+// SetObserver installs the function that mints each new trial's consumer
+// (the runtime observatory in internal/obs). Call before any trial is
+// minted; trials created earlier keep none. mint runs under the
+// collector's lock from whichever runner goroutine mints the trial and
+// must not call back into the Collector. Nil-safe.
+func (c *Collector) SetObserver(mint func(key string, t *Trial) Consumer) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.observer = mint
+	c.mu.Unlock()
+}
+
 // Trial is the telemetry sink of one simulation trial: a metrics
-// registry, an event recorder, and the probe state threaded through the
-// instrumented packages. All methods are nil-safe; a nil *Trial is the
-// disabled state.
+// registry, an event recorder, and the netsim.Probe every instrumented
+// package of the trial emits to. All methods are nil-safe; a nil *Trial
+// is the disabled state.
 type Trial struct {
 	key  string
 	opts Options
@@ -126,47 +156,47 @@ type Trial struct {
 	reg  registry
 	rec  recorder
 
-	// mu serializes the shared mutable state that probe callbacks touch:
-	// the recorder, the label caches, probe-internal maps, and metric
-	// creation. In a partitioned network probes fire concurrently from
-	// shard goroutines; sequential runs pay one uncontended lock per
-	// recorded event. Counter increments stay lock-free (atomics).
+	// mu serializes the shared mutable state Observe touches: the
+	// recorder, the flow-label cache, the open-interval table, and metric
+	// creation. In a partitioned network Observe runs concurrently on shard
+	// goroutines; sequential runs pay one uncontended lock per recorded
+	// event. Counter increments stay lock-free (atomics).
 	mu sync.Mutex
 
-	stopSample bool
-	flushed    bool
+	flushed bool
 
-	// hooks, when non-nil, is the secondary observer the probes forward
-	// to (set once at mint, immutable afterwards — probes read it without
-	// the lock).
-	hooks *TrialHooks
+	// consumers receive every observed record after the trial's own
+	// handling (set once at mint, immutable afterwards — Observe reads it
+	// without the lock).
+	consumers []Consumer
 
-	// Hot-path label caches (see flowLabel / portLabel in probes.go).
 	flowLabels map[flowLabelKey]string
-	portLabels map[*netsim.Port]string
+	// labels and qdepth are indexed by Port.Ordinal(). labels is filled
+	// once by InstrumentNetwork and read-only afterwards; a qdepth entry
+	// is only ever touched from its port's own shard.
+	labels []string
+	qdepth []*Hist
+	// open holds every span that has begun and not yet ended; faultNames
+	// are the fault windows' interned names (spanKey.id).
+	open       map[spanKey]*interval
+	faultNames []string
 
-	net netProbe
-	tfc tfcProbe
-	tp  transportProbe
-	flt faultProbe
+	// Metric families, registered at set-up (InstrumentNetwork,
+	// InstrumentTransport, DialProbe, FaultProbe) so they appear in the
+	// export even at zero. Unregistered ones stay nil and absorb writes.
+	enq, deq, drops, dropB  *Counter
+	slots, stamped, delayed *Counter
+	rttm                    *Hist
+	rtxBytes, rtos, recs    *Counter
+	cwnd                    *Hist
+	marked, pauses, resumes *Counter
+	faults                  *Counter
 }
 
 func newTrial(key string, opts Options) *Trial {
-	t := &Trial{key: key, opts: opts}
+	t := &Trial{key: key, opts: opts, open: make(map[spanKey]*interval)}
 	t.rec.init(opts.RingCap)
-	t.net.t = t
-	t.tfc.t = t
-	t.tp.t = t
-	t.flt.t = t
 	return t
-}
-
-// Key returns the trial's merge key ("" for a nil trial).
-func (t *Trial) Key() string {
-	if t == nil {
-		return ""
-	}
-	return t.key
 }
 
 // Bind attaches the trial to its simulator and starts the virtual-time
@@ -182,23 +212,12 @@ func (t *Trial) Bind(s *sim.Simulator) {
 	t.sim = s
 	var tick func()
 	tick = func() {
-		if t.stopSample {
-			return
-		}
 		t.reg.sample(s.Now())
 		s.After(t.opts.SampleEvery, tick)
 	}
 	s.After(t.opts.SampleEvery, tick)
-	if t.hooks != nil && t.hooks.Bound != nil {
-		t.hooks.Bound(s)
-	}
-}
-
-// StopSampling ends the gauge cadence (optional; sampling otherwise runs
-// for the life of the simulation). Nil-safe.
-func (t *Trial) StopSampling() {
-	if t != nil {
-		t.stopSample = true
+	for _, c := range t.consumers {
+		c.Bound(s)
 	}
 }
 
@@ -219,13 +238,14 @@ func (t *Trial) flush() {
 	}
 	t.flushed = true
 	now := t.now()
-	if t.hooks != nil && t.hooks.Flush != nil {
-		t.hooks.Flush(now)
+	for _, c := range t.consumers {
+		c.Flush(now)
 	}
-	t.net.flush(now)
-	t.tfc.flush(now)
-	t.tp.flush(now)
-	t.flt.flush(now)
+	// Emission order is free: the recorder orders canonically.
+	for k, iv := range t.open {
+		t.emit(k, iv, now, Arg{"open", 1})
+	}
+	clear(t.open)
 }
 
 // --- registry surface (nil-safe wrappers) ---
@@ -267,11 +287,10 @@ func (t *Trial) Histogram(name string, bounds ...float64) *Hist {
 
 // --- recorder surface (nil-safe wrappers) ---
 //
-// Span/InstantAt/CounterEventAt take explicit virtual timestamps: probe
-// callbacks in a partitioned network run on shard goroutines, where the
-// trial's bound (control) simulator is the wrong clock. Instant and
-// CounterEvent stamp the bound simulator's time and are for control-side
-// callers only.
+// Span/InstantAt/CounterEventAt take explicit virtual timestamps: Observe
+// runs on shard goroutines in a partitioned network, where the trial's
+// bound (control) simulator is the wrong clock. Instant stamps the bound
+// simulator's time and is for control-side callers only.
 
 // Span records a completed span [start, end] on the named track.
 func (t *Trial) Span(cat, name, track string, start, end sim.Time, args ...Arg) {
@@ -320,13 +339,4 @@ func (t *Trial) CounterEventAt(at sim.Time, cat, name, track string, args ...Arg
 	t.mu.Lock()
 	t.rec.push(e)
 	t.mu.Unlock()
-}
-
-// CounterEvent records a counter sample at the bound simulator's current
-// virtual time (control-side callers only; probes use CounterEventAt).
-func (t *Trial) CounterEvent(cat, name, track string, args ...Arg) {
-	if t == nil {
-		return
-	}
-	t.CounterEventAt(t.now(), cat, name, track, args...)
 }

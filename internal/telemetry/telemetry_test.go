@@ -23,20 +23,12 @@ func TestNilTrialIsDisabled(t *testing.T) {
 	tr.Histogram("h").Observe(3)
 	tr.Span("c", "n", "tr", 0, 10)
 	tr.Instant("c", "n", "tr")
-	tr.CounterEvent("c", "n", "tr")
-	tr.StopSampling()
+	tr.CounterEventAt(0, "c", "n", "tr")
 	tr.flush()
-	if tr.Key() != "" {
-		t.Fatalf("nil trial key = %q", tr.Key())
-	}
-	if p := tr.TransportProbe(); p != nil {
-		t.Fatalf("nil trial TransportProbe = %v, want nil interface", p)
-	}
+	InstrumentNetwork(tr, nil)
+	InstrumentTransport(tr, "tfc", nil, nil)
 	if p := tr.DialProbe("tcp"); p != nil {
 		t.Fatalf("nil trial DialProbe = %v, want nil interface", p)
-	}
-	if f := tr.MarkProbe(); f != nil {
-		t.Fatal("nil trial MarkProbe should be nil")
 	}
 	if f := tr.FaultProbe(); f != nil {
 		t.Fatal("nil trial FaultProbe should be nil")
@@ -85,12 +77,6 @@ func TestGaugeSamplingCadence(t *testing.T) {
 	// Samples at 1ms..10ms inclusive (the tick at exactly 10ms runs).
 	if calls < 9 || calls > 11 {
 		t.Fatalf("gauge sampled %d times over 10ms at 1ms cadence", calls)
-	}
-	tr.StopSampling()
-	before := calls
-	s.RunUntil(20 * sim.Millisecond)
-	if calls != before {
-		t.Fatalf("gauge sampled after StopSampling: %d -> %d", before, calls)
 	}
 }
 

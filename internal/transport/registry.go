@@ -26,11 +26,12 @@ type DialConfig struct {
 	OnDrain    func()
 	OnComplete func()
 
-	// Probe, if set, receives the connection's telemetry (RTO firings,
-	// retransmissions, window and recovery moves, credit-rate moves).
-	// Disabled path is one nil-check per event; probes must not mutate
-	// sender state.
-	Probe Probe
+	// Probe, if set, receives the connection's sender-side records (RTO
+	// firings, retransmissions, window and recovery moves, credit-rate
+	// moves). It is per dial, not read off the network's tap, so a harness
+	// can leave one protocol's senders unobserved. Disabled path is one
+	// nil-check per event.
+	Probe netsim.Probe
 }
 
 // FillDefaults sets the zero-valued knobs to their defaults.
@@ -65,11 +66,6 @@ type AttachConfig struct {
 	// *core.SwitchConfig for TFC); nil selects the factory defaults.
 	// Factories type-assert and must tolerate nil or foreign types.
 	Knobs any
-	// Probe is the protocol-specific switch-side telemetry observer,
-	// supplied opaquely so the registry does not depend on the telemetry
-	// layer or on any protocol package. Factories type-assert it to their
-	// own probe type and must tolerate nil or foreign types.
-	Probe any
 }
 
 // Factory bundles everything the harness needs to run one transport:

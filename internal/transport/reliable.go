@@ -12,27 +12,6 @@ const (
 	MaxRTO        = 60 * sim.Second
 )
 
-// Probe observes one connection for the telemetry layer
-// (internal/telemetry). All callbacks are read-only observers. Each
-// callback carries the observed endpoint's current virtual time
-// explicitly: in a partitioned network sender and receiver run on
-// per-shard simulators, so a shared probe implementation has no single
-// clock to consult.
-type Probe interface {
-	// Cwnd runs after any congestion-window change.
-	Cwnd(now sim.Time, flow netsim.FlowID, cwnd, ssthresh int64)
-	// RTOFired runs when the retransmission timer expires; backoff is
-	// the exponential-backoff step count including this firing.
-	RTOFired(now sim.Time, flow netsim.FlowID, backoff uint)
-	// Recovery runs on fast-recovery entry (enter=true) and exit.
-	Recovery(now sim.Time, flow netsim.FlowID, enter bool)
-	// Retransmit runs for every retransmitted segment.
-	Retransmit(now sim.Time, flow netsim.FlowID, bytes int64)
-	// CreditRate runs after every rate adjustment of a receiver-driven
-	// transport's credit source (credits/s).
-	CreditRate(now sim.Time, flow netsim.FlowID, perSec float64)
-}
-
 // Connection states of a Reliable.
 const (
 	stateClosed = iota
@@ -253,9 +232,7 @@ func (r *Reliable) StopRTO() { r.rto.Stop() }
 func (r *Reliable) CountTimeout() {
 	r.st.Timeouts++
 	r.Backoff++
-	if p := r.Cfg.Probe; p != nil {
-		p.RTOFired(r.now(), r.Cfg.Flow, r.Backoff)
-	}
+	r.observe(netsim.EvRTO, int64(r.Backoff), 0)
 }
 
 // Timeout is how a window-based sender's timeout handler starts: it books
@@ -287,25 +264,28 @@ func (r *Reliable) GoBackN() {
 	r.Rewind()
 }
 
-// ProbeCwnd reports a window move to the telemetry probe, if any.
-func (r *Reliable) ProbeCwnd(cwnd, ssthresh int64) {
+// observe hands one sender-side record to the connection's probe, if any.
+func (r *Reliable) observe(k netsim.EventKind, a, b int64) {
 	if p := r.Cfg.Probe; p != nil {
-		p.Cwnd(r.now(), r.Cfg.Flow, cwnd, ssthresh)
+		p.Observe(netsim.Event{Kind: k, At: r.now(), Flow: r.Cfg.Flow, A: a, B: b})
 	}
 }
 
+// ProbeCwnd reports a window move to the probe.
+func (r *Reliable) ProbeCwnd(cwnd, ssthresh int64) { r.observe(netsim.EvCwnd, cwnd, ssthresh) }
+
 // ProbeRecovery reports a fast-recovery entry or exit to the probe.
 func (r *Reliable) ProbeRecovery(enter bool) {
-	if p := r.Cfg.Probe; p != nil {
-		p.Recovery(r.now(), r.Cfg.Flow, enter)
+	var a int64
+	if enter {
+		a = 1
 	}
+	r.observe(netsim.EvRecovery, a, 0)
 }
 
 func (r *Reliable) bookRtx(n int64) {
 	r.st.RtxBytes += n
-	if p := r.Cfg.Probe; p != nil {
-		p.Retransmit(r.now(), r.Cfg.Flow, n)
-	}
+	r.observe(netsim.EvRetransmit, n, 0)
 }
 
 // Retransmit resends the segment at SndUna without advancing SndNxt.

@@ -55,9 +55,9 @@ type Dialer struct {
 	MSS    int
 	MinRTO sim.Time
 	IDs    transport.IDGen
-	// Probe, if set, supplies the sender-side telemetry probe for a given
-	// protocol name (nil leaves that protocol's senders unobserved).
-	Probe func(proto string) transport.Probe
+	// Probe, if set, supplies the sender-side probe for a given protocol
+	// name (nil leaves that protocol's senders unobserved).
+	Probe func(proto string) netsim.Probe
 }
 
 // Dial wires a (src -> dst) connection. onDrain fires whenever all queued
@@ -70,7 +70,7 @@ func (d *Dialer) Dial(src, dst *netsim.Host, onDrain, onComplete func()) *Conn {
 		panic(fmt.Sprintf("workload: %v", err))
 	}
 	flow := d.IDs.Next()
-	var probe transport.Probe
+	var probe netsim.Probe
 	if d.Probe != nil {
 		probe = d.Probe(string(d.Proto))
 	}

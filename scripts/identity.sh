@@ -6,10 +6,12 @@
 #
 # Checks out <ref> into a temporary directory (git archive: nothing is left
 # in .git), builds cmd/tfcsim from both trees, runs `tfcsim all` at quick
-# scale on each at `-j 1 -shards 1` and at `-j 8 -shards 3` with text, CSV,
-# trace and metrics export, blanks the two run-dependent fields of the text
-# (the header's j= and the footer's wall seconds; trial and sim-event counts
-# stay in the comparison), and cmp's every file.
+# scale on each at `-j 1 -shards 1`, at `-j 8 -shards 3`, and at
+# `-j 2 -shards 3 -spans 2 -watchdogs -flightdir -` (packet spans in the
+# trace, watchdogs and flight ring armed) with text, CSV, trace and metrics
+# export, blanks the two run-dependent fields of the text (the header's j=
+# and the footer's wall seconds; trial and sim-event counts stay in the
+# comparison), and cmp's every file.
 # Byte-identity to the parent is the repository's fixed point: a refactor
 # passes this before anything else is worth measuring.
 set -eu
@@ -25,14 +27,16 @@ git archive "$ref" | tar -x -C "$tmp/src"
 (cd "$tmp/src" && go build -o "$tmp/tfcsim.ref" ./cmd/tfcsim)
 go build -o "$tmp/tfcsim.new" ./cmd/tfcsim
 
-run() { # run <binary> <outdir> <j> <shards>
-	mkdir -p "$2/csv"
-	"$1" all -j "$3" -shards "$4" -out "$2/out.txt" -csv "$2/csv" \
-		-trace "$2/trace.json" -metrics "$2/metrics.json" >/dev/null 2>"$tmp/stderr.log" ||
+run() { # run <binary> <outdir> <j> <shards> [observatory flags...]
+	bin="$1" out="$2" j="$3" shards="$4"
+	shift 4
+	mkdir -p "$out/csv"
+	"$bin" all -j "$j" -shards "$shards" -out "$out/out.txt" -csv "$out/csv" \
+		-trace "$out/trace.json" -metrics "$out/metrics.json" "$@" >/dev/null 2>"$tmp/stderr.log" ||
 		{ cat "$tmp/stderr.log" >&2; exit 1; }
 	sed -e 's/, j=[0-9]*) ==$/, j=N) ==/' -e 's/, [0-9.]*s wall --$/, Ns wall --/' \
-		"$2/out.txt" >"$2/text"
-	rm "$2/out.txt"
+		"$out/out.txt" >"$out/text"
+	rm "$out/out.txt"
 }
 
 for cfg in "1 1" "8 3"; do
@@ -42,12 +46,22 @@ for cfg in "1 1" "8 3"; do
 	run "$tmp/tfcsim.new" "$tmp/new-$1-$2" "$1" "$2"
 done
 
-# Every file of every run against the reference's sequential run: that one
-# comparison covers ref-vs-tree and -j/-shards invariance at once.
+# The observatory configuration: spans add events to the trace (and to the
+# metrics file's trace-event counts), so it is its own comparison (ref
+# against tree); its text and CSV must also equal the plain runs'.
+obs="-spans 2 -watchdogs -flightdir -"
+echo "==> tfcsim all -j 2 -shards 3 $obs ($ref, then working tree)"
+run "$tmp/tfcsim.ref" "$tmp/ref-obs" 2 3 $obs
+run "$tmp/tfcsim.new" "$tmp/new-obs" 2 3 $obs
+
+# Every file of every plain run against the reference's sequential run: that
+# one comparison covers ref-vs-tree and -j/-shards invariance at once.
 base="$tmp/ref-1-1"
 fail=0
 for d in "$tmp/ref-8-3" "$tmp/new-1-1" "$tmp/new-8-3"; do
 	diff -rq "$base" "$d" >&2 || fail=1
 done
+diff -rq "$tmp/ref-obs" "$tmp/new-obs" >&2 || fail=1
+diff -rq -x '*.json' "$base" "$tmp/new-obs" >&2 || fail=1
 [ "$fail" = 0 ] || exit 1
-echo "byte-identical to $ref: text, CSV, trace, metrics at -j1/-shards1 and -j8/-shards3"
+echo "byte-identical to $ref: text, CSV, trace, metrics at -j1/-shards1 and -j8/-shards3, and with spans+watchdogs at -j2/-shards3"
