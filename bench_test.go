@@ -328,6 +328,7 @@ func BenchmarkEngineThroughputTelemetry(b *testing.B) {
 		s.RunUntil(benchSettle)
 		s.Warm(4096, 1<<12)
 		net.Warm(1<<16, 1<<16)
+		tel.Warm()
 		ev0, hops0 := s.Executed(), benchHops(net)
 		runtime.GC()
 		runtime.ReadMemStats(&ms0)
@@ -354,10 +355,13 @@ func BenchmarkEngineThroughputTelemetry(b *testing.B) {
 // ring live (dumps disabled). The delta against
 // BenchmarkEngineThroughputTelemetry is the observatory's enabled-path
 // cost; scripts/bench.sh gates its allocs/pkt-hop at the telemetry-on
-// baseline (zero): spans write into the recorder's preallocated heap,
-// the flight ring is a fixed array, and watchdogs keep no per-event
-// state, so observation must not add a single steady-state allocation.
-// The HTTP endpoint is off, as in production runs without -http.
+// baseline (zero): spans append to the recorder's buffer, which
+// compacts in place and which tel.Warm has grown to its full size before
+// the window (an unwarmed recorder grows on demand, a dozen allocations
+// in a trial's life), the flight ring is a fixed array, and watchdogs
+// keep no per-event state, so observation must not add a single
+// steady-state allocation. The HTTP endpoint is off, as in production
+// runs without -http.
 func BenchmarkEngineThroughputObs(b *testing.B) {
 	b.ReportAllocs()
 	o := NewObservatory(ObsOptions{SpanEvery: 1, SpanSeed: 1, Watchdogs: true, FlightDir: "-"})
@@ -382,6 +386,7 @@ func BenchmarkEngineThroughputObs(b *testing.B) {
 		s.RunUntil(benchSettle)
 		s.Warm(4096, 1<<12)
 		net.Warm(1<<16, 1<<16)
+		tel.Warm()
 		o.Warm(1 << 16)
 		ev0, hops0 := s.Executed(), benchHops(net)
 		runtime.GC()

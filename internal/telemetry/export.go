@@ -1,73 +1,124 @@
 package telemetry
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
+	"strconv"
 
 	"tfcsim/internal/sim"
 )
 
-// traceEvent is the Chrome trace-event JSON shape (the subset used:
-// 'X' complete spans, 'i' instants, 'C' counters, 'M' metadata).
-// Timestamps are microseconds. encoding/json sorts map keys, so args
-// marshal deterministically.
-type traceEvent struct {
-	Name string             `json:"name"`
-	Cat  string             `json:"cat,omitempty"`
-	Ph   string             `json:"ph"`
-	Ts   float64            `json:"ts"`
-	Dur  float64            `json:"dur,omitempty"`
-	Pid  int                `json:"pid"`
-	Tid  int                `json:"tid"`
-	S    string             `json:"s,omitempty"`
-	Args map[string]float64 `json:"args,omitempty"`
+// traceWriter streams Chrome trace-event JSON ('X' spans, 'i' instants,
+// 'C' counters, 'M' metadata; microsecond timestamps) one event at a
+// time, byte for byte what encoding/json writes for the same objects:
+// fixed field order, empty cat/dur/s/args omitted, args sorted by key
+// (an event's keys are distinct). Nothing here allocates per event.
+type traceWriter struct {
+	w      *bufio.Writer
+	buf    []byte            // the event being written, separator first
+	quoted map[string][]byte // JSON literal of each distinct string so far
+	err    error             // the first number JSON cannot hold
 }
 
-// metaEvent is the 'M' metadata shape naming processes and threads.
-type metaEvent struct {
-	Name string            `json:"name"`
-	Ph   string            `json:"ph"`
-	Pid  int               `json:"pid"`
-	Tid  int               `json:"tid"`
-	Args map[string]string `json:"args"`
+// str appends pre (punctuation and key) and s as a JSON string, escaped
+// by encoding/json itself, once per distinct string.
+func (tw *traceWriter) str(pre, s string) {
+	q, ok := tw.quoted[s]
+	if !ok {
+		q, _ = json.Marshal(s) // a string cannot fail to marshal
+		tw.quoted[s] = q
+	}
+	tw.buf = append(append(tw.buf, pre...), q...)
 }
 
-// traceFile is the object-form trace container Perfetto and
-// chrome://tracing both load.
-type traceFile struct {
-	DisplayTimeUnit string `json:"displayTimeUnit"`
-	TraceEvents     []any  `json:"traceEvents"`
+// num appends pre and f in encoding/json's float format: ES6 number to
+// string, exponent form only below 1e-6 and from 1e21, exponent unpadded.
+func (tw *traceWriter) num(pre string, f float64) {
+	if (math.IsInf(f, 0) || math.IsNaN(f)) && tw.err == nil {
+		tw.err = fmt.Errorf("trace: unsupported value %v", f)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b := strconv.AppendFloat(append(tw.buf, pre...), f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-09 to e-9
+		b = b[:n-1]
+	}
+	tw.buf = b
+}
+
+// ids appends the pid and tid fields.
+func (tw *traceWriter) ids(pid, tid int) {
+	tw.buf = strconv.AppendInt(append(tw.buf, `,"pid":`...), int64(pid), 10)
+	tw.buf = strconv.AppendInt(append(tw.buf, `,"tid":`...), int64(tid), 10)
+}
+
+// end closes the event, writes it out and leaves the next one's
+// separator in the buffer.
+func (tw *traceWriter) end(tail string) {
+	tw.w.Write(append(tw.buf, tail...))
+	tw.buf = append(tw.buf[:0], ',')
+}
+
+// meta writes the 'M' event that names a process (tid 0) or a thread.
+func (tw *traceWriter) meta(kind string, pid, tid int, name string) {
+	tw.str(`{"name":`, kind)
+	tw.buf = append(tw.buf, `,"ph":"M"`...)
+	tw.ids(pid, tid)
+	tw.str(`,"args":{"name":`, name)
+	tw.end("}}")
+}
+
+// event writes one recorded event.
+func (tw *traceWriter) event(e *event, pid, tid int) {
+	tw.str(`{"name":`, e.name)
+	if e.cat != "" {
+		tw.str(`,"cat":`, e.cat)
+	}
+	tw.buf = append(append(tw.buf, `,"ph":"`...), e.ph, '"')
+	tw.num(`,"ts":`, usec(e.ts))
+	if e.dur != 0 {
+		tw.num(`,"dur":`, usec(e.dur))
+	}
+	tw.ids(pid, tid)
+	if e.ph == 'i' {
+		tw.buf = append(tw.buf, `,"s":"t"`...) // thread-scoped instant
+	}
+	args := e.args // a copy, to sort by key
+	for i := 1; i < int(e.nargs); i++ {
+		for j := i; j > 0 && args[j].K < args[j-1].K; j-- {
+			args[j], args[j-1] = args[j-1], args[j]
+		}
+	}
+	pre, tail := `,"args":{`, "}"
+	for _, a := range args[:e.nargs] {
+		tw.str(pre, a.K)
+		tw.num(":", a.V)
+		pre, tail = ",", "}}"
+	}
+	tw.end(tail)
 }
 
 func usec(t sim.Time) float64 { return float64(t) / 1e3 }
 
-func argMap(args []Arg) map[string]float64 {
-	if len(args) == 0 {
-		return nil
-	}
-	m := make(map[string]float64, len(args))
-	for _, a := range args {
-		m[a.K] = a.V
-	}
-	return m
-}
-
-// WriteTrace writes the merged Chrome trace-event JSON for all trials,
-// in trial-key order (pid = sorted key index), so the output is
-// byte-identical regardless of trial completion order or parallelism.
-// Call only after every trial's simulation has finished.
+// WriteTrace writes the merged Chrome trace-event JSON for all trials —
+// the object form Perfetto and chrome://tracing both load — in trial-key
+// order (pid = sorted key index), so the output is byte-identical
+// regardless of trial completion order or parallelism. Call only after
+// every trial's simulation has finished.
 func (c *Collector) WriteTrace(w io.Writer) error {
-	trials := c.sorted()
-	tf := traceFile{DisplayTimeUnit: "ms", TraceEvents: []any{}}
-	for pid, t := range trials {
+	tw := traceWriter{w: bufio.NewWriter(w), quoted: make(map[string][]byte)}
+	tw.w.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
+	for pid, t := range c.sorted() {
 		t.flush()
-		tf.TraceEvents = append(tf.TraceEvents, metaEvent{
-			Name: "process_name", Ph: "M", Pid: pid, Tid: 0,
-			Args: map[string]string{"name": t.key},
-		})
+		tw.meta("process_name", pid, 0, t.key)
 		// Thread ids are assigned from the sorted distinct track names of
 		// the retained events — never from arrival order, which is
 		// nondeterministic under sharded execution.
@@ -75,27 +126,18 @@ func (c *Collector) WriteTrace(w io.Writer) error {
 		tids := make(map[string]int, len(tracks))
 		for i, track := range tracks {
 			tids[track] = i + 1
-			tf.TraceEvents = append(tf.TraceEvents, metaEvent{
-				Name: "thread_name", Ph: "M", Pid: pid, Tid: i + 1,
-				Args: map[string]string{"name": track},
-			})
+			tw.meta("thread_name", pid, i+1, track)
 		}
-		for _, e := range t.rec.events() {
-			te := traceEvent{
-				Name: e.name, Cat: e.cat, Ph: string(e.ph),
-				Ts: usec(e.ts), Pid: pid, Tid: tids[e.track], Args: argMap(e.args[:e.nargs]),
-			}
-			switch e.ph {
-			case 'X':
-				te.Dur = usec(e.dur)
-			case 'i':
-				te.S = "t" // thread-scoped instant
-			}
-			tf.TraceEvents = append(tf.TraceEvents, te)
+		evs := t.rec.events()
+		for i := range evs {
+			tw.event(&evs[i], pid, tids[evs[i].track])
 		}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(tf)
+	tw.w.WriteString("]}\n")
+	if err := tw.w.Flush(); err != nil { // the first failed write's error
+		return err
+	}
+	return tw.err
 }
 
 // Metrics snapshot JSON shapes.
@@ -139,12 +181,13 @@ func (c *Collector) WriteMetrics(w io.Writer) error {
 	trials := c.sorted()
 	mf := metricsFile{Schema: "tfcsim-metrics-v1", Trials: []metricsTrial{}}
 	for _, t := range trials {
+		t.flush() // as WriteTrace does: the file must not depend on which ran
 		mt := metricsTrial{
 			Key:          t.key,
 			Counters:     []counterJSON{},
 			Gauges:       []gaugeJSON{},
 			Histograms:   []histJSON{},
-			TraceEvents:  len(t.rec.buf),
+			TraceEvents:  t.rec.retained(),
 			TraceDropped: t.rec.dropped(),
 		}
 		for _, ctr := range t.reg.counters {
@@ -175,38 +218,32 @@ func (c *Collector) WriteMetrics(w io.Writer) error {
 }
 
 // WriteFiles writes the trace and/or metrics files named in the
-// collector's Options (empty paths are skipped). Nil-safe.
+// collector's Options. Nil-safe.
 func (c *Collector) WriteFiles() error {
 	if c == nil {
 		return nil
 	}
-	if c.opts.TracePath != "" {
-		f, err := os.Create(c.opts.TracePath)
-		if err != nil {
-			return err
-		}
-		if err := c.WriteTrace(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+	if err := writeFile(c.opts.TracePath, c.WriteTrace); err != nil {
+		return err
 	}
-	if c.opts.MetricsPath != "" {
-		f, err := os.Create(c.opts.MetricsPath)
-		if err != nil {
-			return err
-		}
-		if err := c.WriteMetrics(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+	return writeFile(c.opts.MetricsPath, c.WriteMetrics)
+}
+
+// writeFile creates path and fills it through write (an empty path is
+// skipped).
+func writeFile(path string, write func(io.Writer) error) error {
+	if path == "" {
+		return nil
 	}
-	return nil
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // ValidateTrace checks that r holds trace-event JSON of the shape this

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math/bits"
 	"sort"
 
 	"tfcsim/internal/sim"
@@ -86,84 +87,156 @@ func eventLess(a, b *event) bool {
 	return false
 }
 
-// recorder keeps the canonically-largest `cap` events seen so far (a
-// min-heap ordered by eventLess, evicting the minimum on overflow).
-// Because eviction always removes the global canonical minimum, the
-// retained set is the top-cap of the full event multiset — invariant
-// under arrival order, which is exactly what sharded execution needs for
-// byte-identical traces. Since the canonical order leads with the
-// timestamp, "keep the largest" preserves the old ring's behaviour of
-// keeping a trial's tail (usually the interesting part).
+// recorder keeps the canonically-largest `limit` events pushed so far.
+// A push appends to an unordered buffer; when that holds compactAt×limit
+// events one linear-time selection cuts it back to the top limit and
+// notes the smallest of them as the floor, below which later pushes are
+// dropped on arrival. Either way an event is discarded only when limit
+// pushed events sort at or above it, so the retained set is the
+// top-limit of the pushed *multiset* — invariant under arrival order,
+// which is exactly what sharded execution needs for byte-identical
+// traces. The canonical order leads with the timestamp, so "keep the
+// largest" keeps a trial's tail (usually the interesting part).
 type recorder struct {
-	limit int
-	buf   []event // min-heap by eventLess
-	total int64   // all events ever pushed
+	limit    int
+	buf      []event // unordered; grown on demand, see reserve
+	floor    event   // smallest event the last compaction kept
+	floored  bool    // a compaction has run, floor is set
+	total    int64   // all events ever pushed
+	compares int64   // eventLess calls made compacting (tests bound them)
 }
 
-func (r *recorder) init(limit int) {
-	r.limit = limit
-	r.buf = make([]event, 0, limit)
-}
+// compactAt×limit events in the buffer trigger a compaction: the slack is
+// limit itself, so one selection over 2·limit events serves limit pushes
+// — a handful of comparisons a push at any RingCap — for twice the
+// retained set's memory.
+const compactAt = 2
 
-// push records one event, evicting the canonical minimum when full.
-// Callers must hold the owning Trial's mutex.
-func (r *recorder) push(e event) {
-	r.total++
-	if len(r.buf) < r.limit {
-		r.buf = append(r.buf, e)
-		r.siftUp(len(r.buf) - 1)
-		return
+func (r *recorder) init(limit int) { r.limit = limit }
+
+// reserve grows the buffer's capacity to n events. push doubles it on
+// demand, from 256 up to compactAt×limit (most trials never fill a ring,
+// and zeroing one eagerly was nearly all of a small trial's set-up time);
+// Trial.Warm reserves the whole of it.
+func (r *recorder) reserve(n int) {
+	if n = min(n, compactAt*r.limit); n > cap(r.buf) {
+		r.buf = append(make([]event, 0, n), r.buf...)
 	}
-	if eventLess(&e, &r.buf[0]) {
+}
+
+// push records one event. Callers must hold the owning Trial's mutex.
+func (r *recorder) push(e *event) {
+	r.total++
+	if r.floored && eventLess(e, &r.floor) {
 		return // below the kept range entirely
 	}
-	r.buf[0] = e
-	r.siftDown(0)
+	if len(r.buf) == cap(r.buf) {
+		if len(r.buf) < compactAt*r.limit {
+			r.reserve(max(2*len(r.buf), 256))
+		} else {
+			r.compact()
+		}
+	}
+	r.buf = append(r.buf, *e)
 }
 
-func (r *recorder) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !eventLess(&r.buf[i], &r.buf[parent]) {
+// compact cuts the buffer down to its canonically largest limit events,
+// in no particular order, and records the new floor.
+func (r *recorder) compact() {
+	if len(r.buf) <= r.limit {
+		return
+	}
+	r.selectTop(r.limit, 2*bits.Len(uint(len(r.buf))))
+	r.buf = r.buf[:r.limit]
+	r.floor, r.floored = r.buf[r.limit-1], true
+}
+
+// after reports whether a sorts canonically after b.
+func (r *recorder) after(a, b *event) bool {
+	r.compares++
+	return eventLess(b, a)
+}
+
+// selectTop rearranges buf so that buf[:k] are its k canonically largest
+// events and buf[k-1] the smallest of those: quickselect in descending
+// order. The pivot is the median of three events at positions scrambled
+// from the range bounds (an xorshift, not a random source: the cost stays
+// a function of the input, yet first/middle/last resonate with the
+// layout earlier selections leave behind), and the Hoare partition stops
+// on equal keys, so runs of duplicates split evenly. After 2·⌈log₂ n⌉
+// partitions that cut less than an eighth off the range, what is left
+// of it is sorted instead: O(n log n) comparisons at worst.
+func (r *recorder) selectTop(k, budget int) {
+	a := r.buf
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		if budget == 0 {
+			rest := a[lo : hi+1]
+			sort.Slice(rest, func(i, j int) bool { return r.after(&rest[i], &rest[j]) })
 			return
 		}
-		r.buf[i], r.buf[parent] = r.buf[parent], r.buf[i]
-		i = parent
+		x, n := uint64(lo)<<32^uint64(hi), hi-lo+1
+		var s [3]int
+		for i := range s {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			s[i] = lo + int(x%uint64(n))
+		}
+		m := s[0]
+		if r.after(&a[s[1]], &a[s[2]]) != r.after(&a[s[1]], &a[s[0]]) {
+			m = s[1]
+		} else if r.after(&a[s[2]], &a[s[1]]) != r.after(&a[s[2]], &a[s[0]]) {
+			m = s[2]
+		}
+		a[lo], a[m] = a[m], a[lo]
+		pivot, i, j := &a[lo], lo+1, hi
+		for {
+			for i <= j && r.after(&a[i], pivot) {
+				i++
+			}
+			for i <= j && r.after(pivot, &a[j]) {
+				j--
+			}
+			if i >= j {
+				break
+			}
+			a[i], a[j] = a[j], a[i]
+			i, j = i+1, j-1
+		}
+		a[lo], a[j] = a[j], a[lo] // the pivot is now the (j+1)-th largest
+		switch {
+		case j == k-1:
+			return
+		case j > k-1:
+			hi = j - 1
+		default:
+			lo = j + 1
+		}
+		if hi-lo+1 > n-n/8 {
+			budget--
+		}
 	}
 }
 
-func (r *recorder) siftDown(i int) {
-	n := len(r.buf)
-	for {
-		min, l, rt := i, 2*i+1, 2*i+2
-		if l < n && eventLess(&r.buf[l], &r.buf[min]) {
-			min = l
-		}
-		if rt < n && eventLess(&r.buf[rt], &r.buf[min]) {
-			min = rt
-		}
-		if min == i {
-			return
-		}
-		r.buf[i], r.buf[min] = r.buf[min], r.buf[i]
-		i = min
-	}
-}
+// retained is the number of events kept: trace_events in the metrics.
+func (r *recorder) retained() int { return min(len(r.buf), r.limit) }
 
-// dropped counts events evicted (or never admitted) by the size limit.
-func (r *recorder) dropped() int64 { return r.total - int64(len(r.buf)) }
+// dropped counts the events pushed and not kept.
+func (r *recorder) dropped() int64 { return r.total - int64(r.retained()) }
 
-// events returns the retained events in canonical ascending order.
+// events compacts and returns the retained events in canonical ascending
+// order — the recorder's own buffer, sorted in place.
 func (r *recorder) events() []event {
-	out := make([]event, len(r.buf))
-	copy(out, r.buf)
-	sort.Slice(out, func(i, j int) bool { return eventLess(&out[i], &out[j]) })
-	return out
+	r.compact()
+	sort.Slice(r.buf, func(i, j int) bool { return eventLess(&r.buf[i], &r.buf[j]) })
+	return r.buf
 }
 
 // tracks returns the sorted distinct track names of the retained events;
 // export numbers thread ids from this list (tid = index + 1).
 func (r *recorder) tracks() []string {
+	r.compact()
 	seen := make(map[string]bool)
 	var out []string
 	for i := range r.buf {

@@ -300,11 +300,7 @@ func (t *Trial) Span(cat, name, track string, start, end sim.Time, args ...Arg) 
 	if end < start {
 		end = start
 	}
-	e := event{name: name, cat: cat, ph: 'X', ts: start, dur: end - start, track: track}
-	e.setArgs(args)
-	t.mu.Lock()
-	t.rec.push(e)
-	t.mu.Unlock()
+	t.record(&event{name: name, cat: cat, ph: 'X', ts: start, dur: end - start, track: track}, args)
 }
 
 // InstantAt records a point event at the given virtual time.
@@ -312,11 +308,7 @@ func (t *Trial) InstantAt(at sim.Time, cat, name, track string, args ...Arg) {
 	if t == nil {
 		return
 	}
-	e := event{name: name, cat: cat, ph: 'i', ts: at, track: track}
-	e.setArgs(args)
-	t.mu.Lock()
-	t.rec.push(e)
-	t.mu.Unlock()
+	t.record(&event{name: name, cat: cat, ph: 'i', ts: at, track: track}, args)
 }
 
 // Instant records a point event at the bound simulator's current virtual
@@ -334,9 +326,30 @@ func (t *Trial) CounterEventAt(at sim.Time, cat, name, track string, args ...Arg
 	if t == nil {
 		return
 	}
-	e := event{name: name, cat: cat, ph: 'C', ts: at, track: track}
+	t.record(&event{name: name, cat: cat, ph: 'C', ts: at, track: track}, args)
+}
+
+// record completes the caller's event with its args and pushes it: the
+// event is built once, on the caller's stack, and copied once, into the
+// recorder's buffer.
+func (t *Trial) record(e *event, args []Arg) {
 	e.setArgs(args)
 	t.mu.Lock()
 	t.rec.push(e)
+	t.mu.Unlock()
+}
+
+// Warm pre-sizes the recorder to the most it will ever hold — the
+// trial's analog of Simulator.Warm and Network.Warm. Benchmarks call it
+// after the untimed pre-roll so that buffer growth, the recorder's only
+// allocation, stays out of the measured window; the recorder works
+// identically without it, growing on demand. Setup context only.
+// Nil-safe.
+func (t *Trial) Warm() {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.rec.reserve(compactAt * t.rec.limit)
 	t.mu.Unlock()
 }

@@ -84,7 +84,7 @@ func TestRecorderKeepsCanonicalTail(t *testing.T) {
 	var r recorder
 	r.init(4)
 	for i := 0; i < 7; i++ {
-		r.push(event{name: string(rune('a' + i)), ph: 'i', ts: sim.Time(i)})
+		r.push(&event{name: string(rune('a' + i)), ph: 'i', ts: sim.Time(i)})
 	}
 	if d := r.dropped(); d != 3 {
 		t.Fatalf("dropped = %d, want 3", d)
@@ -110,7 +110,7 @@ func TestRecorderOrderInvariant(t *testing.T) {
 		var r recorder
 		r.init(3)
 		for _, i := range order {
-			r.push(event{name: string(rune('a' + i)), ph: 'i', ts: sim.Time(i), track: "t"})
+			r.push(&event{name: string(rune('a' + i)), ph: 'i', ts: sim.Time(i), track: "t"})
 		}
 		return &r
 	}
@@ -133,9 +133,9 @@ func TestRecorderOrderInvariant(t *testing.T) {
 func TestRecorderTracksSorted(t *testing.T) {
 	var r recorder
 	r.init(8)
-	r.push(event{name: "x", ph: 'i', track: "zeta"})
-	r.push(event{name: "y", ph: 'i', track: "alpha"})
-	r.push(event{name: "z", ph: 'i', track: "zeta"})
+	r.push(&event{name: "x", ph: 'i', track: "zeta"})
+	r.push(&event{name: "y", ph: 'i', track: "alpha"})
+	r.push(&event{name: "z", ph: 'i', track: "zeta"})
 	got := r.tracks()
 	if len(got) != 2 || got[0] != "alpha" || got[1] != "zeta" {
 		t.Fatalf("tracks = %v, want [alpha zeta]", got)

@@ -39,13 +39,15 @@ go test -run '^$' -bench '^BenchmarkEngineThroughput(Telemetry|Obs)?$' -count=5 
 # The hot-path microbenchmarks, one pass each.
 go test -run '^$' -bench '^Benchmark(TimerChurn|TimerChurnStop|EventTarget|HeapDepth)' ./internal/sim/ | tee -a "$txt"
 go test -run '^$' -bench '^Benchmark(SaturatedPort|IncastBurst|ComputeRoutes|RouteLookup)$' ./internal/netsim/ | tee -a "$txt"
+go test -run '^$' -bench '^BenchmarkRecorderPush$' ./internal/telemetry/ | tee -a "$txt"
 
 # Diff against the most recent committed BENCH_*.json (other than the one
 # being written), and gate hard on the alloc budgets: the steady-state
 # engine path must stay allocation-free both bare and with the full
 # observatory attached (the obs gate matches the telemetry-on baseline
 # in BENCH_2.json, which is also zero), and so must the per-hop route
-# lookup whatever the destination mix.
+# lookup whatever the destination mix and a push into a full trace
+# recorder (its buffer is at full size by then; compaction is in place).
 prev=""
 for f in $(git ls-files 'BENCH_*.json' | sort -V); do
 	[ "$f" = "$json" ] && continue
@@ -59,5 +61,6 @@ go run ./cmd/benchjson -label "$label" -o "$json" $prevargs \
 	-gate 'BenchmarkEngineThroughputObs:allocs/pkt-hop<=0' \
 	-gate 'BenchmarkRouteLookup/one_dst:allocs/op<=0' \
 	-gate 'BenchmarkRouteLookup/many_dst:allocs/op<=0' \
+	-gate 'BenchmarkRecorderPush/ascending:allocs/op<=0' \
 	"$txt"
 echo "wrote $json"
