@@ -221,7 +221,6 @@ func BenchmarkExtensionCreditIncast(b *testing.B) {
 // flow.
 func benchDumbbell(s *Simulator) (*Network, *Host, *Host) {
 	net := NewNetwork(s)
-	net.PoolPackets = true
 	h1 := net.NewHost("h1")
 	h2 := net.NewHost("h2")
 	sw := net.NewSwitch("sw")

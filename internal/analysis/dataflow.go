@@ -39,6 +39,35 @@ func escapingFuncLits(body *ast.BlockStmt) []*ast.FuncLit {
 	return out
 }
 
+// boundMethodValues returns the selectors in body that evaluate a method
+// value — `x.m` anywhere but in call position, as in `s.After(d, x.m)`.
+// Each evaluation binds the receiver in a fresh closure object, exactly
+// like the literal `func() { x.m() }` it abbreviates. A method expression
+// (`T.m`) binds nothing and is not reported.
+func boundMethodValues(pass *Pass, body *ast.BlockStmt) []*ast.SelectorExpr {
+	called := make(map[*ast.SelectorExpr]bool)
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, isCall := n.(*ast.CallExpr); isCall {
+			if sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr); isSel {
+				called[sel] = true
+			}
+		}
+		return true
+	})
+	var out []*ast.SelectorExpr
+	ast.Inspect(body, func(n ast.Node) bool {
+		sel, isSel := n.(*ast.SelectorExpr)
+		if !isSel || called[sel] {
+			return true
+		}
+		if s := pass.TypesInfo.Selections[sel]; s != nil && s.Kind() == types.MethodVal {
+			out = append(out, sel)
+		}
+		return true
+	})
+	return out
+}
+
 // presizedSliceVars runs the forward pass of the append check: it
 // returns the local slice variables of body whose backing array is
 // provably pre-sized — defined by a make with an explicit length or

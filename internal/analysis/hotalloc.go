@@ -23,10 +23,12 @@ import (
 // helper packages are invisible to it, which is exactly the gap the
 // BENCH_2 measurement still covers (see the poolsafe_gap fixture corpus).
 //
-// Four allocation shapes are flagged in reachable bodies:
+// Five allocation shapes are flagged in reachable bodies:
 //
 //   - a function literal that escapes its creation site (anything but an
 //     immediately-invoked literal) — closures allocate;
+//   - a method value (`x.m` not in call position, as in
+//     `s.After(d, x.m)`) — it is that closure in shorter spelling;
 //   - any call into package fmt — fmt both allocates and boxes its
 //     variadic arguments; a call whose result feeds directly into panic
 //     is exempt (the sim is already dead);
@@ -84,6 +86,12 @@ func hotallocCheckFunc(pass *Pass, decl *ast.FuncDecl) {
 		pass.Reportf(lit.Pos(),
 			"closure escapes in event-reachable %s; closures allocate per call and break the 0 allocs/pkt-hop gate — use a pooled EventTarget or a port-resident event instead",
 			decl.Name.Name)
+	}
+
+	for _, sel := range boundMethodValues(pass, decl.Body) {
+		pass.Reportf(sel.Pos(),
+			"method value %s bound in event-reachable %s; binding the receiver allocates a closure per evaluation — make the receiver a resident EventTarget instead",
+			sel.Sel.Name, decl.Name.Name)
 	}
 
 	presized := presizedSliceVars(pass, decl.Body)

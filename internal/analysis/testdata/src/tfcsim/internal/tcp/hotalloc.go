@@ -1,8 +1,8 @@
 // Package tcp is an analysistest fixture for the hotalloc analyzer. Its
 // import path (tfcsim/internal/tcp) sits under the BENCH_2 allocation
-// gate, so event-reachable code must be free of the four allocating
-// shapes: escaping closures, fmt calls, ...interface{} boxing, and
-// un-presized appends.
+// gate, so event-reachable code must be free of the five allocating
+// shapes: escaping closures, bound method values, fmt calls,
+// ...interface{} boxing, and un-presized appends.
 package tcp
 
 import (
@@ -23,6 +23,8 @@ type retxEvt struct {
 func (e *retxEvt) RunEvent() {
 	d := sim.Time(5)
 	e.s.After(d, func() { e.fire() }) // want "closure escapes in event-reachable RunEvent"
+	e.s.After(d, e.fire)              // want "method value fire bound in event-reachable RunEvent"
+	e.s.ScheduleAfter(d, e)           // the resident target: nothing to bind
 	e.fire()
 }
 
@@ -45,6 +47,7 @@ func box(args ...interface{}) int { return len(args) }
 // cold is NOT reachable from any event root: the same constructs pass.
 func cold(s *sim.Simulator, xs []int64) []int64 {
 	s.After(1, func() { _ = fmt.Sprint("setup") })
+	s.After(1, (&flushEvt{}).RunEvent)
 	xs = append(xs, 7)
 	return xs
 }

@@ -38,6 +38,12 @@ func (k *SwitchKnobs) fillDefaults() {
 	}
 }
 
+// pendingDrain is one counted frame awaiting its predicted departure.
+type pendingDrain struct {
+	flow netsim.FlowID
+	fb   int64
+}
+
 type flowState struct {
 	gate FlowGate
 	src  netsim.NodeID // flow source, the XOF/XON destination
@@ -63,6 +69,14 @@ type Hook struct {
 	total     int64    // tracked occupancy across all flows (bytes)
 	portPause int64    // aggregate pressure threshold
 	drainFree sim.Time // predicted time the last counted byte leaves
+
+	// drainQ is the FIFO ring (power-of-two capacity) of counted frames
+	// whose predicted departure is still ahead. The hook is the target of
+	// one drain event per frame; drainFree only moves forward, so those
+	// events fire in push order and each one pops the ring's head.
+	drainQ  []pendingDrain
+	drainHd int
+	drainN  int
 
 	// Pauses and Resumes count emitted XOF and XON signals.
 	Pauses  int64
@@ -141,10 +155,38 @@ func (h *Hook) OnEnqueue(pkt *netsim.Packet, port *netsim.Port) bool {
 		h.drainFree = now
 	}
 	h.drainFree += port.Rate.TxTime(pkt.WireBytes())
-	flow := pkt.Flow
-	//tfcvet:allow hotalloc — per-packet drain timer closure: BFC is a comparison baseline outside the BENCH_2 alloc gate (which certifies the TFC forwarding path)
-	h.sim.At(h.drainFree, func() { h.drain(flow, int64(fb)) })
+	if h.drainN == len(h.drainQ) {
+		h.growDrainQ()
+	}
+	h.drainQ[(h.drainHd+h.drainN)&(len(h.drainQ)-1)] = pendingDrain{pkt.Flow, int64(fb)}
+	h.drainN++
+	//tfcvet:allow rankreq — not a link delivery: the hook's own drain timer, set and run on this switch's shard; the Receive it reaches is signal originating an XOF/XON here, which has no transmitting port whose rank it could carry
+	h.sim.Schedule(h.drainFree, h)
 	return true
+}
+
+// growDrainQ doubles the drain ring (16 slots at first), unrolled from the
+// head.
+func (h *Hook) growDrainQ() {
+	c := 2 * len(h.drainQ)
+	if c == 0 {
+		c = 16
+	}
+	nq := make([]pendingDrain, c)
+	for i := 0; i < h.drainN; i++ {
+		nq[i] = h.drainQ[(h.drainHd+i)&(len(h.drainQ)-1)]
+	}
+	h.drainQ = nq
+	h.drainHd = 0
+}
+
+// RunEvent implements sim.EventTarget: the oldest counted frame's predicted
+// departure.
+func (h *Hook) RunEvent() {
+	d := h.drainQ[h.drainHd]
+	h.drainHd = (h.drainHd + 1) & (len(h.drainQ) - 1)
+	h.drainN--
+	h.drain(d.flow, d.fb)
 }
 
 func (h *Hook) drain(flow netsim.FlowID, fb int64) {

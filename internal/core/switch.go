@@ -123,9 +123,11 @@ type PortState struct {
 	dTimer    sim.Timer
 
 	// Delay arbiter (token bucket over the data direction of this port).
+	// The held ACKs are delayQ[delayHd:], oldest first.
 	counter    float64
 	lastRefill sim.Time
 	delayQ     []heldAck
+	delayHd    int
 	release    sim.Timer
 
 	// Statistics.
@@ -380,8 +382,21 @@ func (st *PortState) armDelimTimer(rttLast sim.Time) {
 	if shift > uint(st.cfg.MaxMissK) {
 		shift = uint(st.cfg.MaxMissK)
 	}
-	st.dTimer = st.s.After(rttLast<<shift, st.onDelimMiss)
+	st.dTimer = st.s.ScheduleAfter(rttLast<<shift, (*delimMissEvent)(st))
 }
+
+// delimMissEvent and releaseEvent are the port state itself as the target
+// of its two timers, so arming either allocates nothing.
+type (
+	delimMissEvent PortState
+	releaseEvent   PortState
+)
+
+// RunEvent implements sim.EventTarget.
+func (e *delimMissEvent) RunEvent() { (*PortState)(e).onDelimMiss() }
+
+// RunEvent implements sim.EventTarget.
+func (e *releaseEvent) RunEvent() { (*PortState)(e).onRelease() }
 
 func (st *PortState) onDelimMiss() {
 	if st.missK < st.cfg.MaxMissK {
@@ -444,7 +459,7 @@ func (st *PortState) handleRMA(pkt *netsim.Packet, out *netsim.Port) bool {
 		st.floorCounter()
 		return false
 	}
-	if len(st.delayQ) == 0 && st.counter >= mss {
+	if st.DelayQueueLen() == 0 && st.counter >= mss {
 		pkt.Window = int64(st.cfg.MSS)
 		st.counter -= mss
 		return false
@@ -454,7 +469,7 @@ func (st *PortState) handleRMA(pkt *netsim.Packet, out *netsim.Port) bool {
 	st.DelayedAcks++
 	if pr := st.port.Network().Probe; pr != nil {
 		pr.Observe(netsim.Event{Kind: netsim.EvHold, At: st.s.Now(), Port: st.port,
-			Flow: pkt.Flow, A: int64(len(st.delayQ))})
+			Flow: pkt.Flow, A: int64(st.DelayQueueLen())})
 	}
 	st.scheduleRelease()
 	return true
@@ -470,32 +485,30 @@ func (st *PortState) scheduleRelease() {
 	if d < 1 {
 		d = 1
 	}
-	st.release = st.s.After(d, st.onRelease)
+	st.release = st.s.ScheduleAfter(d, (*releaseEvent)(st))
 }
 
 func (st *PortState) onRelease() {
 	st.refill()
 	mss := st.wireCost(float64(st.cfg.MSS))
-	for len(st.delayQ) > 0 && st.counter >= mss {
-		h := st.delayQ[0]
-		copy(st.delayQ, st.delayQ[1:])
-		st.delayQ[len(st.delayQ)-1] = heldAck{}
-		st.delayQ = st.delayQ[:len(st.delayQ)-1]
+	for st.DelayQueueLen() > 0 && st.counter >= mss {
+		var h heldAck
+		h, st.delayQ, st.delayHd = transport.PopHead(st.delayQ, st.delayHd)
 		h.pkt.Window = int64(st.cfg.MSS)
 		st.counter -= mss
 		if pr := st.port.Network().Probe; pr != nil {
 			pr.Observe(netsim.Event{Kind: netsim.EvGrant, At: st.s.Now(), Port: st.port,
-				Flow: h.pkt.Flow, A: int64(len(st.delayQ))})
+				Flow: h.pkt.Flow, A: int64(st.DelayQueueLen())})
 		}
 		h.out.Enqueue(h.pkt)
 	}
-	if len(st.delayQ) > 0 {
+	if st.DelayQueueLen() > 0 {
 		st.scheduleRelease()
 	}
 }
 
 // DelayQueueLen returns the number of ACKs currently held by the arbiter.
-func (st *PortState) DelayQueueLen() int { return len(st.delayQ) }
+func (st *PortState) DelayQueueLen() int { return len(st.delayQ) - st.delayHd }
 
 // SwitchState binds TFC port state to every port of one switch and
 // implements the netsim.Interceptor that routes RMA ACKs through the delay

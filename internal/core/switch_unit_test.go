@@ -200,6 +200,9 @@ func TestUnitHandleRMASubMSSDelayedAndBumped(t *testing.T) {
 	y := net2.NewHost("y")
 	net2.Connect(x, y, netsim.LinkConfig{Rate: netsim.Gbps, Delay: 1})
 	out := x.NIC()
+	// The released ACK is pooled once y has taken it: keep a copy.
+	var got netsim.Packet
+	y.Register(2, deliverFunc(func(p *netsim.Packet) { got = *p }))
 	ack := &netsim.Packet{
 		Flow: 2, Flags: netsim.FlagACK | netsim.FlagRMA, Window: 200,
 		Src: y.ID(), Dst: y.ID(),
@@ -215,7 +218,11 @@ func TestUnitHandleRMASubMSSDelayedAndBumped(t *testing.T) {
 	if st.DelayQueueLen() != 0 {
 		t.Fatal("held RMA never released")
 	}
-	if ack.Window != int64(netsim.MSS) {
-		t.Fatalf("released RMA window = %d, want MSS", ack.Window)
+	if got.Window != int64(netsim.MSS) {
+		t.Fatalf("released RMA window = %d, want MSS", got.Window)
 	}
 }
+
+type deliverFunc func(*netsim.Packet)
+
+func (f deliverFunc) Deliver(p *netsim.Packet) { f(p) }

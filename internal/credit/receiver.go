@@ -98,15 +98,29 @@ func (r *Receiver) stop() {
 
 func (r *Receiver) scheduleEpoch() {
 	r.epochTimer.Stop()
-	//tfcvet:allow hotalloc — one closure per credit epoch (a control-plane cadence, ~RTT apart), not per packet; ExpressPass is a baseline outside the BENCH_2 gate
-	r.epochTimer = r.cfg.Sim.After(r.cfg.Epoch, func() {
-		if !r.crediting {
-			return
-		}
-		r.feedback()
-		r.scheduleEpoch()
-	})
+	r.epochTimer = r.cfg.Sim.ScheduleAfter(r.cfg.Epoch, (*epochEvent)(r))
 }
+
+func (r *Receiver) onEpoch() {
+	if !r.crediting {
+		return
+	}
+	r.feedback()
+	r.scheduleEpoch()
+}
+
+// epochEvent and tickEvent are the receiver itself as the target of its
+// two timers, so arming either allocates nothing.
+type (
+	epochEvent Receiver
+	tickEvent  Receiver
+)
+
+// RunEvent implements sim.EventTarget.
+func (e *epochEvent) RunEvent() { (*Receiver)(e).onEpoch() }
+
+// RunEvent implements sim.EventTarget.
+func (e *tickEvent) RunEvent() { (*Receiver)(e).tick() }
 
 func (r *Receiver) schedule() {
 	r.pacer.Stop()
@@ -114,7 +128,7 @@ func (r *Receiver) schedule() {
 	if gap < sim.Microsecond {
 		gap = sim.Microsecond
 	}
-	r.pacer = r.cfg.Sim.After(gap, r.tick)
+	r.pacer = r.cfg.Sim.ScheduleAfter(gap, (*tickEvent)(r))
 }
 
 func (r *Receiver) tick() {
@@ -210,13 +224,22 @@ type heldCredit struct {
 	out *netsim.Port
 }
 
+// bucket is one data port's credit pacer. The held credits are
+// queue[head:], oldest first; the bucket is its release timer's target.
 type bucket struct {
+	sh      *Shaper
 	tokens  float64
 	last    sim.Time
 	rate    float64 // credits per second
 	queue   []heldCredit
+	head    int
 	release sim.Timer
 }
+
+func (b *bucket) held() int { return len(b.queue) - b.head }
+
+// RunEvent implements sim.EventTarget.
+func (b *bucket) RunEvent() { b.sh.onRelease(b) }
 
 // AttachShaper installs credit shaping on a switch (one bucket per data
 // port, fed at rho0 of the port's data-carrying capacity).
@@ -229,6 +252,7 @@ func AttachShaper(s *sim.Simulator, sw *netsim.Switch, rho0 float64) *Shaper {
 	dataWire := float64(sh.mss + netsim.HeaderBytes + netsim.WireOverheadBytes)
 	for i, p := range sw.Ports() {
 		sh.bkts[i] = bucket{
+			sh:     sh,
 			tokens: 1,
 			rate:   rho0 * p.Rate.BytesPerSecond() / dataWire,
 		}
@@ -250,11 +274,11 @@ func (sh *Shaper) Intercept(pkt *netsim.Packet, out *netsim.Port, sw *netsim.Swi
 	}
 	b := &sh.bkts[dataPort.Index()]
 	sh.refill(b)
-	if b.tokens >= 1 && len(b.queue) == 0 {
+	if b.tokens >= 1 && b.held() == 0 {
 		b.tokens--
 		return false
 	}
-	if len(b.queue) >= sh.QueueCap {
+	if b.held() >= sh.QueueCap {
 		sh.Dropped++
 		out.ReleasePacket(pkt) // credit shaped away
 		return true
@@ -287,21 +311,18 @@ func (sh *Shaper) scheduleRelease(b *bucket) {
 	if d < 1 {
 		d = 1
 	}
-	//tfcvet:allow hotalloc — one closure per pacing-timer arm (rate-limited by the token bucket), not per packet; ExpressPass is a baseline outside the BENCH_2 gate
-	b.release = sh.s.After(d, func() { sh.onRelease(b) })
+	b.release = sh.s.ScheduleAfter(d, b)
 }
 
 func (sh *Shaper) onRelease(b *bucket) {
 	sh.refill(b)
-	for len(b.queue) > 0 && b.tokens >= 1 {
-		h := b.queue[0]
-		copy(b.queue, b.queue[1:])
-		b.queue[len(b.queue)-1] = heldCredit{}
-		b.queue = b.queue[:len(b.queue)-1]
+	for b.held() > 0 && b.tokens >= 1 {
+		var h heldCredit
+		h, b.queue, b.head = transport.PopHead(b.queue, b.head)
 		b.tokens--
 		h.out.Enqueue(h.pkt)
 	}
-	if len(b.queue) > 0 {
+	if b.held() > 0 {
 		sh.scheduleRelease(b)
 	}
 }

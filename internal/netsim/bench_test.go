@@ -34,7 +34,6 @@ func BenchmarkSaturatedPort(b *testing.B) {
 	b.ReportAllocs()
 	s := sim.New(1)
 	net := NewNetwork(s)
-	net.PoolPackets = true
 	h1 := net.NewHost("h1")
 	h2 := net.NewHost("h2")
 	net.Connect(h1, h2, LinkConfig{Rate: 10 * Gbps, Delay: sim.Microsecond})
@@ -104,7 +103,6 @@ func BenchmarkIncastBurst(b *testing.B) {
 	b.ReportAllocs()
 	s := sim.New(1)
 	net := NewNetwork(s)
-	net.PoolPackets = true
 	sw := net.NewSwitch("tor")
 	dst := net.NewHost("recv")
 	net.Connect(sw, dst, LinkConfig{Rate: 10 * Gbps, Delay: sim.Microsecond, BufA: 1 << 20})

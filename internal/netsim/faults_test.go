@@ -203,11 +203,10 @@ func TestHostPauseBuffersInOrder(t *testing.T) {
 }
 
 func TestHostPauseWithPooling(t *testing.T) {
-	// Held packets retain ownership across the pause: with pooling on,
-	// the packets must not be recycled while buffered.
+	// Held packets retain ownership across the pause: the packets must
+	// not be recycled while buffered.
 	s := sim.New(1)
-	net, h1, h2, _ := buildPair(s, LinkConfig{Rate: Gbps, Delay: sim.Microsecond})
-	net.PoolPackets = true
+	_, h1, h2, _ := buildPair(s, LinkConfig{Rate: Gbps, Delay: sim.Microsecond})
 	k := &sink{s: s}
 	h2.Register(7, k)
 	s.At(0, func() { h2.SetPaused(true) })

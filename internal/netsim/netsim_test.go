@@ -58,15 +58,16 @@ func TestFlagString(t *testing.T) {
 	}
 }
 
-// sink is a minimal endpoint that records delivered packets.
+// sink is a minimal endpoint that records delivered packets — by value: a
+// *Packet returns to the pool when Deliver returns.
 type sink struct {
-	pkts []*Packet
+	pkts []Packet
 	at   []sim.Time
 	s    *sim.Simulator
 }
 
 func (k *sink) Deliver(p *Packet) {
-	k.pkts = append(k.pkts, p)
+	k.pkts = append(k.pkts, *p)
 	k.at = append(k.at, k.s.Now())
 }
 
@@ -458,11 +459,10 @@ func TestFlagNamesComplete(t *testing.T) {
 }
 
 func TestPacketPoolRoundTrip(t *testing.T) {
-	// With PoolPackets on, a delivered packet's memory is reused by the next
-	// NewPacket, and release zeroes it so no stale header fields leak.
+	// A delivered packet's memory is reused by the next NewPacket, and
+	// release zeroes it so no stale header fields leak.
 	s := sim.New(1)
 	net := NewNetwork(s)
-	net.PoolPackets = true
 	h1 := net.NewHost("h1")
 	h2 := net.NewHost("h2")
 	net.Connect(h1, h2, LinkConfig{Rate: Gbps, Delay: sim.Microsecond})
@@ -485,30 +485,6 @@ func TestPacketPoolRoundTrip(t *testing.T) {
 	}
 	if *p2 != (Packet{}) {
 		t.Fatalf("recycled packet not zeroed: %+v", *p2)
-	}
-}
-
-func TestPoolDisabledKeepsPackets(t *testing.T) {
-	// Default mode: delivered packets stay valid (tests and experiments
-	// retain them), so NewPacket must not hand the same memory back.
-	s := sim.New(1)
-	net := NewNetwork(s)
-	h1 := net.NewHost("h1")
-	h2 := net.NewHost("h2")
-	net.Connect(h1, h2, LinkConfig{Rate: Gbps, Delay: sim.Microsecond})
-	net.ComputeRoutes()
-	var kept *Packet
-	h2.Register(7, deliverFunc(func(p *Packet) { kept = p }))
-
-	p1 := net.NewPacket()
-	p1.Flow, p1.Src, p1.Dst, p1.Payload = 7, h1.ID(), h2.ID(), 1200
-	h1.Send(p1)
-	s.Run()
-	if kept != p1 || kept.Payload != 1200 {
-		t.Fatalf("delivered packet mutated without pooling: %+v", kept)
-	}
-	if p2 := net.NewPacket(); p2 == p1 {
-		t.Fatal("NewPacket reused live memory with pooling disabled")
 	}
 }
 

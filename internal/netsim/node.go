@@ -291,6 +291,9 @@ func (h *Host) Receive(pkt *Packet, from *Port) {
 }
 
 func (h *Host) deliver(pkt *Packet) {
+	if poolCheck {
+		checkLive(pkt, "delivered after release")
+	}
 	ep := h.cachedEp
 	if pkt.Flow != h.cachedFlow || ep == nil {
 		var ok bool
@@ -337,13 +340,12 @@ type Network struct {
 	// one nil-check per emit point.
 	Probe Probe
 
-	// PoolPackets opts this network into packet recycling: NewPacket draws
-	// from a free list that ReleasePacket refills when a packet's single
-	// ownership chain ends (delivery, drop, stray, or unroutable). With
-	// pooling on, nothing may hold a *Packet past the Deliver/OnEnqueue/
-	// Observe call it was passed to — copy the fields instead. Off by
-	// default: packets are then ordinary garbage-collected allocations and
-	// ReleasePacket is a no-op.
+	// PoolPackets is ignored: packets are always recycled — NewPacket draws
+	// from a free list that release refills when a packet's single
+	// ownership chain ends (delivery, drop, stray, or unroutable) — so
+	// nothing may hold a *Packet past the Deliver/OnEnqueue/Intercept/
+	// Observe call it was passed to; copy the fields instead. The field
+	// remains only because benchmark/ assigns it.
 	PoolPackets bool
 
 	// shards hold the per-shard execution contexts (simulator + pools);
@@ -360,27 +362,25 @@ type Network struct {
 // each.
 const pktSlab = 64
 
-// NewPacket returns a zeroed packet, recycled from a free list when
-// PoolPackets is set. Transports allocate through Host.NewPacket (or
-// Port.NewPacket from switch-side hooks) so the packet comes from — and
-// later returns to — the pool of the shard doing the work; this method
-// serves shard 0 for sequential callers (tests, benchmarks).
+// NewPacket returns a zeroed packet, recycled from a free list. Transports
+// allocate through Host.NewPacket (or Port.NewPacket from switch-side
+// hooks) so the packet comes from — and later returns to — the pool of the
+// shard doing the work; this method serves shard 0 for sequential callers
+// (tests, benchmarks).
 func (n *Network) NewPacket() *Packet { return n.shards[0].newPacket() }
 
-// Warm pre-sizes the network for an allocation-free run: with pooling on,
-// the packet pool grows to at least packets spare packets, the deferred
-// host-send event pool to a matching depth, and every port's FIFO and
-// in-flight rings to ringCap slots. Benchmarks call it (together with
+// Warm pre-sizes the network for an allocation-free run: the packet pool
+// grows to at least packets spare packets, the deferred host-send event
+// pool to a matching depth, and every port's FIFO and in-flight rings to
+// ringCap slots. Benchmarks call it (together with
 // sim.Warm) so the measured steady state performs no allocation at all;
 // cold networks grow on demand instead.
 func (n *Network) Warm(packets, ringCap int) {
 	for _, sh := range n.shards {
-		if n.PoolPackets {
-			for len(sh.pktFree) < packets {
-				slab := make([]Packet, pktSlab)
-				for i := range slab {
-					sh.pktFree = append(sh.pktFree, &slab[i])
-				}
+		for len(sh.pktFree) < packets {
+			slab := make([]Packet, pktSlab)
+			for i := range slab {
+				sh.pktFree = append(sh.pktFree, &slab[i])
 			}
 		}
 		for len(sh.evFree) < 64 {
@@ -403,7 +403,7 @@ func (n *Network) Warm(packets, ringCap int) {
 // releases through shard-local pools instead; this sequential-context
 // method serves code that takes ownership via an Interceptor and then
 // discards the packet (interceptors run on the switch's shard — use
-// Port.ReleasePacket there). No-op unless PoolPackets is set.
+// Port.ReleasePacket there).
 func (n *Network) ReleasePacket(p *Packet) { n.shards[0].release(p) }
 
 // portEvent is the pooled sim.EventTarget for the one forwarding-path

@@ -209,7 +209,7 @@ func (p *Port) NewPacket() *Packet { return p.sh.newPacket() }
 
 // ReleasePacket returns a packet to the port's shard pool. Interceptors
 // and hooks that took ownership of a packet and then discard it release
-// it here. No-op unless PoolPackets is set.
+// it here.
 func (p *Port) ReleasePacket(pkt *Packet) { p.sh.release(pkt) }
 
 func (p *Port) pushQ(pkt *Packet) {
@@ -266,6 +266,9 @@ func (p *Port) drop(pkt *Packet) {
 // injected loss. Then the hook; then drop-tail admission; then the packet
 // joins the FIFO and transmission starts if the line is idle.
 func (p *Port) Enqueue(pkt *Packet) {
+	if poolCheck {
+		checkLive(pkt, "enqueued after release")
+	}
 	p.EnqPackets++
 	if p.down {
 		p.drop(pkt)
@@ -421,6 +424,7 @@ func (p *Port) finishTx(pkt *Packet) {
 			e = &crossRxEvent{}
 		}
 		e.p, e.pkt = p, pkt
+		sh.live--
 		p.net.group.Post(sh.id, p.peerSh.id, now+p.Delay, now, p.rank(), e)
 	} else {
 		p.pushInFlight(pkt)

@@ -42,35 +42,74 @@ type netShard struct {
 	pktFree []*Packet
 	evFree  []*portEvent    // deferred host-send carriers
 	xFree   []*crossRxEvent // cross-shard delivery carriers
+
+	// live counts the packets this shard owns now (allocated here or
+	// delivered here over a crossing link, and neither released nor sent
+	// across since), peakLive the most it ever did: the shard's own demand
+	// for pool capacity, against which crossRxEvent trims what crossings
+	// bring in.
+	live, peakLive int
 }
 
 func (sh *netShard) newPacket() *Packet {
+	sh.own()
 	if k := len(sh.pktFree) - 1; k >= 0 {
 		p := sh.pktFree[k]
 		sh.pktFree[k] = nil
 		sh.pktFree = sh.pktFree[:k]
+		if poolCheck {
+			*p = Packet{}
+		}
 		return p
 	}
-	if sh.net.PoolPackets {
-		// Pool miss: grow by a slab. Packets contain no pointers, so the
-		// slab is GC-opaque, and handing out slab elements is safe — the
-		// pool never frees, it only recycles.
-		slab := make([]Packet, pktSlab)
-		for i := 1; i < pktSlab; i++ {
-			sh.pktFree = append(sh.pktFree, &slab[i])
-		}
-		return &slab[0]
+	// Pool miss: grow by a slab. Packets contain no pointers, so the slab
+	// is GC-opaque, and a slab lives for as long as any of its elements is
+	// referenced — the pool recycles; only adopt ever lets one go.
+	slab := make([]Packet, pktSlab)
+	for i := 1; i < pktSlab; i++ {
+		sh.pktFree = append(sh.pktFree, &slab[i])
 	}
-	return &Packet{}
+	return &slab[0]
+}
+
+// own counts one more packet owned by the shard.
+func (sh *netShard) own() {
+	sh.live++
+	if sh.live > sh.peakLive {
+		sh.peakLive = sh.live
+	}
 }
 
 func (sh *netShard) release(p *Packet) {
-	if !sh.net.PoolPackets || p == nil {
+	if p == nil {
 		return
 	}
-	*p = Packet{}
+	sh.live--
+	if poolCheck {
+		checkLive(p, "released twice")
+		*p = Packet{Hops: poisonHops}
+	} else {
+		*p = Packet{}
+	}
 	//tfcvet:allow hotalloc — free-list push: newPacket popped with truncation, so this append reuses the retained capacity (amortized pool growth)
 	sh.pktFree = append(sh.pktFree, p)
+}
+
+// poolCheck arms the pool-misuse detector. Only tests set it (through
+// export_test.go), before a network runs: release then stamps a poison
+// value instead of zeroing, every point that takes a packet in
+// (Port.Enqueue, Host.deliver, release itself) panics on a poisoned one —
+// a use after release or a double release.
+var poolCheck bool
+
+// poisonHops marks a packet that sits in a free list while poolCheck is
+// armed; no live packet has a negative hop count.
+const poisonHops = -1 << 31
+
+func checkLive(p *Packet, what string) {
+	if p.Hops == poisonHops {
+		panic("netsim: pooled packet " + what + " (a *Packet is valid only inside the Deliver/OnEnqueue/Intercept/Observe call it was passed to)")
+	}
 }
 
 func (sh *netShard) newHostSend(port *Port, pkt *Packet) *portEvent {
@@ -106,10 +145,27 @@ func (e *crossRxEvent) RunEvent() {
 	p, pkt := e.p, e.pkt
 	e.p, e.pkt = nil, nil
 	sh := p.peerSh
+	//tfcvet:allow shardsafe — as below: peerSh is the shard this event runs on
+	sh.adopt()
 	//tfcvet:allow shardsafe,hotalloc — RunEvent executes on the receiving shard (the mailbox delivered it here), so peerSh IS this shard; the free-list append reuses truncation-retained capacity
 	sh.xFree = append(sh.xFree, e)
 	//tfcvet:allow shardsafe — same: the mailbox already moved execution to the peer's shard, so this delivery is shard-local
 	p.Peer.Receive(pkt, p)
+}
+
+// adopt takes a packet that arrived over a crossing link into the shard's
+// accounts. The packet will be released here, not where it was allocated:
+// crossings move pool capacity, and a shard that consumes more than it
+// originates (credits shaped away at its switches, drops, one-way traffic)
+// would grow its free list for as long as the run lasts. So when live plus
+// free packets exceed what the shard itself ever needed plus the slab a
+// pool miss adds, one spare packet is left to the garbage collector.
+func (sh *netShard) adopt() {
+	sh.own()
+	if k := len(sh.pktFree) - 1; sh.live+k+1 > sh.peakLive+pktSlab {
+		sh.pktFree[k] = nil
+		sh.pktFree = sh.pktFree[:k]
+	}
 }
 
 // Group returns the sharded dispatcher, or nil for a sequential network.

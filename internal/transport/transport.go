@@ -292,3 +292,23 @@ func (t *LazyTimer) Stop() { t.armed = false }
 
 // Armed reports whether a deadline is pending.
 func (t *LazyTimer) Armed() bool { return t.armed }
+
+// PopHead pops the oldest element of a FIFO kept as a slice plus a head
+// index — the live elements are q[head:], a push is a plain append — and
+// returns the updated pair. It slides the remainder down once the popped
+// prefix is at least half the slice, so a pop is O(1) amortized however
+// long the queue stays non-empty, and a drained queue resets to empty. The
+// switch-side hold queues (TFC's delayed ACKs, the credit shaper's
+// credits) pop through it.
+func PopHead[T any](q []T, head int) (T, []T, int) {
+	var zero T
+	v := q[head]
+	q[head] = zero
+	head++
+	if 2*head >= len(q) {
+		n := copy(q, q[head:])
+		clear(q[n:])
+		q, head = q[:n], 0
+	}
+	return v, q, head
+}
