@@ -253,159 +253,153 @@ const (
 	benchEnd    = 50 * sim.Millisecond
 )
 
-// BenchmarkEngineThroughput measures raw simulator event throughput with a
-// saturated 10G dumbbell — the substrate cost every experiment pays.
-// Mevents/simsec is scenario-determined (a determinism canary: it must not
-// move across engine changes); Mevents/wallsec and allocs/pkt-hop are the
-// performance figures tracked by BENCH_*.json. Setup, warm-up and pre-roll
-// are untimed: ns/op, B/op, allocs/op and the reported metrics all cover
-// exactly the steady-state window, where the engine must not allocate.
-func BenchmarkEngineThroughput(b *testing.B) {
+// engineBench is the scenario the three engine benchmarks and their tier-1
+// alloc gates share: one greedy TCP flow over benchDumbbell, observed by
+// nothing, by a live telemetry trial, or by the full observatory on top.
+// It accumulates the measured windows of its iterations.
+type engineBench struct {
+	col *telemetry.Collector // nil: every probe field stays nil
+	obs *Observatory         // nil: telemetry only
+	net *Network             // the current iteration's
+
+	iters             int
+	ev0               uint64
+	hops0             int64
+	ms0               runtime.MemStats
+	events, winEvents uint64
+	winHops           int64
+	mallocs           uint64
+}
+
+// What observes an engineBench's run; each level includes the one before.
+const (
+	engineBare = iota
+	engineTelemetry
+	engineObs
+)
+
+func newEngineBench(level int) *engineBench {
+	e := &engineBench{}
+	if level >= engineTelemetry {
+		e.col = telemetry.NewCollector(telemetry.Options{})
+	}
+	if level >= engineObs {
+		e.obs = NewObservatory(ObsOptions{SpanEvery: 1, SpanSeed: 1, Watchdogs: true, FlightDir: "-"})
+		e.obs.Attach("bench", e.col)
+	}
+	return e
+}
+
+// prepare builds one iteration and takes it to the start of the measured
+// window: set-up, the pre-roll to benchSettle, warm-up of every pool and
+// ring, a collection. The caller runs the simulator to benchEnd and calls
+// finish; nothing between the two belongs to anyone else.
+func (e *engineBench) prepare() *Simulator {
+	tel := e.col.Trial(fmt.Sprintf("iter%06d", e.iters))
+	e.iters++
+	s := NewSimulator(1)
+	tel.Bind(s)
+	net, h1, h2 := benchDumbbell(s)
+	e.net = net
+	telemetry.InstrumentNetwork(tel, net)
+	d := &Dialer{Sim: s, Proto: TCP}
+	if tel != nil {
+		d.Probe = tel.DialProbe
+	}
+	conn := d.Dial(h1, h2, nil, nil)
+	conn.Sender.Open()
+	conn.Sender.Send(1 << 30)
+	s.RunUntil(benchSettle)
+	s.Warm(4096, 1<<12)
+	net.Warm(1<<16, 1<<16)
+	tel.Warm()
+	e.obs.Warm(1 << 16)
+	e.ev0, e.hops0 = s.Executed(), benchHops(net)
+	runtime.GC()
+	runtime.ReadMemStats(&e.ms0)
+	return s
+}
+
+// finish closes the measured window prepare opened.
+func (e *engineBench) finish(s *Simulator) {
+	var ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms1)
+	e.mallocs += ms1.Mallocs - e.ms0.Mallocs
+	e.events += s.Executed()
+	e.winEvents += s.Executed() - e.ev0
+	e.winHops += benchHops(e.net) - e.hops0
+}
+
+func (e *engineBench) allocsPerHop() float64 { return float64(e.mallocs) / float64(e.winHops) }
+
+// bench times the window. Mevents/simsec is scenario-determined (a
+// determinism canary: it must not move across engine changes);
+// Mevents/wallsec and allocs/pkt-hop are the performance figures. Set-up,
+// warm-up and pre-roll are untimed: ns/op, B/op, allocs/op and the
+// reported metrics all cover exactly the steady-state window.
+func (e *engineBench) bench(b *testing.B) {
 	b.ReportAllocs()
-	var events, winEvents uint64
-	var winHops int64
-	var allocs uint64
-	var ms0, ms1 runtime.MemStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s := NewSimulator(1)
-		net, h1, h2 := benchDumbbell(s)
-		d := &Dialer{Sim: s, Proto: TCP}
-		conn := d.Dial(h1, h2, nil, nil)
-		conn.Sender.Open()
-		conn.Sender.Send(1 << 30)
-		s.RunUntil(benchSettle)
-		s.Warm(4096, 1<<12)
-		net.Warm(1<<16, 1<<16)
-		ev0, hops0 := s.Executed(), benchHops(net)
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
+		s := e.prepare()
 		b.StartTimer()
 		s.RunUntil(benchEnd)
 		b.StopTimer()
-		runtime.ReadMemStats(&ms1)
-		allocs += ms1.Mallocs - ms0.Mallocs
-		events += s.Executed()
-		winEvents += s.Executed() - ev0
-		winHops += benchHops(net) - hops0
+		e.finish(s)
 		b.StartTimer()
 	}
 	b.StopTimer()
 	simsec := benchEnd.Seconds() * float64(b.N)
-	b.ReportMetric(float64(events)/simsec/1e6, "Mevents/simsec")
-	b.ReportMetric(float64(winEvents)/b.Elapsed().Seconds()/1e6, "Mevents/wallsec")
-	b.ReportMetric(float64(allocs)/float64(winHops), "allocs/pkt-hop")
+	b.ReportMetric(float64(e.events)/simsec/1e6, "Mevents/simsec")
+	b.ReportMetric(float64(e.winEvents)/b.Elapsed().Seconds()/1e6, "Mevents/wallsec")
+	b.ReportMetric(e.allocsPerHop(), "allocs/pkt-hop")
 }
+
+// gate is the tier-1 form of the benchmark's alloc budget: one window, and
+// the engine must not allocate in it — 0.000 allocs/pkt-hop, to the three
+// decimals the figure is quoted at (a few dozen stray runtime allocations
+// over ~10^5 packet hops pass; one allocation per thousand hops does not).
+func (e *engineBench) gate(t *testing.T) {
+	s := e.prepare()
+	s.RunUntil(benchEnd)
+	e.finish(s)
+	if r := e.allocsPerHop(); r >= 0.0005 {
+		t.Errorf("%d allocations over %d packet hops in the settled window = %.4f allocs/pkt-hop, want 0.000",
+			e.mallocs, e.winHops, r)
+	}
+}
+
+// BenchmarkEngineThroughput measures raw simulator event throughput with a
+// saturated 10G dumbbell — the substrate cost every experiment pays. Every
+// probe field is nil here, so its figures also prove that the nil-check
+// fast path of the observation seam costs nothing.
+func BenchmarkEngineThroughput(b *testing.B) { newEngineBench(engineBare).bench(b) }
 
 // BenchmarkEngineThroughputTelemetry runs the same saturated dumbbell
 // with a live telemetry trial attached (forwarding-path probe, transport
 // probe, queue gauges, event recorder), so the delta against
 // BenchmarkEngineThroughput is the telemetry layer's enabled-path cost.
-// The disabled path is covered by BenchmarkEngineThroughput itself:
-// after the instrumentation refactor every probe field there is nil, so
-// its figures also prove the nil-check fast path costs nothing.
-func BenchmarkEngineThroughputTelemetry(b *testing.B) {
-	b.ReportAllocs()
-	col := telemetry.NewCollector(telemetry.Options{})
-	var events, winEvents uint64
-	var winHops int64
-	var allocs uint64
-	var ms0, ms1 runtime.MemStats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		tel := col.Trial(fmt.Sprintf("iter%06d", i))
-		s := NewSimulator(1)
-		tel.Bind(s)
-		net, h1, h2 := benchDumbbell(s)
-		telemetry.InstrumentNetwork(tel, net)
-		d := &Dialer{Sim: s, Proto: TCP, Probe: tel.DialProbe}
-		conn := d.Dial(h1, h2, nil, nil)
-		conn.Sender.Open()
-		conn.Sender.Send(1 << 30)
-		s.RunUntil(benchSettle)
-		s.Warm(4096, 1<<12)
-		net.Warm(1<<16, 1<<16)
-		tel.Warm()
-		ev0, hops0 := s.Executed(), benchHops(net)
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
-		b.StartTimer()
-		s.RunUntil(benchEnd)
-		b.StopTimer()
-		runtime.ReadMemStats(&ms1)
-		allocs += ms1.Mallocs - ms0.Mallocs
-		events += s.Executed()
-		winEvents += s.Executed() - ev0
-		winHops += benchHops(net) - hops0
-		b.StartTimer()
-	}
-	b.StopTimer()
-	simsec := benchEnd.Seconds() * float64(b.N)
-	b.ReportMetric(float64(events)/simsec/1e6, "Mevents/simsec")
-	b.ReportMetric(float64(winEvents)/b.Elapsed().Seconds()/1e6, "Mevents/wallsec")
-	b.ReportMetric(float64(allocs)/float64(winHops), "allocs/pkt-hop")
-}
+func BenchmarkEngineThroughputTelemetry(b *testing.B) { newEngineBench(engineTelemetry).bench(b) }
 
 // BenchmarkEngineThroughputObs runs the telemetry scenario with the full
 // runtime observatory attached on top: every flow span-traced
 // (SpanEvery=1), invariant watchdogs armed, and the flight recorder
 // ring live (dumps disabled). The delta against
 // BenchmarkEngineThroughputTelemetry is the observatory's enabled-path
-// cost; scripts/bench.sh gates its allocs/pkt-hop at the telemetry-on
-// baseline (zero): spans append to the recorder's buffer, which
-// compacts in place and which tel.Warm has grown to its full size before
-// the window (an unwarmed recorder grows on demand, a dozen allocations
-// in a trial's life), the flight ring is a fixed array, and watchdogs
-// keep no per-event state, so observation must not add a single
-// steady-state allocation. The HTTP endpoint is off, as in production
-// runs without -http.
-func BenchmarkEngineThroughputObs(b *testing.B) {
-	b.ReportAllocs()
-	o := NewObservatory(ObsOptions{SpanEvery: 1, SpanSeed: 1, Watchdogs: true, FlightDir: "-"})
-	col := telemetry.NewCollector(telemetry.Options{})
-	o.Attach("bench", col)
-	var events, winEvents uint64
-	var winHops int64
-	var allocs uint64
-	var ms0, ms1 runtime.MemStats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		tel := col.Trial(fmt.Sprintf("iter%06d", i))
-		s := NewSimulator(1)
-		tel.Bind(s)
-		net, h1, h2 := benchDumbbell(s)
-		telemetry.InstrumentNetwork(tel, net)
-		d := &Dialer{Sim: s, Proto: TCP, Probe: tel.DialProbe}
-		conn := d.Dial(h1, h2, nil, nil)
-		conn.Sender.Open()
-		conn.Sender.Send(1 << 30)
-		s.RunUntil(benchSettle)
-		s.Warm(4096, 1<<12)
-		net.Warm(1<<16, 1<<16)
-		tel.Warm()
-		o.Warm(1 << 16)
-		ev0, hops0 := s.Executed(), benchHops(net)
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
-		b.StartTimer()
-		s.RunUntil(benchEnd)
-		b.StopTimer()
-		runtime.ReadMemStats(&ms1)
-		allocs += ms1.Mallocs - ms0.Mallocs
-		events += s.Executed()
-		winEvents += s.Executed() - ev0
-		winHops += benchHops(net) - hops0
-		b.StartTimer()
-	}
-	b.StopTimer()
-	simsec := benchEnd.Seconds() * float64(b.N)
-	b.ReportMetric(float64(events)/simsec/1e6, "Mevents/simsec")
-	b.ReportMetric(float64(winEvents)/b.Elapsed().Seconds()/1e6, "Mevents/wallsec")
-	b.ReportMetric(float64(allocs)/float64(winHops), "allocs/pkt-hop")
-}
+// cost. Spans append to the recorder's buffer, which compacts in place and
+// which tel.Warm has grown to its full size before the window (an unwarmed
+// recorder grows on demand, a dozen allocations in a trial's life), the
+// flight ring is a fixed array, and watchdogs keep no per-event state, so
+// observation must not add a single steady-state allocation. The HTTP
+// endpoint is off, as in production runs without -http.
+func BenchmarkEngineThroughputObs(b *testing.B) { newEngineBench(engineObs).bench(b) }
+
+// TestEngineThroughputAllocs and TestEngineThroughputObsAllocs hold the
+// steady-state engine path to its alloc budget, bare and with the full
+// observatory attached, on every `go test`.
+func TestEngineThroughputAllocs(t *testing.T)    { newEngineBench(engineBare).gate(t) }
+func TestEngineThroughputObsAllocs(t *testing.T) { newEngineBench(engineObs).gate(t) }
 
 // BenchmarkShardedFatTree drives the k=16 fat-tree permutation workload
 // through the conservative parallel engine at increasing shard counts —

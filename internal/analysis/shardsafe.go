@@ -34,11 +34,11 @@ import (
 // Reads of tainted values are deliberately not flagged: immutable
 // identity fields (NodeID, shard id) legitimately feed Group.Post, and
 // Post itself is invoked on an untainted Group receiver, so the
-// sanctioned crossing needs no special case. Same-shard delivery paths
-// that the engine guards dynamically (rxEvent only serves non-crossing
-// links; crossRxEvent executes on the receiving shard) are annotated
-// with //tfcvet:allow shardsafe at the three sites where the guarantee
-// is structural rather than lexical.
+// sanctioned crossing needs no special case. The one delivery path the
+// engine guards dynamically (rxEvent.RunEvent executes on the receiving
+// shard: finishTx scheduled it there, or the mailbox moved it there) is
+// annotated with //tfcvet:allow shardsafe at the three sites where the
+// guarantee is structural rather than lexical.
 var Shardsafe = &Analyzer{
 	Name: "shardsafe",
 	Doc:  "flag cross-shard mutation or scheduling outside the Group.Post mailbox in event-reachable code",

@@ -65,7 +65,11 @@ type Hook struct {
 	port  *netsim.Port
 	knobs SwitchKnobs
 
-	flows     map[netsim.FlowID]*flowState
+	flows map[netsim.FlowID]*flowState
+	// free holds the records drain took out of flows. On an uncongested
+	// port a flow's occupancy returns to zero behind every frame, so without
+	// it each data packet would allocate a record.
+	free      []*flowState
 	total     int64    // tracked occupancy across all flows (bytes)
 	portPause int64    // aggregate pressure threshold
 	drainFree sim.Time // predicted time the last counted byte leaves
@@ -135,7 +139,12 @@ func (h *Hook) OnEnqueue(pkt *netsim.Packet, port *netsim.Port) bool {
 	now := h.sim.Now()
 	fs := h.flows[pkt.Flow]
 	if fs == nil {
-		fs = &flowState{gate: FlowGate{
+		if k := len(h.free) - 1; k >= 0 {
+			fs, h.free = h.free[k], h.free[:k]
+		} else {
+			fs = new(flowState)
+		}
+		*fs = flowState{gate: FlowGate{
 			Pause: h.knobs.PauseBytes, Resume: h.knobs.ResumeBytes,
 			RefreshGap: h.knobs.RefreshGap,
 		}}
@@ -204,6 +213,8 @@ func (h *Hook) drain(flow netsim.FlowID, fb int64) {
 	}
 	if fs.gate.Occ() == 0 && !fs.gate.Paused() {
 		delete(h.flows, flow) // bound state under flow churn
+		//tfcvet:allow hotalloc — free-list push: OnEnqueue popped with truncation, so this append reuses the retained capacity (grows to the most flows the port ever tracked at once)
+		h.free = append(h.free, fs)
 	}
 }
 

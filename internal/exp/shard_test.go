@@ -14,8 +14,8 @@ import (
 // trial is byte-identical to the sequential one (DESIGN.md §10). These
 // tests run the real experiments both ways and compare every reported
 // quantity, including the raw time series behind the tables. Events is
-// compared too — cross-shard deliveries are one event each, exactly like
-// the port-resident deliveries they replace.
+// compared too — a delivery is one event whether it is scheduled locally
+// or posted through the mailbox.
 
 func TestQueueFairnessShardedIdentical(t *testing.T) {
 	for _, proto := range []Proto{TFC, TCP} {

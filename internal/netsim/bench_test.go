@@ -192,26 +192,61 @@ func BenchmarkComputeRoutes(b *testing.B) {
 
 var benchPort *Port
 
-// BenchmarkRouteLookup times the per-hop route lookup on an edge, an
-// aggregation and a core switch of the k=16 fat tree in turn: one_dst asks
-// for the same destination every time, many_dst walks all 1024 hosts (what
-// a loaded fabric switch sees: forward and reverse routes of many flows
-// interleaved). The two must cost the same, and neither may allocate
-// (scripts/bench.sh gates allocs/op at 0).
-func BenchmarkRouteLookup(b *testing.B) {
+// routeLookup is one destination mix of the per-hop route lookup on the
+// k=16 fat tree: lookup i asks an edge, an aggregation and a core switch in
+// turn for the way to host i&mask.
+type routeLookup struct {
+	name   string
+	layers [3]*Switch
+	hosts  []*Host
+	mask   int
+}
+
+func (r *routeLookup) at(i int) *Port {
+	return r.layers[i%3].PortFor(FlowID(i), r.hosts[i&r.mask].ID())
+}
+
+// routeLookupCases returns the two mixes that matter: one_dst asks for the
+// same destination every time, many_dst walks all 1024 hosts (what a
+// loaded fabric switch sees: forward and reverse routes of many flows
+// interleaved).
+func routeLookupCases() []routeLookup {
 	net, layers, hosts := benchFatTree(16)
 	net.ComputeRoutes()
-	for _, bc := range []struct {
-		name string
-		mask int
-	}{{"one_dst", 0}, {"many_dst", len(hosts) - 1}} {
+	return []routeLookup{
+		{"one_dst", layers, hosts, 0},
+		{"many_dst", layers, hosts, len(hosts) - 1},
+	}
+}
+
+// BenchmarkRouteLookup times the per-hop route lookup. The two mixes must
+// cost the same, and neither may allocate (TestRouteLookupAllocs).
+func BenchmarkRouteLookup(b *testing.B) {
+	for _, bc := range routeLookupCases() {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchPort = layers[i%3].PortFor(FlowID(i), hosts[i&bc.mask].ID())
+				benchPort = bc.at(i)
 			}
 			if benchPort == nil {
 				b.Fatal("no route")
+			}
+		})
+	}
+}
+
+// TestRouteLookupAllocs is the benchmark's alloc budget as a tier-1 test:
+// a route lookup allocates nothing, whatever the destination mix.
+func TestRouteLookupAllocs(t *testing.T) {
+	for _, bc := range routeLookupCases() {
+		t.Run(bc.name, func(t *testing.T) {
+			i := 0
+			allocs := testing.AllocsPerRun(3*1024, func() {
+				benchPort = bc.at(i)
+				i++
+			})
+			if allocs != 0 || benchPort == nil {
+				t.Errorf("%.2f allocs per lookup (last port %v), want 0 and a route", allocs, benchPort)
 			}
 		})
 	}

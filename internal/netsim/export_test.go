@@ -10,15 +10,16 @@ func ArmPoolCheck() (disarm func()) {
 	return func() { poolCheck = false }
 }
 
-// PoolShard is one shard's packet-pool state: the free-list length, and
-// the packets the shard owns now and owned at most.
-type PoolShard struct{ Free, Live, PeakLive int }
+// PoolShard is one shard's pool state: the packet free-list length, the
+// packets the shard owns now and owned at most, and the delivery-carrier
+// free-list length.
+type PoolShard struct{ Free, Live, PeakLive, FreeRx int }
 
 // PoolShards returns the pool state of every shard.
 func (n *Network) PoolShards() []PoolShard {
 	out := make([]PoolShard, len(n.shards))
 	for i, sh := range n.shards {
-		out[i] = PoolShard{Free: len(sh.pktFree), Live: sh.live, PeakLive: sh.peakLive}
+		out[i] = PoolShard{Free: len(sh.pktFree), Live: sh.live, PeakLive: sh.peakLive, FreeRx: len(sh.rxFree)}
 	}
 	return out
 }

@@ -156,11 +156,6 @@ type Endpoint interface {
 type Host struct {
 	nodeBase
 	endpoints map[FlowID]Endpoint
-	// One-entry demux cache: back-to-back deliveries to one flow (a burst
-	// or a single busy connection) skip the map lookup. Invalidated by
-	// Register/Unregister.
-	cachedFlow FlowID
-	cachedEp   Endpoint
 	// Listener creates a receiving endpoint for an incoming SYN of an
 	// unknown flow, or returns nil to refuse it.
 	Listener func(pkt *Packet) Endpoint
@@ -243,13 +238,11 @@ func (h *Host) Send(pkt *Packet) {
 // Register binds an endpoint to a flow ID.
 func (h *Host) Register(id FlowID, ep Endpoint) {
 	h.endpoints[id] = ep
-	h.cachedFlow, h.cachedEp = 0, nil
 }
 
 // Unregister removes a flow binding.
 func (h *Host) Unregister(id FlowID) {
 	delete(h.endpoints, id)
-	h.cachedFlow, h.cachedEp = 0, nil
 }
 
 // Endpoint returns the endpoint bound to id, if any.
@@ -294,26 +287,21 @@ func (h *Host) deliver(pkt *Packet) {
 	if poolCheck {
 		checkLive(pkt, "delivered after release")
 	}
-	ep := h.cachedEp
-	if pkt.Flow != h.cachedFlow || ep == nil {
-		var ok bool
-		ep, ok = h.endpoints[pkt.Flow]
-		if !ok {
-			if pkt.Flags&FlagSYN != 0 && pkt.Flags&FlagACK == 0 && h.Listener != nil {
-				if ep = h.Listener(pkt); ep != nil {
-					h.endpoints[pkt.Flow] = ep
-				}
-			}
-			if ep == nil {
-				h.Stray++
-				if h.net.Probe != nil {
-					h.observe(EvStray, pkt)
-				}
-				h.sh.release(pkt)
-				return
+	ep, ok := h.endpoints[pkt.Flow]
+	if !ok {
+		if pkt.Flags&FlagSYN != 0 && pkt.Flags&FlagACK == 0 && h.Listener != nil {
+			if ep = h.Listener(pkt); ep != nil {
+				h.endpoints[pkt.Flow] = ep
 			}
 		}
-		h.cachedFlow, h.cachedEp = pkt.Flow, ep
+		if ep == nil {
+			h.Stray++
+			if h.net.Probe != nil {
+				h.observe(EvStray, pkt)
+			}
+			h.sh.release(pkt)
+			return
+		}
 	}
 	if h.net.Probe != nil {
 		h.observe(EvDeliver, pkt)
@@ -371,10 +359,9 @@ func (n *Network) NewPacket() *Packet { return n.shards[0].newPacket() }
 
 // Warm pre-sizes the network for an allocation-free run: the packet pool
 // grows to at least packets spare packets, the deferred host-send event
-// pool to a matching depth, and every port's FIFO and in-flight rings to
-// ringCap slots. Benchmarks call it (together with
-// sim.Warm) so the measured steady state performs no allocation at all;
-// cold networks grow on demand instead.
+// pool to a matching depth, and every port's FIFO ring to ringCap slots.
+// Benchmarks call it (together with sim.Warm) so the measured steady state
+// performs no allocation at all; cold networks grow on demand instead.
 func (n *Network) Warm(packets, ringCap int) {
 	for _, sh := range n.shards {
 		for len(sh.pktFree) < packets {
@@ -390,10 +377,7 @@ func (n *Network) Warm(packets, ringCap int) {
 	for _, node := range n.nodes {
 		for _, p := range node.Ports() {
 			if len(p.q) < ringCap {
-				p.growQ2(ringCap)
-			}
-			if len(p.inFl) < ringCap {
-				p.growInFl(ringCap)
+				p.growQ(ringCap)
 			}
 		}
 	}
@@ -406,11 +390,9 @@ func (n *Network) Warm(packets, ringCap int) {
 // Port.ReleasePacket there).
 func (n *Network) ReleasePacket(p *Packet) { n.shards[0].release(p) }
 
-// portEvent is the pooled sim.EventTarget for the one forwarding-path
-// event that still needs a per-packet carrier: a host send deferred by
-// processing jitter (any number can be pending per NIC). Serialization
-// completion and delivery use port-resident events instead — see txEvent
-// and rxEvent in port.go.
+// portEvent is the pooled sim.EventTarget carrying a host send deferred by
+// processing jitter (any number can be pending per NIC). The other two
+// forwarding-path events are txEvent and rxEvent in port.go.
 type portEvent struct {
 	port *Port
 	pkt  *Packet
@@ -488,8 +470,7 @@ func (n *Network) Connect(a, b Node, cfg LinkConfig) (ab, ba *Port) {
 	n.portSeq += 2
 	ab.sh, ab.peerSh = n.shards[0], n.shards[0]
 	ba.sh, ba.peerSh = n.shards[0], n.shards[0]
-	ab.txEv.p, ab.rxEv.p = ab, ab
-	ba.txEv.p, ba.rxEv.p = ba, ba
+	ab.txEv.p, ba.txEv.p = ab, ba
 	a.addPort(ab)
 	b.addPort(ba)
 	return ab, ba

@@ -64,7 +64,9 @@ func TestPoolDiscipline(t *testing.T) {
 					greedy(ft.Env, src, ft.PodHosts[(p+1)%ft.K][i])
 				}
 			}
-			ft.Sim.RunUntil(150 * sim.Millisecond)
+			// Long enough for a one-way migration to show: credit moves ~900
+			// delivery carriers a simulated second into shard 0.
+			ft.Sim.RunUntil(250 * sim.Millisecond)
 			checkPools(t, ft.Net)
 		})
 	}
@@ -75,16 +77,22 @@ func TestPoolDiscipline(t *testing.T) {
 // adds. Pools migrate capacity (a packet is released where it is consumed,
 // not where it was allocated), so a shard that consumed more than it
 // originated would otherwise ratchet its free list up for the whole run.
+// The delivery carriers migrate with the packets and answer to the same
+// bound: a shard never has more deliveries in flight than packets it owns.
 func checkPools(t *testing.T, n *netsim.Network) {
 	t.Helper()
 	for i, sh := range n.PoolShards() {
-		t.Logf("shard %d: free %d, live %d, peak live %d", i, sh.Free, sh.Live, sh.PeakLive)
+		t.Logf("shard %d: free %d, live %d, peak live %d, free carriers %d", i, sh.Free, sh.Live, sh.PeakLive, sh.FreeRx)
 		if sh.Live < 0 {
 			t.Errorf("shard %d: live packet count %d", i, sh.Live)
 		}
 		if sh.Live+sh.Free > sh.PeakLive+netsim.PktSlab {
 			t.Errorf("shard %d: %d live + %d free packets, want <= peak live %d + slab %d",
 				i, sh.Live, sh.Free, sh.PeakLive, netsim.PktSlab)
+		}
+		if sh.FreeRx > sh.PeakLive+netsim.PktSlab+1 {
+			t.Errorf("shard %d: %d free delivery carriers, want <= peak live %d + slab %d + 1",
+				i, sh.FreeRx, sh.PeakLive, netsim.PktSlab)
 		}
 	}
 }

@@ -45,7 +45,7 @@ type Port struct {
 	// Sharding state (see shard.go). sh is the owner's shard — the
 	// goroutine all of this port's events run on; peerSh is the receiving
 	// side's. cross marks a shard-boundary link: deliveries then travel
-	// through the group mailbox instead of the port-resident rxEv. idx is
+	// through the group mailbox instead of the local event queue. idx is
 	// the port's creation index, the stable identity its loss stream and
 	// its delivery rank (the canonical order of simultaneous arrivals at
 	// a node, identical in the sequential and sharded engines) are
@@ -79,22 +79,9 @@ type Port struct {
 	qBytes int
 	busy   bool
 
-	// Batched port execution: the port owns its serialization and delivery
-	// events instead of drawing pooled carriers per packet. txEv is the
-	// single in-flight serialization completion (a port serializes one
-	// frame at a time); rxEv drains inFl, the FIFO ring of frames
-	// propagating on the wire — per-port deliveries share one fixed Delay,
-	// so they complete in exactly the order they were pushed.
-	txEv    txEvent
-	rxEv    rxEvent
-	inFl    []*Packet
-	inFlHd  int
-	inFlLen int
-	// Serialization-time cache: back-to-back frames of one wire size (the
-	// common case on a saturated port) reuse the previous 128-bit TxTime
-	// computation. Invalidated by SetRate.
-	cachedWire int
-	cachedTxT  sim.Time
+	// txEv is the serialization-completion event. A port serializes one
+	// frame at a time, so the event is a slot of the port, not a carrier.
+	txEv txEvent
 	// Link failure state machine (fault injection): while down, arriving
 	// packets are dropped at the wire. cutTx marks a frame that was mid-
 	// serialization when the link went down — it is lost even if the link
@@ -180,7 +167,6 @@ func (p *Port) SetUp() {
 // serialization; a hook caching the rate is notified via RateObserver.
 func (p *Port) SetRate(r Rate) {
 	p.Rate = r
-	p.cachedWire = 0
 	if ro, ok := p.Hook.(RateObserver); ok {
 		ro.OnRateChange(p)
 	}
@@ -214,7 +200,7 @@ func (p *Port) ReleasePacket(pkt *Packet) { p.sh.release(pkt) }
 
 func (p *Port) pushQ(pkt *Packet) {
 	if p.qLen == len(p.q) {
-		p.growQ()
+		p.growQ(2 * len(p.q))
 	}
 	p.q[(p.qHead+p.qLen)&(len(p.q)-1)] = pkt
 	p.qLen++
@@ -228,13 +214,9 @@ func (p *Port) popQ() *Packet {
 	return pkt
 }
 
-func (p *Port) growQ() {
-	p.growQ2(2 * len(p.q))
-}
-
-// growQ2 grows the FIFO ring to at least n slots (rounded up to a power
-// of two, minimum 16).
-func (p *Port) growQ2(n int) {
+// growQ grows the FIFO ring to at least n slots (rounded up to a power of
+// two, minimum 16).
+func (p *Port) growQ(n int) {
 	c := 16
 	for c < n {
 		c <<= 1
@@ -306,9 +288,7 @@ func (p *Port) Enqueue(pkt *Packet) {
 	}
 }
 
-// txEvent is the port-resident serialization-completion event. A port
-// serializes one frame at a time, so a single embedded instance replaces
-// a pooled carrier per packet.
+// txEvent is the port-resident serialization-completion event.
 type txEvent struct {
 	p   *Port
 	pkt *Packet
@@ -321,62 +301,46 @@ func (e *txEvent) RunEvent() {
 	e.p.finishTx(pkt)
 }
 
-// rxEvent is the port-resident delivery event: it hands the oldest
-// in-flight frame to the peer. All of a port's deliveries share the fixed
-// propagation Delay and are scheduled in serialization order, so the
-// (time, rank, seq) dispatch order matches the inFl ring's FIFO order
-// exactly (a port's deliveries all carry its own rank).
+// rxEvent delivers one frame to the peer after the propagation delay. Any
+// number of frames propagate on a wire at once, so each rides its own
+// pooled carrier. A port's deliveries share one fixed Delay and one rank
+// and are scheduled in serialization order, so the engine's (time,
+// schedule instant, rank, seq) key hands them over in exactly that order —
+// whether finishTx scheduled them locally or the group mailbox inserted
+// them — and arbitrates simultaneous arrivals from several ports by port
+// creation order (TestDeliveryOrder). The carrier is drawn from the
+// sending shard's pool and returned to the receiving shard's: over a
+// crossing link pools migrate capacity, but each is only ever touched by
+// its owner.
 type rxEvent struct {
-	p *Port
+	p   *Port
+	pkt *Packet
 }
 
-// RunEvent implements sim.EventTarget.
+// RunEvent implements sim.EventTarget; it executes on the receiving
+// (peer's) shard.
 func (e *rxEvent) RunEvent() {
-	p := e.p
-	pkt := p.inFl[p.inFlHd]
-	p.inFl[p.inFlHd] = nil
-	p.inFlHd = (p.inFlHd + 1) & (len(p.inFl) - 1)
-	p.inFlLen--
-	//tfcvet:allow shardsafe — rxEv only serves non-crossing links (finishTx routes p.cross through Group.Post), so Peer is always on this shard
+	p, pkt := e.p, e.pkt
+	e.p, e.pkt = nil, nil
+	sh := p.peerSh
+	if p.cross {
+		//tfcvet:allow shardsafe — RunEvent executes on the receiving shard (the mailbox moved a crossing delivery here), so peerSh IS this shard
+		sh.adopt()
+	}
+	// Only crossing arrivals bring carriers in (a local delivery returns
+	// the one it drew), but holding every return to the bound adopt keeps
+	// for packets — a shard never has more deliveries in flight than
+	// packets it owns — makes it hold by construction.
+	if len(sh.rxFree) <= sh.peakLive+pktSlab {
+		//tfcvet:allow shardsafe,hotalloc — same shard as above; the free-list append reuses truncation-retained capacity
+		sh.rxFree = append(sh.rxFree, e)
+	}
+	//tfcvet:allow shardsafe — same: execution is already on the peer's shard, so this delivery is shard-local
 	p.Peer.Receive(pkt, p)
 }
 
-func (p *Port) pushInFlight(pkt *Packet) {
-	if p.inFlLen == len(p.inFl) {
-		p.growInFl(2 * len(p.inFl))
-	}
-	p.inFl[(p.inFlHd+p.inFlLen)&(len(p.inFl)-1)] = pkt
-	p.inFlLen++
-}
-
-func (p *Port) growInFl(n int) {
-	c := 16
-	for c < n {
-		c <<= 1
-	}
-	n = c
-	ni := make([]*Packet, n)
-	for i := 0; i < p.inFlLen; i++ {
-		ni[i] = p.inFl[(p.inFlHd+i)&(len(p.inFl)-1)]
-	}
-	p.inFl = ni
-	p.inFlHd = 0
-}
-
-// txTime returns the serialization time of a wire-size, via the one-entry
-// cache (saturated ports serialize runs of equal-size frames).
-func (p *Port) txTime(wireBytes int) sim.Time {
-	if wireBytes != p.cachedWire {
-		p.cachedWire = wireBytes
-		p.cachedTxT = p.Rate.TxTime(wireBytes)
-	}
-	return p.cachedTxT
-}
-
-// startTx begins serializing the head-of-line frame. Completion and
-// delivery are port-resident events (no closures, no per-packet
-// carriers): one fires when the last bit leaves the port, the second
-// after the propagation delay.
+// startTx begins serializing the head-of-line frame; txEv fires when its
+// last bit leaves the port.
 func (p *Port) startTx() {
 	pkt := p.popQ()
 	p.qBytes -= pkt.FrameBytes()
@@ -385,7 +349,7 @@ func (p *Port) startTx() {
 		p.observe(EvDequeue, pkt)
 	}
 	p.txEv.pkt = pkt
-	p.sim.ScheduleAfter(p.txTime(pkt.WireBytes()), &p.txEv)
+	p.sim.ScheduleAfter(p.Rate.TxTime(pkt.WireBytes()), &p.txEv)
 }
 
 // finishTx runs when the frame has fully serialized onto the link.
@@ -403,32 +367,22 @@ func (p *Port) finishTx(pkt *Packet) {
 	}
 	p.TxPackets++
 	p.TxFrames += int64(pkt.FrameBytes())
-	now := p.sim.Now()
 	if p.net.Probe != nil {
 		p.observe(EvTx, pkt)
 	}
 	pkt.Hops++
+	e := p.sh.newRx(p, pkt)
 	if p.cross {
 		// Shard-boundary link: hand the delivery to the group mailbox.
 		// The conservative window guarantees now+Delay is at or past the
 		// next epoch boundary, so the event reaches the peer's shard in
 		// time; (deadline, now, rank) ordering reproduces the sequential
 		// insertion order, including per-port delivery FIFO.
-		sh := p.sh
-		var e *crossRxEvent
-		if k := len(sh.xFree) - 1; k >= 0 {
-			e = sh.xFree[k]
-			sh.xFree[k] = nil
-			sh.xFree = sh.xFree[:k]
-		} else {
-			e = &crossRxEvent{}
-		}
-		e.p, e.pkt = p, pkt
-		sh.live--
-		p.net.group.Post(sh.id, p.peerSh.id, now+p.Delay, now, p.rank(), e)
+		now := p.sim.Now()
+		p.sh.live--
+		p.net.group.Post(p.sh.id, p.peerSh.id, now+p.Delay, now, p.rank(), e)
 	} else {
-		p.pushInFlight(pkt)
-		p.sim.ScheduleAfterRank(p.Delay, &p.rxEv, p.rank())
+		p.sim.ScheduleAfterRank(p.Delay, e, p.rank())
 	}
 	if p.qLen > 0 {
 		p.startTx()

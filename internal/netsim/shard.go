@@ -14,7 +14,7 @@ import (
 // in different shards become the synchronization surface: their
 // propagation delay bounds how far shards may run ahead of each other
 // (the lookahead), and their deliveries travel through the group's
-// deterministic per-epoch mailboxes instead of the port-resident rxEvent.
+// deterministic per-epoch mailboxes instead of the sender's event queue.
 //
 // Entity-owned randomness is a prerequisite: a shared per-trial
 // rand.Rand would be consumed in shard-execution order, which is not the
@@ -40,14 +40,13 @@ type netShard struct {
 	net *Network
 
 	pktFree []*Packet
-	evFree  []*portEvent    // deferred host-send carriers
-	xFree   []*crossRxEvent // cross-shard delivery carriers
+	evFree  []*portEvent // deferred host-send carriers
+	rxFree  []*rxEvent   // delivery carriers
 
 	// live counts the packets this shard owns now (allocated here or
 	// delivered here over a crossing link, and neither released nor sent
 	// across since), peakLive the most it ever did: the shard's own demand
-	// for pool capacity, against which crossRxEvent trims what crossings
-	// bring in.
+	// for pool capacity, against which adopt trims what crossings bring in.
 	live, peakLive int
 }
 
@@ -125,32 +124,17 @@ func (sh *netShard) newHostSend(port *Port, pkt *Packet) *portEvent {
 	return e
 }
 
-// crossRxEvent delivers one packet over a shard-crossing link. Unlike
-// the port-resident rxEvent (which drains the inFl ring in FIFO order),
-// each cross delivery carries its own packet: mailbox insertion already
-// orders deliveries by (time, schedule instant, port rank, post order),
-// which is the same FIFO order per port — and the same canonical
-// arbitration of simultaneous cross-port arrivals the sequential engine
-// applies. The carrier is allocated from the sending shard's pool and
-// released into the receiving shard's — pools migrate capacity but each
-// is only ever touched by its owner.
-type crossRxEvent struct {
-	p   *Port
-	pkt *Packet
-}
-
-// RunEvent implements sim.EventTarget; it executes on the receiving
-// (peer's) shard.
-func (e *crossRxEvent) RunEvent() {
-	p, pkt := e.p, e.pkt
-	e.p, e.pkt = nil, nil
-	sh := p.peerSh
-	//tfcvet:allow shardsafe — as below: peerSh is the shard this event runs on
-	sh.adopt()
-	//tfcvet:allow shardsafe,hotalloc — RunEvent executes on the receiving shard (the mailbox delivered it here), so peerSh IS this shard; the free-list append reuses truncation-retained capacity
-	sh.xFree = append(sh.xFree, e)
-	//tfcvet:allow shardsafe — same: the mailbox already moved execution to the peer's shard, so this delivery is shard-local
-	p.Peer.Receive(pkt, p)
+func (sh *netShard) newRx(p *Port, pkt *Packet) *rxEvent {
+	var e *rxEvent
+	if k := len(sh.rxFree) - 1; k >= 0 {
+		e = sh.rxFree[k]
+		sh.rxFree[k] = nil
+		sh.rxFree = sh.rxFree[:k]
+	} else {
+		e = &rxEvent{}
+	}
+	e.p, e.pkt = p, pkt
+	return e
 }
 
 // adopt takes a packet that arrived over a crossing link into the shard's
@@ -159,7 +143,9 @@ func (e *crossRxEvent) RunEvent() {
 // originates (credits shaped away at its switches, drops, one-way traffic)
 // would grow its free list for as long as the run lasts. So when live plus
 // free packets exceed what the shard itself ever needed plus the slab a
-// pool miss adds, one spare packet is left to the garbage collector.
+// pool miss adds, one spare packet is left to the garbage collector. (The
+// carrier the packet rode in on migrates the same way; rxEvent.RunEvent
+// holds it to the same bound.)
 func (sh *netShard) adopt() {
 	sh.own()
 	if k := len(sh.pktFree) - 1; sh.live+k+1 > sh.peakLive+pktSlab {

@@ -276,7 +276,7 @@ func (g *Group) deliverMail(scratch *[]srcMail) {
 				m.rank == box[i-1].rank && m.src != box[i-1].src {
 				g.Ties++
 			}
-			sh.scheduleMail(m.at, m.schedAt, m.rank, m.tgt)
+			sh.schedule(m.at, m.schedAt, m.rank, m.tgt)
 		}
 		box = box[:0]
 	}
@@ -532,7 +532,7 @@ func (g *Group) drainInstantMail(src int) {
 		sh := g.shards[dst]
 		for i := range row {
 			m := &row[i]
-			sh.scheduleMail(m.at, m.schedAt, m.rank, m.tgt)
+			sh.schedule(m.at, m.schedAt, m.rank, m.tgt)
 			row[i] = mail{}
 		}
 		g.out[src][dst] = row[:0]

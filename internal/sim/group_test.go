@@ -151,6 +151,37 @@ func TestGroupExecutedAggregates(t *testing.T) {
 	}
 }
 
+// TestGroupControlPulse: under a group the control simulator runs only
+// through the merged same-instant step, never through its own run loop.
+// Its pulse must be published all the same — every 1024 events from the
+// one dispatch point, and once more when the run returns.
+func TestGroupControlPulse(t *testing.T) {
+	ctl := New(1)
+	NewGroup(ctl, 2, 10)
+	var p Pulse
+	ctl.SetPulse(&p)
+	const total = 5000 // not a multiple of 1024: only the final publish reports it
+	var midRun uint64
+	n := 0
+	var tick eventFunc
+	tick = func() {
+		if n++; n == 3000 {
+			_, midRun = p.Load()
+		}
+		if n < total {
+			ctl.ScheduleAfter(7, tick)
+		}
+	}
+	ctl.Schedule(1, tick)
+	ctl.Run()
+	if midRun != 2048 {
+		t.Errorf("pulse read inside control event 3000 reports %d executed, want 2048", midRun)
+	}
+	if now, executed := p.Load(); executed != total || now != ctl.Now() || now == 0 {
+		t.Errorf("pulse after the run = (%v, %d), want (%v, %d)", now, executed, ctl.Now(), total)
+	}
+}
+
 func TestGroupPreRunStop(t *testing.T) {
 	_, ctl := newPingHarness(1, 4, 2)
 	ctl.Stop()

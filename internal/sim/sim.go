@@ -80,6 +80,14 @@ type EventTarget interface {
 	RunEvent()
 }
 
+// funcEvent adapts the closure of At/After to the one event
+// representation. A func value is pointer-shaped, so converting it to the
+// interface does not allocate (TestFuncEventNoAlloc).
+type funcEvent func()
+
+// RunEvent implements EventTarget.
+func (f funcEvent) RunEvent() { f() }
+
 // timerNode is one pending-queue entry. Nodes are owned by the Simulator
 // and recycled through its free list after they fire or their cancelled
 // entry is popped; Timer handles reference them together with the
@@ -96,7 +104,6 @@ type timerNode struct {
 	schedAt Time
 	seq     uint64
 	gen     uint64
-	fn      func()
 	target  EventTarget
 	owner   *Simulator // for live-count accounting on Timer.Stop
 	index   int32      // heap index; laneIndex while queued in a lane, -1 once popped
@@ -267,9 +274,9 @@ type Simulator struct {
 	// collection — a pop is a pop).
 	dispHeap uint64
 	dispLane uint64
-	// pulse, when non-nil, is the live-introspection mailbox: the dispatch
-	// loop publishes (now, executed) to it every pulsePeriod events. Nil
-	// costs one pointer test per event, same budget as the probe hooks.
+	// pulse, when non-nil, is the live-introspection mailbox: dispatch
+	// publishes (now, executed) to it every pulseMask+1 events, and every
+	// run once more when it returns.
 	pulse *Pulse
 }
 
@@ -277,7 +284,7 @@ type Simulator struct {
 // (single writer) publishes its clock and event count periodically from the
 // dispatch loop; an observer goroutine (the obs HTTP server) reads the
 // atomics without pausing the run. The published pair is a sample, not a
-// transaction: the two fields may be up to pulsePeriod events apart.
+// transaction: the two fields may be up to pulseMask+1 events apart.
 type Pulse struct {
 	now      atomic.Int64
 	executed atomic.Uint64
@@ -289,16 +296,18 @@ func (p *Pulse) Load() (Time, uint64) {
 	return Time(p.now.Load()), p.executed.Load()
 }
 
-// pulseMask makes the dispatch loop publish every 1024 events: cheap enough
-// to be invisible, fresh enough for a 1 Hz dashboard.
+// pulseMask makes dispatch publish every 1024 events: cheap enough to be
+// invisible, fresh enough for a 1 Hz dashboard.
 const pulseMask = 1<<10 - 1
 
 // SetPulse attaches (or, with nil, detaches) the progress mailbox.
 func (s *Simulator) SetPulse(p *Pulse) { s.pulse = p }
 
 func (s *Simulator) publishPulse() {
-	s.pulse.now.Store(int64(s.now))
-	s.pulse.executed.Store(s.executed)
+	if p := s.pulse; p != nil {
+		p.now.Store(int64(s.now))
+		p.executed.Store(s.executed)
+	}
 }
 
 // DispatchStats reports how many queue pops were served by the 4-ary heap
@@ -347,26 +356,26 @@ func (s *Simulator) Executed() uint64 {
 // the present) runs the event at the current time but after all events
 // already queued for that time. It returns a cancellable handle.
 func (s *Simulator) At(t Time, fn func()) Timer {
-	return s.schedule(t, fn, nil)
+	return s.schedule(t, s.now, NeutralRank, funcEvent(fn))
 }
 
 // After schedules fn d nanoseconds from now. Relative deadlines take the
-// lane fast path when a lane for d exists or is free (see scheduleRel).
+// lane fast path when a lane for d exists or is free (see scheduleAfter).
 func (s *Simulator) After(d Time, fn func()) Timer {
-	return s.scheduleRel(d, fn, nil)
+	return s.scheduleAfter(d, NeutralRank, funcEvent(fn))
 }
 
 // Schedule is the allocation-free variant of At: tgt.RunEvent runs at
 // absolute time t (clamped to now, FIFO among equal times, exactly like
 // At). The target must stay valid until the event fires or is stopped.
 func (s *Simulator) Schedule(t Time, tgt EventTarget) Timer {
-	return s.schedule(t, nil, tgt)
+	return s.schedule(t, s.now, NeutralRank, tgt)
 }
 
 // ScheduleAfter schedules tgt.RunEvent d nanoseconds from now. Relative
 // deadlines take the lane fast path when a lane for d exists or is free.
 func (s *Simulator) ScheduleAfter(d Time, tgt EventTarget) Timer {
-	return s.scheduleRel(d, nil, tgt)
+	return s.scheduleAfter(d, NeutralRank, tgt)
 }
 
 // ScheduleAfterRank is ScheduleAfter with an explicit arrival rank
@@ -376,47 +385,36 @@ func (s *Simulator) ScheduleAfter(d Time, tgt EventTarget) Timer {
 // port's creation index), so that simultaneous arrivals execute in the
 // same canonical order in the sequential and the sharded engine.
 func (s *Simulator) ScheduleAfterRank(d Time, tgt EventTarget, rank int32) Timer {
-	if d < 0 || s.disableLanes {
-		return s.scheduleRank(s.now+d, tgt, rank)
-	}
-	l := s.laneFor(d)
-	if l == nil {
-		return s.scheduleRank(s.now+d, tgt, rank)
-	}
-	n := s.newNode(s.now+d, nil, tgt)
-	n.rank = rank
-	n.index = laneIndex
-	l.push(n)
-	return Timer{n: n, gen: n.gen}
+	return s.scheduleAfter(d, rank, tgt)
 }
 
-// scheduleRank is the heap path of ScheduleAfterRank.
-func (s *Simulator) scheduleRank(t Time, tgt EventTarget, rank int32) Timer {
-	if t < s.now {
-		t = s.now
+// scheduleAfter is the relative-deadline insert. A non-negative fixed
+// delay is pushed onto its lane in O(1); negative delays (clamped to now
+// by the heap path) and delays past the lane cap fall back to the heap.
+// Either placement yields the same execution order — the dispatcher always
+// takes the global (at, schedAt, rank, seq) minimum across heap and lanes.
+func (s *Simulator) scheduleAfter(d Time, rank int32, tgt EventTarget) Timer {
+	if d >= 0 && !s.disableLanes {
+		if l := s.laneFor(d); l != nil {
+			n := s.newNode(s.now+d, s.now, rank, tgt)
+			n.index = laneIndex
+			l.push(n)
+			return Timer{n: n, gen: n.gen}
+		}
 	}
-	n := s.newNode(t, nil, tgt)
-	n.rank = rank
+	return s.schedule(s.now+d, s.now, rank, tgt)
+}
+
+// schedule is the absolute-deadline (heap) insert. schedAt is the local
+// clock for everything this simulator schedules itself; the group's mail
+// delivery passes the sender shard's virtual time at post instead, in
+// deterministic order at an epoch barrier.
+func (s *Simulator) schedule(at, schedAt Time, rank int32, tgt EventTarget) Timer {
+	if at < s.now {
+		at = s.now
+	}
+	n := s.newNode(at, schedAt, rank, tgt)
 	s.push(n)
-	return Timer{n: n, gen: n.gen}
-}
-
-// scheduleRel implements After/ScheduleAfter. A non-negative fixed delay
-// is pushed onto its lane in O(1); negative delays (clamped to now by the
-// heap path) and delays past the lane cap fall back to the heap. Either
-// placement yields the same execution order — the dispatcher always takes
-// the global (at, seq) minimum across heap and lanes.
-func (s *Simulator) scheduleRel(d Time, fn func(), tgt EventTarget) Timer {
-	if d < 0 || s.disableLanes {
-		return s.schedule(s.now+d, fn, tgt)
-	}
-	l := s.laneFor(d)
-	if l == nil {
-		return s.schedule(s.now+d, fn, tgt)
-	}
-	n := s.newNode(s.now+d, fn, tgt)
-	n.index = laneIndex
-	l.push(n)
 	return Timer{n: n, gen: n.gen}
 }
 
@@ -455,7 +453,7 @@ func (s *Simulator) laneFor(d Time) *lane {
 
 // newNode takes a node from the free list (or allocates one) and stamps
 // it with the next sequence number.
-func (s *Simulator) newNode(t Time, fn func(), tgt EventTarget) *timerNode {
+func (s *Simulator) newNode(at, schedAt Time, rank int32, tgt EventTarget) *timerNode {
 	if s.noSchedule {
 		panic("sim: schedule on the control simulator during a parallel shard phase (cross-shard coupling)")
 	}
@@ -467,43 +465,21 @@ func (s *Simulator) newNode(t Time, fn func(), tgt EventTarget) *timerNode {
 	} else {
 		n = &timerNode{}
 	}
-	n.at = t
-	n.schedAt = s.now
+	n.at = at
+	n.schedAt = schedAt
 	n.seq = s.seq
-	n.fn = fn
 	n.target = tgt
 	n.owner = s
-	n.rank = NeutralRank
+	n.rank = rank
 	n.stopped = false
 	s.seq++
 	s.live++
 	return n
 }
 
-func (s *Simulator) schedule(t Time, fn func(), tgt EventTarget) Timer {
-	if t < s.now {
-		t = s.now
-	}
-	n := s.newNode(t, fn, tgt)
-	s.push(n)
-	return Timer{n: n, gen: n.gen}
-}
-
-// scheduleMail inserts a cross-shard arrival with an explicit schedule
-// instant (the sender shard's virtual time at post) and rank. Called
-// only by the group's mail delivery at an epoch barrier, in
-// deterministic order.
-func (s *Simulator) scheduleMail(at, schedAt Time, rank int32, tgt EventTarget) {
-	n := s.newNode(at, nil, tgt)
-	n.schedAt = schedAt
-	n.rank = rank
-	s.push(n)
-}
-
 // recycle returns a popped node to the free list. Bumping the generation
 // invalidates every outstanding handle to the node before it is reused.
 func (s *Simulator) recycle(n *timerNode) {
-	n.fn = nil
 	n.target = nil
 	n.gen++
 	s.free = append(s.free, n)
@@ -622,6 +598,7 @@ func (s *Simulator) Run() { s.RunUntil(maxTime) }
 func (s *Simulator) RunUntil(end Time) {
 	if g := s.group; g != nil {
 		g.runUntil(end)
+		s.publishPulse()
 		return
 	}
 	if s.stopped {
@@ -641,16 +618,20 @@ func (s *Simulator) RunUntil(end Time) {
 	s.stopped = false
 }
 
-// runCore executes events with timestamps strictly below stopBefore, or
-// until the queue drains or Stop. It never advances now past the last
-// executed event; RunUntil layers the tail-advance contract on top, and
-// the sharded group drives one window [now, stopBefore) per epoch.
-func (s *Simulator) runCore(stopBefore Time) {
-	for !s.stopped {
-		// Global minimum across the heap root and the lane heads, with the
-		// same (at, schedAt, seq) tie-break the heap uses internally. Each
-		// lane is internally sorted, so its head is its minimum; the scan
-		// is over at most maxLanes+1 candidates.
+// dispatch is the engine's one event loop; the run loop, the sharded
+// group's peek and its single step are this function under three budgets.
+// It executes pending events in (at, schedAt, rank, seq) order, collecting
+// the cancelled nodes it meets at the front without counting them, until
+// budget events have run (a negative budget is none), the earliest pending
+// node is at or past stopBefore, the queue drains, or an event calls Stop.
+// When it is the budget that ran out it returns the live event it stopped
+// in front of — with budget 0, a peek at the next event that will actually
+// fire — and nil otherwise.
+func (s *Simulator) dispatch(stopBefore Time, budget int) *timerNode {
+	for {
+		// Head: the global minimum across the heap root and the lane heads,
+		// under the heap's own order. Each lane is internally sorted, so its
+		// head is its minimum; the scan is over at most maxLanes+1 candidates.
 		var n *timerNode
 		li := -1
 		if len(s.events) > 0 {
@@ -666,8 +647,12 @@ func (s *Simulator) runCore(stopBefore Time) {
 			}
 		}
 		if n == nil || n.at >= stopBefore {
-			break
+			return nil
 		}
+		if budget == 0 && !n.stopped {
+			return n
+		}
+		// Take: a pop is a pop, of a live node or a cancelled one.
 		if li < 0 {
 			s.popMin()
 			s.dispHeap++
@@ -679,114 +664,54 @@ func (s *Simulator) runCore(stopBefore Time) {
 			s.recycle(n)
 			continue
 		}
+		// Fire. Recycle before invoking: outstanding handles are already
+		// dead (generation bumped), and the callback may schedule fresh
+		// events straight into the node we just returned.
+		budget--
 		s.live--
 		s.now = n.at
 		s.executed++
-		if s.pulse != nil && s.executed&pulseMask == 0 {
+		if s.executed&pulseMask == 0 {
 			s.publishPulse()
 		}
-		// Recycle before invoking: outstanding handles are already dead
-		// (generation bumped), and the callback may schedule fresh events
-		// straight into the node we just returned.
-		if tgt := n.target; tgt != nil {
-			s.recycle(n)
-			tgt.RunEvent()
-		} else {
-			fn := n.fn
-			s.recycle(n)
-			fn()
+		tgt := n.target
+		s.recycle(n)
+		tgt.RunEvent()
+		if s.stopped {
+			return nil
 		}
 	}
-	if s.pulse != nil {
-		s.publishPulse()
+}
+
+// unbounded is dispatch's stopBefore for callers without a time bound.
+const unbounded = Time(1<<63 - 1)
+
+// runCore executes events with timestamps strictly below stopBefore, or
+// until the queue drains or Stop. It never advances now past the last
+// executed event; RunUntil layers the tail-advance contract on top, and
+// the sharded group drives one window [now, stopBefore) per epoch.
+func (s *Simulator) runCore(stopBefore Time) {
+	if !s.stopped { // the group hands windows to a shard whose Stop it has yet to see
+		s.dispatch(stopBefore, -1)
 	}
+	s.publishPulse()
 }
 
 // peekLive returns the (at, schedAt, rank) of the earliest live pending
 // event. Cancelled nodes uncovered at the front are collected on the way
-// — the same discard the dispatch loop performs — so the reported time is
-// the time of an event that will actually fire. ok is false when nothing
-// live is queued.
+// — the same discard the run loop performs — so the reported time is the
+// time of an event that will actually fire. ok is false when nothing live
+// is queued.
 func (s *Simulator) peekLive() (at, schedAt Time, rank int32, ok bool) {
-	for {
-		var n *timerNode
-		li := -1
-		if len(s.events) > 0 {
-			n = s.events[0]
-		}
-		for i := range s.lanes {
-			l := &s.lanes[i]
-			if l.n == 0 {
-				continue
-			}
-			if h := l.ring[l.head]; n == nil || timerLess(h, n) {
-				n, li = h, i
-			}
-		}
-		if n == nil {
-			return 0, 0, 0, false
-		}
-		if !n.stopped {
-			return n.at, n.schedAt, n.rank, true
-		}
-		if li < 0 {
-			s.popMin()
-			s.dispHeap++
-		} else {
-			s.lanes[li].pop()
-			s.dispLane++
-		}
-		s.recycle(n)
+	if n := s.dispatch(unbounded, 0); n != nil {
+		return n.at, n.schedAt, n.rank, true
 	}
+	return 0, 0, 0, false
 }
 
-// runOne pops and executes exactly the earliest live event. The caller
-// (the group's merged same-instant step) must have established via
-// peekLive that one exists.
-func (s *Simulator) runOne() {
-	for {
-		var n *timerNode
-		li := -1
-		if len(s.events) > 0 {
-			n = s.events[0]
-		}
-		for i := range s.lanes {
-			l := &s.lanes[i]
-			if l.n == 0 {
-				continue
-			}
-			if h := l.ring[l.head]; n == nil || timerLess(h, n) {
-				n, li = h, i
-			}
-		}
-		if n == nil {
-			return
-		}
-		if li < 0 {
-			s.popMin()
-			s.dispHeap++
-		} else {
-			s.lanes[li].pop()
-			s.dispLane++
-		}
-		if n.stopped {
-			s.recycle(n)
-			continue
-		}
-		s.live--
-		s.now = n.at
-		s.executed++
-		if tgt := n.target; tgt != nil {
-			s.recycle(n)
-			tgt.RunEvent()
-		} else {
-			fn := n.fn
-			s.recycle(n)
-			fn()
-		}
-		return
-	}
-}
+// runOne executes exactly the earliest live event (the group's merged
+// same-instant step, which has established via peekLive that one exists).
+func (s *Simulator) runOne() { s.dispatch(unbounded, 1) }
 
 // advanceTo moves virtual time forward to t (never backward). The group
 // uses it to line shard clocks up at epoch barriers.

@@ -202,6 +202,29 @@ func TestWarmNoAlloc(t *testing.T) {
 	}
 }
 
+// TestFuncEventNoAlloc pins what lets At/After share the EventTarget-only
+// timer node: a func value is pointer-shaped, so wrapping a pre-built
+// closure in funcEvent stores it in the interface word as is, and
+// scheduling and firing it — lane and heap — allocates nothing.
+func TestFuncEventNoAlloc(t *testing.T) {
+	s := New(1)
+	s.Warm(16, 16)
+	fired := 0
+	fn := func() { fired++ }
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, func() {
+		s.After(5, fn)
+		s.At(s.Now()+3, fn)
+		s.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("After/At with a pre-built func allocated %.1f allocs/run, want 0", allocs)
+	}
+	if fired != 2*(runs+1) { // AllocsPerRun adds one warm-up call
+		t.Fatalf("fired %d closures, want %d", fired, 2*(runs+1))
+	}
+}
+
 // FuzzTimerWheel replays fuzzer-chosen operation scripts against both
 // engines and requires identical fire logs. The two bytes of corpus seed
 // select script seed and length.

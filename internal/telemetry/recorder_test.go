@@ -199,52 +199,84 @@ func TestConcurrentPushersExportIdentical(t *testing.T) {
 	}
 }
 
-// BenchmarkRecorderPush prices one push into a full default-size ring
-// (ns/op is per event) for the three arrival orders that matter: the
-// sequential engine's (ascending), a sharded run's (ascending within a
+// pushOrder is an arrival order: event i carries timestamp ts(i).
+type pushOrder struct {
+	name string
+	ts   func(i int) sim.Time
+}
+
+// pushOrders are the three arrival orders that matter to a full recorder:
+// the sequential engine's (ascending), a sharded run's (ascending within a
 // bounded window) and the worst for the floor test (descending: every
-// event is below the kept range). scripts/bench.sh gates the ascending
-// case at 0 allocs/op.
-func BenchmarkRecorderPush(b *testing.B) {
-	const limit = 1 << 16
+// event is below the kept range).
+func pushOrders() []pushOrder {
 	jitter := make([]sim.Time, 1<<12)
 	rng := rand.New(rand.NewSource(1))
 	for i := range jitter {
 		jitter[i] = sim.Time(rng.Intn(2000))
 	}
-	orders := []struct {
-		name string
-		ts   func(i int) sim.Time
-	}{
+	return []pushOrder{
 		{"ascending", func(i int) sim.Time { return sim.Time(10 * i) }},
 		{"bounded_disorder", func(i int) sim.Time { return sim.Time(10*i) - jitter[i%len(jitter)] }},
 		{"descending", func(i int) sim.Time { return sim.Time(-10 * i) }},
 	}
+}
+
+// fullRecorder returns push(i), which records span event i at ts(i) into a
+// default-size ring that is already full — the ring, its slack and the
+// first compaction are behind it — and the index to go on from.
+func fullRecorder(ts func(i int) sim.Time) (push func(i int), next int) {
+	const limit = 1 << 16
 	names, tracks := [4]string{"queue", "xmit", "wire", "deliver"}, [8]string{}
 	for i := range tracks {
 		tracks[i] = fmt.Sprintf("span f%d", i)
 	}
-	for _, o := range orders {
+	r := &recorder{}
+	r.init(limit)
+	r.reserve(compactAt * limit)
+	e := &event{cat: "span", ph: 'X', dur: 1200, nargs: 3,
+		args: [maxArgs]Arg{{"seq", 0}, {"hop", 1}, {"parent", 0}}}
+	push = func(i int) {
+		e.name, e.track, e.ts = names[i%len(names)], tracks[i%len(tracks)], ts(i)
+		e.args[0].V = float64(i)
+		r.push(e)
+	}
+	const fill = compactAt*limit + 1
+	for i := 0; i < fill; i++ {
+		push(i)
+	}
+	return push, fill
+}
+
+// BenchmarkRecorderPush prices one push into a full default-size ring
+// (ns/op is per event) for each arrival order.
+func BenchmarkRecorderPush(b *testing.B) {
+	for _, o := range pushOrders() {
 		b.Run(o.name, func(b *testing.B) {
-			var r recorder
-			r.init(limit)
-			r.reserve(compactAt * limit)
-			e := event{cat: "span", ph: 'X', dur: 1200, nargs: 3,
-				args: [maxArgs]Arg{{"seq", 0}, {"hop", 1}, {"parent", 0}}}
-			push := func(i int) {
-				e.name, e.track, e.ts = names[i%len(names)], tracks[i%len(tracks)], o.ts(i)
-				e.args[0].V = float64(i)
-				r.push(&e)
-			}
-			const fill = compactAt*limit + 1 // the ring, its slack and the first compaction
-			for i := 0; i < fill; i++ {
-				push(i)
-			}
+			push, next := fullRecorder(o.ts)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				push(fill + i)
+				push(next + i)
 			}
 		})
+	}
+}
+
+// TestRecorderPushAllocs is the benchmark's alloc budget as a tier-1 test:
+// pushes into a full recorder in the sequential engine's order — three
+// more compactions' worth — allocate nothing (the buffer is at full size
+// by then; compaction is in place).
+func TestRecorderPushAllocs(t *testing.T) {
+	push, next := fullRecorder(pushOrders()[0].ts) // ascending
+	const batch = 1 << 10
+	allocs := testing.AllocsPerRun(3*(1<<16)/batch, func() {
+		for i := 0; i < batch; i++ {
+			push(next)
+			next++
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%.1f allocs per %d ascending pushes into a full recorder, want 0", allocs, batch)
 	}
 }

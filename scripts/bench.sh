@@ -31,9 +31,9 @@ fi
 
 # The headline benchmarks (telemetry-off, telemetry-on, and
 # observatory-on engine paths), repeated for a distribution benchstat
-# can consume. The -off figures are the regression gate; the Telemetry
-# delta is the telemetry layer's budget, and the Obs delta (spans on
-# every flow, watchdogs armed, flight ring live) is the observatory's.
+# can consume. The Telemetry delta is the telemetry layer's budget, and
+# the Obs delta (spans on every flow, watchdogs armed, flight ring live)
+# is the observatory's.
 go test -run '^$' -bench '^BenchmarkEngineThroughput(Telemetry|Obs)?$' -count=5 . | tee "$txt"
 
 # The hot-path microbenchmarks, one pass each.
@@ -42,12 +42,9 @@ go test -run '^$' -bench '^Benchmark(SaturatedPort|IncastBurst|ComputeRoutes|Rou
 go test -run '^$' -bench '^BenchmarkRecorderPush$' ./internal/telemetry/ | tee -a "$txt"
 
 # Diff against the most recent committed BENCH_*.json (other than the one
-# being written), and gate hard on the alloc budgets: the steady-state
-# engine path must stay allocation-free both bare and with the full
-# observatory attached (the obs gate matches the telemetry-on baseline
-# in BENCH_2.json, which is also zero), and so must the per-hop route
-# lookup whatever the destination mix and a push into a full trace
-# recorder (its buffer is at full size by then; compaction is in place).
+# being written). The alloc budgets are not gated here: they are plain
+# tests (TestEngineThroughputAllocs, TestEngineThroughputObsAllocs,
+# TestRouteLookupAllocs, TestRecorderPushAllocs) that `go test ./...` runs.
 prev=""
 for f in $(git ls-files 'BENCH_*.json' | sort -V); do
 	[ "$f" = "$json" ] && continue
@@ -56,11 +53,5 @@ done
 prevargs=""
 [ -n "$prev" ] && prevargs="-prev $prev"
 
-go run ./cmd/benchjson -label "$label" -o "$json" $prevargs \
-	-gate 'BenchmarkEngineThroughput:allocs/pkt-hop<=0' \
-	-gate 'BenchmarkEngineThroughputObs:allocs/pkt-hop<=0' \
-	-gate 'BenchmarkRouteLookup/one_dst:allocs/op<=0' \
-	-gate 'BenchmarkRouteLookup/many_dst:allocs/op<=0' \
-	-gate 'BenchmarkRecorderPush/ascending:allocs/op<=0' \
-	"$txt"
+go run ./cmd/benchjson -label "$label" -o "$json" $prevargs "$txt"
 echo "wrote $json"
