@@ -129,6 +129,15 @@ func cli(ctx context.Context, argv []string, stdout io.Writer) (code int) {
 		if err := fs.Parse(args); err != nil {
 			return 2
 		}
+		for _, f := range []struct {
+			name string
+			v    int
+		}{{"j", *jobs}, {"shards", *shards}, {"spans", *spansEvery}} {
+			if f.v < 0 {
+				fmt.Fprintf(os.Stderr, "tfcsim: -%s must not be negative, got %d\n", f.name, f.v)
+				return 2
+			}
+		}
 		if *cpuprofile != "" {
 			f, err := os.Create(*cpuprofile)
 			if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"net"
@@ -84,5 +85,29 @@ func TestCancelledRunCleansUp(t *testing.T) {
 	if heads == 0 || heads != foots || !strings.HasSuffix(text, footer) {
 		t.Errorf("-out file holds %d section headers and %d footers; tail:\n%s",
 			heads, foots, text[max(0, len(text)-200):])
+	}
+}
+
+// TestNegativeCountFlagsRejected: a negative -j, -shards or -spans is a
+// usage error (exit 2) reported before any trial runs, so nothing reaches
+// stdout or the -trace file.
+func TestNegativeCountFlagsRejected(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "t.json")
+	for _, args := range [][]string{
+		{"run", "fig07", "-j", "-3"},
+		{"run", "fig07", "-shards", "-2"},
+		{"run", "fig07", "-spans", "-1", "-trace", trace},
+		{"all", "-j", "-1"},
+	} {
+		var stdout bytes.Buffer
+		if code := cli(context.Background(), args, &stdout); code != 2 {
+			t.Errorf("tfcsim %s exited %d, want 2", strings.Join(args, " "), code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("tfcsim %s ran: stdout %q", strings.Join(args, " "), stdout.String())
+		}
+	}
+	if _, err := os.Stat(trace); err == nil {
+		t.Error("-trace file written by a rejected run")
 	}
 }

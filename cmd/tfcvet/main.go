@@ -3,21 +3,16 @@
 // zero-alloc, and probe-purity contracts every experiment result rests
 // on (see DESIGN.md, "Determinism & pooling contracts"). It runs eight
 // analyzers — the intra-procedural detrand, simtime, mapiter, poolsafe
-// and the call-graph-backed shardsafe, rankreq, hotalloc, probepure — in
-// two modes:
+// and the call-graph-backed shardsafe, rankreq, hotalloc, probepure — as a
+// go vet tool (scripts/vet.sh builds it and runs it so):
 //
-//	go vet -vettool=$(which tfcvet) ./...   # vet config protocol (CI)
-//	tfcvet [-json] ./...                    # standalone, no go vet
+//	go vet -vettool=$(which tfcvet) ./...
 //
-// Standalone, -json renders the findings as a JSON array on stdout
-// (machine consumers; the GitHub problem matcher uses the plain form).
-//
-// Under go vet, the go command hands tfcvet one JSON config per package
-// with paths to gc export data, the same protocol
+// The go command hands tfcvet one JSON config per package with paths to
+// gc export data, the same protocol
 // golang.org/x/tools/go/analysis/unitchecker speaks (reimplemented here
 // on the standard library because this build environment is offline and
-// cannot fetch x/tools). Standalone, tfcvet parses and type-checks the
-// module from source itself.
+// cannot fetch x/tools).
 //
 // Findings are suppressed case-by-case with
 //
@@ -40,16 +35,6 @@ import (
 
 func main() {
 	args := os.Args[1:]
-	jsonOut := false
-	kept := args[:0:0]
-	for _, a := range args {
-		if a == "-json" || a == "--json" {
-			jsonOut = true
-			continue
-		}
-		kept = append(kept, a)
-	}
-	args = kept
 	for _, a := range args {
 		switch a {
 		case "-V=full", "-V":
@@ -71,11 +56,12 @@ func main() {
 	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
 		os.Exit(unitcheckerRun(args[0]))
 	}
-	os.Exit(standaloneRun(args, jsonOut))
+	usage()
+	os.Exit(1)
 }
 
 func usage() {
-	fmt.Printf("usage: tfcvet [-json] [package dir | ./...]...\n\nanalyzers:\n")
+	fmt.Printf("usage: go vet -vettool=$(which tfcvet) [packages]\n\nanalyzers:\n")
 	for _, a := range analysis.All() {
 		fmt.Printf("  %-10s %s\n", a.Name, a.Doc)
 	}

@@ -92,6 +92,9 @@ func (o RunOptions) withDefaults() (RunOptions, error) {
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
+	if o.Shards < -1 {
+		return o, fmt.Errorf("tfcsim: Shards %d (want -1 for auto, or >= 0)", o.Shards)
+	}
 	for _, p := range o.Protos {
 		if _, err := transport.Lookup(string(p)); err != nil {
 			return o, fmt.Errorf("tfcsim: %w", err)

@@ -61,9 +61,7 @@ func buildCallGraph(pass *Pass) *callGraph {
 		// diagnostics), so they must not contribute nodes, roots, or
 		// edges either: under go vet the test-augmented package variant
 		// includes _test.go sources, and a benchmark's event type would
-		// otherwise pull library helpers into the event-reachable set
-		// that the standalone mode (which never loads test files) does
-		// not see.
+		// otherwise pull library helpers into the event-reachable set.
 		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
 			continue
 		}

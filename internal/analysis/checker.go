@@ -10,7 +10,7 @@ import (
 )
 
 // Package is one type-checked package as the checker consumes it —
-// produced either by the loader (standalone tfcvet, tests) or by the
+// produced either by the loader (fixture tests) or by the
 // unitchecker protocol driver (go vet -vettool).
 type Package struct {
 	Path      string

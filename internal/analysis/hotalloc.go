@@ -6,11 +6,12 @@ import (
 	"regexp"
 )
 
-// Hotalloc turns the BENCH_2 allocation gate (0.000 allocs/pkt-hop in the
-// settled window, see BENCH.md) from a benchmark assertion into a lint:
+// Hotalloc turns the allocation gates (TestEngineThroughputAllocs and
+// TestSteadyStateAllocs: 0.000 allocs/pkt-hop in the settled window) from
+// a measured assertion into a lint:
 // inside the forwarding-path packages, every function reachable from an
 // event or forwarding entry point must be allocation-free in steady
-// state. The benchmark can only measure the topologies it runs; the
+// state. The tests can only measure the topologies they run; the
 // analyzer certifies the property for every function the call graph can
 // reach, including paths only exercised under loss, faults, or future
 // transports.
@@ -21,7 +22,7 @@ import (
 // OnEnqueue, and netsim.Interceptor.Intercept. Reachability is computed
 // on the per-package call graph (callgraph.go); cross-package calls into
 // helper packages are invisible to it, which is exactly the gap the
-// BENCH_2 measurement still covers (see the poolsafe_gap fixture corpus).
+// measured gates still cover (see the poolsafe_gap fixture corpus).
 //
 // Five allocation shapes are flagged in reachable bodies:
 //
@@ -46,7 +47,7 @@ var Hotalloc = &Analyzer{
 	Run:  runHotalloc,
 }
 
-// hotallocScope is the set of packages under the BENCH_2 gate.
+// hotallocScope is the set of packages under those gates.
 var hotallocScope = regexp.MustCompile(`^tfcsim/internal/(sim|netsim|core|credit|tcp|dctcp|bfc|tinytcp|transport)($|/)`)
 
 // hotRootNames are the method names that admit control into a package's

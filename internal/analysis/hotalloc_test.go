@@ -13,8 +13,8 @@ import (
 // RunEvent-reachable closure of the call graph, and certifies the approved
 // shapes (pre-sized locals, s[:0] reuse, immediately-invoked literals,
 // panic formatting, cold code, annotated pool growth). The fixture shadows
-// the real tfcsim/internal/tcp import path to land under the BENCH_2
-// gate's package scope.
+// the real tfcsim/internal/tcp import path to land under the package scope
+// of the TestEngineThroughputAllocs/TestSteadyStateAllocs gates.
 func TestHotalloc(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), analysis.Hotalloc,
 		"tfcsim/internal/tcp")

@@ -1,15 +1,13 @@
 // Package loader parses and type-checks packages from source for the
 // tfcvet analyzers, with no dependency on the go command or the module
 // proxy (the build environment is fully offline). Import paths resolve
-// through, in order: GOPATH-style source roots (analysistest fixtures
-// under testdata/src), the enclosing module's directory mapping, and —
-// for everything else, i.e. the standard library — the standard
-// library's own source importer.
+// through GOPATH-style source roots (analysistest fixtures under
+// testdata/src) and — for everything else, i.e. the standard library —
+// the standard library's own source importer.
 //
-// This is the slow-but-simple path used by `tfcvet ./...` run directly
-// and by the analysistest harness; `go vet -vettool=tfcvet` instead
-// feeds the driver gc export data through the vet config protocol and
-// never touches this package.
+// This is the slow-but-simple path of the analysistest harness;
+// `go vet -vettool=tfcvet` instead feeds the driver gc export data
+// through the vet config protocol and never touches this package.
 package loader
 
 import (
@@ -29,16 +27,9 @@ import (
 
 // Config says where import paths live on disk.
 type Config struct {
-	// Fset receives all parsed positions; one FileSet must be shared
-	// across every package of a run. Nil means a fresh FileSet.
-	Fset *token.FileSet
 	// SrcRoots are GOPATH-style roots: import path P may live at
-	// <root>/P. Earlier roots shadow later ones (and the module).
+	// <root>/P. Earlier roots shadow later ones.
 	SrcRoots []string
-	// ModulePath/ModuleDir map the module prefix to its directory:
-	// import path ModulePath/x/y lives at ModuleDir/x/y.
-	ModulePath string
-	ModuleDir  string
 }
 
 // Loader memoizes type-checked packages across Load calls.
@@ -52,10 +43,7 @@ type Loader struct {
 
 // New returns a Loader for the given configuration.
 func New(cfg Config) *Loader {
-	fset := cfg.Fset
-	if fset == nil {
-		fset = token.NewFileSet()
-	}
+	fset := token.NewFileSet()
 	return &Loader{
 		cfg:     cfg,
 		fset:    fset,
@@ -72,14 +60,6 @@ func (l *Loader) dirFor(path string) (string, bool) {
 		dir := filepath.Join(root, filepath.FromSlash(path))
 		if fi, err := os.Stat(dir); err == nil && fi.IsDir() {
 			return dir, true
-		}
-	}
-	if l.cfg.ModulePath != "" {
-		if path == l.cfg.ModulePath {
-			return l.cfg.ModuleDir, true
-		}
-		if rest, found := strings.CutPrefix(path, l.cfg.ModulePath+"/"); found {
-			return filepath.Join(l.cfg.ModuleDir, filepath.FromSlash(rest)), true
 		}
 	}
 	return "", false

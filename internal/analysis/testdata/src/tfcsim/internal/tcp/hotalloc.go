@@ -1,8 +1,9 @@
 // Package tcp is an analysistest fixture for the hotalloc analyzer. Its
-// import path (tfcsim/internal/tcp) sits under the BENCH_2 allocation
-// gate, so event-reachable code must be free of the five allocating
-// shapes: escaping closures, bound method values, fmt calls,
-// ...interface{} boxing, and un-presized appends.
+// import path (tfcsim/internal/tcp) sits under the
+// TestEngineThroughputAllocs/TestSteadyStateAllocs allocation gates, so
+// event-reachable code must be free of the five allocating shapes:
+// escaping closures, bound method values, fmt calls, ...interface{}
+// boxing, and un-presized appends.
 package tcp
 
 import (

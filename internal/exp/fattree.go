@@ -95,12 +95,6 @@ type PermutationConfig struct {
 	BufBytes int
 	Duration sim.Time
 	Warmup   sim.Time
-	// Clock, when set, is the wall clock the run profiles itself with:
-	// the result's BuildNs/RunNs split and, on a sharded run, the engine
-	// group's per-shard work/barrier nanoseconds (sim.Group.SetClock).
-	// The sim and exp packages deliberately do not import time; callers
-	// inject e.g. time.Now().UnixNano. Nil leaves those columns zero.
-	Clock func() int64
 }
 
 // PermutationResult summarizes the permutation run.
@@ -113,13 +107,8 @@ type PermutationResult struct {
 	Drops      int64
 	MaxQueue   int    // worst port queue in the fabric
 	Events     uint64 // simulator events executed by this trial
-	// BuildNs is the wall time of topology build, routing, partition and
-	// transport attach; RunNs that of the event loop (warm-up included).
-	// Both are zero unless PermutationConfig.Clock is set.
-	BuildNs, RunNs int64
-	// Group carries the sharded engine's self-profiling counters
-	// (epochs, ties, per-shard dispatch and barrier time); nil on
-	// sequential (unsharded) runs.
+	// Group carries the sharded engine's counters (epochs, ties,
+	// per-shard dispatch); nil on sequential (unsharded) runs.
 	Group *sim.GroupStats
 }
 
@@ -143,16 +132,7 @@ func Permutation(cfg PermutationConfig) PermutationResult {
 	if cfg.Warmup == 0 {
 		cfg.Warmup = cfg.Duration / 3
 	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = func() int64 { return 0 }
-	}
-	t0 := clock()
 	ft := FatTree(cfg.TopoConfig, cfg.K, cfg.Rate, cfg.BufBytes)
-	built := clock()
-	if g := ft.Net.Group(); g != nil && cfg.Clock != nil {
-		g.SetClock(cfg.Clock)
-	}
 	// Cross-pod permutation: host i of pod p sends to host i of pod p+1.
 	var fs []*faucet
 	for p := 0; p < ft.K; p++ {
@@ -163,7 +143,6 @@ func Permutation(cfg PermutationConfig) PermutationResult {
 			ft.Sim.At(0, f.Start)
 		}
 	}
-	runStart := clock()
 	ft.Sim.RunUntil(cfg.Warmup)
 	base := make([]int64, len(fs))
 	for i, f := range fs {
@@ -171,10 +150,7 @@ func Permutation(cfg PermutationConfig) PermutationResult {
 	}
 	ft.Sim.RunUntil(cfg.Duration)
 	span := (cfg.Duration - cfg.Warmup).Seconds()
-	res := PermutationResult{
-		Proto: cfg.Proto, Hosts: len(fs),
-		BuildNs: built - t0, RunNs: clock() - runStart,
-	}
+	res := PermutationResult{Proto: cfg.Proto, Hosts: len(fs)}
 	res.MinFlow = -1
 	for i, f := range fs {
 		r := float64(f.conn.Received()-base[i]) * 8 / span

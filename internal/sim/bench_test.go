@@ -21,64 +21,3 @@ func BenchmarkTimerChurn(b *testing.B) {
 	b.ResetTimer()
 	s.Run()
 }
-
-// BenchmarkTimerChurnStop measures the arm/cancel/re-arm pattern of
-// retransmission timers: each iteration schedules two timers, stops one,
-// and fires the other.
-func BenchmarkTimerChurnStop(b *testing.B) {
-	b.ReportAllocs()
-	s := New(1)
-	fn := func() {}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		keep := s.After(1, fn)
-		s.After(2, fn).Stop()
-		_ = keep
-		s.RunUntil(s.Now() + 2)
-	}
-}
-
-// BenchmarkEventTarget measures the closure-free Schedule path with a
-// pooled self-rescheduling target — the forwarding path's shape.
-func BenchmarkEventTarget(b *testing.B) {
-	b.ReportAllocs()
-	s := New(1)
-	t := &chainTarget{s: s, left: b.N}
-	b.ResetTimer()
-	s.Schedule(0, t)
-	s.Run()
-}
-
-type chainTarget struct {
-	s    *Simulator
-	left int
-}
-
-func (t *chainTarget) RunEvent() {
-	t.left--
-	if t.left > 0 {
-		t.s.ScheduleAfter(1, t)
-	}
-}
-
-// BenchmarkHeapDepth exercises heap reheapification with a standing
-// population of pending timers (the fan-in shape of incast: thousands of
-// concurrent flows each holding an RTO).
-func BenchmarkHeapDepth(b *testing.B) {
-	for _, depth := range []int{64, 4096} {
-		b.Run(map[int]string{64: "64", 4096: "4096"}[depth], func(b *testing.B) {
-			b.ReportAllocs()
-			s := New(1)
-			fn := func() {}
-			// Standing population with staggered far-future deadlines.
-			for i := 0; i < depth; i++ {
-				s.At(Time(1<<40+i), fn)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.After(1, fn)
-				s.RunUntil(s.Now() + 1)
-			}
-		})
-	}
-}
