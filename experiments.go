@@ -241,7 +241,7 @@ var registry = []Experiment{
 		Name: "fig06", Figure: "Fig 6",
 		Desc: "accuracy of measured rtt_b vs reference RTT (CDF summary)",
 		run: func(ctx context.Context, rc *runCtx) (any, string, error) {
-			cfg := exp.RTTAccuracyConfig{CSVDir: rc.csvDir}
+			cfg := exp.RTTAccuracyConfig{}
 			if rc.paper() {
 				cfg.Duration = 20 * sim.Second
 				cfg.Window = sim.Second
@@ -254,6 +254,11 @@ var registry = []Experiment{
 			})
 			if err != nil {
 				return nil, "", err
+			}
+			if rc.csvDir != "" {
+				if err := exp.SaveRTTAccuracyCSV(rc.csvDir, rs[0]); err != nil {
+					return nil, "", err
+				}
 			}
 			return rs[0], rs[0].String(), nil
 		},
@@ -282,7 +287,7 @@ var registry = []Experiment{
 		Name: "fig08-10", Figure: "Figs 8, 9, 10",
 		Desc: "queue length, goodput/fairness and convergence, 4 staggered flows -> H3, TFC vs DCTCP vs TCP",
 		run: func(ctx context.Context, rc *runCtx) (any, string, error) {
-			cfg := exp.QueueFairnessConfig{CSVDir: rc.csvDir}
+			cfg := exp.QueueFairnessConfig{}
 			cfg.TelemetryC = rc.tel
 			cfg.Shards = rc.shards
 			if rc.paper() {
@@ -293,6 +298,11 @@ var registry = []Experiment{
 			rs, err := exp.QueueFairnessAll(ctx, rc.pool, cfg, rc.protos...)
 			if err != nil {
 				return nil, "", err
+			}
+			if rc.csvDir != "" {
+				if err := exp.SaveQueueFairnessCSV(rc.csvDir, rs); err != nil {
+					return nil, "", err
+				}
 			}
 			return rs, exp.FormatQueueFairness(rs), nil
 		},

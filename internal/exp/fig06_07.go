@@ -24,8 +24,6 @@ type RTTAccuracyConfig struct {
 	// Window over which each rtt_b sample is taken (paper: 1 second;
 	// default 100ms so short runs still yield many samples).
 	Window sim.Time
-	// CSVDir, if non-empty, receives rttb_cdf.csv and reference_cdf.csv.
-	CSVDir string
 }
 
 // RTTAccuracyResult is the Fig 6 output: CDF summaries of measured rtt_b
@@ -105,15 +103,20 @@ func RTTAccuracy(cfg RTTAccuracyConfig) *RTTAccuracyResult {
 		e.Sim.RunUntil(cfg.Duration)
 		res.Events += e.Sim.Executed()
 	}
-	if cfg.CSVDir != "" {
-		_ = trace.SaveTo(cfg.CSVDir, "rttb_cdf.csv", func(w io.Writer) error {
-			return trace.WriteCDF(w, "rttb_us", &res.MeasuredRTTB)
-		})
-		_ = trace.SaveTo(cfg.CSVDir, "reference_cdf.csv", func(w io.Writer) error {
-			return trace.WriteCDF(w, "reference_rtt_us", &res.Reference)
-		})
-	}
 	return res
+}
+
+// SaveRTTAccuracyCSV writes the Fig 6 CDFs into dir as rttb_cdf.csv and
+// reference_cdf.csv.
+func SaveRTTAccuracyCSV(dir string, r *RTTAccuracyResult) error {
+	if err := trace.SaveTo(dir, "rttb_cdf.csv", func(w io.Writer) error {
+		return trace.WriteCDF(w, "rttb_us", &r.MeasuredRTTB)
+	}); err != nil {
+		return err
+	}
+	return trace.SaveTo(dir, "reference_cdf.csv", func(w io.Writer) error {
+		return trace.WriteCDF(w, "reference_rtt_us", &r.Reference)
+	})
 }
 
 // String renders the Fig 6 comparison.

@@ -29,9 +29,6 @@ type QueueFairnessConfig struct {
 	QueueSample sim.Time
 	// GoodputSample period (paper: 20ms; default 5ms).
 	GoodputSample sim.Time
-	// CSVDir, if non-empty, receives queue_<proto>.csv and
-	// goodput_<proto>.csv time series for external plotting.
-	CSVDir string
 }
 
 func (c *QueueFairnessConfig) fill() {
@@ -138,9 +135,8 @@ func QueueFairness(cfg QueueFairnessConfig) *QueueFairnessResult {
 	}
 	res.AggGoodput = agg
 	res.JainIndex = jain(rates)
-	for i, m := range meters {
+	for _, m := range meters {
 		res.Goodputs = append(res.Goodputs, m.Series)
-		_ = i
 	}
 	res.Queue = qs.Series
 	res.MaxQueue = bott.MaxQueue
@@ -150,22 +146,32 @@ func QueueFairness(cfg QueueFairnessConfig) *QueueFairnessResult {
 		res.ConvergeIn = -1 // never converged within the window
 	}
 	res.Events = e.Sim.Executed()
-	if cfg.CSVDir != "" {
-		name := string(cfg.Proto)
-		_ = trace.SaveTo(cfg.CSVDir, "queue_"+name+".csv", func(w io.Writer) error {
-			return trace.WriteTimeSeries(w, "queue_bytes", &res.Queue)
-		})
-		_ = trace.SaveTo(cfg.CSVDir, "goodput_"+name+".csv", func(w io.Writer) error {
-			names := make([]string, len(meters))
-			series := make([]*stats.TimeSeries, len(meters))
-			for i, m := range meters {
+	return res
+}
+
+// SaveQueueFairnessCSV writes each protocol's queue_<proto>.csv and
+// goodput_<proto>.csv time series into dir for external plotting.
+func SaveQueueFairnessCSV(dir string, rs []*QueueFairnessResult) error {
+	for _, r := range rs {
+		name := string(r.Proto)
+		if err := trace.SaveTo(dir, "queue_"+name+".csv", func(w io.Writer) error {
+			return trace.WriteTimeSeries(w, "queue_bytes", &r.Queue)
+		}); err != nil {
+			return err
+		}
+		if err := trace.SaveTo(dir, "goodput_"+name+".csv", func(w io.Writer) error {
+			names := make([]string, len(r.Goodputs))
+			series := make([]*stats.TimeSeries, len(r.Goodputs))
+			for i := range r.Goodputs {
 				names[i] = fmt.Sprintf("flow%d_bps", i+1)
-				series[i] = &m.Series
+				series[i] = &r.Goodputs[i]
 			}
 			return trace.WriteMultiSeries(w, names, series)
-		})
+		}); err != nil {
+			return err
+		}
 	}
-	return res
+	return nil
 }
 
 func jain(xs []float64) float64 {

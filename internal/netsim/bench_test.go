@@ -176,18 +176,43 @@ func benchFatTree(k int) (net *Network, layers [3]*Switch, hosts []*Host) {
 	return net, [3]*Switch{edge, agg, cores[0]}, hosts
 }
 
-// BenchmarkComputeRoutes times routing a built k=16 fat tree (1024 hosts,
-// 320 switches): the set-up every large-fabric trial pays once, and what
-// its tables cost in memory (B/op).
-func BenchmarkComputeRoutes(b *testing.B) {
-	b.Run("fattree-k16", func(b *testing.B) {
-		b.ReportAllocs()
-		net, _, _ := benchFatTree(16)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			net.ComputeRoutes()
+// benchLeafSpine wires exp.LeafSpine's fabric (one spine, racks leaf
+// switches each followed by its perRack hosts) without routing it.
+func benchLeafSpine(racks, perRack int) *Network {
+	net := NewNetwork(sim.New(1))
+	link := LinkConfig{Rate: Gbps, Delay: 20 * sim.Microsecond}
+	spine := net.NewSwitch("spine")
+	for r := 0; r < racks; r++ {
+		leaf := net.NewSwitch("leaf")
+		net.Connect(leaf, spine, link)
+		for j := 0; j < perRack; j++ {
+			net.Connect(net.NewHost("h"), leaf, link)
 		}
-	})
+	}
+	return net
+}
+
+// BenchmarkComputeRoutes times routing the two fabrics that pay for it: a
+// built k=16 fat tree (1024 hosts, 320 switches) and the 18x20 leaf-spine
+// of the web-search workload (360 hosts, 19 switches). It is the set-up
+// every large-fabric trial pays once, and B/op is what its tables cost in
+// memory.
+func BenchmarkComputeRoutes(b *testing.B) {
+	fattree, _, _ := benchFatTree(16)
+	for _, c := range []struct {
+		name string
+		net  *Network
+	}{
+		{"fattree-k16", fattree},
+		{"leafspine-18x20", benchLeafSpine(18, 20)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.net.ComputeRoutes()
+			}
+		})
+	}
 }
 
 var benchPort *Port

@@ -487,23 +487,46 @@ func (n *Network) Connect(a, b Node, cfg LinkConfig) (ab, ba *Port) {
 // whose peer is one hop closer — all of which are settled by the time the
 // BFS expands that node. The distance slice and queue are reused across
 // destinations: no all-pairs table is ever held.
+//
+// Most destinations are leaves: hosts whose only port leads to a switch
+// (which then has exactly one port back). A leaf is reached only through
+// its edge switch and is on no shortest path but its own, so it is neither
+// searched from nor expanded: afterwards every other switch copies its
+// route to the edge switch, and the edge switch routes over its one port
+// to the leaf. Switches and any other host (multi-homed, double-cabled,
+// cabled to a host, isolated) keep their own search.
 func (n *Network) ComputeRoutes() {
 	const unseen = math.MaxInt32
-	// Flat adjacency (a node's ID is its index in n.nodes): node u's ports
-	// are adj[first[u]:first[u+1]], each with its peer's ID alongside, so
-	// the searches below walk two small arrays instead of chasing every
-	// Port and its Peer through the heap once per destination.
+	leaf := make([]bool, len(n.nodes))
+	for u, node := range n.nodes {
+		if h, ok := node.(*Host); ok && len(h.ports) == 1 {
+			_, leaf[u] = h.ports[0].Peer.(*Switch)
+		}
+	}
+	// Flat adjacency without the leaves (a node's ID is its index in
+	// n.nodes): node u's ports are adj[first[u]:first[u+1]], each with its
+	// peer's ID alongside, so the searches below walk two small arrays
+	// instead of chasing every Port and its Peer through the heap once per
+	// destination. toLeaf holds each edge switch's port to a leaf.
 	first := make([]int32, len(n.nodes)+1)
-	var adj []*Port
+	var adj, toLeaf []*Port
 	var peer []NodeID
+	var switches []*Switch
 	for u, node := range n.nodes {
 		if sw, ok := node.(*Switch); ok {
 			sw.routeIdx = make([]uint16, len(n.nodes))
 			sw.routeSets = [][]*Port{nil}
+			switches = append(switches, sw)
 		}
 		for _, p := range node.Ports() {
-			adj = append(adj, p)
-			peer = append(peer, p.Peer.ID())
+			switch v := p.Peer.ID(); {
+			case leaf[u]:
+			case leaf[v]:
+				toLeaf = append(toLeaf, p)
+			default:
+				adj = append(adj, p)
+				peer = append(peer, v)
+			}
 		}
 		first[u+1] = int32(len(adj))
 	}
@@ -511,6 +534,9 @@ func (n *Network) ComputeRoutes() {
 	queue := make([]NodeID, 0, len(n.nodes))
 	var hops []*Port
 	for dst := range n.nodes {
+		if leaf[dst] {
+			continue
+		}
 		for i := range dist {
 			dist[i] = unseen
 		}
@@ -531,6 +557,16 @@ func (n *Network) ComputeRoutes() {
 			}
 			if sw, ok := n.nodes[u].(*Switch); ok && len(hops) > 0 {
 				sw.routeIdx[dst] = sw.internRouteSet(hops)
+			}
+		}
+	}
+	for _, sw := range switches {
+		for _, p := range toLeaf {
+			dst, edge := p.Peer.ID(), p.Owner.(*Switch)
+			if edge == sw {
+				sw.routeIdx[dst] = sw.internRouteSet(append(hops[:0], p))
+			} else {
+				sw.routeIdx[dst] = sw.routeIdx[edge.id]
 			}
 		}
 	}

@@ -12,6 +12,7 @@ package netsim_test
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -190,6 +191,113 @@ func TestRoutesMatchReference(t *testing.T) {
 	})
 }
 
+// ComputeRoutes searches only from nodes that are not leaves (a host whose
+// one port leads to a switch) and copies the edge switch's routes for the
+// leaves. Each topology here takes a different branch of that test; the
+// comment says which hosts are not leaves.
+func TestRoutesHostShapes(t *testing.T) {
+	topos := []struct {
+		name  string
+		build func(n *netsim.Network)
+	}{
+		{"double-cabled", func(n *netsim.Network) {
+			// h is cabled twice to sw: two equal-cost ports, not a leaf.
+			h, sw, s2, g := n.NewHost("h"), n.NewSwitch("sw"), n.NewSwitch("s2"), n.NewHost("g")
+			n.Connect(h, sw, refLink)
+			n.Connect(sw, s2, refLink)
+			n.Connect(h, sw, refLink)
+			n.Connect(s2, g, refLink)
+		}},
+		{"multi-homed", func(n *netsim.Network) {
+			// h sits on s1 and s2, which have no other path between them:
+			// h is the only transit from g1 to g2.
+			s1, s2 := n.NewSwitch("s1"), n.NewSwitch("s2")
+			g1, h, g2 := n.NewHost("g1"), n.NewHost("h"), n.NewHost("g2")
+			n.Connect(g1, s1, refLink)
+			n.Connect(s1, h, refLink)
+			n.Connect(h, s2, refLink)
+			n.Connect(s2, g2, refLink)
+		}},
+		{"host-pair", func(n *netsim.Network) {
+			// h1 and h2 are cabled only to each other; sw is elsewhere.
+			h1, h2 := n.NewHost("h1"), n.NewHost("h2")
+			sw, g := n.NewSwitch("sw"), n.NewHost("g")
+			n.Connect(h1, h2, refLink)
+			n.Connect(g, sw, refLink)
+		}},
+		{"host-behind-host", func(n *netsim.Network) {
+			// h1's one port leads to a host, and h2 relays for it.
+			h1, h2 := n.NewHost("h1"), n.NewHost("h2")
+			sw, s2, g := n.NewSwitch("sw"), n.NewSwitch("s2"), n.NewHost("g")
+			n.Connect(h1, h2, refLink)
+			n.Connect(h2, sw, refLink)
+			n.Connect(sw, s2, refLink)
+			n.Connect(s2, g, refLink)
+		}},
+		{"isolated-host", func(n *netsim.Network) {
+			// lone has no port at all.
+			g1, sw := n.NewHost("g1"), n.NewSwitch("sw")
+			n.NewHost("lone")
+			g2 := n.NewHost("g2")
+			n.Connect(g1, sw, refLink)
+			n.Connect(sw, g2, refLink)
+		}},
+		{"bare-edge", func(n *netsim.Network) {
+			// A leaf whose edge switch has no other link, beside a routed
+			// island.
+			h, edge := n.NewHost("h"), n.NewSwitch("edge")
+			g1, sw, g2 := n.NewHost("g1"), n.NewSwitch("sw"), n.NewHost("g2")
+			n.Connect(h, edge, refLink)
+			n.Connect(g1, sw, refLink)
+			n.Connect(sw, g2, refLink)
+		}},
+	}
+	for _, tp := range topos {
+		t.Run(tp.name, func(t *testing.T) {
+			n := netsim.NewNetwork(sim.New(1))
+			tp.build(n)
+			n.ComputeRoutes()
+			checkAgainstReference(t, n)
+		})
+	}
+}
+
+// FuzzComputeRoutes diffs random networks against the oracle: a random,
+// possibly disconnected mesh of switches (parallel cables and self-loops
+// included), and hosts with 0–2 cables each to random switches or earlier
+// hosts, so leaves, multi-homed, double-cabled and isolated hosts and host
+// chains all mix.
+func FuzzComputeRoutes(f *testing.F) {
+	for _, seed := range []int64{1, 2, 3, 42, 1 << 40} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		n := netsim.NewNetwork(sim.New(1))
+		switches := make([]*netsim.Switch, 1+rng.Intn(6))
+		for i := range switches {
+			switches[i] = n.NewSwitch(fmt.Sprint("s", i))
+		}
+		for range rng.Intn(2 * len(switches)) {
+			n.Connect(switches[rng.Intn(len(switches))], switches[rng.Intn(len(switches))], refLink)
+		}
+		var hosts []*netsim.Host
+		for i := range 1 + rng.Intn(10) {
+			h := n.NewHost(fmt.Sprint("h", i))
+			for range rng.Intn(3) {
+				if len(hosts) > 0 && rng.Intn(4) == 0 {
+					n.Connect(h, hosts[rng.Intn(len(hosts))], refLink)
+				} else {
+					n.Connect(h, switches[rng.Intn(len(switches))], refLink)
+				}
+			}
+			hosts = append(hosts, h)
+		}
+		n.ComputeRoutes()
+		checkAgainstReference(t, n)
+	})
+}
+
 // Two islands: nothing routes across, the lookups say so with nil, and a
 // packet sent across anyway is counted as unroutable at the first switch.
 func TestRoutesDisconnected(t *testing.T) {
@@ -255,6 +363,15 @@ func TestRoutesRefreshAfterGrowth(t *testing.T) {
 	}
 	if s1.PortTo(h3.ID()) == nil {
 		t.Fatal("no route to the new host after the refresh")
+	}
+
+	// A second cable makes h3 multi-homed: it is no longer a leaf, and a
+	// now reaches it directly instead of through b's copied routes.
+	n.Connect(h3, a, refLink)
+	n.ComputeRoutes()
+	checkAgainstReference(t, n)
+	if got := a.PortTo(h3.ID()); got == nil || got.Peer != h3 {
+		t.Fatal("a does not reach the multi-homed h3 over its own cable")
 	}
 }
 

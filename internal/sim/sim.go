@@ -374,6 +374,10 @@ func (s *Simulator) Schedule(t Time, tgt EventTarget) Timer {
 
 // ScheduleAfter schedules tgt.RunEvent d nanoseconds from now. Relative
 // deadlines take the lane fast path when a lane for d exists or is free.
+// It is for fixed-delay classes (a link's propagation delay, a constant
+// timeout): every distinct d holds one of the few lanes while it has
+// events queued. A delay recomputed on every arm (a rate-dependent gap, a
+// token deficit) belongs on Schedule(Now()+d, tgt) — same order, no lane.
 func (s *Simulator) ScheduleAfter(d Time, tgt EventTarget) Timer {
 	return s.scheduleAfter(d, NeutralRank, tgt)
 }

@@ -233,17 +233,18 @@ func TestCSVExportByteIdentical(t *testing.T) {
 			}
 		}
 	}
-	// A directory that cannot be created fails fig13's run after its trial
-	// finished; the error is not dropped. (fig06 and fig08-10 do drop
-	// theirs: exp.RTTAccuracy and exp.QueueFairness return none.)
-	e, _ := Find("fig13")
+	// A directory that cannot be created fails the run after its trials
+	// finished; the error is not dropped.
 	file := filepath.Join(t.TempDir(), "file")
 	if err := os.WriteFile(file, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	opts := RunOptions{Scale: Quick, Seed: 7, Protos: []Proto{TFC}, CSVDir: filepath.Join(file, "sub")}
-	if _, err := e.Run(context.Background(), opts); err == nil {
-		t.Error("fig13: CSVDir under a regular file: no error")
+	for _, name := range []string{"fig06", "fig08-10", "fig13"} {
+		e, _ := Find(name)
+		if _, err := e.Run(context.Background(), opts); err == nil {
+			t.Errorf("%s: CSVDir under a regular file: no error", name)
+		}
 	}
 }
 
