@@ -21,7 +21,7 @@ type Claim struct {
 	Check func() (string, bool)
 }
 
-// claimPool fans a claim's trials across cores while keeping every trial
+// claimPool fans a claim's cells across cores while keeping every trial
 // on seed 1 (the pre-pool serial schedule), so the evidence numbers the
 // checks assert against are unchanged by parallel execution.
 func claimPool() *runner.Pool { return (&runner.Pool{BaseSeed: 1}).Paired() }
@@ -33,8 +33,9 @@ func Claims() []Claim {
 			ID:        "zero-queueing",
 			Statement: "TFC keeps near-zero queues where TCP fills the buffer and DCTCP holds ~K (Fig 8)",
 			Check: func() (string, bool) {
-				rs, err := exp.QueueFairnessAll(context.Background(), claimPool(),
-					exp.QueueFairnessConfig{StartInterval: 40 * sim.Millisecond})
+				rs, err := exp.Sweep(context.Background(), claimPool(), nil,
+					exp.PerProto(exp.QueueFairnessConfig{StartInterval: 40 * sim.Millisecond}, exp.AllProtos),
+					exp.ProtoKey, exp.QueueFairness)
 				if err != nil {
 					return err.Error(), false
 				}
@@ -106,10 +107,11 @@ func Claims() []Claim {
 			ID:        "query-fct-tails",
 			Statement: "TFC's query-flow FCT mean and tails sit far below TCP's RTO-bound tails (Fig 13)",
 			Check: func() (string, bool) {
-				rs, err := exp.BenchmarkAll(context.Background(), claimPool(),
-					exp.BenchmarkConfig{
+				rs, err := exp.Sweep(context.Background(), claimPool(), nil,
+					exp.PerProto(exp.BenchmarkConfig{
 						Duration: 150 * sim.Millisecond, QueryRate: 150, BgFlowRate: 250,
-					}, []exp.Proto{exp.TFC, exp.TCP})
+					}, []exp.Proto{exp.TFC, exp.TCP}),
+					exp.ProtoKey, exp.Benchmark)
 				if err != nil {
 					return err.Error(), false
 				}
@@ -125,9 +127,12 @@ func Claims() []Claim {
 			ID:        "rho0-knob",
 			Statement: "goodput rises monotonically with rho0 while queues stay ~KB (Fig 14)",
 			Check: func() (string, bool) {
-				pts := exp.Rho0Sweep(exp.Rho0SweepConfig{
-					Rho0s: []float64{0.90, 1.00}, Duration: 300 * sim.Millisecond,
-				})
+				pts, err := exp.Sweep(context.Background(), claimPool(), nil,
+					rho0Cells(exp.Rho0SweepConfig{Duration: 300 * sim.Millisecond}, 0.90, 1.00),
+					rho0Key, exp.Rho0Sweep)
+				if err != nil {
+					return err.Error(), false
+				}
 				ev := fmt.Sprintf("rho0.90=%.0fMbps rho1.00=%.0fMbps (avgQ %.1fKB)",
 					pts[0].Goodput/1e6, pts[1].Goodput/1e6, pts[1].AvgQ/1024)
 				return ev, pts[0].Goodput < pts[1].Goodput && pts[1].AvgQ < 8<<10 &&

@@ -158,11 +158,6 @@ func (rc *runCtx) protoList(def []exp.Proto) []exp.Proto {
 	return def
 }
 
-// trial mints the telemetry sink for one keyed trial (nil when telemetry
-// is off). Keys must be unique per run and derived from the trial's grid
-// position, never from timing.
-func (rc *runCtx) trial(key string) *telemetry.Trial { return rc.tel.Trial(key) }
-
 // subPool returns a pool like rc.pool but with an independent seed branch,
 // for experiments that submit more than one batch of trials (fig15's
 // per-block sweeps) so trial seeds do not repeat across batches.
@@ -246,12 +241,8 @@ var registry = []Experiment{
 				cfg.Duration = 20 * sim.Second
 				cfg.Window = sim.Second
 			}
-			rs, _, err := runner.Map(ctx, rc.pool, 1, func(_ int, seed int64) (*exp.RTTAccuracyResult, error) {
-				c := cfg
-				c.Seed = seed
-				c.Telemetry = rc.trial("loaded")
-				return exp.RTTAccuracy(c), nil
-			})
+			rs, err := exp.Sweep(ctx, rc.pool, rc.tel, []exp.RTTAccuracyConfig{cfg},
+				func(exp.RTTAccuracyConfig) string { return "loaded" }, exp.RTTAccuracy)
 			if err != nil {
 				return nil, "", err
 			}
@@ -271,12 +262,8 @@ var registry = []Experiment{
 			if rc.paper() {
 				cfg.Interval = sim.Second
 			}
-			rs, _, err := runner.Map(ctx, rc.pool, 1, func(_ int, seed int64) (*exp.NeAccuracyResult, error) {
-				c := cfg
-				c.Seed = seed
-				c.Telemetry = rc.trial("ne-accuracy")
-				return exp.NeAccuracy(c), nil
-			})
+			rs, err := exp.Sweep(ctx, rc.pool, rc.tel, []exp.NeAccuracyConfig{cfg},
+				func(exp.NeAccuracyConfig) string { return "ne-accuracy" }, exp.NeAccuracy)
 			if err != nil {
 				return nil, "", err
 			}
@@ -288,14 +275,14 @@ var registry = []Experiment{
 		Desc: "queue length, goodput/fairness and convergence, 4 staggered flows -> H3, TFC vs DCTCP vs TCP",
 		run: func(ctx context.Context, rc *runCtx) (any, string, error) {
 			cfg := exp.QueueFairnessConfig{}
-			cfg.TelemetryC = rc.tel
 			cfg.Shards = rc.shards
 			if rc.paper() {
 				cfg.StartInterval = 3 * sim.Second
 				cfg.Tail = 3 * sim.Second
 				cfg.GoodputSample = 20 * sim.Millisecond
 			}
-			rs, err := exp.QueueFairnessAll(ctx, rc.pool, cfg, rc.protos...)
+			rs, err := exp.Sweep(ctx, rc.pool, rc.tel, exp.PerProto(cfg, rc.protoList(exp.AllProtos)),
+				exp.ProtoKey, exp.QueueFairness)
 			if err != nil {
 				return nil, "", err
 			}
@@ -317,21 +304,11 @@ var registry = []Experiment{
 			}
 			// The ablation is a paired comparison: both variants run with
 			// the same seed so only DisableAdjust differs.
-			variant := func(disable bool) func(int64) (*exp.WorkConservingResult, error) {
-				key := "full"
-				if disable {
-					key = "no-adjust"
-				}
-				return func(seed int64) (*exp.WorkConservingResult, error) {
-					c := cfg
-					c.Seed = seed
-					c.DisableAdjust = disable
-					c.Telemetry = rc.trial(key)
-					return exp.WorkConserving(c), nil
-				}
-			}
-			rs, _, err := runner.Run(ctx, rc.pool.Paired(),
-				[]func(int64) (*exp.WorkConservingResult, error){variant(false), variant(true)})
+			cells := []exp.WorkConservingConfig{cfg, cfg}
+			cells[1].DisableAdjust = true
+			rs, err := exp.Sweep(ctx, rc.pool.Paired(), rc.tel, cells,
+				func(c exp.WorkConservingConfig) string { return variant(c.DisableAdjust, "full", "no-adjust") },
+				exp.WorkConserving)
 			if err != nil {
 				return nil, "", err
 			}
@@ -342,18 +319,14 @@ var registry = []Experiment{
 		Name: "fig12", Figure: "Fig 12",
 		Desc: "testbed incast: goodput and queue vs number of senders (1G, 256KB blocks)",
 		run: func(ctx context.Context, rc *runCtx) (any, string, error) {
-			cfg := exp.IncastConfig{}
-			cfg.TelemetryC = rc.tel
-			cfg.Shards = rc.shards // documented no-op: exp.Incast forces sequential
+			cfg := exp.IncastConfig{Rounds: 4}
 			senders := []int{10, 40, 70, 100}
-			protos := rc.protoList(exp.AllProtos)
 			if rc.paper() {
 				cfg.Rounds = 100
 				senders = []int{5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
-			} else {
-				cfg.Rounds = 4
 			}
-			pts, err := exp.IncastSweep(ctx, rc.pool, cfg, senders, protos)
+			pts, err := exp.Sweep(ctx, rc.pool, rc.tel,
+				exp.IncastGrid(cfg, rc.protoList(exp.AllProtos), senders), exp.IncastKey, exp.Incast)
 			if err != nil {
 				return nil, "", err
 			}
@@ -370,13 +343,13 @@ var registry = []Experiment{
 		Desc: "testbed web-search benchmark: query and background FCT, TFC vs DCTCP vs TCP",
 		run: func(ctx context.Context, rc *runCtx) (any, string, error) {
 			cfg := exp.BenchmarkConfig{}
-			cfg.TelemetryC = rc.tel
 			if rc.paper() {
 				cfg.Duration = 2 * sim.Second
 				cfg.QueryRate = 300
 				cfg.BgFlowRate = 500
 			}
-			rs, err := exp.BenchmarkAll(ctx, rc.pool, cfg, rc.protoList(exp.AllProtos))
+			rs, err := exp.Sweep(ctx, rc.pool, rc.tel, exp.PerProto(cfg, rc.protoList(exp.AllProtos)),
+				exp.ProtoKey, exp.Benchmark)
 			if err != nil {
 				return nil, "", err
 			}
@@ -392,18 +365,12 @@ var registry = []Experiment{
 		Name: "fig14", Figure: "Fig 14",
 		Desc: "impact of rho0: goodput and queue for rho0 in 0.90..1.00",
 		run: func(ctx context.Context, rc *runCtx) (any, string, error) {
-			cfg := exp.Rho0SweepConfig{Rho0s: []float64{0.90, 0.92, 0.94, 0.96, 0.98, 1.00}}
-			cfg.TelemetryC = rc.tel
+			cfg := exp.Rho0SweepConfig{}
 			if rc.paper() {
 				cfg.Duration = 2 * sim.Second
 			}
-			// One trial per rho0 point.
-			pts, _, err := runner.Map(ctx, rc.pool, len(cfg.Rho0s), func(i int, seed int64) (exp.Rho0Point, error) {
-				c := cfg
-				c.Rho0s = cfg.Rho0s[i : i+1]
-				c.Seed = seed
-				return exp.Rho0Sweep(c)[0], nil
-			})
+			pts, err := exp.Sweep(ctx, rc.pool, rc.tel, rho0Cells(cfg, 0.90, 0.92, 0.94, 0.96, 0.98, 1.00),
+				rho0Key, exp.Rho0Sweep)
 			if err != nil {
 				return nil, "", err
 			}
@@ -429,10 +396,10 @@ var registry = []Experiment{
 					Rate: 10 * netsim.Gbps, BufBytes: 512 << 10,
 					BlockBytes: blk, Rounds: rounds,
 				}
-				cfg.TelemetryC = rc.tel
-				cfg.TelemetryKey = fmt.Sprintf("b%dK", blk>>10)
-				pts, err := exp.IncastSweep(ctx, rc.subPool(bi), cfg, senders,
-					rc.protoList([]exp.Proto{exp.TFC, exp.TCP}))
+				pts, err := exp.Sweep(ctx, rc.subPool(bi), rc.tel,
+					exp.IncastGrid(cfg, rc.protoList([]exp.Proto{exp.TFC, exp.TCP}), senders),
+					func(c exp.IncastConfig) string { return fmt.Sprintf("b%dK/", blk>>10) + exp.IncastKey(c) },
+					exp.Incast)
 				if err != nil {
 					return nil, "", err
 				}
@@ -449,7 +416,6 @@ var registry = []Experiment{
 		Desc: "large-scale web-search benchmark (leaf-spine): query and background FCT",
 		run: func(ctx context.Context, rc *runCtx) (any, string, error) {
 			cfg := exp.BenchmarkConfig{BufBytes: 512 << 10}
-			cfg.TelemetryC = rc.tel
 			protos := rc.protoList([]exp.Proto{exp.TFC, exp.TCP})
 			if rc.paper() {
 				cfg.Racks, cfg.PerRack = 18, 20
@@ -463,7 +429,7 @@ var registry = []Experiment{
 				cfg.QueryRate = 100
 				cfg.BgFlowRate = 300
 			}
-			rs, err := exp.BenchmarkAll(ctx, rc.pool, cfg, protos)
+			rs, err := exp.Sweep(ctx, rc.pool, rc.tel, exp.PerProto(cfg, protos), exp.ProtoKey, exp.Benchmark)
 			if err != nil {
 				return nil, "", err
 			}
@@ -474,17 +440,14 @@ var registry = []Experiment{
 		Name: "fattree", Figure: "extension (§4.3 multi-rooted trees)",
 		Desc: "k-ary fat-tree cross-pod permutation over ECMP: TFC vs TCP fabric queues",
 		run: func(ctx context.Context, rc *runCtx) (any, string, error) {
-			cfg := exp.PermutationConfig{}
-			cfg.TelemetryC = rc.tel
+			cfg := exp.PermutationConfig{Duration: 150 * sim.Millisecond}
 			cfg.Shards = rc.shards
 			if rc.paper() {
 				cfg.K = 8
 				cfg.Duration = 300 * sim.Millisecond
-			} else {
-				cfg.Duration = 150 * sim.Millisecond
 			}
-			rs, err := exp.PermutationAll(ctx, rc.pool, cfg,
-				rc.protoList([]exp.Proto{exp.TFC, exp.TCP}))
+			rs, err := exp.Sweep(ctx, rc.pool, rc.tel,
+				exp.PerProto(cfg, rc.protoList([]exp.Proto{exp.TFC, exp.TCP})), exp.ProtoKey, exp.Permutation)
 			if err != nil {
 				return nil, "", err
 			}
@@ -496,11 +459,11 @@ var registry = []Experiment{
 		Desc: "Storm-style on-off flows: silent-share reclamation and burst-free resume",
 		run: func(ctx context.Context, rc *runCtx) (any, string, error) {
 			cfg := exp.ChurnConfig{}
-			cfg.TelemetryC = rc.tel
 			if rc.paper() {
 				cfg.Duration = 2 * sim.Second
 			}
-			rs, err := exp.ChurnAll(ctx, rc.pool, cfg, rc.protoList(exp.AllProtos))
+			rs, err := exp.Sweep(ctx, rc.pool, rc.tel, exp.PerProto(cfg, rc.protoList(exp.AllProtos)),
+				exp.ProtoKey, exp.Churn)
 			if err != nil {
 				return nil, "", err
 			}
@@ -512,13 +475,17 @@ var registry = []Experiment{
 		Desc: "failure recovery: bottleneck blackouts (5/50/500ms) and 1% bursty loss, TFC vs DCTCP vs TCP",
 		run: func(ctx context.Context, rc *runCtx) (any, string, error) {
 			cfg := exp.RobustnessConfig{}
-			cfg.TelemetryC = rc.tel
 			cfg.Shards = rc.shards
 			if rc.paper() {
 				cfg.Tail = 2 * sim.Second
 			}
-			rs, err := exp.RobustnessSweep(ctx, rc.pool, cfg, exp.DefaultScenarios,
-				rc.protoList(exp.AllProtos))
+			var cells []exp.RobustnessConfig
+			for _, sc := range exp.DefaultScenarios {
+				cfg.FaultScenario = sc
+				cells = append(cells, exp.PerProto(cfg, rc.protoList(exp.AllProtos))...)
+			}
+			rs, err := exp.Sweep(ctx, rc.pool, rc.tel, cells,
+				func(c exp.RobustnessConfig) string { return c.Name + "-" + string(c.Proto) }, exp.Robustness)
 			if err != nil {
 				return nil, "", err
 			}
@@ -529,17 +496,14 @@ var registry = []Experiment{
 		Name: "credit-baseline", Figure: "extension (§7 credit-based flow control)",
 		Desc: "TFC vs an ExpressPass-style receiver-driven credit transport on incast",
 		run: func(ctx context.Context, rc *runCtx) (any, string, error) {
-			cfg := exp.IncastConfig{BufBytes: 64 << 10}
-			cfg.TelemetryC = rc.tel
+			cfg := exp.IncastConfig{BufBytes: 64 << 10, Rounds: 4}
 			senders := []int{20, 60}
 			if rc.paper() {
 				cfg.Rounds = 50
 				senders = []int{10, 40, 70, 100}
-			} else {
-				cfg.Rounds = 4
 			}
-			pts, err := exp.IncastSweep(ctx, rc.pool, cfg, senders,
-				rc.protoList([]exp.Proto{exp.TFC, exp.CREDIT}))
+			pts, err := exp.Sweep(ctx, rc.pool, rc.tel,
+				exp.IncastGrid(cfg, rc.protoList([]exp.Proto{exp.TFC, exp.CREDIT}), senders), exp.IncastKey, exp.Incast)
 			if err != nil {
 				return nil, "", err
 			}
@@ -560,21 +524,11 @@ var registry = []Experiment{
 			cfg.Proto = exp.TFC
 			cfg.Senders = 80
 			// Paired comparison: same seed, only DisableDelay differs.
-			variant := func(disable bool) func(int64) (exp.IncastPoint, error) {
-				key := "full"
-				if disable {
-					key = "no-delay"
-				}
-				return func(seed int64) (exp.IncastPoint, error) {
-					c := cfg
-					c.Seed = seed
-					c.TFC.DisableDelay = disable
-					c.Telemetry = rc.trial(key)
-					return exp.Incast(c), nil
-				}
-			}
-			pts, _, err := runner.Run(ctx, rc.pool.Paired(),
-				[]func(int64) (exp.IncastPoint, error){variant(false), variant(true)})
+			cells := []exp.IncastConfig{cfg, cfg}
+			cells[1].TFC.DisableDelay = true
+			pts, err := exp.Sweep(ctx, rc.pool.Paired(), rc.tel, cells,
+				func(c exp.IncastConfig) string { return variant(c.TFC.DisableDelay, "full", "no-delay") },
+				exp.Incast)
 			if err != nil {
 				return nil, "", err
 			}
@@ -593,21 +547,11 @@ var registry = []Experiment{
 			}
 			cfg.Proto = exp.TFC
 			// Paired comparison: same seed, only DisableDecouple differs.
-			variant := func(disable bool) func(int64) (*exp.QueueFairnessResult, error) {
-				key := "decoupled"
-				if disable {
-					key = "coupled"
-				}
-				return func(seed int64) (*exp.QueueFairnessResult, error) {
-					c := cfg
-					c.Seed = seed
-					c.TFC.DisableDecouple = disable
-					c.Telemetry = rc.trial(key)
-					return exp.QueueFairness(c), nil
-				}
-			}
-			rs, _, err := runner.Run(ctx, rc.pool.Paired(),
-				[]func(int64) (*exp.QueueFairnessResult, error){variant(false), variant(true)})
+			cells := []exp.QueueFairnessConfig{cfg, cfg}
+			cells[1].TFC.DisableDecouple = true
+			rs, err := exp.Sweep(ctx, rc.pool.Paired(), rc.tel, cells,
+				func(c exp.QueueFairnessConfig) string { return variant(c.TFC.DisableDecouple, "decoupled", "coupled") },
+				exp.QueueFairness)
 			if err != nil {
 				return nil, "", err
 			}
@@ -617,6 +561,27 @@ var registry = []Experiment{
 		},
 	},
 }
+
+// variant names one side of a paired ablation: off when the mechanism is
+// intact, on when it is disabled.
+func variant(disabled bool, off, on string) string {
+	if disabled {
+		return on
+	}
+	return off
+}
+
+// rho0Cells returns one Fig 14 cell per rho0 value.
+func rho0Cells(base exp.Rho0SweepConfig, rhos ...float64) []exp.Rho0SweepConfig {
+	cells := make([]exp.Rho0SweepConfig, len(rhos))
+	for i, rho := range rhos {
+		cells[i] = base
+		cells[i].TFC.Rho0 = rho
+	}
+	return cells
+}
+
+func rho0Key(c exp.Rho0SweepConfig) string { return fmt.Sprintf("rho%.2f", c.TFC.Rho0) }
 
 // Experiments lists the available experiments sorted by name.
 func Experiments() []Experiment {
@@ -650,23 +615,4 @@ func RunAll(ctx context.Context, opts RunOptions) ([]*Result, error) {
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// RunExperiment runs one experiment by name at the given scale and returns
-// its rendered result.
-//
-// Deprecated: use Find plus Experiment.Run (or RunAll), which add context
-// cancellation, parallel trial execution, seed control, per-trial metrics
-// and structured result data. RunExperiment remains for one-line use and
-// runs with default RunOptions at the requested scale.
-func RunExperiment(name string, scale Scale) (string, error) {
-	e, ok := Find(name)
-	if !ok {
-		return "", fmt.Errorf("tfcsim: unknown experiment %q", name)
-	}
-	r, err := e.Run(context.Background(), RunOptions{Scale: scale})
-	if err != nil {
-		return "", err
-	}
-	return r.Text, nil
 }

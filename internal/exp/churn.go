@@ -1,11 +1,9 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
-	"tfcsim/internal/runner"
 	"tfcsim/internal/sim"
 	"tfcsim/internal/stats"
 )
@@ -19,11 +17,12 @@ import (
 type ChurnConfig struct {
 	TopoConfig
 	Flows    int      // persistent connections (default 8)
-	OnMean   sim.Time // mean active period (default 5ms)
-	OffMean  sim.Time // mean silent period (default 5ms)
 	Duration sim.Time // default 500ms
 	Warmup   sim.Time
 }
+
+// churnPeriod is the mean of the exponential active and silent periods.
+const churnPeriod = 5 * sim.Millisecond
 
 // ChurnResult summarizes the run.
 type ChurnResult struct {
@@ -45,12 +44,6 @@ func Churn(cfg ChurnConfig) ChurnResult {
 	if cfg.Flows == 0 {
 		cfg.Flows = 8
 	}
-	if cfg.OnMean == 0 {
-		cfg.OnMean = 5 * sim.Millisecond
-	}
-	if cfg.OffMean == 0 {
-		cfg.OffMean = 5 * sim.Millisecond
-	}
 	if cfg.Duration == 0 {
 		cfg.Duration = 500 * sim.Millisecond
 	}
@@ -71,13 +64,7 @@ func Churn(cfg ChurnConfig) ChurnResult {
 	var schedule func(i int)
 	schedule = func(i int) {
 		f := fs[i]
-		var mean sim.Time
-		if f.active {
-			mean = cfg.OnMean
-		} else {
-			mean = cfg.OffMean
-		}
-		d := sim.Time(e.Sim.Rand.ExpFloat64() * float64(mean))
+		d := sim.Time(e.Sim.Rand.ExpFloat64() * float64(churnPeriod))
 		if d < 100*sim.Microsecond {
 			d = 100 * sim.Microsecond
 		}
@@ -142,23 +129,6 @@ func Churn(cfg ChurnConfig) ChurnResult {
 	res.Timeouts = timeouts
 	res.Events = e.Sim.Executed()
 	return res
-}
-
-// ChurnAll runs the on-off workload for each protocol as independent
-// pool trials; results come back in protos order. A nil pool runs
-// serially with base seed cfg.Seed.
-func ChurnAll(ctx context.Context, p *runner.Pool, cfg ChurnConfig, protos []Proto) ([]ChurnResult, error) {
-	if p == nil {
-		p = runner.Serial(cfg.Seed)
-	}
-	rs, _, err := runner.Map(ctx, p, len(protos), func(i int, seed int64) (ChurnResult, error) {
-		c := cfg
-		c.Proto = protos[i]
-		c.Seed = seed
-		c.mintTelemetry(string(c.Proto))
-		return Churn(c), nil
-	})
-	return rs, err
 }
 
 // FormatChurn renders the comparison table.

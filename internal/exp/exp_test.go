@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"tfcsim/internal/netsim"
@@ -54,10 +55,10 @@ func TestFig07NeAccuracy(t *testing.T) {
 }
 
 func TestFig08to10QueueFairness(t *testing.T) {
-	rs, err := QueueFairnessAll(context.Background(), testPool(), QueueFairnessConfig{
+	rs, err := Sweep(context.Background(), testPool(), nil, PerProto(QueueFairnessConfig{
 		StartInterval: 40 * sim.Millisecond,
 		Tail:          80 * sim.Millisecond,
-	})
+	}, AllProtos), ProtoKey, QueueFairness)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,9 +123,9 @@ func TestFig11WorkConserving(t *testing.T) {
 }
 
 func TestFig12IncastTestbed(t *testing.T) {
-	pts, err := IncastSweep(context.Background(), testPool(), IncastConfig{
+	pts, err := Sweep(context.Background(), testPool(), nil, IncastGrid(IncastConfig{
 		Rounds: 4, MaxDuration: 20 * sim.Second,
-	}, []int{10, 60}, []Proto{TFC, TCP})
+	}, []Proto{TFC, TCP}, []int{10, 60}), IncastKey, Incast)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,10 +161,17 @@ func TestFig12IncastTestbed(t *testing.T) {
 }
 
 func TestFig14Rho0(t *testing.T) {
-	pts := Rho0Sweep(Rho0SweepConfig{
-		Rho0s:    []float64{0.90, 0.97, 1.00},
-		Duration: 300 * sim.Millisecond,
-	})
+	var cells []Rho0SweepConfig
+	for _, rho := range []float64{0.90, 0.97, 1.00} {
+		c := Rho0SweepConfig{Duration: 300 * sim.Millisecond}
+		c.TFC.Rho0 = rho
+		cells = append(cells, c)
+	}
+	pts, err := Sweep(context.Background(), testPool(), nil, cells,
+		func(c Rho0SweepConfig) string { return fmt.Sprintf("rho%.2f", c.TFC.Rho0) }, Rho0Sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 3 {
 		t.Fatal("wrong point count")
 	}
@@ -187,12 +195,12 @@ func TestFig14Rho0(t *testing.T) {
 }
 
 func TestFig13BenchmarkTestbed(t *testing.T) {
-	rs, err := BenchmarkAll(context.Background(), testPool(), BenchmarkConfig{
+	rs, err := Sweep(context.Background(), testPool(), nil, PerProto(BenchmarkConfig{
 		Duration:    200 * sim.Millisecond,
 		MaxDuration: 10 * sim.Second,
 		QueryRate:   150,
 		BgFlowRate:  250,
-	}, []Proto{TFC, TCP})
+	}, []Proto{TFC, TCP}), ProtoKey, Benchmark)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,10 +222,10 @@ func TestFig13BenchmarkTestbed(t *testing.T) {
 }
 
 func TestFig15IncastLargeScale(t *testing.T) {
-	pts, err := IncastSweep(context.Background(), testPool(), IncastConfig{
+	pts, err := Sweep(context.Background(), testPool(), nil, IncastGrid(IncastConfig{
 		Rate: 10 * netsim.Gbps, BufBytes: 512 << 10,
 		BlockBytes: 64 << 10, Rounds: 3, MaxDuration: 20 * sim.Second,
-	}, []int{100}, []Proto{TFC, TCP})
+	}, []Proto{TFC, TCP}, []int{100}), IncastKey, Incast)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,14 +252,13 @@ func TestFig16BenchmarkLargeScale(t *testing.T) {
 	// scaled to keep fan-in bytes / buffer comparable to the paper's
 	// 359*2KB vs 512KB, so TCP still experiences the incast contention
 	// that the figure is about.
-	rs, err := BenchmarkAll(context.Background(), testPool(), BenchmarkConfig{
+	rs, err := Sweep(context.Background(), testPool(), nil, PerProto(BenchmarkConfig{
 		Racks: 6, PerRack: 6, BufBytes: 48 << 10,
 		Duration:    100 * sim.Millisecond,
 		MaxDuration: 5 * sim.Second,
 		QueryRate:   100,
-		QueryFanIn:  0, // all-to-one fan-in
 		BgFlowRate:  200,
-	}, []Proto{TFC, TCP})
+	}, []Proto{TFC, TCP}), ProtoKey, Benchmark)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,10 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"tfcsim/internal/netsim"
-	"tfcsim/internal/runner"
 	"tfcsim/internal/sim"
 	"tfcsim/internal/stats"
 )
@@ -68,7 +66,7 @@ func FatTree(cfg TopoConfig, k int, rate netsim.Rate, buf int) *FatTreeEnv {
 				e.Net.Connect(edge, agg, link)
 			}
 			for hIdx := 0; hIdx < half; hIdx++ {
-				h := e.newHost(fmt.Sprintf("h%d.%d.%d", p, ed, hIdx), cfg.HostJitter)
+				h := e.newHost(fmt.Sprintf("h%d.%d.%d", p, ed, hIdx))
 				e.place(p, h)
 				e.Net.Connect(h, edge, netsim.LinkConfig{
 					Rate: rate, Delay: 5 * sim.Microsecond, BufB: buf,
@@ -176,23 +174,6 @@ func Permutation(cfg PermutationConfig) PermutationResult {
 		res.Group = &gs
 	}
 	return res
-}
-
-// PermutationAll runs the permutation workload for each protocol as
-// independent pool trials; results come back in protos order. A nil pool
-// runs serially with base seed cfg.Seed.
-func PermutationAll(ctx context.Context, p *runner.Pool, cfg PermutationConfig, protos []Proto) ([]PermutationResult, error) {
-	if p == nil {
-		p = runner.Serial(cfg.Seed)
-	}
-	rs, _, err := runner.Map(ctx, p, len(protos), func(i int, seed int64) (PermutationResult, error) {
-		c := cfg
-		c.Proto = protos[i]
-		c.Seed = seed
-		c.mintTelemetry(string(c.Proto))
-		return Permutation(c), nil
-	})
-	return rs, err
 }
 
 // FormatPermutation renders the fat-tree permutation comparison.

@@ -147,11 +147,11 @@ type NeAccuracyConfig struct {
 	// Interval between activation/deactivation steps (paper: 1s;
 	// default 50ms for CI-speed runs).
 	Interval sim.Time
-	// N1Max is the peak number of on-off flows (paper: 10).
-	N1Max int
-	// N2 is the number of persistent rack-local flows (paper: 5).
-	N2 int
 }
+
+// The Fig 7 flow counts, the paper's: at most neN1Max on-off cross-rack
+// flows and neN2 persistent rack-local ones.
+const neN1Max, neN2 = 10, 5
 
 // NePoint is one sampled comparison.
 type NePoint struct {
@@ -181,12 +181,6 @@ func NeAccuracy(cfg NeAccuracyConfig) *NeAccuracyResult {
 	if cfg.Interval == 0 {
 		cfg.Interval = 50 * sim.Millisecond
 	}
-	if cfg.N1Max == 0 {
-		cfg.N1Max = 10
-	}
-	if cfg.N2 == 0 {
-		cfg.N2 = 5
-	}
 	cfg.Proto = TFC
 
 	var bott *netsim.Port
@@ -209,19 +203,19 @@ func NeAccuracy(cfg NeAccuracyConfig) *NeAccuracyResult {
 
 	// n2 persistent flows H4 -> H6 (started first: one becomes delimiter).
 	var locals []*faucet
-	for i := 0; i < cfg.N2; i++ {
+	for i := 0; i < neN2; i++ {
 		f := newFaucet(e.Dialer, h4, h6)
 		locals = append(locals, f)
 		e.Sim.At(0, func() { f.Start() })
 	}
 	var onoff []*faucet
-	for i := 0; i < cfg.N1Max; i++ {
+	for i := 0; i < neN1Max; i++ {
 		onoff = append(onoff, newFaucet(e.Dialer, h1, h6))
 	}
 	res := &NeAccuracyResult{}
 	active := 0
 	// Schedule activations then deactivations.
-	for k := 0; k < cfg.N1Max; k++ {
+	for k := 0; k < neN1Max; k++ {
 		k := k
 		e.Sim.At(sim.Time(k+1)*cfg.Interval, func() {
 			if !onoff[k].active && onoff[k].conn.Sender.Queued() == 0 {
@@ -231,7 +225,7 @@ func NeAccuracy(cfg NeAccuracyConfig) *NeAccuracyResult {
 			}
 			active++
 		})
-		e.Sim.At(sim.Time(cfg.N1Max+k+1)*cfg.Interval, func() {
+		e.Sim.At(sim.Time(neN1Max+k+1)*cfg.Interval, func() {
 			onoff[k].Pause()
 			active--
 		})
@@ -264,7 +258,7 @@ func NeAccuracy(cfg NeAccuracyConfig) *NeAccuracyResult {
 	}
 
 	// Sample measured E each interval (mean of slot E values in it).
-	end := sim.Time(2*cfg.N1Max+2) * cfg.Interval
+	end := sim.Time(2*neN1Max+2) * cfg.Interval
 	var rsum float64
 	var rn int
 	var tick func()
@@ -274,7 +268,7 @@ func NeAccuracy(cfg NeAccuracyConfig) *NeAccuracyResult {
 			r := ratio()
 			rsum += r
 			rn++
-			exp := float64(active)/r + float64(cfg.N2)
+			exp := float64(active)/r + float64(neN2)
 			res.Points = append(res.Points, NePoint{
 				T: e.Sim.Now(), Active: active, Measured: m, Expected: exp,
 			})

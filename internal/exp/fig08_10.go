@@ -1,13 +1,11 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"strings"
 
 	"tfcsim/internal/netsim"
-	"tfcsim/internal/runner"
 	"tfcsim/internal/sim"
 	"tfcsim/internal/stats"
 	"tfcsim/internal/trace"
@@ -25,8 +23,6 @@ type QueueFairnessConfig struct {
 	StartInterval sim.Time
 	// Tail run time after the last flow starts.
 	Tail sim.Time
-	// QueueSample period (default 1ms).
-	QueueSample sim.Time
 	// GoodputSample period (paper: 20ms; default 5ms).
 	GoodputSample sim.Time
 }
@@ -37,9 +33,6 @@ func (c *QueueFairnessConfig) fill() {
 	}
 	if c.Tail == 0 {
 		c.Tail = 100 * sim.Millisecond
-	}
-	if c.QueueSample == 0 {
-		c.QueueSample = sim.Millisecond
 	}
 	if c.GoodputSample == 0 {
 		c.GoodputSample = 5 * sim.Millisecond
@@ -81,7 +74,7 @@ func QueueFairness(cfg QueueFairnessConfig) *QueueFairnessResult {
 		e.Sim.At(at, f.Start)
 	}
 	// Queue sampler.
-	qs := stats.NewSampler(e.Sim, cfg.QueueSample, func() float64 {
+	qs := stats.NewSampler(e.Sim, sim.Millisecond, func() float64 {
 		return float64(bott.QueueBytes())
 	})
 	// Per-flow goodput meters.
@@ -184,27 +177,6 @@ func jain(xs []float64) float64 {
 		return 0
 	}
 	return sum * sum / (float64(len(xs)) * sq)
-}
-
-// QueueFairnessAll runs the scenario for every compared protocol (or the
-// explicit protos override) as independent pool trials; results come back
-// in protocol-list order. A nil pool runs serially with base seed
-// cfg.Seed.
-func QueueFairnessAll(ctx context.Context, p *runner.Pool, cfg QueueFairnessConfig, protos ...Proto) ([]*QueueFairnessResult, error) {
-	if p == nil {
-		p = runner.Serial(cfg.Seed)
-	}
-	if len(protos) == 0 {
-		protos = AllProtos
-	}
-	rs, _, err := runner.Map(ctx, p, len(protos), func(i int, seed int64) (*QueueFairnessResult, error) {
-		c := cfg
-		c.Proto = protos[i]
-		c.Seed = seed
-		c.mintTelemetry(string(c.Proto))
-		return QueueFairness(c), nil
-	})
-	return rs, err
 }
 
 // FormatQueueFairness renders Figs 8, 9 and 10 as one table.

@@ -9,15 +9,14 @@ import (
 )
 
 // WorkConservingConfig parameterizes Fig 11 (the Fig 5 topology): host1
-// sends n1 flows to host4 and n2 flows to host3; host2 sends n3 flows to
-// host3. Two bottlenecks: the S1->S2 uplink (n1+n2 flows) and the
-// S2->host3 downlink (n2+n3 flows). Work conservation requires both links
-// to stay near full even though the downlink's n2 flows are clamped by
-// the uplink.
+// sends n1 = 8 flows to host4 and n2 = 2 flows to host3; host2 sends
+// n3 = 2 flows to host3. Two bottlenecks: the S1->S2 uplink (n1+n2 flows)
+// and the S2->host3 downlink (n2+n3 flows). Work conservation requires
+// both links to stay near full even though the downlink's n2 flows are
+// clamped by the uplink.
 type WorkConservingConfig struct {
 	TopoConfig
-	N1, N2, N3 int
-	Duration   sim.Time
+	Duration sim.Time
 	// Warmup excluded from goodput accounting.
 	Warmup sim.Time
 	// DisableAdjust runs the ablation (A1): token adjustment off.
@@ -41,9 +40,7 @@ func (r *WorkConservingResult) SimEvents() uint64 { return r.Events }
 
 // WorkConserving runs the Fig 11 experiment (TFC).
 func WorkConserving(cfg WorkConservingConfig) *WorkConservingResult {
-	if cfg.N1 == 0 {
-		cfg.N1, cfg.N2, cfg.N3 = 8, 2, 2
-	}
+	const n1, n2, n3 = 8, 2, 2
 	if cfg.Duration == 0 {
 		cfg.Duration = 500 * sim.Millisecond
 	}
@@ -55,13 +52,13 @@ func WorkConserving(cfg WorkConservingConfig) *WorkConservingResult {
 	e := MultiBottleneck(cfg.TopoConfig)
 
 	start := func(f *faucet) { e.Sim.At(0, f.Start) }
-	for i := 0; i < cfg.N1; i++ {
+	for i := 0; i < n1; i++ {
 		start(newFaucet(e.Dialer, e.H1, e.H4))
 	}
-	for i := 0; i < cfg.N2; i++ {
+	for i := 0; i < n2; i++ {
 		start(newFaucet(e.Dialer, e.H1, e.H3))
 	}
-	for i := 0; i < cfg.N3; i++ {
+	for i := 0; i < n3; i++ {
 		start(newFaucet(e.Dialer, e.H2, e.H3))
 	}
 
@@ -109,12 +106,12 @@ func FormatWorkConserving(full, ablated *WorkConservingResult) string {
 	return b.String()
 }
 
-// Rho0SweepConfig parameterizes Fig 14: 5 flows (H1-H5) to H6; rho0 swept
-// from 0.90 to 1.00; goodput at the receiver and queue at the NF2->H6
-// port are reported.
+// Rho0SweepConfig parameterizes one point of Fig 14: 5 flows (H1-H5) to
+// H6 under TFC with the embedded TFC.Rho0 (swept from 0.90 to 1.00, one
+// trial per value); goodput at the receiver and queue at the NF2->H6 port
+// are reported.
 type Rho0SweepConfig struct {
 	TopoConfig
-	Rho0s    []float64
 	Duration sim.Time
 	Warmup   sim.Time
 }
@@ -132,11 +129,9 @@ type Rho0Point struct {
 // SimEvents reports the point's event count to the runner pool.
 func (p Rho0Point) SimEvents() uint64 { return p.Events }
 
-// Rho0Sweep runs Fig 14.
-func Rho0Sweep(cfg Rho0SweepConfig) []Rho0Point {
-	if len(cfg.Rho0s) == 0 {
-		cfg.Rho0s = []float64{0.90, 0.92, 0.94, 0.96, 0.98, 1.00}
-	}
+// Rho0Sweep runs one Fig 14 point at cfg.TFC.Rho0, which the caller sets
+// (the point reports it as given).
+func Rho0Sweep(cfg Rho0SweepConfig) Rho0Point {
 	if cfg.Duration == 0 {
 		cfg.Duration = 400 * sim.Millisecond
 	}
@@ -144,48 +139,37 @@ func Rho0Sweep(cfg Rho0SweepConfig) []Rho0Point {
 		cfg.Warmup = cfg.Duration / 4
 	}
 	cfg.Proto = TFC
-	var out []Rho0Point
-	for _, rho := range cfg.Rho0s {
-		tc := cfg.TopoConfig
-		tc.TFC.Rho0 = rho
-		tc.mintTelemetry(fmt.Sprintf("rho%.2f", rho))
-		e := Testbed(tc)
-		h6 := e.Hosts[5]
-		bott := e.Switches[2].PortTo(h6.ID()) // NF2 -> H6
-		var faucets []*faucet
-		for i := 0; i < 5; i++ {
-			src := e.Hosts[i]
-			if src == h6 {
-				continue
-			}
-			f := newFaucet(e.Dialer, src, h6)
-			faucets = append(faucets, f)
-			e.Sim.At(0, f.Start)
-		}
-		qs := stats.NewSampler(e.Sim, sim.Millisecond, func() float64 {
-			return float64(bott.QueueBytes())
-		})
-		var base int64
-		baseAt := func() int64 {
-			var n int64
-			for _, f := range faucets {
-				n += f.conn.Received()
-			}
-			return n
-		}
-		e.Sim.At(cfg.Warmup, func() { base = baseAt() })
-		e.Sim.RunUntil(cfg.Duration)
-		span := (cfg.Duration - cfg.Warmup).Seconds()
-		out = append(out, Rho0Point{
-			Rho0:    rho,
-			Goodput: float64(baseAt()-base) * 8 / span,
-			AvgQ:    qs.Series.After(cfg.Warmup).MeanV(),
-			MaxQ:    bott.MaxQueue,
-			Drops:   bott.Drops,
-			Events:  e.Sim.Executed(),
-		})
+	e := Testbed(cfg.TopoConfig)
+	h6 := e.Hosts[5]
+	bott := e.Switches[2].PortTo(h6.ID()) // NF2 -> H6
+	var faucets []*faucet
+	for i := 0; i < 5; i++ {
+		f := newFaucet(e.Dialer, e.Hosts[i], h6)
+		faucets = append(faucets, f)
+		e.Sim.At(0, f.Start)
 	}
-	return out
+	qs := stats.NewSampler(e.Sim, sim.Millisecond, func() float64 {
+		return float64(bott.QueueBytes())
+	})
+	var base int64
+	baseAt := func() int64 {
+		var n int64
+		for _, f := range faucets {
+			n += f.conn.Received()
+		}
+		return n
+	}
+	e.Sim.At(cfg.Warmup, func() { base = baseAt() })
+	e.Sim.RunUntil(cfg.Duration)
+	span := (cfg.Duration - cfg.Warmup).Seconds()
+	return Rho0Point{
+		Rho0:    cfg.TFC.Rho0,
+		Goodput: float64(baseAt()-base) * 8 / span,
+		AvgQ:    qs.Series.After(cfg.Warmup).MeanV(),
+		MaxQ:    bott.MaxQueue,
+		Drops:   bott.Drops,
+		Events:  e.Sim.Executed(),
+	}
 }
 
 // FormatRho0Sweep renders Fig 14.

@@ -1,12 +1,10 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"io"
 
 	"tfcsim/internal/netsim"
-	"tfcsim/internal/runner"
 	"tfcsim/internal/sim"
 	"tfcsim/internal/stats"
 	"tfcsim/internal/trace"
@@ -26,8 +24,6 @@ type IncastConfig struct {
 	Rounds     int
 	// MaxDuration bounds the run (collapsed TCP can take very long).
 	MaxDuration sim.Time
-	// QueueSamplePeriod for avg/max queue reporting (default 1ms).
-	QueueSamplePeriod sim.Time
 }
 
 func (c *IncastConfig) fill() {
@@ -45,9 +41,6 @@ func (c *IncastConfig) fill() {
 	}
 	if c.MaxDuration == 0 {
 		c.MaxDuration = 60 * sim.Second
-	}
-	if c.QueueSamplePeriod == 0 {
-		c.QueueSamplePeriod = sim.Millisecond
 	}
 }
 
@@ -85,7 +78,7 @@ func Incast(cfg IncastConfig) IncastPoint {
 		Dialer: e.Dialer, Senders: senders, Receiver: recv,
 		BlockBytes: cfg.BlockBytes, Rounds: cfg.Rounds,
 	})
-	qs := stats.NewSampler(e.Sim, cfg.QueueSamplePeriod, func() float64 {
+	qs := stats.NewSampler(e.Sim, sim.Millisecond, func() float64 {
 		return float64(bott.QueueBytes())
 	})
 	settle := 5 * sim.Millisecond
@@ -113,36 +106,6 @@ func Incast(cfg IncastConfig) IncastPoint {
 		Elapsed:    elapsed,
 		Events:     e.Sim.Executed(),
 	}
-}
-
-// IncastSweep runs Incast across sender counts and protocols, fanning the
-// (proto, senders) grid as independent trials over p's workers. Each trial
-// runs with its pool-derived seed; results come back in grid order
-// (protos outer, senders inner), so output is identical at any
-// parallelism. A nil pool runs serially with base seed cfg.Seed.
-func IncastSweep(ctx context.Context, p *runner.Pool, cfg IncastConfig, sendersList []int, protos []Proto) ([]IncastPoint, error) {
-	if p == nil {
-		p = runner.Serial(cfg.Seed)
-	}
-	type cell struct {
-		proto Proto
-		n     int
-	}
-	var grid []cell
-	for _, pr := range protos {
-		for _, n := range sendersList {
-			grid = append(grid, cell{pr, n})
-		}
-	}
-	pts, _, err := runner.Map(ctx, p, len(grid), func(i int, seed int64) (IncastPoint, error) {
-		c := cfg
-		c.Proto = grid[i].proto
-		c.Senders = grid[i].n
-		c.Seed = seed
-		c.mintTelemetry(fmt.Sprintf("%s-n%03d", c.Proto, c.Senders))
-		return Incast(c), nil
-	})
-	return pts, err
 }
 
 // SaveIncastCSV writes an incast sweep as CSV into dir/name.

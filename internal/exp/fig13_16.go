@@ -1,12 +1,10 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"strings"
 
-	"tfcsim/internal/runner"
 	"tfcsim/internal/sim"
 	"tfcsim/internal/stats"
 	"tfcsim/internal/trace"
@@ -27,8 +25,7 @@ type BenchmarkConfig struct {
 	// until flows drain or MaxDuration).
 	Duration    sim.Time
 	MaxDuration sim.Time
-	QueryRate   float64 // queries/s
-	QueryFanIn  int     // 0 = all other hosts
+	QueryRate   float64 // queries/s, each fanning in from all other hosts
 	BgFlowRate  float64 // background flows/s
 }
 
@@ -85,7 +82,6 @@ func Benchmark(cfg BenchmarkConfig) *BenchmarkResult {
 		Dialer: e.Dialer, Hosts: e.Hosts,
 		Duration:   cfg.Duration,
 		QueryRate:  cfg.QueryRate,
-		QueryFanIn: cfg.QueryFanIn,
 		BgFlowRate: cfg.BgFlowRate,
 	})
 	b.Start()
@@ -122,23 +118,6 @@ func SaveBenchmarkCSV(dir string, rs []*BenchmarkResult) error {
 		}
 	}
 	return nil
-}
-
-// BenchmarkAll runs the workload for the given protocols as independent
-// pool trials; results come back in protos order. A nil pool runs
-// serially with base seed cfg.Seed.
-func BenchmarkAll(ctx context.Context, p *runner.Pool, cfg BenchmarkConfig, protos []Proto) ([]*BenchmarkResult, error) {
-	if p == nil {
-		p = runner.Serial(cfg.Seed)
-	}
-	rs, _, err := runner.Map(ctx, p, len(protos), func(i int, seed int64) (*BenchmarkResult, error) {
-		c := cfg
-		c.Proto = protos[i]
-		c.Seed = seed
-		c.mintTelemetry(string(c.Proto))
-		return Benchmark(c), nil
-	})
-	return rs, err
 }
 
 // FormatBenchmark renders the Fig 13/16 pair of panels.

@@ -1,13 +1,11 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"strings"
 
 	"tfcsim/internal/faults"
-	"tfcsim/internal/runner"
 	"tfcsim/internal/sim"
 	"tfcsim/internal/stats"
 )
@@ -18,25 +16,23 @@ import (
 // and the metric is how fast and how cleanly each protocol comes back.
 type RobustnessConfig struct {
 	TopoConfig
+	// FaultScenario is the fault the trial injects at Warmup; its Name
+	// labels the resulting point.
+	FaultScenario
 	Flows int // persistent senders (default 8)
 	// Warmup is the steady-state period before the fault (default 100ms).
 	Warmup sim.Time
-	// Blackout takes the bottleneck link down (both directions, queue
-	// preserved) for this long at Warmup. 0 disables.
-	Blackout sim.Time
-	// Loss enables Gilbert–Elliott bursty loss on the bottleneck from
-	// Warmup to the end of the run with this mean loss rate. 0 disables.
-	Loss  float64
-	Burst float64 // mean loss-burst length in packets (default 5)
 	// Tail is how long the run continues after the fault clears (default
 	// 500ms — long enough for an RTO-backoff-bound recovery).
 	Tail sim.Time
-	// UtilWindow is the utilization sampling period (default 1ms); the
-	// link counts as recovered at the start of RecoverRun consecutive
-	// windows each at >= 90% of capacity.
-	UtilWindow sim.Time
-	RecoverRun int // consecutive windows required (default 10)
 }
+
+// The recovery detector's utilization window and the number of
+// consecutive >= 90% windows it needs.
+const (
+	utilWindow = sim.Millisecond
+	recoverRun = 10
+)
 
 func (c *RobustnessConfig) fill() {
 	if c.Flows == 0 {
@@ -51,20 +47,18 @@ func (c *RobustnessConfig) fill() {
 	if c.Tail == 0 {
 		c.Tail = 500 * sim.Millisecond
 	}
-	if c.UtilWindow == 0 {
-		c.UtilWindow = sim.Millisecond
-	}
-	if c.RecoverRun == 0 {
-		c.RecoverRun = 10
-	}
 }
 
 // FaultScenario names one fault pattern of the sweep.
 type FaultScenario struct {
-	Name     string
+	Name string
+	// Blackout takes the bottleneck link down (both directions, queue
+	// preserved) for this long at Warmup. 0 disables.
 	Blackout sim.Time
-	Loss     float64
-	Burst    float64
+	// Loss enables Gilbert–Elliott bursty loss on the bottleneck from
+	// Warmup to the end of the run with this mean loss rate. 0 disables.
+	Loss  float64
+	Burst float64 // mean loss-burst length in packets (default 5)
 }
 
 // DefaultScenarios is the sweep the registry runs: three blackout
@@ -126,10 +120,10 @@ func Robustness(cfg RobustnessConfig) RobustnessPoint {
 	}
 	end := upAt + cfg.Tail
 
-	// Recovery detector: utilization per UtilWindow from the bottleneck's
-	// transmitted frame bytes, recovered at the start of RecoverRun
+	// Recovery detector: utilization per utilWindow from the bottleneck's
+	// transmitted frame bytes, recovered at the start of recoverRun
 	// consecutive windows >= 90% of window capacity.
-	winBytes := 0.9 * float64(bott.Rate.BytesIn(cfg.UtilWindow))
+	winBytes := 0.9 * float64(bott.Rate.BytesIn(utilWindow))
 	recovery := sim.Time(-1)
 	var lastFrames int64
 	var streak int
@@ -142,10 +136,10 @@ func Robustness(cfg RobustnessConfig) RobustnessPoint {
 		if now > upAt && cfg.Blackout > 0 && recovery < 0 {
 			if float64(delta) >= winBytes {
 				if streak == 0 {
-					streakStart = now - cfg.UtilWindow
+					streakStart = now - utilWindow
 				}
 				streak++
-				if streak >= cfg.RecoverRun {
+				if streak >= recoverRun {
 					recovery = streakStart - upAt
 					if recovery < 0 {
 						recovery = 0
@@ -156,10 +150,10 @@ func Robustness(cfg RobustnessConfig) RobustnessPoint {
 			}
 		}
 		if now < end {
-			e.Sim.After(cfg.UtilWindow, utilTick)
+			e.Sim.After(utilWindow, utilTick)
 		}
 	}
-	e.Sim.After(cfg.UtilWindow, utilTick)
+	e.Sim.After(utilWindow, utilTick)
 
 	// Post-fault queue peak at 100us granularity (Port.MaxQueue is
 	// all-time and would report the blackout pile-up instead).
@@ -197,7 +191,7 @@ func Robustness(cfg RobustnessConfig) RobustnessPoint {
 		}
 	}
 
-	pt := RobustnessPoint{Proto: cfg.Proto, Recovery: recovery, PostQPeak: postPeak}
+	pt := RobustnessPoint{Proto: cfg.Proto, Scenario: cfg.Name, Recovery: recovery, PostQPeak: postPeak}
 	var total int64
 	for _, f := range fs {
 		total += f.conn.Received()
@@ -209,31 +203,6 @@ func Robustness(cfg RobustnessConfig) RobustnessPoint {
 	pt.Drops = bott.Drops + recv.NIC().Drops
 	pt.Events = e.Sim.Executed()
 	return pt
-}
-
-// RobustnessSweep runs every (scenario, protocol) pair as independent
-// pool trials; results come back in scenario-major order. A nil pool
-// runs serially with base seed cfg.Seed.
-func RobustnessSweep(ctx context.Context, p *runner.Pool, cfg RobustnessConfig,
-	scenarios []FaultScenario, protos []Proto) ([]RobustnessPoint, error) {
-	if p == nil {
-		p = runner.Serial(cfg.Seed)
-	}
-	n := len(scenarios) * len(protos)
-	rs, _, err := runner.Map(ctx, p, n, func(i int, seed int64) (RobustnessPoint, error) {
-		sc := scenarios[i/len(protos)]
-		c := cfg
-		c.Proto = protos[i%len(protos)]
-		c.Seed = seed
-		c.Blackout = sc.Blackout
-		c.Loss = sc.Loss
-		c.Burst = sc.Burst
-		c.mintTelemetry(sc.Name + "-" + string(c.Proto))
-		pt := Robustness(c)
-		pt.Scenario = sc.Name
-		return pt, nil
-	})
-	return rs, err
 }
 
 // FormatRobustness renders the comparison table.

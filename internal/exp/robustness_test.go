@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"tfcsim/internal/runner"
 	"tfcsim/internal/sim"
 )
 
@@ -14,10 +15,10 @@ import (
 // away.
 func TestRobustnessTFCRecoversFromBlackout(t *testing.T) {
 	cfg := RobustnessConfig{
-		Flows:    8,
-		Warmup:   50 * sim.Millisecond,
-		Blackout: 500 * sim.Millisecond,
-		Tail:     500 * sim.Millisecond,
+		Flows:         8,
+		Warmup:        50 * sim.Millisecond,
+		FaultScenario: FaultScenario{Blackout: 500 * sim.Millisecond},
+		Tail:          500 * sim.Millisecond,
 	}
 	cfg.Proto = TFC
 	cfg.Seed = 1
@@ -40,10 +41,10 @@ func TestRobustnessTFCRecoversFromBlackout(t *testing.T) {
 func TestRobustnessShortBlackoutAllProtos(t *testing.T) {
 	for _, proto := range AllProtos {
 		cfg := RobustnessConfig{
-			Flows:    4,
-			Warmup:   20 * sim.Millisecond,
-			Blackout: 5 * sim.Millisecond,
-			Tail:     400 * sim.Millisecond,
+			Flows:         4,
+			Warmup:        20 * sim.Millisecond,
+			FaultScenario: FaultScenario{Blackout: 5 * sim.Millisecond},
+			Tail:          400 * sim.Millisecond,
 		}
 		cfg.Proto = proto
 		cfg.Seed = 3
@@ -59,9 +60,9 @@ func TestRobustnessShortBlackoutAllProtos(t *testing.T) {
 	}
 }
 
-// TestRobustnessSweepDeterministicOrder checks the sweep returns points
-// in scenario-major order with per-trial derived seeds, independent of
-// pool parallelism (the Map contract the byte-identical -j guarantee
+// TestRobustnessSweepDeterministicOrder checks the fan-out returns points
+// in scenario-major cell order with per-trial derived seeds, independent
+// of pool parallelism (the Map contract the byte-identical -j guarantee
 // rides on).
 func TestRobustnessSweepDeterministicOrder(t *testing.T) {
 	cfg := RobustnessConfig{
@@ -75,7 +76,13 @@ func TestRobustnessSweepDeterministicOrder(t *testing.T) {
 		{Name: "l", Loss: 0.05, Burst: 3},
 	}
 	protos := []Proto{TFC, TCP}
-	rs, err := RobustnessSweep(context.Background(), nil, cfg, scenarios, protos)
+	var cells []RobustnessConfig
+	for _, sc := range scenarios {
+		cfg.FaultScenario = sc
+		cells = append(cells, PerProto(cfg, protos)...)
+	}
+	rs, err := Sweep(context.Background(), runner.Serial(cfg.Seed), nil, cells,
+		func(c RobustnessConfig) string { return c.Name + "-" + string(c.Proto) }, Robustness)
 	if err != nil {
 		t.Fatal(err)
 	}

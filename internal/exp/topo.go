@@ -1,8 +1,10 @@
 // Package exp contains one runner per table/figure of the paper's
 // evaluation (Figs 6–16), plus the ablations called out in DESIGN.md.
-// Each runner builds its topology, drives the workload, and returns a
-// typed Result whose String() renders the same rows/series the paper
-// reports.
+// Each runner computes one cell of its figure (one protocol, fan-in,
+// scenario or parameter value) from one config: it builds its topology,
+// drives the workload, and returns a typed result that renders (String or
+// a Format* function) as the paper's rows/series. Sweep fans a figure's
+// cells out.
 package exp
 
 import (
@@ -100,69 +102,26 @@ type TopoConfig struct {
 	// bookkeeping is shared across sender shards (Incast, Benchmark)
 	// ignore the knob and stay sequential.
 	Shards int
-	// HostJitter is the max uniform host processing delay (default 10us;
-	// real hosts have it, and TFC's rtt_b min-filter relies on it, §4.5).
-	HostJitter sim.Time
 	// Switch config for TFC (ablations, rho0, callbacks).
 	TFC core.SwitchConfig
-	// Knobs, when non-nil, is the switch-side knob payload handed to the
-	// transport's registry Attach verbatim (e.g. *bfc.SwitchKnobs). When
-	// nil, TFC falls back to the embedded TFC field; other transports get
-	// their defaults.
-	Knobs any
 	// MinRTO for senders (default 200ms).
 	MinRTO sim.Time
 	// Telemetry, when non-nil, is this trial's telemetry sink. The builder
 	// binds it to the simulator and instruments the forwarding path, the
 	// protocol attachments, and every sender the Dialer creates. Nil (the
 	// default) disables all instrumentation. A trial sink serves exactly
-	// one environment; sweeps mint one per cell via TelemetryC instead.
+	// one environment; Sweep mints one per cell.
 	Telemetry *telemetry.Trial
-	// TelemetryC, when non-nil, is the run's collector: grid sweeps mint
-	// one keyed Trial per cell from it (key = TelemetryKey + "/" + cell
-	// descriptor). Ignored when Telemetry is already set.
-	TelemetryC *telemetry.Collector
-	// TelemetryKey prefixes the trial keys sweeps mint from TelemetryC.
-	TelemetryKey string
 }
 
-// mintTelemetry fills Telemetry from TelemetryC under the cell's key.
-// No-op when Telemetry is already set or there is no collector.
-func (c *TopoConfig) mintTelemetry(cell string) {
-	if c.Telemetry != nil || c.TelemetryC == nil {
-		return
-	}
-	key := cell
-	if c.TelemetryKey != "" {
-		key = c.TelemetryKey + "/" + cell
-	}
-	c.Telemetry = c.TelemetryC.Trial(key)
-}
-
-func (c *TopoConfig) fill() {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.HostJitter == 0 {
-		c.HostJitter = 10 * sim.Microsecond
-	}
-}
-
-// transportKnobs resolves the switch-side knob payload for the selected
-// transport: an explicit Knobs value wins; TFC defaults to the embedded
-// SwitchConfig so the ablation call sites keep working unchanged.
-func (c *TopoConfig) transportKnobs() any {
-	if c.Knobs != nil {
-		return c.Knobs
-	}
-	if c.Proto == TFC {
-		return &c.TFC
-	}
-	return nil
-}
+// hostJitter is every host's max uniform processing delay: real hosts have
+// it, and TFC's rtt_b min-filter relies on it (§4.5).
+const hostJitter = 10 * sim.Microsecond
 
 func newEnv(cfg *TopoConfig) *Env {
-	cfg.fill()
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
+	}
 	s := sim.New(cfg.Seed)
 	cfg.Telemetry.Bind(s)
 	return &Env{
@@ -176,9 +135,9 @@ func newEnv(cfg *TopoConfig) *Env {
 	}
 }
 
-func (e *Env) newHost(name string, jitter sim.Time) *netsim.Host {
+func (e *Env) newHost(name string) *netsim.Host {
 	h := e.Net.NewHost(name)
-	h.ProcJitter = jitter
+	h.ProcJitter = hostJitter
 	e.Hosts = append(e.Hosts, h)
 	return h
 }
@@ -204,9 +163,14 @@ func (e *Env) finish(cfg *TopoConfig, markRate netsim.Rate) {
 	if f.Attach == nil {
 		return
 	}
+	// TFC gets the embedded SwitchConfig as its knobs, every other
+	// transport its defaults.
+	var knobs any
+	if cfg.Proto == TFC {
+		knobs = &cfg.TFC
+	}
 	e.Attach = f.Attach(transport.AttachConfig{
-		Sim: e.Sim, Switches: e.Switches, MarkRate: markRate,
-		Knobs: cfg.transportKnobs(),
+		Sim: e.Sim, Switches: e.Switches, MarkRate: markRate, Knobs: knobs,
 	})
 	if states, ok := e.Attach.(map[*netsim.Switch]*core.SwitchState); ok {
 		e.TFCState = states
@@ -269,7 +233,7 @@ func Testbed(cfg TopoConfig) *Env {
 		e.place(l-1, leaf)
 		e.Net.Connect(leaf, nf0, link)
 		for j := 0; j < 3; j++ {
-			h := e.newHost("H", cfg.HostJitter)
+			h := e.newHost("H")
 			e.place(l-1, h)
 			// Host NICs are not buffer-limited (senders are window-limited).
 			e.Net.Connect(h, leaf, netsim.LinkConfig{
@@ -293,12 +257,12 @@ func Star(cfg TopoConfig, n int, rate netsim.Rate, buf int) (*Env, []*netsim.Hos
 	link := netsim.LinkConfig{Rate: rate, Delay: 5 * sim.Microsecond, BufA: buf, BufB: buf}
 	var senders []*netsim.Host
 	for i := 0; i < n; i++ {
-		h := e.newHost("s", cfg.HostJitter)
+		h := e.newHost("s")
 		e.place(1+i, h)
 		e.Net.Connect(h, sw, link)
 		senders = append(senders, h)
 	}
-	recv := e.newHost("recv", cfg.HostJitter)
+	recv := e.newHost("recv")
 	e.place(0, recv)
 	e.Net.Connect(sw, recv, netsim.LinkConfig{
 		Rate: rate, Delay: 5 * sim.Microsecond, BufA: buf,
@@ -327,10 +291,10 @@ func MultiBottleneck(cfg TopoConfig) *MultiBottleneckEnv {
 		Rate: TestbedRate, Delay: 5 * sim.Microsecond,
 		BufA: TestbedBuf, BufB: TestbedBuf,
 	}
-	h1 := e.newHost("h1", cfg.HostJitter)
-	h2 := e.newHost("h2", cfg.HostJitter)
-	h3 := e.newHost("h3", cfg.HostJitter)
-	h4 := e.newHost("h4", cfg.HostJitter)
+	h1 := e.newHost("h1")
+	h2 := e.newHost("h2")
+	h3 := e.newHost("h3")
+	h4 := e.newHost("h4")
 	e.Net.Connect(h1, s1, link)
 	e.Net.Connect(s1, s2, link)
 	e.Net.Connect(h2, s2, link)
@@ -361,7 +325,7 @@ func LeafSpine(cfg TopoConfig, racks, perRack int, buf int) *Env {
 			BufA: buf, BufB: buf,
 		})
 		for j := 0; j < perRack; j++ {
-			h := e.newHost("h", cfg.HostJitter)
+			h := e.newHost("h")
 			e.place(r, h)
 			e.Net.Connect(h, leaf, netsim.LinkConfig{
 				Rate: netsim.Gbps, Delay: 20 * sim.Microsecond, BufB: buf,

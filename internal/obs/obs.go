@@ -43,24 +43,27 @@ type Options struct {
 	// FlightDir is where watchdog violations write flight-recorder dumps
 	// (default "."). Empty string means default; "-" disables dumps.
 	FlightDir string
-	// FlightCap bounds the flight recorder's event ring (default 4096).
-	FlightCap int
-	// ZeroQueueBytes is the zero-queueing watchdog's per-TFC-port bound:
-	// a TFC-controlled port whose standing queue exceeds it at a slot
-	// boundary violates the paper's zero-queueing claim grossly enough to
-	// flag (default 256 KiB, one full testbed buffer).
-	ZeroQueueBytes int64
-	// RTOStormBackoff is the RTO-storm watchdog threshold: a sender
-	// reaching this exponential-backoff stage has been dead for
-	// MinRTO * 2^n and something is wedged (default 8).
-	RTOStormBackoff uint
-	// SampleEvery is the virtual-time cadence of the endpoint's port/flow
-	// snapshot tick (default 1ms; only scheduled when HTTPAddr is set).
-	SampleEvery sim.Time
-	// LivenessSec is the shard-liveness watchdog's wall-clock stall
-	// threshold in seconds (default 30; needs HTTPAddr and Watchdogs).
-	LivenessSec int
 }
+
+const (
+	// flightCap bounds the flight recorder's event ring.
+	flightCap = 4096
+	// zeroQueueBytes is the zero-queueing watchdog's per-TFC-port bound: a
+	// TFC-controlled port whose standing queue exceeds it at a slot
+	// boundary violates the paper's zero-queueing claim grossly enough to
+	// flag (256 KiB, one full testbed buffer).
+	zeroQueueBytes = 256 << 10
+	// rtoStormBackoff is the RTO-storm watchdog threshold: a sender
+	// reaching this exponential-backoff stage has been dead for
+	// MinRTO * 2^n and something is wedged.
+	rtoStormBackoff = 8
+	// sampleEvery is the virtual-time cadence of the endpoint's port/flow
+	// snapshot tick (only scheduled when HTTPAddr is set).
+	sampleEvery = sim.Millisecond
+	// livenessSec is the shard-liveness watchdog's wall-clock stall
+	// threshold in seconds (needs HTTPAddr and Watchdogs).
+	livenessSec = 30
+)
 
 func (o *Options) fill() {
 	if o.SpanSeed == 0 {
@@ -68,21 +71,6 @@ func (o *Options) fill() {
 	}
 	if o.FlightDir == "" {
 		o.FlightDir = "."
-	}
-	if o.FlightCap <= 0 {
-		o.FlightCap = 4096
-	}
-	if o.ZeroQueueBytes <= 0 {
-		o.ZeroQueueBytes = 256 << 10
-	}
-	if o.RTOStormBackoff == 0 {
-		o.RTOStormBackoff = 8
-	}
-	if o.SampleEvery <= 0 {
-		o.SampleEvery = sim.Millisecond
-	}
-	if o.LivenessSec <= 0 {
-		o.LivenessSec = 30
 	}
 }
 
@@ -176,11 +164,11 @@ func (o *Observatory) observeTrial(key string, t *telemetry.Trial) telemetry.Con
 		to.spans = newSpanTracer(t, o.opts.SpanEvery, o.opts.SpanSeed)
 	}
 	if o.opts.Watchdogs {
-		to.flight = newFlightRing(o.opts.FlightCap)
+		to.flight = newFlightRing(flightCap)
 		to.token = &tokenWatchdog{to: to}
-		to.zeroq = &zeroQueueWatchdog{to: to, bound: o.opts.ZeroQueueBytes}
+		to.zeroq = &zeroQueueWatchdog{to: to, bound: zeroQueueBytes}
 		to.pair = &pairWatchdog{to: to}
-		to.rto = &rtoWatchdog{to: to, threshold: o.opts.RTOStormBackoff}
+		to.rto = &rtoWatchdog{to: to, threshold: rtoStormBackoff}
 	}
 	if o.opts.HTTPAddr != "" {
 		to.flows = make(map[netsim.FlowID]struct{})

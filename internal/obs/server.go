@@ -98,7 +98,7 @@ func (s *server) stop() {
 // monitor samples every trial's progress each second: it feeds the
 // endpoint's events/sec column and implements the shard-liveness
 // watchdog (a started, unfinished trial whose engines execute nothing
-// for LivenessSec consecutive seconds is wedged — likely a barrier
+// for livenessSec consecutive seconds is wedged — likely a barrier
 // deadlock — and is reported once).
 func (s *server) monitor() {
 	defer s.wg.Done()
@@ -119,7 +119,7 @@ func (s *server) monitor() {
 			stallFlag := false
 			if !to.done.Load() && to.seen && delta == 0 && exec > 0 {
 				to.stalled++
-				if to.stalled >= s.o.opts.LivenessSec && !to.flagged {
+				if to.stalled >= livenessSec && !to.flagged {
 					to.flagged = true
 					stallFlag = true
 				}
@@ -131,7 +131,7 @@ func (s *server) monitor() {
 			if stallFlag && s.o.opts.Watchdogs {
 				s.o.violation(to, "shard-liveness",
 					fmt.Sprintf("no events executed for %ds of wall time (executed=%d)",
-						s.o.opts.LivenessSec, exec))
+						livenessSec, exec))
 			}
 		}
 	}

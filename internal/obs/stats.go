@@ -85,9 +85,9 @@ func (to *trialObs) Bound(s *sim.Simulator) {
 	var tick func()
 	tick = func() {
 		to.takeSnapshot()
-		s.After(to.o.opts.SampleEvery, tick)
+		s.After(sampleEvery, tick)
 	}
-	s.After(to.o.opts.SampleEvery, tick)
+	s.After(sampleEvery, tick)
 }
 
 // Instrumented implements telemetry.Consumer: it captures the trial's

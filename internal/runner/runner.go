@@ -28,7 +28,7 @@ import (
 
 // Pool describes how a batch of trials is executed. The zero value (and a
 // nil *Pool) is valid: GOMAXPROCS workers, base seed 0. Pools carry no
-// run state and may be reused across Map/Run calls.
+// run state and may be reused across Map calls.
 type Pool struct {
 	// Parallelism is the number of concurrent trials; <= 0 means
 	// runtime.GOMAXPROCS(0).
@@ -209,12 +209,4 @@ dispatch:
 		}
 	}
 	return results, metrics, nil
-}
-
-// Run executes a fixed slice of trials, each a func(seed) (T, error) as
-// in Map; trials[i] runs with DeriveSeed(BaseSeed, i).
-func Run[T any](ctx context.Context, p *Pool, trials []func(seed int64) (T, error)) ([]T, []Metrics, error) {
-	return Map(ctx, p, len(trials), func(i int, seed int64) (T, error) {
-		return trials[i](seed)
-	})
 }

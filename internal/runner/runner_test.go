@@ -166,20 +166,6 @@ func TestMetricsEventsAndWall(t *testing.T) {
 	}
 }
 
-func TestRunSliceForm(t *testing.T) {
-	trials := []func(seed int64) (int64, error){
-		func(seed int64) (int64, error) { return seed, nil },
-		func(seed int64) (int64, error) { return seed, nil },
-	}
-	res, _, err := Run(context.Background(), Serial(5), trials)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0] != DeriveSeed(5, 0) || res[1] != DeriveSeed(5, 1) {
-		t.Fatalf("trials did not receive derived seeds: %v", res)
-	}
-}
-
 func TestStress64ConcurrentTrials(t *testing.T) {
 	// 64 concurrent trials hammering their own state; run under -race
 	// this proves trial isolation (no shared mutable state in the pool).

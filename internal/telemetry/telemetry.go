@@ -39,9 +39,6 @@ type Options struct {
 	// MetricsPath, if non-empty, is where WriteFiles writes the merged
 	// metrics snapshot JSON.
 	MetricsPath string
-	// SampleEvery is the virtual-time gauge sampling cadence
-	// (default 1ms).
-	SampleEvery sim.Time
 	// RingCap bounds the per-trial event recorder; when full, the
 	// retained set is the top RingCap events under the recorder's
 	// canonical order — a pure function of the pushed multiset, so the
@@ -50,10 +47,10 @@ type Options struct {
 	RingCap int
 }
 
+// sampleEvery is the virtual-time gauge sampling cadence.
+const sampleEvery = sim.Millisecond
+
 func (o *Options) fill() {
-	if o.SampleEvery <= 0 {
-		o.SampleEvery = sim.Millisecond
-	}
 	if o.RingCap <= 0 {
 		o.RingCap = 1 << 16
 	}
@@ -213,9 +210,9 @@ func (t *Trial) Bind(s *sim.Simulator) {
 	var tick func()
 	tick = func() {
 		t.reg.sample(s.Now())
-		s.After(t.opts.SampleEvery, tick)
+		s.After(sampleEvery, tick)
 	}
-	s.After(t.opts.SampleEvery, tick)
+	s.After(sampleEvery, tick)
 	for _, c := range t.consumers {
 		c.Bound(s)
 	}
@@ -261,7 +258,7 @@ func (t *Trial) Counter(name string) *Counter {
 	return t.reg.counter(name)
 }
 
-// Gauge registers a callback polled every SampleEvery of virtual time.
+// Gauge registers a callback polled every sampleEvery of virtual time.
 // fn must be a pure read of simulation state. No-op on a nil trial;
 // duplicate names panic.
 func (t *Trial) Gauge(name string, fn func() float64) {

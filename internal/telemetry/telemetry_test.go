@@ -68,7 +68,7 @@ func TestBindTwicePanics(t *testing.T) {
 }
 
 func TestGaugeSamplingCadence(t *testing.T) {
-	tr := NewCollector(Options{SampleEvery: sim.Millisecond}).Trial("a")
+	tr := NewCollector(Options{}).Trial("a")
 	s := sim.New(1)
 	var calls int
 	tr.Gauge("g", func() float64 { calls++; return float64(calls) })

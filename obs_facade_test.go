@@ -13,24 +13,48 @@ import (
 )
 
 func TestObservatoryResultsNeutral(t *testing.T) {
-	// Attaching the observatory — watchdogs armed, no telemetry export —
-	// must not perturb any experiment result: every obs computation is a
-	// pure read off the probe stream.
+	// Attaching the observatory the way scripts/identity.sh's observed run
+	// does — packet spans, watchdogs and flight ring armed, trace and
+	// metrics exported, two workers, three shards — must not perturb any
+	// experiment result: every obs computation is a pure read off the
+	// probe stream. A probe that schedules an event changes no table, only
+	// the event counts, so those are compared too.
 	e, ok := Find("fig08-10")
 	if !ok {
 		t.Fatal("fig08-10 not in registry")
 	}
-	plain, err := e.Run(context.Background(), RunOptions{Scale: Quick, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
+	run := func(o *Observatory) *Result {
+		t.Helper()
+		dir := t.TempDir()
+		res, err := e.Run(context.Background(), RunOptions{
+			Scale: Quick, Seed: 7, Parallelism: 2, Shards: 3,
+			Telemetry: &telemetry.Options{
+				TracePath:   filepath.Join(dir, "trace.json"),
+				MetricsPath: filepath.Join(dir, "metrics.json"),
+			},
+			Obs: o,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	o := NewObservatory(ObsOptions{Watchdogs: true, FlightDir: "-"})
-	observed, err := e.Run(context.Background(), RunOptions{Scale: Quick, Seed: 7, Obs: o})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := run(nil)
+	o := NewObservatory(ObsOptions{SpanEvery: 2, SpanSeed: 7, Watchdogs: true, FlightDir: "-"})
+	observed := run(o)
 	if plain.Text != observed.Text {
 		t.Error("experiment output changed when the observatory was attached")
+	}
+	if plain.Events != observed.Events {
+		t.Errorf("observatory changed the event count: %d -> %d", plain.Events, observed.Events)
+	}
+	if len(plain.Trials) != len(observed.Trials) {
+		t.Fatalf("observatory changed the trial count: %d -> %d", len(plain.Trials), len(observed.Trials))
+	}
+	for i, m := range plain.Trials {
+		if got := observed.Trials[i]; got.Index != m.Index || got.Events != m.Events {
+			t.Errorf("trial %d: %d events -> trial %d: %d events", m.Index, m.Events, got.Index, got.Events)
+		}
 	}
 	if o.Violations() != 0 {
 		t.Errorf("healthy run tripped %d watchdog violation(s)", o.Violations())

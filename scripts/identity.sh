@@ -11,7 +11,8 @@
 # trace, watchdogs and flight ring armed) with text, CSV, trace and metrics
 # export, blanks the two run-dependent fields of the text (the header's j=
 # and the footer's wall seconds; trial and sim-event counts stay in the
-# comparison), and cmp's every file.
+# comparison), and cmp's every file. Last it runs `tfcsim verify` on both
+# trees and cmp's the two claim reports, evidence numbers included.
 # Byte-identity to the parent is the repository's fixed point: a refactor
 # passes this before anything else is worth measuring.
 set -eu
@@ -63,5 +64,12 @@ for d in "$tmp/ref-8-3" "$tmp/new-1-1" "$tmp/new-8-3"; do
 done
 diff -rq "$tmp/ref-obs" "$tmp/new-obs" >&2 || fail=1
 diff -rq -x '*.json' "$base" "$tmp/new-obs" >&2 || fail=1
+
+# The claims: `tfcsim verify` exits 1 when a claim fails, which the report
+# comparison covers, so its status is not checked.
+echo "==> tfcsim verify ($ref, then working tree)"
+"$tmp/tfcsim.ref" verify >"$tmp/verify.ref" 2>&1 || true
+"$tmp/tfcsim.new" verify >"$tmp/verify.new" 2>&1 || true
+cmp "$tmp/verify.ref" "$tmp/verify.new" >&2 || fail=1
 [ "$fail" = 0 ] || exit 1
-echo "byte-identical to $ref: text, CSV, trace, metrics at -j1/-shards1 and -j8/-shards3, and with spans+watchdogs at -j2/-shards3"
+echo "byte-identical to $ref: text, CSV, trace, metrics at -j1/-shards1 and -j8/-shards3, with spans+watchdogs at -j2/-shards3, and the verify report"

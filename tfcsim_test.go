@@ -92,44 +92,44 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 }
 
-func TestRunExperimentErrors(t *testing.T) {
-	if _, err := RunExperiment("nope", Quick); err == nil {
-		t.Fatal("unknown experiment should error")
+// runQuick runs a registry experiment with default options at quick scale
+// and returns its rendered text.
+func runQuick(t *testing.T, name string) string {
+	t.Helper()
+	e, ok := Find(name)
+	if !ok {
+		t.Fatalf("%s not in registry", name)
 	}
-	if _, err := RunExperiment("fig06", Scale("huge")); err == nil {
+	r, err := e.Run(context.Background(), RunOptions{Scale: Quick})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.Text
+}
+
+func TestRunExperimentErrors(t *testing.T) {
+	if _, ok := Find("nope"); ok {
+		t.Fatal("unknown experiment should not be found")
+	}
+	e, _ := Find("fig06")
+	if _, err := e.Run(context.Background(), RunOptions{Scale: Scale("huge")}); err == nil {
 		t.Fatal("unknown scale should error")
 	}
 }
 
 func TestRunExperimentQuick(t *testing.T) {
 	// Run the two fastest registry entries end to end.
-	out, err := RunExperiment("fig14", Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "rho0") || !strings.Contains(out, "0.90") {
+	if out := runQuick(t, "fig14"); !strings.Contains(out, "rho0") || !strings.Contains(out, "0.90") {
 		t.Fatalf("fig14 output unexpected:\n%s", out)
 	}
-	out, err = RunExperiment("fig06", Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "measured rtt_b") {
+	if out := runQuick(t, "fig06"); !strings.Contains(out, "measured rtt_b") {
 		t.Fatalf("fig06 output unexpected:\n%s", out)
 	}
 }
 
 func TestDeterminismAcrossRuns(t *testing.T) {
 	// Identical seeds must produce identical experiment output.
-	a, err := RunExperiment("fig06", Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunExperiment("fig06", Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
+	if runQuick(t, "fig06") != runQuick(t, "fig06") {
 		t.Fatal("experiment output not deterministic")
 	}
 }
