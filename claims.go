@@ -94,9 +94,9 @@ func Claims() []Claim {
 			Statement: "the token adjustment reclaims bandwidth stranded by multi-bottleneck clamping (Fig 11, §4.5)",
 			Check: func() (string, bool) {
 				full := exp.WorkConserving(exp.WorkConservingConfig{Duration: 300 * sim.Millisecond})
-				abl := exp.WorkConserving(exp.WorkConservingConfig{
-					Duration: 300 * sim.Millisecond, DisableAdjust: true,
-				})
+				cfg := exp.WorkConservingConfig{Duration: 300 * sim.Millisecond}
+				cfg.TFC.DisableAdjust = true
+				abl := exp.WorkConserving(cfg)
 				ev := fmt.Sprintf("downlink: full=%.0fMbps no-adjust=%.0fMbps",
 					full.DownlinkGoodput/1e6, abl.DownlinkGoodput/1e6)
 				return ev, full.DownlinkGoodput > 0.85e9 &&

@@ -91,7 +91,7 @@ func run(w io.Writer, args []string) int {
 		Rate: tfcsim.Gbps, Delay: 5 * tfcsim.Microsecond, BufA: 256 << 10,
 	})
 	net.ComputeRoutes()
-	if _, err := tfcsim.AttachTransport(s, *proto, []*tfcsim.Switch{sw}, tfcsim.Gbps); err != nil {
+	if err := tfcsim.AttachTransport(*proto, []*tfcsim.Switch{sw}, tfcsim.Gbps); err != nil {
 		fmt.Fprintln(os.Stderr, "tfctrace:", err)
 		return 2
 	}

@@ -32,7 +32,7 @@ func main() {
 		Rate: tfcsim.Gbps, Delay: 5 * tfcsim.Microsecond, BufA: 256 << 10,
 	})
 	net.ComputeRoutes()
-	tfcsim.AttachTFC(s, sw, tfcsim.TFCConfig{})
+	tfcsim.AttachTFC(sw, tfcsim.TFCConfig{})
 
 	d := &tfcsim.Dialer{Sim: s, Proto: tfcsim.TFC}
 	// Steady flow: always has data.

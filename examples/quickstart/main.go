@@ -34,8 +34,8 @@ func main() {
 	})
 	net.ComputeRoutes()
 
-	// Enable TFC on the switch (paper defaults: rho0=0.97, alpha=7/8).
-	tfcState := tfcsim.AttachTFC(s, sw, tfcsim.TFCConfig{})
+	// Enable TFC on the switch (rho0=0.97 by default; alpha=7/8 is fixed).
+	tfcState := tfcsim.AttachTFC(sw, tfcsim.TFCConfig{})
 
 	d := &tfcsim.Dialer{Sim: s, Proto: tfcsim.TFC}
 	var conns []*tfcsim.Conn

@@ -22,7 +22,7 @@ import (
 func main() {
 	cfg := exp.WorkConservingConfig{Duration: sim.Second}
 	full := exp.WorkConserving(cfg)
-	cfg.DisableAdjust = true
+	cfg.TFC.DisableAdjust = true
 	ablated := exp.WorkConserving(cfg)
 	fmt.Println(exp.FormatWorkConserving(full, ablated))
 }

@@ -305,9 +305,9 @@ var registry = []Experiment{
 			// The ablation is a paired comparison: both variants run with
 			// the same seed so only DisableAdjust differs.
 			cells := []exp.WorkConservingConfig{cfg, cfg}
-			cells[1].DisableAdjust = true
+			cells[1].TFC.DisableAdjust = true
 			rs, err := exp.Sweep(ctx, rc.pool.Paired(), rc.tel, cells,
-				func(c exp.WorkConservingConfig) string { return variant(c.DisableAdjust, "full", "no-adjust") },
+				func(c exp.WorkConservingConfig) string { return variant(c.TFC.DisableAdjust, "full", "no-adjust") },
 				exp.WorkConserving)
 			if err != nil {
 				return nil, "", err

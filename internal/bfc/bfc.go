@@ -22,27 +22,24 @@ import (
 	"tfcsim/internal/transport"
 )
 
-// Default sender knobs.
+// Fixed sender constants.
 const (
-	// DefaultWindow is the fixed send window: a little above the testbed
+	// Window is the fixed send window: a little above the testbed
 	// topologies' bandwidth-delay product, so a single unpaused flow can
 	// fill a link while the per-flow backpressure stays in charge of
 	// sharing.
-	DefaultWindow = 16 << 10
-	// DefaultPauseTimeout bounds how long a sender stays paused without a
+	Window = 16 << 10
+	// PauseTimeout bounds how long a sender stays paused without a
 	// refreshed XOF: a lost XON costs at most this long, after which the
 	// sender probes and is re-paused if the congestion persists.
-	DefaultPauseTimeout = 200 * sim.Microsecond
+	PauseTimeout = 200 * sim.Microsecond
 )
 
 // Config parameterizes one BFC connection: the protocol-independent
 // transport.DialConfig (its Probe sees the fixed window as Cwnd, plus
-// RTO / recovery / retransmit events) plus BFC's two knobs.
+// RTO / recovery / retransmit events).
 type Config struct {
 	transport.DialConfig
-
-	Window       int64    // fixed send window in bytes, default DefaultWindow
-	PauseTimeout sim.Time // default DefaultPauseTimeout
 }
 
 // Sender is the sending half of a BFC connection: a fixed-window,
@@ -52,9 +49,6 @@ type Config struct {
 // but not wire loss or link failures.
 type Sender struct {
 	transport.Reliable
-
-	window       int64
-	pauseTimeout sim.Time
 
 	inFR    bool
 	recover int64
@@ -70,13 +64,7 @@ type Sender struct {
 
 // NewSender creates (and registers at the local host) the sending side.
 func NewSender(cfg Config) *Sender {
-	s := &Sender{window: cfg.Window, pauseTimeout: cfg.PauseTimeout}
-	if s.window == 0 {
-		s.window = DefaultWindow
-	}
-	if s.pauseTimeout == 0 {
-		s.pauseTimeout = DefaultPauseTimeout
-	}
+	s := &Sender{}
 	s.Init(cfg.DialConfig, s.onRTO)
 	// Timeout without XON or refresh: probe onward. If the congestion is
 	// still there, the first arriving packet triggers a fresh XOF.
@@ -107,7 +95,7 @@ func (s *Sender) trySend() {
 	}
 	for s.SndNxt < s.Budget {
 		seg := s.SegLen(s.SndNxt)
-		if s.Flight() > 0 && s.Flight()+seg > s.window {
+		if s.Flight() > 0 && s.Flight()+seg > Window {
 			break
 		}
 		s.SendNew(s.Segment(s.SndNxt, seg, 0))
@@ -142,7 +130,7 @@ func (s *Sender) Deliver(pkt *netsim.Packet) {
 	}
 	if pkt.Flags&netsim.FlagXOF != 0 {
 		s.Pauses++
-		s.pause.Arm(s.pauseTimeout)
+		s.pause.Arm(PauseTimeout)
 		return
 	}
 	if pkt.Flags&netsim.FlagXON != 0 {
@@ -154,7 +142,7 @@ func (s *Sender) Deliver(pkt *netsim.Packet) {
 	}
 	if pkt.Flags&netsim.FlagSYN != 0 && pkt.Flags&netsim.FlagACK != 0 {
 		if s.Connected(pkt) {
-			s.ProbeCwnd(s.window, s.window)
+			s.ProbeCwnd(Window, Window)
 			s.trySend()
 			s.FinishIfClosed()
 		}

@@ -29,7 +29,7 @@ func newRig(buf int) *rig {
 	net.Connect(sw, h2, netsim.LinkConfig{Rate: netsim.Gbps, Delay: 5 * sim.Microsecond, BufA: buf})
 	net.ComputeRoutes()
 	r := &rig{s: s, net: net, h1: h1, h2: h2, sw: sw}
-	r.hooks = AttachSwitch(s, sw, nil)
+	r.hooks = AttachSwitch(sw)
 	r.bott = sw.PortTo(h2.ID())
 	return r
 }
@@ -104,7 +104,7 @@ func TestPauseKeepsQueueShallow(t *testing.T) {
 	}
 	// Threshold + one window of in-flight slack: pause reaction is an
 	// access-link RTT, during which at most a window more can land.
-	limit := DefaultPauseBytes + DefaultWindow
+	limit := PauseBytes + Window
 	if r.bott.MaxQueue > limit {
 		t.Fatalf("max queue %d bytes, want <= %d (pause threshold + window)",
 			r.bott.MaxQueue, limit)

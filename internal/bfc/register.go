@@ -12,14 +12,10 @@ func init() {
 			s, r := Dial(Config{DialConfig: c})
 			return transport.Conn{Sender: s, Received: r.Received, SRTT: s.SRTT}
 		},
-		Attach: func(a transport.AttachConfig) any {
-			knobs, _ := a.Knobs.(*SwitchKnobs)
-			var hooks []*Hook
+		Attach: func(a transport.AttachConfig) {
 			for _, sw := range a.Switches {
-				// Each switch's hooks run on its own shard simulator.
-				hooks = append(hooks, AttachSwitch(sw.Sim(), sw, knobs)...)
+				AttachSwitch(sw)
 			}
-			return hooks
 		},
 	})
 }

@@ -5,38 +5,18 @@ import (
 	"tfcsim/internal/sim"
 )
 
-// Default switch-side knobs. The pause threshold is a handful of frames —
+// Fixed switch-side constants. The pause threshold is a handful of frames —
 // BFC reacts to per-flow queue build-up, not to deep standing queues —
 // and the resume threshold at half of it gives the sender time to restart
 // before the flow's backlog fully drains.
 const (
-	DefaultPauseBytes  = 8 << 10
-	DefaultResumeBytes = 4 << 10
-	DefaultRefreshGap  = 50 * sim.Microsecond
+	PauseBytes  = 8 << 10
+	ResumeBytes = 4 << 10
+	RefreshGap  = 50 * sim.Microsecond
 	// defaultPortPause is the aggregate-occupancy pressure threshold for
 	// ports with unlimited buffers.
 	defaultPortPause = 128 << 10
 )
-
-// SwitchKnobs configures the per-port backpressure hooks (the registry's
-// Knobs payload for the "bfc" transport). Zero values select defaults.
-type SwitchKnobs struct {
-	PauseBytes  int64
-	ResumeBytes int64
-	RefreshGap  sim.Time
-}
-
-func (k *SwitchKnobs) fillDefaults() {
-	if k.PauseBytes == 0 {
-		k.PauseBytes = DefaultPauseBytes
-	}
-	if k.ResumeBytes == 0 {
-		k.ResumeBytes = DefaultResumeBytes
-	}
-	if k.RefreshGap == 0 {
-		k.RefreshGap = DefaultRefreshGap
-	}
-}
 
 // pendingDrain is one counted frame awaiting its predicted departure.
 type pendingDrain struct {
@@ -60,10 +40,9 @@ type flowState struct {
 // rather than dedicated queue depth; predicted drains self-correct after
 // queue flushes and rate changes because the gate clamps at zero.
 type Hook struct {
-	sim   *sim.Simulator
-	sw    *netsim.Switch
-	port  *netsim.Port
-	knobs SwitchKnobs
+	sim  *sim.Simulator
+	sw   *netsim.Switch
+	port *netsim.Port
 
 	flows map[netsim.FlowID]*flowState
 	// free holds the records drain took out of flows. On an uncongested
@@ -88,13 +67,8 @@ type Hook struct {
 }
 
 // AttachSwitch installs BFC backpressure hooks on every port of sw,
-// returning them in port order. Knobs may be nil for defaults.
-func AttachSwitch(s *sim.Simulator, sw *netsim.Switch, knobs *SwitchKnobs) []*Hook {
-	k := SwitchKnobs{}
-	if knobs != nil {
-		k = *knobs
-	}
-	k.fillDefaults()
+// running on the switch's own simulator, and returns them in port order.
+func AttachSwitch(sw *netsim.Switch) []*Hook {
 	var hooks []*Hook
 	for _, p := range sw.Ports() {
 		pp := int64(defaultPortPause)
@@ -102,7 +76,7 @@ func AttachSwitch(s *sim.Simulator, sw *netsim.Switch, knobs *SwitchKnobs) []*Ho
 			pp = int64(p.BufBytes) / 2
 		}
 		h := &Hook{
-			sim: s, sw: sw, port: p, knobs: k,
+			sim: sw.Sim(), sw: sw, port: p,
 			flows:     make(map[netsim.FlowID]*flowState),
 			portPause: pp,
 		}
@@ -145,10 +119,7 @@ func (h *Hook) OnEnqueue(pkt *netsim.Packet, port *netsim.Port) bool {
 			//tfcvet:allow hotalloc — free-list miss: drain returns every untracked flow's state, so this runs once per concurrently tracked flow
 			fs = new(flowState)
 		}
-		*fs = flowState{gate: FlowGate{
-			Pause: h.knobs.PauseBytes, Resume: h.knobs.ResumeBytes,
-			RefreshGap: h.knobs.RefreshGap,
-		}}
+		*fs = flowState{gate: FlowGate{Pause: PauseBytes, Resume: ResumeBytes, RefreshGap: RefreshGap}}
 		h.flows[pkt.Flow] = fs
 	}
 	fs.src = pkt.Src

@@ -37,7 +37,7 @@ func newRig(nSenders, bufBytes int, scfg SwitchConfig) *rig {
 		Rate: netsim.Gbps, Delay: 5 * sim.Microsecond, BufA: bufBytes,
 	})
 	net.ComputeRoutes()
-	r.ss = Attach(s, sw, scfg)
+	r.ss = Attach(sw, scfg)
 	r.bott = sw.PortTo(recv.ID())
 	return r
 }

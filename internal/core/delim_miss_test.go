@@ -43,7 +43,7 @@ func TestUnitDelimiterMissBackoffBoundedAndRecovers(t *testing.T) {
 	// adopted as the new delimiter but also dies before completing a slot,
 	// so missK keeps climbing — the armed interval must double per miss
 	// and clamp at rtt << MaxMissK.
-	maxK := st.cfg.MaxMissK
+	maxK := maxMissK
 	for k := 1; k <= maxK+3; k++ {
 		if !st.dTimer.Active() {
 			t.Fatalf("miss %d: staleness timer not armed", k)

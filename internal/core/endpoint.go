@@ -136,7 +136,7 @@ func (s *Sender) trySend() {
 	// far below rho0. A window below one MSS degenerates to one small
 	// packet per RMA — and with the switch delay arbiter active, such
 	// RMAs arrive bumped to one MSS and paced (§4.6).
-	mss := int64(s.Cfg.MSS)
+	mss := int64(netsim.MSS)
 	target := max(s.cwnd, mss) // never below one packet (arbiter-disabled fallback)
 	for s.SndNxt < s.Budget {
 		rem := s.Budget - s.SndNxt

@@ -40,8 +40,8 @@ func newChainRig(n int, bottRate netsim.Rate) *chainRig {
 		Rate: bottRate, Delay: 5 * sim.Microsecond, BufA: 256 << 10,
 	})
 	net.ComputeRoutes()
-	r.ss1 = Attach(s, s1, SwitchConfig{})
-	r.ss2 = Attach(s, s2, SwitchConfig{})
+	r.ss1 = Attach(s1, SwitchConfig{})
+	r.ss2 = Attach(s2, SwitchConfig{})
 	r.bott = s2.PortTo(recv.ID())
 	r.mid = s1.PortTo(s2.ID())
 	return r

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"tfcsim/internal/netsim"
-	"tfcsim/internal/transport"
-)
+import "tfcsim/internal/transport"
 
 // init registers TFC with the transport registry so workloads and
 // experiments resolve it by name ("tfc") like any other transport.
@@ -15,17 +12,14 @@ func init() {
 			s, r := Dial(Config{DialConfig: c})
 			return transport.Conn{Sender: s, Received: r.Received, SRTT: s.SRTT}
 		},
-		Attach: func(a transport.AttachConfig) any {
+		Attach: func(a transport.AttachConfig) {
 			cfg := SwitchConfig{}
 			if k, ok := a.Knobs.(*SwitchConfig); ok && k != nil {
 				cfg = *k
 			}
-			states := make(map[*netsim.Switch]*SwitchState, len(a.Switches))
 			for _, sw := range a.Switches {
-				// Each switch's state runs on its own shard simulator.
-				states[sw] = Attach(sw.Sim(), sw, cfg)
+				Attach(sw, cfg)
 			}
-			return states
 		},
 	})
 }

@@ -11,28 +11,30 @@ import (
 	"tfcsim/internal/transport"
 )
 
+// TFC's fixed switch constants (DESIGN §3b lists each with its source).
+const (
+	// alpha is the EWMA weight of the historical token value (eq. 8).
+	alpha = 7.0 / 8
+	// initRTTB is the base-RTT estimate before any measurement (§6.1.1).
+	initRTTB = 160 * sim.Microsecond
+	// minRTTFrame is the smallest marked frame that measures rtt_b (§4.4:
+	// only frames >= 1500 B, so store-and-forward time is comparable
+	// across samples).
+	minRTTFrame = 1500
+	// rhoFloor bounds the measured utilization away from zero.
+	rhoFloor = 1.0 / 64
+	// maxMissK caps the delimiter-miss exponential backoff (paper: 7).
+	maxMissK = 7
+)
+
 // SwitchConfig parameterizes TFC's switch-side behaviour. Zero fields take
-// the paper's defaults (§6.1.1): ρ0 = 0.97, α = 7/8, initial rtt_b = 160 µs.
+// the paper's defaults (§6.1.1): ρ0 = 0.97.
 type SwitchConfig struct {
 	// Rho0 is the expected link utilization target.
 	Rho0 float64
-	// Alpha is the EWMA weight of the historical token value (eq. 8).
-	Alpha float64
-	// InitRTTB is the initial base-RTT estimate before any measurement.
-	InitRTTB sim.Time
-	// MSS is the segment size used by the delay arbiter.
-	MSS int
-	// MinRTTFrame is the minimum marked-frame size used for rtt_b
-	// measurement (§4.4: only frames ≥ 1500 B, so store-and-forward time
-	// is comparable across samples).
-	MinRTTFrame int
 	// TClampFactor bounds the adjusted token value to this multiple of the
 	// base BDP (robustness guard for near-idle slots).
 	TClampFactor float64
-	// RhoFloor bounds the measured utilization away from zero.
-	RhoFloor float64
-	// MaxMissK caps the delimiter-miss exponential backoff (paper: 7).
-	MaxMissK int
 
 	// Ablation switches (all false = full TFC).
 	DisableDelay    bool // §4.6 ACK delay function off
@@ -54,26 +56,8 @@ func (c *SwitchConfig) fillDefaults() {
 	if c.Rho0 == 0 {
 		c.Rho0 = 0.97
 	}
-	if c.Alpha == 0 {
-		c.Alpha = 7.0 / 8
-	}
-	if c.InitRTTB == 0 {
-		c.InitRTTB = 160 * sim.Microsecond
-	}
-	if c.MSS == 0 {
-		c.MSS = transport.DefaultMSS
-	}
-	if c.MinRTTFrame == 0 {
-		c.MinRTTFrame = 1500
-	}
 	if c.TClampFactor == 0 {
 		c.TClampFactor = 16
-	}
-	if c.RhoFloor == 0 {
-		c.RhoFloor = 1.0 / 64
-	}
-	if c.MaxMissK == 0 {
-		c.MaxMissK = 7
 	}
 }
 
@@ -107,7 +91,7 @@ type PortState struct {
 	hasDelim  bool
 	delim     netsim.FlowID
 	tstart    sim.Time
-	slotLarge bool // the RM frame that started the slot was >= MinRTTFrame
+	slotLarge bool // the RM frame that started the slot was >= minRTTFrame
 	e         int
 	a         int64 // arrived data bytes this slot
 	t         float64
@@ -142,7 +126,7 @@ func newPortState(s *sim.Simulator, p *netsim.Port, cfg *SwitchConfig) *PortStat
 		s:    s,
 		port: p,
 		bps:  p.Rate.BytesPerSecond(),
-		rttb: cfg.InitRTTB,
+		rttb: initRTTB,
 	}
 	st.t = st.bps * st.rttb.Seconds() * cfg.Rho0
 	st.w = st.t
@@ -162,7 +146,7 @@ func (st *PortState) EffectiveFlows() int { return st.e }
 func (st *PortState) RTTB() sim.Time { return st.rttb }
 
 // MissK returns the delimiter-miss backoff exponent (0 when slots are
-// completing normally; capped at MaxMissK).
+// completing normally; capped at maxMissK).
 func (st *PortState) MissK() int { return st.missK }
 
 // OnRateChange implements netsim.RateObserver: a mid-run rate change
@@ -242,7 +226,7 @@ func (st *PortState) adopt(pkt *netsim.Packet) {
 	st.hasDelim = true
 	st.delim = pkt.Flow
 	st.tstart = st.s.Now()
-	st.slotLarge = pkt.FrameBytes() >= st.cfg.MinRTTFrame
+	st.slotLarge = pkt.FrameBytes() >= minRTTFrame
 	st.e = int(pkt.Weight)
 	if st.e == 0 {
 		st.e = 1
@@ -255,7 +239,7 @@ func (st *PortState) lastRTTmOrInit() sim.Time {
 	if st.lastRTTm > 0 {
 		return st.lastRTTm
 	}
-	return st.cfg.InitRTTB
+	return initRTTB
 }
 
 // endSlot closes the current time slot on arrival of the delimiter's RM
@@ -277,7 +261,7 @@ func (st *PortState) endSlot(pkt *netsim.Packet) {
 	// feedback). The cost is that after a delimiter change to a
 	// longer-RTT flow, tokens stay sized for the old minimum; the token
 	// adjustment's rho feedback absorbs that (§4.5).
-	endLarge := pkt.FrameBytes() >= st.cfg.MinRTTFrame
+	endLarge := pkt.FrameBytes() >= minRTTFrame
 	if endLarge && st.slotLarge && rttm < st.rttb {
 		st.rttb = rttm
 	}
@@ -293,13 +277,13 @@ func (st *PortState) endSlot(pkt *netsim.Packet) {
 		// (the head of its window burst) arrives, and delimiter churn
 		// discards idle stretches, so per-slot ratios overstate
 		// utilization and starve the work-conserving boost.
-		st.sumA = st.cfg.Alpha*st.sumA + float64(st.aCum-st.lastACum)
-		st.sumT = st.cfg.Alpha*st.sumT + (now - st.lastRhoAt).Seconds()
+		st.sumA = alpha*st.sumA + float64(st.aCum-st.lastACum)
+		st.sumT = alpha*st.sumT + (now - st.lastRhoAt).Seconds()
 		st.lastACum = st.aCum
 		st.lastRhoAt = now
 		rho = st.sumA / (st.bps * st.sumT)
-		if rho < st.cfg.RhoFloor {
-			rho = st.cfg.RhoFloor
+		if rho < rhoFloor {
+			rho = rhoFloor
 		}
 	}
 	// Upward correction: rtt_b is "the minimum measured RTT of the
@@ -310,11 +294,11 @@ func (st *PortState) endSlot(pkt *netsim.Packet) {
 	// together with slots much longer than rtt_b — and crucially is
 	// distinguishable from queueing (which always shows rho ~ 1), so the
 	// bounded raise below cannot couple rtt_b to the queue.
-	if !st.cfg.DisableAdjust && st.rttb < st.cfg.InitRTTB && st.port.QueueBytes() == 0 {
+	if !st.cfg.DisableAdjust && st.rttb < initRTTB && st.port.QueueBytes() == 0 {
 		if rho < st.cfg.Rho0-0.03 && rttm > st.rttb*5/4 {
 			st.rttb += st.rttb / 16
-			if st.rttb > st.cfg.InitRTTB {
-				st.rttb = st.cfg.InitRTTB
+			if st.rttb > initRTTB {
+				st.rttb = initRTTB
 			}
 		}
 	}
@@ -332,11 +316,11 @@ func (st *PortState) endSlot(pkt *netsim.Packet) {
 	} else if target < st.t/4 {
 		target = st.t / 4
 	}
-	st.t = st.cfg.Alpha*st.t + (1-st.cfg.Alpha)*target
+	st.t = alpha*st.t + (1-alpha)*target
 	if maxT := bdp * st.cfg.TClampFactor; st.t > maxT {
 		st.t = maxT
 	}
-	if minT := float64(st.cfg.MSS); st.t < minT {
+	if minT := float64(netsim.MSS); st.t < minT {
 		st.t = minT
 	}
 	st.t += st.cfg.TestTokenSkew
@@ -379,8 +363,8 @@ func (st *PortState) endSlot(pkt *netsim.Packet) {
 func (st *PortState) armDelimTimer(rttLast sim.Time) {
 	st.dTimer.Stop()
 	shift := uint(st.missK + 1)
-	if shift > uint(st.cfg.MaxMissK) {
-		shift = uint(st.cfg.MaxMissK)
+	if shift > uint(maxMissK) {
+		shift = uint(maxMissK)
 	}
 	st.dTimer = st.s.ScheduleAfter(rttLast<<shift, (*delimMissEvent)(st))
 }
@@ -399,7 +383,7 @@ func (e *delimMissEvent) RunEvent() { (*PortState)(e).onDelimMiss() }
 func (e *releaseEvent) RunEvent() { (*PortState)(e).onRelease() }
 
 func (st *PortState) onDelimMiss() {
-	if st.missK < st.cfg.MaxMissK {
+	if st.missK < maxMissK {
 		st.missK++
 	}
 	st.hasDelim = false // catch the next RM data packet as the new delimiter
@@ -421,7 +405,7 @@ func (st *PortState) paceBps() float64 { return st.bps * st.cfg.Rho0 }
 func (st *PortState) refill() {
 	now := st.s.Now()
 	st.counter += st.paceBps() * (now - st.lastRefill).Seconds()
-	if cap := st.wireCost(float64(st.cfg.MSS)); st.counter > cap {
+	if cap := st.wireCost(float64(netsim.MSS)); st.counter > cap {
 		st.counter = cap
 	}
 	st.lastRefill = now
@@ -429,7 +413,7 @@ func (st *PortState) refill() {
 
 func (st *PortState) floorCounter() {
 	floor := -st.t
-	if f2 := -4 * float64(st.cfg.MSS); f2 < floor {
+	if f2 := -4 * float64(netsim.MSS); f2 < floor {
 		floor = f2
 	}
 	if st.counter < floor {
@@ -444,7 +428,7 @@ func (st *PortState) floorCounter() {
 // creeps until it overflows.
 func (st *PortState) wireCost(payload float64) float64 {
 	per := float64(netsim.MSS + netsim.HeaderBytes + netsim.WireOverheadBytes)
-	return payload * per / float64(st.cfg.MSS)
+	return payload * per / float64(netsim.MSS)
 }
 
 // handleRMA implements Event 2 for an RMA ACK whose data direction flows
@@ -452,15 +436,15 @@ func (st *PortState) wireCost(payload float64) float64 {
 // release (ownership taken).
 func (st *PortState) handleRMA(pkt *netsim.Packet, out *netsim.Port) bool {
 	st.refill()
-	mss := st.wireCost(float64(st.cfg.MSS))
-	if pkt.Window >= int64(st.cfg.MSS) {
+	mss := st.wireCost(float64(netsim.MSS))
+	if pkt.Window >= int64(netsim.MSS) {
 		// Large windows pass immediately, consuming their share.
 		st.counter -= st.wireCost(float64(pkt.Window))
 		st.floorCounter()
 		return false
 	}
 	if st.DelayQueueLen() == 0 && st.counter >= mss {
-		pkt.Window = int64(st.cfg.MSS)
+		pkt.Window = int64(netsim.MSS)
 		st.counter -= mss
 		return false
 	}
@@ -479,7 +463,7 @@ func (st *PortState) scheduleRelease() {
 	if st.release.Active() {
 		return
 	}
-	mss := st.wireCost(float64(st.cfg.MSS))
+	mss := st.wireCost(float64(netsim.MSS))
 	need := mss - st.counter
 	d := sim.Time(need / st.paceBps() * float64(sim.Second))
 	if d < 1 {
@@ -490,11 +474,11 @@ func (st *PortState) scheduleRelease() {
 
 func (st *PortState) onRelease() {
 	st.refill()
-	mss := st.wireCost(float64(st.cfg.MSS))
+	mss := st.wireCost(float64(netsim.MSS))
 	for st.DelayQueueLen() > 0 && st.counter >= mss {
 		var h heldAck
 		h, st.delayQ, st.delayHd = transport.PopHead(st.delayQ, st.delayHd)
-		h.pkt.Window = int64(st.cfg.MSS)
+		h.pkt.Window = int64(netsim.MSS)
 		st.counter -= mss
 		if pr := st.port.Network().Probe; pr != nil {
 			pr.Observe(netsim.Event{Kind: netsim.EvGrant, At: st.s.Now(), Port: st.port,
@@ -520,10 +504,13 @@ type SwitchState struct {
 }
 
 // Attach enables TFC on a switch: every port gets a PortState hook, and
-// the switch gets the RMA interceptor. The SwitchConfig is copied; the
-// returned SwitchState allows inspection.
-func Attach(s *sim.Simulator, sw *netsim.Switch, cfg SwitchConfig) *SwitchState {
+// the switch gets the RMA interceptor. The state runs on the switch's own
+// simulator (its shard's, once the network is partitioned). The
+// SwitchConfig is copied; the returned SwitchState, also reachable through
+// StateOf, allows inspection.
+func Attach(sw *netsim.Switch, cfg SwitchConfig) *SwitchState {
 	cfg.fillDefaults()
+	s := sw.Sim()
 	ss := &SwitchState{cfg: cfg, sw: sw, states: make([]*PortState, len(sw.Ports()))}
 	for i, p := range sw.Ports() {
 		st := newPortState(s, p, &ss.cfg)
@@ -532,6 +519,13 @@ func Attach(s *sim.Simulator, sw *netsim.Switch, cfg SwitchConfig) *SwitchState 
 		ss.states[i] = st
 	}
 	sw.Interceptor = ss
+	return ss
+}
+
+// StateOf returns the TFC state Attach installed on sw, or nil when sw
+// does not run TFC.
+func StateOf(sw *netsim.Switch) *SwitchState {
+	ss, _ := sw.Interceptor.(*SwitchState)
 	return ss
 }
 

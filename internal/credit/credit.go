@@ -28,34 +28,24 @@ import (
 
 // Config parameterizes one credit-transport connection: the
 // protocol-independent transport.DialConfig (Local is the data sender,
-// Peer the credit source) plus the receiver's rate-control knobs.
+// Peer the credit source).
 type Config struct {
 	transport.DialConfig
-
-	// InitRate is the initial per-flow credit rate as a fraction of the
-	// receiver NIC rate (default 1/8).
-	InitRate float64
-	// WasteTarget is the tolerated credit-waste fraction per epoch before
-	// multiplicative decrease (default 0.1).
-	WasteTarget float64
-	// Epoch is the feedback period (default 1ms — roughly an RTT scale;
-	// time-based so that recovery from a rate collapse is not itself
-	// paced by the collapsed rate).
-	Epoch sim.Time
 }
 
-func (c *Config) fill() {
-	c.FillDefaults()
-	if c.InitRate == 0 {
-		c.InitRate = 1.0 / 8
-	}
-	if c.WasteTarget == 0 {
-		c.WasteTarget = 0.1
-	}
-	if c.Epoch == 0 {
-		c.Epoch = sim.Millisecond
-	}
-}
+// The receiver's fixed rate-control constants.
+const (
+	// initRate is the initial per-flow credit rate as a fraction of the
+	// receiver NIC rate.
+	initRate = 1.0 / 8
+	// wasteTarget is the tolerated credit-waste fraction per epoch before
+	// multiplicative decrease.
+	wasteTarget = 0.1
+	// epoch is the feedback period: roughly an RTT scale, and time-based
+	// so that recovery from a rate collapse is not itself paced by the
+	// collapsed rate.
+	epoch = sim.Millisecond
+)
 
 // Sender is the data-sending half: it transmits one segment per received
 // credit and nothing otherwise (apart from the RTO safety net, which

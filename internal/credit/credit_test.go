@@ -36,7 +36,7 @@ func newRig(n, buf int) *rig {
 		Rate: netsim.Gbps, Delay: 5 * sim.Microsecond, BufA: buf,
 	})
 	net.ComputeRoutes()
-	r.sh = AttachShaper(s, sw, 0)
+	r.sh = AttachShaper(sw)
 	r.bott = sw.PortTo(recv.ID())
 	return r
 }

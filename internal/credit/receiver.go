@@ -6,6 +6,10 @@ import (
 	"tfcsim/internal/transport"
 )
 
+// dataWire is the wire size of one full data segment, the data one
+// credit releases.
+const dataWire = netsim.MSS + netsim.HeaderBytes + netsim.WireOverheadBytes
+
 // Receiver is the credit source: it paces credit packets to the sender at
 // an adaptively controlled rate and piggybacks cumulative ACKs on them.
 // Reassembly, FIN bookkeeping and ACK building are the embedded
@@ -34,14 +38,13 @@ type Receiver struct {
 // The receiver's timers (credit pacer, waste epochs) run on the peer
 // host's simulator, so its config is rebound to it here.
 func NewReceiver(cfg Config) *Receiver {
-	cfg.fill()
+	cfg.FillDefaults()
 	cfg.Sim = cfg.Peer.Sim()
 	r := &Receiver{cfg: cfg, remaining: -1}
 	r.Receiver = transport.Receiver{Host: cfg.Peer, Peer: cfg.Local, Flow: cfg.Flow}
 	nicBps := cfg.Peer.NIC().Rate.BytesPerSecond()
-	dataWire := float64(cfg.MSS + netsim.HeaderBytes + netsim.WireOverheadBytes)
 	r.maxRate = nicBps / dataWire // credits/s that fill the NIC with data
-	r.rate = r.maxRate * cfg.InitRate
+	r.rate = r.maxRate * initRate
 	cfg.Peer.Register(cfg.Flow, r)
 	return r
 }
@@ -98,7 +101,7 @@ func (r *Receiver) stop() {
 
 func (r *Receiver) scheduleEpoch() {
 	r.epochTimer.Stop()
-	r.epochTimer = r.cfg.Sim.ScheduleAfter(r.cfg.Epoch, (*epochEvent)(r))
+	r.epochTimer = r.cfg.Sim.ScheduleAfter(epoch, (*epochEvent)(r))
 }
 
 func (r *Receiver) onEpoch() {
@@ -156,7 +159,7 @@ func (r *Receiver) feedback() {
 	} else {
 		waste := float64(r.epochSent-r.epochUsed) / float64(r.epochSent)
 		switch {
-		case waste > r.cfg.WasteTarget:
+		case waste > wasteTarget:
 			f := 1 - waste/2
 			if f < 0.5 {
 				f = 0.5
@@ -210,11 +213,7 @@ func (r *Receiver) sendAck() {
 // senders' waste-feedback signal).
 type Shaper struct {
 	s    *sim.Simulator
-	rho0 float64
-	mss  int
-	// QueueCap is the per-port credit queue limit (default 16).
-	QueueCap int
-	bkts     []bucket // by Port.Index() of the switch's ports at attach
+	bkts []bucket // by Port.Index() of the switch's ports at attach
 	// Dropped counts shaped-away credits.
 	Dropped int64
 	// Queued counts credits that waited in a credit queue.
@@ -243,20 +242,25 @@ func (b *bucket) held() int { return len(b.queue) - b.head }
 // RunEvent implements sim.EventTarget.
 func (b *bucket) RunEvent() { b.sh.onRelease(b) }
 
+// The shaper's fixed constants.
+const (
+	// shaperRho0 is the fraction of a port's data-carrying capacity its
+	// credit bucket is fed at (TFC's ρ0 target).
+	shaperRho0 = 0.97
+	// queueCap is the per-port credit queue limit.
+	queueCap = 16
+)
+
 // AttachShaper installs credit shaping on a switch (one bucket per data
-// port, fed at rho0 of the port's data-carrying capacity).
-func AttachShaper(s *sim.Simulator, sw *netsim.Switch, rho0 float64) *Shaper {
-	if rho0 == 0 {
-		rho0 = 0.97
-	}
-	sh := &Shaper{s: s, rho0: rho0, mss: transport.DefaultMSS, QueueCap: 16,
-		bkts: make([]bucket, len(sw.Ports()))}
-	dataWire := float64(sh.mss + netsim.HeaderBytes + netsim.WireOverheadBytes)
+// port, fed at shaperRho0 of the port's data-carrying capacity), running
+// on the switch's own simulator.
+func AttachShaper(sw *netsim.Switch) *Shaper {
+	sh := &Shaper{s: sw.Sim(), bkts: make([]bucket, len(sw.Ports()))}
 	for i, p := range sw.Ports() {
 		sh.bkts[i] = bucket{
 			sh:     sh,
 			tokens: 1,
-			rate:   rho0 * p.Rate.BytesPerSecond() / dataWire,
+			rate:   shaperRho0 * p.Rate.BytesPerSecond() / dataWire,
 		}
 	}
 	sw.Interceptor = sh
@@ -280,7 +284,7 @@ func (sh *Shaper) Intercept(pkt *netsim.Packet, out *netsim.Port, sw *netsim.Swi
 		b.tokens--
 		return false
 	}
-	if b.held() >= sh.QueueCap {
+	if b.held() >= queueCap {
 		sh.Dropped++
 		out.ReleasePacket(pkt) // credit shaped away
 		return true

@@ -13,13 +13,10 @@ func init() {
 			s, r := Dial(Config{DialConfig: c})
 			return transport.Conn{Sender: s, Received: r.Received, SRTT: s.SRTT}
 		},
-		Attach: func(a transport.AttachConfig) any {
-			var shapers []*Shaper
+		Attach: func(a transport.AttachConfig) {
 			for _, sw := range a.Switches {
-				// Each switch's shaper runs on its own shard simulator.
-				shapers = append(shapers, AttachShaper(sw.Sim(), sw, 0))
+				AttachShaper(sw)
 			}
-			return shapers
 		},
 	})
 }

@@ -59,11 +59,11 @@ func KFor(rate netsim.Rate) int {
 	return DefaultK1G
 }
 
-// Dial creates a DCTCP sender (g = 1/16 unless overridden in cfg) and its
-// receiver.
+// Dial creates a DCTCP sender (g = 1/16, initial alpha 0 unless cfg sets
+// its own DCTCPParams) and its receiver.
 func Dial(cfg tcp.Config) (*tcp.Sender, *transport.Receiver) {
 	if cfg.DCTCP == nil {
-		cfg.DCTCP = &tcp.DCTCPParams{G: 1.0 / 16}
+		cfg.DCTCP = &tcp.DCTCPParams{}
 	}
 	return tcp.Dial(cfg)
 }

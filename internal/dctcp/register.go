@@ -15,12 +15,10 @@ func init() {
 			s, r := Dial(tcp.Config{DialConfig: c})
 			return transport.Conn{Sender: s, Received: r.Received, SRTT: s.SRTT}
 		},
-		Attach: func(a transport.AttachConfig) any {
-			var hooks []*MarkHook
+		Attach: func(a transport.AttachConfig) {
 			for _, sw := range a.Switches {
-				hooks = append(hooks, AttachMarking(sw, KFor(a.MarkRate))...)
+				AttachMarking(sw, KFor(a.MarkRate))
 			}
-			return hooks
 		},
 	})
 }

@@ -110,9 +110,9 @@ func TestFig11WorkConserving(t *testing.T) {
 	if full.DownlinkAvgQ > 20<<10 {
 		t.Errorf("downlink avg queue %.0fB, want small", full.DownlinkAvgQ)
 	}
-	ablated := WorkConserving(WorkConservingConfig{
-		Duration: 400 * sim.Millisecond, DisableAdjust: true,
-	})
+	cfg := WorkConservingConfig{Duration: 400 * sim.Millisecond}
+	cfg.TFC.DisableAdjust = true
+	ablated := WorkConserving(cfg)
 	// A1 shape: without token adjustment the downlink cannot reclaim the
 	// share its uplink-clamped flows leave stranded.
 	if ablated.DownlinkGoodput > full.DownlinkGoodput*0.97 {

@@ -13,14 +13,13 @@ import (
 // n3 = 2 flows to host3. Two bottlenecks: the S1->S2 uplink (n1+n2 flows)
 // and the S2->host3 downlink (n2+n3 flows). Work conservation requires
 // both links to stay near full even though the downlink's n2 flows are
-// clamped by the uplink.
+// clamped by the uplink. TFC.DisableAdjust runs the ablation (A1): token
+// adjustment off.
 type WorkConservingConfig struct {
 	TopoConfig
 	Duration sim.Time
 	// Warmup excluded from goodput accounting.
 	Warmup sim.Time
-	// DisableAdjust runs the ablation (A1): token adjustment off.
-	DisableAdjust bool
 }
 
 // WorkConservingResult is the Fig 11 output.
@@ -48,7 +47,6 @@ func WorkConserving(cfg WorkConservingConfig) *WorkConservingResult {
 		cfg.Warmup = cfg.Duration / 4
 	}
 	cfg.Proto = TFC
-	cfg.TFC.DisableAdjust = cfg.DisableAdjust
 	e := MultiBottleneck(cfg.TopoConfig)
 
 	start := func(f *faucet) { e.Sim.At(0, f.Start) }

@@ -7,6 +7,7 @@ package exp
 import (
 	"testing"
 
+	"tfcsim/internal/core"
 	"tfcsim/internal/model"
 	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
@@ -65,7 +66,7 @@ func TestModelWindowLimitedUtilization(t *testing.T) {
 	// Gather rtt_b and flow SRTT for the prediction.
 	leaf := e.Switches[1]
 	bott := leaf.PortTo(h3.ID())
-	rttb := e.TFCState[leaf].PortState(bott).RTTB()
+	rttb := core.StateOf(leaf).PortState(bott).RTTB()
 	rttm := f.conn.SRTT()
 	pred := model.WindowLimitedUtilization(0.97, rttb, rttm) *
 		float64(netsim.Gbps) * model.PayloadEfficiency(netsim.MSS)

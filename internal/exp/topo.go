@@ -47,19 +47,13 @@ func compareProtos() []Proto {
 	return ps
 }
 
-// Env is a built topology plus its protocol attachments.
+// Env is a built topology with its transport attached to every switch
+// (TFC's state is read back with core.StateOf).
 type Env struct {
 	Sim      *sim.Simulator
 	Net      *netsim.Network
 	Hosts    []*netsim.Host
 	Switches []*netsim.Switch
-	// Attach is the transport's switch-side attachment state, as returned
-	// by its registry Factory.Attach (nil for host-only transports).
-	Attach any
-	// TFCState is Attach narrowed to TFC's per-switch state; empty for
-	// other transports (kept as a typed convenience for the ablations and
-	// claims that inspect token-bucket internals).
-	TFCState map[*netsim.Switch]*core.SwitchState
 	Dialer   *workload.Dialer
 
 	// plan[node] is the node's natural partition group, recorded by the
@@ -102,7 +96,8 @@ type TopoConfig struct {
 	// bookkeeping is shared across sender shards (Incast, Benchmark)
 	// ignore the knob and stay sequential.
 	Shards int
-	// Switch config for TFC (ablations, rho0, callbacks).
+	// Switch config for TFC (ablations, rho0, callbacks), handed to the
+	// transport's Attach as its Knobs; only TFC reads it.
 	TFC core.SwitchConfig
 	// MinRTO for senders (default 200ms).
 	MinRTO sim.Time
@@ -125,9 +120,8 @@ func newEnv(cfg *TopoConfig) *Env {
 	s := sim.New(cfg.Seed)
 	cfg.Telemetry.Bind(s)
 	return &Env{
-		Sim:      s,
-		Net:      netsim.NewNetwork(s),
-		TFCState: make(map[*netsim.Switch]*core.SwitchState),
+		Sim: s,
+		Net: netsim.NewNetwork(s),
 		Dialer: &workload.Dialer{
 			Sim: s, Proto: cfg.Proto, MinRTO: cfg.MinRTO,
 			Probe: cfg.Telemetry.DialProbe,
@@ -163,19 +157,10 @@ func (e *Env) finish(cfg *TopoConfig, markRate netsim.Rate) {
 	if f.Attach == nil {
 		return
 	}
-	// TFC gets the embedded SwitchConfig as its knobs, every other
-	// transport its defaults.
-	var knobs any
-	if cfg.Proto == TFC {
-		knobs = &cfg.TFC
-	}
-	e.Attach = f.Attach(transport.AttachConfig{
-		Sim: e.Sim, Switches: e.Switches, MarkRate: markRate, Knobs: knobs,
+	f.Attach(transport.AttachConfig{
+		Switches: e.Switches, MarkRate: markRate, Knobs: &cfg.TFC,
 	})
-	if states, ok := e.Attach.(map[*netsim.Switch]*core.SwitchState); ok {
-		e.TFCState = states
-	}
-	telemetry.InstrumentTransport(cfg.Telemetry, string(cfg.Proto), e.Attach, e.Switches)
+	telemetry.InstrumentTransport(cfg.Telemetry, string(cfg.Proto), e.Switches)
 }
 
 // partition folds the builder's placement plan onto cfg.Shards shards and

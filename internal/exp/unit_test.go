@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"tfcsim/internal/core"
 	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
 )
@@ -52,8 +53,14 @@ func TestTestbedShape(t *testing.T) {
 
 func TestTestbedProtocolAttachment(t *testing.T) {
 	eTFC := Testbed(TopoConfig{Proto: TFC})
-	if len(eTFC.TFCState) != 4 {
-		t.Fatalf("TFC attached to %d switches, want 4", len(eTFC.TFCState))
+	attached := 0
+	for _, sw := range eTFC.Switches {
+		if core.StateOf(sw) != nil {
+			attached++
+		}
+	}
+	if attached != 4 {
+		t.Fatalf("TFC attached to %d switches, want 4", attached)
 	}
 	eD := Testbed(TopoConfig{Proto: DCTCP})
 	for _, sw := range eD.Switches {

@@ -30,8 +30,6 @@ func (e Event) String() string {
 // holds no goroutines and no clock of its own.
 type Scheduler struct {
 	sim *sim.Simulator
-	// Log accumulates fired fault transitions in time order.
-	Log []Event
 	// Probe, if set, observes every fired transition as it happens (the
 	// telemetry layer pairs down/up-style transitions into trace spans).
 	Probe func(Event)
@@ -43,10 +41,8 @@ func NewScheduler(s *sim.Simulator) *Scheduler {
 }
 
 func (f *Scheduler) record(kind, target string) {
-	ev := Event{At: f.sim.Now(), Kind: kind, Target: target}
-	f.Log = append(f.Log, ev)
 	if f.Probe != nil {
-		f.Probe(ev)
+		f.Probe(Event{At: f.sim.Now(), Kind: kind, Target: target})
 	}
 }
 

@@ -47,6 +47,8 @@ func TestLinkDownWindow(t *testing.T) {
 	k := &sink{s: s}
 	h2.Register(7, k)
 	f := NewScheduler(s)
+	var log []Event
+	f.Probe = func(ev Event) { log = append(log, ev) }
 	f.LinkDown(1*sim.Millisecond, 2*sim.Millisecond, false, out)
 	// One packet every 100us for 5ms: those arriving at the switch inside
 	// [1ms, 3ms) are dropped at the wire, the rest deliver.
@@ -66,12 +68,12 @@ func TestLinkDownWindow(t *testing.T) {
 	if len(k.pkts)+int(out.Drops) != 50 {
 		t.Fatalf("delivered %d + dropped %d != 50 sent", len(k.pkts), out.Drops)
 	}
-	// The log records both transitions, in order.
-	if len(f.Log) != 2 || f.Log[0].Kind != "link-down" || f.Log[1].Kind != "link-up" {
-		t.Fatalf("fault log = %v", f.Log)
+	// The probe sees both transitions, in order.
+	if len(log) != 2 || log[0].Kind != "link-down" || log[1].Kind != "link-up" {
+		t.Fatalf("fault log = %v", log)
 	}
-	if f.Log[0].At != 1*sim.Millisecond || f.Log[1].At != 3*sim.Millisecond {
-		t.Fatalf("fault log times = %v", f.Log)
+	if log[0].At != 1*sim.Millisecond || log[1].At != 3*sim.Millisecond {
+		t.Fatalf("fault log times = %v", log)
 	}
 }
 

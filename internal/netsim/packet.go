@@ -81,7 +81,7 @@ const (
 	HeaderBytes       = 58
 	MinFrameBytes     = 64
 	WireOverheadBytes = 20
-	// MSS is the default maximum segment size used throughout.
+	// MSS is the maximum segment size every transport uses.
 	MSS = 1460
 )
 

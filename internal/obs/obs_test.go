@@ -30,9 +30,9 @@ func TestTokenSkewWatchdog(t *testing.T) {
 	s, n, a, b, sw := dumbbell()
 	tr := c.Trial("t0")
 	tr.Bind(s)
-	core.Attach(s, sw, core.SwitchConfig{TestTokenSkew: -1e6})
+	core.Attach(sw, core.SwitchConfig{TestTokenSkew: -1e6})
 	telemetry.InstrumentNetwork(tr, n)
-	telemetry.InstrumentTransport(tr, "tfc", nil, nil)
+	telemetry.InstrumentTransport(tr, "tfc", nil)
 
 	d := &workload.Dialer{Sim: s, Proto: workload.TFC}
 	conn := d.Dial(a, b, nil, nil)

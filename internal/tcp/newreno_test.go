@@ -251,7 +251,7 @@ func TestUnitECEWithoutDCTCPIgnored(t *testing.T) {
 }
 
 func TestUnitDCTCPProportionalCut(t *testing.T) {
-	h := newHarness(t, func(c *Config) { c.DCTCP = &DCTCPParams{G: 1.0 / 16, InitAlpha: 1} })
+	h := newHarness(t, func(c *Config) { c.DCTCP = &DCTCPParams{InitAlpha: 1} })
 	h.establish()
 	h.snd.Send(100 * 1460)
 	h.drain()

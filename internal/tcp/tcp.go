@@ -18,10 +18,17 @@ import (
 	"tfcsim/internal/transport"
 )
 
+// Fixed NewReno/DCTCP constants.
+const (
+	// initCwndSegs is the initial window in segments (testbed-era IW2).
+	initCwndSegs = 2
+	// dctcpG is DCTCP's EWMA gain for the marked fraction (its
+	// recommended g = 1/16).
+	dctcpG = 1.0 / 16
+)
+
 // DCTCPParams configures DCTCP window reduction (paper [7] of TFC).
 type DCTCPParams struct {
-	// G is the EWMA gain for the marked fraction (DCTCP recommends 1/16).
-	G float64
 	// InitAlpha is the initial marked-fraction estimate (1.0 = conservative).
 	InitAlpha float64
 }
@@ -30,8 +37,6 @@ type DCTCPParams struct {
 // transport.DialConfig plus NewReno's own knobs.
 type Config struct {
 	transport.DialConfig
-
-	InitCwndSegs int // initial window in segments, default 2
 
 	// DCTCP enables DCTCP behaviour: ECT on data packets, per-window
 	// marked-fraction estimation, and proportional cwnd reduction.
@@ -50,7 +55,6 @@ type Config struct {
 
 type dctcpState struct {
 	alpha       float64
-	g           float64
 	ackedBytes  int64
 	markedBytes int64
 	windowEnd   int64
@@ -79,18 +83,11 @@ type Sender struct {
 
 // NewSender creates (and registers at the local host) the sending side.
 func NewSender(cfg Config) *Sender {
-	if cfg.InitCwndSegs == 0 {
-		cfg.InitCwndSegs = 2
-	}
 	s := &Sender{ssthresh: 1 << 30, cwndCap: cfg.CwndCap, pace: cfg.Pace}
 	s.Init(cfg.DialConfig, s.onRTO)
-	s.cwnd = int64(cfg.InitCwndSegs * s.Cfg.MSS)
+	s.cwnd = int64(initCwndSegs * netsim.MSS)
 	if cfg.DCTCP != nil {
-		g := cfg.DCTCP.G
-		if g == 0 {
-			g = 1.0 / 16
-		}
-		s.dctcp = &dctcpState{alpha: cfg.DCTCP.InitAlpha, g: g}
+		s.dctcp = &dctcpState{alpha: cfg.DCTCP.InitAlpha}
 		s.ect = netsim.FlagECT
 	}
 	cfg.Local.Register(cfg.Flow, s)
@@ -177,7 +174,7 @@ func (s *Sender) onRTO() {
 	if !s.Timeout() {
 		return
 	}
-	mss := int64(s.Cfg.MSS)
+	mss := int64(netsim.MSS)
 	s.ssthresh = max(s.Flight()/2, 2*mss)
 	s.cwnd = mss
 	if s.inFR {
@@ -205,7 +202,7 @@ func (s *Sender) Deliver(pkt *netsim.Packet) {
 	if pkt.Flags&netsim.FlagACK == 0 {
 		return
 	}
-	mss := int64(s.Cfg.MSS)
+	mss := int64(netsim.MSS)
 	newly, dup := s.Ack(pkt)
 	switch {
 	case newly > 0:
@@ -248,7 +245,7 @@ func (s *Sender) Deliver(pkt *netsim.Packet) {
 // growCwnd applies slow start / congestion avoidance and, for DCTCP, the
 // per-window proportional reduction.
 func (s *Sender) growCwnd(newly int64, ece bool) {
-	mss := int64(s.Cfg.MSS)
+	mss := int64(netsim.MSS)
 	if s.dctcp != nil {
 		d := s.dctcp
 		d.ackedBytes += newly
@@ -258,7 +255,7 @@ func (s *Sender) growCwnd(newly int64, ece bool) {
 		if s.SndUna >= d.windowEnd {
 			if d.ackedBytes > 0 {
 				f := float64(d.markedBytes) / float64(d.ackedBytes)
-				d.alpha = (1-d.g)*d.alpha + d.g*f
+				d.alpha = (1-dctcpG)*d.alpha + dctcpG*f
 				if d.markedBytes > 0 {
 					s.cwnd = max(int64(float64(s.cwnd)*(1-d.alpha/2)), mss)
 					s.ssthresh = s.cwnd

@@ -100,7 +100,7 @@ func TestSlowStartDoubling(t *testing.T) {
 	var cwndEarly int64
 	r.s.At(2*sim.Millisecond, func() { cwndEarly = snd.Cwnd() })
 	r.s.RunUntil(5 * sim.Millisecond)
-	if cwndEarly <= int64(4*snd.Cfg.MSS) {
+	if cwndEarly <= int64(4*netsim.MSS) {
 		t.Fatalf("cwnd after 2ms = %d, slow start seems broken", cwndEarly)
 	}
 }
@@ -284,7 +284,7 @@ func TestMinRTOEnforced(t *testing.T) {
 
 func TestDCTCPAlphaTracksMarks(t *testing.T) {
 	r := newRig(256 << 10)
-	snd, _ := r.conn(1, func(c *Config) { c.DCTCP = &DCTCPParams{G: 1.0 / 16} })
+	snd, _ := r.conn(1, func(c *Config) { c.DCTCP = &DCTCPParams{} })
 	// Mark everything: alpha must climb toward 1.
 	for _, p := range r.sw.Ports() {
 		p.Hook = ceAll{}
@@ -294,7 +294,7 @@ func TestDCTCPAlphaTracksMarks(t *testing.T) {
 	if snd.Alpha() < 0.5 {
 		t.Fatalf("alpha = %.3f after persistent marking, want high", snd.Alpha())
 	}
-	if snd.Cwnd() > int64(4*snd.Cfg.MSS) {
+	if snd.Cwnd() > int64(4*netsim.MSS) {
 		t.Fatalf("cwnd = %d under persistent marking, want small", snd.Cwnd())
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"tfcsim/internal/faults"
 	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
+	"tfcsim/internal/transport"
 )
 
 // portKey is a unique, deterministic per-port metric/track suffix.
@@ -281,12 +282,12 @@ func InstrumentNetwork(t *Trial, n *netsim.Network) {
 }
 
 // InstrumentTransport registers the switch-side metric families of the
-// named transport and, from its registry Attach result, its per-switch
-// gauges (TFC's token / effective-flow / window values; other transports
-// keep no per-switch state worth sampling). The records themselves arrive
-// through the network's probe. Call once per trial, after Attach. No-op on
-// a nil trial; unknown names and foreign state types register nothing.
-func InstrumentTransport(t *Trial, proto string, state any, switches []*netsim.Switch) {
+// named transport and the per-port gauges of every switch running TFC
+// (token / effective-flow / window values, read off core.StateOf; other
+// transports keep no per-switch state worth sampling). The records
+// themselves arrive through the network's probe. Call once per trial,
+// after Attach. No-op on a nil trial; unknown names register nothing.
+func InstrumentTransport(t *Trial, proto string, switches []*netsim.Switch) {
 	if t == nil {
 		return
 	}
@@ -304,9 +305,8 @@ func InstrumentTransport(t *Trial, proto string, state any, switches []*netsim.S
 		t.pauses = t.Counter("bfc.pauses")
 		t.resumes = t.Counter("bfc.resumes")
 	}
-	states, _ := state.(map[*netsim.Switch]*core.SwitchState)
 	for _, sw := range switches {
-		ss := states[sw]
+		ss := core.StateOf(sw)
 		if ss == nil {
 			continue
 		}
@@ -325,23 +325,20 @@ func InstrumentTransport(t *Trial, proto string, state any, switches []*netsim.S
 
 // DialProbe returns the sender-side probe for a named transport, shaped
 // for workload.Dialer.Probe, registering the sender metric families on
-// first use. Nil (a nil interface) for a nil trial, an unknown name, and
-// TFC: the TFC sender is not probed.
+// first use. Every registered transport gets it, out-of-tree ones
+// included, except TFC, whose sender is not probed. Nil (a nil interface)
+// for a nil trial, an unregistered name, and TFC.
 func (t *Trial) DialProbe(proto string) netsim.Probe {
-	if t == nil {
+	if t == nil || proto == "tfc" || !transport.Registered(proto) {
 		return nil
 	}
-	switch proto {
-	case "tcp", "dctcp", "tinytcp", "bfc", "credit":
-		if t.cwnd == nil {
-			t.rtxBytes = t.Counter("tcp.rtx_bytes")
-			t.rtos = t.Counter("tcp.rto")
-			t.recs = t.Counter("tcp.fast_recovery")
-			t.cwnd = t.Histogram("flow.cwnd")
-		}
-		return t
+	if t.cwnd == nil {
+		t.rtxBytes = t.Counter("tcp.rtx_bytes")
+		t.rtos = t.Counter("tcp.rto")
+		t.recs = t.Counter("tcp.fast_recovery")
+		t.cwnd = t.Histogram("flow.cwnd")
 	}
-	return nil
+	return t
 }
 
 // --- faults: injection windows as spans ---

@@ -1,0 +1,90 @@
+package telemetry
+
+import (
+	"bytes"
+	"encoding/json"
+	"testing"
+
+	"tfcsim/internal/netsim"
+	"tfcsim/internal/sim"
+	"tfcsim/internal/tcp"
+	"tfcsim/internal/transport"
+	"tfcsim/internal/workload"
+)
+
+// A transport registered outside the in-tree set gets the sender probe:
+// its connections' window moves and the sender metric families land in
+// the trial's metrics like any in-tree window transport's.
+func TestDialProbeCoversRegisteredTransport(t *testing.T) {
+	const name = "telemetrytest-reno"
+	transport.Register(name, transport.Factory{
+		Dial: func(c transport.DialConfig) transport.Conn {
+			s, r := tcp.Dial(tcp.Config{DialConfig: c})
+			return transport.Conn{Sender: s, Received: r.Received, SRTT: s.SRTT}
+		},
+	})
+	c := NewCollector(Options{})
+	tr := c.Trial("k")
+	s := sim.New(1)
+	tr.Bind(s)
+	net := netsim.NewNetwork(s)
+	a, b := net.NewHost("a"), net.NewHost("b")
+	sw := net.NewSwitch("sw")
+	net.Connect(a, sw, netsim.LinkConfig{Rate: netsim.Gbps, Delay: 5 * sim.Microsecond})
+	net.Connect(sw, b, netsim.LinkConfig{Rate: netsim.Gbps, Delay: 5 * sim.Microsecond})
+	net.ComputeRoutes()
+	InstrumentNetwork(tr, net)
+
+	if p := tr.DialProbe(name); p == nil {
+		t.Fatalf("DialProbe(%q) = nil for a registered transport", name)
+	}
+	if p := tr.DialProbe("tfc"); p != nil {
+		t.Fatalf("DialProbe(tfc) = %v, want nil interface", p)
+	}
+	if p := tr.DialProbe("no-such-transport"); p != nil {
+		t.Fatalf("DialProbe(unregistered) = %v, want nil interface", p)
+	}
+	d := &workload.Dialer{Sim: s, Proto: workload.Proto(name), Probe: tr.DialProbe}
+	conn := d.Dial(a, b, nil, nil)
+	conn.Sender.Open()
+	conn.Sender.Send(64 << 10)
+	s.RunUntil(10 * sim.Millisecond)
+	if conn.Received() != 64<<10 {
+		t.Fatalf("received %d bytes, want %d", conn.Received(), 64<<10)
+	}
+
+	var buf bytes.Buffer
+	if err := c.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var mf struct {
+		Trials []struct {
+			Counters []struct {
+				Name string `json:"name"`
+			} `json:"counters"`
+			Histograms []struct {
+				Name  string `json:"name"`
+				Count int64  `json:"count"`
+			} `json:"histograms"`
+		} `json:"trials"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &mf); err != nil {
+		t.Fatal(err)
+	}
+	var rto bool
+	for _, ctr := range mf.Trials[0].Counters {
+		rto = rto || ctr.Name == "tcp.rto"
+	}
+	if !rto {
+		t.Errorf("no tcp.rto counter in %+v", mf.Trials[0].Counters)
+	}
+	var cwnd int64 = -1
+	for _, h := range mf.Trials[0].Histograms {
+		if h.Name == "flow.cwnd" {
+			cwnd = h.Count
+		}
+	}
+	if cwnd <= 0 {
+		t.Errorf("flow.cwnd histogram count = %d, want window samples", cwnd)
+	}
+}

@@ -26,7 +26,7 @@ func TestNilTrialIsDisabled(t *testing.T) {
 	tr.CounterEventAt(0, "c", "n", "tr")
 	tr.flush()
 	InstrumentNetwork(tr, nil)
-	InstrumentTransport(tr, "tfc", nil, nil)
+	InstrumentTransport(tr, "tfc", nil)
 	if p := tr.DialProbe("tcp"); p != nil {
 		t.Fatalf("nil trial DialProbe = %v, want nil interface", p)
 	}

@@ -12,6 +12,7 @@
 package tinytcp
 
 import (
+	"tfcsim/internal/netsim"
 	"tfcsim/internal/tcp"
 	"tfcsim/internal/transport"
 )
@@ -28,11 +29,7 @@ const DefaultCwndCapSegs = 32
 func Dial(cfg tcp.Config) (*tcp.Sender, *transport.Receiver) {
 	cfg.Pace = true
 	if cfg.CwndCap == 0 {
-		mss := cfg.MSS
-		if mss == 0 {
-			mss = transport.DefaultMSS
-		}
-		cfg.CwndCap = int64(DefaultCwndCapSegs * mss)
+		cfg.CwndCap = DefaultCwndCapSegs * netsim.MSS
 	}
 	return tcp.Dial(cfg)
 }

@@ -36,7 +36,7 @@ func (r *rig) conn(flow netsim.FlowID) (*tcp.Sender, *transport.Receiver) {
 func TestCwndNeverExceedsCap(t *testing.T) {
 	r := newRig(1 << 20) // deep buffer: nothing but the cap limits growth
 	snd, _ := r.conn(1)
-	cap64 := int64(DefaultCwndCapSegs * transport.DefaultMSS)
+	cap64 := int64(DefaultCwndCapSegs * netsim.MSS)
 	r.s.At(0, func() { snd.Open(); snd.Send(50 << 20) })
 	var worst int64
 	var poll func()
@@ -97,7 +97,7 @@ func TestCapBoundsStandingQueue(t *testing.T) {
 	}
 	stockQ, stockDrops := run(false)
 	tinyQ, tinyDrops := run(true)
-	cap64 := DefaultCwndCapSegs * transport.DefaultMSS
+	cap64 := DefaultCwndCapSegs * netsim.MSS
 	if tinyQ > cap64 {
 		t.Fatalf("tinytcp max queue %d exceeds the %d-byte window cap", tinyQ, cap64)
 	}

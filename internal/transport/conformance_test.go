@@ -62,7 +62,7 @@ func newDumbbell(t *testing.T, proto string) *dumbbell {
 	net.Connect(sw, h2, link)
 	net.ComputeRoutes()
 	if f.Attach != nil {
-		f.Attach(transport.AttachConfig{Sim: d.s, Switches: []*netsim.Switch{sw}, MarkRate: netsim.Gbps})
+		f.Attach(transport.AttachConfig{Switches: []*netsim.Switch{sw}, MarkRate: netsim.Gbps})
 	}
 	h1.NIC().Hook, h2.NIC().Hook = &d.fwd, &d.rev
 	d.conn = f.Dial(transport.DialConfig{

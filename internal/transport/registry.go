@@ -18,7 +18,6 @@ type DialConfig struct {
 	Peer  *netsim.Host // receiver side
 	Flow  netsim.FlowID
 
-	MSS    int      // 0 selects DefaultMSS
 	MinRTO sim.Time // 0 selects DefaultMinRTO
 
 	// OnDrain fires whenever all currently queued bytes are acknowledged;
@@ -36,9 +35,6 @@ type DialConfig struct {
 
 // FillDefaults sets the zero-valued knobs to their defaults.
 func (c *DialConfig) FillDefaults() {
-	if c.MSS == 0 {
-		c.MSS = DefaultMSS
-	}
 	if c.MinRTO == 0 {
 		c.MinRTO = DefaultMinRTO
 	}
@@ -55,16 +51,17 @@ type Conn struct {
 
 // AttachConfig parameterizes a Factory's switch-side attachment. The
 // harness calls Attach once per built topology, after routes are
-// computed and before any traffic flows.
+// computed (and the network partitioned) and before any traffic flows.
+// Each switch's machinery runs on the switch's own simulator, sw.Sim().
 type AttachConfig struct {
-	Sim      *sim.Simulator
 	Switches []*netsim.Switch
 	// MarkRate is the bottleneck link rate, for rate-derived thresholds
 	// (DCTCP's K, BFC's drain model).
 	MarkRate netsim.Rate
-	// Knobs is the protocol's switch-side configuration (e.g. a
-	// *core.SwitchConfig for TFC); nil selects the factory defaults.
-	// Factories type-assert and must tolerate nil or foreign types.
+	// Knobs is TFC's switch configuration (a *core.SwitchConfig), which
+	// the experiment harness hands to every transport; nil selects the
+	// defaults. Only TFC reads it: factories type-assert and must
+	// tolerate nil or foreign types.
 	Knobs any
 }
 
@@ -85,10 +82,10 @@ type Factory struct {
 	// their hosts). Required.
 	Dial func(DialConfig) Conn
 	// Attach installs the protocol's switch-side machinery on every
-	// switch of a topology. Nil for host-only protocols. The return
-	// value is opaque per-environment state (e.g. TFC's per-switch
-	// token tables) handed back to the harness for inspection.
-	Attach func(AttachConfig) any
+	// switch of a topology. Nil for host-only protocols. Whatever it
+	// installs is reachable from the switches themselves (port hooks,
+	// the interceptor; core.StateOf reads TFC's back).
+	Attach func(AttachConfig)
 }
 
 var factories = map[string]Factory{}

@@ -174,7 +174,7 @@ func (r *Reliable) finish() {
 // SegLen returns the size of the segment starting at seq: one MSS, or
 // what is left of the stream.
 func (r *Reliable) SegLen(seq int64) int64 {
-	return min(int64(r.Cfg.MSS), r.Budget-seq)
+	return min(int64(netsim.MSS), r.Budget-seq)
 }
 
 // Segment builds (without sending) a packet of this flow carrying n

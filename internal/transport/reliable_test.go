@@ -84,7 +84,7 @@ func newHarness(minRTO sim.Time) *harness {
 	net.Connect(h1, sw, link)
 	net.Connect(sw, h2, link)
 	net.ComputeRoutes()
-	h := &harness{s: s, snd: &windowSender{window: 4 * DefaultMSS}}
+	h := &harness{s: s, snd: &windowSender{window: 4 * netsim.MSS}}
 	h.snd.Init(DialConfig{
 		Sim: s, Local: h1, Peer: h2, Flow: 1, MinRTO: minRTO,
 		OnComplete: func() { h.completed++ },

@@ -13,7 +13,6 @@ import (
 
 // Default protocol parameters.
 const (
-	DefaultMSS     = netsim.MSS
 	DefaultRcvWnd  = 4 << 20 // 4 MB advertised window
 	DefaultInitRTO = 3 * sim.Millisecond
 )

@@ -52,7 +52,6 @@ type Conn struct {
 type Dialer struct {
 	Sim    *sim.Simulator
 	Proto  Proto
-	MSS    int
 	MinRTO sim.Time
 	IDs    transport.IDGen
 	// Probe, if set, supplies the sender-side probe for a given protocol
@@ -79,7 +78,7 @@ func (d *Dialer) Dial(src, dst *netsim.Host, onDrain, onComplete func()) *Conn {
 	// peer host's simulator themselves.
 	c := f.Dial(transport.DialConfig{
 		Sim: src.Sim(), Local: src, Peer: dst, Flow: flow,
-		MSS: d.MSS, MinRTO: d.MinRTO,
+		MinRTO:  d.MinRTO,
 		OnDrain: onDrain, OnComplete: onComplete, Probe: probe,
 	})
 	return &Conn{Flow: flow, Sender: c.Sender, Received: c.Received, SRTT: c.SRTT}

@@ -28,7 +28,7 @@ func star(n int, proto Proto, buf int) (*sim.Simulator, *Dialer, []*netsim.Host,
 	net.Connect(sw, recv, netsim.LinkConfig{Rate: netsim.Gbps, Delay: 5 * sim.Microsecond, BufA: buf})
 	net.ComputeRoutes()
 	if proto == TFC {
-		core.Attach(s, sw, core.SwitchConfig{})
+		core.Attach(sw, core.SwitchConfig{})
 	}
 	d := &Dialer{Sim: s, Proto: proto}
 	return s, d, hosts, recv, sw.PortTo(recv.ID())

@@ -1,18 +1,21 @@
 // Package tfcsim is a packet-level data-center network simulator built to
 // reproduce "TFC: Token Flow Control in Data Center Networks" (Zhang,
 // Ren, Shu, Cheng — EuroSys 2016), together with the baselines the paper
-// evaluates against (TCP NewReno and DCTCP) and a harness that regenerates
-// every figure of the paper's evaluation.
+// evaluates against (TCP NewReno and DCTCP), three further baselines
+// (per-hop backpressure, tiny-buffer TCP, receiver-driven credits) and a
+// harness that regenerates every figure of the paper's evaluation.
 //
 // The package is a facade over the implementation packages:
 //
-//   - internal/sim     — deterministic discrete-event engine
-//   - internal/netsim  — hosts, switches, links, routing
-//   - internal/core    — TFC (the paper's contribution)
-//   - internal/tcp     — TCP NewReno (+ DCTCP window machinery)
-//   - internal/dctcp   — DCTCP ECN marking and constructors
-//   - internal/workload— incast and web-search benchmark generators
-//   - internal/exp     — one runner per paper figure
+//   - internal/sim       — deterministic discrete-event engine
+//   - internal/netsim    — hosts, switches, links, routing
+//   - internal/transport — the transport registry and the reliable-delivery core
+//   - internal/core      — TFC (the paper's contribution)
+//   - internal/tcp       — TCP NewReno (+ DCTCP window machinery)
+//   - internal/dctcp     — DCTCP ECN marking and constructors
+//   - internal/bfc, internal/tinytcp, internal/credit — the further baselines
+//   - internal/workload  — incast and web-search benchmark generators
+//   - internal/exp       — one runner per paper figure
 //
 // # Quick start
 //
@@ -23,7 +26,7 @@
 //	net.Connect(a, sw, tfcsim.LinkConfig{Rate: tfcsim.Gbps, Delay: 5 * tfcsim.Microsecond})
 //	net.Connect(sw, b, tfcsim.LinkConfig{Rate: tfcsim.Gbps, Delay: 5 * tfcsim.Microsecond, BufA: 256 << 10})
 //	net.ComputeRoutes()
-//	tfcsim.AttachTFC(s, sw, tfcsim.TFCConfig{})
+//	tfcsim.AttachTFC(sw, tfcsim.TFCConfig{})
 //	d := &tfcsim.Dialer{Sim: s, Proto: tfcsim.TFC}
 //	conn := d.Dial(a, b, nil, nil)
 //	conn.Sender.Open()
@@ -99,7 +102,8 @@ type (
 	// implement (Open/Send/Acked/Queued/Stats/Close).
 	Sender = transport.Sender
 
-	// TFCConfig parameterizes TFC's switch behaviour (rho0, alpha, ...).
+	// TFCConfig parameterizes TFC's switch behaviour (rho0, the token
+	// clamp, the ablation switches, a per-slot callback).
 	TFCConfig = core.SwitchConfig
 	// TFCSwitchState exposes per-port TFC state for inspection.
 	TFCSwitchState = core.SwitchState
@@ -155,7 +159,7 @@ const (
 	TINYTCP = workload.TINYTCP
 )
 
-// MSS is the default maximum segment size (bytes).
+// MSS is the maximum segment size (bytes) every transport uses.
 const MSS = netsim.MSS
 
 // NewSimulator creates a deterministic simulator seeded with seed.
@@ -165,9 +169,10 @@ func NewSimulator(seed int64) *Simulator { return sim.New(seed) }
 func NewNetwork(s *Simulator) *Network { return netsim.NewNetwork(s) }
 
 // AttachTFC enables TFC on a switch: every port gets token/effective-flow
-// state and the RMA delay arbiter is installed.
-func AttachTFC(s *Simulator, sw *Switch, cfg TFCConfig) *TFCSwitchState {
-	return core.Attach(s, sw, cfg)
+// state and the RMA delay arbiter is installed, all running on the
+// switch's own simulator.
+func AttachTFC(sw *Switch, cfg TFCConfig) *TFCSwitchState {
+	return core.Attach(sw, cfg)
 }
 
 // AttachDCTCPMarking installs DCTCP's instantaneous-queue ECN marking
@@ -199,19 +204,17 @@ func Protocols() []string { return transport.Names() }
 func ProtocolRegistered(name string) bool { return transport.Registered(name) }
 
 // AttachTransport installs the named transport's switch-side machinery on
-// the given switches (a no-op for host-only transports like TCP),
-// returning the transport-defined attachment state. markRate is the
-// bottleneck link rate protocols with rate-derived thresholds use (DCTCP's
-// ECN K). It errors on an unknown name, listing the registered ones.
-func AttachTransport(s *Simulator, name string, switches []*Switch, markRate Rate) (any, error) {
+// the given switches (a no-op for host-only transports like TCP), each on
+// its own simulator. markRate is the bottleneck link rate protocols with
+// rate-derived thresholds use (DCTCP's ECN K). It errors on an unknown
+// name, listing the registered ones.
+func AttachTransport(name string, switches []*Switch, markRate Rate) error {
 	f, err := transport.Lookup(name)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if f.Attach == nil {
-		return nil, nil
+	if f.Attach != nil {
+		f.Attach(transport.AttachConfig{Switches: switches, MarkRate: markRate})
 	}
-	return f.Attach(transport.AttachConfig{
-		Sim: s, Switches: switches, MarkRate: markRate,
-	}), nil
+	return nil
 }

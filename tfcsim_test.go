@@ -21,7 +21,7 @@ func TestFacadeQuickstart(t *testing.T) {
 	net.Connect(a, sw, LinkConfig{Rate: Gbps, Delay: 5 * Microsecond})
 	net.Connect(sw, b, LinkConfig{Rate: Gbps, Delay: 5 * Microsecond, BufA: 256 << 10})
 	net.ComputeRoutes()
-	AttachTFC(s, sw, TFCConfig{})
+	AttachTFC(sw, TFCConfig{})
 	d := &Dialer{Sim: s, Proto: TFC}
 	conn := d.Dial(a, b, nil, nil)
 	conn.Sender.Open()
@@ -44,7 +44,7 @@ func TestFacadeAllProtocols(t *testing.T) {
 		net.Connect(a, sw, LinkConfig{Rate: Gbps, Delay: 5 * Microsecond})
 		net.Connect(sw, b, LinkConfig{Rate: Gbps, Delay: 5 * Microsecond, BufA: 256 << 10})
 		net.ComputeRoutes()
-		if _, err := AttachTransport(s, name, []*Switch{sw}, Gbps); err != nil {
+		if err := AttachTransport(name, []*Switch{sw}, Gbps); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		d := &Dialer{Sim: s, Proto: Proto(name)}
