@@ -7,8 +7,8 @@
 // Usage:
 //
 //	tfcsim list
-//	tfcsim run <experiment> [-scale quick|paper] [-proto a,b,...] [-j N] [-shards N] [-seed N] [-out FILE] [-csv DIR] [-trace FILE] [-metrics FILE] [-v]
-//	tfcsim all [-scale quick|paper] [-proto a,b,...] [-j N] [-shards N] [-seed N] [-out FILE] [-csv DIR] [-trace FILE] [-metrics FILE] [-v]
+//	tfcsim run <experiment> [-scale quick|paper] [-proto a,b,...] [-j N] [-seed N] [-out FILE] [-csv DIR] [-trace FILE] [-metrics FILE] [-v]
+//	tfcsim all [-scale quick|paper] [-proto a,b,...] [-j N] [-seed N] [-out FILE] [-csv DIR] [-trace FILE] [-metrics FILE] [-v]
 //	tfcsim verify
 package main
 
@@ -43,9 +43,6 @@ Flags for run/all:
   -proto a,b,...       restrict protocol-matrix experiments to these
                        registered transports (registered: %s)
   -j N                 parallel trials (default GOMAXPROCS = %d; 1 = serial)
-  -shards N            shards per trial for the parallel engine (default 1 =
-                       sequential; 0 = auto by topology; output is byte-identical
-                       at any value; fig08-10, robustness, fattree honor it)
   -seed N              base seed; trial seeds derive from (seed, trial index)
   -out FILE            also write output to this file
   -csv DIR             export raw series/CDF data as CSV (fig06, fig08-10, fig12, fig13)
@@ -54,7 +51,7 @@ Flags for run/all:
   -http ADDR           serve a live introspection endpoint (JSON at /snapshot,
                        auto-refreshing HTML at /) while the run executes
   -spans N             sample 1-in-N flows for causal packet spans in the trace
-                       (requires -trace; byte-identical at any -j/-shards)
+                       (requires -trace; byte-identical at any -j)
   -watchdogs           enable invariant watchdogs (token conservation, zero-queueing,
                        BFC pairing, RTO storms, shard liveness); violations print a
                        diagnostic and write a flight-recorder dump
@@ -103,7 +100,6 @@ func cli(ctx context.Context, argv []string, stdout io.Writer) (code int) {
 		protoFlag := fs.String("proto", "",
 			"comma-separated protocol subset for matrix experiments (empty = experiment defaults)")
 		jobs := fs.Int("j", 0, "parallel trials (0 = GOMAXPROCS)")
-		shards := fs.Int("shards", 1, "shards per trial (1 = sequential, 0 = auto by topology)")
 		seed := fs.Int64("seed", 1, "base seed for per-trial seed derivation")
 		out := fs.String("out", "", "also write output to this file")
 		csv := fs.String("csv", "", "export raw series/CDF data as CSV into this directory")
@@ -132,7 +128,7 @@ func cli(ctx context.Context, argv []string, stdout io.Writer) (code int) {
 		for _, f := range []struct {
 			name string
 			v    int
-		}{{"j", *jobs}, {"shards", *shards}, {"spans", *spansEvery}} {
+		}{{"j", *jobs}, {"spans", *spansEvery}} {
 			if f.v < 0 {
 				fmt.Fprintf(os.Stderr, "tfcsim: -%s must not be negative, got %d\n", f.name, f.v)
 				return 2
@@ -172,10 +168,6 @@ func cli(ctx context.Context, argv []string, stdout io.Writer) (code int) {
 			Seed:        *seed,
 			Parallelism: *jobs,
 			CSVDir:      *csv,
-			Shards:      *shards,
-		}
-		if *shards == 0 {
-			opts.Shards = -1 // auto: topology's natural shard count, capped at GOMAXPROCS
 		}
 		if *protoFlag != "" {
 			for _, p := range strings.Split(*protoFlag, ",") {

@@ -88,14 +88,13 @@ func TestCancelledRunCleansUp(t *testing.T) {
 	}
 }
 
-// TestNegativeCountFlagsRejected: a negative -j, -shards or -spans is a
+// TestNegativeCountFlagsRejected: a negative -j or -spans is a
 // usage error (exit 2) reported before any trial runs, so nothing reaches
 // stdout or the -trace file.
 func TestNegativeCountFlagsRejected(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "t.json")
 	for _, args := range [][]string{
 		{"run", "fig07", "-j", "-3"},
-		{"run", "fig07", "-shards", "-2"},
 		{"run", "fig07", "-spans", "-1", "-trace", trace},
 		{"all", "-j", "-1"},
 	} {

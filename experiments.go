@@ -41,16 +41,6 @@ type RunOptions struct {
 	// Parallelism is the number of trials run concurrently; <= 0 means
 	// runtime.GOMAXPROCS(0). Use 1 for strictly serial execution.
 	Parallelism int
-	// Shards selects the per-trial execution engine: 0 or 1 (default)
-	// runs each trial on the sequential simulator, >= 2 partitions each
-	// trial's topology into up to that many shards driven in parallel by
-	// the conservative engine, and -1 uses the topology's natural shard
-	// count capped at GOMAXPROCS. Like Parallelism, it never changes the
-	// output — sharded trials are byte-identical to sequential ones.
-	// Experiments whose topology or workload does not decompose (fig12's
-	// incast bookkeeping, the fig13/fig16 benchmark, single-path
-	// topologies) ignore it; fig08-10, robustness and fattree honor it.
-	Shards int
 	// CSVDir, if non-empty, makes experiments that support raw data
 	// export (fig06, fig08-10, fig12, fig13) write CSV files there.
 	CSVDir string
@@ -91,9 +81,6 @@ func (o RunOptions) withDefaults() (RunOptions, error) {
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if o.Shards < -1 {
-		return o, fmt.Errorf("tfcsim: Shards %d (want -1 for auto, or >= 0)", o.Shards)
 	}
 	for _, p := range o.Protos {
 		if _, err := transport.Lookup(string(p)); err != nil {
@@ -141,7 +128,6 @@ type runCtx struct {
 	scale  Scale
 	seed   int64
 	csvDir string
-	shards int // RunOptions.Shards (per-trial engine selector)
 	pool   *runner.Pool
 	tel    *telemetry.Collector // nil when telemetry is off
 	protos []exp.Proto          // RunOptions.Protos override (validated)
@@ -199,7 +185,7 @@ func (e Experiment) Run(ctx context.Context, opts RunOptions) (*Result, error) {
 		},
 	}
 	rc := &runCtx{scale: opts.Scale, seed: opts.Seed, csvDir: opts.CSVDir,
-		shards: opts.Shards, pool: pool, protos: opts.Protos}
+		pool: pool, protos: opts.Protos}
 	if opts.Telemetry != nil {
 		rc.tel = telemetry.NewCollector(*opts.Telemetry)
 		res.Telemetry = rc.tel
@@ -275,7 +261,6 @@ var registry = []Experiment{
 		Desc: "queue length, goodput/fairness and convergence, 4 staggered flows -> H3, TFC vs DCTCP vs TCP",
 		run: func(ctx context.Context, rc *runCtx) (any, string, error) {
 			cfg := exp.QueueFairnessConfig{}
-			cfg.Shards = rc.shards
 			if rc.paper() {
 				cfg.StartInterval = 3 * sim.Second
 				cfg.Tail = 3 * sim.Second
@@ -441,7 +426,6 @@ var registry = []Experiment{
 		Desc: "k-ary fat-tree cross-pod permutation over ECMP: TFC vs TCP fabric queues",
 		run: func(ctx context.Context, rc *runCtx) (any, string, error) {
 			cfg := exp.PermutationConfig{Duration: 150 * sim.Millisecond}
-			cfg.Shards = rc.shards
 			if rc.paper() {
 				cfg.K = 8
 				cfg.Duration = 300 * sim.Millisecond
@@ -475,7 +459,6 @@ var registry = []Experiment{
 		Desc: "failure recovery: bottleneck blackouts (5/50/500ms) and 1% bursty loss, TFC vs DCTCP vs TCP",
 		run: func(ctx context.Context, rc *runCtx) (any, string, error) {
 			cfg := exp.RobustnessConfig{}
-			cfg.Shards = rc.shards
 			if rc.paper() {
 				cfg.Tail = 2 * sim.Second
 			}

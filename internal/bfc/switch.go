@@ -61,9 +61,8 @@ type Hook struct {
 	drainHd int
 	drainN  int
 
-	// Pauses and Resumes count emitted XOF and XON signals.
-	Pauses  int64
-	Resumes int64
+	// Pauses counts emitted XOF signals.
+	Pauses int64
 }
 
 // AttachSwitch installs BFC backpressure hooks on every port of sw,
@@ -180,7 +179,6 @@ func (h *Hook) drain(flow netsim.FlowID, fb int64) {
 		return
 	}
 	if fs.gate.Drain(fb) {
-		h.Resumes++
 		h.signal(flow, fs.src, netsim.FlagXON)
 	}
 	if fs.gate.Occ() == 0 && !fs.gate.Paused() {

@@ -117,7 +117,6 @@ type PortState struct {
 	// Statistics.
 	Slots       int64
 	DelayedAcks int64
-	Stamped     int64
 }
 
 func newPortState(s *sim.Simulator, p *netsim.Port, cfg *SwitchConfig) *PortState {
@@ -213,7 +212,6 @@ func (st *PortState) OnEnqueue(pkt *netsim.Packet, port *netsim.Port) bool {
 			wi = 1
 		}
 		pkt.Window = wi
-		st.Stamped++
 		if pr := st.port.Network().Probe; pr != nil {
 			pr.Observe(netsim.Event{Kind: netsim.EvStamp, At: st.s.Now(), Port: st.port, Flow: pkt.Flow, A: wi})
 		}

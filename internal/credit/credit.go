@@ -52,10 +52,6 @@ const (
 // re-requests credits). Reliability is transport.Reliable's.
 type Sender struct {
 	transport.Reliable
-
-	// CreditsUsed / CreditsWasted count received credits by outcome.
-	CreditsUsed   int64
-	CreditsWasted int64
 }
 
 // NewSender creates (and registers) the sending half.
@@ -121,15 +117,13 @@ func (s *Sender) Deliver(pkt *netsim.Packet) {
 		return // plain ACK: no credit to spend
 	}
 	if s.SndNxt == s.Budget {
-		s.CreditsWasted++
-		return
+		return // nothing left to send: the credit is wasted
 	}
 	// Spend the credit on one segment.
 	seg := s.SegLen(s.SndNxt)
 	p := s.Segment(s.SndNxt, seg, 0)
 	p.Window = s.Budget - s.SndNxt - seg // remaining-after hint
 	s.SendNew(p)
-	s.CreditsUsed++
 	s.ArmIfIdle()
 }
 

@@ -70,8 +70,7 @@ func Incast(cfg IncastConfig) IncastPoint {
 	// RoundsDone) is updated from every sender's OnDrain callback; under
 	// sharded execution those fire on different shard goroutines. The
 	// topology would decompose, the workload does not — force the
-	// sequential engine, so a -shards run of fig12/fig15 is trivially
-	// byte-identical to the sequential one.
+	// sequential engine.
 	cfg.Shards = 0
 	e, senders, recv, bott := Star(cfg.TopoConfig, cfg.Senders, cfg.Rate, cfg.BufBytes)
 	in := workload.NewIncast(workload.IncastConfig{

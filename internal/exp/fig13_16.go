@@ -68,9 +68,9 @@ func Benchmark(cfg BenchmarkConfig) *BenchmarkResult {
 	cfg.fill()
 	// The benchmark workload's flow bookkeeping (completion counts, FCT
 	// records) is updated from OnComplete callbacks that fire on the
-	// sender's shard; with hosts spread over shards those writes would
-	// race. Force the sequential engine (see IncastConfig for the same
-	// constraint).
+	// sender's shard; with the Testbed's hosts spread over shards those
+	// writes would race. Force the sequential engine (see Incast for the
+	// same constraint; LeafSpine records no partition plan).
 	cfg.Shards = 0
 	var e *Env
 	if cfg.Racks > 0 {

@@ -9,7 +9,6 @@ package exp
 
 import (
 	"fmt"
-	"runtime"
 
 	"tfcsim/internal/core"
 	"tfcsim/internal/netsim"
@@ -58,10 +57,10 @@ type Env struct {
 
 	// plan[node] is the node's natural partition group, recorded by the
 	// topology builder via place: the maximal decomposition the topology
-	// supports (one group per leaf subtree, pod, rack, ...). finish folds
-	// groups onto the requested shard count round-robin. Builders that
-	// never call place have no parallel decomposition and run
-	// sequentially regardless of TopoConfig.Shards.
+	// supports (one group per Testbed leaf subtree, Star sender or
+	// fat-tree pod). finish folds groups onto the requested shard count
+	// round-robin. Builders that never call place run sequentially
+	// regardless of TopoConfig.Shards.
 	plan       map[netsim.NodeID]int
 	planGroups int
 }
@@ -87,14 +86,11 @@ type TopoConfig struct {
 	// Shards selects the execution engine. 0 or 1 (the default) runs the
 	// classic sequential simulator. >= 2 partitions the topology into up
 	// to that many shards driven in parallel by the conservative engine
-	// (sim.Group, DESIGN.md §10); -1 means "auto": as many shards as the
-	// topology naturally decomposes into, capped at GOMAXPROCS. The
-	// shard count is clamped to the builder's natural decomposition
-	// (e.g. one group per Testbed leaf subtree or fat-tree pod), and the
-	// output is byte-identical at every setting. Builders without a
-	// parallel decomposition (MultiBottleneck) and workloads whose
-	// bookkeeping is shared across sender shards (Incast, Benchmark)
-	// ignore the knob and stay sequential.
+	// (sim.Group, DESIGN.md §10), clamped to the builder's natural
+	// decomposition (Testbed, Star and FatTree record one; see Env.plan);
+	// the output is byte-identical at every setting. MultiBottleneck and
+	// LeafSpine record none and stay sequential, as do the workloads whose
+	// bookkeeping is shared across sender shards (Incast, Benchmark).
 	Shards int
 	// Switch config for TFC (ablations, rho0, callbacks), handed to the
 	// transport's Attach as its Knobs; only TFC reads it.
@@ -168,16 +164,7 @@ func (e *Env) finish(cfg *TopoConfig, markRate netsim.Rate) {
 // attachment: attachments and dialed connections bind to node simulators,
 // which must already be the shard simulators by then.
 func (e *Env) partition(cfg *TopoConfig) {
-	n := cfg.Shards
-	if n == 0 || n == 1 || e.planGroups < 2 {
-		return
-	}
-	if n < 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n > e.planGroups {
-		n = e.planGroups
-	}
+	n := min(cfg.Shards, e.planGroups)
 	if n < 2 {
 		return
 	}
@@ -300,18 +287,14 @@ func MultiBottleneck(cfg TopoConfig) *MultiBottleneckEnv {
 func LeafSpine(cfg TopoConfig, racks, perRack int, buf int) *Env {
 	e := newEnv(&cfg)
 	spine := e.newSwitch("spine")
-	// Natural decomposition: one group per rack, the spine with rack 0.
-	e.place(0, spine)
 	for r := 0; r < racks; r++ {
 		leaf := e.newSwitch("leaf")
-		e.place(r, leaf)
 		e.Net.Connect(leaf, spine, netsim.LinkConfig{
 			Rate: 10 * netsim.Gbps, Delay: 20 * sim.Microsecond,
 			BufA: buf, BufB: buf,
 		})
 		for j := 0; j < perRack; j++ {
 			h := e.newHost("h")
-			e.place(r, h)
 			e.Net.Connect(h, leaf, netsim.LinkConfig{
 				Rate: netsim.Gbps, Delay: 20 * sim.Microsecond, BufB: buf,
 			})

@@ -223,33 +223,11 @@ func TestPortHookModify(t *testing.T) {
 	}
 }
 
-func TestListenerSpawnsEndpoint(t *testing.T) {
-	s := sim.New(1)
-	_, h1, h2, _ := buildPair(s, LinkConfig{Rate: Gbps, Delay: sim.Microsecond})
-	k := &sink{s: s}
-	spawned := 0
-	h2.Listener = func(p *Packet) Endpoint {
-		spawned++
-		return k
-	}
-	s.At(0, func() {
-		h1.Send(&Packet{Flow: 9, Src: h1.ID(), Dst: h2.ID(), Flags: FlagSYN})
-		h1.Send(&Packet{Flow: 9, Src: h1.ID(), Dst: h2.ID(), Seq: 1, Payload: MSS})
-	})
-	s.Run()
-	if spawned != 1 {
-		t.Fatalf("listener spawned %d endpoints, want 1", spawned)
-	}
-	if len(k.pkts) != 2 {
-		t.Fatalf("delivered %d, want 2 (SYN + data to same endpoint)", len(k.pkts))
-	}
-}
-
 func TestStrayPackets(t *testing.T) {
 	s := sim.New(1)
 	_, h1, h2, _ := buildPair(s, LinkConfig{Rate: Gbps, Delay: sim.Microsecond})
 	s.At(0, func() {
-		// Non-SYN to unknown flow: dropped as stray.
+		// A packet for a flow nobody registered is dropped as stray.
 		h1.Send(&Packet{Flow: 3, Src: h1.ID(), Dst: h2.ID(), Payload: MSS})
 	})
 	s.Run()

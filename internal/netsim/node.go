@@ -151,19 +151,12 @@ type Endpoint interface {
 }
 
 // Host is an end system with a single NIC. Transport endpoints register by
-// FlowID; unknown SYNs are handed to the Listener to spawn a passive
-// endpoint (the accept path).
+// FlowID; a transport binds both ends of a flow when it dials.
 type Host struct {
 	nodeBase
 	endpoints map[FlowID]Endpoint
-	// Listener creates a receiving endpoint for an incoming SYN of an
-	// unknown flow, or returns nil to refuse it.
-	Listener func(pkt *Packet) Endpoint
 	// Stray counts packets that matched no endpoint.
 	Stray int64
-	// Aux holds protocol-local per-host state (e.g. the credit transport's
-	// per-host pacer registry). Owned by whichever scheme sets it.
-	Aux any
 	// ProcJitter, when positive, adds a uniform [0, ProcJitter) host
 	// processing delay to every transmitted packet, FIFO-preserving.
 	// Real end hosts have this jitter, and TFC's rtt_b estimation relies
@@ -240,11 +233,6 @@ func (h *Host) Register(id FlowID, ep Endpoint) {
 	h.endpoints[id] = ep
 }
 
-// Unregister removes a flow binding.
-func (h *Host) Unregister(id FlowID) {
-	delete(h.endpoints, id)
-}
-
 // Endpoint returns the endpoint bound to id, if any.
 func (h *Host) Endpoint(id FlowID) Endpoint { return h.endpoints[id] }
 
@@ -271,9 +259,8 @@ func (h *Host) SetPaused(paused bool) {
 	}
 }
 
-// Receive demultiplexes to the flow endpoint, invoking the Listener for an
-// unknown SYN. A paused host buffers the packet (retaining ownership)
-// until resume.
+// Receive demultiplexes to the flow endpoint. A paused host buffers the
+// packet (retaining ownership) until resume.
 func (h *Host) Receive(pkt *Packet, from *Port) {
 	if h.paused {
 		//tfcvet:allow poolsafe,hotalloc — the pause buffer takes ownership until resume re-injects, and it only grows while a fault holds the host paused, never in steady state
@@ -289,19 +276,12 @@ func (h *Host) deliver(pkt *Packet) {
 	}
 	ep, ok := h.endpoints[pkt.Flow]
 	if !ok {
-		if pkt.Flags&FlagSYN != 0 && pkt.Flags&FlagACK == 0 && h.Listener != nil {
-			if ep = h.Listener(pkt); ep != nil {
-				h.endpoints[pkt.Flow] = ep
-			}
+		h.Stray++
+		if h.net.Probe != nil {
+			h.observe(EvStray, pkt)
 		}
-		if ep == nil {
-			h.Stray++
-			if h.net.Probe != nil {
-				h.observe(EvStray, pkt)
-			}
-			h.sh.release(pkt)
-			return
-		}
+		h.sh.release(pkt)
+		return
 	}
 	if h.net.Probe != nil {
 		h.observe(EvDeliver, pkt)
@@ -570,14 +550,4 @@ func (n *Network) ComputeRoutes() {
 			}
 		}
 	}
-}
-
-// HostByID returns the host with the given node ID, or nil.
-func (n *Network) HostByID(id NodeID) *Host {
-	if int(id) < len(n.nodes) {
-		if h, ok := n.nodes[id].(*Host); ok {
-			return h
-		}
-	}
-	return nil
 }

@@ -90,15 +90,11 @@ type Port struct {
 	cutTx bool
 
 	// Statistics.
-	Drops      int64
-	DropBytes  int64
-	TxPackets  int64
-	TxFrames   int64 // frame bytes transmitted (excl. wire overhead)
-	EnqPackets int64
-	// MaxQueue is the high-water mark of the queue in bytes; MaxQueueAt
-	// records when it was reached.
-	MaxQueue   int
-	MaxQueueAt sim.Time
+	Drops     int64
+	TxPackets int64
+	TxFrames  int64 // frame bytes transmitted (excl. wire overhead)
+	// MaxQueue is the high-water mark of the queue in bytes.
+	MaxQueue int
 }
 
 // Index returns the port's position in Owner.Ports(): a dense key under
@@ -234,7 +230,6 @@ func (p *Port) growQ(n int) {
 // here — nothing downstream will see it again).
 func (p *Port) drop(pkt *Packet) {
 	p.Drops++
-	p.DropBytes += int64(pkt.FrameBytes())
 	if p.net.Probe != nil {
 		p.observe(EvDrop, pkt)
 	}
@@ -252,7 +247,6 @@ func (p *Port) Enqueue(pkt *Packet) {
 	if poolCheck {
 		checkLive(pkt, "enqueued after release")
 	}
-	p.EnqPackets++
 	if p.down {
 		p.drop(pkt)
 		return
@@ -279,7 +273,6 @@ func (p *Port) Enqueue(pkt *Packet) {
 	p.qBytes += fb
 	if p.qBytes > p.MaxQueue {
 		p.MaxQueue = p.qBytes
-		p.MaxQueueAt = p.sim.Now()
 	}
 	if p.net.Probe != nil {
 		p.observe(EvEnqueue, pkt)

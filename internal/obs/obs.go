@@ -34,7 +34,8 @@ type Options struct {
 	HTTPAddr string
 	// SpanEvery samples 1-in-N flows for causal packet spans (0 disables).
 	// Sampling is a pure function of (flow ID, SpanSeed), so the sampled
-	// set — and the exported trace — is byte-identical at any -j/-shards.
+	// set — and the exported trace — is byte-identical at any -j and
+	// shard count.
 	SpanEvery int
 	// SpanSeed perturbs the span sampling hash (default 1).
 	SpanSeed int64

@@ -49,7 +49,7 @@ func SpanHop(name string) bool {
 
 // SampledFlow reports whether flow is in the 1-in-every sampled set for
 // the given seed — a pure function, so the sampled set is identical at
-// any -j and -shards (exported so tests can pick a sampled flow).
+// any -j and shard count (exported so tests can pick a sampled flow).
 func SampledFlow(flow netsim.FlowID, every int, seed int64) bool {
 	if every <= 0 {
 		return false

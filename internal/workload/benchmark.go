@@ -16,14 +16,10 @@ type BenchmarkConfig struct {
 	Duration sim.Time
 	// QueryRate is the aggregate query arrival rate (queries/second).
 	QueryRate float64
-	// QueryBytes is the per-responder response size (paper: 2 KB).
-	QueryBytes int64
 	// QueryFanIn is the number of responders per query (0 = all other hosts).
 	QueryFanIn int
 	// BgFlowRate is the aggregate background flow arrival rate (flows/second).
 	BgFlowRate float64
-	// FlowSizes samples background flow sizes (default WebSearchFlowSizes).
-	FlowSizes *EmpiricalDist
 }
 
 // FlowRecord is the outcome of one benchmark flow.
@@ -44,14 +40,8 @@ type Benchmark struct {
 	Flows []*FlowRecord
 }
 
-// NewBenchmark validates the config and prepares a generator.
+// NewBenchmark prepares a generator.
 func NewBenchmark(cfg BenchmarkConfig) *Benchmark {
-	if cfg.FlowSizes == nil {
-		cfg.FlowSizes = WebSearchFlowSizes()
-	}
-	if cfg.QueryBytes == 0 {
-		cfg.QueryBytes = 2 << 10
-	}
 	return &Benchmark{cfg: cfg}
 }
 
@@ -80,7 +70,10 @@ func (b *Benchmark) scheduleNext(s *sim.Simulator, rate float64, launch func()) 
 	})
 }
 
-// launchQuery picks an aggregator and fans in QueryBytes from responders.
+// queryBytes is the per-responder query response size (§6.1.2: 2 KB).
+const queryBytes = 2 << 10
+
+// launchQuery picks an aggregator and fans in queryBytes from responders.
 func (b *Benchmark) launchQuery() {
 	s := b.cfg.Dialer.Sim
 	hosts := b.cfg.Hosts
@@ -96,13 +89,16 @@ func (b *Benchmark) launchQuery() {
 		if hosts[i] == agg {
 			continue
 		}
-		b.launchFlow(hosts[i], agg, b.cfg.QueryBytes, true)
+		b.launchFlow(hosts[i], agg, queryBytes, true)
 		n++
 		if n == fan {
 			break
 		}
 	}
 }
+
+// bgFlowSizes samples background flow sizes: the web-search distribution.
+var bgFlowSizes = WebSearchFlowSizes()
 
 func (b *Benchmark) launchBackground() {
 	s := b.cfg.Dialer.Sim
@@ -112,7 +108,7 @@ func (b *Benchmark) launchBackground() {
 	for dst == src {
 		dst = hosts[s.Rand.Intn(len(hosts))]
 	}
-	size := int64(b.cfg.FlowSizes.Sample(s.Rand))
+	size := int64(bgFlowSizes.Sample(s.Rand))
 	if size < 1 {
 		size = 1
 	}

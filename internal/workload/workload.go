@@ -93,9 +93,6 @@ type IncastConfig struct {
 	Senders    []*netsim.Host
 	Receiver   *netsim.Host
 	BlockBytes int64
-	// RequestDelay models the receiver's request propagation before a
-	// round starts (default 50us).
-	RequestDelay sim.Time
 	// Rounds caps the number of rounds (0 = unlimited).
 	Rounds int
 }
@@ -116,9 +113,6 @@ type Incast struct {
 // NewIncast opens the persistent connections (handshake + window
 // acquisition happen immediately) and schedules the first round.
 func NewIncast(cfg IncastConfig) *Incast {
-	if cfg.RequestDelay == 0 {
-		cfg.RequestDelay = 50 * sim.Microsecond
-	}
 	in := &Incast{cfg: cfg}
 	for _, h := range cfg.Senders {
 		in.conns = append(in.conns, cfg.Dialer.Dial(h, cfg.Receiver, in.onDrain, nil))
@@ -136,13 +130,17 @@ func (in *Incast) Start(settle sim.Time) {
 	s.After(settle, in.startRound)
 }
 
+// requestDelay models the receiver's request propagation before a round
+// starts.
+const requestDelay = 50 * sim.Microsecond
+
 func (in *Incast) startRound() {
 	if in.cfg.Rounds > 0 && in.RoundsDone >= in.cfg.Rounds {
 		return
 	}
 	s := in.cfg.Dialer.Sim
 	in.started = true
-	s.After(in.cfg.RequestDelay, func() {
+	s.After(requestDelay, func() {
 		in.roundBegan = s.Now()
 		in.pending = len(in.conns)
 		for _, c := range in.conns {

@@ -142,9 +142,6 @@ func TestRunOptionsValidation(t *testing.T) {
 	if _, err := e.Run(context.Background(), RunOptions{Scale: Scale("huge")}); err == nil {
 		t.Fatal("unknown scale should error")
 	}
-	if _, err := e.Run(context.Background(), RunOptions{Shards: -2}); err == nil {
-		t.Fatal("Shards below -1 (auto) should error")
-	}
 	// Zero-value options resolve to quick / seed 1 / GOMAXPROCS.
 	res, err := e.Run(context.Background(), RunOptions{})
 	if err != nil {
