@@ -53,7 +53,7 @@ Flags for run/all:
   -spans N             sample 1-in-N flows for causal packet spans in the trace
                        (requires -trace; byte-identical at any -j)
   -watchdogs           enable invariant watchdogs (token conservation, zero-queueing,
-                       BFC pairing, RTO storms, shard liveness); violations print a
+                       BFC pairing, RTO storms, liveness); violations print a
                        diagnostic and write a flight-recorder dump
   -flightdir DIR       directory for watchdog flight-recorder dumps (default .; - disables)
   -v                   print per-trial progress to stderr

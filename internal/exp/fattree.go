@@ -37,20 +37,27 @@ func FatTree(cfg TopoConfig, k int, rate netsim.Rate, buf int) *FatTreeEnv {
 		Rate: rate, Delay: 5 * sim.Microsecond, BufA: buf, BufB: buf,
 	}
 	ft := &FatTreeEnv{Env: e, K: k}
-	// Natural decomposition for sharded runs: one group per pod, with
-	// the core layer spread round-robin over the pod groups. Every
-	// boundary link (pod<->core) carries propagation delay, which becomes
-	// the parallel engine's lookahead.
+	// Shard plan (TopoConfig.Shards): group p is pod p, core i joins group
+	// i%k, and the k groups fold round-robin onto min(Shards, k) shards.
+	// Every boundary link (pod<->core) carries propagation delay, which
+	// becomes the parallel engine's lookahead.
+	shards := min(cfg.Shards, k)
+	var assign []int // each node's shard, in creation (NodeID) order
+	place := func(group int) {
+		if shards >= 2 {
+			assign = append(assign, group%shards)
+		}
+	}
 	for i := 0; i < half*half; i++ {
 		core := e.newSwitch(fmt.Sprintf("core%d", i))
-		e.place(i%k, core)
+		place(i % k)
 		ft.Cores = append(ft.Cores, core)
 	}
 	for p := 0; p < k; p++ {
 		var aggs, edges []*netsim.Switch
 		for a := 0; a < half; a++ {
 			agg := e.newSwitch(fmt.Sprintf("agg%d.%d", p, a))
-			e.place(p, agg)
+			place(p)
 			aggs = append(aggs, agg)
 			// Aggregation switch a connects to cores [a*half, (a+1)*half).
 			for c := 0; c < half; c++ {
@@ -60,14 +67,14 @@ func FatTree(cfg TopoConfig, k int, rate netsim.Rate, buf int) *FatTreeEnv {
 		var hosts []*netsim.Host
 		for ed := 0; ed < half; ed++ {
 			edge := e.newSwitch(fmt.Sprintf("edge%d.%d", p, ed))
-			e.place(p, edge)
+			place(p)
 			edges = append(edges, edge)
 			for _, agg := range aggs {
 				e.Net.Connect(edge, agg, link)
 			}
 			for hIdx := 0; hIdx < half; hIdx++ {
 				h := e.newHost(fmt.Sprintf("h%d.%d.%d", p, ed, hIdx))
-				e.place(p, h)
+				place(p)
 				e.Net.Connect(h, edge, netsim.LinkConfig{
 					Rate: rate, Delay: 5 * sim.Microsecond, BufB: buf,
 				})
@@ -78,7 +85,7 @@ func FatTree(cfg TopoConfig, k int, rate netsim.Rate, buf int) *FatTreeEnv {
 		ft.Edges = append(ft.Edges, edges)
 		ft.PodHosts = append(ft.PodHosts, hosts)
 	}
-	e.finish(&cfg, rate)
+	e.finish(&cfg, rate, assign)
 	return ft
 }
 
@@ -105,9 +112,6 @@ type PermutationResult struct {
 	Drops      int64
 	MaxQueue   int    // worst port queue in the fabric
 	Events     uint64 // simulator events executed by this trial
-	// Group carries the sharded engine's counters (epochs, ties,
-	// per-shard dispatch); nil on sequential (unsharded) runs.
-	Group *sim.GroupStats
 }
 
 // SimEvents reports the trial's event count to the runner pool.
@@ -169,10 +173,6 @@ func Permutation(cfg PermutationConfig) PermutationResult {
 		}
 	}
 	res.Events = ft.Sim.Executed()
-	if g := ft.Net.Group(); g != nil {
-		gs := g.Stats()
-		res.Group = &gs
-	}
 	return res
 }
 

@@ -66,12 +66,6 @@ func (p IncastPoint) SimEvents() uint64 { return p.Events }
 // Incast runs one incast configuration.
 func Incast(cfg IncastConfig) IncastPoint {
 	cfg.fill()
-	// The incast workload's round bookkeeping (workload.Incast.pending,
-	// RoundsDone) is updated from every sender's OnDrain callback; under
-	// sharded execution those fire on different shard goroutines. The
-	// topology would decompose, the workload does not — force the
-	// sequential engine.
-	cfg.Shards = 0
 	e, senders, recv, bott := Star(cfg.TopoConfig, cfg.Senders, cfg.Rate, cfg.BufBytes)
 	in := workload.NewIncast(workload.IncastConfig{
 		Dialer: e.Dialer, Senders: senders, Receiver: recv,

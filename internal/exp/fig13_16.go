@@ -66,12 +66,6 @@ func (r *BenchmarkResult) SimEvents() uint64 { return r.Events }
 // Benchmark runs the workload for one protocol.
 func Benchmark(cfg BenchmarkConfig) *BenchmarkResult {
 	cfg.fill()
-	// The benchmark workload's flow bookkeeping (completion counts, FCT
-	// records) is updated from OnComplete callbacks that fire on the
-	// sender's shard; with the Testbed's hosts spread over shards those
-	// writes would race. Force the sequential engine (see Incast for the
-	// same constraint; LeafSpine records no partition plan).
-	cfg.Shards = 0
 	var e *Env
 	if cfg.Racks > 0 {
 		e = LeafSpine(cfg.TopoConfig, cfg.Racks, cfg.PerRack, cfg.BufBytes)

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"os"
 	"strings"
 
 	"tfcsim/internal/faults"
@@ -177,19 +176,6 @@ func Robustness(cfg RobustnessConfig) RobustnessPoint {
 	})
 
 	e.Sim.RunUntil(end)
-
-	// Residual ties mean the epoch barrier had to break same-timestamp
-	// events arriving from different shards; the count is read through the
-	// structured Group.Stats() accessor. Nonzero is deterministic and
-	// harmless, but this experiment injects faults at exact instants, so a
-	// surprise here is the first hint a fault landed on a shard boundary.
-	if g := e.Net.Group(); g != nil {
-		if gs := g.Stats(); gs.Ties > 0 {
-			fmt.Fprintf(os.Stderr,
-				"robustness: warning: %d residual cross-shard timestamp ties (proto=%s, shards=%d, epochs=%d)\n",
-				gs.Ties, cfg.Proto, gs.Shards, gs.Epochs)
-		}
-	}
 
 	pt := RobustnessPoint{Proto: cfg.Proto, Scenario: cfg.Name, Recovery: recovery, PostQPeak: postPeak}
 	var total int64

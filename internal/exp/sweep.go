@@ -23,6 +23,9 @@ func (c *TopoConfig) topo() *TopoConfig { return c }
 // telemetry trial col.Trial(key(cell)) (nil, like col, when telemetry is
 // off), so the output is identical at any parallelism. Keys must be
 // unique within a run: they are the merge order of trace and metrics.
+// The trial flushes as its cell returns, which tells the observatory the
+// trial is done; its virtual clock has stopped, so export would close
+// open spans at the same instant.
 func Sweep[C, R any, PC cell[C]](ctx context.Context, p *runner.Pool, col *telemetry.Collector,
 	cells []C, key func(C) string, run func(C) R) ([]R, error) {
 	rs, _, err := runner.Map(ctx, p, len(cells), func(i int, seed int64) (R, error) {
@@ -30,7 +33,9 @@ func Sweep[C, R any, PC cell[C]](ctx context.Context, p *runner.Pool, col *telem
 		t := PC(&c).topo()
 		t.Seed = seed
 		t.Telemetry = col.Trial(key(c))
-		return run(c), nil
+		r := run(c)
+		t.Telemetry.Flush()
+		return r, nil
 	})
 	return rs, err
 }

@@ -9,6 +9,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
 	"tfcsim/internal/core"
 	"tfcsim/internal/netsim"
@@ -54,28 +55,6 @@ type Env struct {
 	Hosts    []*netsim.Host
 	Switches []*netsim.Switch
 	Dialer   *workload.Dialer
-
-	// plan[node] is the node's natural partition group, recorded by the
-	// topology builder via place: the maximal decomposition the topology
-	// supports (one group per Testbed leaf subtree, Star sender or
-	// fat-tree pod). finish folds groups onto the requested shard count
-	// round-robin. Builders that never call place run sequentially
-	// regardless of TopoConfig.Shards.
-	plan       map[netsim.NodeID]int
-	planGroups int
-}
-
-// place records the natural partition group for nodes (see Env.plan).
-func (e *Env) place(group int, nodes ...netsim.Node) {
-	if e.plan == nil {
-		e.plan = make(map[netsim.NodeID]int)
-	}
-	for _, n := range nodes {
-		e.plan[n.ID()] = group
-	}
-	if group+1 > e.planGroups {
-		e.planGroups = group + 1
-	}
 }
 
 // TopoConfig carries the knobs shared by all topology builders.
@@ -83,14 +62,12 @@ type TopoConfig struct {
 	Proto Proto
 	// Seed for the deterministic RNG.
 	Seed int64
-	// Shards selects the execution engine. 0 or 1 (the default) runs the
-	// classic sequential simulator. >= 2 partitions the topology into up
-	// to that many shards driven in parallel by the conservative engine
-	// (sim.Group, DESIGN.md §10), clamped to the builder's natural
-	// decomposition (Testbed, Star and FatTree record one; see Env.plan);
-	// the output is byte-identical at every setting. MultiBottleneck and
-	// LeafSpine record none and stay sequential, as do the workloads whose
-	// bookkeeping is shared across sender shards (Incast, Benchmark).
+	// Shards, at 2 or more, runs a FatTree on up to that many shards driven
+	// in parallel by the conservative engine (sim.Group, DESIGN.md §10),
+	// clamped to its k pods; the output is byte-identical at every setting.
+	// Only FatTree honours it: every other builder runs sequentially. A
+	// sharded network cannot carry Telemetry (InstrumentNetwork panics), so
+	// observed trials are sequential.
 	Shards int
 	// Switch config for TFC (ablations, rho0, callbacks), handed to the
 	// transport's Attach as its Knobs; only TFC reads it.
@@ -138,13 +115,22 @@ func (e *Env) newSwitch(name string) *netsim.Switch {
 	return sw
 }
 
-// finish computes routes, attaches the selected transport's switch-side
+// finish computes routes, partitions the network when assign is non-nil
+// (FatTree's shard plan: each node's shard by NodeID, every shard up to
+// the largest used), attaches the selected transport's switch-side
 // machinery through the registry, and instruments everything with the
-// trial's telemetry sink (if any). No per-protocol wiring lives here:
-// registering a transport is all it takes to run it on any topology.
-func (e *Env) finish(cfg *TopoConfig, markRate netsim.Rate) {
+// trial's telemetry sink (if any). Partitioning sits between route
+// computation and attachment: attachments and dialed connections bind to
+// node simulators, which must already be the shard simulators by then.
+// No per-protocol wiring lives here: registering a transport is all it
+// takes to run it on any topology.
+func (e *Env) finish(cfg *TopoConfig, markRate netsim.Rate, assign []int) {
 	e.Net.ComputeRoutes()
-	e.partition(cfg)
+	if assign != nil {
+		if err := e.Net.Partition(assign, slices.Max(assign)+1); err != nil {
+			panic(fmt.Sprintf("exp: %v", err))
+		}
+	}
 	telemetry.InstrumentNetwork(cfg.Telemetry, e.Net)
 	f, err := transport.Lookup(string(cfg.Proto))
 	if err != nil {
@@ -159,28 +145,6 @@ func (e *Env) finish(cfg *TopoConfig, markRate netsim.Rate) {
 	telemetry.InstrumentTransport(cfg.Telemetry, string(cfg.Proto), e.Switches)
 }
 
-// partition folds the builder's placement plan onto cfg.Shards shards and
-// splits the network. It runs between route computation and transport
-// attachment: attachments and dialed connections bind to node simulators,
-// which must already be the shard simulators by then.
-func (e *Env) partition(cfg *TopoConfig) {
-	n := min(cfg.Shards, e.planGroups)
-	if n < 2 {
-		return
-	}
-	assign := make([]int, len(e.Hosts)+len(e.Switches))
-	for id := range assign {
-		g, ok := e.plan[netsim.NodeID(id)]
-		if !ok {
-			panic(fmt.Sprintf("exp: node %d has no shard placement", id))
-		}
-		assign[id] = g % n
-	}
-	if err := e.Net.Partition(assign, n); err != nil {
-		panic(fmt.Sprintf("exp: %v", err))
-	}
-}
-
 // Testbed paper parameters (§6.1.1): 256 KB per port, 1 Gbps.
 const (
 	TestbedBuf  = 256 << 10
@@ -193,27 +157,22 @@ const (
 func Testbed(cfg TopoConfig) *Env {
 	e := newEnv(&cfg)
 	nf0 := e.newSwitch("NF0")
-	// Natural decomposition for sharded runs: one group per leaf subtree
-	// (leaf switch plus its hosts), the core riding with the first.
-	e.place(0, nf0)
 	link := netsim.LinkConfig{
 		Rate: TestbedRate, Delay: 5 * sim.Microsecond,
 		BufA: TestbedBuf, BufB: TestbedBuf,
 	}
 	for l := 1; l <= 3; l++ {
 		leaf := e.newSwitch("NF" + string(rune('0'+l)))
-		e.place(l-1, leaf)
 		e.Net.Connect(leaf, nf0, link)
 		for j := 0; j < 3; j++ {
 			h := e.newHost("H")
-			e.place(l-1, h)
 			// Host NICs are not buffer-limited (senders are window-limited).
 			e.Net.Connect(h, leaf, netsim.LinkConfig{
 				Rate: TestbedRate, Delay: 5 * sim.Microsecond, BufB: TestbedBuf,
 			})
 		}
 	}
-	e.finish(&cfg, TestbedRate)
+	e.finish(&cfg, TestbedRate, nil)
 	return e
 }
 
@@ -222,24 +181,18 @@ func Testbed(cfg TopoConfig) *Env {
 func Star(cfg TopoConfig, n int, rate netsim.Rate, buf int) (*Env, []*netsim.Host, *netsim.Host, *netsim.Port) {
 	e := newEnv(&cfg)
 	sw := e.newSwitch("sw")
-	// Natural decomposition: the switch and receiver anchor group 0,
-	// every sender host is its own group (folded round-robin on the
-	// requested shard count).
-	e.place(0, sw)
 	link := netsim.LinkConfig{Rate: rate, Delay: 5 * sim.Microsecond, BufA: buf, BufB: buf}
 	var senders []*netsim.Host
 	for i := 0; i < n; i++ {
 		h := e.newHost("s")
-		e.place(1+i, h)
 		e.Net.Connect(h, sw, link)
 		senders = append(senders, h)
 	}
 	recv := e.newHost("recv")
-	e.place(0, recv)
 	e.Net.Connect(sw, recv, netsim.LinkConfig{
 		Rate: rate, Delay: 5 * sim.Microsecond, BufA: buf,
 	})
-	e.finish(&cfg, rate)
+	e.finish(&cfg, rate, nil)
 	return e, senders, recv, sw.PortTo(recv.ID())
 }
 
@@ -272,7 +225,7 @@ func MultiBottleneck(cfg TopoConfig) *MultiBottleneckEnv {
 	e.Net.Connect(h2, s2, link)
 	e.Net.Connect(h3, s2, link)
 	e.Net.Connect(h4, s2, link)
-	e.finish(&cfg, TestbedRate)
+	e.finish(&cfg, TestbedRate, nil)
 	return &MultiBottleneckEnv{
 		Env: e, H1: h1, H2: h2, H3: h3, H4: h4, S1: s1, S2: s2,
 		Uplink:   s1.PortTo(s2.ID()),
@@ -300,7 +253,7 @@ func LeafSpine(cfg TopoConfig, racks, perRack int, buf int) *Env {
 			})
 		}
 	}
-	e.finish(&cfg, 10*netsim.Gbps)
+	e.finish(&cfg, 10*netsim.Gbps, nil)
 	return e
 }
 

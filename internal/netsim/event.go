@@ -90,8 +90,9 @@ func (e Event) Where() string {
 // returns. Probes run on the simulation's virtual timeline and must not
 // mutate simulation state, schedule events or draw from its Rand
 // (TestTelemetryResultsNeutral and TestObservatoryResultsNeutral check
-// this). In a partitioned network Observe runs concurrently on shard
-// goroutines; implementations serialize internally.
+// this). Observe runs on the trial's simulator goroutine: observed
+// trials are sequential (telemetry refuses a partitioned network), so
+// implementations keep their state unlocked.
 type Probe interface {
 	Observe(Event)
 }

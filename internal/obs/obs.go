@@ -10,10 +10,12 @@
 // stamped, canonically ordered), watchdog diagnostics go to stderr and
 // flight-recorder dump files. Results, traces, and metrics therefore
 // stay byte-identical with the observatory on or off, at any worker
-// parallelism and shard count. The only wall-clock machinery (the HTTP
-// endpoint and the shard-liveness monitor) reads lock-free per-shard
-// Pulse mailboxes and atomic snapshots — it never touches simulator
-// state directly.
+// parallelism. An observed trial is sequential (telemetry refuses a
+// partitioned network), so its consumer runs on the trial's simulator
+// goroutine and keeps its state unlocked. The only wall-clock machinery
+// (the HTTP endpoint and the liveness monitor) reads the lock-free Pulse
+// mailbox and atomic snapshots — it never touches simulator state
+// directly.
 package obs
 
 import (
@@ -34,8 +36,7 @@ type Options struct {
 	HTTPAddr string
 	// SpanEvery samples 1-in-N flows for causal packet spans (0 disables).
 	// Sampling is a pure function of (flow ID, SpanSeed), so the sampled
-	// set — and the exported trace — is byte-identical at any -j and
-	// shard count.
+	// set — and the exported trace — is byte-identical at any -j.
 	SpanEvery int
 	// SpanSeed perturbs the span sampling hash (default 1).
 	SpanSeed int64
@@ -61,7 +62,7 @@ const (
 	// sampleEvery is the virtual-time cadence of the endpoint's port/flow
 	// snapshot tick (only scheduled when HTTPAddr is set).
 	sampleEvery = sim.Millisecond
-	// livenessSec is the shard-liveness watchdog's wall-clock stall
+	// livenessSec is the liveness watchdog's wall-clock stall
 	// threshold in seconds (needs HTTPAddr and Watchdogs).
 	livenessSec = 30
 )
@@ -160,7 +161,9 @@ func (o *Observatory) Attach(run string, c *telemetry.Collector) {
 // observeTrial mints one trial's consumer, carrying whichever of the span
 // tracer, flight ring, watchdogs and endpoint state the options ask for.
 func (o *Observatory) observeTrial(key string, t *telemetry.Trial) telemetry.Consumer {
-	to := &trialObs{o: o, key: key, t: t}
+	// The pulse exists before the trial is published: the endpoint reads
+	// it from the moment the trial is in o.trials.
+	to := &trialObs{o: o, key: key, t: t, pulse: &sim.Pulse{}}
 	if o.opts.SpanEvery > 0 {
 		to.spans = newSpanTracer(t, o.opts.SpanEvery, o.opts.SpanSeed)
 	}
@@ -206,8 +209,8 @@ func (o *Observatory) FinishRun(run string) {
 }
 
 // violation records a watchdog violation: a structured stderr diagnostic
-// plus (when a flight recorder is live) a dump file. Safe to call from
-// probe context on shard goroutines.
+// plus (when a flight recorder is live) a dump file. Called from probe
+// context on trial goroutines and from the liveness monitor.
 func (o *Observatory) violation(to *trialObs, kind, detail string) {
 	o.violations.Add(1)
 	dump := ""

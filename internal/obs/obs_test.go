@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -10,8 +11,10 @@ import (
 	"time"
 
 	"tfcsim/internal/core"
+	"tfcsim/internal/exp"
 	"tfcsim/internal/faults"
 	"tfcsim/internal/netsim"
+	"tfcsim/internal/runner"
 	"tfcsim/internal/sim"
 	"tfcsim/internal/telemetry"
 	"tfcsim/internal/workload"
@@ -297,4 +300,80 @@ func TestFinishRunReleasesTrials(t *testing.T) {
 	if !released {
 		t.Fatal("a finished run's trial is still reachable from the Observatory")
 	}
+}
+
+// TestSnapshotWhileTrialBinds serves snapshots in a loop while a trial is
+// minted, binds and runs: the endpoint reads the trial from the moment it
+// is published, so everything it reads must exist by then (run under
+// -race).
+func TestSnapshotWhileTrialBinds(t *testing.T) {
+	o := New(Options{HTTPAddr: "127.0.0.1:0", Watchdogs: true, FlightDir: "-"})
+	if err := o.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer o.Stop()
+	c := telemetry.NewCollector(telemetry.Options{})
+	o.Attach("race", c)
+
+	stop, seen, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for published := false; ; {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if len(o.srv.snapshot().Trials) > 0 && !published {
+				published = true
+				close(seen)
+			}
+		}
+	}()
+	tr := c.Trial("t0")
+	<-seen
+	s, n, a, b, _ := dumbbell()
+	tr.Bind(s)
+	telemetry.InstrumentNetwork(tr, n)
+	conn := (&workload.Dialer{Sim: s, Proto: workload.TCP}).Dial(a, b, nil, nil)
+	conn.Sender.Open()
+	conn.Sender.Send(1 << 20)
+	s.RunUntil(10 * sim.Millisecond)
+	close(stop)
+	<-done
+
+	snap := o.srv.snapshot()
+	if len(snap.Trials) != 1 || snap.Trials[0].Executed != s.Executed() {
+		t.Errorf("snapshot = %+v, want one trial at %d executed events", snap.Trials, s.Executed())
+	}
+}
+
+// TestTrialDoneWhenCellReturns: a trial counts as done as soon as its
+// Sweep cell returns, not only at its run's export or FinishRun — the
+// liveness watchdog would otherwise flag every trial that finishes long
+// before its run's last one.
+func TestTrialDoneWhenCellReturns(t *testing.T) {
+	o := New(Options{Watchdogs: true, FlightDir: "-"})
+	c := telemetry.NewCollector(telemetry.Options{})
+	o.Attach("run", c)
+	cells := exp.PerProto(exp.TopoConfig{}, []exp.Proto{exp.TCP, exp.TFC})
+	_, err := exp.Sweep(context.Background(), &runner.Pool{Parallelism: 1, BaseSeed: 1}, c,
+		cells, exp.ProtoKey, func(cfg exp.TopoConfig) uint64 {
+			e := exp.Testbed(cfg)
+			e.Sim.RunUntil(sim.Millisecond)
+			return e.Sim.Executed()
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trials := o.snapshotTrials()
+	if len(trials) != len(cells) {
+		t.Fatalf("observatory holds %d trials, want %d", len(trials), len(cells))
+	}
+	for _, to := range trials {
+		if !to.done.Load() {
+			t.Errorf("trial %s: its cell returned, but it is not done before FinishRun", to.key)
+		}
+	}
+	o.FinishRun("run")
 }

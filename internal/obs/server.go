@@ -17,8 +17,8 @@ import (
 // table. All reads go through lock-free Pulse mailboxes, atomic snapshot
 // pointers, and the observatory's own locks — never into live simulator
 // state — so serving requests cannot perturb or race a running trial.
-// The same goroutine that computes event rates doubles as the
-// shard-liveness watchdog.
+// The same goroutine that computes event rates doubles as the liveness
+// watchdog.
 type server struct {
 	o     *Observatory
 	ln    net.Listener
@@ -37,36 +37,14 @@ type SnapshotJSON struct {
 
 // TrialJSON is one trial's live view.
 type TrialJSON struct {
-	Key          string      `json:"key"`
-	Run          string      `json:"run"`
-	Done         bool        `json:"done"`
-	VirtualNs    int64       `json:"virtual_ns"`
-	Executed     uint64      `json:"executed"`
-	EventsPerSec uint64      `json:"events_per_sec"`
-	ActiveFlows  int         `json:"active_flows"`
-	Shards       []ShardJSON `json:"shards,omitempty"`
-	Group        *GroupJSON  `json:"group,omitempty"`
-	Ports        []PortSnap  `json:"ports,omitempty"`
-}
-
-// ShardJSON is one engine shard's live progress.
-type ShardJSON struct {
-	VirtualNs int64  `json:"virtual_ns"`
-	Executed  uint64 `json:"executed"`
-}
-
-// GroupJSON is the sharded engine's self-profile, included once a trial
-// finishes (the underlying counters are not synchronized mid-run).
-type GroupJSON struct {
-	Shards        int    `json:"shards"`
-	LookaheadNs   int64  `json:"lookahead_ns"`
-	Epochs        uint64 `json:"epochs"`
-	Ties          uint64 `json:"ties"`
-	InstantEvents uint64 `json:"instant_events"`
-	MailDelivered uint64 `json:"mail_delivered"`
-	MailPeak      int    `json:"mail_peak"`
-	HeapDispatch  uint64 `json:"heap_dispatch"`
-	LaneDispatch  uint64 `json:"lane_dispatch"`
+	Key          string     `json:"key"`
+	Run          string     `json:"run"`
+	Done         bool       `json:"done"`
+	VirtualNs    int64      `json:"virtual_ns"`
+	Executed     uint64     `json:"executed"`
+	EventsPerSec uint64     `json:"events_per_sec"`
+	ActiveFlows  int        `json:"active_flows"`
+	Ports        []PortSnap `json:"ports,omitempty"`
 }
 
 func newServer(o *Observatory) (*server, error) {
@@ -96,10 +74,10 @@ func (s *server) stop() {
 }
 
 // monitor samples every trial's progress each second: it feeds the
-// endpoint's events/sec column and implements the shard-liveness
-// watchdog (a started, unfinished trial whose engines execute nothing
-// for livenessSec consecutive seconds is wedged — likely a barrier
-// deadlock — and is reported once).
+// endpoint's events/sec column and implements the liveness watchdog (a
+// started trial whose cell has not returned and whose simulator executes
+// nothing for livenessSec consecutive seconds is wedged, and is reported
+// once).
 func (s *server) monitor() {
 	defer s.wg.Done()
 	tick := time.NewTicker(time.Second)
@@ -111,7 +89,7 @@ func (s *server) monitor() {
 		case <-tick.C:
 		}
 		for _, to := range s.o.snapshotTrials() {
-			_, exec := to.progress()
+			_, exec := to.pulse.Load()
 			delta := exec - to.lastExec
 			if !to.seen {
 				delta = 0
@@ -129,7 +107,7 @@ func (s *server) monitor() {
 			to.lastExec, to.seen = exec, true
 			to.rate.Store(delta)
 			if stallFlag && s.o.opts.Watchdogs {
-				s.o.violation(to, "shard-liveness",
+				s.o.violation(to, "liveness",
 					fmt.Sprintf("no events executed for %ds of wall time (executed=%d)",
 						livenessSec, exec))
 			}
@@ -137,54 +115,21 @@ func (s *server) monitor() {
 	}
 }
 
-// progress reads the trial's lock-free pulse mailboxes: the control
-// simulator's virtual time and the total executed event count across
-// control and shards.
-func (to *trialObs) progress() (virtualNs int64, executed uint64) {
-	if to.pulse != nil {
-		t, e := to.pulse.Load()
-		virtualNs, executed = int64(t), e
-	}
-	for _, p := range to.shardPulses {
-		_, e := p.Load()
-		executed += e
-	}
-	return virtualNs, executed
-}
-
 // summary is the trial's endpoint row. Once the trial is done it is
 // final, which is what FinishRun keeps of a trial it lets go of.
 func (to *trialObs) summary() TrialJSON {
-	vt, exec := to.progress()
+	vt, exec := to.pulse.Load()
 	tj := TrialJSON{
 		Key:          to.key,
 		Run:          to.run,
 		Done:         to.done.Load(),
-		VirtualNs:    vt,
+		VirtualNs:    int64(vt),
 		Executed:     exec,
 		EventsPerSec: to.rate.Load(),
-	}
-	for _, p := range to.shardPulses {
-		t, e := p.Load()
-		tj.Shards = append(tj.Shards, ShardJSON{VirtualNs: int64(t), Executed: e})
 	}
 	if snap := to.snap.Load(); snap != nil {
 		tj.ActiveFlows = snap.ActiveFlows
 		tj.Ports = snap.Ports
-	}
-	if tj.Done && to.group != nil {
-		gs := to.group.Stats()
-		gj := &GroupJSON{
-			Shards: gs.Shards, LookaheadNs: int64(gs.Lookahead),
-			Epochs: gs.Epochs, Ties: gs.Ties,
-			InstantEvents: gs.InstantEvents,
-			MailDelivered: gs.MailDelivered, MailPeak: gs.MailPeak,
-		}
-		for _, sh := range gs.PerShard {
-			gj.HeapDispatch += sh.HeapDispatch
-			gj.LaneDispatch += sh.LaneDispatch
-		}
-		tj.Group = gj
 	}
 	return tj
 }
@@ -235,7 +180,7 @@ td,th{border:1px solid #999;padding:2px 8px;text-align:right}
 th{background:#eee}td:first-child{text-align:left}</style></head><body>
 <h3>tfcsim observatory — run %s — %d watchdog violation(s)</h3>
 <table><tr><th>trial</th><th>state</th><th>virtual ms</th><th>events</th>
-<th>ev/s</th><th>flows</th><th>shards</th><th>max queue B</th></tr>
+<th>ev/s</th><th>flows</th><th>max queue B</th></tr>
 `, html.EscapeString(snap.Run), snap.Violations)
 	for _, t := range snap.Trials {
 		state := "running"
@@ -248,13 +193,9 @@ th{background:#eee}td:first-child{text-align:left}</style></head><body>
 				maxQ = p.QueueBytes
 			}
 		}
-		shards := 1
-		if len(t.Shards) > 0 {
-			shards = len(t.Shards)
-		}
-		fmt.Fprintf(w, "<tr><td>%s</td><td>%s</td><td>%.2f</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td></tr>\n",
+		fmt.Fprintf(w, "<tr><td>%s</td><td>%s</td><td>%.2f</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td></tr>\n",
 			html.EscapeString(t.Run+"/"+t.Key), state, float64(t.VirtualNs)/1e6,
-			t.Executed, t.EventsPerSec, t.ActiveFlows, shards, maxQ)
+			t.Executed, t.EventsPerSec, t.ActiveFlows, maxQ)
 	}
 	fmt.Fprint(w, "</table></body></html>\n")
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sync"
 
 	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
@@ -49,7 +48,7 @@ func SpanHop(name string) bool {
 
 // SampledFlow reports whether flow is in the 1-in-every sampled set for
 // the given seed — a pure function, so the sampled set is identical at
-// any -j and shard count (exported so tests can pick a sampled flow).
+// any -j (exported so tests can pick a sampled flow).
 func SampledFlow(flow netsim.FlowID, every int, seed int64) bool {
 	if every <= 0 {
 		return false
@@ -191,16 +190,12 @@ func (t *spanTable) grow() {
 // trial's telemetry recorder. It is driven purely by forwarding-path
 // records; all timestamps are virtual, all emitted events enter
 // the recorder's canonical order, so the exported trace is byte-identical
-// at any parallelism. The state map is guarded by its own mutex: a given
-// packet's hop callbacks are causally ordered across shard goroutines,
-// so per-key accesses never overlap — the lock protects cross-flow map
-// mutation.
+// at any parallelism.
 type spanTracer struct {
 	t     *telemetry.Trial
 	every int
 	seed  int64
 
-	mu     sync.Mutex
 	live   spanTable
 	tracks map[netsim.FlowID]string
 }
@@ -214,9 +209,7 @@ func newSpanTracer(t *telemetry.Trial, every int, seed int64) *spanTracer {
 
 // warm pre-sizes the live table (see Observatory.Warm).
 func (tr *spanTracer) warm(n int) {
-	tr.mu.Lock()
 	tr.live.warm(n)
-	tr.mu.Unlock()
 }
 
 // track interns the flow's span track name.
@@ -232,8 +225,7 @@ func (tr *spanTracer) track(f netsim.FlowID) string {
 // emit records one hop span [start, end] for key with the given hop
 // index. Args carry the journey linkage: seq identifies the chain within
 // the flow track, hop orders it, parent = hop-1 names the causal
-// predecessor (-1 for the chain root). Called with tr.mu held (t.Span
-// takes only the trial lock; no path acquires tr.mu while holding it).
+// predecessor (-1 for the chain root).
 func (tr *spanTracer) emit(key spanKey, name string, start, end sim.Time, hop int) {
 	tr.t.Span(SpanCat, name, tr.track(key.flow), start, end,
 		telemetry.Arg{K: "seq", V: float64(key.seq)},
@@ -244,8 +236,6 @@ func (tr *spanTracer) emit(key spanKey, name string, start, end sim.Time, hop in
 // step advances key's journey: emits the [last, now] span as hop name
 // and either re-arms the state (terminal=false) or closes the chain.
 func (tr *spanTracer) step(key spanKey, now sim.Time, name string, terminal bool) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	st, ok := tr.live.get(key)
 	if !ok {
 		return
@@ -279,14 +269,12 @@ func (tr *spanTracer) Observe(ev netsim.Event) {
 		// chain means the sender retransmitted the same seq — close the old
 		// chain as aborted and do not trace the retransmission (its hops
 		// would be indistinguishable from the original's).
-		tr.mu.Lock()
 		if st, dup := tr.live.get(key); dup {
 			tr.emit(key, spanAbort, st.last, ev.At, st.hop)
 			tr.live.del(key)
 		} else {
 			tr.live.put(key, spanState{last: ev.At, hop: 0})
 		}
-		tr.mu.Unlock()
 	case netsim.EvDequeue:
 		tr.step(key, ev.At, spanQueue, false)
 	case netsim.EvTx:
@@ -302,8 +290,6 @@ func (tr *spanTracer) Observe(ev netsim.Event) {
 // time. Table order reaches the recorder, but not the trace: the recorder
 // orders canonically.
 func (tr *spanTracer) flush(now sim.Time) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	for _, s := range tr.live.slots {
 		if s.live {
 			tr.emit(s.key, spanOpen, s.st.last, now, s.st.hop)

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"tfcsim/internal/netsim"
@@ -12,8 +11,10 @@ import (
 // trialObs is the observatory's consumer of one trial's event stream
 // (telemetry.Consumer): it hands each record to the flight ring, the span
 // tracer and the watchdogs that are switched on, keeps the endpoint's
-// active-flow set, and carries the lock-free progress mailboxes the HTTP
-// side reads.
+// active-flow set, and carries the lock-free progress mailbox the HTTP
+// side reads. Its mutable state other than done, rate, snap and the
+// monitor's bookkeeping is touched only from the trial's simulator
+// goroutine.
 type trialObs struct {
 	o    *Observatory
 	run  string
@@ -22,12 +23,10 @@ type trialObs struct {
 	ctl  *sim.Simulator
 	done atomic.Bool
 
-	// pulse is the control simulator's progress mailbox; shardPulses are
-	// the per-shard ones (nil for sequential trials). Written by the
-	// engine goroutines, read lock-free by the HTTP/liveness side.
-	pulse       *sim.Pulse
-	shardPulses []*sim.Pulse
-	group       *sim.Group
+	// pulse is the simulator's progress mailbox, made before the trial is
+	// published: written by the engine, read lock-free by the
+	// HTTP/liveness side.
+	pulse *sim.Pulse
 
 	// rate is the monitor-computed recent event throughput (events/sec
 	// of wall time), read by the endpoint. lastExec, seen, stalled and
@@ -39,15 +38,13 @@ type trialObs struct {
 	flagged  bool
 
 	// snap is the endpoint's latest port/flow snapshot, swapped in whole
-	// by the virtual-time sampling tick (which runs on the control
-	// simulator while shards are quiescent, so its port reads are safe).
+	// by the virtual-time sampling tick.
 	snap atomic.Pointer[TrialSnapshot]
 
 	// ports are the instrumented network's switch ports, fixed at
 	// instrumentation time.
 	ports []*netsim.Port
 
-	mu    sync.Mutex
 	flows map[netsim.FlowID]struct{} // active flows (endpoint only)
 
 	spans  *spanTracer
@@ -72,11 +69,10 @@ type PortSnap struct {
 	QueueLen   int    `json:"queue_len"`
 }
 
-// Bound implements telemetry.Consumer: it attaches the control
-// simulator's progress mailbox and, when the endpoint is on, schedules the
-// snapshot tick.
+// Bound implements telemetry.Consumer: it attaches the progress mailbox
+// to the simulator and, when the endpoint is on, schedules the snapshot
+// tick.
 func (to *trialObs) Bound(s *sim.Simulator) {
-	to.pulse = &sim.Pulse{}
 	s.SetPulse(to.pulse)
 	to.ctl = s
 	if to.flows == nil {
@@ -91,9 +87,8 @@ func (to *trialObs) Bound(s *sim.Simulator) {
 }
 
 // Instrumented implements telemetry.Consumer: it captures the trial's
-// topology handles once the network is built — switch ports for
-// snapshots, and the shard group (if any) for per-shard pulses and
-// profiling.
+// topology handles once the network is built: switch ports for
+// snapshots and the flight ring's per-port table.
 func (to *trialObs) Instrumented(n *netsim.Network) {
 	for _, node := range n.Nodes() {
 		if sw, ok := node.(*netsim.Switch); ok {
@@ -102,15 +97,6 @@ func (to *trialObs) Instrumented(n *netsim.Network) {
 	}
 	if to.flight != nil {
 		to.flight.ports = make([]portLast, n.NumPorts())
-	}
-	if g := n.Group(); g != nil {
-		to.group = g
-		to.shardPulses = make([]*sim.Pulse, g.Shards())
-		for i := range to.shardPulses {
-			p := &sim.Pulse{}
-			to.shardPulses[i] = p
-			g.Shard(i).SetPulse(p)
-		}
 	}
 }
 
@@ -124,14 +110,10 @@ func (to *trialObs) Flush(now sim.Time) {
 }
 
 // takeSnapshot samples port queues and the active-flow count into the
-// endpoint's atomic snapshot slot. It runs as a control-simulator event:
-// in sharded trials the shards are quiescent at control event times, so
+// endpoint's atomic snapshot slot. It runs as a simulator event, so
 // these reads do not race the engine.
 func (to *trialObs) takeSnapshot() {
-	s := &TrialSnapshot{VirtualNs: int64(to.ctl.Now())}
-	to.mu.Lock()
-	s.ActiveFlows = len(to.flows)
-	to.mu.Unlock()
+	s := &TrialSnapshot{VirtualNs: int64(to.ctl.Now()), ActiveFlows: len(to.flows)}
 	s.Ports = make([]PortSnap, 0, len(to.ports))
 	for _, p := range to.ports {
 		s.Ports = append(s.Ports, PortSnap{
@@ -158,13 +140,11 @@ func (to *trialObs) Observe(ev netsim.Event) {
 			break
 		}
 		if _, isHost := ev.Port.Owner.(*netsim.Host); isHost {
-			to.mu.Lock()
 			if ev.Pkt.Flags&netsim.FlagFIN != 0 {
 				delete(to.flows, ev.Flow)
 			} else {
 				to.flows[ev.Flow] = struct{}{}
 			}
-			to.mu.Unlock()
 		}
 	case netsim.EvSlot:
 		to.token.check(ev)

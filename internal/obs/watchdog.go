@@ -3,8 +3,6 @@ package obs
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"tfcsim/internal/netsim"
 )
@@ -28,7 +26,7 @@ import (
 // 1 so the adjustment drains standing queues).
 type tokenWatchdog struct {
 	to      *trialObs
-	tripped atomic.Bool
+	tripped bool
 }
 
 // check takes an EvSlot record: T, W and rho in X, Y and Z, E in B.
@@ -52,7 +50,8 @@ func (w *tokenWatchdog) check(ev netsim.Event) {
 	case math.IsNaN(rho) || math.IsInf(rho, 0) || rho <= 0:
 		bad = fmt.Sprintf("measured utilization not finite-positive: rho=%v", rho)
 	}
-	if bad != "" && !w.tripped.Swap(true) {
+	if bad != "" && !w.tripped {
+		w.tripped = true
 		w.to.o.violation(w.to, "token-conservation",
 			fmt.Sprintf("port=%q t=%dns %s", w.to.t.PortLabel(ev.Port), int64(ev.At), bad))
 	}
@@ -67,7 +66,7 @@ func (w *tokenWatchdog) check(ev netsim.Event) {
 type zeroQueueWatchdog struct {
 	to      *trialObs
 	bound   int64
-	tripped atomic.Bool
+	tripped bool
 }
 
 func (w *zeroQueueWatchdog) check(ev netsim.Event) {
@@ -75,7 +74,8 @@ func (w *zeroQueueWatchdog) check(ev netsim.Event) {
 		return
 	}
 	q := int64(ev.Port.QueueBytes())
-	if q > w.bound && !w.tripped.Swap(true) {
+	if q > w.bound && !w.tripped {
+		w.tripped = true
 		w.to.o.violation(w.to, "zero-queueing",
 			fmt.Sprintf("port=%q t=%dns queue=%dB exceeds bound=%dB",
 				w.to.t.PortLabel(ev.Port), int64(ev.At), q, w.bound))
@@ -95,7 +95,6 @@ type pairKey struct {
 // pause every RefreshGap so a lost XOF cannot strand the flow.
 type pairWatchdog struct {
 	to      *trialObs
-	mu      sync.Mutex
 	paused  map[pairKey]bool
 	tripped bool
 }
@@ -106,15 +105,13 @@ func (w *pairWatchdog) check(ev netsim.Event) {
 	}
 	k := pairKey{ev.Port, ev.Flow}
 	paused := ev.A != 0
-	w.mu.Lock()
 	if w.paused == nil {
 		w.paused = make(map[pairKey]bool)
 	}
 	violated := !paused && !w.paused[k] && !w.tripped
 	w.paused[k] = paused
-	w.tripped = w.tripped || violated
-	w.mu.Unlock()
 	if violated {
+		w.tripped = true
 		w.to.o.violation(w.to, "bfc-pairing",
 			fmt.Sprintf("port=%q flow=%d t=%dns XON without XOF: flow resumed while not paused",
 				w.to.t.PortLabel(ev.Port), ev.Flow, int64(ev.At)))
@@ -128,14 +125,15 @@ func (w *pairWatchdog) check(ev netsim.Event) {
 type rtoWatchdog struct {
 	to        *trialObs
 	threshold uint
-	tripped   atomic.Bool
+	tripped   bool
 }
 
 func (w *rtoWatchdog) check(ev netsim.Event) {
 	if w == nil || uint(ev.A) < w.threshold {
 		return
 	}
-	if !w.tripped.Swap(true) {
+	if !w.tripped {
+		w.tripped = true
 		w.to.o.violation(w.to, "rto-storm",
 			fmt.Sprintf("flow=%d t=%dns backoff=%d reached threshold=%d",
 				ev.Flow, int64(ev.At), ev.A, w.threshold))

@@ -117,11 +117,11 @@ func (c *Collector) WriteTrace(w io.Writer) error {
 	tw := traceWriter{w: bufio.NewWriter(w), quoted: make(map[string][]byte)}
 	tw.w.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
 	for pid, t := range c.sorted() {
-		t.flush()
+		t.Flush()
 		tw.meta("process_name", pid, 0, t.key)
 		// Thread ids are assigned from the sorted distinct track names of
-		// the retained events — never from arrival order, which is
-		// nondeterministic under sharded execution.
+		// the retained events — never from arrival order, which the
+		// recorder does not keep.
 		tracks := t.rec.tracks()
 		tids := make(map[string]int, len(tracks))
 		for i, track := range tracks {
@@ -181,7 +181,7 @@ func (c *Collector) WriteMetrics(w io.Writer) error {
 	trials := c.sorted()
 	mf := metricsFile{Schema: "tfcsim-metrics-v1", Trials: []metricsTrial{}}
 	for _, t := range trials {
-		t.flush() // as WriteTrace does: the file must not depend on which ran
+		t.Flush() // as WriteTrace does: the file must not depend on which ran
 		mt := metricsTrial{
 			Key:          t.key,
 			Counters:     []counterJSON{},

@@ -38,7 +38,7 @@ func referenceTrace(t *testing.T, c *Collector) []byte {
 		TraceEvents     []any  `json:"traceEvents"`
 	}{"ms", []any{}}
 	for pid, tr := range c.sorted() {
-		tr.flush()
+		tr.Flush()
 		file.TraceEvents = append(file.TraceEvents, meta{"process_name", "M", pid, 0, map[string]string{"name": tr.key}})
 		tids := map[string]int{}
 		for i, track := range tr.rec.tracks() {

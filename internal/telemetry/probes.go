@@ -27,12 +27,9 @@ type flowLabelKey struct {
 }
 
 // flowLabel returns the per-flow track/event label "prefix f<flow>". It
-// formats once per (prefix, flow); lookups allocate nothing. Goroutine-safe: Observe calls
-// it from shard goroutines in a partitioned network.
+// formats once per (prefix, flow); lookups allocate nothing.
 func (t *Trial) flowLabel(prefix string, f netsim.FlowID) string {
 	k := flowLabelKey{prefix, f}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if s, ok := t.flowLabels[k]; ok {
 		return s
 	}
@@ -45,8 +42,8 @@ func (t *Trial) flowLabel(prefix string, f netsim.FlowID) string {
 }
 
 // PortLabel returns p's unique label (portKey), formatted once by
-// InstrumentNetwork: a lock-free slice read, shared with the trial's
-// consumers. p must belong to the instrumented network.
+// InstrumentNetwork, shared with the trial's consumers. p must belong to
+// the instrumented network.
 func (t *Trial) PortLabel(p *netsim.Port) string { return t.labels[p.Ordinal()] }
 
 // --- the open-interval table ---
@@ -75,7 +72,7 @@ type interval struct {
 }
 
 // begin returns k's open interval, opening one at now if there is none
-// (so a repeated begin keeps the first start). Callers hold t.mu.
+// (so a repeated begin keeps the first start).
 func (t *Trial) begin(k spanKey, now sim.Time) *interval {
 	iv := t.open[k]
 	if iv == nil {
@@ -87,10 +84,8 @@ func (t *Trial) begin(k spanKey, now sim.Time) *interval {
 
 // take removes and returns k's open interval (nil if there is none).
 func (t *Trial) take(k spanKey) *interval {
-	t.mu.Lock()
 	iv := t.open[k]
 	delete(t.open, k)
-	t.mu.Unlock()
 	return iv
 }
 
@@ -133,18 +128,14 @@ func (t *Trial) emit(k spanKey, iv *interval, end sim.Time, tail ...Arg) {
 // Observe implements netsim.Probe: the trial's own counters, histograms
 // and trace spans by record kind, then the same record to every consumer.
 // It copies packet fields and retains no pointers. Timestamps are the
-// record's (the emitting entity's shard clock), never the trial's control
-// clock.
+// record's.
 func (t *Trial) Observe(ev netsim.Event) {
 	switch ev.Kind {
 	case netsim.EvEnqueue:
 		t.enq.Inc()
 		// Sender-NIC data direction: track the flow's lifetime exactly once
-		// per packet (every other hop would double-count). A given flow only
-		// ever enqueues at its own sender NIC, so its begin and end cannot
-		// interleave; the lock protects the table against *other* flows'
-		// shards. The first data-direction packet opens the flow, FIN closes
-		// it.
+		// per packet (every other hop would double-count). The first
+		// data-direction packet opens the flow, FIN closes it.
 		if _, isHost := ev.Port.Owner.(*netsim.Host); !isHost || ev.Pkt.Flags&netsim.FlagACK != 0 {
 			break
 		}
@@ -153,11 +144,9 @@ func (t *Trial) Observe(ev netsim.Event) {
 			t.end(k, ev.At)
 			break
 		}
-		t.mu.Lock()
 		iv := t.begin(k, ev.At)
 		iv.bytes += int64(ev.Pkt.Payload)
 		iv.pkts++
-		t.mu.Unlock()
 	case netsim.EvDequeue:
 		t.deq.Inc()
 		// Engine self-profiling: each service completion at a switch port
@@ -173,9 +162,7 @@ func (t *Trial) Observe(ev netsim.Event) {
 	case netsim.EvLink:
 		k := spanKey{fam: famLink, id: int32(ev.Port.Ordinal())}
 		if ev.A != 0 {
-			t.mu.Lock()
 			t.begin(k, ev.At)
-			t.mu.Unlock()
 		} else {
 			t.end(k, ev.At)
 		}
@@ -189,9 +176,7 @@ func (t *Trial) Observe(ev netsim.Event) {
 		t.stamped.Inc()
 	case netsim.EvHold:
 		t.delayed.Inc()
-		t.mu.Lock()
 		t.begin(spanKey{famHold, int32(ev.Port.Ordinal()), ev.Flow}, ev.At)
-		t.mu.Unlock()
 	case netsim.EvGrant:
 		// A granted hold's span sits on the bare port-label track, one still
 		// open at flush on the unique-label one (emit): kept as exported
@@ -219,9 +204,7 @@ func (t *Trial) Observe(ev netsim.Event) {
 		k := spanKey{fam: famRecovery, flow: ev.Flow}
 		if ev.A != 0 {
 			t.recs.Inc()
-			t.mu.Lock()
 			t.begin(k, ev.At)
-			t.mu.Unlock()
 		} else {
 			t.end(k, ev.At)
 		}
@@ -255,9 +238,14 @@ func (t *Trial) portHist(port *netsim.Port) *Hist {
 // port's label, and registers the forwarding-path counters and a
 // queue-occupancy gauge for every switch port. No-op on a nil trial. Call
 // after topology construction and Bind; ports wired later are not covered.
+// The network must be sequential: a trial's probes run on its simulator's
+// goroutine, so a partitioned network (n.Group() != nil) panics.
 func InstrumentNetwork(t *Trial, n *netsim.Network) {
 	if t == nil {
 		return
+	}
+	if n.Group() != nil {
+		panic("telemetry: trial " + t.key + " cannot observe a partitioned network: observed trials run sequentially")
 	}
 	t.enq = t.Counter("net.enq_pkts")
 	t.deq = t.Counter("net.deq_pkts")
@@ -367,10 +355,8 @@ func (t *Trial) FaultProbe() func(faults.Event) {
 		start, isEnd := faultEnd[ev.Kind]
 		if !isEnd {
 			k := t.faultKey(ev.Kind + " " + ev.Target)
-			t.mu.Lock()
 			// A repeated start restarts the window.
 			t.begin(k, ev.At).start = ev.At
-			t.mu.Unlock()
 		} else if !t.end(t.faultKey(start+" "+ev.Target), ev.At) {
 			t.Instant("fault", ev.Kind+" "+ev.Target, "faults")
 		}
@@ -378,8 +364,7 @@ func (t *Trial) FaultProbe() func(faults.Event) {
 }
 
 // faultKey returns the table key of the fault window named name,
-// interning the name on first sight (a run injects a handful of faults,
-// from the control goroutine only).
+// interning the name on first sight (a run injects a handful of faults).
 func (t *Trial) faultKey(name string) spanKey {
 	i := slices.Index(t.faultNames, name)
 	if i < 0 {

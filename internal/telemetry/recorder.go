@@ -22,11 +22,10 @@ const maxArgs = 3
 
 // event is one recorded trace event. ph follows the Chrome trace-event
 // phases used here: 'X' complete span (ts+dur), 'i' instant, 'C' counter.
-// Events carry their track name directly (not an interned id): in a
-// partitioned network events arrive from shard goroutines in
-// nondeterministic order, so any first-use interning would be
-// nondeterministic too — export derives thread ids from the sorted track
-// names instead.
+// Events carry their track name directly (not an interned id): the
+// recorder keeps no arrival order, so first-use interning would depend on
+// something the retained set does not — export derives thread ids from
+// the sorted track names instead.
 type event struct {
 	name  string
 	cat   string
@@ -51,9 +50,8 @@ func (e *event) setArgs(args []Arg) {
 // then every remaining field. Two events that compare equal are
 // field-for-field identical, so any ordering (or eviction choice) among
 // equals leaves the exported bytes unchanged. This is what makes the
-// recorder's output a pure function of the event *multiset* — and the
-// multiset is identical between sequential and sharded execution of the
-// same simulation, even though arrival order is not.
+// recorder's output a pure function of the event *multiset*, so the
+// order in which probes and consumers emit is free.
 func eventLess(a, b *event) bool {
 	if a.ts != b.ts {
 		return a.ts < b.ts
@@ -93,9 +91,8 @@ func eventLess(a, b *event) bool {
 // notes the smallest of them as the floor, below which later pushes are
 // dropped on arrival. Either way an event is discarded only when limit
 // pushed events sort at or above it, so the retained set is the
-// top-limit of the pushed *multiset* — invariant under arrival order,
-// which is exactly what sharded execution needs for byte-identical
-// traces. The canonical order leads with the timestamp, so "keep the
+// top-limit of the pushed *multiset* — invariant under arrival order.
+// The canonical order leads with the timestamp, so "keep the
 // largest" keeps a trial's tail (usually the interesting part).
 type recorder struct {
 	limit    int

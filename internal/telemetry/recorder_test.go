@@ -1,12 +1,10 @@
 package telemetry
 
 import (
-	"bytes"
 	"fmt"
 	"math/bits"
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 
 	"tfcsim/internal/sim"
@@ -151,54 +149,6 @@ func TestSelectTopFallback(t *testing.T) {
 	}
 }
 
-// TestConcurrentPushersExportIdentical is the sharded-run contract at its
-// smallest: goroutines racing disjoint slices of one event set into a
-// single Trial, through a ring small enough to evict most of it, must
-// export the bytes a single goroutine does. Run under -race in CI.
-func TestConcurrentPushersExportIdentical(t *testing.T) {
-	evs := randomEvents(rand.New(rand.NewSource(17)), 4000)
-	export := func(workers int) []byte {
-		c := NewCollector(Options{RingCap: 100})
-		tr := c.Trial("k")
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(evs); i += workers {
-					e := &evs[i]
-					switch args := e.args[:e.nargs]; e.ph {
-					case 'X':
-						tr.Span(e.cat, e.name, e.track, e.ts, e.ts+e.dur, args...)
-					case 'i':
-						tr.InstantAt(e.ts, e.cat, e.name, e.track, args...)
-					default:
-						tr.CounterEventAt(e.ts, e.cat, e.name, e.track, args...)
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		var out bytes.Buffer
-		if err := c.WriteTrace(&out); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.WriteMetrics(&out); err != nil {
-			t.Fatal(err)
-		}
-		return out.Bytes()
-	}
-	base := export(1)
-	if !bytes.Contains(base, []byte(`"trace_dropped": 3900`)) {
-		t.Fatal("the ring did not evict: the identity check would be vacuous")
-	}
-	for rep := 0; rep < 5; rep++ {
-		if got := export(4); !bytes.Equal(base, got) {
-			t.Fatal("export differs between one pusher and four concurrent ones")
-		}
-	}
-}
-
 // pushOrder is an arrival order: event i carries timestamp ts(i).
 type pushOrder struct {
 	name string
@@ -206,8 +156,8 @@ type pushOrder struct {
 }
 
 // pushOrders are the three arrival orders that matter to a full recorder:
-// the sequential engine's (ascending), a sharded run's (ascending within a
-// bounded window) and the worst for the floor test (descending: every
+// the simulator's (ascending), a bounded reordering (ascending within a
+// window) and the worst for the floor test (descending: every
 // event is below the kept range).
 func pushOrders() []pushOrder {
 	jitter := make([]sim.Time, 1<<12)

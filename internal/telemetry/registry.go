@@ -1,30 +1,25 @@
 package telemetry
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"tfcsim/internal/sim"
 	"tfcsim/internal/stats"
 )
 
 // Counter is a monotonically written int64 metric. A nil *Counter (from
-// a nil trial) absorbs writes at the cost of one nil-check. Writes are
-// atomic: counter-only probe paths (packet enqueue/dequeue, marks,
-// pauses) stay lock-free when shard goroutines fire them concurrently.
+// a nil trial) absorbs writes at the cost of one nil-check.
 type Counter struct {
 	name string
 	v    int64
 }
 
-// Add increments the counter by n. Nil-safe, goroutine-safe.
+// Add increments the counter by n. Nil-safe.
 func (c *Counter) Add(n int64) {
 	if c != nil {
-		atomic.AddInt64(&c.v, n)
+		c.v += n
 	}
 }
 
-// Inc increments the counter by one. Nil-safe, goroutine-safe.
+// Inc increments the counter by one. Nil-safe.
 func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current count (0 for nil).
@@ -32,7 +27,7 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return atomic.LoadInt64(&c.v)
+	return c.v
 }
 
 // gauge is a registered callback polled on the sampling cadence.
@@ -43,20 +38,16 @@ type gauge struct {
 }
 
 // Hist is a registered fixed-bucket histogram. A nil *Hist absorbs
-// observations. Observe serializes internally: histogram probes fire
-// from shard goroutines in a partitioned network.
+// observations.
 type Hist struct {
 	name string
-	mu   sync.Mutex
 	h    *stats.Histogram
 }
 
-// Observe counts one observation. Nil-safe, goroutine-safe.
+// Observe counts one observation. Nil-safe.
 func (h *Hist) Observe(x float64) {
 	if h != nil {
-		h.mu.Lock()
 		h.h.Observe(x)
-		h.mu.Unlock()
 	}
 }
 

@@ -42,8 +42,8 @@ type Options struct {
 	// RingCap bounds the per-trial event recorder; when full, the
 	// retained set is the top RingCap events under the recorder's
 	// canonical order — a pure function of the pushed multiset, so the
-	// trace is identical however shard execution interleaves the pushes —
-	// and the rest are counted as dropped (default 65536).
+	// trace does not depend on the order probes push in — and the rest are
+	// counted as dropped (default 65536).
 	RingCap int
 }
 
@@ -114,17 +114,17 @@ func (c *Collector) sorted() []*Trial {
 // Consumer is a peer of the trial's own metrics and trace spans: the
 // trial hands it every record it observes, plus three lifecycle calls.
 // Observe is held to the netsim.Probe contract (read-only, no scheduling,
-// no Rand, goroutine-safe); the lifecycle calls run in set-up or export
-// context on the trial's own goroutine.
+// no Rand, on the trial's simulator goroutine); the lifecycle calls run
+// in set-up or export context on the trial's own goroutine.
 type Consumer interface {
 	netsim.Probe
-	// Bound fires from Bind with the trial's (control) simulator, before
-	// any event runs: the one place a consumer may schedule.
+	// Bound fires from Bind with the trial's simulator, before any event
+	// runs: the one place a consumer may schedule.
 	Bound(s *sim.Simulator)
 	// Instrumented fires from InstrumentNetwork once the tap is attached.
 	Instrumented(n *netsim.Network)
-	// Flush fires once when the trial flushes at export, with the trial's
-	// final virtual time.
+	// Flush fires once when the trial flushes (its cell returned, or
+	// export), with the trial's final virtual time.
 	Flush(now sim.Time)
 }
 
@@ -144,8 +144,10 @@ func (c *Collector) SetObserver(mint func(key string, t *Trial) Consumer) {
 
 // Trial is the telemetry sink of one simulation trial: a metrics
 // registry, an event recorder, and the netsim.Probe every instrumented
-// package of the trial emits to. All methods are nil-safe; a nil *Trial
-// is the disabled state.
+// package of the trial emits to. A trial belongs to one sequential
+// simulation and is used from its goroutine only (InstrumentNetwork
+// refuses a partitioned network), so it holds no lock. All methods are
+// nil-safe; a nil *Trial is the disabled state.
 type Trial struct {
 	key  string
 	opts Options
@@ -153,24 +155,15 @@ type Trial struct {
 	reg  registry
 	rec  recorder
 
-	// mu serializes the shared mutable state Observe touches: the
-	// recorder, the flow-label cache, the open-interval table, and metric
-	// creation. In a partitioned network Observe runs concurrently on shard
-	// goroutines; sequential runs pay one uncontended lock per recorded
-	// event. Counter increments stay lock-free (atomics).
-	mu sync.Mutex
-
 	flushed bool
 
 	// consumers receive every observed record after the trial's own
-	// handling (set once at mint, immutable afterwards — Observe reads it
-	// without the lock).
+	// handling (set once at mint).
 	consumers []Consumer
 
 	flowLabels map[flowLabelKey]string
 	// labels and qdepth are indexed by Port.Ordinal(). labels is filled
-	// once by InstrumentNetwork and read-only afterwards; a qdepth entry
-	// is only ever touched from its port's own shard.
+	// once by InstrumentNetwork and read-only afterwards.
 	labels []string
 	qdepth []*Hist
 	// open holds every span that has begun and not yet ended; faultNames
@@ -226,10 +219,11 @@ func (t *Trial) now() sim.Time {
 	return t.sim.Now()
 }
 
-// flush closes all open spans (flows still running, links still down,
-// faults still active) at the current virtual time. Export calls it;
-// idempotent.
-func (t *Trial) flush() {
+// Flush closes all open spans (flows still running, links still down,
+// faults still active) at the current virtual time and hands that time to
+// the consumers. Sweep calls it when a cell returns, export for every
+// trial; idempotent. Nil-safe.
+func (t *Trial) Flush() {
 	if t == nil || t.flushed {
 		return
 	}
@@ -253,8 +247,6 @@ func (t *Trial) Counter(name string) *Counter {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.reg.counter(name)
 }
 
@@ -265,8 +257,6 @@ func (t *Trial) Gauge(name string, fn func() float64) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.reg.gauge(name, fn)
 }
 
@@ -277,17 +267,13 @@ func (t *Trial) Histogram(name string, bounds ...float64) *Hist {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.reg.histogram(name, bounds)
 }
 
 // --- recorder surface (nil-safe wrappers) ---
 //
-// Span/InstantAt/CounterEventAt take explicit virtual timestamps: Observe
-// runs on shard goroutines in a partitioned network, where the trial's
-// bound (control) simulator is the wrong clock. Instant stamps the bound
-// simulator's time and is for control-side callers only.
+// Span/InstantAt/CounterEventAt take explicit virtual timestamps (probes
+// pass the record's own); Instant stamps the bound simulator's time.
 
 // Span records a completed span [start, end] on the named track.
 func (t *Trial) Span(cat, name, track string, start, end sim.Time, args ...Arg) {
@@ -309,7 +295,7 @@ func (t *Trial) InstantAt(at sim.Time, cat, name, track string, args ...Arg) {
 }
 
 // Instant records a point event at the bound simulator's current virtual
-// time (control-side callers only; probes use InstantAt).
+// time.
 func (t *Trial) Instant(cat, name, track string, args ...Arg) {
 	if t == nil {
 		return
@@ -331,9 +317,7 @@ func (t *Trial) CounterEventAt(at sim.Time, cat, name, track string, args ...Arg
 // recorder's buffer.
 func (t *Trial) record(e *event, args []Arg) {
 	e.setArgs(args)
-	t.mu.Lock()
 	t.rec.push(e)
-	t.mu.Unlock()
 }
 
 // Warm pre-sizes the recorder to the most it will ever hold — the
@@ -346,7 +330,5 @@ func (t *Trial) Warm() {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
 	t.rec.reserve(compactAt * t.rec.limit)
-	t.mu.Unlock()
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tfcsim/internal/faults"
+	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
 )
 
@@ -24,7 +25,7 @@ func TestNilTrialIsDisabled(t *testing.T) {
 	tr.Span("c", "n", "tr", 0, 10)
 	tr.Instant("c", "n", "tr")
 	tr.CounterEventAt(0, "c", "n", "tr")
-	tr.flush()
+	tr.Flush()
 	InstrumentNetwork(tr, nil)
 	InstrumentTransport(tr, "tfc", nil)
 	if p := tr.DialProbe("tcp"); p != nil {
@@ -67,6 +68,27 @@ func TestBindTwicePanics(t *testing.T) {
 	tr.Bind(sim.New(2))
 }
 
+// Observation runs on the trial's own goroutine, so a trial refuses a
+// partitioned network rather than taking records from shard goroutines.
+func TestInstrumentPartitionedNetworkPanics(t *testing.T) {
+	n := netsim.NewNetwork(sim.New(1))
+	a, sw, b := n.NewHost("a"), n.NewSwitch("sw"), n.NewHost("b")
+	link := netsim.LinkConfig{Rate: netsim.Gbps, Delay: sim.Microsecond}
+	n.Connect(a, sw, link)
+	n.Connect(sw, b, link)
+	n.ComputeRoutes()
+	if err := n.Partition([]int{0, 1, 1}, 2); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "partitioned") {
+			t.Errorf("InstrumentNetwork on a partitioned network: panic %q, want one naming it", msg)
+		}
+	}()
+	InstrumentNetwork(NewCollector(Options{}).Trial("k"), n)
+}
+
 func TestGaugeSamplingCadence(t *testing.T) {
 	tr := NewCollector(Options{}).Trial("a")
 	s := sim.New(1)
@@ -104,8 +126,8 @@ func TestRecorderKeepsCanonicalTail(t *testing.T) {
 
 func TestRecorderOrderInvariant(t *testing.T) {
 	// The retained set must be a pure function of the pushed multiset,
-	// regardless of arrival order — this is what keeps sharded traces
-	// byte-identical to sequential ones.
+	// regardless of arrival order, so the exported trace depends on what
+	// the probes recorded, not on the order they pushed it in.
 	mk := func(order []int) *recorder {
 		var r recorder
 		r.init(3)
@@ -184,7 +206,7 @@ func TestFaultProbePairsWindows(t *testing.T) {
 	obs := tr.FaultProbe()
 	obs(faults.Event{At: 10, Kind: "link-down", Target: "sw->h"})
 	obs(faults.Event{At: 40, Kind: "link-up", Target: "sw->h"})
-	tr.flush()
+	tr.Flush()
 	var span *event
 	for _, e := range tr.rec.events() {
 		if e.ph == 'X' && e.cat == "fault" {

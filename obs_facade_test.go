@@ -17,8 +17,7 @@ func TestObservatoryResultsNeutral(t *testing.T) {
 	// metrics exported, two workers — must not perturb any experiment
 	// result: every obs computation is a pure read off the probe stream. A
 	// probe that schedules an event changes no table, only the event
-	// counts, so those are compared too. internal/exp's
-	// TestShardedObservatoryByteIdentical checks the same under sharding.
+	// counts, so those are compared too.
 	e, ok := Find("fig08-10")
 	if !ok {
 		t.Fatal("fig08-10 not in registry")
@@ -64,8 +63,7 @@ func TestObservatoryResultsNeutral(t *testing.T) {
 func TestPacketSpanByteIdentical(t *testing.T) {
 	// Causal packet spans are sampled by a pure function of (flow, seed)
 	// and recorded on the virtual timeline, so the exported trace must be
-	// byte-identical at any worker parallelism (and at any shard count:
-	// internal/exp's TestShardedObservatoryByteIdentical).
+	// byte-identical at any worker parallelism.
 	e, ok := Find("fig08-10")
 	if !ok {
 		t.Fatal("fig08-10 not in registry")

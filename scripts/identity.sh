@@ -16,7 +16,8 @@
 # Byte-identity to the parent is the repository's fixed point: a refactor
 # passes this before anything else is worth measuring. (That the sharded
 # engine reproduces the sequential one is internal/exp's Sharded tests'
-# job: the CLI runs every trial on the sequential engine.)
+# job: only the library's fat tree shards, never an observed trial, and
+# the CLI runs every trial on the sequential engine.)
 set -eu
 cd "$(dirname "$0")/.."
 
