@@ -110,7 +110,7 @@ func (s *Sender) onRTO() {
 		return
 	}
 	// A pause riding into an RTO is stale information — the XOF refresh
-	// chain is clearly broken (blackout, flushed queue) — so the timeout
+	// chain is clearly broken (blackout, wire loss) — so the timeout
 	// overrides it. Without this a lost XON plus a lost retransmission
 	// window could deadlock the flow.
 	s.pause.Stop()

@@ -65,8 +65,8 @@ func (g *FlowGate) Add(n int64, now sim.Time, pressure bool) (xoff bool) {
 	return true
 }
 
-// Drain records n bytes of this flow leaving the port (clamped at zero:
-// a flushed queue drops bytes whose predicted drain still fires). It
+// Drain records n bytes of this flow leaving the port (clamped at zero,
+// so a drain that outruns the counted arrivals never goes negative). It
 // returns true when an XON should be sent to the source.
 func (g *FlowGate) Drain(n int64) (xon bool) {
 	g.occ -= n

@@ -61,7 +61,7 @@ func TestGateResumeAndClamp(t *testing.T) {
 	if g.Paused() {
 		t.Fatal("still paused after XON")
 	}
-	// Duplicate drains (flushed queue) clamp at zero, never double-XON.
+	// Duplicate drains clamp at zero, never double-XON.
 	if g.Drain(16 << 10) {
 		t.Fatal("XON while not paused")
 	}

@@ -38,7 +38,7 @@ type flowState struct {
 // The substrate's ports are shared FIFOs, not the per-flow queues of the
 // real BFC design, so occupancy here is bookkeeping alongside the queue
 // rather than dedicated queue depth; predicted drains self-correct after
-// queue flushes and rate changes because the gate clamps at zero.
+// a link blackout because the gate clamps at zero.
 type Hook struct {
 	sim  *sim.Simulator
 	sw   *netsim.Switch
@@ -128,9 +128,9 @@ func (h *Hook) OnEnqueue(pkt *netsim.Packet, port *netsim.Port) bool {
 		h.signal(pkt.Flow, fs.src, netsim.FlagXOF)
 	}
 	// Predict the departure of this frame: the counted backlog serializes
-	// FIFO at the port's current rate. The prediction ignores link-down
-	// intervals and mid-run rate changes; the error only shifts when the
-	// drain event fires, and occupancy clamps at zero either way.
+	// FIFO at the port's rate. The prediction ignores link-down
+	// intervals; the error only shifts when the drain event fires, and
+	// occupancy clamps at zero either way.
 	if h.drainFree < now {
 		h.drainFree = now
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"tfcsim/internal/netsim"
@@ -85,12 +86,18 @@ func TestPathMinimumWindow(t *testing.T) {
 	}
 }
 
+// uniformLoss is a netsim.LossModel that loses each packet with
+// probability p: one draw per packet from the port's loss stream.
+type uniformLoss float64
+
+func (p uniformLoss) Lose(r *rand.Rand) bool { return r.Float64() < float64(p) }
+
 func TestTFCSurvivesRandomLoss(t *testing.T) {
 	// Failure injection: 0.5% random loss on the bottleneck. TFC has no
 	// loss-driven window, so throughput should stay high and transfers
 	// complete via dupack retransmission (and rare RTOs).
 	r := newRig(2, 256<<10, SwitchConfig{})
-	r.bott.LossRate = 0.005
+	r.bott.LossModel = uniformLoss(0.005)
 	var snds []*Sender
 	done := 0
 	for i := 0; i < 2; i++ {

@@ -148,11 +148,6 @@ func (st *PortState) RTTB() sim.Time { return st.rttb }
 // completing normally; capped at maxMissK).
 func (st *PortState) MissK() int { return st.missK }
 
-// OnRateChange implements netsim.RateObserver: a mid-run rate change
-// (fault injection) refreshes the cached line rate so token computation
-// and the delay arbiter size against the degraded link from then on.
-func (st *PortState) OnRateChange(p *netsim.Port) { st.bps = p.Rate.BytesPerSecond() }
-
 // OnEnqueue implements netsim.PortHook: the TFC data path (paper Event 1).
 func (st *PortState) OnEnqueue(pkt *netsim.Packet, port *netsim.Port) bool {
 	if pkt.Flags&netsim.FlagACK != 0 {

@@ -1,6 +1,7 @@
 package credit
 
 import (
+	"math/rand"
 	"testing"
 
 	"tfcsim/internal/netsim"
@@ -169,9 +170,15 @@ func TestSilentFlowStopsCredits(t *testing.T) {
 	}
 }
 
+// uniformLoss is a netsim.LossModel that loses each packet with
+// probability p: one draw per packet from the port's loss stream.
+type uniformLoss float64
+
+func (p uniformLoss) Lose(r *rand.Rand) bool { return r.Float64() < float64(p) }
+
 func TestRecoveryAfterDataLoss(t *testing.T) {
 	r := newRig(1, 256<<10)
-	r.bott.LossRate = 0.01
+	r.bott.LossModel = uniformLoss(0.01)
 	done := false
 	snd, _ := r.dial(0, 1, func(c *Config) {
 		c.MinRTO = 10 * sim.Millisecond
@@ -204,7 +211,7 @@ func TestLostCreditRequestRecovers(t *testing.T) {
 		t.Fatalf("first message: %d drains, want 1", drains)
 	}
 	uplink := r.senders[0].NIC()
-	uplink.SetDown(false)
+	uplink.SetDown()
 	snd.Send(64 << 10)
 	r.s.RunUntil(r.s.Now() + 2*sim.Millisecond)
 	uplink.SetUp()

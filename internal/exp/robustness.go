@@ -112,10 +112,10 @@ func Robustness(cfg RobustnessConfig) RobustnessPoint {
 		// A cable failure is bidirectional: data direction (bott) and the
 		// ACK/credit direction (the receiver's NIC). Queues are preserved
 		// (pulled-cable semantics), so the backlog drains on restore.
-		inj.LinkDown(cfg.Warmup, cfg.Blackout, false, bott, recv.NIC())
+		inj.LinkDown(cfg.Warmup, cfg.Blackout, bott, recv.NIC())
 	}
 	if cfg.Loss > 0 {
-		inj.BurstyLoss(cfg.Warmup, 0, bott, faults.NewGilbertElliott(cfg.Loss, cfg.Burst))
+		inj.BurstyLoss(cfg.Warmup, bott, faults.NewGilbertElliott(cfg.Loss, cfg.Burst))
 	}
 	end := upAt + cfg.Tail
 

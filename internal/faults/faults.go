@@ -1,9 +1,11 @@
 // Package faults schedules deterministic fault injection against a
-// running simulation: link blackouts, mid-run rate degradation, bursty
-// wire loss, and host delivery stalls. Every fault is driven off the
-// simulator's clock and (for stochastic loss) the simulator's per-trial
-// RNG, so an injected failure scenario is a pure function of the trial
-// seed — experiment outputs stay byte-identical at any parallelism.
+// running simulation: link blackouts that keep the queue, and bursty
+// Gilbert–Elliott wire loss from a given time to the end of the run —
+// the two faults exp.Robustness injects. Every fault is driven off the
+// simulator's clock and (for loss) the port's per-trial loss stream, so
+// an injected failure scenario is a pure function of the trial seed and
+// experiment outputs stay byte-identical at any parallelism. The package
+// is internal: in-module runners such as exp.Robustness drive it.
 package faults
 
 import (
@@ -17,8 +19,8 @@ import (
 // logs and debugging.
 type Event struct {
 	At     sim.Time
-	Kind   string // "link-down", "link-up", "rate-degrade", ...
-	Target string // port label or host name
+	Kind   string // "link-down", "link-up" or "loss-on"
+	Target string // port label
 }
 
 func (e Event) String() string {
@@ -31,7 +33,7 @@ func (e Event) String() string {
 type Scheduler struct {
 	sim *sim.Simulator
 	// Probe, if set, observes every fired transition as it happens (the
-	// telemetry layer pairs down/up-style transitions into trace spans).
+	// telemetry layer pairs link-down/link-up into trace spans).
 	Probe func(Event)
 }
 
@@ -46,15 +48,15 @@ func (f *Scheduler) record(kind, target string) {
 	}
 }
 
-// LinkDown blacks out the given ports at time at for duration dur. With
-// flush, each port's queued backlog is discarded at cut time (a rebooting
-// line card); without it the backlog is preserved and drains on restore.
-// dur <= 0 leaves the link down for the rest of the run. A full-duplex
-// cable is a pair of ports — pass both to cut traffic in both directions.
-func (f *Scheduler) LinkDown(at, dur sim.Time, flush bool, ports ...*netsim.Port) {
+// LinkDown blacks out the given ports at time at for duration dur. Each
+// port's queued backlog is preserved and drains on restore (a pulled-and-
+// replugged cable). dur <= 0 leaves the link down for the rest of the
+// run. A full-duplex cable is a pair of ports — pass both to cut traffic
+// in both directions.
+func (f *Scheduler) LinkDown(at, dur sim.Time, ports ...*netsim.Port) {
 	f.sim.At(at, func() {
 		for _, p := range ports {
-			p.SetDown(flush)
+			p.SetDown()
 			f.record("link-down", p.Label)
 		}
 	})
@@ -68,54 +70,12 @@ func (f *Scheduler) LinkDown(at, dur sim.Time, flush bool, ports ...*netsim.Port
 	}
 }
 
-// DegradeRate drops port's link rate to the given value at time at and
-// restores the original rate after dur (dur <= 0: degraded for the rest
-// of the run). The rate captured at degrade time is the one restored, so
-// stacked degradations unwind in order.
-func (f *Scheduler) DegradeRate(at, dur sim.Time, port *netsim.Port, to netsim.Rate) {
-	f.sim.At(at, func() {
-		orig := port.Rate
-		port.SetRate(to)
-		f.record("rate-degrade", port.Label)
-		if dur > 0 {
-			f.sim.After(dur, func() {
-				port.SetRate(orig)
-				f.record("rate-restore", port.Label)
-			})
-		}
-	})
-}
-
-// BurstyLoss installs a loss model on port at time at and removes it
-// after dur (dur <= 0: lossy for the rest of the run). The model draws
-// randomness from the simulation RNG only, keeping the loss pattern a
-// function of the trial seed.
-func (f *Scheduler) BurstyLoss(at, dur sim.Time, port *netsim.Port, m netsim.LossModel) {
+// BurstyLoss installs loss model m on port at time at, for the rest of
+// the run. The model draws randomness from the port's loss stream only,
+// keeping the loss pattern a function of the trial seed.
+func (f *Scheduler) BurstyLoss(at sim.Time, port *netsim.Port, m netsim.LossModel) {
 	f.sim.At(at, func() {
 		port.LossModel = m
 		f.record("loss-on", port.Label)
 	})
-	if dur > 0 {
-		f.sim.At(at+dur, func() {
-			port.LossModel = nil
-			f.record("loss-off", port.Label)
-		})
-	}
-}
-
-// PauseHost stalls h's packet delivery at time at — arriving packets are
-// buffered in order and delivered in a burst on resume after dur,
-// modelling a GC pause, VM migration hiccup, or scheduler stall.
-// dur <= 0 pauses for the rest of the run.
-func (f *Scheduler) PauseHost(at, dur sim.Time, h *netsim.Host) {
-	f.sim.At(at, func() {
-		h.SetPaused(true)
-		f.record("host-pause", h.Name())
-	})
-	if dur > 0 {
-		f.sim.At(at+dur, func() {
-			h.SetPaused(false)
-			f.record("host-resume", h.Name())
-		})
-	}
 }

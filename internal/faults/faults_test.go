@@ -49,7 +49,7 @@ func TestLinkDownWindow(t *testing.T) {
 	f := NewScheduler(s)
 	var log []Event
 	f.Probe = func(ev Event) { log = append(log, ev) }
-	f.LinkDown(1*sim.Millisecond, 2*sim.Millisecond, false, out)
+	f.LinkDown(1*sim.Millisecond, 2*sim.Millisecond, out)
 	// One packet every 100us for 5ms: those arriving at the switch inside
 	// [1ms, 3ms) are dropped at the wire, the rest deliver.
 	sendEvery(s, h1, h2, 50, 100*sim.Microsecond)
@@ -77,23 +77,6 @@ func TestLinkDownWindow(t *testing.T) {
 	}
 }
 
-func TestDegradeRateWindow(t *testing.T) {
-	s := sim.New(1)
-	_, _, h2, sw := pair(s)
-	out := sw.PortTo(h2.ID())
-	f := NewScheduler(s)
-	f.DegradeRate(sim.Millisecond, sim.Millisecond, out, 100*netsim.Mbps)
-	s.At(sim.Millisecond+sim.Microsecond, func() {
-		if out.Rate != 100*netsim.Mbps {
-			t.Errorf("rate during degradation = %v", out.Rate)
-		}
-	})
-	s.Run()
-	if out.Rate != netsim.Gbps {
-		t.Fatalf("rate after restore = %v, want 1G", out.Rate)
-	}
-}
-
 func TestBurstyLossWindow(t *testing.T) {
 	s := sim.New(1)
 	_, h1, h2, sw := pair(s)
@@ -101,38 +84,30 @@ func TestBurstyLossWindow(t *testing.T) {
 	k := &sink{s: s}
 	h2.Register(7, k)
 	f := NewScheduler(s)
-	// LossBad=1, PBG=0 pins the chain in the bad state: total loss while
-	// the model is installed, none outside the window.
-	f.BurstyLoss(sim.Millisecond, sim.Millisecond, out, &GilbertElliott{PGB: 1, LossBad: 1})
+	var log []Event
+	f.Probe = func(ev Event) { log = append(log, ev) }
+	// LossBad=1, PBG=0 pins the chain in the bad state: total loss from
+	// the moment the model is installed to the end of the run.
+	m := &GilbertElliott{PGB: 1, LossBad: 1}
+	at := sim.Millisecond
+	f.BurstyLoss(at, out, m)
+	s.At(at-sim.Microsecond, func() {
+		if out.LossModel != nil {
+			t.Error("loss model installed before at")
+		}
+	})
+	// One packet every 100us for 3ms: the ten sent before at deliver,
+	// every later one is lost.
 	sendEvery(s, h1, h2, 30, 100*sim.Microsecond)
 	s.Run()
-	if out.LossModel != nil {
-		t.Fatal("loss model still installed after window")
+	if out.LossModel != m {
+		t.Fatal("loss model not installed to the end of the run")
 	}
-	if out.Drops == 0 {
-		t.Fatal("no drops from total loss window")
+	if len(k.pkts) != 10 || out.Drops != 20 {
+		t.Fatalf("delivered %d, dropped %d; want 10, 20", len(k.pkts), out.Drops)
 	}
-	if len(k.pkts)+int(out.Drops) != 30 {
-		t.Fatalf("delivered %d + dropped %d != 30 sent", len(k.pkts), out.Drops)
-	}
-}
-
-func TestPauseHostWindow(t *testing.T) {
-	s := sim.New(1)
-	_, h1, h2, _ := pair(s)
-	k := &sink{s: s}
-	h2.Register(7, k)
-	f := NewScheduler(s)
-	f.PauseHost(0, sim.Millisecond, h2)
-	sendEvery(s, h1, h2, 5, 50*sim.Microsecond)
-	s.Run()
-	if len(k.pkts) != 5 {
-		t.Fatalf("delivered %d packets, want 5", len(k.pkts))
-	}
-	for i, at := range k.at {
-		if at != sim.Millisecond {
-			t.Fatalf("pkt %d delivered at %v, want burst at resume", i, at)
-		}
+	if len(log) != 1 || log[0].Kind != "loss-on" || log[0].At != at {
+		t.Fatalf("fault log = %v", log)
 	}
 }
 
@@ -202,8 +177,8 @@ func TestSchedulerDeterminism(t *testing.T) {
 		k := &sink{s: s}
 		h2.Register(7, k)
 		f := NewScheduler(s)
-		f.LinkDown(sim.Millisecond, 500*sim.Microsecond, true, out)
-		f.BurstyLoss(2*sim.Millisecond, sim.Millisecond, out, NewGilbertElliott(0.3, 4))
+		f.LinkDown(sim.Millisecond, 500*sim.Microsecond, out)
+		f.BurstyLoss(2*sim.Millisecond, out, NewGilbertElliott(0.3, 4))
 		sendEvery(s, h1, h2, 100, 40*sim.Microsecond)
 		s.Run()
 		return out.Drops, out.TxPackets, len(k.pkts)

@@ -40,9 +40,6 @@ func NewGilbertElliott(meanLoss, meanBurst float64) *GilbertElliott {
 	}
 }
 
-// Bad reports whether the chain is currently in the burst state.
-func (g *GilbertElliott) Bad() bool { return g.bad }
-
 // Lose advances the chain one packet and reports whether that packet is
 // lost. All randomness comes from r (the simulation's per-trial source).
 func (g *GilbertElliott) Lose(r *rand.Rand) bool {

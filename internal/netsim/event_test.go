@@ -71,13 +71,13 @@ func sendOne(s *sim.Simulator, from, to *netsim.Host, flow netsim.FlowID) {
 func starDigest(proto exp.Proto, senders int, blackout bool, probe netsim.Probe) string {
 	e, hosts, recv, bott := exp.Star(exp.TopoConfig{Proto: proto, Seed: 3, MinRTO: sim.Millisecond},
 		senders, netsim.Gbps, 64<<10)
-	bott.LossRate = 0.01
+	bott.LossModel = netsim.UniformLoss(0.01)
 	if probe != nil {
 		e.Net.Probe = probe
 		e.Dialer.Probe = func(string) netsim.Probe { return probe }
 	}
 	if blackout {
-		faults.NewScheduler(e.Sim).LinkDown(2*sim.Millisecond, sim.Millisecond, false, bott)
+		faults.NewScheduler(e.Sim).LinkDown(2*sim.Millisecond, sim.Millisecond, bott)
 	}
 	var conns []*workload.Conn
 	for _, h := range hosts {
@@ -132,7 +132,7 @@ func TestEventStream(t *testing.T) {
 	t.Run("drop", func(t *testing.T) {
 		rec := newRecorder(t, &seen)
 		s, h1, h2, sw, k := line(rec)
-		sw.PortTo(h2.ID()).LossRate = 1.0
+		sw.PortTo(h2.ID()).LossModel = netsim.UniformLoss(1)
 		sendOne(s, h1, h2, 1)
 		drops := 0
 		for _, ev := range rec.evs {

@@ -1,5 +1,7 @@
 package netsim
 
+import "math/rand"
+
 // PktSlab is the packet-pool growth quantum.
 const PktSlab = pktSlab
 
@@ -23,3 +25,9 @@ func (n *Network) PoolShards() []PoolShard {
 	}
 	return out
 }
+
+// UniformLoss is a LossModel that loses each packet with probability p:
+// one draw per packet from the port's loss stream.
+type UniformLoss float64
+
+func (p UniformLoss) Lose(r *rand.Rand) bool { return r.Float64() < float64(p) }

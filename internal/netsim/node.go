@@ -169,12 +169,6 @@ type Host struct {
 	// different hosts interleave, so sequential and sharded runs see the
 	// same jitter.
 	jrand *rand.Rand
-
-	// Pause state (fault injection): while paused the host's delivery
-	// path stalls and arrivals are buffered in order, modelling a host
-	// hiccup (GC pause, interrupt storm, VM steal time).
-	paused bool
-	held   []*Packet
 }
 
 // NIC returns the host's single transmit port (nil before it is wired).
@@ -236,41 +230,8 @@ func (h *Host) Register(id FlowID, ep Endpoint) {
 // Endpoint returns the endpoint bound to id, if any.
 func (h *Host) Endpoint(id FlowID) Endpoint { return h.endpoints[id] }
 
-// Paused reports whether the host's delivery path is stalled.
-func (h *Host) Paused() bool { return h.paused }
-
-// SetPaused stalls (true) or resumes (false) the host's delivery path.
-// Buffered arrivals are delivered in arrival order at resume time, so a
-// pause appears to peers as a burst of delayed ACKs — the hiccup the
-// fault injector uses to stress RTO and rtt_b estimation.
-func (h *Host) SetPaused(paused bool) {
-	if h.paused == paused {
-		return
-	}
-	h.paused = paused
-	if paused {
-		return
-	}
-	held := h.held
-	h.held = nil
-	for i, pkt := range held {
-		held[i] = nil
-		h.deliver(pkt)
-	}
-}
-
-// Receive demultiplexes to the flow endpoint. A paused host buffers the
-// packet (retaining ownership) until resume.
+// Receive demultiplexes to the flow endpoint.
 func (h *Host) Receive(pkt *Packet, from *Port) {
-	if h.paused {
-		//tfcvet:allow poolsafe,hotalloc — the pause buffer takes ownership until resume re-injects, and it only grows while a fault holds the host paused, never in steady state
-		h.held = append(h.held, pkt)
-		return
-	}
-	h.deliver(pkt)
-}
-
-func (h *Host) deliver(pkt *Packet) {
 	if poolCheck {
 		checkLive(pkt, "delivered after release")
 	}

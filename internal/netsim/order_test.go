@@ -81,7 +81,7 @@ func runDeliveryOrder(t *testing.T, shards int) []arrival {
 			}
 		})
 	}
-	s.At(10*orderFrameTime+1, func() { src[1].NIC().SetRate(netsim.Gbps / 2) })
+	s.At(10*orderFrameTime+1, func() { src[1].NIC().Rate = netsim.Gbps / 2 })
 	s.Run()
 	return log.got
 }

@@ -24,9 +24,9 @@ func greedy(e *exp.Env, src, dst *netsim.Host) {
 // TestPoolDiscipline runs every registered transport with the pool-misuse
 // detector armed — a packet enqueued, delivered or released after its
 // release panics — through the three places packets are held longest: an
-// incast pile-up, a fault cell (a downed link keeps its queue, a paused
-// host buffers arrivals) and a sharded fat tree, where packets are
-// allocated on one shard and released on another.
+// incast pile-up, a link-down fault cell (a downed link keeps its queue)
+// and a sharded fat tree, where packets are allocated on one shard and
+// released on another.
 func TestPoolDiscipline(t *testing.T) {
 	defer netsim.ArmPoolCheck()()
 	for _, name := range transport.Names() {
@@ -43,9 +43,8 @@ func TestPoolDiscipline(t *testing.T) {
 				greedy(e, h, recv)
 			}
 			inj := faults.NewScheduler(e.Sim)
-			inj.LinkDown(20*sim.Millisecond, 5*sim.Millisecond, false, bott, recv.NIC())
-			inj.PauseHost(40*sim.Millisecond, 2*sim.Millisecond, recv)
-			inj.LinkDown(60*sim.Millisecond, sim.Millisecond, true, bott)
+			inj.LinkDown(20*sim.Millisecond, 5*sim.Millisecond, bott, recv.NIC())
+			inj.LinkDown(60*sim.Millisecond, sim.Millisecond, bott)
 			e.Sim.RunUntil(300 * sim.Millisecond)
 			if bott.Drops == 0 {
 				t.Error("no drop at the downed bottleneck: the fault cell held nothing")

@@ -16,18 +16,10 @@ type PortHook interface {
 	OnEnqueue(pkt *Packet, port *Port) bool
 }
 
-// RateObserver is implemented by PortHooks that cache the port's link
-// rate (TFC's token computation does). SetRate notifies the hook so a
-// mid-run rate degradation reaches the cached value.
-type RateObserver interface {
-	OnRateChange(port *Port)
-}
-
-// LossModel decides per-packet wire loss, generalizing the uniform
-// LossRate to stateful models (e.g. Gilbert–Elliott bursty loss, package
-// faults). Implementations draw randomness only from r — the simulation's
-// deterministic per-trial source — so injected loss is a pure function of
-// the trial seed.
+// LossModel decides per-packet wire loss (e.g. Gilbert–Elliott bursty
+// loss, package faults). Implementations draw randomness only from r — the
+// port's deterministic per-trial stream — so injected loss is a pure
+// function of the trial seed.
 type LossModel interface {
 	Lose(r *rand.Rand) bool
 }
@@ -57,17 +49,20 @@ type Port struct {
 	pos    int // position in Owner.Ports()
 	lrand  *rand.Rand
 
+	// Rate is the line rate. It is fixed once a transport attaches:
+	// values derived from it at set-up would go stale — TFC's cached
+	// bytes per second, DCTCP's marking threshold K, the credit
+	// receiver's maximum rate and switch shaper. Changing it between
+	// frames is safe only on a port nothing derives a value from: no hook
+	// and no transport (TestDeliveryOrder's bare sender NIC).
 	Rate  Rate
 	Delay sim.Time // propagation delay
 	// BufBytes is the queue capacity in frame bytes; 0 means unlimited.
 	BufBytes int
 	// Hook, if non-nil, runs for every packet entering the queue.
 	Hook PortHook
-	// LossRate, if positive, drops each arriving packet with this
-	// probability (failure injection for tests and experiments).
-	LossRate float64
-	// LossModel, if non-nil, supersedes LossRate with a stateful
-	// per-packet loss decision (e.g. bursty Gilbert–Elliott loss).
+	// LossModel, if non-nil, decides per packet whether the wire loses
+	// it (e.g. bursty Gilbert–Elliott loss, package faults).
 	LossModel LossModel
 
 	// The FIFO is a power-of-two ring buffer: O(1) dequeue regardless of
@@ -120,12 +115,11 @@ func (p *Port) Busy() bool { return p.busy }
 func (p *Port) Down() bool { return p.down }
 
 // SetDown fails the link: subsequent Enqueues drop at the wire, and a
-// frame mid-serialization is lost. With flush, the queued backlog is
-// dropped too (a rebooting line card); without it the queue is preserved
-// and drains when the link comes back (a pulled-and-replugged cable).
-// Packets already past serialization keep propagating — at data-center
-// delays they are off the cable within microseconds of the cut.
-func (p *Port) SetDown(flush bool) {
+// frame mid-serialization is lost. The queued backlog is preserved and
+// drains when the link comes back (a pulled-and-replugged cable). Packets
+// already past serialization keep propagating — at data-center delays
+// they are off the cable within microseconds of the cut.
+func (p *Port) SetDown() {
 	if p.down {
 		return
 	}
@@ -133,13 +127,6 @@ func (p *Port) SetDown(flush bool) {
 	p.cutTx = p.busy
 	if p.net.Probe != nil {
 		p.net.Probe.Observe(Event{Kind: EvLink, At: p.sim.Now(), Port: p, A: 1})
-	}
-	if flush {
-		for p.qLen > 0 {
-			pkt := p.popQ()
-			p.qBytes -= pkt.FrameBytes()
-			p.drop(pkt)
-		}
 	}
 }
 
@@ -155,16 +142,6 @@ func (p *Port) SetUp() {
 	}
 	if !p.busy && p.qLen > 0 {
 		p.startTx()
-	}
-}
-
-// SetRate changes the link rate mid-run (fault injection: an autoneg
-// downshift or a degraded optic). It takes effect at the next frame
-// serialization; a hook caching the rate is notified via RateObserver.
-func (p *Port) SetRate(r Rate) {
-	p.Rate = r
-	if ro, ok := p.Hook.(RateObserver); ok {
-		ro.OnRateChange(p)
 	}
 }
 
@@ -251,12 +228,7 @@ func (p *Port) Enqueue(pkt *Packet) {
 		p.drop(pkt)
 		return
 	}
-	if p.LossModel != nil {
-		if p.LossModel.Lose(p.lossRand()) {
-			p.drop(pkt)
-			return
-		}
-	} else if p.LossRate > 0 && p.lossRand().Float64() < p.LossRate {
+	if p.LossModel != nil && p.LossModel.Lose(p.lossRand()) {
 		p.drop(pkt)
 		return
 	}

@@ -248,8 +248,8 @@ func (h *Host) jitterRand() *rand.Rand {
 	return h.jrand
 }
 
-// lossRand returns the port's private wire-loss stream (uniform LossRate
-// and stateful LossModel draws), keyed by the port's creation index.
+// lossRand returns the port's private wire-loss stream (LossModel
+// draws), keyed by the port's creation index.
 func (p *Port) lossRand() *rand.Rand {
 	if p.lrand == nil {
 		p.lrand = rand.New(rand.NewSource(sim.SubSeed(p.net.baseSeed, saltPortLoss+p.idx)))

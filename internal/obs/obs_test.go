@@ -230,7 +230,7 @@ func TestFlightRecordsLinkDown(t *testing.T) {
 	tr.Bind(s)
 	telemetry.InstrumentNetwork(tr, n)
 
-	faults.NewScheduler(s).LinkDown(sim.Millisecond, sim.Millisecond, false, sw.PortTo(b.ID()))
+	faults.NewScheduler(s).LinkDown(sim.Millisecond, sim.Millisecond, sw.PortTo(b.ID()))
 	s.RunUntil(5 * sim.Millisecond)
 	o.violation(o.trials[0], "forced", "test dump")
 

@@ -333,15 +333,13 @@ func (t *Trial) DialProbe(proto string) netsim.Probe {
 
 // faultEnd maps a window-closing transition to its opener.
 var faultEnd = map[string]string{
-	"link-up":      "link-down",
-	"rate-restore": "rate-degrade",
-	"loss-off":     "loss-on",
-	"host-resume":  "host-pause",
+	"link-up": "link-down",
 }
 
 // FaultProbe returns an observer for faults.Scheduler.Probe (nil for a
-// nil trial): each down/up-style pair of transitions becomes one span
-// covering the injection window. Fault transitions keep their own
+// nil trial): each link-down/link-up pair becomes one span covering the
+// blackout, and a loss-on opens a span that stays open to the end of the
+// run. Fault transitions keep their own
 // string-labelled record (faults.Event) rather than a netsim.Event kind —
 // their kind and target are strings, which the hot-path record must not
 // carry — but their windows pair on the shared open-interval table.
