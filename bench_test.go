@@ -42,7 +42,7 @@ func benchHops(net *Network) int64 {
 
 // Engine-benchmark measurement windows. The scenario runs from 0 to
 // benchEnd; the timed/memory-measured window starts at benchSettle, after
-// an untimed pre-roll that reaches steady state (lanes created, pools and
+// an untimed pre-roll that reaches steady state (pools, the run buffer and
 // rings at their working-set sizes, slow start over). The determinism
 // canary Mevents/simsec still uses the full 0→benchEnd run, so its value
 // is comparable across engine generations.

@@ -221,26 +221,3 @@ func TestLostCreditRequestRecovers(t *testing.T) {
 			drains, rcv.Received(), snd.Acked(), snd.Stats().Timeouts)
 	}
 }
-
-// The pacer tick and the shaper release re-arm with a different delay
-// almost every time. Scheduled relative to now, each value would take a
-// fixed-delay lane of the engine and keep it, pushing the forwarding
-// path's link events onto the heap; scheduled at absolute deadlines, the
-// lanes stay free for them.
-func TestIncastKeepsLanes(t *testing.T) {
-	const n = 40
-	r := newRig(n, 64<<10)
-	for i := 0; i < n; i++ {
-		snd, _ := r.dial(i, netsim.FlowID(i+1))
-		r.s.At(0, func() {
-			snd.Open()
-			snd.Send(256 << 10)
-			snd.Close()
-		})
-	}
-	r.s.RunUntil(50 * sim.Millisecond)
-	heap, lane := r.s.DispatchStats()
-	if share := float64(lane) / float64(heap+lane); share < 0.5 {
-		t.Fatalf("lane share %.2f of %d pops, want >= 0.5", share, heap+lane)
-	}
-}

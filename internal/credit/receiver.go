@@ -131,9 +131,7 @@ func (r *Receiver) schedule() {
 	if gap < sim.Microsecond {
 		gap = sim.Microsecond
 	}
-	// An absolute deadline: the gap changes with every rate update, and a
-	// relative one would pin a fixed-delay lane per value (ScheduleAfter).
-	r.pacer = r.cfg.Sim.Schedule(r.cfg.Sim.Now()+gap, (*tickEvent)(r))
+	r.pacer = r.cfg.Sim.ScheduleAfter(gap, (*tickEvent)(r))
 }
 
 func (r *Receiver) tick() {
@@ -317,7 +315,7 @@ func (sh *Shaper) scheduleRelease(b *bucket) {
 	if d < 1 {
 		d = 1
 	}
-	b.release = sh.s.Schedule(sh.s.Now()+d, b) // deficit-dependent: not a lane delay
+	b.release = sh.s.ScheduleAfter(d, b)
 }
 
 func (sh *Shaper) onRelease(b *bucket) {

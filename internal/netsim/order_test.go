@@ -38,8 +38,8 @@ const (
 var orderFrameTime = netsim.Gbps.TxTime((&netsim.Packet{Payload: netsim.MSS}).WireBytes())
 
 // orderLinkDelay gives sender 2 a cable one frame time longer than the
-// others': its frame k lands with their frame k+1, from another lane and
-// with an earlier schedule instant.
+// others': its frame k lands with their frame k+1, with a different delay
+// and an earlier schedule instant.
 func orderLinkDelay(src int) sim.Time {
 	if src == 2 {
 		return orderDelay + orderFrameTime

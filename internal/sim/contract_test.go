@@ -80,14 +80,20 @@ func TestRunUntilCancelledOnlyTail(t *testing.T) {
 }
 
 func TestRunUntilCancelledOnlyLaneTail(t *testing.T) {
-	// Same contract when the dead timer lives in a lane, not the heap.
-	s := New(1)
-	s.After(5, func() {})
-	tm := s.After(50, func() { t.Fatal("stopped lane timer fired") })
-	tm.Stop()
-	s.RunUntil(20)
-	if s.Now() != 5 {
-		t.Fatalf("cancelled-only lane tail: Now = %v, want 5", s.Now())
+	// Same contract when the dead timer waits in a wheel slot or in the
+	// far heap rather than in the current slot's run.
+	for _, d := range []Time{50 * Microsecond, 10 * Millisecond} {
+		s := New(1)
+		s.After(5, func() {})
+		tm := s.After(d, func() { t.Fatal("stopped timer fired") })
+		tm.Stop()
+		s.RunUntil(20 * Microsecond)
+		if s.Now() != 5 {
+			t.Fatalf("d=%v: cancelled-only tail: Now = %v, want 5", d, s.Now())
+		}
+		if s.Pending() != 1 {
+			t.Fatalf("d=%v: Pending = %d, want 1 (dead node awaits lazy collection)", d, s.Pending())
+		}
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 // Group is the conservative parallel dispatcher: one control Simulator
 // (workload arrivals, samplers, fault schedules — everything experiments
 // schedule directly) plus N shard Simulators, each owning a disjoint set
-// of network entities with its own 4-ary heap and timer-wheel lanes.
+// of network entities with its own pending-event queue.
 //
 // Execution proceeds in epochs. Let tmin be the earliest live event
 // across all shards; every shard may safely execute its events in the
@@ -19,7 +19,7 @@ import (
 // shard. Events for another shard are not scheduled directly — the
 // sending shard posts them to a per-(src,dst) outbox, and at the epoch
 // barrier the group merges all outboxes in a deterministic order and
-// inserts them into the destination heaps.
+// inserts them into the destination queues.
 //
 // Determinism and equivalence with the sequential engine: every event
 // carries (at, schedAt, rank) — its deadline, the virtual instant it was
@@ -92,8 +92,8 @@ type GroupStats struct {
 // ShardStats profiles one shard simulator of a group.
 type ShardStats struct {
 	Executed     uint64
-	HeapDispatch uint64 // queue pops served by the 4-ary heap
-	LaneDispatch uint64 // queue pops served by timer-wheel lanes
+	HeapDispatch uint64 // queue pops of nodes that waited in the far heap
+	LaneDispatch uint64 // queue pops of nodes that waited in the wheel
 	WorkNs       int64  // wall ns executing windows (0 without SetClock)
 	BarrierNs    int64  // WindowNs - WorkNs: time stalled at epoch barriers
 }

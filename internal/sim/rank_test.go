@@ -2,15 +2,16 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // Arrival-rank ordering (ScheduleAfterRank): events that collide on both
 // deadline and schedule instant execute in rank order — neutral events
-// first, then ascending rank, seq within a rank — identically on the
-// lane fast path, the heap, and across the sharded group's mailbox
-// merge. This is what makes simultaneous link deliveries arbitrate the
-// same way in both engines.
+// first, then ascending rank, seq within a rank — identically in the
+// wheel, the far heap, and across the sharded group's mailbox merge.
+// This is what makes simultaneous link deliveries arbitrate the same way
+// in both engines.
 
 // rankTarget logs its id when run.
 type rankTarget struct {
@@ -21,10 +22,9 @@ type rankTarget struct {
 func (r *rankTarget) RunEvent() { *r.log = append(*r.log, r.id) }
 
 // scheduleRankScript schedules, at one instant, a shuffled mix of ranked
-// and neutral events sharing one fixed delay, and returns the fire order.
-func scheduleRankScript(seed int64, lanes bool) []int {
+// and neutral events sharing one delay d, and returns the fire order.
+func scheduleRankScript(seed int64, d Time) []int {
 	s := New(1)
-	s.disableLanes = !lanes
 	var log []int
 	rng := rand.New(rand.NewSource(seed))
 	// ids 0..9 are ranked events with rank == id; ids 100+ are neutral.
@@ -34,9 +34,9 @@ func scheduleRankScript(seed int64, lanes bool) []int {
 		for _, id := range ids {
 			tgt := &rankTarget{id: id, log: &log}
 			if id < 100 {
-				s.ScheduleAfterRank(500, tgt, int32(id))
+				s.ScheduleAfterRank(d, tgt, int32(id))
 			} else {
-				s.ScheduleAfter(500, tgt)
+				s.ScheduleAfter(d, tgt)
 			}
 		}
 	})
@@ -46,10 +46,10 @@ func scheduleRankScript(seed int64, lanes bool) []int {
 
 func TestRankOrdersSimultaneousEvents(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		for _, lanes := range []bool{false, true} {
-			got := scheduleRankScript(seed, lanes)
+		for _, d := range []Time{0, 500, 3 * horizon} {
+			got := scheduleRankScript(seed, d)
 			if len(got) != 13 {
-				t.Fatalf("seed %d lanes=%v: fired %d of 13 events", seed, lanes, len(got))
+				t.Fatalf("seed %d d=%v: fired %d of 13 events", seed, d, len(got))
 			}
 			// Neutral events (scheduled in shuffled order, all equal keys)
 			// keep insertion order among themselves and run first; ranked
@@ -57,61 +57,54 @@ func TestRankOrdersSimultaneousEvents(t *testing.T) {
 			neutral, ranked := got[:3], got[3:]
 			for _, id := range neutral {
 				if id < 100 {
-					t.Fatalf("seed %d lanes=%v: ranked event %d ran before neutral ones: %v",
-						seed, lanes, id, got)
+					t.Fatalf("seed %d d=%v: ranked event %d ran before neutral ones: %v",
+						seed, d, id, got)
 				}
 			}
 			for i, id := range ranked {
 				if id != i {
-					t.Fatalf("seed %d lanes=%v: ranked events out of rank order: %v", seed, lanes, got)
+					t.Fatalf("seed %d d=%v: ranked events out of rank order: %v", seed, d, got)
 				}
 			}
 		}
 	}
 }
 
-// Ranked and neutral schedules mixed into the wheel fuzz-style script
-// must still fire identically with lanes on and off.
+// Ranked and neutral schedules mixed at colliding instants must fire
+// exactly as the reference queue fires them.
 func TestRankLaneHeapEquivalence(t *testing.T) {
-	run := func(seed int64, lanes bool) []int {
-		s := New(1)
-		s.disableLanes = !lanes
+	run := func(e engine, seed int64) []int {
 		var log []int
 		rng := rand.New(rand.NewSource(seed))
 		var id int
-		var sched func()
-		sched = func() {
+		sched := func() {
 			myID := id
 			id++
-			tgt := &rankTarget{id: myID, log: &log}
-			d := Time(100 * (1 + rng.Intn(3)))
+			rank := NeutralRank
 			if rng.Intn(2) == 0 {
-				s.ScheduleAfterRank(d, tgt, int32(rng.Intn(4)))
-			} else {
-				s.ScheduleAfter(d, tgt)
+				rank = int32(rng.Intn(4))
 			}
+			d := Time(100 * (1 + rng.Intn(3)))
+			if rng.Intn(4) == 0 {
+				d += horizon
+			}
+			e.schedAt(e.Now()+d, rank, func() { log = append(log, myID) })
 		}
 		for i := 0; i < 40; i++ {
-			s.At(Time(50*rng.Intn(6)), func() {
+			e.schedAt(Time(50*rng.Intn(6)), NeutralRank, func() {
 				for j := 0; j < 3; j++ {
 					sched()
 				}
 			})
 		}
-		s.Run()
+		e.RunUntil(maxTime)
 		return log
 	}
 	for seed := int64(0); seed < 30; seed++ {
-		want := run(seed, false)
-		got := run(seed, true)
-		if len(want) != len(got) {
-			t.Fatalf("seed %d: heap fired %d, lanes fired %d", seed, len(want), len(got))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("seed %d: firing %d differs: heap id %d, lanes id %d",
-					seed, i, want[i], got[i])
-			}
+		want := run(&refQueue{}, seed)
+		got := run(simEngine{New(1)}, seed)
+		if !slices.Equal(want, got) {
+			t.Fatalf("seed %d: reference fired %v, engine %v", seed, want, got)
 		}
 	}
 }

@@ -6,30 +6,31 @@
 // transport endpoints, workload generators) schedule callbacks through a
 // single Simulator instance; the engine is strictly single-threaded.
 //
-// The hot path is allocation-free in steady state: the pending-event queue
-// is a concrete 4-ary min-heap of *timerNode (no interface boxing, no
-// container/heap dispatch), fired and cancelled nodes are recycled through
-// a per-Simulator free list, and high-frequency callers can schedule an
-// EventTarget instead of a closure so that nothing is allocated per event.
-// Generation counters keep Timer handles safe across recycling: Stop and
-// Active on a handle whose node has been reused are harmless no-ops.
+// The hot path is allocation-free in steady state: fired and cancelled
+// timer nodes are recycled through a per-Simulator free list, and
+// high-frequency callers can schedule an EventTarget instead of a closure
+// so that nothing is allocated per event. Generation counters keep Timer
+// handles safe across recycling: Stop and Active on a handle whose node
+// has been reused are harmless no-ops.
 //
-// On top of the heap sits a timer-wheel fast path for the dominant
-// fixed-delay event classes (frame serialization, link propagation,
-// delimiter timers): relative deadlines scheduled through ScheduleAfter /
-// After are routed to a per-delay FIFO lane instead of the heap. Because
-// virtual time never moves backwards, all events of one fixed delay are
-// scheduled in non-decreasing (time, seq) order, so each lane is a plain
-// ring buffer with O(1) push and pop — no sifting. The dispatcher takes
-// the global minimum over the heap root and the lane heads with the exact
-// (time, seq) tie-break the heap alone used, so the execution order (and
-// with it every simulation output) is byte-identical to the heap-only
-// engine; see TestLaneHeapEquivalence and FuzzTimerWheel.
+// The pending-event queue is a timing wheel (Varghese & Lauck's hashed
+// wheel, Brown's calendar queue) of wheelSlots slots, each slotWidth of
+// virtual time wide. A slot is an intrusive singly linked list through
+// timerNode.next, and an occupancy bitmap finds the next occupied one.
+// Deadlines beyond the wheel's horizon wait in a 4-ary min-heap. When a
+// slot becomes current, its nodes and any far-heap nodes of the same slot
+// are gathered into one run buffer and sorted by (at, schedAt, rank, seq);
+// a later schedule into that run's slot, or an earlier one, is
+// insertion-sorted into it. The key fully orders events, so where a node
+// waits never changes what runs when: the queue is checked against a
+// sorted-slice reference in FuzzTimerWheel and FuzzTimerWheelStop.
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 )
 
@@ -106,7 +107,7 @@ type timerNode struct {
 	gen     uint64
 	target  EventTarget
 	owner   *Simulator // for live-count accounting on Timer.Stop
-	index   int32      // heap index; laneIndex while queued in a lane, -1 once popped
+	next    *timerNode // the next node in the same wheel slot
 	// rank canonically orders events that collide on both at and schedAt:
 	// smaller rank runs first, NeutralRank (-1) before any ranked event,
 	// equal ranks by seq. Callers whose same-instant emissions must
@@ -115,6 +116,7 @@ type timerNode struct {
 	// else stays neutral and keeps the historic insertion order.
 	rank    int32
 	stopped bool
+	far     bool // waits in the far heap (DispatchStats)
 }
 
 // NeutralRank is the rank of events scheduled without an explicit rank.
@@ -122,11 +124,6 @@ type timerNode struct {
 // among themselves by insertion sequence, preserving the engine's
 // historic tie-break wherever ranks are not in play.
 const NeutralRank int32 = -1
-
-// laneIndex marks a node queued in a fixed-delay lane rather than the
-// heap. It is distinct from -1 (popped) so Timer.Stop/Active treat lane
-// nodes as pending.
-const laneIndex int32 = -2
 
 // Timer is a cancellable handle to a scheduled event. It is a small value
 // (copy freely); the zero value is inert: Stop reports false and Active
@@ -144,7 +141,7 @@ type Timer struct {
 // already-stopped, or zero timer reports false.
 func (t Timer) Stop() bool {
 	n := t.n
-	if n == nil || n.gen != t.gen || n.stopped || n.index == -1 {
+	if n == nil || n.gen != t.gen || n.stopped {
 		return false
 	}
 	n.stopped = true
@@ -155,7 +152,7 @@ func (t Timer) Stop() bool {
 // Active reports whether the timer is still pending.
 func (t Timer) Active() bool {
 	n := t.n
-	return n != nil && n.gen == t.gen && !n.stopped && n.index != -1
+	return n != nil && n.gen == t.gen && !n.stopped
 }
 
 // When returns the virtual time at which the timer fires and whether the
@@ -171,90 +168,54 @@ func (t Timer) When() (Time, bool) {
 	return t.n.at, true
 }
 
-// maxLanes bounds the number of fixed-delay lanes. The hot event classes
-// (frame serialization per wire size, link propagation, delimiter timers)
-// need a handful; everything past the cap falls back to the heap, which is
-// always correct — lane assignment affects performance only, never order.
-const maxLanes = 8
-
-// lane is a FIFO ring of pending nodes that all share one scheduling
-// delay. Because virtual time is non-decreasing, ScheduleAfter with a
-// fixed delay produces non-decreasing deadlines, so the ring is sorted by
-// (at, seq) by construction and push/pop are O(1) with no sifting.
-type lane struct {
-	delay Time
-	ring  []*timerNode // power-of-two capacity
-	head  int
-	n     int
-}
-
-func (l *lane) push(n *timerNode) {
-	if l.n == len(l.ring) {
-		c := len(l.ring) * 2
-		if c == 0 {
-			c = 16
-		}
-		l.growTo(c)
-	}
-	mask := len(l.ring) - 1
-	// Keep the ring in (at, rank, seq) order. Pushes arrive in
-	// non-decreasing at (fixed delay, monotone clock) with equal schedAt
-	// for equal at, so only a same-instant tail run can be out of rank
-	// order; the backward scan almost always breaks on its first compare.
-	i := l.n
-	for i > 0 {
-		prev := l.ring[(l.head+i-1)&mask]
-		if prev.at != n.at || prev.rank <= n.rank {
-			break
-		}
-		l.ring[(l.head+i)&mask] = prev
-		i--
-	}
-	l.ring[(l.head+i)&mask] = n
-	l.n++
-}
-
-func (l *lane) growTo(c int) {
-	nr := make([]*timerNode, c)
-	for i := 0; i < l.n; i++ {
-		nr[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
-	}
-	l.ring = nr
-	l.head = 0
-}
-
-func (l *lane) pop() *timerNode {
-	n := l.ring[l.head]
-	l.ring[l.head] = nil
-	l.head = (l.head + 1) & (len(l.ring) - 1)
-	l.n--
-	n.index = -1
-	return n
-}
+// The wheel's geometry. A slot spans slotWidth ns of virtual time and the
+// wheel wheelSlots slots, so deadlines up to ~262 us ahead (link
+// propagation, serialization, pacing and most transport timers) skip the
+// heap. The head array costs 8 KB per Simulator; see BenchmarkQueueSparse
+// and BenchmarkQueueDense for the sizing.
+const (
+	slotBits   = 8
+	slotWidth  = Time(1) << slotBits
+	wheelBits  = 10
+	wheelSlots = 1 << wheelBits
+	wheelMask  = wheelSlots - 1
+	// countSortMin is the slot population above which sortRun counts:
+	// below it, clearing and summing the slotWidth+1 counters costs more
+	// than an insertion pass over nodes that are nearly in order.
+	countSortMin = 32
+)
 
 // Simulator owns virtual time and the pending-event queue.
 type Simulator struct {
 	now Time
-	// events is a 4-ary min-heap ordered by (at, seq). 4-ary beats binary
-	// here: sift-downs touch 4 children per level but run half the levels,
-	// and the children share cache lines.
-	events []*timerNode
-	// lanes are the timer-wheel fast path: one FIFO ring per distinct
-	// fixed delay seen on ScheduleAfter/After. A lane whose delay falls
-	// out of use is repurposed once it drains.
-	lanes    []lane
-	laneRing int          // warm hint: initial ring capacity for new lanes
-	free     []*timerNode // recycled nodes
-	seq      uint64
-	stopped  bool
+	// cur is the current slot (a deadline's slot is at>>slotBits), -1
+	// until the first one. run holds its nodes, sorted, with run[runPos]
+	// the next to fire; a node scheduled at or before cur joins the run.
+	// cur may be ahead of now when a peek or a RunUntil bound stopped in
+	// front of its first node.
+	cur    int64
+	run    []*timerNode
+	runPos int
+	spare  []*timerNode // sortRun's second buffer
+	// heads[i] lists the nodes of the one slot in (cur, cur+wheelSlots)
+	// with ring index i, unordered; occ has bit i set while it is
+	// non-empty, and wheelN counts the listed nodes.
+	heads  [wheelSlots]*timerNode
+	occ    [wheelSlots / 64]uint64
+	wheelN int
+	// far is a 4-ary min-heap, by the same key, of the nodes scheduled
+	// beyond the wheel's horizon. 4-ary beats binary here: sift-downs
+	// touch 4 children per level but run half the levels, and the
+	// children share cache lines.
+	far     []*timerNode
+	free    []*timerNode // recycled nodes
+	seq     uint64
+	stopped bool
 	// live counts pending events that have not been cancelled. Pending()
 	// also includes stopped-but-uncollected nodes; the RunUntil tail
 	// advance must not — a queue holding only dead timers does not make
 	// virtual time pass.
 	live int
-	// disableLanes forces every event through the heap. Test hook for the
-	// lane/heap equivalence and fuzz harnesses; never set in production.
-	disableLanes bool
 	// group, when non-nil, marks this simulator as the control member of a
 	// sharded Group: Run/RunUntil delegate to the group's epoch loop and
 	// Pending/Executed aggregate across the shards.
@@ -269,11 +230,11 @@ type Simulator struct {
 	seed int64
 	// executed counts events run so far (useful for budget guards in tests).
 	executed uint64
-	// dispHeap/dispLane count queue pops served by the 4-ary heap vs the
-	// timer-wheel lanes (engine self-profiling; includes cancelled-node
+	// dispFar/dispWheel count queue pops of nodes that waited in the far
+	// heap vs the wheel (engine self-profiling; includes cancelled-node
 	// collection — a pop is a pop).
-	dispHeap uint64
-	dispLane uint64
+	dispFar   uint64
+	dispWheel uint64
 	// pulse, when non-nil, is the live-introspection mailbox: dispatch
 	// publishes (now, executed) to it every pulseMask+1 events, and every
 	// run once more when it returns.
@@ -310,17 +271,17 @@ func (s *Simulator) publishPulse() {
 	}
 }
 
-// DispatchStats reports how many queue pops were served by the 4-ary heap
-// vs the timer-wheel lanes — the heap-vs-lane dispatch ratio the lane fast
-// path exists to win. Per-simulator; the Group aggregates across shards.
-func (s *Simulator) DispatchStats() (heap, lane uint64) { return s.dispHeap, s.dispLane }
+// DispatchStats reports how many queue pops were of nodes that waited in
+// the far heap (deadlines beyond the wheel's horizon when scheduled) vs
+// in the wheel. Per-simulator; the Group aggregates across shards.
+func (s *Simulator) DispatchStats() (heap, lane uint64) { return s.dispFar, s.dispWheel }
 
 // New creates a simulator whose random source is seeded with seed.
 func New(seed int64) *Simulator {
 	return &Simulator{
-		Rand:  rand.New(rand.NewSource(seed)),
-		seed:  seed,
-		lanes: make([]lane, 0, maxLanes),
+		Rand: rand.New(rand.NewSource(seed)),
+		seed: seed,
+		cur:  -1,
 	}
 }
 
@@ -359,10 +320,9 @@ func (s *Simulator) At(t Time, fn func()) Timer {
 	return s.schedule(t, s.now, NeutralRank, funcEvent(fn))
 }
 
-// After schedules fn d nanoseconds from now. Relative deadlines take the
-// lane fast path when a lane for d exists or is free (see scheduleAfter).
+// After schedules fn d nanoseconds from now.
 func (s *Simulator) After(d Time, fn func()) Timer {
-	return s.scheduleAfter(d, NeutralRank, funcEvent(fn))
+	return s.schedule(s.now+d, s.now, NeutralRank, funcEvent(fn))
 }
 
 // Schedule is the allocation-free variant of At: tgt.RunEvent runs at
@@ -372,14 +332,10 @@ func (s *Simulator) Schedule(t Time, tgt EventTarget) Timer {
 	return s.schedule(t, s.now, NeutralRank, tgt)
 }
 
-// ScheduleAfter schedules tgt.RunEvent d nanoseconds from now. Relative
-// deadlines take the lane fast path when a lane for d exists or is free.
-// It is for fixed-delay classes (a link's propagation delay, a constant
-// timeout): every distinct d holds one of the few lanes while it has
-// events queued. A delay recomputed on every arm (a rate-dependent gap, a
-// token deficit) belongs on Schedule(Now()+d, tgt) — same order, no lane.
+// ScheduleAfter schedules tgt.RunEvent d nanoseconds from now; it is
+// Schedule(Now()+d, tgt).
 func (s *Simulator) ScheduleAfter(d Time, tgt EventTarget) Timer {
-	return s.scheduleAfter(d, NeutralRank, tgt)
+	return s.schedule(s.now+d, s.now, NeutralRank, tgt)
 }
 
 // ScheduleAfterRank is ScheduleAfter with an explicit arrival rank
@@ -389,70 +345,138 @@ func (s *Simulator) ScheduleAfter(d Time, tgt EventTarget) Timer {
 // port's creation index), so that simultaneous arrivals execute in the
 // same canonical order in the sequential and the sharded engine.
 func (s *Simulator) ScheduleAfterRank(d Time, tgt EventTarget, rank int32) Timer {
-	return s.scheduleAfter(d, rank, tgt)
-}
-
-// scheduleAfter is the relative-deadline insert. A non-negative fixed
-// delay is pushed onto its lane in O(1); negative delays (clamped to now
-// by the heap path) and delays past the lane cap fall back to the heap.
-// Either placement yields the same execution order — the dispatcher always
-// takes the global (at, schedAt, rank, seq) minimum across heap and lanes.
-func (s *Simulator) scheduleAfter(d Time, rank int32, tgt EventTarget) Timer {
-	if d >= 0 && !s.disableLanes {
-		if l := s.laneFor(d); l != nil {
-			n := s.newNode(s.now+d, s.now, rank, tgt)
-			n.index = laneIndex
-			l.push(n)
-			return Timer{n: n, gen: n.gen}
-		}
-	}
 	return s.schedule(s.now+d, s.now, rank, tgt)
 }
 
-// schedule is the absolute-deadline (heap) insert. schedAt is the local
-// clock for everything this simulator schedules itself; the group's mail
-// delivery passes the sender shard's virtual time at post instead, in
-// deterministic order at an epoch barrier.
+// schedule is the one insert. schedAt is the local clock for everything
+// this simulator schedules itself; the group's mail delivery passes the
+// sender shard's virtual time at post instead, in deterministic order at
+// an epoch barrier.
 func (s *Simulator) schedule(at, schedAt Time, rank int32, tgt EventTarget) Timer {
 	if at < s.now {
 		at = s.now
 	}
 	n := s.newNode(at, schedAt, rank, tgt)
-	s.push(n)
+	s.insert(n)
 	return Timer{n: n, gen: n.gen}
 }
 
-// laneFor returns the lane for delay d, creating or repurposing one if
-// possible, or nil when every lane is occupied by another delay. The
-// policy only ever consults deterministic simulator state, so lane
-// assignment is itself reproducible run-to-run.
-func (s *Simulator) laneFor(d Time) *lane {
-	empty := -1
-	for i := range s.lanes {
-		l := &s.lanes[i]
-		if l.delay == d {
-			return l
+// insert queues n where its slot belongs: the current run, a wheel slot,
+// or the far heap.
+func (s *Simulator) insert(n *timerNode) {
+	slot := int64(n.at >> slotBits)
+	switch {
+	case slot <= s.cur:
+		if s.runPos == len(s.run) {
+			s.run, s.runPos = s.run[:0], 0
 		}
-		if l.n == 0 && empty < 0 {
-			empty = i
+		r := append(s.run, n)
+		i := len(r) - 1
+		for i > s.runPos && timerLess(n, r[i-1]) {
+			r[i] = r[i-1]
+			i--
+		}
+		r[i] = n
+		s.run = r
+	case slot < s.cur+wheelSlots:
+		i := slot & wheelMask
+		n.next = s.heads[i]
+		s.heads[i] = n
+		s.occ[i>>6] |= 1 << (i & 63)
+		s.wheelN++
+	default:
+		s.push(n)
+		n.far = true
+	}
+}
+
+// nextSlot makes the earliest occupied slot current: its wheel list and
+// the far-heap nodes of the same slot become the sorted run. It reports
+// false when nothing is queued. Call it only with the run exhausted.
+func (s *Simulator) nextSlot() bool {
+	slot := int64(-1)
+	if s.wheelN > 0 {
+		// First occupied ring index after cur's, cyclically: the wheel's
+		// slots all lie in (cur, cur+wheelSlots), one per index.
+		base := int(s.cur & wheelMask)
+		i := (base + 1) & wheelMask
+		w := i >> 6
+		word := s.occ[w] &^ (1<<(i&63) - 1)
+		for word == 0 {
+			w = (w + 1) & (len(s.occ) - 1)
+			word = s.occ[w]
+		}
+		i = w<<6 + bits.TrailingZeros64(word)
+		slot = s.cur + int64((i-base)&wheelMask)
+	}
+	if len(s.far) > 0 {
+		if f := int64(s.far[0].at >> slotBits); slot < 0 || f < slot {
+			slot = f
 		}
 	}
-	if len(s.lanes) < maxLanes {
-		c := s.laneRing
-		if c < 16 {
-			c = 16
+	if slot < 0 {
+		return false
+	}
+	s.cur = slot
+	r := s.run[:0]
+	// The one wheel slot that shares slot's ring index is slot itself, so
+	// the list there, if any, is slot's.
+	if i := slot & wheelMask; s.heads[i] != nil {
+		for n := s.heads[i]; n != nil; n = n.next {
+			r = append(r, n)
 		}
-		s.lanes = append(s.lanes, lane{delay: d, ring: make([]*timerNode, c)})
-		return &s.lanes[len(s.lanes)-1]
+		s.heads[i] = nil
+		s.occ[i>>6] &^= 1 << (i & 63)
+		s.wheelN -= len(r)
+		// The list is newest first; reversed, it is in insertion order,
+		// which the key mostly agrees with.
+		slices.Reverse(r)
 	}
-	if empty >= 0 {
-		// A drained lane's delay fell out of use (one-shot jitter values,
-		// rate changes): hand its ring to the new delay.
-		l := &s.lanes[empty]
-		l.delay = d
-		return l
+	for len(s.far) > 0 && int64(s.far[0].at>>slotBits) == slot {
+		r = append(r, s.popMin())
 	}
-	return nil
+	s.run, s.runPos = s.sortRun(r), 0
+	return true
+}
+
+// sortRun sorts one slot's nodes by the key and returns them, in r or in
+// the spare buffer it swaps r for. The deadlines of one slot differ only
+// in their low slotBits bits, so a stable counting sort on those bits
+// orders a dense slot by at in linear time and keeps insertion order among
+// equal deadlines, which the rest of the key nearly always agrees with. An
+// insertion pass settles what it does not (mailbox arrivals, ranks, nodes
+// from the far heap), and sorts a sparse slot on its own.
+func (s *Simulator) sortRun(r []*timerNode) []*timerNode {
+	if len(r) > countSortMin {
+		var start [slotWidth + 1]int32
+		for _, n := range r {
+			start[n.at&(slotWidth-1)+1]++
+		}
+		for i := 1; i < len(start); i++ {
+			start[i] += start[i-1]
+		}
+		out := s.spare[:0]
+		if cap(out) < len(r) {
+			out = make([]*timerNode, 0, cap(r))
+		}
+		out = out[:len(r)]
+		for _, n := range r {
+			k := n.at & (slotWidth - 1)
+			out[start[k]] = n
+			start[k]++
+		}
+		s.spare, r = r, out
+	}
+	for i := 1; i < len(r); i++ {
+		n := r[i]
+		j := i
+		for j > 0 && timerLess(n, r[j-1]) {
+			r[j] = r[j-1]
+			j--
+		}
+		r[j] = n
+	}
+	return r
 }
 
 // newNode takes a node from the free list (or allocates one) and stamps
@@ -476,6 +500,7 @@ func (s *Simulator) newNode(at, schedAt Time, rank int32, tgt EventTarget) *time
 	n.owner = s
 	n.rank = rank
 	n.stopped = false
+	n.far = false
 	s.seq++
 	s.live++
 	return n
@@ -510,9 +535,9 @@ func timerLess(a, b *timerNode) bool {
 	return a.seq < b.seq
 }
 
-// push inserts n, sifting up through 4-ary parents.
+// push inserts n into the far heap, sifting up through 4-ary parents.
 func (s *Simulator) push(n *timerNode) {
-	h := append(s.events, n)
+	h := append(s.far, n)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
@@ -520,24 +545,21 @@ func (s *Simulator) push(n *timerNode) {
 			break
 		}
 		h[i] = h[p]
-		h[i].index = int32(i)
 		i = p
 	}
 	h[i] = n
-	n.index = int32(i)
-	s.events = h
+	s.far = h
 }
 
-// popMin removes and returns the earliest node.
+// popMin removes and returns the far heap's earliest node.
 func (s *Simulator) popMin() *timerNode {
-	h := s.events
+	h := s.far
 	top := h[0]
-	top.index = -1
 	last := len(h) - 1
 	n := h[last]
 	h[last] = nil
 	h = h[:last]
-	s.events = h
+	s.far = h
 	if last == 0 {
 		return top
 	}
@@ -562,11 +584,9 @@ func (s *Simulator) popMin() *timerNode {
 			break
 		}
 		h[i] = h[m]
-		h[i].index = int32(i)
 		i = m
 	}
 	h[i] = n
-	n.index = int32(i)
 	return top
 }
 
@@ -633,36 +653,22 @@ func (s *Simulator) RunUntil(end Time) {
 // fire — and nil otherwise.
 func (s *Simulator) dispatch(stopBefore Time, budget int) *timerNode {
 	for {
-		// Head: the global minimum across the heap root and the lane heads,
-		// under the heap's own order. Each lane is internally sorted, so its
-		// head is its minimum; the scan is over at most maxLanes+1 candidates.
-		var n *timerNode
-		li := -1
-		if len(s.events) > 0 {
-			n = s.events[0]
+		if s.runPos == len(s.run) && !s.nextSlot() {
+			return nil
 		}
-		for i := range s.lanes {
-			l := &s.lanes[i]
-			if l.n == 0 {
-				continue
-			}
-			if h := l.ring[l.head]; n == nil || timerLess(h, n) {
-				n, li = h, i
-			}
-		}
-		if n == nil || n.at >= stopBefore {
+		n := s.run[s.runPos]
+		if n.at >= stopBefore {
 			return nil
 		}
 		if budget == 0 && !n.stopped {
 			return n
 		}
 		// Take: a pop is a pop, of a live node or a cancelled one.
-		if li < 0 {
-			s.popMin()
-			s.dispHeap++
+		s.runPos++
+		if n.far {
+			s.dispFar++
 		} else {
-			s.lanes[li].pop()
-			s.dispLane++
+			s.dispWheel++
 		}
 		if n.stopped {
 			s.recycle(n)
@@ -725,10 +731,9 @@ func (s *Simulator) advanceTo(t Time) {
 	}
 }
 
-// Pending returns the number of queued (possibly stopped) events across
-// the heap and the lanes; for the control simulator of a sharded Group it
-// aggregates across every shard. See Live for the count excluding
-// cancelled timers.
+// Pending returns the number of queued (possibly stopped) events; for
+// the control simulator of a sharded Group it aggregates across every
+// shard. See Live for the count excluding cancelled timers.
 func (s *Simulator) Pending() int {
 	if s.group != nil {
 		return s.group.pending()
@@ -737,11 +742,7 @@ func (s *Simulator) Pending() int {
 }
 
 func (s *Simulator) pendingLocal() int {
-	n := len(s.events)
-	for i := range s.lanes {
-		n += s.lanes[i].n
-	}
-	return n
+	return len(s.run) - s.runPos + s.wheelN + len(s.far)
 }
 
 // Live returns the number of queued events that have not been cancelled —
@@ -755,29 +756,15 @@ func (s *Simulator) Live() int {
 
 // Warm pre-sizes the engine's memory so a subsequent run whose pending
 // set stays within the given bounds allocates nothing: the free-node list
-// grows to nodes spare timer nodes, the heap to matching capacity, and
-// every lane ring — current and future — to at least ringCap slots
-// (rounded up to a power of two). Intended for benchmarks and
-// latency-sensitive callers; a cold simulator grows on demand instead.
-func (s *Simulator) Warm(nodes, ringCap int) {
+// grows to nodes spare timer nodes, the far heap to matching capacity, and
+// the run buffer to runCap nodes, the most one slot holds at a time.
+// Intended for benchmarks and latency-sensitive callers; a cold simulator
+// grows on demand instead.
+func (s *Simulator) Warm(nodes, runCap int) {
 	for len(s.free) < nodes {
 		s.free = append(s.free, &timerNode{})
 	}
-	if cap(s.events) < nodes {
-		ne := make([]*timerNode, len(s.events), nodes)
-		copy(ne, s.events)
-		s.events = ne
-	}
-	rc := 16
-	for rc < ringCap {
-		rc <<= 1
-	}
-	if rc > s.laneRing {
-		s.laneRing = rc
-	}
-	for i := range s.lanes {
-		if l := &s.lanes[i]; len(l.ring) < rc {
-			l.growTo(rc)
-		}
-	}
+	s.far = slices.Grow(s.far, max(0, nodes-len(s.far)))
+	s.run = slices.Grow(s.run, max(0, runCap-len(s.run)))
+	s.spare = slices.Grow(s.spare[:0], runCap)
 }

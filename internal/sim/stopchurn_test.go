@@ -6,43 +6,44 @@ import (
 	"testing/quick"
 )
 
-// Stop-churn harnesses. Cancelled lane nodes are reclaimed lazily — only
-// when virtual time reaches their original deadline — so a far-future
-// cancelled ScheduleAfter pins its lane slot for the rest of the run and
-// can starve laneFor into the heap fallback. That is a performance cliff,
-// never a correctness cliff: these tests drive the pathological pattern
-// hard and require the lane engine to stay byte-identical to the pure
-// heap, with sane Live/Pending accounting afterwards.
+// Stop-churn harnesses. Cancelled nodes are reclaimed lazily — only when
+// the queue reaches their slot — so far-future cancellations sit in the
+// far heap and wheel slots long after their handles died. These tests
+// drive that pattern hard and require the engine to fire exactly what the
+// reference queue fires, with sane Live/Pending accounting afterwards.
 
 // churnScript is like opScript but keeps a registry of outstanding
-// handles so callbacks can Stop timers mid-run (including far-future lane
-// residents scheduled long before), not just at schedule time.
+// handles so callbacks can Stop timers mid-run (including far-future
+// nodes scheduled long before), not just at schedule time.
 type churnScript struct {
 	rng     *rand.Rand
-	pending []Timer
+	e       engine
+	log     []firing
+	pending []stopper
 	nextID  int
 	depth   int
 }
 
-func (o *churnScript) delay() Time {
+func (o *churnScript) deadline() Time {
+	now := o.e.Now()
 	switch o.rng.Intn(8) {
-	case 0, 1, 2: // hot fixed delays: lane residents
-		return Time(50 * (1 + o.rng.Intn(3)))
-	case 3, 4: // far-future fixed delays: the lane-pinning class
-		return Time(1_000_000 * (1 + o.rng.Intn(4)))
-	case 5: // wide spread: lane overflow and repurposing pressure
-		return Time(o.rng.Intn(3000))
+	case 0, 1, 2: // hot fixed delays
+		return now + Time(50*(1+o.rng.Intn(3)))
+	case 3, 4: // far future: past the horizon, mostly cancelled
+		return now + Time(1_000_000*(1+o.rng.Intn(4)))
+	case 5: // every other class, boundaries included
+		return deadline(o.rng, now)
 	default:
-		return 0
+		return now
 	}
 }
 
-func (o *churnScript) schedule(s *Simulator, log *[]firing) {
+func (o *churnScript) schedule() {
 	id := o.nextID
 	o.nextID++
 	depth := o.depth
-	fire := func() {
-		*log = append(*log, firing{at: s.Now(), id: id})
+	t := o.e.schedAt(o.deadline(), NeutralRank, func() {
+		o.log = append(o.log, firing{at: o.e.Now(), id: id})
 		// Mid-run churn: stop a random outstanding timer...
 		if len(o.pending) > 0 && o.rng.Intn(2) == 0 {
 			o.pending[o.rng.Intn(len(o.pending))].Stop()
@@ -50,56 +51,49 @@ func (o *churnScript) schedule(s *Simulator, log *[]firing) {
 		// ...and sometimes schedule a replacement from inside the loop.
 		if depth < 6 && o.rng.Intn(3) == 0 {
 			o.depth = depth + 1
-			o.schedule(s, log)
+			o.schedule()
 		}
-	}
-	var t Timer
-	if o.rng.Intn(5) == 0 {
-		t = s.At(s.Now()+o.delay(), fire)
-	} else {
-		t = s.After(o.delay(), fire)
-	}
+	})
 	o.pending = append(o.pending, t)
-	// Immediate churn: a third of timers die right away, far-future lane
-	// residents included — the slot-pinning case.
+	// Immediate churn: a third of timers die right away, far-future ones
+	// included.
 	if o.rng.Intn(3) == 0 {
 		t.Stop()
 	}
 }
 
-func runChurnScript(seed int64, count int, lanes bool) (log []firing, s *Simulator) {
-	s = New(1)
-	s.disableLanes = !lanes
-	o := &churnScript{rng: rand.New(rand.NewSource(seed))}
+func runChurnScript(e engine, seed int64, count int) []firing {
+	o := &churnScript{rng: rand.New(rand.NewSource(seed)), e: e}
 	for i := 0; i < count; i++ {
-		o.schedule(s, &log)
+		o.schedule()
 	}
-	s.RunUntil(500_000) // leaves far-future cancelled nodes pinned in lanes
-	s.Run()             // then drains them
-	return log, s
+	e.RunUntil(500_000) // leaves far-future cancelled nodes queued
+	o.log = append(o.log, firing{at: e.Now(), id: -1})
+	e.RunUntil(maxTime) // then drains them
+	return o.log
 }
 
-// TestStopChurnProperty replays random churn scripts against both engines
-// and checks (1) identical fire logs and (2) post-run accounting: nothing
-// live remains, and Pending counts exactly the cancelled nodes that were
-// never reached.
+// TestStopChurnProperty replays random churn scripts against the engine
+// and the reference and checks (1) identical fire logs and (2) post-run
+// accounting: nothing live or pending remains.
 func TestStopChurnProperty(t *testing.T) {
 	f := func(seed int64, n uint16) bool {
 		count := int(n%256) + 1
-		want, _ := runChurnScript(seed, count, false)
-		got, s := runChurnScript(seed, count, true)
+		want := runChurnScript(&refQueue{}, seed, count)
+		s := New(1)
+		got := runChurnScript(simEngine{s}, seed, count)
 		if len(want) != len(got) {
-			t.Logf("seed %d: heap fired %d, lanes fired %d", seed, len(want), len(got))
+			t.Logf("seed %d: reference fired %d, engine fired %d", seed, len(want), len(got))
 			return false
 		}
 		for i := range want {
 			if want[i] != got[i] {
-				t.Logf("seed %d: firing %d differs: heap %+v lanes %+v", seed, i, want[i], got[i])
+				t.Logf("seed %d: firing %d differs: reference %+v engine %+v", seed, i, want[i], got[i])
 				return false
 			}
 		}
-		if s.Live() != 0 {
-			t.Logf("seed %d: Live = %d after drain", seed, s.Live())
+		if s.Live() != 0 || s.Pending() != 0 {
+			t.Logf("seed %d: Live = %d, Pending = %d after drain", seed, s.Live(), s.Pending())
 			return false
 		}
 		return true
@@ -109,69 +103,15 @@ func TestStopChurnProperty(t *testing.T) {
 	}
 }
 
-// TestCancelledLanePinStarvesLaneFor is the direct slot-pinning
-// regression: fill every lane with a far-future timer, cancel them all,
-// and check that (a) new distinct delays are forced onto the heap —
-// documenting the starvation — while (b) execution order and the RunUntil
-// tail contract stay correct regardless.
-func TestCancelledLanePinStarvesLaneFor(t *testing.T) {
-	s := New(1)
-	for i := 0; i < maxLanes; i++ {
-		tm := s.After(Time(1_000_000+i), func() { t.Fatal("cancelled pin fired") })
-		tm.Stop()
-	}
-	if len(s.lanes) != maxLanes {
-		t.Fatalf("lanes = %d, want %d", len(s.lanes), maxLanes)
-	}
-	var got []Time
-	for d := Time(10); d < 15; d++ {
-		d := d
-		s.After(d, func() { got = append(got, d) })
-	}
-	if len(s.events) != 5 {
-		t.Fatalf("heap holds %d events, want 5 (pinned lanes must force heap fallback)", len(s.events))
-	}
-	s.RunUntil(100)
-	for i := range got {
-		if got[i] != Time(10+i) {
-			t.Fatalf("fired out of order: got[%d] = %v", i, got[i])
-		}
-	}
-	// Only dead far-future nodes remain: time must not advance past the
-	// last real event (the cancelled-only tail contract).
-	if s.Now() != 14 {
-		t.Fatalf("Now = %v, want 14", s.Now())
-	}
-	if s.Live() != 0 {
-		t.Fatalf("Live = %d, want 0", s.Live())
-	}
-	// Reaching the dead deadlines reclaims the slots for new delays.
-	s.RunUntil(2_000_000)
-	s.After(777, func() {})
-	if len(s.events) != 0 {
-		t.Fatal("lane slot not reclaimed after dead nodes were collected")
-	}
-}
-
 // FuzzTimerWheelStop is the Stop-interleaving variant of FuzzTimerWheel:
 // fuzzer-chosen churn scripts (mid-run Stops against a handle registry,
-// far-future cancellations pinning lane slots) must produce identical
-// fire logs with lanes on and off.
+// far-future cancellations) must fire exactly what the reference fires.
 func FuzzTimerWheelStop(f *testing.F) {
 	f.Add(int64(1), uint16(60))
 	f.Add(int64(99), uint16(250))
 	f.Add(int64(-3), uint16(2))
 	f.Fuzz(func(t *testing.T, seed int64, count uint16) {
 		n := int(count%512) + 1
-		want, _ := runChurnScript(seed, n, false)
-		got, _ := runChurnScript(seed, n, true)
-		if len(want) != len(got) {
-			t.Fatalf("heap fired %d events, lanes fired %d", len(want), len(got))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("firing %d differs: heap %+v, lanes %+v", i, want[i], got[i])
-			}
-		}
+		sameLog(t, runChurnScript(&refQueue{}, seed, n), runChurnScript(simEngine{New(1)}, seed, n))
 	})
 }

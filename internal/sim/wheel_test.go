@@ -2,210 +2,286 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
-// The lane fast path must be invisible: any sequence of schedule / stop /
-// nested-reschedule operations fires in exactly the (time, seq) order the
-// pure-heap engine produces. These harnesses replay one deterministic
-// operation script against a lane-enabled and a lane-disabled simulator
-// and require identical fire logs.
+// The queue is checked against refQueue, a sorted slice that is far too
+// slow for real runs and small enough to be obviously right. The harnesses
+// below replay one deterministic operation script against both and
+// require identical fire logs, so every placement the wheel makes — run
+// buffer, wheel slot, far heap — must be invisible.
 
-// firing is one observed event execution.
+// horizon is how far ahead a deadline can be and still go into a slot.
+const horizon = wheelSlots * slotWidth
+
+// stopper is a pending event's cancel handle, Timer's or refEvent's.
+type stopper interface{ Stop() bool }
+
+// engine is what the scripts drive: the Simulator or the reference.
+type engine interface {
+	Now() Time
+	schedAt(t Time, rank int32, fn func()) stopper
+	RunUntil(end Time)
+}
+
+// simEngine drives a Simulator through its public scheduling calls.
+type simEngine struct{ *Simulator }
+
+func (s simEngine) schedAt(t Time, rank int32, fn func()) stopper {
+	if rank == NeutralRank {
+		return s.At(t, fn)
+	}
+	return s.ScheduleAfterRank(t-s.Now(), funcEvent(fn), rank)
+}
+
+// refQueue is the reference: a slice kept sorted by (at, schedAt, rank,
+// seq), with RunUntil's documented tail contract.
+type refQueue struct {
+	now Time
+	seq uint64
+	q   []*refEvent
+}
+
+type refEvent struct {
+	at, schedAt Time
+	rank        int32
+	seq         uint64
+	fn          func()
+	done        bool // fired or stopped
+}
+
+func (e *refEvent) Stop() bool {
+	was := !e.done
+	e.done = true
+	return was
+}
+
+func (a *refEvent) less(b *refEvent) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.schedAt != b.schedAt {
+		return a.schedAt < b.schedAt
+	}
+	if a.rank != b.rank {
+		return a.rank < b.rank
+	}
+	return a.seq < b.seq
+}
+
+func (r *refQueue) Now() Time { return r.now }
+
+func (r *refQueue) schedAt(t Time, rank int32, fn func()) stopper {
+	e := &refEvent{at: max(t, r.now), schedAt: r.now, rank: rank, seq: r.seq, fn: fn}
+	r.seq++
+	i := sort.Search(len(r.q), func(i int) bool { return e.less(r.q[i]) })
+	r.q = slices.Insert(r.q, i, e)
+	return e
+}
+
+func (r *refQueue) RunUntil(end Time) {
+	for len(r.q) > 0 && r.q[0].at <= end {
+		e := r.q[0]
+		r.q = r.q[1:]
+		if !e.done {
+			e.done = true
+			r.now = e.at
+			e.fn()
+		}
+	}
+	if r.now < end && slices.ContainsFunc(r.q, func(e *refEvent) bool { return !e.done }) {
+		r.now = end
+	}
+}
+
+// firing is one observed event execution; id -1 records Now() after a
+// RunUntil bound.
 type firing struct {
 	at Time
 	id int
 }
 
-// opScript is a deterministic schedule/stop program derived from a seed.
-// Delays are drawn from a mix of a few hot fixed values (lane residents),
-// a wide range (forcing heap fallback past maxLanes), and negative values
-// (clamped, heap-only); a fraction of timers are stopped immediately, and
-// a fraction of callbacks reschedule from inside the run loop — the case
-// where now has advanced and lane monotonicity actually matters.
+// deadline draws an absolute deadline from classes that stress every
+// placement: hot fixed delays, a spread within the horizon, a spread past
+// twice the horizon, deadlines exactly on and next to slot boundaries and
+// to the horizon's edge, zero delay, and negative delays (clamped to now).
+func deadline(rng *rand.Rand, now Time) Time {
+	slot := now >> slotBits
+	edge := Time(rng.Intn(3) - 1)
+	switch rng.Intn(12) {
+	case 0, 1, 2, 3:
+		return now + Time(100*(1+rng.Intn(4)))
+	case 4, 5:
+		return now + Time(rng.Intn(5000))
+	case 6:
+		return now + Time(rng.Int63n(int64(3*horizon)))
+	case 7:
+		return (slot+1+Time(rng.Intn(8)))<<slotBits + edge
+	case 8:
+		return (slot+wheelSlots+Time(rng.Intn(3)-1))<<slotBits + edge
+	case 9:
+		return now
+	default:
+		return now - 1 - Time(rng.Intn(50))
+	}
+}
+
+// opScript is a deterministic schedule/stop program derived from a seed:
+// a quarter of the events are ranked, a fifth are stopped at once, and a
+// third of firings schedule a child from inside the run loop.
 type opScript struct {
 	rng    *rand.Rand
+	e      engine
+	log    []firing
 	depth  int
 	nextID int
 }
 
-func (o *opScript) delay() Time {
-	switch o.rng.Intn(10) {
-	case 0, 1, 2, 3: // hot fixed delays: at most 4 distinct values
-		return Time(100 * (1 + o.rng.Intn(4)))
-	case 4, 5, 6: // cold spread: overflows maxLanes, exercises repurposing
-		return Time(o.rng.Intn(5000))
-	case 7: // zero delay: fires at now, FIFO among equals
-		return 0
-	default: // negative: clamped to now by the heap path
-		return Time(-1 - o.rng.Intn(50))
-	}
-}
-
-// install schedules count operations on s, appending to log as they fire.
-func (o *opScript) install(s *Simulator, count int, log *[]firing) {
-	for i := 0; i < count; i++ {
-		o.schedule(s, log)
-	}
-}
-
-func (o *opScript) schedule(s *Simulator, log *[]firing) {
+func (o *opScript) schedule() {
 	id := o.nextID
 	o.nextID++
-	d := o.delay()
 	depth := o.depth
-	fire := func() {
-		*log = append(*log, firing{at: s.Now(), id: id})
-		// A third of firings reschedule a child event from inside the
-		// loop (like a port chaining its next serialization).
+	rank := NeutralRank
+	if o.rng.Intn(4) == 0 {
+		rank = int32(o.rng.Intn(4))
+	}
+	t := o.e.schedAt(deadline(o.rng, o.e.Now()), rank, func() {
+		o.log = append(o.log, firing{at: o.e.Now(), id: id})
 		if depth < 6 && o.rng.Intn(3) == 0 {
 			o.depth = depth + 1
-			o.schedule(s, log)
+			o.schedule()
 		}
-	}
-	var t Timer
-	if o.rng.Intn(4) == 0 {
-		// Absolute deadlines always take the heap.
-		t = s.At(s.Now()+d, fire)
-	} else {
-		t = s.After(d, fire)
-	}
-	// Stop some timers right away; their nodes must be skipped lazily in
-	// whichever structure holds them.
+	})
 	if o.rng.Intn(5) == 0 {
 		t.Stop()
 	}
 }
 
-// runScript executes one seeded script and returns the fire log.
-func runScript(seed int64, count int, lanes bool) []firing {
-	s := New(1)
-	s.disableLanes = !lanes
-	var log []firing
-	o := &opScript{rng: rand.New(rand.NewSource(seed))}
-	o.install(s, count, &log)
-	s.Run()
-	return log
+// runScript executes one seeded script on e and returns the fire log. The
+// run is cut by RunUntil bounds that fall between events, each followed
+// by schedules that may land before the next pending event: the wheel's
+// current slot is then ahead of now.
+func runScript(e engine, seed int64, count int) []firing {
+	o := &opScript{rng: rand.New(rand.NewSource(seed)), e: e}
+	for i := 0; i < count; i++ {
+		o.schedule()
+	}
+	for i := 0; i < 8; i++ {
+		e.RunUntil(e.Now() + Time(o.rng.Int63n(int64(horizon))))
+		o.log = append(o.log, firing{at: e.Now(), id: -1})
+		for j := 0; j < 3; j++ {
+			o.schedule()
+		}
+	}
+	e.RunUntil(maxTime)
+	return o.log
+}
+
+// sameLog fails t unless the engine fired exactly what the reference did.
+func sameLog(t *testing.T, want, got []firing) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("reference logged %d firings, engine %d", len(want), len(got))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("firing %d differs: reference %+v, engine %+v", i, want[i], got[i])
+		}
+	}
 }
 
 func TestLaneHeapEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
-		want := runScript(seed, 200, false)
-		got := runScript(seed, 200, true)
-		if len(want) != len(got) {
-			t.Fatalf("seed %d: heap fired %d events, lanes fired %d", seed, len(want), len(got))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("seed %d: firing %d differs: heap %+v, lanes %+v", seed, i, want[i], got[i])
-			}
-		}
+		want := runScript(&refQueue{}, seed, 200)
+		got := runScript(simEngine{New(1)}, seed, 200)
+		sameLog(t, want, got)
 	}
 }
 
-// TestLaneOverflowFallsBack drives more distinct fixed delays than lanes
-// exist and checks ordering still holds end to end, with the overflow on
-// the heap.
-func TestLaneOverflowFallsBack(t *testing.T) {
-	s := New(1)
-	var got []Time
-	for d := Time(1); d <= 3*maxLanes; d++ {
-		d := d
-		s.After(d, func() { got = append(got, d) })
-	}
-	if len(s.events) == 0 {
-		t.Fatalf("expected heap fallback past %d lanes, heap is empty", maxLanes)
-	}
-	s.Run()
-	for i := range got {
-		if got[i] != Time(i+1) {
-			t.Fatalf("fired out of order: got[%d] = %v", i, got[i])
-		}
-	}
-}
-
-// TestLaneRepurpose drains a lane and checks its slot is handed to a new
-// delay instead of forcing the newcomer onto the heap.
-func TestLaneRepurpose(t *testing.T) {
-	s := New(1)
-	for d := Time(1); d <= maxLanes; d++ {
-		s.After(d, func() {})
-	}
-	s.Run() // all lanes drain
-	s.After(999, func() {})
-	if len(s.events) != 0 {
-		t.Fatalf("new delay went to the heap although %d drained lanes exist", maxLanes)
-	}
-	if got := s.Pending(); got != 1 {
-		t.Fatalf("Pending() = %d, want 1", got)
-	}
-	s.Run()
-}
-
-// TestLaneStopAndHandles checks Timer semantics for lane-resident nodes:
-// Stop prevents firing, Active/When report pending state, and handles go
-// stale after the fire.
+// TestLaneStopAndHandles checks Timer semantics for nodes in a wheel slot
+// and in the far heap: Stop prevents firing, Active/When report pending
+// state, and handles go stale after the fire.
 func TestLaneStopAndHandles(t *testing.T) {
-	s := New(1)
-	fired := 0
-	tm := s.After(100, func() { fired++ })
-	if w, ok := tm.When(); !tm.Active() || !ok || w != 100 {
-		t.Fatalf("lane timer not pending: active=%v when=%v,%v", tm.Active(), w, ok)
-	}
-	if !tm.Stop() {
-		t.Fatal("Stop() = false on a pending lane timer")
-	}
-	if tm.Active() {
-		t.Fatal("Active() = true after Stop")
-	}
-	keep := s.After(100, func() { fired++ })
-	s.Run()
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 (stopped lane timer must not fire)", fired)
-	}
-	if keep.Active() || keep.Stop() {
-		t.Fatal("handle still live after its lane event fired")
+	for _, d := range []Time{100, 3 * horizon} {
+		s := New(1)
+		fired := 0
+		tm := s.After(d, func() { fired++ })
+		if w, ok := tm.When(); !tm.Active() || !ok || w != d {
+			t.Fatalf("d=%v: timer not pending: active=%v when=%v,%v", d, tm.Active(), w, ok)
+		}
+		if !tm.Stop() {
+			t.Fatalf("d=%v: Stop() = false on a pending timer", d)
+		}
+		if tm.Active() {
+			t.Fatalf("d=%v: Active() = true after Stop", d)
+		}
+		keep := s.After(d, func() { fired++ })
+		s.Run()
+		if fired != 1 {
+			t.Fatalf("d=%v: fired = %d, want 1 (stopped timer must not fire)", d, fired)
+		}
+		if keep.Active() || keep.Stop() {
+			t.Fatalf("d=%v: handle still live after its event fired", d)
+		}
 	}
 }
 
 // TestRunUntilTailWithLanes checks the RunUntil contract when the only
-// remaining events live in lanes: virtual time still advances to end.
+// remaining event waits in a wheel slot or in the far heap: virtual time
+// still advances to end.
 func TestRunUntilTailWithLanes(t *testing.T) {
-	s := New(1)
-	s.After(10*Millisecond, func() {})
-	s.RunUntil(Millisecond)
-	if s.Now() != Millisecond {
-		t.Fatalf("Now() = %v, want %v (lane event past end must still advance time)", s.Now(), Millisecond)
+	for _, d := range []Time{100 * Microsecond, 10 * Millisecond} {
+		s := New(1)
+		s.After(d, func() {})
+		s.RunUntil(Microsecond)
+		if s.Now() != Microsecond {
+			t.Fatalf("d=%v: Now() = %v, want %v (an event past end must still advance time)", d, s.Now(), Microsecond)
+		}
 	}
 }
 
-// TestWarmNoAlloc checks that a warmed simulator runs a lane-heavy
-// schedule/fire loop without allocating.
+// TestWarmNoAlloc checks that a warmed simulator schedules and fires
+// without allocating: self-rescheduling chains in the wheel and the run
+// buffer, and bursts that fill one slot densely and send a second one
+// past the horizon, whose nodes reach the run buffer from the far heap.
 func TestWarmNoAlloc(t *testing.T) {
 	s := New(1)
-	s.Warm(1024, 1024)
-	// Two self-rescheduling lane chains plus one absolute-deadline heap
-	// chain: the mixed steady state must be allocation-free once warmed.
-	var a, b, c eventFunc
+	s.Warm(4096, 1024)
+	var a, b, c, burst eventFunc
+	nop := eventFunc(func() {})
 	a = func() { s.ScheduleAfter(5, a) }
-	b = func() { s.ScheduleAfter(7, b) }
+	b = func() { s.ScheduleAfter(7*Microsecond, b) }
 	c = func() { s.Schedule(s.Now()+3, c) }
+	burst = func() {
+		for i := 0; i < 40; i++ {
+			s.ScheduleAfter(Time(40-i), nop)
+			s.ScheduleAfter(2*horizon+Time(40-i), nop)
+		}
+		s.ScheduleAfter(10*Microsecond, burst)
+	}
 	s.ScheduleAfter(5, a)
 	s.ScheduleAfter(7, b)
 	s.Schedule(3, c)
-	s.RunUntil(Microsecond) // create lanes, settle steady state
+	s.Schedule(0, burst)
+	s.RunUntil(3 * horizon) // settle steady state, far nodes included
+	far0 := s.dispFar
 	allocs := testing.AllocsPerRun(10, func() {
-		s.RunUntil(s.Now() + 200)
+		s.RunUntil(s.Now() + 20*Microsecond)
 	})
 	if allocs != 0 {
 		t.Fatalf("warmed run allocated %.1f allocs/run, want 0", allocs)
+	}
+	if s.dispFar == far0 {
+		t.Fatal("no node came from the far heap in the measured runs")
 	}
 }
 
 // TestFuncEventNoAlloc pins what lets At/After share the EventTarget-only
 // timer node: a func value is pointer-shaped, so wrapping a pre-built
 // closure in funcEvent stores it in the interface word as is, and
-// scheduling and firing it — lane and heap — allocates nothing.
+// scheduling and firing it allocates nothing.
 func TestFuncEventNoAlloc(t *testing.T) {
 	s := New(1)
 	s.Warm(16, 16)
@@ -225,24 +301,14 @@ func TestFuncEventNoAlloc(t *testing.T) {
 	}
 }
 
-// FuzzTimerWheel replays fuzzer-chosen operation scripts against both
-// engines and requires identical fire logs. The two bytes of corpus seed
-// select script seed and length.
+// FuzzTimerWheel replays fuzzer-chosen operation scripts against the
+// engine and the reference and requires identical fire logs.
 func FuzzTimerWheel(f *testing.F) {
 	f.Add(int64(1), uint16(50))
 	f.Add(int64(42), uint16(300))
 	f.Add(int64(-7), uint16(1))
 	f.Fuzz(func(t *testing.T, seed int64, count uint16) {
 		n := int(count%1024) + 1
-		want := runScript(seed, n, false)
-		got := runScript(seed, n, true)
-		if len(want) != len(got) {
-			t.Fatalf("heap fired %d events, lanes fired %d", len(want), len(got))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("firing %d differs: heap %+v, lanes %+v", i, want[i], got[i])
-			}
-		}
+		sameLog(t, runScript(&refQueue{}, seed, n), runScript(simEngine{New(1)}, seed, n))
 	})
 }
