@@ -29,7 +29,7 @@ var Simtime = &Analyzer{
 // inside the simulation boundary. Var, not const, so a bring-up branch
 // can widen or narrow the boundary in one place.
 var SimtimeScope = regexp.MustCompile(
-	`^tfcsim/internal/(sim|netsim|core|credit|tcp|dctcp|bfc|tinytcp|transport|faults|exp|telemetry|model|workload)($|/)`)
+	`^tfcsim/internal/(sim|netsim|core|credit|tcp|dctcp|bfc|tinytcp|transport|exp|telemetry|model|workload)($|/)`)
 
 func runSimtime(pass *Pass) error {
 	if !SimtimeScope.MatchString(pass.Pkg.Path()) {

@@ -97,7 +97,7 @@ func TestTFCSurvivesRandomLoss(t *testing.T) {
 	// loss-driven window, so throughput should stay high and transfers
 	// complete via dupack retransmission (and rare RTOs).
 	r := newRig(2, 256<<10, SwitchConfig{})
-	r.bott.LossModel = uniformLoss(0.005)
+	r.bott.SetLoss(uniformLoss(0.005))
 	var snds []*Sender
 	done := 0
 	for i := 0; i < 2; i++ {

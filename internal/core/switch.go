@@ -44,12 +44,6 @@ type SwitchConfig struct {
 	// OnSlot, if set, is invoked at the end of every time slot with the
 	// slot's measurements (drives Figs 6 and 7).
 	OnSlot func(port *netsim.Port, info SlotInfo)
-
-	// TestTokenSkew, when nonzero, is added to the token value after every
-	// slot's clamping — a deliberately broken accounting used only by the
-	// observability tests to prove the token-conservation watchdog catches
-	// a real violation. Never set outside tests.
-	TestTokenSkew float64
 }
 
 func (c *SwitchConfig) fillDefaults() {
@@ -316,7 +310,6 @@ func (st *PortState) endSlot(pkt *netsim.Packet) {
 	if minT := float64(netsim.MSS); st.t < minT {
 		st.t = minT
 	}
-	st.t += st.cfg.TestTokenSkew
 	// E is an integer count of marked packets, but its true value
 	// (eq. 1: sum of t/rtt_f) is fractional; with non-integer RTT ratios
 	// the per-slot count alternates (e.g. a flow with 1.5 rounds per slot

@@ -178,7 +178,7 @@ func (p uniformLoss) Lose(r *rand.Rand) bool { return r.Float64() < float64(p) }
 
 func TestRecoveryAfterDataLoss(t *testing.T) {
 	r := newRig(1, 256<<10)
-	r.bott.LossModel = uniformLoss(0.01)
+	r.bott.SetLoss(uniformLoss(0.01))
 	done := false
 	snd, _ := r.dial(0, 1, func(c *Config) {
 		c.MinRTO = 10 * sim.Millisecond

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"tfcsim/internal/faults"
+	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
 	"tfcsim/internal/stats"
 )
@@ -105,17 +105,18 @@ func Robustness(cfg RobustnessConfig) RobustnessPoint {
 		e.Sim.At(0, f.Start)
 	}
 
-	inj := faults.NewScheduler(e.Sim)
-	inj.Probe = cfg.Telemetry.FaultProbe()
 	upAt := cfg.Warmup + cfg.Blackout
 	if cfg.Blackout > 0 {
 		// A cable failure is bidirectional: data direction (bott) and the
 		// ACK/credit direction (the receiver's NIC). Queues are preserved
 		// (pulled-cable semantics), so the backlog drains on restore.
-		inj.LinkDown(cfg.Warmup, cfg.Blackout, bott, recv.NIC())
+		nic := recv.NIC()
+		e.Sim.At(cfg.Warmup, func() { bott.SetDown(); nic.SetDown() })
+		e.Sim.At(upAt, func() { bott.SetUp(); nic.SetUp() })
 	}
 	if cfg.Loss > 0 {
-		inj.BurstyLoss(cfg.Warmup, bott, faults.NewGilbertElliott(cfg.Loss, cfg.Burst))
+		ge := netsim.NewGilbertElliott(cfg.Loss, cfg.Burst)
+		e.Sim.At(cfg.Warmup, func() { bott.SetLoss(ge) })
 	}
 	end := upAt + cfg.Tail
 

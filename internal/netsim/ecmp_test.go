@@ -113,7 +113,7 @@ func TestLossInjection(t *testing.T) {
 	net.Connect(sw, h2, cfg)
 	net.ComputeRoutes()
 	out := sw.PortTo(h2.ID())
-	out.LossModel = UniformLoss(0.3)
+	out.SetLoss(UniformLoss(0.3))
 	k := &sink{s: s}
 	h2.Register(1, k)
 	const n = 2000

@@ -19,6 +19,7 @@ const (
 	EvDeliver                   // about to reach its endpoint at Host
 	EvStray                     // arrived at Host with no endpoint
 	EvLink                      // Port's link failed (A=1) or recovered (A=0)
+	EvLoss                      // Port's wire-loss model installed (A=1) or removed (A=0)
 
 	// TFC control plane (core), at Port.
 	EvSlot  // time slot closed: A=rtt_m (ns), B=E, X=T, Y=W, Z=rho
@@ -42,7 +43,7 @@ const (
 )
 
 var eventKindNames = [NumEventKinds]string{
-	"SEND", "ENQ", "DEQ", "TX", "DROP", "RECV", "STRAY", "LINK",
+	"SEND", "ENQ", "DEQ", "TX", "DROP", "RECV", "STRAY", "LINK", "LOSS",
 	"SLOT", "STAMP", "HOLD", "GRANT", "MARK", "PAUSE",
 	"CWND", "RTO", "RECOV", "RTX", "CREDIT",
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"tfcsim/internal/exp"
-	"tfcsim/internal/faults"
 	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
 	"tfcsim/internal/workload"
@@ -71,13 +70,14 @@ func sendOne(s *sim.Simulator, from, to *netsim.Host, flow netsim.FlowID) {
 func starDigest(proto exp.Proto, senders int, blackout bool, probe netsim.Probe) string {
 	e, hosts, recv, bott := exp.Star(exp.TopoConfig{Proto: proto, Seed: 3, MinRTO: sim.Millisecond},
 		senders, netsim.Gbps, 64<<10)
-	bott.LossModel = netsim.UniformLoss(0.01)
+	bott.SetLoss(netsim.UniformLoss(0.01))
 	if probe != nil {
 		e.Net.Probe = probe
 		e.Dialer.Probe = func(string) netsim.Probe { return probe }
 	}
 	if blackout {
-		faults.NewScheduler(e.Sim).LinkDown(2*sim.Millisecond, sim.Millisecond, bott)
+		e.Sim.At(2*sim.Millisecond, bott.SetDown)
+		e.Sim.At(3*sim.Millisecond, bott.SetUp)
 	}
 	var conns []*workload.Conn
 	for _, h := range hosts {
@@ -132,8 +132,11 @@ func TestEventStream(t *testing.T) {
 	t.Run("drop", func(t *testing.T) {
 		rec := newRecorder(t, &seen)
 		s, h1, h2, sw, k := line(rec)
-		sw.PortTo(h2.ID()).LossModel = netsim.UniformLoss(1)
+		sw.PortTo(h2.ID()).SetLoss(netsim.UniformLoss(1))
 		sendOne(s, h1, h2, 1)
+		if first := rec.evs[0]; first.Kind != netsim.EvLoss || first.A != 1 || first.Where() != "sw->h2" {
+			t.Errorf("first record = %s (A=%d) at %q, want LOSS (A=1) at sw->h2", first.Kind, first.A, first.Where())
+		}
 		drops := 0
 		for _, ev := range rec.evs {
 			if ev.Kind == netsim.EvDrop {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"tfcsim/internal/exp"
-	"tfcsim/internal/faults"
 	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
 	"tfcsim/internal/transport"
@@ -42,9 +41,14 @@ func TestPoolDiscipline(t *testing.T) {
 			for _, h := range senders {
 				greedy(e, h, recv)
 			}
-			inj := faults.NewScheduler(e.Sim)
-			inj.LinkDown(20*sim.Millisecond, 5*sim.Millisecond, bott, recv.NIC())
-			inj.LinkDown(60*sim.Millisecond, sim.Millisecond, bott)
+			cut := func(at, dur sim.Time, ports ...*netsim.Port) {
+				for _, p := range ports {
+					e.Sim.At(at, p.SetDown)
+					e.Sim.At(at+dur, p.SetUp)
+				}
+			}
+			cut(20*sim.Millisecond, 5*sim.Millisecond, bott, recv.NIC())
+			cut(60*sim.Millisecond, sim.Millisecond, bott)
 			e.Sim.RunUntil(300 * sim.Millisecond)
 			if bott.Drops == 0 {
 				t.Error("no drop at the downed bottleneck: the fault cell held nothing")

@@ -16,14 +16,6 @@ type PortHook interface {
 	OnEnqueue(pkt *Packet, port *Port) bool
 }
 
-// LossModel decides per-packet wire loss (e.g. Gilbert–Elliott bursty
-// loss, package faults). Implementations draw randomness only from r — the
-// port's deterministic per-trial stream — so injected loss is a pure
-// function of the trial seed.
-type LossModel interface {
-	Lose(r *rand.Rand) bool
-}
-
 // Port is a unidirectional transmit port: a drop-tail FIFO feeding a link
 // with fixed rate and propagation delay. A full-duplex cable between two
 // nodes is a pair of Ports, one owned by each side.
@@ -61,9 +53,9 @@ type Port struct {
 	BufBytes int
 	// Hook, if non-nil, runs for every packet entering the queue.
 	Hook PortHook
-	// LossModel, if non-nil, decides per packet whether the wire loses
-	// it (e.g. bursty Gilbert–Elliott loss, package faults).
-	LossModel LossModel
+	// loss, if non-nil, decides per packet whether the wire loses it
+	// (SetLoss).
+	loss LossModel
 
 	// The FIFO is a power-of-two ring buffer: O(1) dequeue regardless of
 	// backlog, where a slice-shift FIFO degenerates to O(n²) total work in
@@ -142,6 +134,20 @@ func (p *Port) SetUp() {
 	}
 	if !p.busy && p.qLen > 0 {
 		p.startTx()
+	}
+}
+
+// SetLoss installs m as the wire's loss model from now on; nil makes the
+// wire lossless again. It is the one way to inject loss, so every change
+// reaches the probe as an EvLoss record.
+func (p *Port) SetLoss(m LossModel) {
+	p.loss = m
+	if p.net.Probe != nil {
+		ev := Event{Kind: EvLoss, At: p.sim.Now(), Port: p}
+		if m != nil {
+			ev.A = 1
+		}
+		p.net.Probe.Observe(ev)
 	}
 }
 
@@ -228,7 +234,7 @@ func (p *Port) Enqueue(pkt *Packet) {
 		p.drop(pkt)
 		return
 	}
-	if p.LossModel != nil && p.LossModel.Lose(p.lossRand()) {
+	if p.loss != nil && p.loss.Lose(p.lossRand()) {
 		p.drop(pkt)
 		return
 	}

@@ -24,7 +24,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
 	"tfcsim/internal/telemetry"
 )
@@ -173,9 +172,6 @@ func (o *Observatory) observeTrial(key string, t *telemetry.Trial) telemetry.Con
 		to.zeroq = &zeroQueueWatchdog{to: to, bound: zeroQueueBytes}
 		to.pair = &pairWatchdog{to: to}
 		to.rto = &rtoWatchdog{to: to, threshold: rtoStormBackoff}
-	}
-	if o.opts.HTTPAddr != "" {
-		to.flows = make(map[netsim.FlowID]struct{})
 	}
 	o.mu.Lock()
 	to.run = o.run

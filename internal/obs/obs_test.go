@@ -12,7 +12,6 @@ import (
 
 	"tfcsim/internal/core"
 	"tfcsim/internal/exp"
-	"tfcsim/internal/faults"
 	"tfcsim/internal/netsim"
 	"tfcsim/internal/runner"
 	"tfcsim/internal/sim"
@@ -20,11 +19,12 @@ import (
 	"tfcsim/internal/workload"
 )
 
-// TestTokenSkewWatchdog injects a deliberate token-conservation bug
-// through core.SwitchConfig.TestTokenSkew (test-only: leaks tokens out
-// of the pool after every slot) and checks the watchdog catches it: a
-// violation is counted and a flight-recorder dump lands on disk.
-func TestTokenSkewWatchdog(t *testing.T) {
+// TestTokenWatchdogFlagsImpossibleSlot injects a slot record no correct
+// TFC port can emit — a token value below zero — into the network's probe
+// mid-run, among a live TFC flow's real slots, and checks the watchdog
+// catches it: a violation is counted and a flight-recorder dump lands on
+// disk.
+func TestTokenWatchdogFlagsImpossibleSlot(t *testing.T) {
 	dir := t.TempDir()
 	o := New(Options{Watchdogs: true, FlightDir: dir})
 	c := telemetry.NewCollector(telemetry.Options{})
@@ -33,7 +33,7 @@ func TestTokenSkewWatchdog(t *testing.T) {
 	s, n, a, b, sw := dumbbell()
 	tr := c.Trial("t0")
 	tr.Bind(s)
-	core.Attach(sw, core.SwitchConfig{TestTokenSkew: -1e6})
+	core.Attach(sw, core.SwitchConfig{})
 	telemetry.InstrumentNetwork(tr, n)
 	telemetry.InstrumentTransport(tr, "tfc", nil)
 
@@ -41,6 +41,15 @@ func TestTokenSkewWatchdog(t *testing.T) {
 	conn := d.Dial(a, b, nil, nil)
 	conn.Sender.Open()
 	conn.Sender.Send(1 << 20)
+	s.RunUntil(50 * sim.Millisecond)
+	if o.Violations() != 0 {
+		t.Fatalf("token watchdog fired %d times on a correct TFC run", o.Violations())
+	}
+	port := sw.PortTo(b.ID())
+	s.At(60*sim.Millisecond, func() {
+		n.Probe.Observe(netsim.Event{Kind: netsim.EvSlot, At: s.Now(), Port: port,
+			A: int64(20 * sim.Microsecond), B: 1, X: -1e6, Y: -1e6, Z: 1})
+	})
 	s.RunUntil(100 * sim.Millisecond)
 
 	if o.Violations() == 0 {
@@ -230,7 +239,9 @@ func TestFlightRecordsLinkDown(t *testing.T) {
 	tr.Bind(s)
 	telemetry.InstrumentNetwork(tr, n)
 
-	faults.NewScheduler(s).LinkDown(sim.Millisecond, sim.Millisecond, sw.PortTo(b.ID()))
+	out := sw.PortTo(b.ID())
+	s.At(sim.Millisecond, out.SetDown)
+	s.At(2*sim.Millisecond, out.SetUp)
 	s.RunUntil(5 * sim.Millisecond)
 	o.violation(o.trials[0], "forced", "test dump")
 
@@ -345,6 +356,50 @@ func TestSnapshotWhileTrialBinds(t *testing.T) {
 	snap := o.srv.snapshot()
 	if len(snap.Trials) != 1 || snap.Trials[0].Executed != s.Executed() {
 		t.Errorf("snapshot = %+v, want one trial at %d executed events", snap.Trials, s.Executed())
+	}
+}
+
+// TestSnapshotCountsActiveFlows: the endpoint's active_flows is the
+// trial's open flow count — both flows while both send, one once the
+// short one has sent its FIN, none once both have.
+func TestSnapshotCountsActiveFlows(t *testing.T) {
+	o := New(Options{HTTPAddr: "127.0.0.1:0"})
+	c := telemetry.NewCollector(telemetry.Options{})
+	o.Attach("flows", c)
+	tr := c.Trial("t0")
+	s, n, a, b, _ := dumbbell()
+	tr.Bind(s)
+	telemetry.InstrumentNetwork(tr, n)
+	d := &workload.Dialer{Sim: s, Proto: workload.TCP}
+	for _, size := range []int64{512 << 10, 4 << 20} {
+		conn := d.Dial(a, b, nil, nil)
+		s.At(0, func() {
+			conn.Sender.Open()
+			conn.Sender.Send(size)
+			conn.Sender.Close()
+		})
+	}
+	active := func() int {
+		raw, err := json.Marshal(o.snapshotTrials()[0].summary())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var row struct {
+			ActiveFlows *int `json:"active_flows"`
+		}
+		if err := json.Unmarshal(raw, &row); err != nil || row.ActiveFlows == nil {
+			t.Fatalf("trial row %s has no active_flows (err=%v)", raw, err)
+		}
+		return *row.ActiveFlows
+	}
+	for _, step := range []struct {
+		until sim.Time
+		want  int
+	}{{2 * sim.Millisecond, 2}, {20 * sim.Millisecond, 1}, {100 * sim.Millisecond, 0}} {
+		s.RunUntil(step.until)
+		if got := active(); got != step.want {
+			t.Errorf("active_flows at %v = %d, want %d", step.until, got, step.want)
+		}
 	}
 }
 

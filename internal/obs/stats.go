@@ -10,11 +10,10 @@ import (
 
 // trialObs is the observatory's consumer of one trial's event stream
 // (telemetry.Consumer): it hands each record to the flight ring, the span
-// tracer and the watchdogs that are switched on, keeps the endpoint's
-// active-flow set, and carries the lock-free progress mailbox the HTTP
-// side reads. Its mutable state other than done, rate, snap and the
-// monitor's bookkeeping is touched only from the trial's simulator
-// goroutine.
+// tracer and the watchdogs that are switched on, and carries the
+// lock-free progress mailbox the HTTP side reads. Its mutable state other
+// than done, rate, snap and the monitor's bookkeeping is touched only from
+// the trial's simulator goroutine.
 type trialObs struct {
 	o    *Observatory
 	run  string
@@ -45,8 +44,6 @@ type trialObs struct {
 	// instrumentation time.
 	ports []*netsim.Port
 
-	flows map[netsim.FlowID]struct{} // active flows (endpoint only)
-
 	spans  *spanTracer
 	flight *flightRing
 	token  *tokenWatchdog
@@ -75,7 +72,7 @@ type PortSnap struct {
 func (to *trialObs) Bound(s *sim.Simulator) {
 	s.SetPulse(to.pulse)
 	to.ctl = s
-	if to.flows == nil {
+	if to.o.opts.HTTPAddr == "" {
 		return
 	}
 	var tick func()
@@ -109,11 +106,11 @@ func (to *trialObs) Flush(now sim.Time) {
 	to.done.Store(true)
 }
 
-// takeSnapshot samples port queues and the active-flow count into the
-// endpoint's atomic snapshot slot. It runs as a simulator event, so
+// takeSnapshot samples port queues and the trial's open-flow count into
+// the endpoint's atomic snapshot slot. It runs as a simulator event, so
 // these reads do not race the engine.
 func (to *trialObs) takeSnapshot() {
-	s := &TrialSnapshot{VirtualNs: int64(to.ctl.Now()), ActiveFlows: len(to.flows)}
+	s := &TrialSnapshot{VirtualNs: int64(to.ctl.Now()), ActiveFlows: to.t.OpenFlows()}
 	s.Ports = make([]PortSnap, 0, len(to.ports))
 	for _, p := range to.ports {
 		s.Ports = append(s.Ports, PortSnap{
@@ -135,17 +132,6 @@ func (to *trialObs) Observe(ev netsim.Event) {
 		to.spans.Observe(ev)
 	}
 	switch ev.Kind {
-	case netsim.EvEnqueue:
-		if to.flows == nil || !ev.Pkt.IsData() {
-			break
-		}
-		if _, isHost := ev.Port.Owner.(*netsim.Host); isHost {
-			if ev.Pkt.Flags&netsim.FlagFIN != 0 {
-				delete(to.flows, ev.Flow)
-			} else {
-				to.flows[ev.Flow] = struct{}{}
-			}
-		}
 	case netsim.EvSlot:
 		to.token.check(ev)
 		to.zeroq.check(ev)

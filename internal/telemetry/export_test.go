@@ -6,7 +6,7 @@ import (
 	"math"
 	"testing"
 
-	"tfcsim/internal/faults"
+	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
 )
 
@@ -139,7 +139,7 @@ func TestMetricsIndependentOfTrace(t *testing.T) {
 	export := func(traceFirst bool) []byte {
 		c := NewCollector(Options{})
 		tr := c.Trial("k")
-		tr.FaultProbe()(faults.Event{At: 5, Kind: "link-down", Target: "sw->h"}) // never comes up
+		tr.Observe(netsim.Event{Kind: netsim.EvLoss, At: 5, Port: faultPort(tr), A: 1}) // never removed
 		tr.Span("c", "closed", "t", 1, 2)
 		var out bytes.Buffer
 		if traceFirst {

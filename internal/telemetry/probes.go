@@ -2,10 +2,8 @@ package telemetry
 
 import (
 	"fmt"
-	"slices"
 
 	"tfcsim/internal/core"
-	"tfcsim/internal/faults"
 	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
 	"tfcsim/internal/transport"
@@ -42,7 +40,7 @@ func (t *Trial) flowLabel(prefix string, f netsim.FlowID) string {
 }
 
 // PortLabel returns p's unique label (portKey), formatted once by
-// InstrumentNetwork, shared with the trial's consumers. p must belong to
+// InstrumentNetwork, shared with the trial's consumer. p must belong to
 // the instrumented network.
 func (t *Trial) PortLabel(p *netsim.Port) string { return t.labels[p.Ordinal()] }
 
@@ -54,12 +52,12 @@ const (
 	famLink                  // a link being down
 	famHold                  // TFC's delay arbiter holding a flow's ACK at a port
 	famRecovery              // a sender in fast recovery
-	famFault                 // an injected fault window
+	famLoss                  // a wire-loss model installed at a port
 )
 
 // spanKey identifies one open interval. id is the port's ordinal for
-// famLink and famHold, and indexes faultNames ("start-kind target") for
-// famFault; all-integer, so the per-packet flow lookup hashes no string.
+// famLink, famHold and famLoss; all-integer, so the per-packet flow
+// lookup hashes no string.
 type spanKey struct {
 	fam  uint8
 	id   int32
@@ -78,6 +76,9 @@ func (t *Trial) begin(k spanKey, now sim.Time) *interval {
 	if iv == nil {
 		iv = &interval{start: now}
 		t.open[k] = iv
+		if k.fam == famFlow {
+			t.flows++
+		}
 	}
 	return iv
 }
@@ -85,7 +86,12 @@ func (t *Trial) begin(k spanKey, now sim.Time) *interval {
 // take removes and returns k's open interval (nil if there is none).
 func (t *Trial) take(k spanKey) *interval {
 	iv := t.open[k]
-	delete(t.open, k)
+	if iv != nil {
+		delete(t.open, k)
+		if k.fam == famFlow {
+			t.flows--
+		}
+	}
 	return iv
 }
 
@@ -111,13 +117,16 @@ func (t *Trial) emit(k spanKey, iv *interval, end sim.Time, tail ...Arg) {
 		args[0], args[1] = Arg{"bytes", float64(iv.bytes)}, Arg{"pkts", float64(iv.pkts)}
 		n = 2
 	case famLink:
+		// A blackout is drawn twice: as a fault window under the port's
+		// plain label, and on the links track under its unique one.
+		t.Span("fault", "link-down "+t.ports[k.id].Label, "faults", iv.start, end, tail...)
 		cat, name, track = "net", "link-down "+t.labels[k.id], "links"
 	case famHold:
 		cat, name, track = "tfc", t.flowLabel("ack-hold", k.flow), t.labels[k.id]
 	case famRecovery:
 		cat, name, track = "tcp", t.flowLabel("fast-recovery", k.flow), "recovery"
-	case famFault:
-		cat, name, track = "fault", t.faultNames[k.id], "faults"
+	case famLoss:
+		cat, name, track = "fault", "loss-on "+t.ports[k.id].Label, "faults"
 	}
 	n += copy(args[n:], tail)
 	t.Span(cat, name, track, iv.start, end, args[:n]...)
@@ -126,7 +135,7 @@ func (t *Trial) emit(k spanKey, iv *interval, end sim.Time, tail ...Arg) {
 // --- the one observer ---
 
 // Observe implements netsim.Probe: the trial's own counters, histograms
-// and trace spans by record kind, then the same record to every consumer.
+// and trace spans by record kind, then the same record to the consumer.
 // It copies packet fields and retains no pointers. Timestamps are the
 // record's.
 func (t *Trial) Observe(ev netsim.Event) {
@@ -160,9 +169,19 @@ func (t *Trial) Observe(ev netsim.Event) {
 		t.InstantAt(ev.At, "net", "drop "+t.PortLabel(ev.Port), "drops",
 			Arg{"flow", float64(ev.Flow)}, Arg{"seq", float64(ev.A)})
 	case netsim.EvLink:
+		t.faultTransition()
 		k := spanKey{fam: famLink, id: int32(ev.Port.Ordinal())}
 		if ev.A != 0 {
 			t.begin(k, ev.At)
+		} else {
+			t.end(k, ev.At)
+		}
+	case netsim.EvLoss:
+		t.faultTransition()
+		k := spanKey{fam: famLoss, id: int32(ev.Port.Ordinal())}
+		if ev.A != 0 {
+			// A new model restarts the window.
+			t.begin(k, ev.At).start = ev.At
 		} else {
 			t.end(k, ev.At)
 		}
@@ -214,9 +233,18 @@ func (t *Trial) Observe(ev netsim.Event) {
 		t.CounterEventAt(ev.At, "credit", t.flowLabel("credit-rate", ev.Flow), "credit",
 			Arg{"rate", ev.X})
 	}
-	for _, c := range t.consumers {
-		c.Observe(ev)
+	if t.consumer != nil {
+		t.consumer.Observe(ev)
 	}
+}
+
+// faultTransition counts one injected fault transition, registering the
+// counter on the first: only trials that inject faults export it.
+func (t *Trial) faultTransition() {
+	if t.faults == nil {
+		t.faults = t.Counter("faults.transitions")
+	}
+	t.faults.Inc()
 }
 
 // portHist returns port's dequeue-depth histogram, creating it on first
@@ -251,12 +279,14 @@ func InstrumentNetwork(t *Trial, n *netsim.Network) {
 	t.deq = t.Counter("net.deq_pkts")
 	t.drops = t.Counter("net.drops")
 	t.dropB = t.Counter("net.drop_bytes")
+	t.ports = make([]*netsim.Port, n.NumPorts())
 	t.labels = make([]string, n.NumPorts())
 	t.qdepth = make([]*Hist, n.NumPorts())
 	for _, node := range n.Nodes() {
 		_, isSwitch := node.(*netsim.Switch)
 		for _, port := range node.Ports() {
 			key := portKey(port)
+			t.ports[port.Ordinal()] = port
 			t.labels[port.Ordinal()] = key
 			if isSwitch {
 				t.Gauge("port.qlen."+key, func() float64 { return float64(port.QueueBytes()) })
@@ -264,8 +294,8 @@ func InstrumentNetwork(t *Trial, n *netsim.Network) {
 		}
 	}
 	n.Probe = t
-	for _, c := range t.consumers {
-		c.Instrumented(n)
+	if t.consumer != nil {
+		t.consumer.Instrumented(n)
 	}
 }
 
@@ -327,47 +357,4 @@ func (t *Trial) DialProbe(proto string) netsim.Probe {
 		t.cwnd = t.Histogram("flow.cwnd")
 	}
 	return t
-}
-
-// --- faults: injection windows as spans ---
-
-// faultEnd maps a window-closing transition to its opener.
-var faultEnd = map[string]string{
-	"link-up": "link-down",
-}
-
-// FaultProbe returns an observer for faults.Scheduler.Probe (nil for a
-// nil trial): each link-down/link-up pair becomes one span covering the
-// blackout, and a loss-on opens a span that stays open to the end of the
-// run. Fault transitions keep their own
-// string-labelled record (faults.Event) rather than a netsim.Event kind —
-// their kind and target are strings, which the hot-path record must not
-// carry — but their windows pair on the shared open-interval table.
-func (t *Trial) FaultProbe() func(faults.Event) {
-	if t == nil {
-		return nil
-	}
-	t.faults = t.Counter("faults.transitions")
-	return func(ev faults.Event) {
-		t.faults.Inc()
-		start, isEnd := faultEnd[ev.Kind]
-		if !isEnd {
-			k := t.faultKey(ev.Kind + " " + ev.Target)
-			// A repeated start restarts the window.
-			t.begin(k, ev.At).start = ev.At
-		} else if !t.end(t.faultKey(start+" "+ev.Target), ev.At) {
-			t.Instant("fault", ev.Kind+" "+ev.Target, "faults")
-		}
-	}
-}
-
-// faultKey returns the table key of the fault window named name,
-// interning the name on first sight (a run injects a handful of faults).
-func (t *Trial) faultKey(name string) spanKey {
-	i := slices.Index(t.faultNames, name)
-	if i < 0 {
-		i = len(t.faultNames)
-		t.faultNames = append(t.faultNames, name)
-	}
-	return spanKey{fam: famFault, id: int32(i)}
 }

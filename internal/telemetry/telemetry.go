@@ -19,7 +19,7 @@
 //     netsim.Probe the instrumented packages (netsim, core, transport,
 //     credit, dctcp, bfc) emit their records to: it keeps its own metrics
 //     and trace spans from them and hands the same record on to the
-//     Consumers registered on it (see probes.go). A nil *Trial disables
+//     Consumer installed on it (see probes.go). A nil *Trial disables
 //     everything at zero cost.
 package telemetry
 
@@ -89,7 +89,7 @@ func (c *Collector) Trial(key string) *Trial {
 	}
 	t := newTrial(key, c.opts)
 	if c.observer != nil {
-		t.consumers = append(t.consumers, c.observer(key, t))
+		t.consumer = c.observer(key, t)
 	}
 	c.trials[key] = t
 	return t
@@ -157,23 +157,25 @@ type Trial struct {
 
 	flushed bool
 
-	// consumers receive every observed record after the trial's own
-	// handling (set once at mint).
-	consumers []Consumer
+	// consumer, if set, receives every observed record after the trial's
+	// own handling (set once at mint).
+	consumer Consumer
 
 	flowLabels map[flowLabelKey]string
-	// labels and qdepth are indexed by Port.Ordinal(). labels is filled
-	// once by InstrumentNetwork and read-only afterwards.
+	// ports, labels and qdepth are indexed by Port.Ordinal(). ports and
+	// labels are filled once by InstrumentNetwork and read-only afterwards.
+	ports  []*netsim.Port
 	labels []string
 	qdepth []*Hist
-	// open holds every span that has begun and not yet ended; faultNames
-	// are the fault windows' interned names (spanKey.id).
-	open       map[spanKey]*interval
-	faultNames []string
+	// open holds every span that has begun and not yet ended; flows counts
+	// the famFlow ones among them.
+	open  map[spanKey]*interval
+	flows int
 
 	// Metric families, registered at set-up (InstrumentNetwork,
-	// InstrumentTransport, DialProbe, FaultProbe) so they appear in the
-	// export even at zero. Unregistered ones stay nil and absorb writes.
+	// InstrumentTransport, DialProbe) so they appear in the export even at
+	// zero, except faults, registered by the first fault transition.
+	// Unregistered ones stay nil and absorb writes.
 	enq, deq, drops, dropB  *Counter
 	slots, stamped, delayed *Counter
 	rttm                    *Hist
@@ -206,8 +208,8 @@ func (t *Trial) Bind(s *sim.Simulator) {
 		s.After(sampleEvery, tick)
 	}
 	s.After(sampleEvery, tick)
-	for _, c := range t.consumers {
-		c.Bound(s)
+	if t.consumer != nil {
+		t.consumer.Bound(s)
 	}
 }
 
@@ -220,23 +222,35 @@ func (t *Trial) now() sim.Time {
 }
 
 // Flush closes all open spans (flows still running, links still down,
-// faults still active) at the current virtual time and hands that time to
-// the consumers. Sweep calls it when a cell returns, export for every
-// trial; idempotent. Nil-safe.
+// loss models still installed) at the current virtual time and hands
+// that time to the consumer. Sweep calls it when a cell returns, export
+// for every trial; idempotent. Nil-safe.
 func (t *Trial) Flush() {
 	if t == nil || t.flushed {
 		return
 	}
 	t.flushed = true
 	now := t.now()
-	for _, c := range t.consumers {
-		c.Flush(now)
+	if t.consumer != nil {
+		t.consumer.Flush(now)
 	}
 	// Emission order is free: the recorder orders canonically.
 	for k, iv := range t.open {
 		t.emit(k, iv, now, Arg{"open", 1})
 	}
 	clear(t.open)
+	t.flows = 0
+}
+
+// OpenFlows returns the number of flows whose lifetime interval is open:
+// a flow opens at its first data-direction enqueue at its sender's NIC
+// and closes at its FIN. Read it on the trial's simulator goroutine.
+// Nil-safe.
+func (t *Trial) OpenFlows() int {
+	if t == nil {
+		return 0
+	}
+	return t.flows
 }
 
 // --- registry surface (nil-safe wrappers) ---

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"tfcsim/internal/faults"
 	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
 )
@@ -31,8 +30,8 @@ func TestNilTrialIsDisabled(t *testing.T) {
 	if p := tr.DialProbe("tcp"); p != nil {
 		t.Fatalf("nil trial DialProbe = %v, want nil interface", p)
 	}
-	if f := tr.FaultProbe(); f != nil {
-		t.Fatal("nil trial FaultProbe should be nil")
+	if n := tr.OpenFlows(); n != 0 {
+		t.Fatalf("nil trial OpenFlows = %d, want 0", n)
 	}
 }
 
@@ -200,25 +199,46 @@ func TestCounterAndHistogramIdempotentByName(t *testing.T) {
 	}
 }
 
-func TestFaultProbePairsWindows(t *testing.T) {
+// faultPort instruments a two-node network (sw -- h) on tr and returns
+// the port sw->h, the target of the fault records the tests feed.
+func faultPort(tr *Trial) *netsim.Port {
+	n := netsim.NewNetwork(sim.New(1))
+	sw, h := n.NewSwitch("sw"), n.NewHost("h")
+	n.Connect(sw, h, netsim.LinkConfig{Rate: netsim.Gbps, Delay: sim.Microsecond})
+	n.ComputeRoutes()
+	InstrumentNetwork(tr, n)
+	return sw.PortTo(h.ID())
+}
+
+// TestFaultTransitionsPairWindows feeds a link-down/link-up pair through
+// Observe: it becomes one fault-track span covering the blackout (beside
+// the links-track one), and each transition counts once.
+func TestFaultTransitionsPairWindows(t *testing.T) {
 	tr := NewCollector(Options{}).Trial("a")
 	tr.Bind(sim.New(1))
-	obs := tr.FaultProbe()
-	obs(faults.Event{At: 10, Kind: "link-down", Target: "sw->h"})
-	obs(faults.Event{At: 40, Kind: "link-up", Target: "sw->h"})
+	p := faultPort(tr)
+	tr.Observe(netsim.Event{Kind: netsim.EvLink, At: 10, Port: p, A: 1})
+	tr.Observe(netsim.Event{Kind: netsim.EvLink, At: 40, Port: p})
 	tr.Flush()
 	var span *event
+	links := 0
 	for _, e := range tr.rec.events() {
-		if e.ph == 'X' && e.cat == "fault" {
+		if e.ph == 'X' && e.cat == "fault" && span == nil {
 			span = &e
-			break
+		}
+		if e.ph == 'X' && e.cat == "net" && e.track == "links" {
+			links++
 		}
 	}
 	if span == nil {
 		t.Fatal("no fault span recorded")
 	}
-	if span.ts != 10 || span.dur != 30 {
-		t.Fatalf("fault span [%d +%d], want [10 +30]", span.ts, span.dur)
+	if span.ts != 10 || span.dur != 30 || span.name != "link-down sw->h" || span.track != "faults" {
+		t.Fatalf("fault span %q on %q [%d +%d], want \"link-down sw->h\" on faults [10 +30]",
+			span.name, span.track, span.ts, span.dur)
+	}
+	if links != 1 {
+		t.Fatalf("%d links-track spans, want 1", links)
 	}
 	if tr.Counter("faults.transitions").Value() != 2 {
 		t.Fatalf("transitions = %d, want 2", tr.Counter("faults.transitions").Value())
