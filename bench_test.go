@@ -14,19 +14,25 @@ import (
 	"tfcsim/internal/telemetry"
 )
 
-// benchDumbbell builds the saturated 10G dumbbell the engine benchmarks
-// share: h1 — sw — h2 with a 1 MB bottleneck buffer and one greedy TCP
-// flow.
-func benchDumbbell(s *Simulator) (*Network, *Host, *Host) {
+// benchBuffer is benchDumbbell's bottleneck buffer.
+const benchBuffer = 1 << 20
+
+// benchDumbbell builds the saturated dumbbell the engine benchmarks share:
+// h1 —40G— sw —10G— h2 with a 1 MB buffer at the bottleneck and one greedy
+// TCP flow. The faster access link puts the flow's queue at the switch,
+// as in every scenario of the paper: it fills the 1 MB buffer and drops,
+// so loss holds the window — and with it every pool, ring and table — to
+// a working set the untimed pre-roll reaches. It also returns the sw→h2
+// bottleneck port.
+func benchDumbbell(s *Simulator) (*Network, *Host, *Host, *Port) {
 	net := NewNetwork(s)
 	h1 := net.NewHost("h1")
 	h2 := net.NewHost("h2")
 	sw := net.NewSwitch("sw")
-	link := LinkConfig{Rate: 10 * Gbps, Delay: 5 * Microsecond}
-	net.Connect(h1, sw, link)
-	net.Connect(sw, h2, LinkConfig{Rate: 10 * Gbps, Delay: 5 * Microsecond, BufA: 1 << 20})
+	net.Connect(h1, sw, LinkConfig{Rate: 40 * Gbps, Delay: 5 * Microsecond})
+	net.Connect(sw, h2, LinkConfig{Rate: 10 * Gbps, Delay: 5 * Microsecond, BufA: benchBuffer})
 	net.ComputeRoutes()
-	return net, h1, h2
+	return net, h1, h2, sw.Ports()[1]
 }
 
 // benchHops sums transmitted packets over every port (the pkt-hop count).
@@ -59,6 +65,8 @@ type engineBench struct {
 	col *telemetry.Collector // nil: every probe field stays nil
 	obs *Observatory         // nil: telemetry only
 	net *Network             // the current iteration's
+	nic *Port                // its h1 NIC
+	btl *Port                // its sw→h2 bottleneck port
 
 	iters             int
 	ev0               uint64
@@ -89,16 +97,16 @@ func newEngineBench(level int) *engineBench {
 }
 
 // prepare builds one iteration and takes it to the start of the measured
-// window: set-up, the pre-roll to benchSettle, warm-up of every pool and
-// ring, a collection. The caller runs the simulator to benchEnd and calls
-// finish; nothing between the two belongs to anyone else.
+// window: set-up, the pre-roll to benchSettle, a collection. The caller
+// runs the simulator to benchEnd and calls finish; nothing between the two
+// belongs to anyone else.
 func (e *engineBench) prepare() *Simulator {
 	tel := e.col.Trial(fmt.Sprintf("iter%06d", e.iters))
 	e.iters++
 	s := NewSimulator(1)
 	tel.Bind(s)
-	net, h1, h2 := benchDumbbell(s)
-	e.net = net
+	net, h1, h2, btl := benchDumbbell(s)
+	e.net, e.nic, e.btl = net, h1.NIC(), btl
 	telemetry.InstrumentNetwork(tel, net)
 	d := &Dialer{Sim: s, Proto: TCP}
 	if tel != nil {
@@ -108,10 +116,6 @@ func (e *engineBench) prepare() *Simulator {
 	conn.Sender.Open()
 	conn.Sender.Send(1 << 30)
 	s.RunUntil(benchSettle)
-	s.Warm(4096, 1<<12)
-	net.Warm(1<<16, 1<<16)
-	tel.Warm()
-	e.obs.Warm(1 << 16)
 	e.ev0, e.hops0 = s.Executed(), benchHops(net)
 	runtime.GC()
 	runtime.ReadMemStats(&e.ms0)
@@ -158,18 +162,30 @@ func (e *engineBench) bench(b *testing.B) {
 // the engine must not allocate in it — 0.000 allocs/pkt-hop, to the three
 // decimals the figure is quoted at (a few dozen stray runtime allocations
 // over ~10^5 packet hops pass; one allocation per thousand hops does not).
+// Nothing is pre-sized: the budget holds only because the pre-roll fills
+// the bottleneck, so the gate also checks that the queue sits at the
+// switch — at least half the buffer there, a small fraction of it in h1's
+// NIC.
 func (e *engineBench) gate(t *testing.T) {
 	s := e.prepare()
 	s.RunUntil(benchEnd)
 	e.finish(s)
+	t.Logf("%d allocations over %d packet hops; queue peaks: bottleneck %d B, h1 NIC %d B",
+		e.mallocs, e.winHops, e.btl.MaxQueue, e.nic.MaxQueue)
 	if r := e.allocsPerHop(); r >= 0.0005 {
 		t.Errorf("%d allocations over %d packet hops in the settled window = %.4f allocs/pkt-hop, want 0.000",
 			e.mallocs, e.winHops, r)
 	}
+	if e.btl.MaxQueue < benchBuffer/2 {
+		t.Errorf("bottleneck queue peaked at %d B, want at least half its %d B buffer", e.btl.MaxQueue, benchBuffer)
+	}
+	if e.nic.MaxQueue > benchBuffer/16 {
+		t.Errorf("h1's NIC queue peaked at %d B, want at most %d B: the queue belongs at the switch", e.nic.MaxQueue, benchBuffer/16)
+	}
 }
 
 // BenchmarkEngineThroughput measures raw simulator event throughput with a
-// saturated 10G dumbbell — the substrate cost every experiment pays. Every
+// saturated dumbbell — the substrate cost every experiment pays. Every
 // probe field is nil here, so its figures also prove that the nil-check
 // fast path of the observation seam costs nothing.
 func BenchmarkEngineThroughput(b *testing.B) { newEngineBench(engineBare).bench(b) }
@@ -185,12 +201,13 @@ func BenchmarkEngineThroughputTelemetry(b *testing.B) { newEngineBench(engineTel
 // (SpanEvery=1), invariant watchdogs armed, and the flight recorder
 // ring live (dumps disabled). The delta against
 // BenchmarkEngineThroughputTelemetry is the observatory's enabled-path
-// cost. Spans append to the recorder's buffer, which compacts in place and
-// which tel.Warm has grown to its full size before the window (an unwarmed
-// recorder grows on demand, a dozen allocations in a trial's life), the
-// flight ring is a fixed array, and watchdogs keep no per-event state, so
-// observation must not add a single steady-state allocation. The HTTP
-// endpoint is off, as in production runs without -http.
+// cost. Spans append to the recorder's buffer, which compacts in place once
+// grown (eleven doublings in a trial's life, the last two inside the
+// window), the live-journey table stops growing at the peak in-flight
+// count the full buffer sets, the flight ring is a fixed array, and
+// watchdogs keep no per-event state, so observation must not add a single
+// steady-state allocation. The HTTP endpoint is off, as in production runs
+// without -http.
 func BenchmarkEngineThroughputObs(b *testing.B) { newEngineBench(engineObs).bench(b) }
 
 // TestEngineThroughputAllocs and TestEngineThroughputObsAllocs hold the

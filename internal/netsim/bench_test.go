@@ -12,16 +12,21 @@ type benchSink struct{ got int64 }
 
 func (k *benchSink) Deliver(pkt *Packet) { k.got += int64(pkt.Payload) }
 
-// reportPerHop converts a malloc delta into the allocs/pkt-hop metric the
-// perf trajectory tracks (ISSUE 2 acceptance: ≥5× below the ~4.7 of the
-// pre-pooling engine).
-func reportPerHop(b *testing.B, mallocs uint64, net *Network) {
+// pktHops sums transmitted packets over every port.
+func pktHops(net *Network) int64 {
 	var hops int64
 	for _, n := range net.Nodes() {
 		for _, p := range n.Ports() {
 			hops += p.TxPackets
 		}
 	}
+	return hops
+}
+
+// reportPerHop converts the malloc and packet-hop deltas of a measured
+// window into the allocs/pkt-hop metric the perf trajectory tracks (≥5×
+// below the ~4.7 of the pre-pooling engine).
+func reportPerHop(b *testing.B, mallocs uint64, hops int64) {
 	if hops > 0 {
 		b.ReportMetric(float64(mallocs)/float64(hops), "allocs/pkt-hop")
 	}
@@ -43,7 +48,7 @@ func BenchmarkSaturatedPort(b *testing.B) {
 	// Refill the queue as it drains so the port never idles, without ever
 	// queueing more than a small batch (bounded memory at any b.N).
 	const batch = 64
-	left := b.N
+	var left int
 	feed := func() {
 		for i := 0; i < batch && left > 0; i, left = i+1, left-1 {
 			p := net.NewPacket()
@@ -58,21 +63,25 @@ func BenchmarkSaturatedPort(b *testing.B) {
 			s.After(batch*h1.NIC().Rate.TxTime(MSS+HeaderBytes+WireOverheadBytes), refill)
 		}
 	}
-	// Pre-size pools and rings so the measured run is allocation-free.
-	s.Warm(1024, 1024)
-	net.Warm(1024, 1024)
+	// An untimed settle of a few batches grows the pools and the ring to
+	// their working set before the clock starts.
+	left = 4 * batch
+	s.At(0, refill)
+	s.Run()
+	k.got, left = 0, b.N
+	hops0 := pktHops(net)
 	var ms0, ms1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&ms0)
 	b.ResetTimer()
-	s.At(0, refill)
+	s.At(s.Now(), refill)
 	s.Run()
 	b.StopTimer()
 	runtime.ReadMemStats(&ms1)
 	if k.got != int64(b.N)*MSS {
 		b.Fatalf("delivered %d bytes, want %d", k.got, int64(b.N)*MSS)
 	}
-	reportPerHop(b, ms1.Mallocs-ms0.Mallocs, net)
+	reportPerHop(b, ms1.Mallocs-ms0.Mallocs, pktHops(net)-hops0)
 }
 
 // burster fires one sender's synchronized window. Pre-built once per
@@ -115,14 +124,13 @@ func BenchmarkIncastBurst(b *testing.B) {
 	net.ComputeRoutes()
 	k := &benchSink{}
 	dst.Register(1, k)
-	// Pre-size pools and rings, then run one untimed burst so any residual
-	// one-time growth (heap slice, port rings) lands before the clock starts.
-	s.Warm(1024, 1024)
-	net.Warm(1024, 1024)
+	// One untimed burst grows the pools and port rings to their working set
+	// before the clock starts.
 	for j := range bursters {
 		s.Schedule(s.Now(), &bursters[j])
 	}
 	s.Run()
+	hops0 := pktHops(net)
 	var ms0, ms1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&ms0)
@@ -136,7 +144,7 @@ func BenchmarkIncastBurst(b *testing.B) {
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&ms1)
-	reportPerHop(b, ms1.Mallocs-ms0.Mallocs, net)
+	reportPerHop(b, ms1.Mallocs-ms0.Mallocs, pktHops(net)-hops0)
 }
 
 // benchFatTree wires a k-ary fat tree in exp.FatTree's creation order

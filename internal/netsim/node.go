@@ -298,32 +298,6 @@ const pktSlab = 64
 // (tests, benchmarks).
 func (n *Network) NewPacket() *Packet { return n.shards[0].newPacket() }
 
-// Warm pre-sizes the network for an allocation-free run: the packet pool
-// grows to at least packets spare packets, the deferred host-send event
-// pool to a matching depth, and every port's FIFO ring to ringCap slots.
-// Benchmarks call it (together with sim.Warm) so the measured steady state
-// performs no allocation at all; cold networks grow on demand instead.
-func (n *Network) Warm(packets, ringCap int) {
-	for _, sh := range n.shards {
-		for len(sh.pktFree) < packets {
-			slab := make([]Packet, pktSlab)
-			for i := range slab {
-				sh.pktFree = append(sh.pktFree, &slab[i])
-			}
-		}
-		for len(sh.evFree) < 64 {
-			sh.evFree = append(sh.evFree, &portEvent{})
-		}
-	}
-	for _, node := range n.nodes {
-		for _, p := range node.Ports() {
-			if len(p.q) < ringCap {
-				p.growQ(ringCap)
-			}
-		}
-	}
-}
-
 // ReleasePacket returns a packet to shard 0's pool. The forwarding path
 // releases through shard-local pools instead; this sequential-context
 // method serves code that takes ownership via an Interceptor and then

@@ -179,7 +179,7 @@ func (p *Port) ReleasePacket(pkt *Packet) { p.sh.release(pkt) }
 
 func (p *Port) pushQ(pkt *Packet) {
 	if p.qLen == len(p.q) {
-		p.growQ(2 * len(p.q))
+		p.growQ()
 	}
 	p.q[(p.qHead+p.qLen)&(len(p.q)-1)] = pkt
 	p.qLen++
@@ -193,15 +193,11 @@ func (p *Port) popQ() *Packet {
 	return pkt
 }
 
-// growQ grows the FIFO ring to at least n slots (rounded up to a power of
-// two, minimum 16).
-func (p *Port) growQ(n int) {
-	c := 16
-	for c < n {
-		c <<= 1
-	}
+// growQ doubles the FIFO ring (from 16 slots; the length stays a power of
+// two).
+func (p *Port) growQ() {
 	//tfcvet:allow hotalloc — doubling growth of the FIFO ring, amortized to the port's deepest queue
-	nq := make([]*Packet, c)
+	nq := make([]*Packet, max(16, 2*len(p.q)))
 	for i := 0; i < p.qLen; i++ {
 		nq[i] = p.q[(p.qHead+i)&(len(p.q)-1)]
 	}

@@ -217,13 +217,10 @@ func (n *Network) Partition(assign []int, nShards int) error {
 	}
 	g := sim.NewGroup(n.Sim, nShards, lookahead)
 	n.group = g
-	old0 := n.shards[0]
 	shards := make([]*netShard, nShards)
 	for i := range shards {
 		shards[i] = &netShard{id: i, sim: g.Shard(i), net: n}
 	}
-	// Carry over anything Warm pre-sized on the bootstrap shard.
-	shards[0].pktFree, shards[0].evFree = old0.pktFree, old0.evFree
 	n.shards = shards
 	for _, node := range n.nodes {
 		sh := shards[assign[node.ID()]]

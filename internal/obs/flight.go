@@ -15,7 +15,7 @@ import (
 // kind name in lower case; A and B are kind-specific: enq/deq/drop carry
 // (seq, queue bytes after), slot carries (token value, effective flows),
 // pause carries (paused, 0), rto carries (backoff, 0), link carries
-// (down, 0).
+// (down, 0), loss carries (installed, 0).
 type flightEvent struct {
 	At   sim.Time `json:"t_ns"`
 	Kind string   `json:"kind"`
@@ -58,7 +58,7 @@ func newFlightRing(cap int) *flightRing {
 func (r *flightRing) Observe(ev netsim.Event) {
 	switch ev.Kind {
 	case netsim.EvEnqueue, netsim.EvDequeue, netsim.EvDrop, netsim.EvLink,
-		netsim.EvSlot, netsim.EvPause, netsim.EvRTO:
+		netsim.EvLoss, netsim.EvSlot, netsim.EvPause, netsim.EvRTO:
 	default:
 		return
 	}

@@ -126,24 +126,6 @@ func (o *Observatory) Stop() {
 	o.srv = nil
 }
 
-// Warm pre-sizes every registered trial's live-journey table for the
-// given number of concurrently in-flight sampled packets — the span
-// tracer's analog of Simulator.Warm and Network.Warm. Benchmarks call it
-// after the untimed pre-roll so table growth (the only allocation the
-// tracer ever performs) stays out of the measured window; the tracer
-// works identically without it, growing on demand. Setup context only —
-// never call from a probe. Nil-safe.
-func (o *Observatory) Warm(journeys int) {
-	if o == nil {
-		return
-	}
-	for _, to := range o.snapshotTrials() {
-		if to.spans != nil {
-			to.spans.warm(journeys)
-		}
-	}
-}
-
 // Attach registers a run and makes the observatory mint the consumer of
 // every trial the collector creates. Call once per experiment before
 // trials are minted. Nil-safe on both sides.

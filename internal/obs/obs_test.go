@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -243,8 +244,39 @@ func TestFlightRecordsLinkDown(t *testing.T) {
 	s.At(sim.Millisecond, out.SetDown)
 	s.At(2*sim.Millisecond, out.SetUp)
 	s.RunUntil(5 * sim.Millisecond)
-	o.violation(o.trials[0], "forced", "test dump")
+	if got := forcedDumpKind(t, o, dir, "link", "sw->b#"); !slices.Equal(got, []int64{1, 0}) {
+		t.Fatalf("link transitions in the flight dump = %v, want [1 0] (down, then up)", got)
+	}
+}
 
+// TestFlightRecordsLossWindow opens a wire-loss window mid-run under the
+// watchdogs and forces a dump: the flight recorder must hold the loss
+// model going in and then out, in that order.
+func TestFlightRecordsLossWindow(t *testing.T) {
+	dir := t.TempDir()
+	o := New(Options{Watchdogs: true, FlightDir: dir})
+	c := telemetry.NewCollector(telemetry.Options{})
+	o.Attach("lossy", c)
+	s, n, _, b, sw := dumbbell()
+	tr := c.Trial("t0")
+	tr.Bind(s)
+	telemetry.InstrumentNetwork(tr, n)
+
+	out := sw.PortTo(b.ID())
+	s.At(sim.Millisecond, func() { out.SetLoss(netsim.NewGilbertElliott(0.2, 2)) })
+	s.At(2*sim.Millisecond, func() { out.SetLoss(nil) })
+	s.RunUntil(5 * sim.Millisecond)
+	if got := forcedDumpKind(t, o, dir, "loss", "sw->b#"); !slices.Equal(got, []int64{1, 0}) {
+		t.Fatalf("loss transitions in the flight dump = %v, want [1 0] (installed, then removed)", got)
+	}
+}
+
+// forcedDumpKind forces a flight dump of o's first trial into dir and
+// returns the A field of its recent events of the given kind, in order;
+// each must be on a port labelled with portPrefix.
+func forcedDumpKind(t *testing.T, o *Observatory, dir, kind, portPrefix string) []int64 {
+	t.Helper()
+	o.violation(o.trials[0], "forced", "test dump")
 	dumps, _ := filepath.Glob(filepath.Join(dir, "flight-*-forced.json"))
 	if len(dumps) != 1 {
 		t.Fatalf("forced violation wrote %d dumps, want 1", len(dumps))
@@ -264,18 +296,16 @@ func TestFlightRecordsLinkDown(t *testing.T) {
 	if err := json.Unmarshal(raw, &dump); err != nil {
 		t.Fatal(err)
 	}
-	var links []int64
+	var got []int64
 	for _, ev := range dump.Recent {
-		if ev.Kind == "link" {
-			if !strings.HasPrefix(ev.Port, "sw->b#") {
-				t.Errorf("link event on port %q, want sw->b", ev.Port)
+		if ev.Kind == kind {
+			if !strings.HasPrefix(ev.Port, portPrefix) {
+				t.Errorf("%s event on port %q, want %s", kind, ev.Port, portPrefix)
 			}
-			links = append(links, ev.A)
+			got = append(got, ev.A)
 		}
 	}
-	if len(links) != 2 || links[0] != 1 || links[1] != 0 {
-		t.Fatalf("link transitions in the flight dump = %v, want [1 0] (down, then up)", links)
-	}
+	return got
 }
 
 // TestFinishRunReleasesTrials checks the observatory stops referencing a

@@ -25,8 +25,9 @@ func BenchmarkTimerChurn(b *testing.B) {
 	s.Run()
 }
 
-// queueBench drives a warmed simulator for exactly b.N events after an
-// untimed settle, so the numbers are per event of the queue's steady state.
+// queueBench drives a simulator for exactly b.N events after an untimed
+// settle that grows its pools to the working set, so the numbers are per
+// event of the queue's steady state.
 type queueBench struct {
 	s    *Simulator
 	left int
@@ -63,7 +64,6 @@ func (t *sparseTicker) RunEvent() {
 // tick).
 func BenchmarkQueueSparse(b *testing.B) {
 	q := &queueBench{s: New(1), left: -1}
-	q.s.Warm(64, 64)
 	for _, d := range []Time{1230, 2 * Microsecond, 10 * Microsecond} {
 		q.s.ScheduleAfter(d, &sparseTicker{q: q, delay: d})
 	}
@@ -100,7 +100,6 @@ func (j *denseJob) RunEvent() {
 func BenchmarkQueueDense(b *testing.B) {
 	const jobs = 6000
 	q := &queueBench{s: New(1), left: -1}
-	q.s.Warm(1<<16, 1<<12)
 	rng := rand.New(rand.NewSource(1))
 	delay := make([]Time, 1<<12)
 	for i := range delay {

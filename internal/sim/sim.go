@@ -753,18 +753,3 @@ func (s *Simulator) Live() int {
 	}
 	return s.live
 }
-
-// Warm pre-sizes the engine's memory so a subsequent run whose pending
-// set stays within the given bounds allocates nothing: the free-node list
-// grows to nodes spare timer nodes, the far heap to matching capacity, and
-// the run buffer to runCap nodes, the most one slot holds at a time.
-// Intended for benchmarks and latency-sensitive callers; a cold simulator
-// grows on demand instead.
-func (s *Simulator) Warm(nodes, runCap int) {
-	for len(s.free) < nodes {
-		s.free = append(s.free, &timerNode{})
-	}
-	s.far = slices.Grow(s.far, max(0, nodes-len(s.far)))
-	s.run = slices.Grow(s.run, max(0, runCap-len(s.run)))
-	s.spare = slices.Grow(s.spare[:0], runCap)
-}

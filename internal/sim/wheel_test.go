@@ -242,13 +242,13 @@ func TestRunUntilTailWithLanes(t *testing.T) {
 	}
 }
 
-// TestWarmNoAlloc checks that a warmed simulator schedules and fires
-// without allocating: self-rescheduling chains in the wheel and the run
-// buffer, and bursts that fill one slot densely and send a second one
-// past the horizon, whose nodes reach the run buffer from the far heap.
-func TestWarmNoAlloc(t *testing.T) {
+// TestSettledNoAlloc checks that a simulator whose pools have grown to the
+// working set schedules and fires without allocating: self-rescheduling
+// chains in the wheel and the run buffer, and bursts that fill one slot
+// densely and send a second one past the horizon, whose nodes reach the
+// run buffer from the far heap.
+func TestSettledNoAlloc(t *testing.T) {
 	s := New(1)
-	s.Warm(4096, 1024)
 	var a, b, c, burst eventFunc
 	nop := eventFunc(func() {})
 	a = func() { s.ScheduleAfter(5, a) }
@@ -271,7 +271,7 @@ func TestWarmNoAlloc(t *testing.T) {
 		s.RunUntil(s.Now() + 20*Microsecond)
 	})
 	if allocs != 0 {
-		t.Fatalf("warmed run allocated %.1f allocs/run, want 0", allocs)
+		t.Fatalf("settled run allocated %.1f allocs/run, want 0", allocs)
 	}
 	if s.dispFar == far0 {
 		t.Fatal("no node came from the far heap in the measured runs")
@@ -284,7 +284,6 @@ func TestWarmNoAlloc(t *testing.T) {
 // scheduling and firing it allocates nothing.
 func TestFuncEventNoAlloc(t *testing.T) {
 	s := New(1)
-	s.Warm(16, 16)
 	fired := 0
 	fn := func() { fired++ }
 	const runs = 100

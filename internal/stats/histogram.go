@@ -74,41 +74,3 @@ func (h *Histogram) Bounds() []float64 { return h.bounds }
 // Counts returns the per-bucket counts including the +Inf overflow
 // bucket (shared; do not mutate).
 func (h *Histogram) Counts() []int64 { return h.counts }
-
-// Quantile returns an estimate of the q-quantile (q in [0,1]) by linear
-// interpolation inside the containing bucket. Observations in the +Inf
-// bucket are reported as the last finite bound; an empty histogram
-// returns 0.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(h.n)
-	var cum int64
-	for i, c := range h.counts {
-		if float64(cum+c) < rank {
-			cum += c
-			continue
-		}
-		if i >= len(h.bounds) {
-			return h.bounds[len(h.bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		hi := h.bounds[i]
-		if c == 0 {
-			return hi
-		}
-		frac := (rank - float64(cum)) / float64(c)
-		return lo + (hi-lo)*frac
-	}
-	return h.bounds[len(h.bounds)-1]
-}

@@ -5,7 +5,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -68,20 +67,6 @@ func (s *Sample) Min() float64 {
 		}
 	}
 	return m
-}
-
-// Stddev returns the population standard deviation.
-func (s *Sample) Stddev() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	m := s.Mean()
-	var acc float64
-	for _, x := range s.xs {
-		d := x - m
-		acc += d * d
-	}
-	return math.Sqrt(acc / float64(len(s.xs)))
 }
 
 func (s *Sample) sort() {

@@ -50,16 +50,6 @@ func TestPercentileSingleValue(t *testing.T) {
 	}
 }
 
-func TestStddev(t *testing.T) {
-	var s Sample
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(v)
-	}
-	if got := s.Stddev(); math.Abs(got-2) > 1e-9 {
-		t.Fatalf("stddev = %v, want 2", got)
-	}
-}
-
 func TestCDF(t *testing.T) {
 	var s Sample
 	for _, v := range []float64{1, 1, 2, 3, 3, 3} {

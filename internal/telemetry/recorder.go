@@ -96,7 +96,7 @@ func eventLess(a, b *event) bool {
 // largest" keeps a trial's tail (usually the interesting part).
 type recorder struct {
 	limit    int
-	buf      []event // unordered; grown on demand, see reserve
+	buf      []event // unordered; grown on demand, see push
 	floor    event   // smallest event the last compaction kept
 	floored  bool    // a compaction has run, floor is set
 	total    int64   // all events ever pushed
@@ -111,25 +111,18 @@ const compactAt = 2
 
 func (r *recorder) init(limit int) { r.limit = limit }
 
-// reserve grows the buffer's capacity to n events. push doubles it on
-// demand, from 256 up to compactAt×limit (most trials never fill a ring,
-// and zeroing one eagerly was nearly all of a small trial's set-up time);
-// Trial.Warm reserves the whole of it.
-func (r *recorder) reserve(n int) {
-	if n = min(n, compactAt*r.limit); n > cap(r.buf) {
-		r.buf = append(make([]event, 0, n), r.buf...)
-	}
-}
-
-// push records one event. Callers must hold the owning Trial's mutex.
+// push records one event. A full buffer doubles, from 256 up to
+// compactAt×limit events (most trials never fill a ring, and zeroing one
+// eagerly was nearly all of a small trial's set-up time); at that size it
+// compacts instead.
 func (r *recorder) push(e *event) {
 	r.total++
 	if r.floored && eventLess(e, &r.floor) {
 		return // below the kept range entirely
 	}
 	if len(r.buf) == cap(r.buf) {
-		if len(r.buf) < compactAt*r.limit {
-			r.reserve(max(2*len(r.buf), 256))
+		if n := min(max(2*len(r.buf), 256), compactAt*r.limit); n > len(r.buf) {
+			r.buf = append(make([]event, 0, n), r.buf...)
 		} else {
 			r.compact()
 		}

@@ -183,7 +183,6 @@ func fullRecorder(ts func(i int) sim.Time) (push func(i int), next int) {
 	}
 	r := &recorder{}
 	r.init(limit)
-	r.reserve(compactAt * limit)
 	e := &event{cat: "span", ph: 'X', dur: 1200, nargs: 3,
 		args: [maxArgs]Arg{{"seq", 0}, {"hop", 1}, {"parent", 0}}}
 	push = func(i int) {

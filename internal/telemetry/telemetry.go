@@ -308,15 +308,6 @@ func (t *Trial) InstantAt(at sim.Time, cat, name, track string, args ...Arg) {
 	t.record(&event{name: name, cat: cat, ph: 'i', ts: at, track: track}, args)
 }
 
-// Instant records a point event at the bound simulator's current virtual
-// time.
-func (t *Trial) Instant(cat, name, track string, args ...Arg) {
-	if t == nil {
-		return
-	}
-	t.InstantAt(t.now(), cat, name, track, args...)
-}
-
 // CounterEventAt records a counter sample (graphed as a series in
 // Perfetto) at the given virtual time.
 func (t *Trial) CounterEventAt(at sim.Time, cat, name, track string, args ...Arg) {
@@ -332,17 +323,4 @@ func (t *Trial) CounterEventAt(at sim.Time, cat, name, track string, args ...Arg
 func (t *Trial) record(e *event, args []Arg) {
 	e.setArgs(args)
 	t.rec.push(e)
-}
-
-// Warm pre-sizes the recorder to the most it will ever hold — the
-// trial's analog of Simulator.Warm and Network.Warm. Benchmarks call it
-// after the untimed pre-roll so that buffer growth, the recorder's only
-// allocation, stays out of the measured window; the recorder works
-// identically without it, growing on demand. Setup context only.
-// Nil-safe.
-func (t *Trial) Warm() {
-	if t == nil {
-		return
-	}
-	t.rec.reserve(compactAt * t.rec.limit)
 }

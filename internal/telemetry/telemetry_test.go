@@ -22,7 +22,7 @@ func TestNilTrialIsDisabled(t *testing.T) {
 	tr.Gauge("g", func() float64 { return 1 })
 	tr.Histogram("h").Observe(3)
 	tr.Span("c", "n", "tr", 0, 10)
-	tr.Instant("c", "n", "tr")
+	tr.InstantAt(0, "c", "n", "tr")
 	tr.CounterEventAt(0, "c", "n", "tr")
 	tr.Flush()
 	InstrumentNetwork(tr, nil)
@@ -260,7 +260,7 @@ func buildCollector(order []string) *Collector {
 		tr.Counter("a.count").Inc()
 		tr.Histogram("h", 1, 10, 100).Observe(float64(len(key)))
 		tr.Span("cat", "span "+key, "track", 0, 100)
-		tr.Instant("cat", "hit "+key, "other")
+		tr.InstantAt(s.Now(), "cat", "hit "+key, "other")
 	}
 	return c
 }
