@@ -11,7 +11,8 @@ import (
 // methods; edges are
 //
 //   - static calls and references: any use of an in-package function or
-//     method — direct call, method value, function passed as an argument
+//     method (of a generic one, through any instantiation) — direct
+//     call, method value, function passed as an argument
 //     (`sort.Slice(x, less)`), goroutine/defer — counts as a potential
 //     call. Reference-taken-implies-called is deliberately conservative:
 //     the consumers are reachability analyses, where a missing edge is a
@@ -96,6 +97,9 @@ func (g *callGraph) addEdges(n *cgNode) {
 		if !isFn {
 			return true
 		}
+		// A use of a generic function or of a generic type's method names
+		// an instantiation; the node is its declaration.
+		fn = fn.Origin()
 		if tgt, local := g.nodes[fn]; local {
 			n.addEdge(tgt)
 			return true

@@ -112,3 +112,43 @@ type host struct{ s *sim.Simulator }
 func (h *host) Send(seq int64) {
 	h.s.After(1, func() { _ = seq }) // want "closure escapes in event-reachable Send"
 }
+
+// ring is a generic queue: a call through any instantiation reaches the
+// declared methods, so the unannotated growth is flagged and the
+// annotated one certified.
+type ring[T any] struct{ buf []T }
+
+func (r *ring[T]) push(v T) {
+	if len(r.buf) == cap(r.buf) {
+		r.grow()
+	}
+	r.buf = r.buf[:len(r.buf)+1]
+	r.buf[len(r.buf)-1] = v
+}
+
+func (r *ring[T]) grow() {
+	nb := make([]T, len(r.buf), 2*cap(r.buf)+1) // want "make allocates in event-reachable grow"
+	copy(nb, r.buf)
+	r.buf = nb
+}
+
+func (r *ring[T]) pushAmortized(v T) {
+	if len(r.buf) == cap(r.buf) {
+		//tfcvet:allow hotalloc — fixture: doubling growth, amortized to the deepest backlog
+		nb := make([]T, len(r.buf), 2*cap(r.buf)+1)
+		copy(nb, r.buf)
+		r.buf = nb
+	}
+	r.buf = r.buf[:len(r.buf)+1]
+	r.buf[len(r.buf)-1] = v
+}
+
+type queueEvt struct {
+	q  ring[int64]
+	pq ring[*flowRec]
+}
+
+func (e *queueEvt) RunEvent() {
+	e.q.push(1)
+	e.pq.pushAmortized(nil)
+}

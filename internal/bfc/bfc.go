@@ -35,13 +35,6 @@ const (
 	PauseTimeout = 200 * sim.Microsecond
 )
 
-// Config parameterizes one BFC connection: the protocol-independent
-// transport.DialConfig (its Probe sees the fixed window as Cwnd, plus
-// RTO / recovery / retransmit events).
-type Config struct {
-	transport.DialConfig
-}
-
 // Sender is the sending half of a BFC connection: a fixed-window,
 // ACK-clocked sender that obeys XOF/XON backpressure from switches.
 // Loss recovery is transport.Reliable's (fast retransmit on three
@@ -62,10 +55,12 @@ type Sender struct {
 	Pauses int64
 }
 
-// NewSender creates (and registers at the local host) the sending side.
-func NewSender(cfg Config) *Sender {
+// NewSender creates (and registers at cfg.Local) the sending side. Its
+// cfg.Probe sees the fixed window as Cwnd, plus RTO, recovery and
+// retransmit events.
+func NewSender(cfg transport.DialConfig) *Sender {
 	s := &Sender{}
-	s.Init(cfg.DialConfig, s.onRTO)
+	s.Init(cfg, s.onRTO)
 	// Timeout without XON or refresh: probe onward. If the congestion is
 	// still there, the first arriving packet triggers a fresh XOF.
 	s.pause = transport.NewLazyTimer(cfg.Sim, s.trySend)
@@ -75,7 +70,7 @@ func NewSender(cfg Config) *Sender {
 
 // Dial creates a sender and its matching receiver (the plain cumulative-
 // ACK receiver — BFC needs nothing receiver-side), registering both.
-func Dial(cfg Config) (*Sender, *transport.Receiver) {
+func Dial(cfg transport.DialConfig) (*Sender, *transport.Receiver) {
 	return NewSender(cfg), transport.NewReceiver(cfg.Peer, cfg.Local, cfg.Flow)
 }
 

@@ -34,8 +34,8 @@ func newRig(buf int) *rig {
 	return r
 }
 
-func (r *rig) conn(flow netsim.FlowID, opts ...func(*Config)) (*Sender, *transport.Receiver) {
-	cfg := Config{DialConfig: transport.DialConfig{Sim: r.s, Local: r.h1, Peer: r.h2, Flow: flow}}
+func (r *rig) conn(flow netsim.FlowID, opts ...func(*transport.DialConfig)) (*Sender, *transport.Receiver) {
+	cfg := transport.DialConfig{Sim: r.s, Local: r.h1, Peer: r.h2, Flow: flow}
 	for _, o := range opts {
 		o(&cfg)
 	}

@@ -9,7 +9,7 @@ func init() {
 		Desc:    "BFC-style per-hop backpressure: per-flow XOF/XON pause thresholds at switches",
 		Compare: true,
 		Dial: func(c transport.DialConfig) transport.Conn {
-			s, r := Dial(Config{DialConfig: c})
+			s, r := Dial(c)
 			return transport.Conn{Sender: s, Received: r.Received, SRTT: s.SRTT}
 		},
 		Attach: func(a transport.AttachConfig) {

@@ -53,13 +53,11 @@ type Hook struct {
 	portPause int64    // aggregate pressure threshold
 	drainFree sim.Time // predicted time the last counted byte leaves
 
-	// drainQ is the FIFO ring (power-of-two capacity) of counted frames
-	// whose predicted departure is still ahead. The hook is the target of
-	// one drain event per frame; drainFree only moves forward, so those
-	// events fire in push order and each one pops the ring's head.
-	drainQ  []pendingDrain
-	drainHd int
-	drainN  int
+	// drainQ holds the counted frames whose predicted departure is still
+	// ahead. The hook is the target of one drain event per frame;
+	// drainFree only moves forward, so those events fire in push order and
+	// each one pops the oldest.
+	drainQ netsim.FIFO[pendingDrain]
 
 	// Pauses counts emitted XOF signals.
 	Pauses int64
@@ -135,37 +133,15 @@ func (h *Hook) OnEnqueue(pkt *netsim.Packet, port *netsim.Port) bool {
 		h.drainFree = now
 	}
 	h.drainFree += port.Rate.TxTime(pkt.WireBytes())
-	if h.drainN == len(h.drainQ) {
-		h.growDrainQ()
-	}
-	h.drainQ[(h.drainHd+h.drainN)&(len(h.drainQ)-1)] = pendingDrain{pkt.Flow, int64(fb)}
-	h.drainN++
+	h.drainQ.Push(pendingDrain{pkt.Flow, int64(fb)})
 	h.sim.Schedule(h.drainFree, h)
 	return true
-}
-
-// growDrainQ doubles the drain ring (16 slots at first), unrolled from the
-// head.
-func (h *Hook) growDrainQ() {
-	c := 2 * len(h.drainQ)
-	if c == 0 {
-		c = 16
-	}
-	//tfcvet:allow hotalloc — doubling growth of the drain ring, amortized to the port's largest backlog
-	nq := make([]pendingDrain, c)
-	for i := 0; i < h.drainN; i++ {
-		nq[i] = h.drainQ[(h.drainHd+i)&(len(h.drainQ)-1)]
-	}
-	h.drainQ = nq
-	h.drainHd = 0
 }
 
 // RunEvent implements sim.EventTarget: the oldest counted frame's predicted
 // departure.
 func (h *Hook) RunEvent() {
-	d := h.drainQ[h.drainHd]
-	h.drainHd = (h.drainHd + 1) & (len(h.drainQ) - 1)
-	h.drainN--
+	d := h.drainQ.Pop()
 	h.drain(d.flow, d.fb)
 }
 

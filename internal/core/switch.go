@@ -8,7 +8,6 @@ package core
 import (
 	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
-	"tfcsim/internal/transport"
 )
 
 // TFC's fixed switch constants (DESIGN §3b lists each with its source).
@@ -25,6 +24,9 @@ const (
 	rhoFloor = 1.0 / 64
 	// maxMissK caps the delimiter-miss exponential backoff (paper: 7).
 	maxMissK = 7
+	// tClampFactor bounds the adjusted token value to this multiple of
+	// the base BDP (robustness guard for near-idle slots).
+	tClampFactor = 16
 )
 
 // SwitchConfig parameterizes TFC's switch-side behaviour. Zero fields take
@@ -32,9 +34,6 @@ const (
 type SwitchConfig struct {
 	// Rho0 is the expected link utilization target.
 	Rho0 float64
-	// TClampFactor bounds the adjusted token value to this multiple of the
-	// base BDP (robustness guard for near-idle slots).
-	TClampFactor float64
 
 	// Ablation switches (all false = full TFC).
 	DisableDelay    bool // §4.6 ACK delay function off
@@ -49,9 +48,6 @@ type SwitchConfig struct {
 func (c *SwitchConfig) fillDefaults() {
 	if c.Rho0 == 0 {
 		c.Rho0 = 0.97
-	}
-	if c.TClampFactor == 0 {
-		c.TClampFactor = 16
 	}
 }
 
@@ -100,12 +96,11 @@ type PortState struct {
 	missK     int
 	dTimer    sim.Timer
 
-	// Delay arbiter (token bucket over the data direction of this port).
-	// The held ACKs are delayQ[delayHd:], oldest first.
+	// Delay arbiter (token bucket over the data direction of this port);
+	// delayQ holds the ACKs it delays, released oldest first.
 	counter    float64
 	lastRefill sim.Time
-	delayQ     []heldAck
-	delayHd    int
+	delayQ     netsim.FIFO[heldAck]
 	release    sim.Timer
 
 	// Statistics.
@@ -304,7 +299,7 @@ func (st *PortState) endSlot(pkt *netsim.Packet) {
 		target = st.t / 4
 	}
 	st.t = alpha*st.t + (1-alpha)*target
-	if maxT := bdp * st.cfg.TClampFactor; st.t > maxT {
+	if maxT := bdp * tClampFactor; st.t > maxT {
 		st.t = maxT
 	}
 	if minT := float64(netsim.MSS); st.t < minT {
@@ -434,8 +429,8 @@ func (st *PortState) handleRMA(pkt *netsim.Packet, out *netsim.Port) bool {
 		st.counter -= mss
 		return false
 	}
-	//tfcvet:allow poolsafe,hotalloc — deliberate ownership transfer (returning true tells the switch the ACK is held; onRelease re-injects it), and the hold queue drains by truncation so its backing array amortizes to steady capacity
-	st.delayQ = append(st.delayQ, heldAck{pkt, out})
+	//tfcvet:allow poolsafe — deliberate ownership transfer (returning true tells the switch the ACK is held; onRelease re-injects it)
+	st.delayQ.Push(heldAck{pkt, out})
 	st.DelayedAcks++
 	if pr := st.port.Network().Probe; pr != nil {
 		pr.Observe(netsim.Event{Kind: netsim.EvHold, At: st.s.Now(), Port: st.port,
@@ -462,8 +457,7 @@ func (st *PortState) onRelease() {
 	st.refill()
 	mss := st.wireCost(float64(netsim.MSS))
 	for st.DelayQueueLen() > 0 && st.counter >= mss {
-		var h heldAck
-		h, st.delayQ, st.delayHd = transport.PopHead(st.delayQ, st.delayHd)
+		h := st.delayQ.Pop()
 		h.pkt.Window = int64(netsim.MSS)
 		st.counter -= mss
 		if pr := st.port.Network().Probe; pr != nil {
@@ -478,7 +472,7 @@ func (st *PortState) onRelease() {
 }
 
 // DelayQueueLen returns the number of ACKs currently held by the arbiter.
-func (st *PortState) DelayQueueLen() int { return len(st.delayQ) - st.delayHd }
+func (st *PortState) DelayQueueLen() int { return st.delayQ.Len() }
 
 // SwitchState binds TFC port state to every port of one switch and
 // implements the netsim.Interceptor that routes RMA ACKs through the delay

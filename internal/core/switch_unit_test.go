@@ -88,21 +88,20 @@ func TestUnitMixedFrameSlotExcluded(t *testing.T) {
 
 func TestUnitTokenClampFloor(t *testing.T) {
 	s := sim.New(1)
-	st, p := mkPort(s, SwitchConfig{TClampFactor: 2})
-	// End many idle slots: rho at floor would boost T; the clamp bounds it
-	// to TClampFactor x BDP(rttb).
-	s.At(0, func() { st.OnEnqueue(rmData(1, netsim.MSS), p) })
+	st, p := mkPort(s, SwitchConfig{})
+	// End many near-idle slots of one small frame each: rho at its floor
+	// would boost T to rho0/rhoFloor (62) x BDP(rttb); the clamp holds it
+	// at tClampFactor x BDP(rttb). Small frames leave rttb at its initial
+	// estimate.
+	s.At(0, func() { st.OnEnqueue(rmData(1, 64), p) })
 	for i := 1; i <= 50; i++ {
 		at := sim.Time(i) * 100 * sim.Microsecond
-		s.At(at, func() { st.OnEnqueue(rmData(1, netsim.MSS), p) })
+		s.At(at, func() { st.OnEnqueue(rmData(1, 64), p) })
 	}
 	s.RunUntil(6 * sim.Millisecond)
-	maxT := 2 * 125e6 * st.RTTB().Seconds()
-	if st.Tokens() > maxT+1 {
-		t.Fatalf("T = %.0f beyond clamp %.0f", st.Tokens(), maxT)
-	}
-	if st.Tokens() < float64(netsim.MSS) {
-		t.Fatalf("T = %.0f below one MSS floor", st.Tokens())
+	maxT := tClampFactor * 125e6 * st.RTTB().Seconds()
+	if st.Tokens() > maxT+1 || st.Tokens() < maxT-1 {
+		t.Fatalf("T = %.0f, want the clamp %.0f", st.Tokens(), maxT)
 	}
 }
 

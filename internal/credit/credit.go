@@ -26,13 +26,6 @@ import (
 	"tfcsim/internal/transport"
 )
 
-// Config parameterizes one credit-transport connection: the
-// protocol-independent transport.DialConfig (Local is the data sender,
-// Peer the credit source).
-type Config struct {
-	transport.DialConfig
-}
-
 // The receiver's fixed rate-control constants.
 const (
 	// initRate is the initial per-flow credit rate as a fraction of the
@@ -54,19 +47,20 @@ type Sender struct {
 	transport.Reliable
 }
 
-// NewSender creates (and registers) the sending half.
-func NewSender(cfg Config) *Sender {
+// NewSender creates (and registers at cfg.Local) the sending half.
+func NewSender(cfg transport.DialConfig) *Sender {
 	s := &Sender{}
-	s.Init(cfg.DialConfig, s.onRTO)
+	s.Init(cfg, s.onRTO)
 	cfg.Local.Register(cfg.Flow, s)
 	return s
 }
 
-// Dial creates a sender and its matching receiver. NewReceiver rebinds
-// its config to the peer host's simulator (the receiver's pacer and
-// epoch timers are receiver-side state), so the two endpoints run on
-// their own shards once the network is partitioned.
-func Dial(cfg Config) (*Sender, *Receiver) {
+// Dial creates a sender at cfg.Local and its matching receiver, the
+// credit source, at cfg.Peer. NewReceiver rebinds its config to the peer
+// host's simulator (the receiver's pacer and epoch timers are
+// receiver-side state), so the two endpoints run on their own shards
+// once the network is partitioned.
+func Dial(cfg transport.DialConfig) (*Sender, *Receiver) {
 	return NewSender(cfg), NewReceiver(cfg)
 }
 

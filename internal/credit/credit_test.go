@@ -42,8 +42,8 @@ func newRig(n, buf int) *rig {
 	return r
 }
 
-func (r *rig) dial(i int, flow netsim.FlowID, opts ...func(*Config)) (*Sender, *Receiver) {
-	cfg := Config{DialConfig: transport.DialConfig{Sim: r.s, Local: r.senders[i], Peer: r.recv, Flow: flow}}
+func (r *rig) dial(i int, flow netsim.FlowID, opts ...func(*transport.DialConfig)) (*Sender, *Receiver) {
+	cfg := transport.DialConfig{Sim: r.s, Local: r.senders[i], Peer: r.recv, Flow: flow}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -53,7 +53,7 @@ func (r *rig) dial(i int, flow netsim.FlowID, opts ...func(*Config)) (*Sender, *
 func TestSingleTransferCompletes(t *testing.T) {
 	r := newRig(1, 256<<10)
 	done := false
-	snd, rcv := r.dial(0, 1, func(c *Config) { c.OnComplete = func() { done = true } })
+	snd, rcv := r.dial(0, 1, func(c *transport.DialConfig) { c.OnComplete = func() { done = true } })
 	r.s.At(0, func() {
 		snd.Open()
 		snd.Send(1 << 20)
@@ -96,7 +96,7 @@ func TestIncastNoDataLoss(t *testing.T) {
 	done := 0
 	for i := 0; i < n; i++ {
 		snd, _ := r.dial(i, netsim.FlowID(i+1),
-			func(c *Config) { c.OnComplete = func() { done++ } })
+			func(c *transport.DialConfig) { c.OnComplete = func() { done++ } })
 		r.s.At(0, func() {
 			snd.Open()
 			snd.Send(64 << 10)
@@ -180,7 +180,7 @@ func TestRecoveryAfterDataLoss(t *testing.T) {
 	r := newRig(1, 256<<10)
 	r.bott.SetLoss(uniformLoss(0.01))
 	done := false
-	snd, _ := r.dial(0, 1, func(c *Config) {
+	snd, _ := r.dial(0, 1, func(c *transport.DialConfig) {
 		c.MinRTO = 10 * sim.Millisecond
 		c.OnComplete = func() { done = true }
 	})
@@ -204,7 +204,7 @@ func TestLostCreditRequestRecovers(t *testing.T) {
 	// it unarmed, and the flow hung forever.
 	r := newRig(1, 256<<10)
 	drains := 0
-	snd, rcv := r.dial(0, 1, func(c *Config) { c.OnDrain = func() { drains++ } })
+	snd, rcv := r.dial(0, 1, func(c *transport.DialConfig) { c.OnDrain = func() { drains++ } })
 	r.s.At(0, func() { snd.Open(); snd.Send(64 << 10) })
 	r.s.RunUntil(100 * sim.Millisecond)
 	if drains != 1 {

@@ -16,7 +16,7 @@ const dataWire = netsim.MSS + netsim.HeaderBytes + netsim.WireOverheadBytes
 // transport.Receiver's; when ACKs leave is decided here.
 type Receiver struct {
 	transport.Receiver
-	cfg Config
+	cfg transport.DialConfig
 
 	crediting bool
 	pacer     sim.Timer
@@ -37,7 +37,7 @@ type Receiver struct {
 // NewReceiver creates (and registers at the peer host) the credit source.
 // The receiver's timers (credit pacer, waste epochs) run on the peer
 // host's simulator, so its config is rebound to it here.
-func NewReceiver(cfg Config) *Receiver {
+func NewReceiver(cfg transport.DialConfig) *Receiver {
 	cfg.FillDefaults()
 	cfg.Sim = cfg.Peer.Sim()
 	r := &Receiver{cfg: cfg, remaining: -1}
@@ -223,19 +223,17 @@ type heldCredit struct {
 	out *netsim.Port
 }
 
-// bucket is one data port's credit pacer. The held credits are
-// queue[head:], oldest first; the bucket is its release timer's target.
+// bucket is one data port's credit pacer. It holds the credits it
+// delays in queue, released oldest first, and is its release timer's
+// target.
 type bucket struct {
 	sh      *Shaper
 	tokens  float64
 	last    sim.Time
 	rate    float64 // credits per second
-	queue   []heldCredit
-	head    int
+	queue   netsim.FIFO[heldCredit]
 	release sim.Timer
 }
-
-func (b *bucket) held() int { return len(b.queue) - b.head }
 
 // RunEvent implements sim.EventTarget.
 func (b *bucket) RunEvent() { b.sh.onRelease(b) }
@@ -278,17 +276,17 @@ func (sh *Shaper) Intercept(pkt *netsim.Packet, out *netsim.Port, sw *netsim.Swi
 	}
 	b := &sh.bkts[dataPort.Index()]
 	sh.refill(b)
-	if b.tokens >= 1 && b.held() == 0 {
+	if b.tokens >= 1 && b.queue.Len() == 0 {
 		b.tokens--
 		return false
 	}
-	if b.held() >= queueCap {
+	if b.queue.Len() >= queueCap {
 		sh.Dropped++
 		out.ReleasePacket(pkt) // credit shaped away
 		return true
 	}
-	//tfcvet:allow poolsafe,hotalloc — deliberate ownership transfer (returning true tells the switch the credit is held; scheduleRelease re-injects it), and the shaper queue is drained by truncation so its backing array amortizes to steady capacity
-	b.queue = append(b.queue, heldCredit{pkt, out})
+	//tfcvet:allow poolsafe — deliberate ownership transfer (returning true tells the switch the credit is held; onRelease re-injects it)
+	b.queue.Push(heldCredit{pkt, out})
 	sh.Queued++
 	sh.scheduleRelease(b)
 	return true
@@ -320,13 +318,12 @@ func (sh *Shaper) scheduleRelease(b *bucket) {
 
 func (sh *Shaper) onRelease(b *bucket) {
 	sh.refill(b)
-	for b.held() > 0 && b.tokens >= 1 {
-		var h heldCredit
-		h, b.queue, b.head = transport.PopHead(b.queue, b.head)
+	for b.queue.Len() > 0 && b.tokens >= 1 {
+		h := b.queue.Pop()
 		b.tokens--
 		h.out.Enqueue(h.pkt)
 	}
-	if b.held() > 0 {
+	if b.queue.Len() > 0 {
 		sh.scheduleRelease(b)
 	}
 }

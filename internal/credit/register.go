@@ -10,7 +10,7 @@ func init() {
 	transport.Register("credit", transport.Factory{
 		Desc: "ExpressPass-style receiver-driven credits with switch credit shaping",
 		Dial: func(c transport.DialConfig) transport.Conn {
-			s, r := Dial(Config{DialConfig: c})
+			s, r := Dial(c)
 			return transport.Conn{Sender: s, Received: r.Received, SRTT: s.SRTT}
 		},
 		Attach: func(a transport.AttachConfig) {

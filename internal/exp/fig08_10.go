@@ -77,11 +77,18 @@ func QueueFairness(cfg QueueFairnessConfig) *QueueFairnessResult {
 	qs := stats.NewSampler(e.Sim, sim.Millisecond, func() float64 {
 		return float64(bott.QueueBytes())
 	})
-	// Per-flow goodput meters.
-	var meters []*stats.GoodputMeter
+	// Per-flow goodput meters: the received-byte counter's growth over
+	// each sampling interval, in bits/s (the paper samples every 20 ms).
+	var meters []*stats.Sampler
 	for _, f := range faucets {
 		recv := f.conn.Received
-		meters = append(meters, stats.NewGoodputMeter(e.Sim, cfg.GoodputSample, recv))
+		var last int64
+		meters = append(meters, stats.NewSampler(e.Sim, cfg.GoodputSample, func() float64 {
+			cur := recv()
+			rate := float64(cur-last) * 8 / cfg.GoodputSample.Seconds()
+			last = cur
+			return rate
+		}))
 	}
 	// Convergence detection for flow index 2 (the paper zooms on flow 3):
 	// poll its rate every 200us after it starts; converged when its

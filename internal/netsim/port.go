@@ -57,12 +57,7 @@ type Port struct {
 	// (SetLoss).
 	loss LossModel
 
-	// The FIFO is a power-of-two ring buffer: O(1) dequeue regardless of
-	// backlog, where a slice-shift FIFO degenerates to O(n²) total work in
-	// exactly the incast pile-ups this simulator exists to study.
-	q      []*Packet
-	qHead  int
-	qLen   int
+	q      FIFO[*Packet]
 	qBytes int
 	busy   bool
 
@@ -98,7 +93,7 @@ func (p *Port) Ordinal() int { return int(p.idx) }
 func (p *Port) QueueBytes() int { return p.qBytes }
 
 // QueueLen returns the number of queued frames.
-func (p *Port) QueueLen() int { return p.qLen }
+func (p *Port) QueueLen() int { return p.q.Len() }
 
 // Busy reports whether the port is currently serializing a frame.
 func (p *Port) Busy() bool { return p.busy }
@@ -132,7 +127,7 @@ func (p *Port) SetUp() {
 	if p.net.Probe != nil {
 		p.net.Probe.Observe(Event{Kind: EvLink, At: p.sim.Now(), Port: p})
 	}
-	if !p.busy && p.qLen > 0 {
+	if !p.busy && p.q.Len() > 0 {
 		p.startTx()
 	}
 }
@@ -177,34 +172,6 @@ func (p *Port) NewPacket() *Packet { return p.sh.newPacket() }
 // it here.
 func (p *Port) ReleasePacket(pkt *Packet) { p.sh.release(pkt) }
 
-func (p *Port) pushQ(pkt *Packet) {
-	if p.qLen == len(p.q) {
-		p.growQ()
-	}
-	p.q[(p.qHead+p.qLen)&(len(p.q)-1)] = pkt
-	p.qLen++
-}
-
-func (p *Port) popQ() *Packet {
-	pkt := p.q[p.qHead]
-	p.q[p.qHead] = nil
-	p.qHead = (p.qHead + 1) & (len(p.q) - 1)
-	p.qLen--
-	return pkt
-}
-
-// growQ doubles the FIFO ring (from 16 slots; the length stays a power of
-// two).
-func (p *Port) growQ() {
-	//tfcvet:allow hotalloc — doubling growth of the FIFO ring, amortized to the port's deepest queue
-	nq := make([]*Packet, max(16, 2*len(p.q)))
-	for i := 0; i < p.qLen; i++ {
-		nq[i] = p.q[(p.qHead+i)&(len(p.q)-1)]
-	}
-	p.q = nq
-	p.qHead = 0
-}
-
 // drop records a dropped packet and returns it to the pool (ownership ends
 // here — nothing downstream will see it again).
 func (p *Port) drop(pkt *Packet) {
@@ -243,7 +210,7 @@ func (p *Port) Enqueue(pkt *Packet) {
 		p.drop(pkt)
 		return
 	}
-	p.pushQ(pkt)
+	p.q.Push(pkt)
 	p.qBytes += fb
 	if p.qBytes > p.MaxQueue {
 		p.MaxQueue = p.qBytes
@@ -309,7 +276,7 @@ func (e *rxEvent) RunEvent() {
 // startTx begins serializing the head-of-line frame; txEv fires when its
 // last bit leaves the port.
 func (p *Port) startTx() {
-	pkt := p.popQ()
+	pkt := p.q.Pop()
 	p.qBytes -= pkt.FrameBytes()
 	p.busy = true
 	if p.net.Probe != nil {
@@ -327,7 +294,7 @@ func (p *Port) finishTx(pkt *Packet) {
 		p.cutTx = false
 		p.busy = false
 		p.drop(pkt)
-		if !p.down && p.qLen > 0 {
+		if !p.down && p.q.Len() > 0 {
 			p.startTx()
 		}
 		return
@@ -351,7 +318,7 @@ func (p *Port) finishTx(pkt *Packet) {
 	} else {
 		p.sim.ScheduleAfterRank(p.Delay, e, p.rank())
 	}
-	if p.qLen > 0 {
+	if p.q.Len() > 0 {
 		p.startTx()
 	} else {
 		p.busy = false

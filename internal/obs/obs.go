@@ -58,9 +58,6 @@ const (
 	// reaching this exponential-backoff stage has been dead for
 	// MinRTO * 2^n and something is wedged.
 	rtoStormBackoff = 8
-	// sampleEvery is the virtual-time cadence of the endpoint's port/flow
-	// snapshot tick (only scheduled when HTTPAddr is set).
-	sampleEvery = sim.Millisecond
 	// livenessSec is the liveness watchdog's wall-clock stall
 	// threshold in seconds (needs HTTPAddr and Watchdogs).
 	livenessSec = 30

@@ -19,7 +19,6 @@ type trialObs struct {
 	run  string
 	key  string
 	t    *telemetry.Trial
-	ctl  *sim.Simulator
 	done atomic.Bool
 
 	// pulse is the simulator's progress mailbox, made before the trial is
@@ -37,7 +36,7 @@ type trialObs struct {
 	flagged  bool
 
 	// snap is the endpoint's latest port/flow snapshot, swapped in whole
-	// by the virtual-time sampling tick.
+	// on the trial's virtual-time sampling tick.
 	snap atomic.Pointer[TrialSnapshot]
 
 	// ports are the instrumented network's switch ports, fixed at
@@ -67,20 +66,15 @@ type PortSnap struct {
 }
 
 // Bound implements telemetry.Consumer: it attaches the progress mailbox
-// to the simulator and, when the endpoint is on, schedules the snapshot
-// tick.
-func (to *trialObs) Bound(s *sim.Simulator) {
-	s.SetPulse(to.pulse)
-	to.ctl = s
-	if to.o.opts.HTTPAddr == "" {
-		return
+// to the simulator.
+func (to *trialObs) Bound(s *sim.Simulator) { s.SetPulse(to.pulse) }
+
+// Sample implements telemetry.Consumer: with the endpoint on, it takes
+// the snapshot the endpoint serves.
+func (to *trialObs) Sample(now sim.Time) {
+	if to.o.opts.HTTPAddr != "" {
+		to.takeSnapshot(now)
 	}
-	var tick func()
-	tick = func() {
-		to.takeSnapshot()
-		s.After(sampleEvery, tick)
-	}
-	s.After(sampleEvery, tick)
 }
 
 // Instrumented implements telemetry.Consumer: it captures the trial's
@@ -107,10 +101,10 @@ func (to *trialObs) Flush(now sim.Time) {
 }
 
 // takeSnapshot samples port queues and the trial's open-flow count into
-// the endpoint's atomic snapshot slot. It runs as a simulator event, so
-// these reads do not race the engine.
-func (to *trialObs) takeSnapshot() {
-	s := &TrialSnapshot{VirtualNs: int64(to.ctl.Now()), ActiveFlows: to.t.OpenFlows()}
+// the endpoint's atomic snapshot slot. It runs inside a simulator event,
+// so these reads do not race the engine.
+func (to *trialObs) takeSnapshot(now sim.Time) {
+	s := &TrialSnapshot{VirtualNs: int64(now), ActiveFlows: to.t.OpenFlows()}
 	s.Ports = make([]PortSnap, 0, len(to.ports))
 	for _, p := range to.ports {
 		s.Ports = append(s.Ports, PortSnap{

@@ -189,36 +189,6 @@ func NewSampler(s *sim.Simulator, interval sim.Time, fn func() float64) *Sampler
 // Stop ends sampling.
 func (sp *Sampler) Stop() { sp.stop = true }
 
-// GoodputMeter converts a monotonically increasing byte counter into a
-// goodput time series (bits/s per interval), the way the paper samples
-// per-flow goodput every 20 ms.
-type GoodputMeter struct {
-	Series TimeSeries
-	last   int64
-	stop   bool
-}
-
-// NewGoodputMeter samples bytes() every interval and records the rate.
-func NewGoodputMeter(s *sim.Simulator, interval sim.Time, bytes func() int64) *GoodputMeter {
-	m := &GoodputMeter{}
-	var tick func()
-	tick = func() {
-		if m.stop {
-			return
-		}
-		cur := bytes()
-		rate := float64(cur-m.last) * 8 / interval.Seconds()
-		m.last = cur
-		m.Series.Add(s.Now(), rate)
-		s.After(interval, tick)
-	}
-	s.After(interval, tick)
-	return m
-}
-
-// Stop ends metering.
-func (m *GoodputMeter) Stop() { m.stop = true }
-
 // Table is a simple aligned text table for experiment output.
 type Table struct {
 	Title  string

@@ -136,29 +136,6 @@ func TestTimeSeriesAfter(t *testing.T) {
 	}
 }
 
-func TestGoodputMeter(t *testing.T) {
-	s := sim.New(1)
-	bytes := int64(0)
-	// Simulate a steady 1 MB/ms producer.
-	var feed func()
-	feed = func() {
-		bytes += 1 << 20
-		s.After(sim.Millisecond, feed)
-	}
-	s.At(0, feed)
-	m := NewGoodputMeter(s, 10*sim.Millisecond, func() int64 { return bytes })
-	s.RunUntil(100 * sim.Millisecond)
-	m.Stop()
-	if m.Series.N() < 9 {
-		t.Fatalf("only %d samples", m.Series.N())
-	}
-	// ~1MB/ms = 8.39 Gbps.
-	got := m.Series.V[5]
-	if got < 8e9 || got > 9e9 {
-		t.Fatalf("rate = %v, want ~8.4e9", got)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := Table{Title: "T", Header: []string{"a", "bbbb"}}
 	tb.AddRow("xxx", "1")

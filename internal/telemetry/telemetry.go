@@ -112,14 +112,19 @@ func (c *Collector) sorted() []*Trial {
 }
 
 // Consumer is a peer of the trial's own metrics and trace spans: the
-// trial hands it every record it observes, plus three lifecycle calls.
-// Observe is held to the netsim.Probe contract (read-only, no scheduling,
-// no Rand, on the trial's simulator goroutine); the lifecycle calls run
-// in set-up or export context on the trial's own goroutine.
+// trial hands it every record it observes, every gauge sampling instant,
+// plus three lifecycle calls. Observe and Sample are held to the
+// netsim.Probe contract (read-only, no scheduling, no Rand, on the
+// trial's simulator goroutine); the lifecycle calls run in set-up or
+// export context on the trial's own goroutine. A consumer schedules
+// nothing, so it adds no event to the trial.
 type Consumer interface {
 	netsim.Probe
+	// Sample fires on the trial's gauge sampling tick (every sampleEvery
+	// of virtual time), right after the trial's own gauges are sampled.
+	Sample(now sim.Time)
 	// Bound fires from Bind with the trial's simulator, before any event
-	// runs: the one place a consumer may schedule.
+	// runs.
 	Bound(s *sim.Simulator)
 	// Instrumented fires from InstrumentNetwork once the tap is attached.
 	Instrumented(n *netsim.Network)
@@ -192,8 +197,9 @@ func newTrial(key string, opts Options) *Trial {
 }
 
 // Bind attaches the trial to its simulator and starts the virtual-time
-// gauge sampling cadence. One trial binds exactly one simulator; a
-// second Bind panics (it would mean two trials share a sink). Nil-safe.
+// gauge sampling cadence, which also drives the consumer's Sample. One
+// trial binds exactly one simulator; a second Bind panics (it would mean
+// two trials share a sink). Nil-safe.
 func (t *Trial) Bind(s *sim.Simulator) {
 	if t == nil || s == nil {
 		return
@@ -204,7 +210,11 @@ func (t *Trial) Bind(s *sim.Simulator) {
 	t.sim = s
 	var tick func()
 	tick = func() {
-		t.reg.sample(s.Now())
+		now := s.Now()
+		t.reg.sample(now)
+		if t.consumer != nil {
+			t.consumer.Sample(now)
+		}
 		s.After(sampleEvery, tick)
 	}
 	s.After(sampleEvery, tick)

@@ -7,33 +7,39 @@ import (
 )
 
 // FuzzReassembly drives the reassembly buffer with an arbitrary byte
-// script (pairs of start/len nibbles) and checks its invariants: next is
-// monotone, bounded by the max byte written, and buffered bytes are
-// finite and beyond next.
+// script (pairs of start/len nibbles) and checks every step against a
+// per-byte reference: next is the first byte never received, and the
+// buffered count is the received bytes beyond it.
 func FuzzReassembly(f *testing.F) {
 	f.Add([]byte{0, 10, 10, 10, 5, 20})
 	f.Add([]byte{100, 50, 0, 100, 150, 1})
+	f.Add([]byte{9, 30, 6, 30, 3, 30, 1, 40, 0, 37})
+	f.Add([]byte{48, 48, 48, 48}) // a duplicate beyond next
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		var r Reassembly
-		var maxEnd, prev int64
+		var recv [256*37 + 256]bool // every byte a script can write
 		for i := 0; i+1 < len(script); i += 2 {
 			start := int64(script[i]) * 37 // spread offsets
 			n := int(script[i+1])
-			if end := start + int64(n); end > maxEnd {
-				maxEnd = end
+			for b := start; b < start+int64(n); b++ {
+				recv[b] = true
 			}
-			got := r.Add(start, n)
-			if got < prev {
-				t.Fatalf("next went backwards: %d -> %d", prev, got)
+			next := r.Add(start, n)
+			want := int64(0)
+			for recv[want] {
+				want++
 			}
-			if got > maxEnd {
-				t.Fatalf("next %d beyond max written byte %d", got, maxEnd)
+			var wantBuf int64
+			for _, got := range recv[want:] {
+				if got {
+					wantBuf++
+				}
 			}
-			if b := r.Buffered(); b < 0 || b > maxEnd {
-				t.Fatalf("buffered %d out of range", b)
+			if next != want || r.Buffered() != wantBuf {
+				t.Fatalf("after [%d,+%d): next %d, buffered %d; want %d, %d",
+					start, n, next, r.Buffered(), want, wantBuf)
 			}
-			prev = got
 		}
 	})
 }

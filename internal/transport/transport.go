@@ -150,11 +150,13 @@ func (r *Reassembly) Add(start int64, n int) int64 {
 	if start < r.next {
 		start = r.next
 	}
-	// Insert/merge [start, end) into segs. The first candidate is found by
-	// a linear scan: the list holds one entry per hole, a handful at most.
-	i := 0
-	for i < len(r.segs) && r.segs[i].end < start {
-		i++
+	// Insert/merge [start, end) into segs at i, the first entry that ends
+	// at or after start. Ends ascend, so a scan from the back finds it in
+	// one step for the common arrival: behind a drop-tail queue a receiver
+	// holds hundreds of holes, and new data extends the last one.
+	i := len(r.segs)
+	for i > 0 && r.segs[i-1].end >= start {
+		i--
 	}
 	merged := seg{start, end}
 	j := i
@@ -292,23 +294,3 @@ func (t *LazyTimer) Stop() { t.armed = false }
 
 // Armed reports whether a deadline is pending.
 func (t *LazyTimer) Armed() bool { return t.armed }
-
-// PopHead pops the oldest element of a FIFO kept as a slice plus a head
-// index — the live elements are q[head:], a push is a plain append — and
-// returns the updated pair. It slides the remainder down once the popped
-// prefix is at least half the slice, so a pop is O(1) amortized however
-// long the queue stays non-empty, and a drained queue resets to empty. The
-// switch-side hold queues (TFC's delayed ACKs, the credit shaper's
-// credits) pop through it.
-func PopHead[T any](q []T, head int) (T, []T, int) {
-	var zero T
-	v := q[head]
-	q[head] = zero
-	head++
-	if 2*head >= len(q) {
-		n := copy(q, q[head:])
-		clear(q[n:])
-		q, head = q[:n], 0
-	}
-	return v, q, head
-}

@@ -234,43 +234,3 @@ func TestRTOTimerArmShorter(t *testing.T) {
 		t.Fatalf("fired at %v, want 6ms (shortened deadline)", firedAt)
 	}
 }
-
-// TestPopHead drives the slice-plus-head FIFO against a plain reference
-// queue through refills that keep it non-empty for long stretches: order
-// is kept, the drained queue is empty, and the slice stays within twice
-// the live elements plus the one pop that triggers a slide.
-func TestPopHead(t *testing.T) {
-	var q, ref []int
-	head, next := 0, 0
-	push := func(n int) {
-		for i := 0; i < n; i++ {
-			q, ref = append(q, next), append(ref, next)
-			next++
-		}
-	}
-	pop := func(n int) {
-		for i := 0; i < n; i++ {
-			var v int
-			v, q, head = PopHead(q, head)
-			if v != ref[0] {
-				t.Fatalf("popped %d, want %d", v, ref[0])
-			}
-			ref = ref[1:]
-			if live := len(q) - head; live != len(ref) {
-				t.Fatalf("%d live elements, want %d", live, len(ref))
-			}
-			if len(q) > 2*len(ref)+1 {
-				t.Fatalf("slice of %d holds %d live elements", len(q), len(ref))
-			}
-		}
-	}
-	push(5)
-	for round := 0; round < 50; round++ {
-		pop(3)
-		push(3 + round%2)
-	}
-	pop(len(ref))
-	if len(q) != 0 || head != 0 {
-		t.Fatalf("drained queue has len %d, head %d", len(q), head)
-	}
-}

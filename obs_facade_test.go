@@ -39,24 +39,34 @@ func TestObservatoryResultsNeutral(t *testing.T) {
 		return res
 	}
 	plain := run(nil)
-	o := NewObservatory(ObsOptions{SpanEvery: 2, SpanSeed: 7, Watchdogs: true, FlightDir: "-"})
-	observed := run(o)
-	if plain.Text != observed.Text {
-		t.Error("experiment output changed when the observatory was attached")
-	}
-	if plain.Events != observed.Events {
-		t.Errorf("observatory changed the event count: %d -> %d", plain.Events, observed.Events)
-	}
-	if len(plain.Trials) != len(observed.Trials) {
-		t.Fatalf("observatory changed the trial count: %d -> %d", len(plain.Trials), len(observed.Trials))
-	}
-	for i, m := range plain.Trials {
-		if got := observed.Trials[i]; got.Index != m.Index || got.Events != m.Events {
-			t.Errorf("trial %d: %d events -> trial %d: %d events", m.Index, m.Events, got.Index, got.Events)
+	for _, opts := range []ObsOptions{
+		{SpanEvery: 2, SpanSeed: 7, Watchdogs: true, FlightDir: "-"},
+		// The live endpoint snapshots on the trial's own sampling tick.
+		{HTTPAddr: "127.0.0.1:0", Watchdogs: true, FlightDir: "-"},
+	} {
+		o := NewObservatory(opts)
+		if err := o.Start(); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if o.Violations() != 0 {
-		t.Errorf("healthy run tripped %d watchdog violation(s)", o.Violations())
+		observed := run(o)
+		o.Stop()
+		if plain.Text != observed.Text {
+			t.Errorf("%+v: experiment output changed when the observatory was attached", opts)
+		}
+		if plain.Events != observed.Events {
+			t.Errorf("%+v: observatory changed the event count: %d -> %d", opts, plain.Events, observed.Events)
+		}
+		if len(plain.Trials) != len(observed.Trials) {
+			t.Fatalf("%+v: observatory changed the trial count: %d -> %d", opts, len(plain.Trials), len(observed.Trials))
+		}
+		for i, m := range plain.Trials {
+			if got := observed.Trials[i]; got.Index != m.Index || got.Events != m.Events {
+				t.Errorf("%+v: trial %d: %d events -> trial %d: %d events", opts, m.Index, m.Events, got.Index, got.Events)
+			}
+		}
+		if o.Violations() != 0 {
+			t.Errorf("%+v: healthy run tripped %d watchdog violation(s)", opts, o.Violations())
+		}
 	}
 }
 
