@@ -62,11 +62,6 @@ type SlotInfo struct {
 	W    float64  // window assigned for the next slot (bytes)
 }
 
-type heldAck struct {
-	pkt *netsim.Packet
-	out *netsim.Port
-}
-
 // PortState is TFC's per-output-port state: token computation, effective
 // flow counting, delimiter tracking, and the ACK delay arbiter. It is the
 // netsim.PortHook for its port.
@@ -96,12 +91,9 @@ type PortState struct {
 	missK     int
 	dTimer    sim.Timer
 
-	// Delay arbiter (token bucket over the data direction of this port);
-	// delayQ holds the ACKs it delays, released oldest first.
-	counter    float64
-	lastRefill sim.Time
-	delayQ     netsim.FIFO[heldAck]
-	release    sim.Timer
+	// arb is the delay arbiter: a token bucket over the data direction of
+	// this port, holding the ACKs it delays.
+	arb netsim.Pacer
 
 	// Statistics.
 	Slots       int64
@@ -118,6 +110,8 @@ func newPortState(s *sim.Simulator, p *netsim.Port, cfg *SwitchConfig) *PortStat
 	}
 	st.t = st.bps * st.rttb.Seconds() * cfg.Rho0
 	st.w = st.t
+	mss := st.wireCost(float64(netsim.MSS))
+	st.arb.Init(s, st.bps*cfg.Rho0, mss, mss, 0, st.grant)
 	return st
 }
 
@@ -350,18 +344,12 @@ func (st *PortState) armDelimTimer(rttLast sim.Time) {
 	st.dTimer = st.s.ScheduleAfter(rttLast<<shift, (*delimMissEvent)(st))
 }
 
-// delimMissEvent and releaseEvent are the port state itself as the target
-// of its two timers, so arming either allocates nothing.
-type (
-	delimMissEvent PortState
-	releaseEvent   PortState
-)
+// delimMissEvent is the port state itself as the target of its delimiter
+// timer, so arming it allocates nothing.
+type delimMissEvent PortState
 
 // RunEvent implements sim.EventTarget.
 func (e *delimMissEvent) RunEvent() { (*PortState)(e).onDelimMiss() }
-
-// RunEvent implements sim.EventTarget.
-func (e *releaseEvent) RunEvent() { (*PortState)(e).onRelease() }
 
 func (st *PortState) onDelimMiss() {
 	if st.missK < maxMissK {
@@ -376,103 +364,57 @@ func (st *PortState) dropDelimiter() {
 }
 
 // --- ACK delay arbiter (paper §4.6, Event 2) ---
-
-// paceBps is the arbiter's refill rate: rho0 of the line rate. Refilling
-// at the full line rate would admit exactly as fast as the port drains,
-// so a queue formed by any transient burst would persist forever; the
-// rho0 margin drains it, mirroring how the token value targets rho0.
-func (st *PortState) paceBps() float64 { return st.bps * st.cfg.Rho0 }
-
-func (st *PortState) refill() {
-	now := st.s.Now()
-	st.counter += st.paceBps() * (now - st.lastRefill).Seconds()
-	if cap := st.wireCost(float64(netsim.MSS)); st.counter > cap {
-		st.counter = cap
-	}
-	st.lastRefill = now
-}
-
-func (st *PortState) floorCounter() {
-	floor := -st.t
-	if f2 := -4 * float64(netsim.MSS); f2 < floor {
-		floor = f2
-	}
-	if st.counter < floor {
-		st.counter = floor
-	}
-}
+//
+// The arbiter refills at rho0 of the line rate. Refilling at the full line
+// rate would admit exactly as fast as the port drains, so a queue formed by
+// any transient burst would persist forever; the rho0 margin drains it,
+// mirroring how the token value targets rho0. A release costs one MSS of
+// wire bytes, and the bucket holds at most one.
 
 // wireCost converts a window of payload bytes to the wire bytes its
-// packets will occupy (headers + preamble/IFG); the counter refills at
-// line rate in wire bytes, so admissions must be charged likewise or the
-// arbiter over-admits by the header overhead ratio (~5%) and the queue
-// creeps until it overflows.
+// packets will occupy (headers + preamble/IFG); the arbiter refills at
+// line rate in wire bytes, so admissions must be charged likewise or it
+// over-admits by the header overhead ratio (~5%) and the queue creeps
+// until it overflows.
 func (st *PortState) wireCost(payload float64) float64 {
 	per := float64(netsim.MSS + netsim.HeaderBytes + netsim.WireOverheadBytes)
 	return payload * per / float64(netsim.MSS)
 }
 
 // handleRMA implements Event 2 for an RMA ACK whose data direction flows
-// through this port. It returns true if the ACK was queued for delayed
-// release (ownership taken).
+// through this port. It returns true if the arbiter took the ACK for
+// delayed release.
 func (st *PortState) handleRMA(pkt *netsim.Packet, out *netsim.Port) bool {
-	st.refill()
-	mss := st.wireCost(float64(netsim.MSS))
 	if pkt.Window >= int64(netsim.MSS) {
-		// Large windows pass immediately, consuming their share.
-		st.counter -= st.wireCost(float64(pkt.Window))
-		st.floorCounter()
+		// Large windows pass immediately, consuming their share down to
+		// a floor of -max(T, 4 MSS).
+		st.arb.Charge(st.wireCost(float64(pkt.Window)))
+		if floor := -max(st.t, 4*float64(netsim.MSS)); st.arb.Tokens < floor {
+			st.arb.Tokens = floor
+		}
 		return false
 	}
-	if st.DelayQueueLen() == 0 && st.counter >= mss {
+	if st.arb.Take() {
 		pkt.Window = int64(netsim.MSS)
-		st.counter -= mss
 		return false
 	}
-	//tfcvet:allow poolsafe — deliberate ownership transfer (returning true tells the switch the ACK is held; onRelease re-injects it)
-	st.delayQ.Push(heldAck{pkt, out})
+	st.arb.Hold(pkt, out)
 	st.DelayedAcks++
 	if pr := st.port.Network().Probe; pr != nil {
 		pr.Observe(netsim.Event{Kind: netsim.EvHold, At: st.s.Now(), Port: st.port,
-			Flow: pkt.Flow, A: int64(st.DelayQueueLen())})
+			Flow: pkt.Flow, A: int64(st.arb.Len())})
 	}
-	st.scheduleRelease()
 	return true
 }
 
-func (st *PortState) scheduleRelease() {
-	if st.release.Active() {
-		return
-	}
-	mss := st.wireCost(float64(netsim.MSS))
-	need := mss - st.counter
-	d := sim.Time(need / st.paceBps() * float64(sim.Second))
-	if d < 1 {
-		d = 1
-	}
-	st.release = st.s.ScheduleAfter(d, (*releaseEvent)(st))
-}
-
-func (st *PortState) onRelease() {
-	st.refill()
-	mss := st.wireCost(float64(netsim.MSS))
-	for st.DelayQueueLen() > 0 && st.counter >= mss {
-		h := st.delayQ.Pop()
-		h.pkt.Window = int64(netsim.MSS)
-		st.counter -= mss
-		if pr := st.port.Network().Probe; pr != nil {
-			pr.Observe(netsim.Event{Kind: netsim.EvGrant, At: st.s.Now(), Port: st.port,
-				Flow: h.pkt.Flow, A: int64(st.DelayQueueLen())})
-		}
-		h.out.Enqueue(h.pkt)
-	}
-	if st.DelayQueueLen() > 0 {
-		st.scheduleRelease()
+// grant is the arbiter's release hook: a held ACK leaves carrying one MSS.
+func (st *PortState) grant(pkt *netsim.Packet) {
+	pkt.Window = int64(netsim.MSS)
+	if pr := st.port.Network().Probe; pr != nil {
+		pr.Observe(netsim.Event{Kind: netsim.EvGrant, At: st.s.Now(), Port: st.port,
+			Flow: pkt.Flow, A: int64(st.arb.Len())})
 	}
 }
-
-// DelayQueueLen returns the number of ACKs currently held by the arbiter.
-func (st *PortState) DelayQueueLen() int { return st.delayQ.Len() }
 
 // SwitchState binds TFC port state to every port of one switch and
 // implements the netsim.Interceptor that routes RMA ACKs through the delay
@@ -494,7 +436,6 @@ func Attach(sw *netsim.Switch, cfg SwitchConfig) *SwitchState {
 	ss := &SwitchState{cfg: cfg, sw: sw, states: make([]*PortState, len(sw.Ports()))}
 	for i, p := range sw.Ports() {
 		st := newPortState(s, p, &ss.cfg)
-		st.lastRefill = s.Now()
 		p.Hook = st
 		ss.states[i] = st
 	}

@@ -176,7 +176,6 @@ func TestUnitWeightedStamp(t *testing.T) {
 func TestUnitHandleRMALargeWindowPasses(t *testing.T) {
 	s := sim.New(1)
 	st, p := mkPort(s, SwitchConfig{})
-	st.lastRefill = s.Now()
 	ack := &netsim.Packet{
 		Flow: 1, Flags: netsim.FlagACK | netsim.FlagRMA, Window: 10000,
 	}
@@ -186,13 +185,23 @@ func TestUnitHandleRMALargeWindowPasses(t *testing.T) {
 	if ack.Window != 10000 {
 		t.Fatal("large-window RMA must not be modified")
 	}
+	// A window far beyond the bucket charges it down to -max(T, 4 MSS)
+	// and no further.
+	huge := &netsim.Packet{Flow: 1, Flags: netsim.FlagACK | netsim.FlagRMA, Window: 1 << 30}
+	if st.handleRMA(huge, p) {
+		t.Fatal("large-window RMA must pass immediately")
+	}
+	if want := -max(st.t, 4*float64(netsim.MSS)); st.arb.Tokens != want {
+		t.Fatalf("arbiter tokens %v after a huge window, want the floor %v", st.arb.Tokens, want)
+	}
 }
 
 func TestUnitHandleRMASubMSSDelayedAndBumped(t *testing.T) {
 	s := sim.New(1)
 	st, _ := mkPort(s, SwitchConfig{})
-	st.lastRefill = s.Now()
-	st.counter = 0 // no tokens: must be queued
+	if st.arb.Tokens != 0 {
+		t.Fatalf("arbiter starts with %v tokens, want 0", st.arb.Tokens) // no tokens: must be queued
+	}
 	// Use a throwaway destination port for release.
 	net2 := netsim.NewNetwork(s)
 	x := net2.NewHost("x")
@@ -209,12 +218,12 @@ func TestUnitHandleRMASubMSSDelayedAndBumped(t *testing.T) {
 	if !st.handleRMA(ack, out) {
 		t.Fatal("sub-MSS RMA with empty bucket must be held")
 	}
-	if st.DelayQueueLen() != 1 {
-		t.Fatalf("delay queue = %d", st.DelayQueueLen())
+	if st.arb.Len() != 1 {
+		t.Fatalf("delay queue = %d", st.arb.Len())
 	}
 	// After ~one grant interval it must be released, bumped to one MSS.
 	s.RunUntil(50 * sim.Microsecond)
-	if st.DelayQueueLen() != 0 {
+	if st.arb.Len() != 0 {
 		t.Fatal("held RMA never released")
 	}
 	if got.Window != int64(netsim.MSS) {

@@ -210,33 +210,10 @@ func (r *Receiver) sendAck() {
 // (dropping 64-byte credits is the scheme's safety valve; the drop is the
 // senders' waste-feedback signal).
 type Shaper struct {
-	s    *sim.Simulator
-	bkts []bucket // by Port.Index() of the switch's ports at attach
+	pacers []netsim.Pacer // by Port.Index() of the switch's ports at attach
 	// Dropped counts shaped-away credits.
 	Dropped int64
-	// Queued counts credits that waited in a credit queue.
-	Queued int64
 }
-
-type heldCredit struct {
-	pkt *netsim.Packet
-	out *netsim.Port
-}
-
-// bucket is one data port's credit pacer. It holds the credits it
-// delays in queue, released oldest first, and is its release timer's
-// target.
-type bucket struct {
-	sh      *Shaper
-	tokens  float64
-	last    sim.Time
-	rate    float64 // credits per second
-	queue   netsim.FIFO[heldCredit]
-	release sim.Timer
-}
-
-// RunEvent implements sim.EventTarget.
-func (b *bucket) RunEvent() { b.sh.onRelease(b) }
 
 // The shaper's fixed constants.
 const (
@@ -247,83 +224,39 @@ const (
 	queueCap = 16
 )
 
-// AttachShaper installs credit shaping on a switch (one bucket per data
-// port, fed at shaperRho0 of the port's data-carrying capacity), running
-// on the switch's own simulator.
+// AttachShaper installs credit shaping on a switch, running on the
+// switch's own simulator: one pacer per data port, fed at shaperRho0 of
+// the port's data-carrying capacity in credits (one per dataWire bytes),
+// starting with one credit and holding at most two.
 func AttachShaper(sw *netsim.Switch) *Shaper {
-	sh := &Shaper{s: sw.Sim(), bkts: make([]bucket, len(sw.Ports()))}
+	sh := &Shaper{pacers: make([]netsim.Pacer, len(sw.Ports()))}
 	for i, p := range sw.Ports() {
-		sh.bkts[i] = bucket{
-			sh:     sh,
-			tokens: 1,
-			rate:   shaperRho0 * p.Rate.BytesPerSecond() / dataWire,
-		}
+		sh.pacers[i].Init(sw.Sim(), shaperRho0*p.Rate.BytesPerSecond()/dataWire, 1, 2, 1, nil)
 	}
 	sw.Interceptor = sh
 	return sh
 }
 
 // Intercept implements netsim.Interceptor: paced credits consult the
-// bucket of the port their data will traverse.
+// pacer of the port their data will traverse.
 func (sh *Shaper) Intercept(pkt *netsim.Packet, out *netsim.Port, sw *netsim.Switch) bool {
 	const crd = netsim.FlagCRD | netsim.FlagACK
 	if pkt.Flags&crd != crd {
 		return false
 	}
 	dataPort := sw.PortFor(pkt.Flow, pkt.Src)
-	if dataPort == nil || dataPort.Index() >= len(sh.bkts) {
+	if dataPort == nil || dataPort.Index() >= len(sh.pacers) {
 		return false
 	}
-	b := &sh.bkts[dataPort.Index()]
-	sh.refill(b)
-	if b.tokens >= 1 && b.queue.Len() == 0 {
-		b.tokens--
+	pc := &sh.pacers[dataPort.Index()]
+	if pc.Take() {
 		return false
 	}
-	if b.queue.Len() >= queueCap {
+	if pc.Len() >= queueCap {
 		sh.Dropped++
 		out.ReleasePacket(pkt) // credit shaped away
 		return true
 	}
-	//tfcvet:allow poolsafe — deliberate ownership transfer (returning true tells the switch the credit is held; onRelease re-injects it)
-	b.queue.Push(heldCredit{pkt, out})
-	sh.Queued++
-	sh.scheduleRelease(b)
+	pc.Hold(pkt, out)
 	return true
-}
-
-func (sh *Shaper) refill(b *bucket) {
-	now := sh.s.Now()
-	b.tokens += b.rate * (now - b.last).Seconds()
-	b.last = now
-	if b.tokens > 2 {
-		b.tokens = 2
-	}
-}
-
-func (sh *Shaper) scheduleRelease(b *bucket) {
-	if b.release.Active() {
-		return
-	}
-	need := 1 - b.tokens
-	if need < 0 {
-		need = 0
-	}
-	d := sim.Time(need / b.rate * float64(sim.Second))
-	if d < 1 {
-		d = 1
-	}
-	b.release = sh.s.ScheduleAfter(d, b)
-}
-
-func (sh *Shaper) onRelease(b *bucket) {
-	sh.refill(b)
-	for b.queue.Len() > 0 && b.tokens >= 1 {
-		h := b.queue.Pop()
-		b.tokens--
-		h.out.Enqueue(h.pkt)
-	}
-	if b.queue.Len() > 0 {
-		sh.scheduleRelease(b)
-	}
 }
