@@ -72,8 +72,6 @@ type TopoConfig struct {
 	// Switch config for TFC (ablations, rho0, callbacks), handed to the
 	// transport's Attach as its Knobs; only TFC reads it.
 	TFC core.SwitchConfig
-	// MinRTO for senders (default 200ms).
-	MinRTO sim.Time
 	// Telemetry, when non-nil, is this trial's telemetry sink. The builder
 	// binds it to the simulator and instruments the forwarding path, the
 	// protocol attachments, and every sender the Dialer creates. Nil (the
@@ -96,8 +94,7 @@ func newEnv(cfg *TopoConfig) *Env {
 		Sim: s,
 		Net: netsim.NewNetwork(s),
 		Dialer: &workload.Dialer{
-			Sim: s, Proto: cfg.Proto, MinRTO: cfg.MinRTO,
-			Probe: cfg.Telemetry.DialProbe,
+			Sim: s, Proto: cfg.Proto, Probe: cfg.Telemetry.DialProbe,
 		},
 	}
 }

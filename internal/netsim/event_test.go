@@ -68,8 +68,8 @@ func sendOne(s *sim.Simulator, from, to *netsim.Host, flow netsim.FlowID) {
 // blackout of the bottleneck, under probe (nil: unobserved), and returns
 // everything the run's outcome consists of.
 func starDigest(proto exp.Proto, senders int, blackout bool, probe netsim.Probe) string {
-	e, hosts, recv, bott := exp.Star(exp.TopoConfig{Proto: proto, Seed: 3, MinRTO: sim.Millisecond},
-		senders, netsim.Gbps, 64<<10)
+	e, hosts, recv, bott := exp.Star(exp.TopoConfig{Proto: proto, Seed: 3}, senders, netsim.Gbps, 64<<10)
+	e.Dialer.MinRTO = sim.Millisecond
 	bott.SetLoss(netsim.UniformLoss(0.01))
 	if probe != nil {
 		e.Net.Probe = probe

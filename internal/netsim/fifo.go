@@ -8,8 +8,8 @@ package netsim
 // Pop zeroes the slot it frees, so a drained queue pins no pooled packet.
 // The zero value is an empty queue.
 //
-// It holds a port's packets, TFC's held RMA ACKs, BFC's predicted drains
-// and the credit shaper's held credits.
+// It holds a port's packets, BFC's predicted drains and a Pacer's held
+// packets (TFC's delayed RMA ACKs, the credit shaper's held credits).
 type FIFO[T any] struct {
 	ring []T
 	head int

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"tfcsim/internal/core"
 	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
 	"tfcsim/internal/tcp"
@@ -38,8 +39,8 @@ func TestDialProbeCoversRegisteredTransport(t *testing.T) {
 	if p := tr.DialProbe(name); p == nil {
 		t.Fatalf("DialProbe(%q) = nil for a registered transport", name)
 	}
-	if p := tr.DialProbe("tfc"); p != nil {
-		t.Fatalf("DialProbe(tfc) = %v, want nil interface", p)
+	if p := tr.DialProbe("tfc"); p == nil {
+		t.Fatal("DialProbe(tfc) = nil: TFC's sender must be probed like any other")
 	}
 	if p := tr.DialProbe("no-such-transport"); p != nil {
 		t.Fatalf("DialProbe(unregistered) = %v, want nil interface", p)
@@ -86,5 +87,43 @@ func TestDialProbeCoversRegisteredTransport(t *testing.T) {
 	}
 	if cwnd <= 0 {
 		t.Errorf("flow.cwnd histogram count = %d, want window samples", cwnd)
+	}
+}
+
+// A TFC sender whose path blacks out for longer than its minimum RTO
+// times out, and the trial books it: TFC's sender is probed like any
+// other transport's.
+func TestDialProbeBooksTFCTimeouts(t *testing.T) {
+	tr := NewCollector(Options{}).Trial("k")
+	s := sim.New(1)
+	tr.Bind(s)
+	net := netsim.NewNetwork(s)
+	a, b := net.NewHost("a"), net.NewHost("b")
+	sw := net.NewSwitch("sw")
+	net.Connect(a, sw, netsim.LinkConfig{Rate: netsim.Gbps, Delay: 5 * sim.Microsecond})
+	net.Connect(sw, b, netsim.LinkConfig{Rate: netsim.Gbps, Delay: 5 * sim.Microsecond})
+	net.ComputeRoutes()
+	core.Attach(sw, core.SwitchConfig{})
+	InstrumentNetwork(tr, net)
+
+	d := &workload.Dialer{Sim: s, Proto: "tfc", MinRTO: sim.Millisecond, Probe: tr.DialProbe}
+	conn := d.Dial(a, b, nil, nil)
+	conn.Sender.Open()
+	conn.Sender.Send(256 << 10)
+	bott := sw.PortTo(b.ID())
+	s.At(200*sim.Microsecond, bott.SetDown)
+	s.At(5*sim.Millisecond, bott.SetUp)
+	s.RunUntil(100 * sim.Millisecond)
+	if conn.Received() != 256<<10 {
+		t.Fatalf("received %d bytes, want %d", conn.Received(), 256<<10)
+	}
+	if n := conn.Sender.Stats().Timeouts; n == 0 {
+		t.Fatal("the blackout caused no timeout: the test exercises nothing")
+	}
+	if got, want := tr.Counter("tcp.rto").Value(), conn.Sender.Stats().Timeouts; got != want {
+		t.Fatalf("tcp.rto = %d, want the sender's %d timeouts", got, want)
+	}
+	if tr.Counter("tcp.rtx_bytes").Value() == 0 {
+		t.Fatal("no retransmitted bytes booked")
 	}
 }

@@ -167,9 +167,8 @@ type Trial struct {
 	consumer Consumer
 
 	flowLabels map[flowLabelKey]string
-	// ports, labels and qdepth are indexed by Port.Ordinal(). ports and
-	// labels are filled once by InstrumentNetwork and read-only afterwards.
-	ports  []*netsim.Port
+	// labels and qdepth are indexed by Port.Ordinal(). labels are filled
+	// once by InstrumentNetwork and read-only afterwards.
 	labels []string
 	qdepth []*Hist
 	// open holds every span that has begun and not yet ended; flows counts

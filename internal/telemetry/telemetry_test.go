@@ -211,8 +211,9 @@ func faultPort(tr *Trial) *netsim.Port {
 }
 
 // TestFaultTransitionsPairWindows feeds a link-down/link-up pair through
-// Observe: it becomes one fault-track span covering the blackout (beside
-// the links-track one), and each transition counts once.
+// Observe: it becomes one span on the faults track, named by the port's
+// unique label and covering the blackout, and each transition counts
+// once.
 func TestFaultTransitionsPairWindows(t *testing.T) {
 	tr := NewCollector(Options{}).Trial("a")
 	tr.Bind(sim.New(1))
@@ -220,28 +221,55 @@ func TestFaultTransitionsPairWindows(t *testing.T) {
 	tr.Observe(netsim.Event{Kind: netsim.EvLink, At: 10, Port: p, A: 1})
 	tr.Observe(netsim.Event{Kind: netsim.EvLink, At: 40, Port: p})
 	tr.Flush()
-	var span *event
-	links := 0
+	var spans []event
 	for _, e := range tr.rec.events() {
-		if e.ph == 'X' && e.cat == "fault" && span == nil {
-			span = &e
-		}
-		if e.ph == 'X' && e.cat == "net" && e.track == "links" {
-			links++
+		if e.ph == 'X' {
+			spans = append(spans, e)
 		}
 	}
-	if span == nil {
-		t.Fatal("no fault span recorded")
+	want := "link-down " + tr.PortLabel(p)
+	if len(spans) != 1 {
+		t.Fatalf("%d spans for one blackout, want 1: %+v", len(spans), spans)
 	}
-	if span.ts != 10 || span.dur != 30 || span.name != "link-down sw->h" || span.track != "faults" {
-		t.Fatalf("fault span %q on %q [%d +%d], want \"link-down sw->h\" on faults [10 +30]",
-			span.name, span.track, span.ts, span.dur)
-	}
-	if links != 1 {
-		t.Fatalf("%d links-track spans, want 1", links)
+	if s := spans[0]; s.ts != 10 || s.dur != 30 || s.cat != "fault" || s.name != want || s.track != "faults" {
+		t.Fatalf("blackout span %s %q on %q [%d +%d], want fault %q on faults [10 +30]",
+			s.cat, s.name, s.track, s.ts, s.dur, want)
 	}
 	if tr.Counter("faults.transitions").Value() != 2 {
 		t.Fatalf("transitions = %d, want 2", tr.Counter("faults.transitions").Value())
+	}
+}
+
+// TestHoldSpansShareATrack feeds two ACK holds at one port, the first
+// granted and the second still held at flush: both spans land on the
+// port's unique-label track, the granted one with its held count and
+// the flushed one marked open.
+func TestHoldSpansShareATrack(t *testing.T) {
+	tr := NewCollector(Options{}).Trial("a")
+	tr.Bind(sim.New(1))
+	p := faultPort(tr)
+	tr.Observe(netsim.Event{Kind: netsim.EvHold, At: 10, Port: p, Flow: 1, A: 1})
+	tr.Observe(netsim.Event{Kind: netsim.EvHold, At: 20, Port: p, Flow: 2, A: 2})
+	tr.Observe(netsim.Event{Kind: netsim.EvGrant, At: 30, Port: p, Flow: 1, A: 1})
+	tr.Flush()
+	got := map[string]event{}
+	for _, e := range tr.rec.events() {
+		if e.ph == 'X' && e.cat == "tfc" {
+			got[e.name] = e
+		}
+	}
+	granted, flushed := got["ack-hold f1"], got["ack-hold f2"]
+	if len(got) != 2 || granted.track != tr.PortLabel(p) || flushed.track != granted.track {
+		t.Fatalf("hold spans %+v, want f1 and f2 on track %q", got, tr.PortLabel(p))
+	}
+	if granted.ts != 10 || granted.dur != 20 || flushed.ts != 20 {
+		t.Fatalf("granted [%d +%d], flushed from %d; want [10 +20] and 20", granted.ts, granted.dur, flushed.ts)
+	}
+	if a := granted.args[:granted.nargs]; len(a) != 1 || a[0] != (Arg{"held", 1}) {
+		t.Fatalf("granted span args %v, want [{held 1}]", a)
+	}
+	if a := flushed.args[:flushed.nargs]; len(a) != 1 || a[0] != (Arg{"open", 1}) {
+		t.Fatalf("flushed span args %v, want [{open 1}]", a)
 	}
 }
 
