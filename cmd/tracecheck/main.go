@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"os"
 
-	"tfcsim/internal/obs"
 	"tfcsim/internal/telemetry"
 )
 
@@ -37,11 +36,6 @@ func main() {
 			continue
 		}
 		if err := telemetry.ValidateTrace(bytes.NewReader(b)); err != nil {
-			fmt.Fprintf(os.Stderr, "tracecheck: %s: %v\n", path, err)
-			ok = false
-			continue
-		}
-		if err := obs.ValidateSpans(bytes.NewReader(b)); err != nil {
 			fmt.Fprintf(os.Stderr, "tracecheck: %s: %v\n", path, err)
 			ok = false
 			continue

@@ -10,7 +10,6 @@ import (
 
 	"tfcsim/internal/exp"
 	"tfcsim/internal/netsim"
-	"tfcsim/internal/obs"
 	"tfcsim/internal/runner"
 	"tfcsim/internal/sim"
 	"tfcsim/internal/telemetry"
@@ -56,11 +55,11 @@ type RunOptions struct {
 	Telemetry *telemetry.Options
 	// Obs, if set, attaches the runtime observatory to the run: the live
 	// introspection endpoint, causal packet spans, and the invariant
-	// watchdogs (see internal/obs). Works with or without Telemetry — when
+	// watchdogs (see internal/telemetry). Works with or without Telemetry — when
 	// Telemetry is nil a silent collector is minted so the event stream is
 	// live but no trace/metrics files are written. The observatory is a
 	// pure observer: results stay byte-identical with it on or off.
-	Obs *obs.Observatory
+	Obs *telemetry.Observatory
 	// Protos, when non-empty, overrides the protocol list of every
 	// experiment that compares protocols (fig08-10, fig12, fig13, fig15,
 	// fig16, fattree, churn, robustness, credit-baseline). Each name must
@@ -190,9 +189,9 @@ func (e Experiment) Run(ctx context.Context, opts RunOptions) (*Result, error) {
 		rc.tel = telemetry.NewCollector(*opts.Telemetry)
 		res.Telemetry = rc.tel
 	} else if opts.Obs != nil {
-		// The observatory's consumers register on telemetry trials: mint a
-		// silent collector (no output paths, so WriteFiles is a no-op) purely
-		// to carry them, with the smallest trace ring — nothing can read it.
+		// The observatory's parts live on telemetry trials: mint a silent
+		// collector (no output paths, so WriteFiles is a no-op) purely to
+		// carry them, with the smallest trace ring — nothing can read it.
 		rc.tel = telemetry.NewCollector(telemetry.Options{RingCap: 1})
 	}
 	opts.Obs.Attach(e.Name, rc.tel)

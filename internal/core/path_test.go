@@ -224,13 +224,13 @@ func TestAckDirectionUntouched(t *testing.T) {
 	// Pure ACKs must pass TFC ports unmodified and uncounted.
 	r := newRig(1, 256<<10, SwitchConfig{})
 	st := r.ss.PortState(r.bott)
-	aBefore := st.a
+	aBefore := st.aCum
 	ack := &netsim.Packet{Flow: 1, Flags: netsim.FlagACK, Window: 12345}
 	st.OnEnqueue(ack, r.bott)
 	if ack.Window != 12345 {
 		t.Fatal("ACK window modified by data-path hook")
 	}
-	if st.a != aBefore {
+	if st.aCum != aBefore {
 		t.Fatal("ACK counted into arrival accounting")
 	}
 }

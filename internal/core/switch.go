@@ -78,7 +78,6 @@ type PortState struct {
 	tstart    sim.Time
 	slotLarge bool // the RM frame that started the slot was >= minRTTFrame
 	e         int
-	a         int64 // arrived data bytes this slot
 	t         float64
 	w         float64
 	eSmooth   float64  // EWMA of per-slot E (quantization damping)
@@ -141,7 +140,6 @@ func (st *PortState) OnEnqueue(pkt *netsim.Packet, port *netsim.Port) bool {
 	// token adjustment drain a standing queue: with rho pinned at 1, T is
 	// pulled to rho0*c*rtt_b every slot until the queue empties, at which
 	// point rtt_m finally exposes the true base RTT and rtt_b locks in.
-	st.a += int64(pkt.WireBytes())
 	st.aCum += int64(pkt.WireBytes())
 	if pkt.Flags&netsim.FlagFIN != 0 {
 		if st.hasDelim && pkt.Flow == st.delim {
@@ -207,7 +205,6 @@ func (st *PortState) adopt(pkt *netsim.Packet) {
 	if st.e == 0 {
 		st.e = 1
 	}
-	st.a = 0
 	st.armDelimTimer(st.lastRTTmOrInit())
 }
 
@@ -327,7 +324,6 @@ func (st *PortState) endSlot(pkt *netsim.Packet) {
 	if st.e == 0 {
 		st.e = 1
 	}
-	st.a = 0
 	st.tstart = now
 	st.lastRTTm = rttm
 	st.missK = 0

@@ -324,13 +324,3 @@ func (p *Port) finishTx(pkt *Packet) {
 		p.busy = false
 	}
 }
-
-// Utilization returns transmitted frame bytes divided by link capacity over
-// the window [since, now]. It can exceed 1 slightly because wire overhead
-// is excluded from TxFrames accounting but included in capacity use.
-func (p *Port) Utilization(since, now sim.Time, framesAtSince int64) float64 {
-	if now <= since {
-		return 0
-	}
-	return float64(p.TxFrames-framesAtSince) / p.Rate.BytesIn(now-since)
-}

@@ -245,77 +245,3 @@ func writeFile(path string, write func(io.Writer) error) error {
 	}
 	return f.Close()
 }
-
-// ValidateTrace checks that r holds trace-event JSON of the shape this
-// package emits (and the viewers load): an object with a traceEvents
-// array whose entries carry a known phase, a name, non-negative
-// microsecond timestamps, and integer pid/tid. Used by cmd/tracecheck
-// and the CI schema gate.
-func ValidateTrace(r io.Reader) error {
-	var tf struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&tf); err != nil {
-		return fmt.Errorf("trace: not valid JSON: %w", err)
-	}
-	if tf.TraceEvents == nil {
-		return fmt.Errorf("trace: missing traceEvents array")
-	}
-	prevPid, prevKey := -1, ""
-	for i, ev := range tf.TraceEvents {
-		ph, ok := ev["ph"].(string)
-		if !ok {
-			return fmt.Errorf("trace: event %d: missing ph", i)
-		}
-		if _, ok := ev["name"].(string); !ok {
-			return fmt.Errorf("trace: event %d: missing name", i)
-		}
-		for _, k := range []string{"pid", "tid"} {
-			v, ok := ev[k].(float64)
-			if !ok || v != float64(int64(v)) {
-				return fmt.Errorf("trace: event %d: %s must be an integer", i, k)
-			}
-		}
-		switch ph {
-		case "M":
-			args, ok := ev["args"].(map[string]any)
-			if !ok {
-				return fmt.Errorf("trace: event %d: metadata without args", i)
-			}
-			// WriteTrace emits one process_name per trial in sorted key
-			// order with pid = sorted index; an out-of-order trace means
-			// the export was not merged deterministically.
-			if ev["name"] == "process_name" {
-				key, ok := args["name"].(string)
-				if !ok {
-					return fmt.Errorf("trace: event %d: process_name without args.name", i)
-				}
-				pid := int(ev["pid"].(float64))
-				if prevPid >= 0 && (pid <= prevPid || key <= prevKey) {
-					return fmt.Errorf("trace: event %d: trial keys out of order (%q pid=%d after %q pid=%d)",
-						i, key, pid, prevKey, prevPid)
-				}
-				prevPid, prevKey = pid, key
-			}
-		case "X", "i", "C":
-			ts, ok := ev["ts"].(float64)
-			if !ok || ts < 0 {
-				return fmt.Errorf("trace: event %d: bad ts", i)
-			}
-			if ph == "X" {
-				if dur, ok := ev["dur"].(float64); ok && dur < 0 {
-					return fmt.Errorf("trace: event %d: negative dur", i)
-				}
-			}
-			if ph == "i" {
-				if s, ok := ev["s"].(string); ok && s != "t" && s != "p" && s != "g" {
-					return fmt.Errorf("trace: event %d: bad instant scope %q", i, s)
-				}
-			}
-		default:
-			return fmt.Errorf("trace: event %d: unknown phase %q", i, ph)
-		}
-	}
-	return nil
-}

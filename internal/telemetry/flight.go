@@ -1,4 +1,4 @@
-package obs
+package telemetry
 
 import (
 	"encoding/json"
@@ -97,8 +97,9 @@ type flightDump struct {
 }
 
 // dump writes the ring (oldest first) and the sorted per-port state
-// snapshot to path as JSON; label names a port.
-func (r *flightRing) dump(path, run, trial, watchdog, detail string, label func(*netsim.Port) string) error {
+// snapshot to path as JSON; labels, indexed by Port.Ordinal, name the
+// ports.
+func (r *flightRing) dump(path, run, trial, watchdog, detail string, labels []string) error {
 	r.mu.Lock()
 	var recent []flightEvent
 	start, n := 0, r.next
@@ -110,7 +111,7 @@ func (r *flightRing) dump(path, run, trial, watchdog, detail string, label func(
 		fe := flightEvent{At: ev.At, Kind: strings.ToLower(ev.Kind.String()),
 			Flow: int64(ev.Flow), A: ev.A, B: ev.B}
 		if ev.Port != nil {
-			fe.Port = label(ev.Port)
+			fe.Port = labels[ev.Port.Ordinal()]
 		}
 		if ev.Kind == netsim.EvSlot {
 			fe.A = int64(ev.X) // the token value
@@ -120,7 +121,7 @@ func (r *flightRing) dump(path, run, trial, watchdog, detail string, label func(
 	ports := make([]portLast, 0, len(r.ports))
 	for _, pl := range r.ports {
 		if pl.Events > 0 {
-			pl.Port = label(pl.port)
+			pl.Port = labels[pl.port.Ordinal()]
 			ports = append(ports, pl)
 		}
 	}

@@ -1,7 +1,6 @@
-package obs
+package telemetry
 
 import (
-	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -12,11 +11,8 @@ import (
 	"time"
 
 	"tfcsim/internal/core"
-	"tfcsim/internal/exp"
 	"tfcsim/internal/netsim"
-	"tfcsim/internal/runner"
 	"tfcsim/internal/sim"
-	"tfcsim/internal/telemetry"
 	"tfcsim/internal/workload"
 )
 
@@ -27,16 +23,16 @@ import (
 // disk.
 func TestTokenWatchdogFlagsImpossibleSlot(t *testing.T) {
 	dir := t.TempDir()
-	o := New(Options{Watchdogs: true, FlightDir: dir})
-	c := telemetry.NewCollector(telemetry.Options{})
+	o := NewObservatory(ObsOptions{Watchdogs: true, FlightDir: dir})
+	c := NewCollector(Options{})
 	o.Attach("skew", c)
 
 	s, n, a, b, sw := dumbbell()
 	tr := c.Trial("t0")
 	tr.Bind(s)
 	core.Attach(sw, core.SwitchConfig{})
-	telemetry.InstrumentNetwork(tr, n)
-	telemetry.InstrumentTransport(tr, "tfc", nil)
+	InstrumentNetwork(tr, n)
+	InstrumentTransport(tr, "tfc", nil)
 
 	d := &workload.Dialer{Sim: s, Proto: workload.TFC}
 	conn := d.Dial(a, b, nil, nil)
@@ -93,14 +89,14 @@ func TestSampledFlowDeterministic(t *testing.T) {
 	const every, seed = 4, 7
 	n, diff := 0, 0
 	for f := netsim.FlowID(0); f < 1000; f++ {
-		a, b := SampledFlow(f, every, seed), SampledFlow(f, every, seed)
+		a, b := sampledFlow(f, every, seed), sampledFlow(f, every, seed)
 		if a != b {
-			t.Fatalf("SampledFlow(%d) not stable", f)
+			t.Fatalf("sampledFlow(%d) not stable", f)
 		}
 		if a {
 			n++
 		}
-		if a != SampledFlow(f, every, seed+1) {
+		if a != sampledFlow(f, every, seed+1) {
 			diff++
 		}
 	}
@@ -110,7 +106,7 @@ func TestSampledFlowDeterministic(t *testing.T) {
 	if diff == 0 {
 		t.Error("sampling ignores the seed")
 	}
-	if SampledFlow(5, 0, seed) {
+	if sampledFlow(5, 0, seed) {
 		t.Error("every=0 must disable sampling")
 	}
 }
@@ -164,6 +160,7 @@ func spanEv(name string, ts float64, pid, tid int, seq, hop int64) string {
 	return string(b)
 }
 
+// TestValidateSpans checks ValidateTrace's packet-span chain checks.
 func TestValidateSpans(t *testing.T) {
 	valid := spanTrace(
 		spanEv("queue", 0, 0, 1, 0, 0),
@@ -178,7 +175,7 @@ func TestValidateSpans(t *testing.T) {
 		spanEv("wire", 5, 0, 2, 7, 4),
 		spanEv("open", 6, 0, 2, 7, 5),
 	)
-	if err := ValidateSpans(strings.NewReader(valid)); err != nil {
+	if err := ValidateTrace(strings.NewReader(valid)); err != nil {
 		t.Fatalf("valid spans rejected: %v", err)
 	}
 
@@ -208,7 +205,7 @@ func TestValidateSpans(t *testing.T) {
 			"incomplete run"},
 	}
 	for _, tc := range cases {
-		err := ValidateSpans(strings.NewReader(tc.trace))
+		err := ValidateTrace(strings.NewReader(tc.trace))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}
@@ -232,13 +229,13 @@ func dumbbell() (*sim.Simulator, *netsim.Network, *netsim.Host, *netsim.Host, *n
 // then coming back up, in that order.
 func TestFlightRecordsLinkDown(t *testing.T) {
 	dir := t.TempDir()
-	o := New(Options{Watchdogs: true, FlightDir: dir})
-	c := telemetry.NewCollector(telemetry.Options{})
+	o := NewObservatory(ObsOptions{Watchdogs: true, FlightDir: dir})
+	c := NewCollector(Options{})
 	o.Attach("blackout", c)
 	s, n, _, b, sw := dumbbell()
 	tr := c.Trial("t0")
 	tr.Bind(s)
-	telemetry.InstrumentNetwork(tr, n)
+	InstrumentNetwork(tr, n)
 
 	out := sw.PortTo(b.ID())
 	s.At(sim.Millisecond, out.SetDown)
@@ -254,13 +251,13 @@ func TestFlightRecordsLinkDown(t *testing.T) {
 // model going in and then out, in that order.
 func TestFlightRecordsLossWindow(t *testing.T) {
 	dir := t.TempDir()
-	o := New(Options{Watchdogs: true, FlightDir: dir})
-	c := telemetry.NewCollector(telemetry.Options{})
+	o := NewObservatory(ObsOptions{Watchdogs: true, FlightDir: dir})
+	c := NewCollector(Options{})
 	o.Attach("lossy", c)
 	s, n, _, b, sw := dumbbell()
 	tr := c.Trial("t0")
 	tr.Bind(s)
-	telemetry.InstrumentNetwork(tr, n)
+	InstrumentNetwork(tr, n)
 
 	out := sw.PortTo(b.ID())
 	s.At(sim.Millisecond, func() { out.SetLoss(netsim.NewGilbertElliott(0.2, 2)) })
@@ -313,15 +310,15 @@ func forcedDumpKind(t *testing.T, o *Observatory, dir, kind, portPrefix string) 
 // once the run is finished: a value only the trial references must become
 // collectable.
 func TestFinishRunReleasesTrials(t *testing.T) {
-	o := New(Options{Watchdogs: true, FlightDir: "-"})
+	o := NewObservatory(ObsOptions{Watchdogs: true, FlightDir: "-"})
 	collected := make(chan struct{})
 	func() {
-		c := telemetry.NewCollector(telemetry.Options{RingCap: 1})
+		c := NewCollector(Options{RingCap: 1})
 		o.Attach("run", c)
 		s, n, _, _, _ := dumbbell()
 		tr := c.Trial("t0")
 		tr.Bind(s)
-		telemetry.InstrumentNetwork(tr, n)
+		InstrumentNetwork(tr, n)
 		canary := new([64]byte)
 		runtime.SetFinalizer(canary, func(*[64]byte) { close(collected) })
 		tr.Gauge("canary", func() float64 { return float64(canary[0]) })
@@ -348,12 +345,12 @@ func TestFinishRunReleasesTrials(t *testing.T) {
 // is published, so everything it reads must exist by then (run under
 // -race).
 func TestSnapshotWhileTrialBinds(t *testing.T) {
-	o := New(Options{HTTPAddr: "127.0.0.1:0", Watchdogs: true, FlightDir: "-"})
+	o := NewObservatory(ObsOptions{HTTPAddr: "127.0.0.1:0", Watchdogs: true, FlightDir: "-"})
 	if err := o.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer o.Stop()
-	c := telemetry.NewCollector(telemetry.Options{})
+	c := NewCollector(Options{})
 	o.Attach("race", c)
 
 	stop, seen, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
@@ -375,7 +372,7 @@ func TestSnapshotWhileTrialBinds(t *testing.T) {
 	<-seen
 	s, n, a, b, _ := dumbbell()
 	tr.Bind(s)
-	telemetry.InstrumentNetwork(tr, n)
+	InstrumentNetwork(tr, n)
 	conn := (&workload.Dialer{Sim: s, Proto: workload.TCP}).Dial(a, b, nil, nil)
 	conn.Sender.Open()
 	conn.Sender.Send(1 << 20)
@@ -393,13 +390,13 @@ func TestSnapshotWhileTrialBinds(t *testing.T) {
 // trial's open flow count — both flows while both send, one once the
 // short one has sent its FIN, none once both have.
 func TestSnapshotCountsActiveFlows(t *testing.T) {
-	o := New(Options{HTTPAddr: "127.0.0.1:0"})
-	c := telemetry.NewCollector(telemetry.Options{})
+	o := NewObservatory(ObsOptions{HTTPAddr: "127.0.0.1:0"})
+	c := NewCollector(Options{})
 	o.Attach("flows", c)
 	tr := c.Trial("t0")
 	s, n, a, b, _ := dumbbell()
 	tr.Bind(s)
-	telemetry.InstrumentNetwork(tr, n)
+	InstrumentNetwork(tr, n)
 	d := &workload.Dialer{Sim: s, Proto: workload.TCP}
 	for _, size := range []int64{512 << 10, 4 << 20} {
 		conn := d.Dial(a, b, nil, nil)
@@ -431,34 +428,4 @@ func TestSnapshotCountsActiveFlows(t *testing.T) {
 			t.Errorf("active_flows at %v = %d, want %d", step.until, got, step.want)
 		}
 	}
-}
-
-// TestTrialDoneWhenCellReturns: a trial counts as done as soon as its
-// Sweep cell returns, not only at its run's export or FinishRun — the
-// liveness watchdog would otherwise flag every trial that finishes long
-// before its run's last one.
-func TestTrialDoneWhenCellReturns(t *testing.T) {
-	o := New(Options{Watchdogs: true, FlightDir: "-"})
-	c := telemetry.NewCollector(telemetry.Options{})
-	o.Attach("run", c)
-	cells := exp.PerProto(exp.TopoConfig{}, []exp.Proto{exp.TCP, exp.TFC})
-	_, err := exp.Sweep(context.Background(), &runner.Pool{Parallelism: 1, BaseSeed: 1}, c,
-		cells, exp.ProtoKey, func(cfg exp.TopoConfig) uint64 {
-			e := exp.Testbed(cfg)
-			e.Sim.RunUntil(sim.Millisecond)
-			return e.Sim.Executed()
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trials := o.snapshotTrials()
-	if len(trials) != len(cells) {
-		t.Fatalf("observatory holds %d trials, want %d", len(trials), len(cells))
-	}
-	for _, to := range trials {
-		if !to.done.Load() {
-			t.Errorf("trial %s: its cell returned, but it is not done before FinishRun", to.key)
-		}
-	}
-	o.FinishRun("run")
 }

@@ -39,10 +39,9 @@ func (t *Trial) flowLabel(prefix string, f netsim.FlowID) string {
 	return s
 }
 
-// PortLabel returns p's unique label (portKey), formatted once by
-// InstrumentNetwork, shared with the trial's consumer. p must belong to
-// the instrumented network.
-func (t *Trial) PortLabel(p *netsim.Port) string { return t.labels[p.Ordinal()] }
+// portLabel returns p's unique label (portKey), formatted once by
+// InstrumentNetwork. p must belong to the instrumented network.
+func (t *Trial) portLabel(p *netsim.Port) string { return t.labels[p.Ordinal()] }
 
 // --- the open-interval table ---
 
@@ -130,9 +129,9 @@ func (t *Trial) emit(k spanKey, iv *interval, end sim.Time, tail ...Arg) {
 // --- the one observer ---
 
 // Observe implements netsim.Probe: the trial's own counters, histograms
-// and trace spans by record kind, then the same record to the consumer.
-// It copies packet fields and retains no pointers. Timestamps are the
-// record's.
+// and trace spans by record kind, then the same record to the
+// observatory's parts that are switched on. It copies packet fields and
+// retains no pointers. Timestamps are the record's.
 func (t *Trial) Observe(ev netsim.Event) {
 	switch ev.Kind {
 	case netsim.EvEnqueue:
@@ -161,7 +160,7 @@ func (t *Trial) Observe(ev netsim.Event) {
 	case netsim.EvDrop:
 		t.drops.Inc()
 		t.dropB.Add(int64(ev.Pkt.FrameBytes()))
-		t.InstantAt(ev.At, "net", "drop "+t.PortLabel(ev.Port), "drops",
+		t.InstantAt(ev.At, "net", "drop "+t.portLabel(ev.Port), "drops",
 			Arg{"flow", float64(ev.Flow)}, Arg{"seq", float64(ev.A)})
 	case netsim.EvLink:
 		t.faultTransition()
@@ -183,7 +182,7 @@ func (t *Trial) Observe(ev netsim.Event) {
 	case netsim.EvSlot:
 		t.slots.Inc()
 		t.rttm.Observe(sim.Time(ev.A).Micros())
-		key := t.PortLabel(ev.Port)
+		key := t.portLabel(ev.Port)
 		t.CounterEventAt(ev.At, "tfc", "tfc "+key, key,
 			Arg{"tokens", ev.X}, Arg{"eflows", float64(ev.B)}, Arg{"window", ev.Y})
 	case netsim.EvStamp:
@@ -222,8 +221,12 @@ func (t *Trial) Observe(ev netsim.Event) {
 		t.CounterEventAt(ev.At, "credit", t.flowLabel("credit-rate", ev.Flow), "credit",
 			Arg{"rate", ev.X})
 	}
-	if t.consumer != nil {
-		t.consumer.Observe(ev)
+	if t.flight != nil { // the watchdogs are armed
+		t.flight.Observe(ev)
+		t.watch(ev)
+	}
+	if t.spanEvery > 0 {
+		t.traceJourney(ev)
 	}
 }
 
@@ -253,7 +256,9 @@ func (t *Trial) portHist(port *netsim.Port) *Hist {
 
 // InstrumentNetwork makes the trial the network's probe, formats every
 // port's label, and registers the forwarding-path counters and a
-// queue-occupancy gauge for every switch port. No-op on a nil trial. Call
+// queue-occupancy gauge for every switch port; an observed trial also
+// keeps the switch ports for the endpoint's snapshots and sizes the
+// flight ring's per-port view. No-op on a nil trial. Call
 // after topology construction and Bind; ports wired later are not covered.
 // The network must be sequential: a trial's probes run on its simulator's
 // goroutine, so a partitioned network (n.Group() != nil) panics.
@@ -277,13 +282,16 @@ func InstrumentNetwork(t *Trial, n *netsim.Network) {
 			t.labels[port.Ordinal()] = key
 			if isSwitch {
 				t.Gauge("port.qlen."+key, func() float64 { return float64(port.QueueBytes()) })
+				if t.o != nil {
+					t.swPorts = append(t.swPorts, port)
+				}
 			}
 		}
 	}
-	n.Probe = t
-	if t.consumer != nil {
-		t.consumer.Instrumented(n)
+	if t.flight != nil {
+		t.flight.ports = make([]portLast, n.NumPorts())
 	}
+	n.Probe = t
 }
 
 // InstrumentTransport registers the switch-side metric families of the

@@ -1,4 +1,4 @@
-package obs
+package telemetry
 
 import (
 	"encoding/json"
@@ -27,16 +27,16 @@ type server struct {
 	wg    sync.WaitGroup
 }
 
-// SnapshotJSON is the endpoint's top-level response shape.
-type SnapshotJSON struct {
+// snapshotJSON is the endpoint's top-level response shape.
+type snapshotJSON struct {
 	Schema     string      `json:"schema"`
 	Run        string      `json:"run"`
 	Violations uint64      `json:"violations"`
-	Trials     []TrialJSON `json:"trials"`
+	Trials     []trialJSON `json:"trials"`
 }
 
-// TrialJSON is one trial's live view.
-type TrialJSON struct {
+// trialJSON is one trial's live view.
+type trialJSON struct {
 	Key          string     `json:"key"`
 	Run          string     `json:"run"`
 	Done         bool       `json:"done"`
@@ -44,7 +44,7 @@ type TrialJSON struct {
 	Executed     uint64     `json:"executed"`
 	EventsPerSec uint64     `json:"events_per_sec"`
 	ActiveFlows  int        `json:"active_flows"`
-	Ports        []PortSnap `json:"ports,omitempty"`
+	Ports        []portSnap `json:"ports,omitempty"`
 }
 
 func newServer(o *Observatory) (*server, error) {
@@ -80,7 +80,7 @@ func (s *server) stop() {
 // once).
 func (s *server) monitor() {
 	defer s.wg.Done()
-	tick := time.NewTicker(time.Second)
+	tick := time.NewTicker(time.Second) //tfcvet:allow simtime — the endpoint's monitor samples progress once per wall second; it reads only Pulse atomics and never feeds simulation state
 	defer tick.Stop()
 	for {
 		select {
@@ -88,26 +88,27 @@ func (s *server) monitor() {
 			return
 		case <-tick.C:
 		}
-		for _, to := range s.o.snapshotTrials() {
-			_, exec := to.pulse.Load()
-			delta := exec - to.lastExec
-			if !to.seen {
+		for _, t := range s.o.snapshotTrials() {
+			m := &t.mon
+			_, exec := t.pulse.Load()
+			delta := exec - m.lastExec
+			if !m.seen {
 				delta = 0
 			}
 			stallFlag := false
-			if !to.done.Load() && to.seen && delta == 0 && exec > 0 {
-				to.stalled++
-				if to.stalled >= livenessSec && !to.flagged {
-					to.flagged = true
+			if !t.done.Load() && m.seen && delta == 0 && exec > 0 {
+				m.stalled++
+				if m.stalled >= livenessSec && !m.flagged {
+					m.flagged = true
 					stallFlag = true
 				}
 			} else {
-				to.stalled = 0
+				m.stalled = 0
 			}
-			to.lastExec, to.seen = exec, true
-			to.rate.Store(delta)
+			m.lastExec, m.seen = exec, true
+			t.rate.Store(delta)
 			if stallFlag && s.o.opts.Watchdogs {
-				s.o.violation(to, "liveness",
+				s.o.violation(t, "liveness",
 					fmt.Sprintf("no events executed for %ds of wall time (executed=%d)",
 						livenessSec, exec))
 			}
@@ -115,19 +116,27 @@ func (s *server) monitor() {
 	}
 }
 
+// monitorState is the monitor goroutine's own bookkeeping of one trial.
+type monitorState struct {
+	lastExec uint64
+	seen     bool
+	stalled  int
+	flagged  bool
+}
+
 // summary is the trial's endpoint row. Once the trial is done it is
 // final, which is what FinishRun keeps of a trial it lets go of.
-func (to *trialObs) summary() TrialJSON {
-	vt, exec := to.pulse.Load()
-	tj := TrialJSON{
-		Key:          to.key,
-		Run:          to.run,
-		Done:         to.done.Load(),
+func (t *Trial) summary() trialJSON {
+	vt, exec := t.pulse.Load()
+	tj := trialJSON{
+		Key:          t.key,
+		Run:          t.run,
+		Done:         t.done.Load(),
 		VirtualNs:    int64(vt),
 		Executed:     exec,
-		EventsPerSec: to.rate.Load(),
+		EventsPerSec: t.rate.Load(),
 	}
-	if snap := to.snap.Load(); snap != nil {
+	if snap := t.snap.Load(); snap != nil {
 		tj.ActiveFlows = snap.ActiveFlows
 		tj.Ports = snap.Ports
 	}
@@ -136,18 +145,18 @@ func (to *trialObs) summary() TrialJSON {
 
 // snapshot assembles the endpoint response: the rows of finished trials
 // plus those of the trials still running, sorted by run and key.
-func (s *server) snapshot() SnapshotJSON {
+func (s *server) snapshot() snapshotJSON {
 	s.o.mu.Lock()
-	out := SnapshotJSON{
+	out := snapshotJSON{
 		Schema:     "tfcsim-obs-v1",
 		Run:        s.o.run,
 		Violations: s.o.Violations(),
-		Trials:     append([]TrialJSON(nil), s.o.finished...),
+		Trials:     append([]trialJSON(nil), s.o.finished...),
 	}
-	live := append([]*trialObs(nil), s.o.trials...)
+	live := append([]*Trial(nil), s.o.trials...)
 	s.o.mu.Unlock()
-	for _, to := range live {
-		out.Trials = append(out.Trials, to.summary())
+	for _, t := range live {
+		out.Trials = append(out.Trials, t.summary())
 	}
 	sort.Slice(out.Trials, func(i, j int) bool {
 		a, b := &out.Trials[i], &out.Trials[j]

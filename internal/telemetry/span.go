@@ -1,11 +1,8 @@
-package obs
+package telemetry
 
 import (
-	"fmt"
-
 	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
-	"tfcsim/internal/telemetry"
 )
 
 // Span hop names. A sampled data packet's journey is recorded as a chain
@@ -33,12 +30,8 @@ var spanTerminals = map[string]bool{
 // SpanCat is the trace category all packet-journey spans carry.
 const SpanCat = "span"
 
-// SpanTerminal reports whether a span hop name closes its chain
-// (exported for cmd/tracecheck).
-func SpanTerminal(name string) bool { return spanTerminals[name] }
-
-// SpanHop reports whether name is any packet-journey hop name.
-func SpanHop(name string) bool {
+// spanHop reports whether name is any packet-journey hop name.
+func spanHop(name string) bool {
 	switch name {
 	case spanQueue, spanXmit, spanWire:
 		return true
@@ -46,31 +39,31 @@ func SpanHop(name string) bool {
 	return spanTerminals[name]
 }
 
-// SampledFlow reports whether flow is in the 1-in-every sampled set for
+// sampledFlow reports whether flow is in the 1-in-every sampled set for
 // the given seed — a pure function, so the sampled set is identical at
-// any -j (exported so tests can pick a sampled flow).
-func SampledFlow(flow netsim.FlowID, every int, seed int64) bool {
+// any -j.
+func sampledFlow(flow netsim.FlowID, every int, seed int64) bool {
 	if every <= 0 {
 		return false
 	}
 	return uint64(sim.SubSeed(seed, uint64(flow)))%uint64(every) == 0
 }
 
-// spanKey identifies one packet journey: data packets are keyed by
+// journeyKey identifies one packet journey: data packets are keyed by
 // (flow, first payload byte).
-type spanKey struct {
+type journeyKey struct {
 	flow netsim.FlowID
 	seq  int64
 }
 
-// spanState is an in-flight journey: the virtual time of its last
+// journeyState is an in-flight journey: the virtual time of its last
 // recorded transition and the next hop index.
-type spanState struct {
+type journeyState struct {
 	last sim.Time
 	hop  int
 }
 
-// spanTable is an open-addressing hash table from spanKey to spanState,
+// journeyTable is an open-addressing hash table from journeyKey to journeyState,
 // kept for speed. Every sampled packet inserts a fresh (flow, seq) and
 // deletes it a few hops later; a built-in map takes that churn without
 // allocating once grown (Go 1.24: none over 20 M insert/delete pairs with
@@ -80,18 +73,18 @@ type spanState struct {
 // Linear probing with backward-shift deletion leaves no tombstones, so
 // once the table has grown to the peak in-flight count it never allocates
 // again.
-type spanTable struct {
-	slots []spanSlot
+type journeyTable struct {
+	slots []journeySlot
 	n     int
 }
 
-type spanSlot struct {
-	key  spanKey
-	st   spanState
+type journeySlot struct {
+	key  journeyKey
+	st   journeyState
 	live bool
 }
 
-func (t *spanTable) hash(k spanKey) uint64 {
+func (t *journeyTable) hash(k journeyKey) uint64 {
 	x := uint64(k.flow)*0x9E3779B97F4A7C15 + uint64(k.seq)
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
@@ -100,9 +93,9 @@ func (t *spanTable) hash(k spanKey) uint64 {
 	return x ^ x>>31
 }
 
-func (t *spanTable) get(k spanKey) (spanState, bool) {
+func (t *journeyTable) get(k journeyKey) (journeyState, bool) {
 	if t.n == 0 {
-		return spanState{}, false
+		return journeyState{}, false
 	}
 	mask := uint64(len(t.slots) - 1)
 	for i := t.hash(k) & mask; t.slots[i].live; i = (i + 1) & mask {
@@ -110,10 +103,10 @@ func (t *spanTable) get(k spanKey) (spanState, bool) {
 			return t.slots[i].st, true
 		}
 	}
-	return spanState{}, false
+	return journeyState{}, false
 }
 
-func (t *spanTable) put(k spanKey, st spanState) {
+func (t *journeyTable) put(k journeyKey, st journeyState) {
 	if len(t.slots) == 0 || t.n+1 > len(t.slots)*3/4 {
 		t.grow()
 	}
@@ -126,13 +119,13 @@ func (t *spanTable) put(k spanKey, st spanState) {
 		}
 		i = (i + 1) & mask
 	}
-	t.slots[i] = spanSlot{key: k, st: st, live: true}
+	t.slots[i] = journeySlot{key: k, st: st, live: true}
 	t.n++
 }
 
 // del removes k, backward-shifting the probe chain so lookups never see
 // a hole mid-chain and the table carries no tombstones.
-func (t *spanTable) del(k spanKey) {
+func (t *journeyTable) del(k journeyKey) {
 	if t.n == 0 {
 		return
 	}
@@ -163,16 +156,16 @@ func (t *spanTable) del(k spanKey) {
 			i = j
 		}
 	}
-	t.slots[i] = spanSlot{}
+	t.slots[i] = journeySlot{}
 }
 
-func (t *spanTable) grow() {
+func (t *journeyTable) grow() {
 	old := t.slots
 	size := 64
 	if len(old) > 0 {
 		size = len(old) * 2
 	}
-	t.slots = make([]spanSlot, size)
+	t.slots = make([]journeySlot, size)
 	t.n = 0
 	for _, s := range old {
 		if s.live {
@@ -181,109 +174,82 @@ func (t *spanTable) grow() {
 	}
 }
 
-// spanTracer records causal packet spans for sampled flows into the
-// trial's telemetry recorder. It is driven purely by forwarding-path
-// records; all timestamps are virtual, all emitted events enter
-// the recorder's canonical order, so the exported trace is byte-identical
-// at any parallelism.
-type spanTracer struct {
-	t     *telemetry.Trial
-	every int
-	seed  int64
+// The span tracer records causal packet spans for sampled flows into the
+// trial's recorder. It is driven purely by forwarding-path records; all
+// timestamps are virtual, all emitted events enter the recorder's
+// canonical order, so the exported trace is byte-identical at any
+// parallelism.
 
-	live   spanTable
-	tracks map[netsim.FlowID]string
+// emitHop records one hop span [start, end] for key with the given hop
+// index on the flow's span track. Args carry the journey linkage: seq
+// identifies the chain within the flow track, hop orders it, parent =
+// hop-1 names the causal predecessor (-1 for the chain root).
+func (t *Trial) emitHop(key journeyKey, name string, start, end sim.Time, hop int) {
+	t.Span(SpanCat, name, t.flowLabel("span", key.flow), start, end,
+		Arg{"seq", float64(key.seq)}, Arg{"hop", float64(hop)}, Arg{"parent", float64(hop - 1)})
 }
 
-func newSpanTracer(t *telemetry.Trial, every int, seed int64) *spanTracer {
-	return &spanTracer{
-		t: t, every: every, seed: seed,
-		tracks: make(map[netsim.FlowID]string),
-	}
-}
-
-// track interns the flow's span track name.
-func (tr *spanTracer) track(f netsim.FlowID) string {
-	if s, ok := tr.tracks[f]; ok {
-		return s
-	}
-	s := fmt.Sprintf("span f%d", f)
-	tr.tracks[f] = s
-	return s
-}
-
-// emit records one hop span [start, end] for key with the given hop
-// index. Args carry the journey linkage: seq identifies the chain within
-// the flow track, hop orders it, parent = hop-1 names the causal
-// predecessor (-1 for the chain root).
-func (tr *spanTracer) emit(key spanKey, name string, start, end sim.Time, hop int) {
-	tr.t.Span(SpanCat, name, tr.track(key.flow), start, end,
-		telemetry.Arg{K: "seq", V: float64(key.seq)},
-		telemetry.Arg{K: "hop", V: float64(hop)},
-		telemetry.Arg{K: "parent", V: float64(hop - 1)})
-}
-
-// step advances key's journey: emits the [last, now] span as hop name
-// and either re-arms the state (terminal=false) or closes the chain.
-func (tr *spanTracer) step(key spanKey, now sim.Time, name string, terminal bool) {
-	st, ok := tr.live.get(key)
+// stepJourney advances key's journey: emits the [last, now] span as hop
+// name and either re-arms the state (terminal=false) or closes the chain.
+func (t *Trial) stepJourney(key journeyKey, now sim.Time, name string, terminal bool) {
+	st, ok := t.journeys.get(key)
 	if !ok {
 		return
 	}
-	tr.emit(key, name, st.last, now, st.hop)
+	t.emitHop(key, name, st.last, now, st.hop)
 	if terminal {
-		tr.live.del(key)
+		t.journeys.del(key)
 		return
 	}
-	tr.live.put(key, spanState{last: now, hop: st.hop + 1})
+	t.journeys.put(key, journeyState{last: now, hop: st.hop + 1})
 }
 
-// Observe advances the journey of the data packet a forwarding-path
+// traceJourney advances the journey of the data packet a forwarding-path
 // record is about; every other record is ignored.
-func (tr *spanTracer) Observe(ev netsim.Event) {
+func (t *Trial) traceJourney(ev netsim.Event) {
 	if ev.Pkt == nil || !ev.Pkt.IsData() {
 		return
 	}
-	key := spanKey{ev.Flow, ev.A}
+	key := journeyKey{ev.Flow, ev.A}
 	switch ev.Kind {
 	case netsim.EvEnqueue:
-		if !SampledFlow(ev.Flow, tr.every, tr.seed) {
+		if !sampledFlow(ev.Flow, t.spanEvery, t.o.opts.SpanSeed) {
 			return
 		}
 		if _, isHost := ev.Port.Owner.(*netsim.Host); !isHost {
 			// Switch enqueue: close the propagation leg from the previous hop.
-			tr.step(key, ev.At, spanWire, false)
+			t.stepJourney(key, ev.At, spanWire, false)
 			return
 		}
 		// Journey root: first enqueue at the sender's NIC. A colliding live
 		// chain means the sender retransmitted the same seq — close the old
 		// chain as aborted and do not trace the retransmission (its hops
 		// would be indistinguishable from the original's).
-		if st, dup := tr.live.get(key); dup {
-			tr.emit(key, spanAbort, st.last, ev.At, st.hop)
-			tr.live.del(key)
+		if st, dup := t.journeys.get(key); dup {
+			t.emitHop(key, spanAbort, st.last, ev.At, st.hop)
+			t.journeys.del(key)
 		} else {
-			tr.live.put(key, spanState{last: ev.At, hop: 0})
+			t.journeys.put(key, journeyState{last: ev.At, hop: 0})
 		}
 	case netsim.EvDequeue:
-		tr.step(key, ev.At, spanQueue, false)
+		t.stepJourney(key, ev.At, spanQueue, false)
 	case netsim.EvTx:
-		tr.step(key, ev.At, spanXmit, false)
+		t.stepJourney(key, ev.At, spanXmit, false)
 	case netsim.EvDrop:
-		tr.step(key, ev.At, spanDrop, true)
+		t.stepJourney(key, ev.At, spanDrop, true)
 	case netsim.EvDeliver:
-		tr.step(key, ev.At, spanDeliver, true)
+		t.stepJourney(key, ev.At, spanDeliver, true)
 	}
 }
 
-// flush closes every still-open journey at the trial's final virtual
-// time. Table order reaches the recorder, but not the trace: the recorder
-// orders canonically.
-func (tr *spanTracer) flush(now sim.Time) {
-	for _, s := range tr.live.slots {
+// flushJourneys closes every still-open journey at the trial's final
+// virtual time. Table order reaches the recorder, but not the trace: the
+// recorder orders canonically.
+func (t *Trial) flushJourneys(now sim.Time) {
+	for _, s := range t.journeys.slots {
 		if s.live {
-			tr.emit(s.key, spanOpen, s.st.last, now, s.st.hop)
+			t.emitHop(s.key, spanOpen, s.st.last, now, s.st.hop)
 		}
 	}
-	tr.live = spanTable{}
+	t.journeys = journeyTable{}
 }

@@ -1,14 +1,18 @@
 // Package telemetry is the simulation-native observability layer: a
 // typed metrics registry (counters, gauges, fixed-bucket histograms)
-// sampled on a virtual-time cadence, and a bounded event
-// recorder that exports Chrome trace-event JSON loadable in Perfetto or
-// chrome://tracing.
+// sampled on a virtual-time cadence, a bounded event recorder that
+// exports Chrome trace-event JSON loadable in Perfetto or
+// chrome://tracing, and the runtime observatory on top (causal packet
+// spans, invariant watchdogs, a flight recorder and a live HTTP
+// endpoint; see observatory.go).
 //
 // Everything is driven by the simulator's virtual clock — no wall time
-// anywhere — so telemetry output is a pure function of the trial seed
-// and merges byte-identically at any runner parallelism. Probes are
-// read-only observers: they never mutate simulation state and never
-// draw from the simulation's random source, so attaching telemetry
+// anywhere but the endpoint's monitor ticker (server.go, marked for
+// tfcvet's simtime check), which only reads atomics — so telemetry
+// output is a pure function of the trial seed and merges
+// byte-identically at any runner parallelism. Probes are read-only
+// observers: they never mutate simulation state and never draw from the
+// simulation's random source, so attaching telemetry or the observatory
 // changes no experiment result.
 //
 // The layer has two halves:
@@ -18,14 +22,15 @@
 //   - a Trial owns one simulator's registry + recorder and is the
 //     netsim.Probe the instrumented packages (netsim, core, transport,
 //     credit, dctcp, bfc) emit their records to: it keeps its own metrics
-//     and trace spans from them and hands the same record on to the
-//     Consumer installed on it (see probes.go). A nil *Trial disables
-//     everything at zero cost.
+//     and trace spans from them and, when an Observatory is attached to
+//     its collector, drives the observatory's parts from the same record
+//     (see probes.go). A nil *Trial disables everything at zero cost.
 package telemetry
 
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
@@ -61,10 +66,10 @@ func (o *Options) fill() {
 // its own trial goroutine. A nil *Collector mints nil *Trials, which
 // disable all instrumentation.
 type Collector struct {
-	opts     Options
-	mu       sync.Mutex
-	trials   map[string]*Trial
-	observer func(key string, t *Trial) Consumer
+	opts   Options
+	mu     sync.Mutex
+	trials map[string]*Trial
+	obs    *Observatory // set by Observatory.Attach
 }
 
 // NewCollector creates a collector with the given options.
@@ -87,10 +92,7 @@ func (c *Collector) Trial(key string) *Trial {
 	if _, dup := c.trials[key]; dup {
 		panic("telemetry: duplicate trial key " + key)
 	}
-	t := newTrial(key, c.opts)
-	if c.observer != nil {
-		t.consumer = c.observer(key, t)
-	}
+	t := newTrial(key, c.opts, c.obs)
 	c.trials[key] = t
 	return t
 }
@@ -111,42 +113,6 @@ func (c *Collector) sorted() []*Trial {
 	return out
 }
 
-// Consumer is a peer of the trial's own metrics and trace spans: the
-// trial hands it every record it observes, every gauge sampling instant,
-// plus three lifecycle calls. Observe and Sample are held to the
-// netsim.Probe contract (read-only, no scheduling, no Rand, on the
-// trial's simulator goroutine); the lifecycle calls run in set-up or
-// export context on the trial's own goroutine. A consumer schedules
-// nothing, so it adds no event to the trial.
-type Consumer interface {
-	netsim.Probe
-	// Sample fires on the trial's gauge sampling tick (every sampleEvery
-	// of virtual time), right after the trial's own gauges are sampled.
-	Sample(now sim.Time)
-	// Bound fires from Bind with the trial's simulator, before any event
-	// runs.
-	Bound(s *sim.Simulator)
-	// Instrumented fires from InstrumentNetwork once the tap is attached.
-	Instrumented(n *netsim.Network)
-	// Flush fires once when the trial flushes (its cell returned, or
-	// export), with the trial's final virtual time.
-	Flush(now sim.Time)
-}
-
-// SetObserver installs the function that mints each new trial's consumer
-// (the runtime observatory in internal/obs). Call before any trial is
-// minted; trials created earlier keep none. mint runs under the
-// collector's lock from whichever runner goroutine mints the trial and
-// must not call back into the Collector. Nil-safe.
-func (c *Collector) SetObserver(mint func(key string, t *Trial) Consumer) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.observer = mint
-	c.mu.Unlock()
-}
-
 // Trial is the telemetry sink of one simulation trial: a metrics
 // registry, an event recorder, and the netsim.Probe every instrumented
 // package of the trial emits to. A trial belongs to one sequential
@@ -161,10 +127,6 @@ type Trial struct {
 	rec  recorder
 
 	flushed bool
-
-	// consumer, if set, receives every observed record after the trial's
-	// own handling (set once at mint).
-	consumer Consumer
 
 	flowLabels map[flowLabelKey]string
 	// labels and qdepth are indexed by Port.Ordinal(). labels are filled
@@ -187,16 +149,57 @@ type Trial struct {
 	cwnd                    *Hist
 	marked, pauses, resumes *Counter
 	faults                  *Counter
+
+	// The observatory's parts, set at mint when the collector is attached
+	// to an Observatory (zero otherwise). Observe drives the packet spans
+	// (spanEvery > 0) and the flight ring, which exists exactly when the
+	// watchdogs are armed; tripped and paused are the watchdogs' state.
+	o         *Observatory
+	run       string
+	spanEvery int
+	journeys  journeyTable
+	flight    *flightRing
+	tripped   [numWatchdogs]bool
+	paused    map[pauseKey]bool
+	// swPorts are the instrumented network's switch ports, snapshotted for
+	// the endpoint.
+	swPorts []*netsim.Port
+
+	// Read by the endpoint and its monitor goroutine: the engine's
+	// progress mailbox (made before the trial is published), whether the
+	// trial is done, the monitor's events/sec and the latest snapshot
+	// (swapped in whole on the sampling tick). mon is the monitor's own
+	// bookkeeping.
+	pulse *sim.Pulse
+	done  atomic.Bool
+	rate  atomic.Uint64
+	snap  atomic.Pointer[trialSnapshot]
+	mon   monitorState
 }
 
-func newTrial(key string, opts Options) *Trial {
+// newTrial mints a trial, with the parts of o's options switched on and
+// published to o when o is non-nil.
+func newTrial(key string, opts Options, o *Observatory) *Trial {
 	t := &Trial{key: key, opts: opts, open: make(map[spanKey]*interval)}
 	t.rec.init(opts.RingCap)
+	if o == nil {
+		return t
+	}
+	// Everything the endpoint reads exists before the trial is published.
+	t.o, t.pulse, t.spanEvery = o, &sim.Pulse{}, o.opts.SpanEvery
+	if o.opts.Watchdogs {
+		t.flight = newFlightRing(flightCap)
+	}
+	o.mu.Lock()
+	t.run = o.run
+	o.trials = append(o.trials, t)
+	o.mu.Unlock()
 	return t
 }
 
-// Bind attaches the trial to its simulator and starts the virtual-time
-// gauge sampling cadence, which also drives the consumer's Sample. One
+// Bind attaches the trial to its simulator and the observatory's
+// progress mailbox to the simulator, and starts the virtual-time gauge
+// sampling cadence, which also takes the endpoint's snapshot. One
 // trial binds exactly one simulator; a second Bind panics (it would mean
 // two trials share a sink). Nil-safe.
 func (t *Trial) Bind(s *sim.Simulator) {
@@ -207,18 +210,19 @@ func (t *Trial) Bind(s *sim.Simulator) {
 		panic("telemetry: trial " + t.key + " bound twice")
 	}
 	t.sim = s
+	serving := t.o != nil && t.o.opts.HTTPAddr != ""
 	var tick func()
 	tick = func() {
 		now := s.Now()
 		t.reg.sample(now)
-		if t.consumer != nil {
-			t.consumer.Sample(now)
+		if serving {
+			t.takeSnapshot(now)
 		}
 		s.After(sampleEvery, tick)
 	}
 	s.After(sampleEvery, tick)
-	if t.consumer != nil {
-		t.consumer.Bound(s)
+	if t.pulse != nil {
+		s.SetPulse(t.pulse)
 	}
 }
 
@@ -231,35 +235,23 @@ func (t *Trial) now() sim.Time {
 }
 
 // Flush closes all open spans (flows still running, links still down,
-// loss models still installed) at the current virtual time and hands
-// that time to the consumer. Sweep calls it when a cell returns, export
-// for every trial; idempotent. Nil-safe.
+// loss models still installed, packet journeys still in flight) at the
+// current virtual time and marks the trial done. Sweep calls it when a
+// cell returns, export for every trial; idempotent. Nil-safe.
 func (t *Trial) Flush() {
 	if t == nil || t.flushed {
 		return
 	}
 	t.flushed = true
 	now := t.now()
-	if t.consumer != nil {
-		t.consumer.Flush(now)
-	}
+	t.flushJourneys(now)
+	t.done.Store(true)
 	// Emission order is free: the recorder orders canonically.
 	for k, iv := range t.open {
 		t.emit(k, iv, now, Arg{"open", 1})
 	}
 	clear(t.open)
 	t.flows = 0
-}
-
-// OpenFlows returns the number of flows whose lifetime interval is open:
-// a flow opens at its first data-direction enqueue at its sender's NIC
-// and closes at its FIN. Read it on the trial's simulator goroutine.
-// Nil-safe.
-func (t *Trial) OpenFlows() int {
-	if t == nil {
-		return 0
-	}
-	return t.flows
 }
 
 // --- registry surface (nil-safe wrappers) ---

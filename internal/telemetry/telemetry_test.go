@@ -30,9 +30,6 @@ func TestNilTrialIsDisabled(t *testing.T) {
 	if p := tr.DialProbe("tcp"); p != nil {
 		t.Fatalf("nil trial DialProbe = %v, want nil interface", p)
 	}
-	if n := tr.OpenFlows(); n != 0 {
-		t.Fatalf("nil trial OpenFlows = %d, want 0", n)
-	}
 }
 
 func TestNilCollectorMintsNilTrials(t *testing.T) {
@@ -227,7 +224,7 @@ func TestFaultTransitionsPairWindows(t *testing.T) {
 			spans = append(spans, e)
 		}
 	}
-	want := "link-down " + tr.PortLabel(p)
+	want := "link-down " + tr.portLabel(p)
 	if len(spans) != 1 {
 		t.Fatalf("%d spans for one blackout, want 1: %+v", len(spans), spans)
 	}
@@ -259,8 +256,8 @@ func TestHoldSpansShareATrack(t *testing.T) {
 		}
 	}
 	granted, flushed := got["ack-hold f1"], got["ack-hold f2"]
-	if len(got) != 2 || granted.track != tr.PortLabel(p) || flushed.track != granted.track {
-		t.Fatalf("hold spans %+v, want f1 and f2 on track %q", got, tr.PortLabel(p))
+	if len(got) != 2 || granted.track != tr.portLabel(p) || flushed.track != granted.track {
+		t.Fatalf("hold spans %+v, want f1 and f2 on track %q", got, tr.portLabel(p))
 	}
 	if granted.ts != 10 || granted.dur != 20 || flushed.ts != 20 {
 		t.Fatalf("granted [%d +%d], flushed from %d; want [10 +20] and 20", granted.ts, granted.dur, flushed.ts)

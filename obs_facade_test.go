@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"tfcsim/internal/obs"
 	"tfcsim/internal/telemetry"
 )
 
@@ -100,10 +99,7 @@ func TestPacketSpanByteIdentical(t *testing.T) {
 		t.Error("span trace differs between -j1 and -j8")
 	}
 	if err := telemetry.ValidateTrace(bytes.NewReader(base)); err != nil {
-		t.Errorf("span trace fails schema validation: %v", err)
-	}
-	if err := obs.ValidateSpans(bytes.NewReader(base)); err != nil {
-		t.Errorf("span trace fails span-chain validation: %v", err)
+		t.Errorf("span trace fails schema or span-chain validation: %v", err)
 	}
 	// The trace must actually contain spans — an empty sampled set would
 	// make the identity check vacuous.

@@ -47,7 +47,6 @@ import (
 	"tfcsim/internal/core"
 	"tfcsim/internal/dctcp"
 	"tfcsim/internal/netsim"
-	"tfcsim/internal/obs"
 	"tfcsim/internal/sim"
 	"tfcsim/internal/telemetry"
 	"tfcsim/internal/transport"
@@ -119,15 +118,15 @@ type (
 
 	// ObsOptions configures the runtime observatory (live introspection
 	// endpoint, causal packet spans, invariant watchdogs).
-	ObsOptions = obs.Options
+	ObsOptions = telemetry.ObsOptions
 	// Observatory is the runtime observability hub (RunOptions.Obs).
-	Observatory = obs.Observatory
+	Observatory = telemetry.Observatory
 )
 
 // NewObservatory creates a runtime observatory; pass it via
 // RunOptions.Obs and call Start/Stop around the run to serve the live
 // endpoint.
-func NewObservatory(opts ObsOptions) *Observatory { return obs.New(opts) }
+func NewObservatory(opts ObsOptions) *Observatory { return telemetry.NewObservatory(opts) }
 
 // Time units.
 const (
