@@ -213,7 +213,11 @@ func (s *Sender) Deliver(pkt *netsim.Packet) {
 	s.lastAckAt = s.Cfg.Sim.Now()
 	if pkt.Flags&netsim.FlagRMA != 0 {
 		s.RMAs++
-		s.cwnd = pkt.Window
+		if pkt.Window != s.cwnd {
+			// The switch-stamped window moved; TFC has no ssthresh.
+			s.cwnd = pkt.Window
+			s.ProbeCwnd(s.cwnd, 0)
+		}
 		s.markNext = true
 		if s.awaiting {
 			// Window acquired: enter the data phase.

@@ -92,7 +92,7 @@ func TestDialProbeCoversRegisteredTransport(t *testing.T) {
 
 // A TFC sender whose path blacks out for longer than its minimum RTO
 // times out, and the trial books it: TFC's sender is probed like any
-// other transport's.
+// other transport's, its switch-stamped window moves included.
 func TestDialProbeBooksTFCTimeouts(t *testing.T) {
 	tr := NewCollector(Options{}).Trial("k")
 	s := sim.New(1)
@@ -125,5 +125,8 @@ func TestDialProbeBooksTFCTimeouts(t *testing.T) {
 	}
 	if tr.Counter("tcp.rtx_bytes").Value() == 0 {
 		t.Fatal("no retransmitted bytes booked")
+	}
+	if n := tr.Histogram("flow.cwnd").h.Count(); n == 0 {
+		t.Fatal("flow.cwnd is empty: the sender's RMA windows were not reported")
 	}
 }
