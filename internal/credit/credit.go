@@ -126,10 +126,10 @@ func (s *Sender) onRTO() {
 		return
 	}
 	s.CountTimeout()
-	// Go-back-N and re-request credits. The whole flight is booked as
-	// retransmitted (the window senders book one segment per timeout).
-	s.Stats().RtxBytes += s.Flight()
-	s.Rewind()
+	// Go-back-N, when anything is in flight, and re-request credits.
+	if s.Flight() > 0 {
+		s.GoBackN()
+	}
 	s.sendCtl(netsim.FlagCRD)
 	s.ArmRTO()
 }

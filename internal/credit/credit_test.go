@@ -221,3 +221,45 @@ func TestLostCreditRequestRecovers(t *testing.T) {
 			drains, rcv.Received(), snd.Acked(), snd.Stats().Timeouts)
 	}
 }
+
+// retransmits records the bytes of every EvRetransmit a connection's
+// probe sees.
+type retransmits []int64
+
+func (r *retransmits) Observe(ev netsim.Event) {
+	if ev.Kind == netsim.EvRetransmit {
+		*r = append(*r, ev.A)
+	}
+}
+
+// A timeout with data in flight books one segment as retransmitted, as
+// every window sender's go-back-N does, and reports it to the probe.
+func TestTimeoutBooksOneSegment(t *testing.T) {
+	r := newRig(1, 256<<10)
+	var rtx retransmits
+	snd, rcv := r.dial(0, 1, func(c *transport.DialConfig) {
+		c.MinRTO = sim.Millisecond
+		c.Probe = &rtx
+	})
+	r.s.At(0, func() { snd.Open(); snd.Send(256 << 10) })
+	r.s.At(200*sim.Microsecond, r.bott.SetDown)
+	r.s.At(5*sim.Millisecond, r.bott.SetUp)
+	r.s.RunUntil(100 * sim.Millisecond)
+	st := snd.Stats()
+	if st.Timeouts == 0 || rcv.Received() != 256<<10 {
+		t.Fatalf("timeouts=%d received=%d: want a timeout and a completed transfer", st.Timeouts, rcv.Received())
+	}
+	if len(rtx) == 0 || int64(len(rtx)) > st.Timeouts {
+		t.Fatalf("%d retransmit records for %d timeouts, want one per timeout with data in flight", len(rtx), st.Timeouts)
+	}
+	var sum int64
+	for _, n := range rtx {
+		if n != netsim.MSS {
+			t.Errorf("retransmit record of %d bytes, want one segment (%d)", n, netsim.MSS)
+		}
+		sum += n
+	}
+	if sum != st.RtxBytes {
+		t.Errorf("records sum to %d bytes, Stats().RtxBytes = %d", sum, st.RtxBytes)
+	}
+}
