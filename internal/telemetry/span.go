@@ -185,7 +185,7 @@ func (t *journeyTable) grow() {
 // identifies the chain within the flow track, hop orders it, parent =
 // hop-1 names the causal predecessor (-1 for the chain root).
 func (t *Trial) emitHop(key journeyKey, name string, start, end sim.Time, hop int) {
-	t.Span(SpanCat, name, t.flowLabel("span", key.flow), start, end,
+	t.Span(SpanCat, name, t.flowLabel(lblSpan, key.flow), start, end,
 		Arg{"seq", float64(key.seq)}, Arg{"hop", float64(hop)}, Arg{"parent", float64(hop - 1)})
 }
 

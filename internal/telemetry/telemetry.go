@@ -117,8 +117,10 @@ func (c *Collector) sorted() []*Trial {
 // registry, an event recorder, and the netsim.Probe every instrumented
 // package of the trial emits to. A trial belongs to one sequential
 // simulation and is used from its goroutine only (InstrumentNetwork
-// refuses a partitioned network), so it holds no lock. All methods are
-// nil-safe; a nil *Trial is the disabled state.
+// refuses a partitioned network), so it holds no lock; what the
+// observatory's endpoint reads from other goroutines is atomic, or, for
+// the flight ring, locked. All methods are nil-safe; a nil *Trial is the
+// disabled state.
 type Trial struct {
 	key  string
 	opts Options
@@ -128,7 +130,7 @@ type Trial struct {
 
 	flushed bool
 
-	flowLabels map[flowLabelKey]string
+	flowLabels [len(flowPrefix)]map[netsim.FlowID]string
 	// labels and qdepth are indexed by Port.Ordinal(). labels are filled
 	// once by InstrumentNetwork and read-only afterwards.
 	labels []string
