@@ -63,13 +63,14 @@ type journeyState struct {
 	hop  int
 }
 
-// journeyTable is an open-addressing hash table from journeyKey to journeyState,
-// kept for speed. Every sampled packet inserts a fresh (flow, seq) and
-// deletes it a few hops later; a built-in map takes that churn without
-// allocating once grown (Go 1.24: none over 20 M insert/delete pairs with
-// 300 live keys), but it is slower — with a map in its place,
-// dumbbell_tcp_observed's run_s went from 3.01 / 3.25 / 3.36 s to
-// 3.90 / 3.97 / 4.26 s (alternated runs, seed 3, -seconds 4, 2 CPUs).
+// journeyTable is an open-addressing hash table from journeyKey to
+// journeyState, kept for speed. Every sampled packet inserts a fresh
+// (flow, seq) and deletes it a few hops later; a built-in map takes that
+// churn without allocating once grown (Go 1.24: none over 20 M
+// insert/delete pairs with 300 live keys), but it is slower — with a map
+// in its place, dumbbell_tcp_observed's run_s went from 3.01 / 3.25 /
+// 3.36 s to 3.90 / 3.97 / 4.26 s (alternated runs, seed 3, -seconds 4,
+// 2 CPUs).
 // Linear probing with backward-shift deletion leaves no tombstones, so
 // once the table has grown to the peak in-flight count it never allocates
 // again.
