@@ -18,12 +18,16 @@ import (
 // the trial's metrics like any in-tree window transport's.
 func TestDialProbeCoversRegisteredTransport(t *testing.T) {
 	const name = "telemetrytest-reno"
-	transport.Register(name, transport.Factory{
-		Dial: func(c transport.DialConfig) transport.Conn {
-			s, r := tcp.Dial(tcp.Config{DialConfig: c})
-			return transport.Conn{Sender: s, Received: r.Received, SRTT: s.SRTT}
-		},
-	})
+	// The registry is process-wide: a repeated run (-count=2) finds the
+	// name already there.
+	if !transport.Registered(name) {
+		transport.Register(name, transport.Factory{
+			Dial: func(c transport.DialConfig) transport.Conn {
+				s, r := tcp.Dial(tcp.Config{DialConfig: c})
+				return transport.Conn{Sender: s, Received: r.Received, SRTT: s.SRTT}
+			},
+		})
+	}
 	c := NewCollector(Options{})
 	tr := c.Trial("k")
 	s := sim.New(1)
