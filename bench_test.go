@@ -203,7 +203,7 @@ func BenchmarkEngineThroughputTelemetry(b *testing.B) { newEngineBench(engineTel
 // BenchmarkEngineThroughputTelemetry is the observatory's enabled-path
 // cost. Spans append to the recorder's buffer, which compacts in place once
 // grown (eleven doublings in a trial's life, the last two inside the
-// window), the live-journey table stops growing at the peak in-flight
+// window), the flow's journey ring stops growing at the peak in-flight
 // count the full buffer sets, the flight ring is a fixed array, and
 // watchdogs keep no per-event state, so observation must not add a single
 // steady-state allocation. The HTTP endpoint is off, as in production runs

@@ -63,116 +63,155 @@ type journeyState struct {
 	hop  int
 }
 
-// journeyTable is an open-addressing hash table from journeyKey to
-// journeyState, kept for speed. Every sampled packet inserts a fresh
-// (flow, seq) and deletes it a few hops later; a built-in map takes that
-// churn without allocating once grown (Go 1.24: none over 20 M
-// insert/delete pairs with 300 live keys), but it is slower — with a map
-// in its place, dumbbell_tcp_observed's run_s went from 3.01 / 3.25 /
-// 3.36 s to 3.90 / 3.97 / 4.26 s (alternated runs, seed 3, -seconds 4,
-// 2 CPUs).
-// Linear probing with backward-shift deletion leaves no tombstones, so
-// once the table has grown to the peak in-flight count it never allocates
-// again.
-type journeyTable struct {
-	slots []journeySlot
-	n     int
-}
+// journeyIndex is the set of live journeys, with the semantics of a
+// map[journeyKey]journeyState: one ring per sampled flow (unsampled flows
+// never get one, so their records miss at the flow lookup).
+//
+// It follows the order in which a flow's packets travel. A flow's live
+// journeys are mostly its queued packets, and a sender NIC's backlog can
+// hold hundreds of thousands of them (about 735 000 on the 10/10 Gbps
+// dumbbell_tcp_observed dumbbell): a hash table over all keys would make
+// every hop's lookup a random probe into tens of megabytes. In seq order,
+// a new segment's root appends at the tail, and the dequeue/transmit/
+// delivery records that follow it land near the head.
+type journeyIndex map[netsim.FlowID]*journeyRing
 
-type journeySlot struct {
-	key  journeyKey
-	st   journeyState
-	live bool
-}
-
-func (t *journeyTable) hash(k journeyKey) uint64 {
-	x := uint64(k.flow)*0x9E3779B97F4A7C15 + uint64(k.seq)
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	return x ^ x>>31
-}
-
-func (t *journeyTable) get(k journeyKey) (journeyState, bool) {
-	if t.n == 0 {
-		return journeyState{}, false
-	}
-	mask := uint64(len(t.slots) - 1)
-	for i := t.hash(k) & mask; t.slots[i].live; i = (i + 1) & mask {
-		if t.slots[i].key == k {
-			return t.slots[i].st, true
-		}
+func (x journeyIndex) get(k journeyKey) (journeyState, bool) {
+	if e := x[k.flow].find(k.seq); e != nil {
+		return journeyState{last: e.last, hop: int(e.hop)}, true
 	}
 	return journeyState{}, false
 }
 
-func (t *journeyTable) put(k journeyKey, st journeyState) {
-	if len(t.slots) == 0 || t.n+1 > len(t.slots)*3/4 {
-		t.grow()
+func (x *journeyIndex) put(k journeyKey, st journeyState) {
+	r := (*x)[k.flow]
+	if r == nil {
+		if *x == nil {
+			*x = make(journeyIndex)
+		}
+		r = &journeyRing{}
+		(*x)[k.flow] = r
 	}
-	mask := uint64(len(t.slots) - 1)
-	i := t.hash(k) & mask
-	for t.slots[i].live {
-		if t.slots[i].key == k {
-			t.slots[i].st = st
+	r.put(k.seq, st)
+}
+
+func (x journeyIndex) del(k journeyKey) {
+	r := x[k.flow]
+	if e := r.find(k.seq); e != nil {
+		r.kill(e)
+	}
+}
+
+// journeyEntry is one slot of a flow's ring; live is false once the
+// journey has ended (its slot is freed when it reaches the head).
+type journeyEntry struct {
+	seq  int64
+	last sim.Time
+	hop  int32
+	live bool
+}
+
+// journeyRing holds one flow's journeys sorted by seq, oldest at head, in
+// a power-of-two circular buffer: the n entries at offsets 0..n-1 from
+// head. An ended journey is marked dead in place, and dead entries are
+// popped once they reach the head, so freed slots are reused and the
+// buffer stops growing at the flow's widest in-flight stretch of seqs,
+// oldest live journey to newest.
+type journeyRing struct {
+	buf  []journeyEntry
+	head int
+	n    int
+}
+
+// minJourneyRing is a flow ring's first capacity.
+const minJourneyRing = 16
+
+// at returns the entry at offset i from the head.
+func (r *journeyRing) at(i int) *journeyEntry {
+	return &r.buf[(r.head+i)&(len(r.buf)-1)]
+}
+
+// search returns the offset of the first entry whose seq is at least
+// seq (n if none), galloping from the head: a lookup d entries in costs
+// O(log d) probes.
+func (r *journeyRing) search(seq int64) int {
+	lo, hi := 0, 1
+	for hi <= r.n && r.at(hi-1).seq < seq {
+		lo, hi = hi, hi*2
+	}
+	hi = min(hi, r.n)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if r.at(m).seq < seq {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// find returns seq's live entry, or nil. Nil-safe: a flow without a ring
+// has no live journeys.
+func (r *journeyRing) find(seq int64) *journeyEntry {
+	if r == nil || r.n == 0 || seq > r.at(r.n-1).seq {
+		return nil
+	}
+	if e := r.at(r.search(seq)); e.seq == seq && e.live {
+		return e
+	}
+	return nil
+}
+
+// put sets seq's journey, reviving its dead entry if one is still held.
+// A seq above the newest appends at the tail; any other is inserted at
+// its sorted place (a retransmission after the original ended, or roots
+// that interleave).
+func (r *journeyRing) put(seq int64, st journeyState) {
+	ent := journeyEntry{seq: seq, last: st.last, hop: int32(st.hop), live: true}
+	i := r.n
+	if r.n > 0 && seq <= r.at(r.n-1).seq {
+		i = r.search(seq)
+		if e := r.at(i); e.seq == seq {
+			*e = ent
 			return
 		}
-		i = (i + 1) & mask
 	}
-	t.slots[i] = journeySlot{key: k, st: st, live: true}
-	t.n++
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	mask := len(r.buf) - 1
+	if i < r.n/2 {
+		// Nearer the head: shift the first i entries back one slot.
+		r.head = (r.head - 1) & mask
+		for j := 0; j < i; j++ {
+			*r.at(j) = *r.at(j + 1)
+		}
+	} else {
+		for j := r.n; j > i; j-- {
+			*r.at(j) = *r.at(j - 1)
+		}
+	}
+	*r.at(i) = ent
+	r.n++
 }
 
-// del removes k, backward-shifting the probe chain so lookups never see
-// a hole mid-chain and the table carries no tombstones.
-func (t *journeyTable) del(k journeyKey) {
-	if t.n == 0 {
-		return
+// kill ends e's journey and pops the dead entries at the head.
+func (r *journeyRing) kill(e *journeyEntry) {
+	e.live = false
+	for r.n > 0 && !r.buf[r.head].live {
+		r.head = (r.head + 1) & (len(r.buf) - 1)
+		r.n--
 	}
-	mask := uint64(len(t.slots) - 1)
-	i := t.hash(k) & mask
-	for t.slots[i].live {
-		if t.slots[i].key == k {
-			break
-		}
-		i = (i + 1) & mask
-	}
-	if !t.slots[i].live {
-		return
-	}
-	t.n--
-	j := i
-	for {
-		j = (j + 1) & mask
-		if !t.slots[j].live {
-			break
-		}
-		home := t.hash(t.slots[j].key) & mask
-		// Shift j back into the hole at i unless j sits between its home
-		// slot and i (cyclically), in which case moving it would break its
-		// own probe chain.
-		if (j-home)&mask >= (j-i)&mask {
-			t.slots[i] = t.slots[j]
-			i = j
-		}
-	}
-	t.slots[i] = journeySlot{}
 }
 
-func (t *journeyTable) grow() {
-	old := t.slots
-	size := 64
-	if len(old) > 0 {
-		size = len(old) * 2
+// grow doubles a full ring, unwrapping it to start at slot 0.
+func (r *journeyRing) grow() {
+	buf := make([]journeyEntry, max(2*len(r.buf), minJourneyRing))
+	for i := 0; i < r.n; i++ {
+		buf[i] = *r.at(i)
 	}
-	t.slots = make([]journeySlot, size)
-	t.n = 0
-	for _, s := range old {
-		if s.live {
-			t.put(s.key, s.st)
-		}
-	}
+	r.buf, r.head = buf, 0
 }
 
 // The span tracer records causal packet spans for sampled flows into the
@@ -193,16 +232,17 @@ func (t *Trial) emitHop(key journeyKey, name string, start, end sim.Time, hop in
 // stepJourney advances key's journey: emits the [last, now] span as hop
 // name and either re-arms the state (terminal=false) or closes the chain.
 func (t *Trial) stepJourney(key journeyKey, now sim.Time, name string, terminal bool) {
-	st, ok := t.journeys.get(key)
-	if !ok {
+	r := t.journeys[key.flow]
+	e := r.find(key.seq)
+	if e == nil {
 		return
 	}
-	t.emitHop(key, name, st.last, now, st.hop)
+	t.emitHop(key, name, e.last, now, int(e.hop))
 	if terminal {
-		t.journeys.del(key)
+		r.kill(e)
 		return
 	}
-	t.journeys.put(key, journeyState{last: now, hop: st.hop + 1})
+	e.last, e.hop = now, e.hop+1
 }
 
 // traceJourney advances the journey of the data packet a forwarding-path
@@ -244,13 +284,15 @@ func (t *Trial) traceJourney(ev netsim.Event) {
 }
 
 // flushJourneys closes every still-open journey at the trial's final
-// virtual time. Table order reaches the recorder, but not the trace: the
-// recorder orders canonically.
+// virtual time. The flows are visited in map order, which reaches the
+// recorder but not the trace: the recorder orders canonically.
 func (t *Trial) flushJourneys(now sim.Time) {
-	for _, s := range t.journeys.slots {
-		if s.live {
-			t.emitHop(s.key, spanOpen, s.st.last, now, s.st.hop)
+	for f, r := range t.journeys {
+		for i := 0; i < r.n; i++ {
+			if e := r.at(i); e.live {
+				t.emitHop(journeyKey{f, e.seq}, spanOpen, e.last, now, int(e.hop))
+			}
 		}
 	}
-	t.journeys = journeyTable{}
+	t.journeys = nil
 }

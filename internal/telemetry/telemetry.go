@@ -159,7 +159,7 @@ type Trial struct {
 	o         *Observatory
 	run       string
 	spanEvery int
-	journeys  journeyTable
+	journeys  journeyIndex
 	flight    *flightRing
 	tripped   [numWatchdogs]bool
 	paused    map[pauseKey]bool
