@@ -201,10 +201,11 @@ func BenchmarkEngineThroughputTelemetry(b *testing.B) { newEngineBench(engineTel
 // (SpanEvery=1), invariant watchdogs armed, and the flight recorder
 // ring live (dumps disabled). The delta against
 // BenchmarkEngineThroughputTelemetry is the observatory's enabled-path
-// cost. Spans append to the recorder's buffer, which compacts in place once
-// grown (eleven doublings in a trial's life, the last two inside the
-// window), the flow's journey ring stops growing at the peak in-flight
-// count the full buffer sets, the flight ring is a fixed array, and
+// cost. Spans fill the recorder's slots, which grow a segment at a time
+// (nine segments in a trial's life; the last one, with its key array, is
+// inside the window) and are then reused by compactions that allocate
+// nothing, the flow's journey ring stops growing at the peak in-flight
+// count the full recorder sets, the flight ring is a fixed array, and
 // watchdogs keep no per-event state, so observation must not add a single
 // steady-state allocation. The HTTP endpoint is off, as in production runs
 // without -http.

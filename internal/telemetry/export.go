@@ -128,9 +128,8 @@ func (c *Collector) WriteTrace(w io.Writer) error {
 			tids[track] = i + 1
 			tw.meta("thread_name", pid, i+1, track)
 		}
-		evs := t.rec.events()
-		for i := range evs {
-			tw.event(&evs[i], pid, tids[evs[i].track])
+		for _, e := range t.rec.events() {
+			tw.event(e, pid, tids[e.track])
 		}
 	}
 	tw.w.WriteString("]}\n")
@@ -140,12 +139,8 @@ func (c *Collector) WriteTrace(w io.Writer) error {
 	return tw.err
 }
 
-// Metrics snapshot JSON shapes.
-type metricsFile struct {
-	Schema string         `json:"schema"`
-	Trials []metricsTrial `json:"trials"`
-}
-
+// Metrics snapshot JSON shapes: a file is
+// {"schema": "tfcsim-metrics-v1", "trials": [metricsTrial…]}.
 type metricsTrial struct {
 	Key          string        `json:"key"`
 	Counters     []counterJSON `json:"counters"`
@@ -176,45 +171,65 @@ type histJSON struct {
 
 // WriteMetrics writes the merged metrics snapshot for all trials, keys
 // and metric names sorted, so output is byte-identical at any
-// parallelism.
+// parallelism. Trials are encoded one at a time between hand-written
+// separators, so no more than one trial's JSON is in memory; the bytes
+// are what an encoding/json Encoder indenting by one space writes for the
+// whole file.
 func (c *Collector) WriteMetrics(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	bw.WriteString("{\n \"schema\": \"tfcsim-metrics-v1\",\n \"trials\": [")
 	trials := c.sorted()
-	mf := metricsFile{Schema: "tfcsim-metrics-v1", Trials: []metricsTrial{}}
-	for _, t := range trials {
-		t.Flush() // as WriteTrace does: the file must not depend on which ran
-		mt := metricsTrial{
-			Key:          t.key,
-			Counters:     []counterJSON{},
-			Gauges:       []gaugeJSON{},
-			Histograms:   []histJSON{},
-			TraceEvents:  t.rec.retained(),
-			TraceDropped: t.rec.dropped(),
+	for i, t := range trials {
+		b, err := json.MarshalIndent(t.metricsJSON(), "  ", " ")
+		if err != nil {
+			return err
 		}
-		for _, ctr := range t.reg.counters {
-			mt.Counters = append(mt.Counters, counterJSON{ctr.name, ctr.v})
+		if i > 0 {
+			bw.WriteByte(',')
 		}
-		sort.Slice(mt.Counters, func(i, j int) bool { return mt.Counters[i].Name < mt.Counters[j].Name })
-		for _, g := range t.reg.gauges {
-			gj := gaugeJSON{Name: g.name, TNs: []int64{}, V: []float64{}}
-			for i := range g.series.T {
-				gj.TNs = append(gj.TNs, int64(g.series.T[i]))
-				gj.V = append(gj.V, g.series.V[i])
-			}
-			mt.Gauges = append(mt.Gauges, gj)
-		}
-		sort.Slice(mt.Gauges, func(i, j int) bool { return mt.Gauges[i].Name < mt.Gauges[j].Name })
-		for _, h := range t.reg.hists {
-			mt.Histograms = append(mt.Histograms, histJSON{
-				Name: h.name, Bounds: h.h.Bounds(), Counts: h.h.Counts(),
-				Count: h.h.Count(), Sum: h.h.Sum(),
-			})
-		}
-		sort.Slice(mt.Histograms, func(i, j int) bool { return mt.Histograms[i].Name < mt.Histograms[j].Name })
-		mf.Trials = append(mf.Trials, mt)
+		bw.WriteString("\n  ")
+		bw.Write(b)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(mf)
+	if len(trials) > 0 {
+		bw.WriteString("\n ")
+	}
+	bw.WriteString("]\n}\n")
+	return bw.Flush() // the first failed write's error
+}
+
+// metricsJSON flushes t (as WriteTrace does: the file must not depend on
+// which ran) and returns its entry in the metrics file.
+func (t *Trial) metricsJSON() metricsTrial {
+	t.Flush()
+	mt := metricsTrial{
+		Key:          t.key,
+		Counters:     []counterJSON{},
+		Gauges:       []gaugeJSON{},
+		Histograms:   []histJSON{},
+		TraceEvents:  t.rec.retained(),
+		TraceDropped: t.rec.dropped(),
+	}
+	for _, ctr := range t.reg.counters {
+		mt.Counters = append(mt.Counters, counterJSON{ctr.name, ctr.v})
+	}
+	sort.Slice(mt.Counters, func(i, j int) bool { return mt.Counters[i].Name < mt.Counters[j].Name })
+	for _, g := range t.reg.gauges {
+		gj := gaugeJSON{Name: g.name, TNs: []int64{}, V: []float64{}}
+		for i := range g.series.T {
+			gj.TNs = append(gj.TNs, int64(g.series.T[i]))
+			gj.V = append(gj.V, g.series.V[i])
+		}
+		mt.Gauges = append(mt.Gauges, gj)
+	}
+	sort.Slice(mt.Gauges, func(i, j int) bool { return mt.Gauges[i].Name < mt.Gauges[j].Name })
+	for _, h := range t.reg.hists {
+		mt.Histograms = append(mt.Histograms, histJSON{
+			Name: h.name, Bounds: h.h.Bounds(), Counts: h.h.Counts(),
+			Count: h.h.Count(), Sum: h.h.Sum(),
+		})
+	}
+	sort.Slice(mt.Histograms, func(i, j int) bool { return mt.Histograms[i].Name < mt.Histograms[j].Name })
+	return mt
 }
 
 // WriteFiles writes the trace and/or metrics files named in the

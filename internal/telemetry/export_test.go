@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"testing"
 
@@ -159,5 +161,63 @@ func TestMetricsIndependentOfTrace(t *testing.T) {
 	}
 	if !bytes.Contains(alone, []byte(`"trace_events": 2`)) {
 		t.Errorf("want the open span counted (trace_events 2):\n%s", alone)
+	}
+}
+
+// BenchmarkWriteTrace prices exporting one trial whose default-size ring
+// has overflowed (ns/op is per trial): ordering the retained events and
+// streaming them as JSON. Filling the ring is untimed.
+func BenchmarkWriteTrace(b *testing.B) {
+	tracks := make([]string, 64)
+	for i := range tracks {
+		tracks[i] = fmt.Sprintf("span f%d", i)
+	}
+	order := pushOrders()[1] // bounded disorder, as the probes push
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := NewCollector(Options{})
+		tr := c.Trial("k")
+		for j := 0; j < 3<<16; j++ {
+			at := order.ts(j)
+			tr.Span(SpanCat, "xmit", tracks[j%len(tracks)], at, at+1200, Arg{"seq", float64(j)}, Arg{"hop", 1})
+		}
+		b.StartTimer()
+		if err := c.WriteTrace(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestWriteMetricsMatchesEncodingJSON holds the streamed metrics file to
+// what an encoding/json Encoder indenting by one space writes for the
+// whole file at once: with no trials, one, and several, among them a
+// trial with no metrics at all and a gauge that never sampled.
+func TestWriteMetricsMatchesEncodingJSON(t *testing.T) {
+	several := buildCollector([]string{"t<&>", "t1"})
+	several.Trial("bare")
+	several.Trial("unsampled").Gauge("g", func() float64 { return 1 })
+	for name, c := range map[string]*Collector{
+		"none": NewCollector(Options{}), "one": buildCollector([]string{"k"}), "several": several,
+	} {
+		var got bytes.Buffer
+		if err := c.WriteMetrics(&got); err != nil {
+			t.Fatal(err)
+		}
+		file := struct {
+			Schema string         `json:"schema"`
+			Trials []metricsTrial `json:"trials"`
+		}{"tfcsim-metrics-v1", []metricsTrial{}}
+		for _, tr := range c.sorted() {
+			file.Trials = append(file.Trials, tr.metricsJSON())
+		}
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", " ")
+		if err := enc.Encode(file); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: WriteMetrics wrote\n%s\nwant\n%s", name, got.Bytes(), want.Bytes())
+		}
 	}
 }

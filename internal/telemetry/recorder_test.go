@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -47,7 +49,7 @@ func checkRecorder(t *testing.T, r *recorder, pushed []event, limit int) {
 		t.Fatalf("events() has %d events, want %d", len(evs), len(want))
 	}
 	for i := range want {
-		if evs[i] != want[i] {
+		if *evs[i] != want[i] {
 			t.Fatalf("after %d pushes, limit %d: event %d = %+v, want %+v", len(pushed), limit, i, evs[i], want[i])
 		}
 	}
@@ -100,6 +102,70 @@ func TestRecorderMatchesOracle(t *testing.T) {
 	}
 }
 
+// FuzzRecorder replays push scripts against oracleTop: a limit of 1–64,
+// timestamps from a small domain (heavy ties), events that differ in a
+// late field only, exact duplicates of earlier pushes, any order, and
+// tracks()/events() in mid-stream. After every push the counts must be
+// the oracle's and the floor at or below its smallest retained event; at
+// every mid-stream check and at the end, the exported events must be
+// exactly the oracle's.
+func FuzzRecorder(f *testing.F) {
+	var up, down []byte
+	for i := 0; i < 120; i++ {
+		up = append(up, byte(i%32)<<3, byte(i))
+		down = append(down, byte(31-i%32)<<3, byte(i*7))
+		if i%40 == 39 {
+			up, down = append(up, 7, 0), append(down, 7, 0)
+		}
+	}
+	f.Add(uint8(16), up)
+	f.Add(uint8(5), down)
+	f.Add(uint8(0), []byte{8, 1, 8, 1, 6, 0, 16, 2, 7, 0, 6, 1, 8, 3, 0, 4, 7, 0, 6, 5})
+	f.Add(uint8(63), []byte{6, 0, 7, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, lim uint8, script []byte) {
+		limit := 1 + int(lim%64)
+		script = script[:min(len(script), 1024)] // the checks are quadratic
+		var r recorder
+		r.init(limit)
+		var pushed, sorted []event // sorted: pushed in canonical order
+		for i := 0; i+1 < len(script); i += 2 {
+			op, arg := script[i], script[i+1]
+			var e event
+			switch op % 8 {
+			case 7:
+				checkRecorder(t, &r, pushed, limit)
+				continue
+			case 6:
+				if len(pushed) == 0 {
+					continue
+				}
+				e = pushed[int(arg)%len(pushed)]
+			default:
+				e = event{
+					name: "ab"[arg>>4&1:][:1], track: "abc"[arg%3:][:1], ph: "XiC"[arg>>2%3],
+					ts: sim.Time(op >> 3), dur: sim.Time(op % 2), nargs: arg >> 5 & 3,
+				}
+				for j := range e.args[:e.nargs] {
+					e.args[j] = Arg{"k", float64(arg >> 7)}
+				}
+			}
+			r.push(&e)
+			pushed = append(pushed, e)
+			at, _ := slices.BinarySearchFunc(sorted, e, func(a, b event) int { return eventCmp(&a, &b) })
+			sorted = slices.Insert(sorted, at, e)
+			want := sorted[max(len(sorted)-limit, 0):] // oracleTop(pushed, limit)
+			if r.retained() != len(want) || r.dropped() != int64(len(pushed)-len(want)) {
+				t.Fatalf("push %d: retained %d dropped %d, want %d and %d",
+					len(pushed), r.retained(), r.dropped(), len(want), len(pushed)-len(want))
+			}
+			if r.floored && eventLess(&want[0], &r.floor) {
+				t.Fatalf("push %d: floor %+v is above the retained %+v", len(pushed), r.floor, want[0])
+			}
+		}
+		checkRecorder(t, &r, pushed, limit)
+	})
+}
+
 // TestRecorderSelectionBudget feeds the arrangements that defeat naive
 // pivot rules and holds every compaction to O(n log n) comparisons.
 func TestRecorderSelectionBudget(t *testing.T) {
@@ -118,34 +184,67 @@ func TestRecorderSelectionBudget(t *testing.T) {
 			pushed[i] = event{name: "e", ph: 'X', track: "t", ts: ts(i)}
 			r.push(&pushed[i])
 		}
-		compactions := int64(n/limit + 1)
-		if budget := compactions * 8 * compactAt * limit * int64(bits.Len(compactAt*limit)); r.compares > budget {
+		// The first compaction comes when the slots are full, each later
+		// one after the slack refills, and the last one at export.
+		compactions := int64((n-r.slots)/(r.slots-limit) + 2)
+		if budget := compactions * 8 * 2 * limit * int64(bits.Len(2*limit)); r.compares > budget {
 			t.Errorf("%s: %d comparisons for %d pushes, budget %d", name, r.compares, n, budget)
 		}
 		checkRecorder(t, &r, pushed, limit)
 	}
 }
 
-// TestSelectTopFallback runs the selection with its partition budget
-// spent from the start or after one unproductive partition, so the sort
-// that bounds the worst case is what produces the answer.
-func TestSelectTopFallback(t *testing.T) {
+// TestKeySelectionFallback runs the key selection with its partition
+// budget spent from the start, or after one partition made unproductive
+// by placing the three smallest keys where the pivot is sampled, so the
+// sort that bounds the worst case is what produces the answer.
+func TestKeySelectionFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for _, budget := range []int{0, 1} {
-		for k := 1; k <= 200; k += 37 {
-			evs := randomEvents(rng, 200)
-			r := recorder{buf: append([]event(nil), evs...)}
-			r.selectTop(k, budget)
-			want := oracleTop(evs, k)
-			if r.buf[k-1] != want[0] {
-				t.Fatalf("budget %d k %d: buf[k-1] = %+v, want the k-th largest %+v", budget, k, r.buf[k-1], want[0])
+		for k := 1; k <= 190; k += 27 {
+			keys := make([]int64, 200)
+			for i := range keys {
+				keys[i] = 3 + rng.Int63n(60) // heavy ties
 			}
-			for i, e := range oracleTop(r.buf[:k], k) {
-				if e != want[i] {
-					t.Fatalf("budget %d k %d: buf[:k] is not the top k: %+v, want %+v", budget, k, e, want[i])
+			if budget == 1 {
+				for i, s := range pivotSamples(0, len(keys)-1) {
+					keys[s] = int64(i)
 				}
 			}
+			want := slices.Clone(keys)
+			slices.Sort(want)
+			var r recorder
+			a := slices.Clone(keys)
+			if got := r.kthLargest(a, k, budget); got != want[len(want)-k] {
+				t.Fatalf("budget %d k %d: kthLargest = %d, want %d", budget, k, got, want[len(want)-k])
+			}
+			if slices.Sort(a); !slices.Equal(a, want) {
+				t.Fatalf("budget %d k %d: the selection lost or invented keys", budget, k)
+			}
 		}
+	}
+}
+
+// TestFullRingAllocates bounds the bytes one default-size ring allocates
+// over a full trial's life: filled, compacted several times and exported.
+// The slots are 1.5×RingCap events, allocated once each; the key array,
+// the selection's copy of it and the slot lists are 8 bytes a slot.
+func TestFullRingAllocates(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r, push, next := fullRecorder(pushOrders()[0].ts)
+	for i := 0; i < 1<<17; i++ {
+		push(next + i)
+	}
+	r.tracks()
+	r.events()
+	runtime.ReadMemStats(&after)
+	const budget = 22 // MB; a doubling buffer of 144-byte events took 37.7
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+	t.Logf("a full default ring allocated %.1f MB", mb)
+	if mb > budget {
+		t.Errorf("a full default ring allocated %.1f MB, want at most %d MB", mb, budget)
 	}
 }
 
@@ -172,16 +271,16 @@ func pushOrders() []pushOrder {
 	}
 }
 
-// fullRecorder returns push(i), which records span event i at ts(i) into a
-// default-size ring that is already full — the ring, its slack and the
-// first compaction are behind it — and the index to go on from.
-func fullRecorder(ts func(i int) sim.Time) (push func(i int), next int) {
+// fullRecorder returns a default-size ring that is already full — the
+// ring, its slack and the first compaction are behind it — push(i), which
+// records span event i at ts(i) into it, and the index to go on from.
+func fullRecorder(ts func(i int) sim.Time) (r *recorder, push func(i int), next int) {
 	const limit = 1 << 16
 	names, tracks := [4]string{"queue", "xmit", "wire", "deliver"}, [8]string{}
 	for i := range tracks {
 		tracks[i] = fmt.Sprintf("span f%d", i)
 	}
-	r := &recorder{}
+	r = &recorder{}
 	r.init(limit)
 	e := &event{cat: "span", ph: 'X', dur: 1200, nargs: 3,
 		args: [maxArgs]Arg{{"seq", 0}, {"hop", 1}, {"parent", 0}}}
@@ -190,11 +289,11 @@ func fullRecorder(ts func(i int) sim.Time) (push func(i int), next int) {
 		e.args[0].V = float64(i)
 		r.push(e)
 	}
-	const fill = compactAt*limit + 1
+	fill := r.slots + 1
 	for i := 0; i < fill; i++ {
 		push(i)
 	}
-	return push, fill
+	return r, push, fill
 }
 
 // BenchmarkRecorderPush prices one push into a full default-size ring
@@ -202,7 +301,7 @@ func fullRecorder(ts func(i int) sim.Time) (push func(i int), next int) {
 func BenchmarkRecorderPush(b *testing.B) {
 	for _, o := range pushOrders() {
 		b.Run(o.name, func(b *testing.B) {
-			push, next := fullRecorder(o.ts)
+			_, push, next := fullRecorder(o.ts)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -217,7 +316,7 @@ func BenchmarkRecorderPush(b *testing.B) {
 // more compactions' worth — allocate nothing (the buffer is at full size
 // by then; compaction is in place).
 func TestRecorderPushAllocs(t *testing.T) {
-	push, next := fullRecorder(pushOrders()[0].ts) // ascending
+	_, push, next := fullRecorder(pushOrders()[0].ts) // ascending
 	const batch = 1 << 10
 	allocs := testing.AllocsPerRun(3*(1<<16)/batch, func() {
 		for i := 0; i < batch; i++ {

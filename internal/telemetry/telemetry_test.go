@@ -139,7 +139,7 @@ func TestRecorderOrderInvariant(t *testing.T) {
 		t.Fatalf("retained %d vs %d events", len(ea), len(eb))
 	}
 	for i := range ea {
-		if ea[i] != eb[i] {
+		if *ea[i] != *eb[i] {
 			t.Fatalf("event %d differs across arrival orders: %+v vs %+v", i, ea[i], eb[i])
 		}
 	}
@@ -221,7 +221,7 @@ func TestFaultTransitionsPairWindows(t *testing.T) {
 	var spans []event
 	for _, e := range tr.rec.events() {
 		if e.ph == 'X' {
-			spans = append(spans, e)
+			spans = append(spans, *e)
 		}
 	}
 	want := "link-down " + tr.portLabel(p)
@@ -252,7 +252,7 @@ func TestHoldSpansShareATrack(t *testing.T) {
 	got := map[string]event{}
 	for _, e := range tr.rec.events() {
 		if e.ph == 'X' && e.cat == "tfc" {
-			got[e.name] = e
+			got[e.name] = *e
 		}
 	}
 	granted, flushed := got["ack-hold f1"], got["ack-hold f2"]
