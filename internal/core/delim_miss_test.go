@@ -2,7 +2,7 @@ package core
 
 // Direct test of the delimiter-miss exponential backoff (§4 robustness):
 // when the delimiter flow dies mid-slot, the staleness timer re-elects a
-// new delimiter at 2^(k+1)·rtt_last with k capped at MaxMissK, and a
+// new delimiter at rtt_last << min(k+1, maxMissK) after k misses, and a
 // completed slot resets the backoff. This is the machinery the blackout
 // experiment leans on — under a link failure every in-flight delimiter is
 // lost, and recovery time depends on the backoff staying bounded.

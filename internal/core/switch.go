@@ -71,21 +71,17 @@ type PortState struct {
 	port *netsim.Port
 	bps  float64 // link rate, bytes per second
 
-	// Token machinery.
-	rttb      sim.Time
+	// Token machinery: the control loop's state, and what endSlot
+	// measures to feed it.
+	slotState
 	hasDelim  bool
 	delim     netsim.FlowID
 	tstart    sim.Time
 	slotLarge bool // the RM frame that started the slot was >= minRTTFrame
 	e         int
-	t         float64
-	w         float64
-	eSmooth   float64  // EWMA of per-slot E (quantization damping)
-	sumA      float64  // decayed arrival bytes (rho numerator)
-	sumT      float64  // decayed seconds (rho denominator)
 	aCum      int64    // cumulative arrival wire bytes (never reset)
-	lastACum  int64    // aCum at the last accounted slot boundary
-	lastRhoAt sim.Time // time of the last accounted slot boundary
+	lastACum  int64    // aCum at the last slot boundary
+	lastRhoAt sim.Time // time of the last slot boundary
 	lastRTTm  sim.Time
 	missK     int
 	dTimer    sim.Timer
@@ -101,11 +97,12 @@ type PortState struct {
 
 func newPortState(s *sim.Simulator, p *netsim.Port, cfg *SwitchConfig) *PortState {
 	st := &PortState{
-		cfg:  cfg,
-		s:    s,
-		port: p,
-		bps:  p.Rate.BytesPerSecond(),
-		rttb: initRTTB,
+		cfg:       cfg,
+		s:         s,
+		port:      p,
+		bps:       p.Rate.BytesPerSecond(),
+		slotState: slotState{rttb: initRTTB},
+		lastRTTm:  initRTTB,
 	}
 	st.t = st.bps * st.rttb.Seconds() * cfg.Rho0
 	st.w = st.t
@@ -205,110 +202,29 @@ func (st *PortState) adopt(pkt *netsim.Packet) {
 	if st.e == 0 {
 		st.e = 1
 	}
-	st.armDelimTimer(st.lastRTTmOrInit())
-}
-
-func (st *PortState) lastRTTmOrInit() sim.Time {
-	if st.lastRTTm > 0 {
-		return st.lastRTTm
-	}
-	return initRTTB
+	st.armDelimTimer(st.lastRTTm)
 }
 
 // endSlot closes the current time slot on arrival of the delimiter's RM
-// data packet: measure rtt_m, update rtt_b, adjust tokens (eqs. 7–8),
-// compute the next window (eq. 5), and start the next slot.
+// data packet: measure the slot, fold it into the control loop
+// (slotUpdate), emit it, and start the next slot.
 func (st *PortState) endSlot(pkt *netsim.Packet) {
 	now := st.s.Now()
 	rttm := now - st.tstart
 	if rttm <= 0 {
 		rttm = sim.Microsecond
 	}
-
-	// rtt_b uses only slots delimited by full-size frames on both ends
-	// (§4.4): store-and-forward time differs per frame size, so a slot
-	// started by a small control frame under-measures the base RTT.
-	// All-time minimum: the monotone min is what stabilizes the control
-	// loop — any windowed/forgetting variant lets queue-inflated samples
-	// raise rtt_b, which raises T, which deepens the queue (positive
-	// feedback). The cost is that after a delimiter change to a
-	// longer-RTT flow, tokens stay sized for the old minimum; the token
-	// adjustment's rho feedback absorbs that (§4.5).
 	endLarge := pkt.FrameBytes() >= minRTTFrame
-	if endLarge && st.slotLarge && rttm < st.rttb {
-		st.rttb = rttm
+	m := slotSample{
+		rttm: rttm, full: endLarge && st.slotLarge,
+		arrived: float64(st.aCum - st.lastACum), span: (now - st.lastRhoAt).Seconds(),
+		e: st.e, queueEmpty: st.port.QueueBytes() == 0,
 	}
 	st.slotLarge = endLarge
+	st.lastACum = st.aCum
+	st.lastRhoAt = now
 	var rho float64
-	if st.cfg.DisableAdjust {
-		rho = st.cfg.Rho0 // neutralizes eq. 7
-	} else {
-		// Utilization as an exponentially-decayed ratio of sums over
-		// intervals that tile the entire timeline (cumulative counters,
-		// never reset at adoption or sync slots). Anything less is
-		// biased: slots end exactly when the delimiter's marked packet
-		// (the head of its window burst) arrives, and delimiter churn
-		// discards idle stretches, so per-slot ratios overstate
-		// utilization and starve the work-conserving boost.
-		st.sumA = alpha*st.sumA + float64(st.aCum-st.lastACum)
-		st.sumT = alpha*st.sumT + (now - st.lastRhoAt).Seconds()
-		st.lastACum = st.aCum
-		st.lastRhoAt = now
-		rho = st.sumA / (st.bps * st.sumT)
-		if rho < rhoFloor {
-			rho = rhoFloor
-		}
-	}
-	// Upward correction: rtt_b is "the minimum measured RTT of the
-	// delimiter flow" (§4.4), so after the delimiter changes to a
-	// longer-path flow, the inherited minimum undersizes the tokens
-	// relative to the new slot duration and flows stall at one packet
-	// per round. That regime is detectable — persistent under-utilization
-	// together with slots much longer than rtt_b — and crucially is
-	// distinguishable from queueing (which always shows rho ~ 1), so the
-	// bounded raise below cannot couple rtt_b to the queue.
-	if !st.cfg.DisableAdjust && st.rttb < initRTTB && st.port.QueueBytes() == 0 {
-		if rho < st.cfg.Rho0-0.03 && rttm > st.rttb*5/4 {
-			st.rttb += st.rttb / 16
-			if st.rttb > initRTTB {
-				st.rttb = initRTTB
-			}
-		}
-	}
-	tokRTT := st.rttb
-	if st.cfg.DisableDecouple {
-		tokRTT = rttm
-	}
-	bdp := st.bps * tokRTT.Seconds()
-	target := bdp * st.cfg.Rho0 / rho
-	// Slew-limit the per-slot target: near-idle slots (e.g. during
-	// handshakes) measure rho ~ 0 and would otherwise command a massive
-	// one-slot boost that bursts the buffer before flows even start.
-	if target > 4*st.t {
-		target = 4 * st.t
-	} else if target < st.t/4 {
-		target = st.t / 4
-	}
-	st.t = alpha*st.t + (1-alpha)*target
-	if maxT := bdp * tClampFactor; st.t > maxT {
-		st.t = maxT
-	}
-	if minT := float64(netsim.MSS); st.t < minT {
-		st.t = minT
-	}
-	// E is an integer count of marked packets, but its true value
-	// (eq. 1: sum of t/rtt_f) is fractional; with non-integer RTT ratios
-	// the per-slot count alternates (e.g. a flow with 1.5 rounds per slot
-	// counts 1, then 2). Dividing raw counts into T makes W swing +-20%
-	// every slot, and window-limited flows deliver the *harmonic* mean of
-	// a swinging window — strictly less than the mean. A light EWMA
-	// recovers the fractional value the paper's formula intends.
-	if st.eSmooth == 0 {
-		st.eSmooth = float64(st.e)
-	} else {
-		st.eSmooth = 0.75*st.eSmooth + 0.25*float64(st.e)
-	}
-	st.w = st.t / st.eSmooth
+	st.slotState, rho = slotUpdate(st.cfg, st.bps, st.slotState, m)
 	st.Slots++
 	if st.cfg.OnSlot != nil {
 		st.cfg.OnSlot(st.port, SlotInfo{
@@ -330,7 +246,98 @@ func (st *PortState) endSlot(pkt *netsim.Packet) {
 	st.armDelimTimer(rttm)
 }
 
-// armDelimTimer schedules delimiter-staleness detection at 2^(k+1)·rtt_last.
+// slotState is the state TFC's control loop carries from slot to slot.
+type slotState struct {
+	rttb    sim.Time // base RTT estimate (§4.4)
+	t       float64  // token value (bytes)
+	w       float64  // window assigned for the next slot (bytes)
+	eSmooth float64  // EWMA of per-slot E (quantization damping)
+	sumA    float64  // decayed arrival bytes (rho numerator)
+	sumT    float64  // decayed seconds (rho denominator)
+}
+
+// slotSample is what endSlot measures of one slot.
+type slotSample struct {
+	rttm       sim.Time // slot duration, > 0
+	full       bool     // both delimiting frames were >= minRTTFrame
+	arrived    float64  // wire bytes that arrived since the last slot end
+	span       float64  // seconds since the last slot end
+	e          int      // effective flows counted in the slot
+	queueEmpty bool     // the port's queue was empty at the slot end
+}
+
+// slotUpdate is TFC's per-slot control law: the rtt_b filter (§4.4, and
+// DESIGN §3b item 8's raise), the decayed utilization (item 5), the token
+// adjustment (eqs. 7–8) and the window (eq. 5). It folds the sample m into
+// the state s of a port of bps bytes per second and returns the new state
+// and the slot's utilization. It is pure: no simulator, port or probe.
+func slotUpdate(cfg *SwitchConfig, bps float64, s slotState, m slotSample) (slotState, float64) {
+	// rtt_b uses only slots delimited by full-size frames on both ends
+	// (§4.4): store-and-forward time differs per frame size, so a slot
+	// started by a small control frame under-measures the base RTT.
+	// All-time minimum: the monotone min is what stabilizes the control
+	// loop — any windowed/forgetting variant lets queue-inflated samples
+	// raise rtt_b, which raises T, which deepens the queue (positive
+	// feedback). The cost is that after a delimiter change to a
+	// longer-RTT flow, tokens stay sized for the old minimum; the token
+	// adjustment's rho feedback absorbs that (§4.5).
+	if m.full && m.rttm < s.rttb {
+		s.rttb = m.rttm
+	}
+	rho := cfg.Rho0 // with DisableAdjust, neutralizes eq. 7
+	if !cfg.DisableAdjust {
+		// Utilization as an exponentially-decayed ratio of sums over
+		// intervals that tile the entire timeline (endSlot's counters are
+		// cumulative, never reset at adoption or sync slots). Anything
+		// less is biased: slots end exactly when the delimiter's marked
+		// packet (the head of its window burst) arrives, and delimiter
+		// churn discards idle stretches, so per-slot ratios overstate
+		// utilization and starve the work-conserving boost.
+		s.sumA = alpha*s.sumA + m.arrived
+		s.sumT = alpha*s.sumT + m.span
+		rho = max(s.sumA/(bps*s.sumT), rhoFloor)
+		// Upward correction: rtt_b is "the minimum measured RTT of the
+		// delimiter flow" (§4.4), so after the delimiter changes to a
+		// longer-path flow, the inherited minimum undersizes the tokens
+		// relative to the new slot duration and flows stall at one packet
+		// per round. That regime is detectable — persistent
+		// under-utilization together with slots much longer than rtt_b —
+		// and crucially is distinguishable from queueing (which always
+		// shows rho ~ 1), so the bounded raise below cannot couple rtt_b
+		// to the queue.
+		if s.rttb < initRTTB && m.queueEmpty && rho < cfg.Rho0-0.03 && m.rttm > s.rttb*5/4 {
+			s.rttb = min(s.rttb+s.rttb/16, initRTTB)
+		}
+	}
+	tokRTT := s.rttb
+	if cfg.DisableDecouple {
+		tokRTT = m.rttm
+	}
+	bdp := bps * tokRTT.Seconds()
+	// Slew-limit the per-slot target: near-idle slots (e.g. during
+	// handshakes) measure rho ~ 0 and would otherwise command a massive
+	// one-slot boost that bursts the buffer before flows even start.
+	target := min(max(bdp*cfg.Rho0/rho, s.t/4), 4*s.t)
+	s.t = alpha*s.t + (1-alpha)*target
+	s.t = max(min(s.t, bdp*tClampFactor), float64(netsim.MSS))
+	// E is an integer count of marked packets, but its true value
+	// (eq. 1: sum of t/rtt_f) is fractional; with non-integer RTT ratios
+	// the per-slot count alternates (e.g. a flow with 1.5 rounds per slot
+	// counts 1, then 2). Dividing raw counts into T makes W swing +-20%
+	// every slot, and window-limited flows deliver the *harmonic* mean of
+	// a swinging window — strictly less than the mean. A light EWMA
+	// recovers the fractional value the paper's formula intends.
+	if s.eSmooth == 0 {
+		s.eSmooth = float64(m.e)
+	} else {
+		s.eSmooth = 0.75*s.eSmooth + 0.25*float64(m.e)
+	}
+	s.w = s.t / s.eSmooth
+	return s, rho
+}
+
+// armDelimTimer schedules delimiter-staleness detection at
+// rtt_last << min(k+1, maxMissK), k being the misses since the last slot.
 func (st *PortState) armDelimTimer(rttLast sim.Time) {
 	st.dTimer.Stop()
 	shift := uint(st.missK + 1)

@@ -56,6 +56,11 @@ func FairWindow(tokens, effectiveFlows float64) float64 {
 // where rtt_m is the average (jitter-inflated) round and rtt_b the
 // minimum. This is why TFC's goodput tracks rho0 only as closely as the
 // hosts' RTT variance allows (DESIGN.md §3b, paper §4.5).
+//
+// The formula holds for rtt_m <= 1.25*rtt_b. Beyond that, with an empty
+// queue, the switch's upward correction of rtt_b (DESIGN.md §3b item 8)
+// raises rtt_b, and the loop settles above this value (core's
+// TestSlotUpdateFixedPoint: 0.908 against 0.804 at rtt_m = 1.5*rtt_b).
 func WindowLimitedUtilization(rho0 float64, rttb, rttmAvg sim.Time) float64 {
 	if rttmAvg <= 0 {
 		return 0
