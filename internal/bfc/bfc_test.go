@@ -96,6 +96,8 @@ func TestPauseKeepsQueueShallow(t *testing.T) {
 	// with a 256KB buffer available, the standing queue stays within a
 	// small multiple of the pause threshold and nothing is dropped.
 	r := newRig(256 << 10)
+	xof := &xofs{port: r.bott}
+	r.net.Probe = xof
 	snd, _ := r.conn(1)
 	r.s.At(0, func() { snd.Open(); snd.Send(20 << 20) })
 	r.s.RunUntil(50 * sim.Millisecond)
@@ -109,8 +111,20 @@ func TestPauseKeepsQueueShallow(t *testing.T) {
 		t.Fatalf("max queue %d bytes, want <= %d (pause threshold + window)",
 			r.bott.MaxQueue, limit)
 	}
-	if h := r.swHook(); h.Pauses == 0 {
+	if xof.n == 0 {
 		t.Fatal("bottleneck hook emitted no XOFs")
+	}
+}
+
+// xofs is a probe that counts one port's XOF signals (EvPause, A=1).
+type xofs struct {
+	port *netsim.Port
+	n    int
+}
+
+func (x *xofs) Observe(ev netsim.Event) {
+	if ev.Kind == netsim.EvPause && ev.A == 1 && ev.Port == x.port {
+		x.n++
 	}
 }
 

@@ -58,9 +58,6 @@ type Hook struct {
 	// drainFree only moves forward, so those events fire in push order and
 	// each one pops the oldest.
 	drainQ netsim.FIFO[pendingDrain]
-
-	// Pauses counts emitted XOF signals.
-	Pauses int64
 }
 
 // AttachSwitch installs BFC backpressure hooks on every port of sw,
@@ -122,7 +119,6 @@ func (h *Hook) OnEnqueue(pkt *netsim.Packet, port *netsim.Port) bool {
 	fs.src = pkt.Src
 	h.total += int64(fb)
 	if fs.gate.Add(int64(fb), now, h.total >= h.portPause) {
-		h.Pauses++
 		h.signal(pkt.Flow, fs.src, netsim.FlagXOF)
 	}
 	// Predict the departure of this frame: the counted backlog serializes

@@ -42,6 +42,38 @@ func newRig(nSenders, bufBytes int, scfg SwitchConfig) *rig {
 	return r
 }
 
+// portTap is a probe that counts one port's records by kind and keeps its
+// slot records. tapPort installs it on the port's network.
+type portTap struct {
+	port  *netsim.Port
+	n     [netsim.NumEventKinds]int64
+	slots []netsim.Event
+}
+
+func tapPort(p *netsim.Port) *portTap {
+	t := &portTap{port: p}
+	p.Network().Probe = t
+	return t
+}
+
+func (t *portTap) Observe(ev netsim.Event) {
+	if ev.Port != t.port {
+		return
+	}
+	t.n[ev.Kind]++
+	if ev.Kind == netsim.EvSlot {
+		t.slots = append(t.slots, ev)
+	}
+}
+
+// lastE is the effective-flow count of the port's last slot (0 before any).
+func (t *portTap) lastE() int64 {
+	if len(t.slots) == 0 {
+		return 0
+	}
+	return t.slots[len(t.slots)-1].B
+}
+
 func (r *rig) conn(i int, flow netsim.FlowID, opts ...func(*Config)) (*Sender, *transport.Receiver) {
 	cfg := Config{DialConfig: transport.DialConfig{Sim: r.s, Local: r.senders[i], Peer: r.recv, Flow: flow}}
 	for _, o := range opts {
@@ -174,15 +206,10 @@ func TestEffectiveFlowCount(t *testing.T) {
 		snd, _ := r.conn(i, netsim.FlowID(i+1))
 		r.s.At(0, func() { snd.Open(); snd.Send(1 << 30) })
 	}
-	var lastE int
-	r.ss.cfg.OnSlot = func(p *netsim.Port, info SlotInfo) {
-		if p == r.bott {
-			lastE = info.E
-		}
-	}
+	tap := tapPort(r.bott)
 	r.s.RunUntil(100 * sim.Millisecond)
 	// All senders share one RTT, so E should approach n.
-	if lastE < n-2 || lastE > n+2 {
+	if lastE := tap.lastE(); lastE < n-2 || lastE > n+2 {
 		t.Fatalf("measured E = %d, want ~%d", lastE, n)
 	}
 }
@@ -206,14 +233,9 @@ func TestInactiveFlowsExcluded(t *testing.T) {
 	for ms := 10; ms < 300; ms += 10 {
 		r.s.At(sim.Time(ms)*sim.Millisecond, feed)
 	}
-	var lastE int
-	r.ss.cfg.OnSlot = func(p *netsim.Port, info SlotInfo) {
-		if p == r.bott {
-			lastE = info.E
-		}
-	}
+	tap := tapPort(r.bott)
 	r.s.RunUntil(250 * sim.Millisecond)
-	if lastE < 3 || lastE > 5 {
+	if lastE := tap.lastE(); lastE < 3 || lastE > 5 {
 		t.Fatalf("E with 4 active + 4 silent flows = %d, want ~4", lastE)
 	}
 }
@@ -244,6 +266,7 @@ func TestHighFanInNoLossWithDelayArbiter(t *testing.T) {
 	// (paper Fig 12: TFC keeps ~0 loss at 100 senders; DCTCP/TCP collapse).
 	const n = 100
 	r := newRig(n, 64<<10, SwitchConfig{})
+	tap := tapPort(r.bott)
 	done := 0
 	for i := 0; i < n; i++ {
 		snd, _ := r.conn(i, netsim.FlowID(i+1), func(c *Config) {})
@@ -261,8 +284,7 @@ func TestHighFanInNoLossWithDelayArbiter(t *testing.T) {
 	if done != n {
 		t.Fatalf("completed %d of %d flows", done, n)
 	}
-	st := r.ss.PortState(r.bott)
-	if st.DelayedAcks == 0 {
+	if tap.n[netsim.EvHold] == 0 {
 		t.Fatal("delay arbiter never engaged despite sub-MSS windows")
 	}
 }
@@ -310,27 +332,28 @@ func TestOnOffFlowReclaimsBandwidth(t *testing.T) {
 	}
 }
 
-func TestSlotCallbackFields(t *testing.T) {
+// TestSlotRecordFields checks the EvSlot records of a loaded port: rtt_m
+// (A) positive, E (B) at least 1, T (X) and W (Y) positive with W <= T,
+// rho (Z) positive; and the base RTT estimate in (0, initRTTB].
+func TestSlotRecordFields(t *testing.T) {
 	r := newRig(1, 256<<10, SwitchConfig{})
-	var infos []SlotInfo
-	r.ss.cfg.OnSlot = func(p *netsim.Port, info SlotInfo) {
-		if p == r.bott {
-			infos = append(infos, info)
-		}
-	}
+	tap := tapPort(r.bott)
 	snd, _ := r.conn(0, 1)
 	r.s.At(0, func() { snd.Open(); snd.Send(10 << 20) })
 	r.s.RunUntil(50 * sim.Millisecond)
-	if len(infos) < 10 {
-		t.Fatalf("only %d slots in 50ms", len(infos))
+	if len(tap.slots) < 10 {
+		t.Fatalf("only %d slots in 50ms", len(tap.slots))
 	}
-	for _, in := range infos {
-		if in.RTTm <= 0 || in.RTTb <= 0 || in.E < 1 || in.T <= 0 || in.W <= 0 {
-			t.Fatalf("bad slot info: %+v", in)
+	for _, ev := range tap.slots {
+		if ev.A <= 0 || ev.B < 1 || ev.X <= 0 || ev.Y <= 0 || ev.Z <= 0 {
+			t.Fatalf("bad slot record: %+v", ev)
 		}
-		if in.W > in.T {
-			t.Fatalf("W > T: %+v", in)
+		if ev.Y > ev.X {
+			t.Fatalf("W > T: %+v", ev)
 		}
+	}
+	if rttb := r.ss.PortState(r.bott).RTTB(); rttb <= 0 || rttb > initRTTB {
+		t.Fatalf("rtt_b = %v, want in (0, %v]", rttb, initRTTB)
 	}
 }
 
@@ -344,10 +367,11 @@ func TestDelimiterFailover(t *testing.T) {
 	r.s.At(0, func() { s1.Open(); s1.Send(1 << 20); s1.Close() })
 	r.s.At(sim.Millisecond, func() { s2.Open(); s2.Send(1 << 30) })
 	st := r.ss.PortState(r.bott)
+	tap := tapPort(r.bott)
 	r.s.RunUntil(50 * sim.Millisecond)
-	slotsMid := st.Slots
+	slotsMid := tap.n[netsim.EvSlot]
 	r.s.RunUntil(100 * sim.Millisecond)
-	if st.Slots <= slotsMid {
+	if tap.n[netsim.EvSlot] <= slotsMid {
 		t.Fatal("slots stopped ending after delimiter flow finished")
 	}
 	if !st.hasDelim || st.delim != 2 {

@@ -174,13 +174,13 @@ func TestArbiterWireCostPacing(t *testing.T) {
 	// rho0 * line rate in *wire* bytes — i.e. one grant per ~12.7us at
 	// 1 Gbps with rho0 = 0.97, not one per 11.7us (payload-only).
 	r := newRig(40, 256<<10, SwitchConfig{})
+	tap := tapPort(r.bott)
 	for i := 0; i < 40; i++ {
 		snd, _ := r.conn(i, netsim.FlowID(i+1))
 		r.s.At(0, func() { snd.Open(); snd.Send(1 << 20) })
 	}
 	r.s.RunUntil(50 * sim.Millisecond)
-	st := r.ss.PortState(r.bott)
-	if st.DelayedAcks == 0 {
+	if tap.n[netsim.EvHold] == 0 {
 		t.Fatal("arbiter never engaged with 40 flows")
 	}
 	// Measure aggregate arrival rate over the next 50ms: must be <= rho0*c

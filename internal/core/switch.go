@@ -39,27 +39,12 @@ type SwitchConfig struct {
 	DisableDelay    bool // §4.6 ACK delay function off
 	DisableAdjust   bool // §4.5 token adjustment off
 	DisableDecouple bool // §4.4 decoupling off: tokens use rtt_m
-
-	// OnSlot, if set, is invoked at the end of every time slot with the
-	// slot's measurements (drives Figs 6 and 7).
-	OnSlot func(port *netsim.Port, info SlotInfo)
 }
 
 func (c *SwitchConfig) fillDefaults() {
 	if c.Rho0 == 0 {
 		c.Rho0 = 0.97
 	}
-}
-
-// SlotInfo reports one completed time slot at a port.
-type SlotInfo struct {
-	Time sim.Time // slot end
-	RTTm sim.Time // instantaneous delimiter RTT (slot duration)
-	RTTb sim.Time // base RTT estimate after this slot
-	E    int      // effective flows counted in the slot
-	Rho  float64  // measured utilization
-	T    float64  // token value after adjustment (bytes)
-	W    float64  // window assigned for the next slot (bytes)
 }
 
 // PortState is TFC's per-output-port state: token computation, effective
@@ -89,10 +74,6 @@ type PortState struct {
 	// arb is the delay arbiter: a token bucket over the data direction of
 	// this port, holding the ACKs it delays.
 	arb netsim.Pacer
-
-	// Statistics.
-	Slots       int64
-	DelayedAcks int64
 }
 
 func newPortState(s *sim.Simulator, p *netsim.Port, cfg *SwitchConfig) *PortState {
@@ -225,13 +206,6 @@ func (st *PortState) endSlot(pkt *netsim.Packet) {
 	st.lastRhoAt = now
 	var rho float64
 	st.slotState, rho = slotUpdate(st.cfg, st.bps, st.slotState, m)
-	st.Slots++
-	if st.cfg.OnSlot != nil {
-		st.cfg.OnSlot(st.port, SlotInfo{
-			Time: now, RTTm: rttm, RTTb: st.rttb, E: st.e,
-			Rho: rho, T: st.t, W: st.w,
-		})
-	}
 	if pr := st.port.Network().Probe; pr != nil {
 		pr.Observe(netsim.Event{Kind: netsim.EvSlot, At: now, Port: st.port,
 			A: int64(rttm), B: int64(st.e), X: st.t, Y: st.w, Z: rho})
@@ -402,7 +376,6 @@ func (st *PortState) handleRMA(pkt *netsim.Packet, out *netsim.Port) bool {
 		return false
 	}
 	st.arb.Hold(pkt, out)
-	st.DelayedAcks++
 	if pr := st.port.Network().Probe; pr != nil {
 		pr.Observe(netsim.Event{Kind: netsim.EvHold, At: st.s.Now(), Port: st.port,
 			Flow: pkt.Flow, A: int64(st.arb.Len())})

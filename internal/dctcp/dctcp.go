@@ -23,15 +23,12 @@ const (
 // queue meets or exceeds K bytes (DCTCP's single-threshold AQM).
 type MarkHook struct {
 	K int
-	// Marked counts CE marks applied (diagnostics).
-	Marked int64
 }
 
 // OnEnqueue implements netsim.PortHook.
 func (h *MarkHook) OnEnqueue(pkt *netsim.Packet, port *netsim.Port) bool {
 	if pkt.Flags&netsim.FlagECT != 0 && port.QueueBytes() >= h.K {
 		pkt.Flags |= netsim.FlagCE
-		h.Marked++
 		if pr := port.Network().Probe; pr != nil {
 			pr.Observe(netsim.Event{Kind: netsim.EvMark, At: port.Sim().Now(), Port: port, Flow: pkt.Flow})
 		}

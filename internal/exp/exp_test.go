@@ -8,6 +8,7 @@ import (
 	"tfcsim/internal/netsim"
 	"tfcsim/internal/runner"
 	"tfcsim/internal/sim"
+	"tfcsim/internal/telemetry"
 )
 
 // testPool fans a test's trials across cores on the pre-pool seed
@@ -52,6 +53,35 @@ func TestFig07NeAccuracy(t *testing.T) {
 		t.Errorf("Ne after all n1 deactivated = %.1f, want ~5", last.Measured)
 	}
 	t.Logf("\n%s", r)
+}
+
+// TestSlotTapForwards runs Figs 6 and 7 short, bare and with a telemetry
+// trial. The rendered results must be equal, and the trial must have
+// counted slots (tfc.slots): the figures' slot tap forwards every record
+// to the probe the builder installed instead of replacing it.
+func TestSlotTapForwards(t *testing.T) {
+	c := telemetry.NewCollector(telemetry.Options{})
+	for _, fig := range []struct {
+		name string
+		run  func(TopoConfig) fmt.Stringer
+	}{
+		{"fig06", func(tc TopoConfig) fmt.Stringer {
+			return RTTAccuracy(RTTAccuracyConfig{TopoConfig: tc,
+				Duration: 200 * sim.Millisecond, Window: 50 * sim.Millisecond})
+		}},
+		{"fig07", func(tc TopoConfig) fmt.Stringer {
+			return NeAccuracy(NeAccuracyConfig{TopoConfig: tc, Interval: 5 * sim.Millisecond})
+		}},
+	} {
+		tr := c.Trial(fig.name)
+		bare, observed := fig.run(TopoConfig{}).String(), fig.run(TopoConfig{Telemetry: tr}).String()
+		if bare != observed {
+			t.Errorf("%s: result changed when telemetry was attached:\n%s\nvs\n%s", fig.name, bare, observed)
+		}
+		if n := tr.Counter("tfc.slots").Value(); n == 0 {
+			t.Errorf("%s: the trial counted no slots: the tap did not forward them", fig.name)
+		}
+	}
 }
 
 func TestFig08to10QueueFairness(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"io"
 	"strings"
 
-	"tfcsim/internal/core"
 	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
 	"tfcsim/internal/stats"
@@ -75,17 +74,15 @@ func RTTAccuracy(cfg RTTAccuracyConfig) *RTTAccuracyResult {
 	// Loaded run: 2+2 flows H1,H2 -> H3; per-window min of rtt_m at the
 	// bottleneck port (NF1 -> H3) is the paper's measured rtt_b.
 	{
-		var bott *netsim.Port
 		var windowMin sim.Time
-		tc := cfg.TopoConfig
-		tc.TFC.OnSlot = func(p *netsim.Port, info core.SlotInfo) {
-			if p == bott && (windowMin == 0 || info.RTTm < windowMin) {
-				windowMin = info.RTTm
-			}
-		}
-		e := Testbed(tc)
+		e := Testbed(cfg.TopoConfig)
 		h1, h2, h3 := e.Hosts[0], e.Hosts[1], e.Hosts[2]
-		bott = e.Switches[1].PortTo(h3.ID()) // NF1 -> H3
+		bott := e.Switches[1].PortTo(h3.ID()) // NF1 -> H3
+		tapSlots(e, bott, func(ev netsim.Event) {
+			if rttm := sim.Time(ev.A); windowMin == 0 || rttm < windowMin {
+				windowMin = rttm
+			}
+		})
 		for _, src := range []*netsim.Host{h1, h1, h2, h2} {
 			f := newFaucet(e.Dialer, src, h3)
 			e.Sim.At(0, func() { f.Start() })
@@ -183,23 +180,14 @@ func NeAccuracy(cfg NeAccuracyConfig) *NeAccuracyResult {
 	}
 	cfg.Proto = TFC
 
-	var bott *netsim.Port
 	var eSum, eN float64
-	var rttLocal sim.Time // min rtt_m of the (rack-local) delimiter
-	tc := cfg.TopoConfig
-	tc.TFC.OnSlot = func(p *netsim.Port, info core.SlotInfo) {
-		if p == bott {
-			eSum += float64(info.E)
-			eN++
-			if rttLocal == 0 || info.RTTm < rttLocal {
-				rttLocal = info.RTTm
-			}
-		}
-	}
-	e := Testbed(tc)
+	e := Testbed(cfg.TopoConfig)
 	// H4, H6 are on NF2 (hosts index 3..5); H1 on NF1.
 	h1, h4, h6 := e.Hosts[0], e.Hosts[3], e.Hosts[5]
-	bott = e.Switches[2].PortTo(h6.ID()) // NF2 -> H6
+	tapSlots(e, e.Switches[2].PortTo(h6.ID()), func(ev netsim.Event) { // NF2 -> H6
+		eSum += float64(ev.B)
+		eN++
+	})
 
 	// n2 persistent flows H4 -> H6 (started first: one becomes delimiter).
 	var locals []*faucet

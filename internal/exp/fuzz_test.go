@@ -2,13 +2,11 @@ package exp
 
 import (
 	"fmt"
-	"math"
 	"testing"
 	"time"
 
-	"tfcsim/internal/core"
-	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
+	"tfcsim/internal/telemetry"
 )
 
 // faultDeadline bounds one fuzzed robustness trial's wall time. The
@@ -19,8 +17,10 @@ const faultDeadline = 30 * time.Second
 // FuzzFaultSchedule runs exp.Robustness over arbitrary fault schedules —
 // protocol, flow count, warm-up, blackout, tail, Gilbert–Elliott loss and
 // burst length, seed — and checks that the trial does not panic, returns
-// within faultDeadline, and that every TFC slot keeps the token watchdog's
-// conditions: T is finite and at least one MSS, W <= T, and E >= 1.
+// within faultDeadline, and trips none of the observatory's watchdogs:
+// every TFC slot keeps T finite and at least one MSS, W <= T and E >= 1
+// (token conservation) with a bounded queue (zero queueing), every BFC
+// XON follows an XOF, and no sender's RTO backoff reaches a storm.
 func FuzzFaultSchedule(f *testing.F) {
 	// The registry's four scenarios at small size: blackouts scaled to a
 	// tenth, short warm-up and tail, four flows.
@@ -48,15 +48,10 @@ func FuzzFaultSchedule(f *testing.F) {
 		cfg.Seed = seed
 		desc := fmt.Sprintf("%s flows=%d warmup=%v blackout=%v tail=%v loss=%v burst=%v seed=%d",
 			cfg.Proto, cfg.Flows, cfg.Warmup, cfg.Blackout, cfg.Tail, cfg.Loss, cfg.Burst, seed)
-		var bad string // the first slot that broke an invariant
-		cfg.TFC.OnSlot = func(p *netsim.Port, s core.SlotInfo) {
-			if bad == "" {
-				bad = slotViolation(s)
-				if bad != "" {
-					bad = fmt.Sprintf("port %s at %v: %s", p.Label, s.Time, bad)
-				}
-			}
-		}
+		o := telemetry.NewObservatory(telemetry.ObsOptions{Watchdogs: true, FlightDir: "-"})
+		c := telemetry.NewCollector(telemetry.Options{})
+		o.Attach("fuzz", c)
+		cfg.Telemetry = c.Trial("trial")
 		done := make(chan any, 1)
 		go func() {
 			defer func() { done <- recover() }()
@@ -70,8 +65,8 @@ func FuzzFaultSchedule(f *testing.F) {
 		case <-time.After(faultDeadline):
 			t.Fatalf("%s: no return within %v", desc, faultDeadline)
 		}
-		if bad != "" {
-			t.Fatalf("%s: %s", desc, bad)
+		if v := o.Violations(); v != 0 {
+			t.Fatalf("%s: %d watchdog violations (named on stderr)", desc, v)
 		}
 	})
 }
@@ -84,17 +79,4 @@ func span(v uint64, lo, hi sim.Time) sim.Time {
 		d = lo
 	}
 	return d
-}
-
-// slotViolation returns which token watchdog condition s breaks, or "".
-func slotViolation(s core.SlotInfo) string {
-	switch {
-	case math.IsNaN(s.T) || math.IsInf(s.T, 0) || s.T < float64(netsim.MSS):
-		return fmt.Sprintf("token value T=%v not finite and >= one MSS", s.T)
-	case math.IsNaN(s.W) || s.W > s.T:
-		return fmt.Sprintf("window W=%v exceeds T=%v", s.W, s.T)
-	case s.E < 1:
-		return fmt.Sprintf("effective flow count E=%d below 1", s.E)
-	}
-	return ""
 }

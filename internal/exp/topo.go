@@ -69,7 +69,7 @@ type TopoConfig struct {
 	// sharded network cannot carry Telemetry (InstrumentNetwork panics), so
 	// observed trials are sequential.
 	Shards int
-	// Switch config for TFC (ablations, rho0, callbacks), handed to the
+	// Switch config for TFC (rho0 and the ablations), handed to the
 	// transport's Attach as its Knobs; only TFC reads it.
 	TFC core.SwitchConfig
 	// Telemetry, when non-nil, is this trial's telemetry sink. The builder
@@ -292,3 +292,26 @@ func (f *faucet) Resume() {
 // Pause stops feeding; in-flight data drains naturally (the flow becomes
 // "silent" in the paper's terms, not closed).
 func (f *faucet) Pause() { f.active = false }
+
+// tapSlots hands fn every TFC slot record (EvSlot) of port, then forwards
+// each record of e's network to the probe the builder installed there
+// (the trial's telemetry, or none).
+func tapSlots(e *Env, port *netsim.Port, fn func(netsim.Event)) {
+	e.Net.Probe = &slotTap{next: e.Net.Probe, port: port, fn: fn}
+}
+
+// slotTap is the probe tapSlots installs.
+type slotTap struct {
+	next netsim.Probe
+	port *netsim.Port
+	fn   func(netsim.Event)
+}
+
+func (t *slotTap) Observe(ev netsim.Event) {
+	if ev.Kind == netsim.EvSlot && ev.Port == t.port {
+		t.fn(ev)
+	}
+	if t.next != nil {
+		t.next.Observe(ev)
+	}
+}

@@ -225,14 +225,25 @@ func TestPortHookModify(t *testing.T) {
 
 func TestStrayPackets(t *testing.T) {
 	s := sim.New(1)
-	_, h1, h2, _ := buildPair(s, LinkConfig{Rate: Gbps, Delay: sim.Microsecond})
+	net, h1, h2, _ := buildPair(s, LinkConfig{Rate: Gbps, Delay: sim.Microsecond})
+	strays := &strayLog{}
+	net.Probe = strays
 	s.At(0, func() {
 		// A packet for a flow nobody registered is dropped as stray.
 		h1.Send(&Packet{Flow: 3, Src: h1.ID(), Dst: h2.ID(), Payload: MSS})
 	})
 	s.Run()
-	if h2.Stray != 1 {
-		t.Fatalf("stray = %d, want 1", h2.Stray)
+	if len(strays.at) != 1 || strays.at[0] != "h2" {
+		t.Fatalf("strays at %v, want one at h2", strays.at)
+	}
+}
+
+// strayLog is a Probe that keeps where every EvStray record happened.
+type strayLog struct{ at []string }
+
+func (l *strayLog) Observe(ev Event) {
+	if ev.Kind == EvStray {
+		l.at = append(l.at, ev.Where())
 	}
 }
 

@@ -155,8 +155,6 @@ type Endpoint interface {
 type Host struct {
 	nodeBase
 	endpoints map[FlowID]Endpoint
-	// Stray counts packets that matched no endpoint.
-	Stray int64
 	// ProcJitter, when positive, adds a uniform [0, ProcJitter) host
 	// processing delay to every transmitted packet, FIFO-preserving.
 	// Real end hosts have this jitter, and TFC's rtt_b estimation relies
@@ -237,7 +235,6 @@ func (h *Host) Receive(pkt *Packet, from *Port) {
 	}
 	ep, ok := h.endpoints[pkt.Flow]
 	if !ok {
-		h.Stray++
 		if h.net.Probe != nil {
 			h.observe(EvStray, pkt)
 		}

@@ -17,11 +17,25 @@ import (
 )
 
 // TestTokenWatchdogFlagsImpossibleSlot injects a slot record no correct
-// TFC port can emit — a token value below zero — into the network's probe
-// mid-run, among a live TFC flow's real slots, and checks the watchdog
-// catches it: a violation is counted and a flight-recorder dump lands on
-// disk.
+// TFC port can emit — a token value below zero, or positive but below the
+// one-MSS floor — into the network's probe mid-run, among a live TFC
+// flow's real slots, and checks the watchdog catches it: a violation is
+// counted and a flight-recorder dump lands on disk.
 func TestTokenWatchdogFlagsImpossibleSlot(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		T    float64
+	}{
+		{"negative", -1e6},
+		{"below-MSS", netsim.MSS / 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) { injectSlot(t, tc.T) })
+	}
+}
+
+// injectSlot runs TestTokenWatchdogFlagsImpossibleSlot with a slot of
+// token value T (and window W = T).
+func injectSlot(t *testing.T, T float64) {
 	dir := t.TempDir()
 	o := NewObservatory(ObsOptions{Watchdogs: true, FlightDir: dir})
 	c := NewCollector(Options{})
@@ -45,7 +59,7 @@ func TestTokenWatchdogFlagsImpossibleSlot(t *testing.T) {
 	port := sw.PortTo(b.ID())
 	s.At(60*sim.Millisecond, func() {
 		n.Probe.Observe(netsim.Event{Kind: netsim.EvSlot, At: s.Now(), Port: port,
-			A: int64(20 * sim.Microsecond), B: 1, X: -1e6, Y: -1e6, Z: 1})
+			A: int64(20 * sim.Microsecond), B: 1, X: T, Y: T, Z: 1})
 	})
 	s.RunUntil(100 * sim.Millisecond)
 

@@ -18,8 +18,8 @@ import (
 // the endpoint monitor's, in server.go.)
 //
 //   - token-conservation checks TFC's token invariants at every slot
-//     boundary (paper §4.2–§4.4): the token value T is finite and
-//     positive (the slot clamp floors it at one MSS), the stamped window
+//     boundary (paper §4.2–§4.4): the token value T is finite and at
+//     least one MSS (the slot clamp's floor), the stamped window
 //     W never exceeds T (W = T / eSmooth with eSmooth >= 1), the
 //     effective flow count is at least 1, and the measured utilization
 //     rho is finite and positive (it may legitimately exceed 1: arrivals
@@ -103,7 +103,7 @@ func tokenFault(T, W, rho float64, E int64) string {
 	switch {
 	case math.IsNaN(T) || math.IsInf(T, 0):
 		return fmt.Sprintf("token value not finite: T=%v", T)
-	case T <= 0:
+	case T < netsim.MSS:
 		return fmt.Sprintf("token pool drained below the MSS floor: T=%.1f", T)
 	case math.IsNaN(W) || math.IsInf(W, 0):
 		return fmt.Sprintf("window not finite: W=%v", W)

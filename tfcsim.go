@@ -101,17 +101,15 @@ type (
 	// implement (Open/Send/Acked/Queued/Stats/Close).
 	Sender = transport.Sender
 
-	// TFCConfig parameterizes TFC's switch behaviour (rho0, the token
-	// clamp, the ablation switches, a per-slot callback).
+	// TFCConfig parameterizes TFC's switch behaviour: rho0 and the
+	// ablation switches.
 	TFCConfig = core.SwitchConfig
 	// TFCSwitchState exposes per-port TFC state for inspection.
 	TFCSwitchState = core.SwitchState
-	// SlotInfo reports one completed TFC time slot.
-	SlotInfo = core.SlotInfo
 
 	// TelemetryOptions configures the optional observability layer
-	// (RunOptions.Telemetry): trace/metrics output paths, gauge sampling
-	// cadence, event-ring capacity.
+	// (RunOptions.Telemetry): trace/metrics output paths and the event
+	// ring's capacity.
 	TelemetryOptions = telemetry.Options
 	// TelemetryCollector is a run's merged telemetry (Result.Telemetry).
 	TelemetryCollector = telemetry.Collector
