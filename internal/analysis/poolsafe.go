@@ -17,8 +17,8 @@ import (
 // Two checks, both intra-procedural and alias-unaware by design:
 //
 //  1. use-after-release: within one function, a variable passed to a
-//     releasing sink (Network.ReleasePacket / Host-level wrappers — any
-//     netsim function or method named ReleasePacket) must not be used
+//     releasing sink (Port.ReleasePacket, which also records the drop —
+//     any netsim function or method named ReleasePacket) must not be used
 //     again on the same straight-line path. Releases inside a
 //     conditional branch do not poison code after the branch
 //     (conservative: no false positives from "released on one arm").

@@ -50,9 +50,6 @@ type Sender struct {
 	// nothing: an XOF (re)arms it one pause timeout ahead, an XON stops
 	// it early, and expiry without either resumes transmission.
 	pause *transport.LazyTimer
-
-	// Pauses counts XOF signals received (sender-side stat).
-	Pauses int64
 }
 
 // NewSender creates (and registers at cfg.Local) the sending side. Its
@@ -124,7 +121,6 @@ func (s *Sender) Deliver(pkt *netsim.Packet) {
 		return
 	}
 	if pkt.Flags&netsim.FlagXOF != 0 {
-		s.Pauses++
 		s.pause.Arm(PauseTimeout)
 		return
 	}

@@ -72,6 +72,8 @@ func TestBulkGoodputUnderBackpressure(t *testing.T) {
 	r := newRig(256 << 10)
 	const total = 20 << 20
 	snd, rcv := r.conn(1)
+	xof := &xofs{host: r.h1}
+	r.net.Probe = xof
 	r.s.At(0, func() {
 		snd.Open()
 		snd.Send(total)
@@ -86,7 +88,7 @@ func TestBulkGoodputUnderBackpressure(t *testing.T) {
 	if goodput < 0.88e9 || goodput > 0.955e9 {
 		t.Fatalf("goodput = %.1f Mbps, want ~900-949", goodput/1e6)
 	}
-	if snd.Pauses == 0 {
+	if xof.n == 0 {
 		t.Fatal("rate mismatch never triggered a pause")
 	}
 }
@@ -116,14 +118,18 @@ func TestPauseKeepsQueueShallow(t *testing.T) {
 	}
 }
 
-// xofs is a probe that counts one port's XOF signals (EvPause, A=1).
+// xofs is a probe that counts XOF signals: those one port's hook emits
+// (EvPause, A=1) or those delivered to one host — set port or host.
 type xofs struct {
 	port *netsim.Port
+	host *netsim.Host
 	n    int
 }
 
 func (x *xofs) Observe(ev netsim.Event) {
-	if ev.Kind == netsim.EvPause && ev.A == 1 && ev.Port == x.port {
+	emitted := ev.Kind == netsim.EvPause && ev.A == 1 && ev.Port == x.port
+	received := ev.Kind == netsim.EvDeliver && ev.Host == x.host && ev.Pkt.Flags&netsim.FlagXOF != 0
+	if emitted || received {
 		x.n++
 	}
 }
@@ -224,12 +230,14 @@ func TestPauseTimeoutRecoversLostXON(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	run := func() (int64, int64, sim.Time) {
+	run := func() (int64, int, sim.Time) {
 		r := newRig(256 << 10)
 		snd, _ := r.conn(1)
+		xof := &xofs{host: r.h1}
+		r.net.Probe = xof
 		r.s.At(0, func() { snd.Open(); snd.Send(5 << 20); snd.Close() })
 		r.s.Run()
-		return snd.Acked(), snd.Pauses, snd.Stats().Completed
+		return snd.Acked(), xof.n, snd.Stats().Completed
 	}
 	a1, p1, c1 := run()
 	a2, p2, c2 := run()

@@ -163,7 +163,8 @@ func (h *Hook) drain(flow netsim.FlowID, fb int64) {
 // signal originates an XOF or XON control packet at the switch, routed
 // toward the flow's source like any other packet (so it shares fate with
 // the reverse path: losable, delayable — the sender's pause timeout and
-// the gate's refresh XOFs cover both).
+// the gate's refresh XOFs cover both). One with no route drops at the
+// signalling port.
 func (h *Hook) signal(flow netsim.FlowID, dst netsim.NodeID, flag netsim.Flag) {
 	if pr := h.port.Network().Probe; pr != nil {
 		ev := netsim.Event{Kind: netsim.EvPause, At: h.sim.Now(), Port: h.port, Flow: flow}
@@ -178,5 +179,5 @@ func (h *Hook) signal(flow netsim.FlowID, dst netsim.NodeID, flag netsim.Flag) {
 		Flags:  flag | netsim.FlagACK,
 		SentAt: h.sim.Now(), Window: netsim.WindowUnset,
 	}
-	h.sw.Receive(p, nil)
+	h.sw.Receive(p, h.port)
 }

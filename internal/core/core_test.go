@@ -74,6 +74,34 @@ func (t *portTap) lastE() int64 {
 	return t.slots[len(t.slots)-1].B
 }
 
+// senderTap is a probe that counts one sender's window-acquisition probes
+// (zero-payload RM packets its host sends, SYN and FIN aside) and the RMA
+// ACKs delivered to it. tapSender installs it on the sender's network.
+type senderTap struct {
+	host         *netsim.Host
+	flow         netsim.FlowID
+	probes, rmas int64
+}
+
+func tapSender(s *Sender) *senderTap {
+	t := &senderTap{host: s.Cfg.Local, flow: s.Cfg.Flow}
+	t.host.Network().Probe = t
+	return t
+}
+
+func (t *senderTap) Observe(ev netsim.Event) {
+	if ev.Host != t.host || ev.Flow != t.flow {
+		return
+	}
+	const rm = netsim.FlagRM | netsim.FlagSYN | netsim.FlagFIN
+	switch {
+	case ev.Kind == netsim.EvHostSend && ev.Pkt.Flags&rm == netsim.FlagRM && ev.Pkt.Payload == 0:
+		t.probes++
+	case ev.Kind == netsim.EvDeliver && ev.Pkt.Flags&netsim.FlagRMA != 0:
+		t.rmas++
+	}
+}
+
 func (r *rig) conn(i int, flow netsim.FlowID, opts ...func(*Config)) (*Sender, *transport.Receiver) {
 	cfg := Config{DialConfig: transport.DialConfig{Sim: r.s, Local: r.senders[i], Peer: r.recv, Flow: flow}}
 	for _, o := range opts {
@@ -85,6 +113,7 @@ func (r *rig) conn(i int, flow netsim.FlowID, opts ...func(*Config)) (*Sender, *
 func TestSingleFlowTransfer(t *testing.T) {
 	r := newRig(1, 256<<10, SwitchConfig{})
 	snd, rcv := r.conn(0, 1)
+	tap := tapSender(snd)
 	done := false
 	r.s.At(0, func() {
 		snd.Cfg.OnComplete = func() { done = true }
@@ -102,7 +131,7 @@ func TestSingleFlowTransfer(t *testing.T) {
 	if snd.Stats().Timeouts != 0 {
 		t.Fatalf("timeouts = %d, want 0", snd.Stats().Timeouts)
 	}
-	if snd.RMAs == 0 {
+	if tap.rmas == 0 {
 		t.Fatal("no RMA window updates received")
 	}
 }
@@ -113,6 +142,7 @@ func TestWindowAcquisitionBeforeData(t *testing.T) {
 	// leaves only after at least one RMA was received.
 	r := newRig(1, 256<<10, SwitchConfig{})
 	snd, _ := r.conn(0, 1)
+	tap := tapSender(snd)
 	r.s.At(0, func() {
 		snd.Open()
 		snd.Send(100 * 1460)
@@ -121,11 +151,11 @@ func TestWindowAcquisitionBeforeData(t *testing.T) {
 	// already arrived.
 	for i := 0; i < 2000 && snd.Acked() < 100*1460; i++ {
 		r.s.RunUntil(r.s.Now() + 10*sim.Microsecond)
-		if snd.SndNxt > 0 && snd.RMAs == 0 {
+		if snd.SndNxt > 0 && tap.rmas == 0 {
 			t.Fatal("data sent before window acquisition completed")
 		}
 	}
-	if snd.RMAs == 0 {
+	if tap.rmas == 0 {
 		t.Fatal("flow never acquired a window")
 	}
 }

@@ -37,11 +37,6 @@ type Sender struct {
 	lastAckAt sim.Time
 	minRTT    sim.Time // smallest RTT sample seen (pacing-free baseline)
 	tailSeq   int64    // seq of the in-flight window-limited sub-MSS segment, -1 if none
-
-	// RMAs counts window updates received (diagnostics).
-	RMAs int64
-	// Probes counts window-acquisition probes sent (initial + resumes).
-	Probes int64
 }
 
 // NewSender creates (and registers at the local host) a TFC sender.
@@ -107,7 +102,6 @@ func (s *Sender) trackMinRTT(pkt *netsim.Packet) {
 // the burst drops of synchronized new flows (paper §4.6).
 func (s *Sender) sendProbe() {
 	s.awaiting = true
-	s.Probes++
 	s.Cfg.Local.Send(s.Segment(s.SndNxt, 0, netsim.FlagRM))
 	s.ArmRTO()
 }
@@ -212,7 +206,6 @@ func (s *Sender) Deliver(pkt *netsim.Packet) {
 	}
 	s.lastAckAt = s.Cfg.Sim.Now()
 	if pkt.Flags&netsim.FlagRMA != 0 {
-		s.RMAs++
 		if pkt.Window != s.cwnd {
 			// The switch-stamped window moved; TFC has no ssthresh.
 			s.cwnd = pkt.Window

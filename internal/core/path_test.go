@@ -126,18 +126,19 @@ func TestResumeProbeAfterIdle(t *testing.T) {
 	// instead of bursting the stale one.
 	r := newRig(1, 256<<10, SwitchConfig{})
 	snd, _ := r.conn(0, 1)
+	tap := tapSender(snd)
 	r.s.At(0, func() { snd.Open(); snd.Send(1 << 20) })
 	r.s.RunUntil(50 * sim.Millisecond)
 	if snd.Acked() != 1<<20 {
 		t.Fatal("first message did not complete")
 	}
-	probesBefore := snd.Probes
+	probesBefore := tap.probes
 	// Resume after 50ms of silence.
 	r.s.At(r.s.Now(), func() { snd.Send(1 << 20) })
 	r.s.RunUntil(100 * sim.Millisecond)
-	if snd.Probes != probesBefore+1 {
+	if tap.probes != probesBefore+1 {
 		t.Fatalf("probes = %d, want %d (resume must re-acquire window)",
-			snd.Probes, probesBefore+1)
+			tap.probes, probesBefore+1)
 	}
 	if snd.Acked() != 2<<20 {
 		t.Fatal("second message did not complete")
@@ -147,25 +148,22 @@ func TestResumeProbeAfterIdle(t *testing.T) {
 func TestNoProbeOnHotResume(t *testing.T) {
 	// Back-to-back messages (gap << minRTT) must NOT pay the probe RTT.
 	r := newRig(1, 256<<10, SwitchConfig{})
-	probes := int64(-1)
 	var snd *Sender
 	snd, _ = r.conn(0, 1, func(c *Config) {
 		c.OnDrain = func() {
-			if probes < 0 {
-				probes = snd.Probes
-			}
 			if snd.Queued() < 10<<20 {
 				snd.Send(1 << 20) // immediate re-feed
 			}
 		}
 	})
+	tap := tapSender(snd)
 	r.s.At(0, func() { snd.Open(); snd.Send(1 << 20) })
 	r.s.RunUntil(200 * sim.Millisecond)
 	if snd.Acked() != 10<<20 {
 		t.Fatalf("acked %d, want 10MB", snd.Acked())
 	}
-	if snd.Probes != 1 {
-		t.Fatalf("probes = %d, want 1 (hot resumes must not probe)", snd.Probes)
+	if tap.probes != 1 {
+		t.Fatalf("probes = %d, want 1 (hot resumes must not probe)", tap.probes)
 	}
 }
 

@@ -29,9 +29,6 @@ type Receiver struct {
 	epochUsed  int
 	barren     int // consecutive epochs with zero productive credits
 	epochTimer sim.Timer
-
-	// CreditsSent counts credits emitted (diagnostics).
-	CreditsSent int64
 }
 
 // NewReceiver creates (and registers at the peer host) the credit source.
@@ -193,7 +190,6 @@ func (r *Receiver) feedback() {
 }
 
 func (r *Receiver) sendCredit() {
-	r.CreditsSent++
 	r.SendAck(netsim.FlagCRD|netsim.FlagACK, r.cfg.Sim.Now(), netsim.WindowUnset)
 }
 
@@ -211,8 +207,6 @@ func (r *Receiver) sendAck() {
 // senders' waste-feedback signal).
 type Shaper struct {
 	pacers []netsim.Pacer // by Port.Index() of the switch's ports at attach
-	// Dropped counts shaped-away credits.
-	Dropped int64
 }
 
 // The shaper's fixed constants.
@@ -253,8 +247,7 @@ func (sh *Shaper) Intercept(pkt *netsim.Packet, out *netsim.Port, sw *netsim.Swi
 		return false
 	}
 	if pc.Len() >= queueCap {
-		sh.Dropped++
-		out.ReleasePacket(pkt) // credit shaped away
+		out.ReleasePacket(pkt) // credit shaped away: a drop at out
 		return true
 	}
 	pc.Hold(pkt, out)

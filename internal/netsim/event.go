@@ -15,7 +15,7 @@ const (
 	EvEnqueue                   // admitted to Port's queue
 	EvDequeue                   // left the queue to start serialization
 	EvTx                        // frame fully serialized onto the link
-	EvDrop                      // dropped (wire loss, hook veto, drop-tail, cut)
+	EvDrop                      // dropped (wire loss, hook veto, drop-tail, cut, interceptor discard, unroutable arrival)
 	EvDeliver                   // about to reach its endpoint at Host
 	EvStray                     // arrived at Host with no endpoint
 	EvLink                      // Port's link failed (A=1) or recovered (A=0)

@@ -7,6 +7,7 @@ import (
 	"tfcsim/internal/exp"
 	"tfcsim/internal/netsim"
 	"tfcsim/internal/sim"
+	"tfcsim/internal/transport"
 	"tfcsim/internal/workload"
 )
 
@@ -220,4 +221,76 @@ func TestEventStream(t *testing.T) {
 			t.Errorf("no case emitted a %s record", k)
 		}
 	}
+}
+
+// exits is a probe that counts the records a packet leaves the simulation
+// by — EvDeliver, EvStray and EvDrop — and, among the drops, the
+// receivers' credits (FlagCRD|FlagACK).
+type exits struct{ n, credits int }
+
+func (x *exits) Observe(ev netsim.Event) {
+	const crd = netsim.FlagCRD | netsim.FlagACK
+	switch ev.Kind {
+	case netsim.EvDrop:
+		if ev.Pkt.Flags&crd == crd {
+			x.credits++
+		}
+		x.n++
+	case netsim.EvDeliver, netsim.EvStray:
+		x.n++
+	}
+}
+
+// checkExits asserts that every packet n's pools took back left through a
+// record: the releases counted while the pool check is armed equal x's
+// records.
+func checkExits(t *testing.T, n *netsim.Network, x *exits) {
+	t.Helper()
+	released := 0
+	for _, sh := range n.PoolShards() {
+		released += sh.Released
+	}
+	t.Logf("%d released, %d records, %d credits dropped", released, x.n, x.credits)
+	if released != x.n {
+		t.Errorf("%d packets released, %d DELIVER/STRAY/DROP records", released, x.n)
+	}
+}
+
+// TestEveryReleaseIsRecorded is the release oracle: a packet leaves the
+// simulation only as an EvDeliver, EvStray or EvDrop record, so no path
+// may discard one silently. It runs every transport on a lossy star, a
+// credit incast at 60-way fan-in (where the switch shaper sheds credits)
+// and one unroutable packet.
+func TestEveryReleaseIsRecorded(t *testing.T) {
+	defer netsim.ArmPoolCheck()()
+	star := func(t *testing.T, proto exp.Proto, senders int) *exits {
+		e, hosts, recv, bott := exp.Star(exp.TopoConfig{Proto: proto, Seed: 3}, senders, netsim.Gbps, 64<<10)
+		bott.SetLoss(netsim.UniformLoss(0.01))
+		x := &exits{}
+		e.Net.Probe = x
+		for _, h := range hosts {
+			greedy(e, h, recv)
+		}
+		e.Sim.RunUntil(20 * sim.Millisecond)
+		checkExits(t, e.Net, x)
+		return x
+	}
+	for _, name := range transport.Names() {
+		t.Run(name, func(t *testing.T) { star(t, exp.Proto(name), 24) })
+	}
+	t.Run("credit-incast", func(t *testing.T) {
+		if x := star(t, exp.CREDIT, 60); x.credits == 0 {
+			t.Fatal("the shaper shed no credit at 60-way fan-in")
+		}
+	})
+	t.Run("unroutable", func(t *testing.T) {
+		x := &exits{}
+		s, h1, _, _, _ := line(x)
+		s.At(0, func() { h1.Send(&netsim.Packet{Flow: 1, Src: h1.ID(), Dst: 99, Payload: netsim.MSS}) })
+		s.Run()
+		if x.n != 1 {
+			t.Fatalf("%d records, want the one DROP", x.n)
+		}
+		checkExits(t, h1.Network(), x)
+	})
 }

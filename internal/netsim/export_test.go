@@ -13,15 +13,16 @@ func ArmPoolCheck() (disarm func()) {
 }
 
 // PoolShard is one shard's pool state: the packet free-list length, the
-// packets the shard owns now and owned at most, and the delivery-carrier
-// free-list length.
-type PoolShard struct{ Free, Live, PeakLive, FreeRx int }
+// packets the shard owns now and owned at most, the delivery-carrier
+// free-list length, and the packets released while the pool check was
+// armed.
+type PoolShard struct{ Free, Live, PeakLive, FreeRx, Released int }
 
 // PoolShards returns the pool state of every shard.
 func (n *Network) PoolShards() []PoolShard {
 	out := make([]PoolShard, len(n.shards))
 	for i, sh := range n.shards {
-		out[i] = PoolShard{Free: len(sh.pktFree), Live: sh.live, PeakLive: sh.peakLive, FreeRx: len(sh.rxFree)}
+		out[i] = PoolShard{Free: len(sh.pktFree), Live: sh.live, PeakLive: sh.peakLive, FreeRx: len(sh.rxFree), Released: sh.released}
 	}
 	return out
 }

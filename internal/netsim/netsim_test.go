@@ -226,7 +226,7 @@ func TestPortHookModify(t *testing.T) {
 func TestStrayPackets(t *testing.T) {
 	s := sim.New(1)
 	net, h1, h2, _ := buildPair(s, LinkConfig{Rate: Gbps, Delay: sim.Microsecond})
-	strays := &strayLog{}
+	strays := &kindLog{kind: EvStray}
 	net.Probe = strays
 	s.At(0, func() {
 		// A packet for a flow nobody registered is dropped as stray.
@@ -238,11 +238,14 @@ func TestStrayPackets(t *testing.T) {
 	}
 }
 
-// strayLog is a Probe that keeps where every EvStray record happened.
-type strayLog struct{ at []string }
+// kindLog is a Probe that keeps where every record of one kind happened.
+type kindLog struct {
+	kind EventKind
+	at   []string
+}
 
-func (l *strayLog) Observe(ev Event) {
-	if ev.Kind == EvStray {
+func (l *kindLog) Observe(ev Event) {
+	if ev.Kind == l.kind {
 		l.at = append(l.at, ev.Where())
 	}
 }
@@ -325,10 +328,13 @@ func TestUnroutable(t *testing.T) {
 	sw := net.NewSwitch("sw")
 	net.Connect(h1, sw, LinkConfig{Rate: Gbps, Delay: sim.Microsecond})
 	net.ComputeRoutes()
+	drops := &kindLog{kind: EvDrop}
+	net.Probe = drops
 	h1.Send(&Packet{Flow: 1, Src: h1.ID(), Dst: 99, Payload: 10})
 	s.Run()
-	if sw.Unroutable != 1 {
-		t.Fatalf("unroutable = %d, want 1", sw.Unroutable)
+	// Charged to the port the packet arrived over.
+	if len(drops.at) != 1 || drops.at[0] != "h1->sw" || h1.NIC().Drops != 1 {
+		t.Fatalf("drops at %v (h1->sw counts %d), want one at h1->sw", drops.at, h1.NIC().Drops)
 	}
 }
 

@@ -66,16 +66,17 @@ type Switch struct {
 	routeSets [][]*Port
 	// Interceptor, if non-nil, may defer forwarding of selected packets.
 	Interceptor Interceptor
-	// Unroutable counts packets with no route (diagnostics).
-	Unroutable int64
 }
 
-// Receive forwards the packet toward its destination.
+// Receive forwards the packet toward its destination. A packet with no
+// route is dropped at from, the port it arrived over (for a packet the
+// switch originates, one of its own ports). In a partitioned network from
+// may run on another shard, so a switch there must route every
+// destination it receives.
 func (sw *Switch) Receive(pkt *Packet, from *Port) {
 	out := sw.PortFor(pkt.Flow, pkt.Dst)
 	if out == nil {
-		sw.Unroutable++
-		sw.sh.release(pkt)
+		from.ReleasePacket(pkt)
 		return
 	}
 	if sw.Interceptor != nil && sw.Interceptor.Intercept(pkt, out, sw) {
@@ -294,13 +295,6 @@ const pktSlab = 64
 // shard doing the work; this method serves shard 0 for sequential callers
 // (tests, benchmarks).
 func (n *Network) NewPacket() *Packet { return n.shards[0].newPacket() }
-
-// ReleasePacket returns a packet to shard 0's pool. The forwarding path
-// releases through shard-local pools instead; this sequential-context
-// method serves code that takes ownership via an Interceptor and then
-// discards the packet (interceptors run on the switch's shard — use
-// Port.ReleasePacket there).
-func (n *Network) ReleasePacket(p *Packet) { n.shards[0].release(p) }
 
 // portEvent is the pooled sim.EventTarget carrying a host send deferred by
 // processing jitter (any number can be pending per NIC). The other two

@@ -167,14 +167,14 @@ func (p *Port) rank() int32 { return int32(p.idx) }
 // through the port so the packet's pool is the shard doing the work.
 func (p *Port) NewPacket() *Packet { return p.sh.newPacket() }
 
-// ReleasePacket returns a packet to the port's shard pool. Interceptors
-// and hooks that took ownership of a packet and then discard it release
-// it here.
-func (p *Port) ReleasePacket(pkt *Packet) { p.sh.release(pkt) }
-
-// drop records a dropped packet and returns it to the pool (ownership ends
-// here — nothing downstream will see it again).
-func (p *Port) drop(pkt *Packet) {
+// ReleasePacket drops a packet at the port: it counts the drop in Drops,
+// emits EvDrop and returns the packet to the port's shard pool (ownership
+// ends here — nothing downstream will see it again). It is the one way a
+// packet is discarded: the port's own drops (wire loss, hook veto,
+// drop-tail, link cut) release here, and so do interceptors that took
+// ownership of a packet and then discard it, and a switch's unroutable
+// arrivals.
+func (p *Port) ReleasePacket(pkt *Packet) {
 	p.Drops++
 	if p.net.Probe != nil {
 		p.observe(EvDrop, pkt)
@@ -194,20 +194,20 @@ func (p *Port) Enqueue(pkt *Packet) {
 		checkLive(pkt, "enqueued after release")
 	}
 	if p.down {
-		p.drop(pkt)
+		p.ReleasePacket(pkt)
 		return
 	}
 	if p.loss != nil && p.loss.Lose(p.lossRand()) {
-		p.drop(pkt)
+		p.ReleasePacket(pkt)
 		return
 	}
 	if p.Hook != nil && !p.Hook.OnEnqueue(pkt, p) {
-		p.drop(pkt)
+		p.ReleasePacket(pkt)
 		return
 	}
 	fb := pkt.FrameBytes()
 	if p.BufBytes > 0 && p.qBytes+fb > p.BufBytes {
-		p.drop(pkt)
+		p.ReleasePacket(pkt)
 		return
 	}
 	p.q.Push(pkt)
@@ -293,7 +293,7 @@ func (p *Port) finishTx(pkt *Packet) {
 		// is lost regardless of whether the link has since come back.
 		p.cutTx = false
 		p.busy = false
-		p.drop(pkt)
+		p.ReleasePacket(pkt)
 		if !p.down && p.q.Len() > 0 {
 			p.startTx()
 		}

@@ -299,7 +299,8 @@ func FuzzComputeRoutes(f *testing.F) {
 }
 
 // Two islands: nothing routes across, the lookups say so with nil, and a
-// packet sent across anyway is counted as unroutable at the first switch.
+// packet sent across anyway is dropped at the first switch, charged to the
+// port it arrived over.
 func TestRoutesDisconnected(t *testing.T) {
 	s := sim.New(1)
 	n := netsim.NewNetwork(s)
@@ -316,10 +317,18 @@ func TestRoutesDisconnected(t *testing.T) {
 	if sw1.PortTo(h1.ID()) == nil || sw2.PortTo(h2.ID()) == nil {
 		t.Fatal("routes inside an island are missing")
 	}
+	rec := newRecorder(t, new([netsim.NumEventKinds]bool))
+	n.Probe = rec
 	h1.Send(&netsim.Packet{Flow: 1, Src: h1.ID(), Dst: h2.ID(), Payload: 10})
 	s.Run()
-	if sw1.Unroutable != 1 {
-		t.Fatalf("sw1.Unroutable = %d, want 1", sw1.Unroutable)
+	var drops []string
+	for _, ev := range rec.evs {
+		if ev.Kind == netsim.EvDrop {
+			drops = append(drops, ev.Where())
+		}
+	}
+	if len(drops) != 1 || drops[0] != "h1->sw1" {
+		t.Fatalf("drops at %v, want one at h1->sw1", drops)
 	}
 }
 

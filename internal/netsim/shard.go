@@ -48,6 +48,10 @@ type netShard struct {
 	// across since), peakLive the most it ever did: the shard's own demand
 	// for pool capacity, against which adopt trims what crossings bring in.
 	live, peakLive int
+	// released counts the packets returned to this pool while poolCheck is
+	// armed: the tests hold it equal to the stream's Deliver, Stray and
+	// Drop records.
+	released int
 }
 
 func (sh *netShard) newPacket() *Packet {
@@ -86,6 +90,7 @@ func (sh *netShard) release(p *Packet) {
 	sh.live--
 	if poolCheck {
 		checkLive(p, "released twice")
+		sh.released++
 		*p = Packet{Hops: poisonHops}
 	} else {
 		*p = Packet{}
