@@ -43,7 +43,7 @@ Flags for run/all:
   -proto a,b,...       restrict protocol-matrix experiments to these
                        registered transports (registered: %s)
   -j N                 parallel trials (default GOMAXPROCS = %d; 1 = serial)
-  -seed N              base seed; trial seeds derive from (seed, trial index)
+  -seed N              the run's seed; every trial runs with it
   -out FILE            also write output to this file
   -csv DIR             export raw series/CDF data as CSV (fig06, fig08-10, fig12, fig13)
   -trace FILE          write a Chrome trace-event JSON of the run (Perfetto / chrome://tracing)
@@ -100,7 +100,7 @@ func cli(ctx context.Context, argv []string, stdout io.Writer) (code int) {
 		protoFlag := fs.String("proto", "",
 			"comma-separated protocol subset for matrix experiments (empty = experiment defaults)")
 		jobs := fs.Int("j", 0, "parallel trials (0 = GOMAXPROCS)")
-		seed := fs.Int64("seed", 1, "base seed for per-trial seed derivation")
+		seed := fs.Int64("seed", 1, "the run's seed; every trial runs with it")
 		out := fs.String("out", "", "also write output to this file")
 		csv := fs.String("csv", "", "export raw series/CDF data as CSV into this directory")
 		tracePath := fs.String("trace", "", "write Chrome trace-event JSON to this file")

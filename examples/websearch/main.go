@@ -32,7 +32,7 @@ func main() {
 	}
 	// The three protocol runs are independent trials: fan them across
 	// cores (results come back in protos order regardless).
-	rs, err := exp.Sweep(context.Background(), &runner.Pool{BaseSeed: 1}, nil,
+	rs, err := exp.Sweep(context.Background(), &runner.Pool{Seed: 1}, nil,
 		exp.PerProto(cfg, []tfcsim.Proto{tfcsim.TFC, tfcsim.DCTCP, tfcsim.TCP}), exp.ProtoKey, exp.Benchmark)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

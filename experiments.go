@@ -28,14 +28,13 @@ const (
 )
 
 // RunOptions parameterizes one experiment run. The zero value is valid:
-// quick scale, base seed 1, GOMAXPROCS-way parallelism, no CSV export.
+// quick scale, seed 1, GOMAXPROCS-way parallelism, no CSV export.
 type RunOptions struct {
 	// Scale is the experiment fidelity (default Quick).
 	Scale Scale
-	// Seed is the base seed; every trial of the run derives its own seed
-	// from (Seed, trial index), so results are a pure function of
-	// (experiment, Scale, Seed) — Parallelism never changes the output.
-	// 0 means 1.
+	// Seed is the run's seed; every trial of the run runs with it, so
+	// results are a pure function of (experiment, Scale, Seed) —
+	// Parallelism never changes the output. 0 means 1.
 	Seed int64
 	// Parallelism is the number of trials run concurrently; <= 0 means
 	// runtime.GOMAXPROCS(0). Use 1 for strictly serial execution.
@@ -125,7 +124,6 @@ type Result struct {
 // resolved options plus the trial pool wired for metrics/progress.
 type runCtx struct {
 	scale  Scale
-	seed   int64
 	csvDir string
 	pool   *runner.Pool
 	tel    *telemetry.Collector // nil when telemetry is off
@@ -143,15 +141,6 @@ func (rc *runCtx) protoList(def []exp.Proto) []exp.Proto {
 	return def
 }
 
-// subPool returns a pool like rc.pool but with an independent seed branch,
-// for experiments that submit more than one batch of trials (fig15's
-// per-block sweeps) so trial seeds do not repeat across batches.
-func (rc *runCtx) subPool(branch int) *runner.Pool {
-	p := *rc.pool
-	p.BaseSeed = runner.DeriveSeed(rc.seed, -1-branch)
-	return &p
-}
-
 // Experiment is one reproducible table/figure of the paper.
 type Experiment struct {
 	Name   string // registry key, e.g. "fig12"
@@ -161,9 +150,11 @@ type Experiment struct {
 }
 
 // Run executes the experiment. Trials fan out over opts.Parallelism
-// workers; the output is byte-identical for any parallelism because every
-// trial's seed and position are derived from its index alone. Cancelling
-// ctx stops the run after in-flight trials finish.
+// workers, every one with opts.Seed, so cells that differ only in protocol
+// or ablation share a workload and a fault timing, and a Protos subset
+// reproduces the full run's rows. The output is byte-identical for any
+// parallelism because a trial's seed is the run's and its position is its
+// index. Cancelling ctx stops the run after in-flight trials finish.
 func (e Experiment) Run(ctx context.Context, opts RunOptions) (*Result, error) {
 	if e.run == nil {
 		return nil, fmt.Errorf("tfcsim: experiment %q has no runner", e.Name)
@@ -175,7 +166,7 @@ func (e Experiment) Run(ctx context.Context, opts RunOptions) (*Result, error) {
 	res := &Result{Name: e.Name, Figure: e.Figure, Scale: opts.Scale, Seed: opts.Seed}
 	pool := &runner.Pool{
 		Parallelism: opts.Parallelism,
-		BaseSeed:    opts.Seed,
+		Seed:        opts.Seed,
 		OnDone: func(m runner.Metrics) {
 			res.Trials = append(res.Trials, m) // serialized by the pool
 			if opts.Progress != nil {
@@ -183,8 +174,7 @@ func (e Experiment) Run(ctx context.Context, opts RunOptions) (*Result, error) {
 			}
 		},
 	}
-	rc := &runCtx{scale: opts.Scale, seed: opts.Seed, csvDir: opts.CSVDir,
-		pool: pool, protos: opts.Protos}
+	rc := &runCtx{scale: opts.Scale, csvDir: opts.CSVDir, pool: pool, protos: opts.Protos}
 	if opts.Telemetry != nil {
 		rc.tel = telemetry.NewCollector(*opts.Telemetry)
 		res.Telemetry = rc.tel
@@ -286,11 +276,9 @@ var registry = []Experiment{
 			if rc.paper() {
 				cfg.Duration = 20 * sim.Second
 			}
-			// The ablation is a paired comparison: both variants run with
-			// the same seed so only DisableAdjust differs.
 			cells := []exp.WorkConservingConfig{cfg, cfg}
 			cells[1].TFC.DisableAdjust = true
-			rs, err := exp.Sweep(ctx, rc.pool.Paired(), rc.tel, cells,
+			rs, err := exp.Sweep(ctx, rc.pool, rc.tel, cells,
 				func(c exp.WorkConservingConfig) string { return variant(c.TFC.DisableAdjust, "full", "no-adjust") },
 				exp.WorkConserving)
 			if err != nil {
@@ -375,12 +363,12 @@ var registry = []Experiment{
 				rounds = 20
 			}
 			var all []exp.IncastPoint
-			for bi, blk := range blocks {
+			for _, blk := range blocks {
 				cfg := exp.IncastConfig{
 					Rate: 10 * netsim.Gbps, BufBytes: 512 << 10,
 					BlockBytes: blk, Rounds: rounds,
 				}
-				pts, err := exp.Sweep(ctx, rc.subPool(bi), rc.tel,
+				pts, err := exp.Sweep(ctx, rc.pool, rc.tel,
 					exp.IncastGrid(cfg, rc.protoList([]exp.Proto{exp.TFC, exp.TCP}), senders),
 					func(c exp.IncastConfig) string { return fmt.Sprintf("b%dK/", blk>>10) + exp.IncastKey(c) },
 					exp.Incast)
@@ -505,10 +493,9 @@ var registry = []Experiment{
 			}
 			cfg.Proto = exp.TFC
 			cfg.Senders = 80
-			// Paired comparison: same seed, only DisableDelay differs.
 			cells := []exp.IncastConfig{cfg, cfg}
 			cells[1].TFC.DisableDelay = true
-			pts, err := exp.Sweep(ctx, rc.pool.Paired(), rc.tel, cells,
+			pts, err := exp.Sweep(ctx, rc.pool, rc.tel, cells,
 				func(c exp.IncastConfig) string { return variant(c.TFC.DisableDelay, "full", "no-delay") },
 				exp.Incast)
 			if err != nil {
@@ -528,10 +515,9 @@ var registry = []Experiment{
 				cfg.StartInterval = sim.Second
 			}
 			cfg.Proto = exp.TFC
-			// Paired comparison: same seed, only DisableDecouple differs.
 			cells := []exp.QueueFairnessConfig{cfg, cfg}
 			cells[1].TFC.DisableDecouple = true
-			rs, err := exp.Sweep(ctx, rc.pool.Paired(), rc.tel, cells,
+			rs, err := exp.Sweep(ctx, rc.pool, rc.tel, cells,
 				func(c exp.QueueFairnessConfig) string { return variant(c.TFC.DisableDecouple, "decoupled", "coupled") },
 				exp.QueueFairness)
 			if err != nil {

@@ -11,10 +11,8 @@ import (
 	"tfcsim/internal/telemetry"
 )
 
-// testPool fans a test's trials across cores on the pre-pool seed
-// schedule (every trial seed 1), so the physical shapes asserted below
-// see the same inputs as the original serial harness.
-func testPool() *runner.Pool { return (&runner.Pool{BaseSeed: 1}).Paired() }
+// testPool fans a test's trials across cores, every trial on seed 1.
+func testPool() *runner.Pool { return &runner.Pool{Seed: 1} }
 
 func TestFig06RTTAccuracy(t *testing.T) {
 	r := RTTAccuracy(RTTAccuracyConfig{

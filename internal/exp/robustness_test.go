@@ -61,7 +61,7 @@ func TestRobustnessShortBlackoutAllProtos(t *testing.T) {
 }
 
 // TestRobustnessSweepDeterministicOrder checks the fan-out returns points
-// in scenario-major cell order with per-trial derived seeds, independent
+// in scenario-major cell order on the pool's one seed, independent
 // of pool parallelism (the Map contract the byte-identical -j guarantee
 // rides on).
 func TestRobustnessSweepDeterministicOrder(t *testing.T) {
@@ -81,7 +81,7 @@ func TestRobustnessSweepDeterministicOrder(t *testing.T) {
 		cfg.FaultScenario = sc
 		cells = append(cells, PerProto(cfg, protos)...)
 	}
-	rs, err := Sweep(context.Background(), runner.Serial(cfg.Seed), nil, cells,
+	rs, err := Sweep(context.Background(), &runner.Pool{Parallelism: 1, Seed: cfg.Seed}, nil, cells,
 		func(c RobustnessConfig) string { return c.Name + "-" + string(c.Proto) }, Robustness)
 	if err != nil {
 		t.Fatal(err)

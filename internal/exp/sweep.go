@@ -19,10 +19,11 @@ func (c *TopoConfig) topo() *TopoConfig { return c }
 
 // Sweep is the one fan-out of the evaluation: it runs run on every cell as
 // an independent trial over p's workers and returns the results in cell
-// order. Cell i runs with the pool-derived seed of index i and the
-// telemetry trial col.Trial(key(cell)) (nil, like col, when telemetry is
-// off), so the output is identical at any parallelism. Keys must be
-// unique within a run: they are the merge order of trace and metrics.
+// order. Every cell runs with the pool's Seed, so cells that differ only
+// in configuration share a workload, and with the telemetry trial
+// col.Trial(key(cell)) (nil, like col, when telemetry is off). The output
+// is identical at any parallelism. Keys must be unique within a run: they
+// are the merge order of trace and metrics.
 // The trial flushes as its cell returns, which tells the observatory the
 // trial is done; its virtual clock has stopped, so export would close
 // open spans at the same instant.

@@ -5,8 +5,9 @@
 // requirement is that parallel execution must be observationally
 // identical to serial execution. The pool guarantees that by
 //
-//   - deriving every trial's seed from (BaseSeed, trial index) with a
-//     splitmix64 mix, so seeds do not depend on scheduling order;
+//   - running every trial with the pool's one Seed, so seeds do not
+//     depend on scheduling order and cells that differ only in
+//     configuration (protocol, ablation flag) see the same workload;
 //   - returning results indexed by trial, so output ordering does not
 //     depend on completion order;
 //   - keeping trials share-nothing: the pool passes in a seed and takes
@@ -27,23 +28,18 @@ import (
 )
 
 // Pool describes how a batch of trials is executed. The zero value (and a
-// nil *Pool) is valid: GOMAXPROCS workers, base seed 0. Pools carry no
-// run state and may be reused across Map calls.
+// nil *Pool) is valid: GOMAXPROCS workers, seed 0. Pools carry no run
+// state and may be reused across Map calls.
 type Pool struct {
 	// Parallelism is the number of concurrent trials; <= 0 means
 	// runtime.GOMAXPROCS(0).
 	Parallelism int
-	// BaseSeed is the root of per-trial seed derivation: trial i runs
-	// with DeriveSeed(BaseSeed, i) regardless of which worker picks it up.
-	BaseSeed int64
+	// Seed is the run's seed: every trial runs with Seed.
+	Seed int64
 	// OnDone, if set, is called with each trial's metrics as it
 	// completes. Calls are serialized by the pool but arrive in
 	// completion order, not trial order; the callback must not block.
 	OnDone func(Metrics)
-	// SameSeed makes every trial receive BaseSeed itself instead of a
-	// per-index derivation — for paired A/B comparisons (ablations) where
-	// the trials must differ only in configuration, never in seed.
-	SameSeed bool
 }
 
 func (p *Pool) workers() int {
@@ -53,34 +49,15 @@ func (p *Pool) workers() int {
 	return p.Parallelism
 }
 
-func (p *Pool) baseSeed() int64 {
+func (p *Pool) seed() int64 {
 	if p == nil {
 		return 0
 	}
-	return p.BaseSeed
+	return p.Seed
 }
 
-// Serial returns a single-worker pool with the given base seed — handy
-// for callers that want the deterministic seed schedule without
-// concurrency (tests, paired comparisons).
-func Serial(baseSeed int64) *Pool {
-	return &Pool{Parallelism: 1, BaseSeed: baseSeed}
-}
-
-// Paired returns a copy of p with SameSeed set: all trials run with
-// BaseSeed so an ablation pair differs only in its configuration.
-func (p *Pool) Paired() *Pool {
-	var q Pool
-	if p != nil {
-		q = *p
-	}
-	q.SameSeed = true
-	return &q
-}
-
-// DeriveSeed maps (base, trial) to a trial seed with a splitmix64-style
-// finalizer. The derivation depends only on the inputs, so a sweep's seed
-// schedule is identical whether it runs serially or across N workers.
+// DeriveSeed maps (base, trial) to a distinct seed with a splitmix64-style
+// finalizer; the result depends only on the inputs.
 func DeriveSeed(base int64, trial int) int64 {
 	x := uint64(base) + uint64(trial+1)*0x9e3779b97f4a7c15
 	x ^= x >> 30
@@ -94,7 +71,7 @@ func DeriveSeed(base int64, trial int) int64 {
 // Metrics records one trial's execution.
 type Metrics struct {
 	Index int   // trial index within the batch
-	Seed  int64 // derived seed the trial ran with
+	Seed  int64 // seed the trial ran with (the pool's Seed)
 	Wall  time.Duration
 	// Events is the trial's simulation event count, when the trial's
 	// result reports one (see EventCounter).
@@ -124,8 +101,8 @@ func (e *PanicError) Error() string {
 }
 
 // Map runs n independent trials across the pool's workers and returns
-// their results in trial order. trial receives the trial's index and its
-// derived seed; it must not share mutable state with other trials.
+// their results in trial order. trial receives the trial's index and the
+// pool's Seed; it must not share mutable state with other trials.
 //
 // If ctx is cancelled, undispatched trials are skipped (marked in their
 // Metrics), in-flight trials run to completion, and Map returns ctx.Err().
@@ -134,15 +111,9 @@ func (e *PanicError) Error() string {
 func Map[T any](ctx context.Context, p *Pool, n int, trial func(i int, seed int64) (T, error)) ([]T, []Metrics, error) {
 	results := make([]T, n)
 	metrics := make([]Metrics, n)
-	base := p.baseSeed()
-	seedFor := func(i int) int64 {
-		if p != nil && p.SameSeed {
-			return base
-		}
-		return DeriveSeed(base, i)
-	}
+	seed := p.seed()
 	for i := range metrics {
-		metrics[i] = Metrics{Index: i, Seed: seedFor(i), Skipped: true}
+		metrics[i] = Metrics{Index: i, Seed: seed, Skipped: true}
 	}
 	if n == 0 {
 		return results, metrics, ctx.Err()

@@ -11,19 +11,19 @@ import (
 )
 
 func TestMapOrderingDeterminism(t *testing.T) {
-	// Results must come back in trial order with index-derived seeds,
-	// regardless of worker count.
+	// Results must come back in trial order, every trial on the pool's
+	// seed, regardless of worker count.
 	trial := func(i int, seed int64) (string, error) {
 		// Stagger completion so later trials finish first.
 		time.Sleep(time.Duration(64-i) * time.Microsecond)
 		return fmt.Sprintf("%d:%d", i, seed), nil
 	}
-	ref, refM, err := Map(context.Background(), Serial(42), 64, trial)
+	ref, refM, err := Map(context.Background(), &Pool{Parallelism: 1, Seed: 42}, 64, trial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{2, 8, 64} {
-		got, gotM, err := Map(context.Background(), &Pool{Parallelism: par, BaseSeed: 42}, 64, trial)
+		got, gotM, err := Map(context.Background(), &Pool{Parallelism: par, Seed: 42}, 64, trial)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func TestDeriveSeedStable(t *testing.T) {
 }
 
 func TestPanicCapture(t *testing.T) {
-	res, m, err := Map(context.Background(), Serial(1), 3, func(i int, seed int64) (int, error) {
+	res, m, err := Map(context.Background(), &Pool{Parallelism: 1, Seed: 1}, 3, func(i int, seed int64) (int, error) {
 		if i == 1 {
 			panic("boom")
 		}
@@ -84,7 +84,7 @@ func TestPanicCapture(t *testing.T) {
 }
 
 func TestTrialErrorLowestIndexWins(t *testing.T) {
-	_, _, err := Map(context.Background(), &Pool{Parallelism: 4, BaseSeed: 1}, 8,
+	_, _, err := Map(context.Background(), &Pool{Parallelism: 4, Seed: 1}, 8,
 		func(i int, seed int64) (int, error) {
 			if i >= 5 {
 				return 0, fmt.Errorf("fail-%d", i)
@@ -106,7 +106,7 @@ func TestCancellationMidSweep(t *testing.T) {
 	var err error
 	go func() {
 		defer close(done)
-		res, m, err = Map(ctx, &Pool{Parallelism: 2, BaseSeed: 1}, 100,
+		res, m, err = Map(ctx, &Pool{Parallelism: 2, Seed: 1}, 100,
 			func(i int, seed int64) (int, error) {
 				started.Add(1)
 				<-release
@@ -146,7 +146,7 @@ func (c countedResult) SimEvents() uint64 { return c.events }
 
 func TestMetricsEventsAndWall(t *testing.T) {
 	var got []Metrics
-	p := &Pool{Parallelism: 1, BaseSeed: 9, OnDone: func(m Metrics) { got = append(got, m) }}
+	p := &Pool{Parallelism: 1, Seed: 9, OnDone: func(m Metrics) { got = append(got, m) }}
 	_, m, err := Map(context.Background(), p, 3, func(i int, seed int64) (countedResult, error) {
 		return countedResult{events: uint64(100 + i)}, nil
 	})
@@ -170,7 +170,7 @@ func TestStress64ConcurrentTrials(t *testing.T) {
 	// 64 concurrent trials hammering their own state; run under -race
 	// this proves trial isolation (no shared mutable state in the pool).
 	type buf struct{ xs []int }
-	res, _, err := Map(context.Background(), &Pool{Parallelism: 64, BaseSeed: 3}, 64,
+	res, _, err := Map(context.Background(), &Pool{Parallelism: 64, Seed: 3}, 64,
 		func(i int, seed int64) (*buf, error) {
 			b := &buf{}
 			for k := 0; k < 1000; k++ {
@@ -196,8 +196,23 @@ func TestNilAndZeroPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range res {
-		if res[i] != DeriveSeed(0, i) {
-			t.Fatalf("nil pool seed[%d] = %d", i, res[i])
+		if res[i] != 0 {
+			t.Fatalf("nil pool seed[%d] = %d, want 0", i, res[i])
+		}
+	}
+	// Every trial runs with the pool's Seed at any parallelism.
+	for _, par := range []int{1, 2, 8} {
+		p := &Pool{Parallelism: par, Seed: 7}
+		res, m, err := Map(context.Background(), p, 16, func(i int, seed int64) (int64, error) {
+			return seed, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range res {
+			if res[i] != p.Seed || m[i].Seed != p.Seed {
+				t.Fatalf("j=%d: trial %d seed %d (metrics %d), want %d", par, i, res[i], m[i].Seed, p.Seed)
+			}
 		}
 	}
 	if _, _, err := Map(context.Background(), &Pool{}, 0, func(i int, seed int64) (int, error) {

@@ -357,9 +357,9 @@ func (t *Trial) DialProbe(proto string) netsim.Probe {
 		return nil
 	}
 	if t.cwnd == nil {
-		t.rtxBytes = t.Counter("tcp.rtx_bytes")
-		t.rtos = t.Counter("tcp.rto")
-		t.recs = t.Counter("tcp.fast_recovery")
+		t.rtxBytes = t.Counter("flow.rtx_bytes")
+		t.rtos = t.Counter("flow.rto")
+		t.recs = t.Counter("flow.fast_recovery")
 		t.cwnd = t.Histogram("flow.cwnd")
 	}
 	return t

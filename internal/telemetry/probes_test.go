@@ -78,10 +78,10 @@ func TestDialProbeCoversRegisteredTransport(t *testing.T) {
 	}
 	var rto bool
 	for _, ctr := range mf.Trials[0].Counters {
-		rto = rto || ctr.Name == "tcp.rto"
+		rto = rto || ctr.Name == "flow.rto"
 	}
 	if !rto {
-		t.Errorf("no tcp.rto counter in %+v", mf.Trials[0].Counters)
+		t.Errorf("no flow.rto counter in %+v", mf.Trials[0].Counters)
 	}
 	var cwnd int64 = -1
 	for _, h := range mf.Trials[0].Histograms {
@@ -124,10 +124,10 @@ func TestDialProbeBooksTFCTimeouts(t *testing.T) {
 	if n := conn.Sender.Stats().Timeouts; n == 0 {
 		t.Fatal("the blackout caused no timeout: the test exercises nothing")
 	}
-	if got, want := tr.Counter("tcp.rto").Value(), conn.Sender.Stats().Timeouts; got != want {
-		t.Fatalf("tcp.rto = %d, want the sender's %d timeouts", got, want)
+	if got, want := tr.Counter("flow.rto").Value(), conn.Sender.Stats().Timeouts; got != want {
+		t.Fatalf("flow.rto = %d, want the sender's %d timeouts", got, want)
 	}
-	if tr.Counter("tcp.rtx_bytes").Value() == 0 {
+	if tr.Counter("flow.rtx_bytes").Value() == 0 {
 		t.Fatal("no retransmitted bytes booked")
 	}
 	if n := tr.Histogram("flow.cwnd").h.Count(); n == 0 {

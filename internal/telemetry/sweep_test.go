@@ -22,7 +22,7 @@ func TestTrialDoneWhenCellReturns(t *testing.T) {
 	c := telemetry.NewCollector(telemetry.Options{})
 	o.Attach("run", c)
 	cells := exp.PerProto(exp.TopoConfig{}, []exp.Proto{exp.TCP, exp.TFC})
-	_, err := exp.Sweep(context.Background(), &runner.Pool{Parallelism: 1, BaseSeed: 1}, c,
+	_, err := exp.Sweep(context.Background(), &runner.Pool{Parallelism: 1, Seed: 1}, c,
 		cells, exp.ProtoKey, func(cfg exp.TopoConfig) uint64 {
 			e := exp.Testbed(cfg)
 			e.Sim.RunUntil(sim.Millisecond)

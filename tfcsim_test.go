@@ -6,9 +6,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"tfcsim/internal/exp"
 	"tfcsim/internal/telemetry"
 )
 
@@ -162,7 +164,8 @@ func TestRunOptionsValidation(t *testing.T) {
 func TestParallelismEquivalence(t *testing.T) {
 	// The acceptance bar for the runner: a sweep's output is byte-identical
 	// whether its trials run serially or fanned across 8 workers, because
-	// seeds and result slots depend only on the trial index.
+	// every trial runs the run's seed and result slots depend only on the
+	// trial index.
 	e, ok := Find("fig12")
 	if !ok {
 		t.Fatal("fig12 not in registry")
@@ -182,10 +185,10 @@ func TestParallelismEquivalence(t *testing.T) {
 	if r1.Events != r8.Events {
 		t.Fatalf("event totals differ: j=1 %d vs j=8 %d", r1.Events, r8.Events)
 	}
-	// Trial metrics are ordered by index with index-derived seeds.
+	// Trial metrics are ordered by index, every trial on the run's seed.
 	for i, m := range r8.Trials {
-		if m.Index != i {
-			t.Fatalf("trial %d has index %d; metrics not sorted", i, m.Index)
+		if m.Index != i || m.Seed != 7 {
+			t.Fatalf("trial %d has index %d, seed %d; want sorted metrics on seed 7", i, m.Index, m.Seed)
 		}
 	}
 }
@@ -347,6 +350,70 @@ func TestRunAllQuick(t *testing.T) {
 			t.Fatalf("%s: empty result (%d events)", r.Name, r.Events)
 		}
 	}
+}
+
+// protoRows returns the elements of a Result.Data slice whose Proto field
+// is p, in order; nil for data that is not a slice of such rows.
+func protoRows(data any, p Proto) []any {
+	v := reflect.ValueOf(data)
+	if v.Kind() != reflect.Slice {
+		return nil
+	}
+	var rows []any
+	for i := 0; i < v.Len(); i++ {
+		e := reflect.Indirect(v.Index(i))
+		if e.Kind() != reflect.Struct {
+			continue
+		}
+		if f := e.FieldByName("Proto"); f.IsValid() && f.String() == string(p) {
+			rows = append(rows, e.Interface())
+		}
+	}
+	return rows
+}
+
+func TestProtoSubsetReproducesRows(t *testing.T) {
+	// Every trial of a run runs with the run's seed, so a protocol's rows
+	// do not depend on which other protocols share the run, and the
+	// protocols of one benchmark figure see one generated workload.
+	if testing.Short() {
+		t.Skip("runs every experiment at quick scale twice")
+	}
+	ctx := context.Background()
+	pair, err := RunAll(ctx, RunOptions{Scale: Quick, Protos: []Proto{TFC, TCP}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := RunAll(ctx, RunOptions{Scale: Quick, Protos: []Proto{TCP}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows int
+	for i, r := range pair {
+		want, got := protoRows(r.Data, TCP), protoRows(solo[i].Data, TCP)
+		if len(want) != len(got) {
+			t.Fatalf("%s: %d tcp rows under {tfc, tcp}, %d under {tcp}", r.Name, len(want), len(got))
+		}
+		for k := range want {
+			if !reflect.DeepEqual(want[k], got[k]) {
+				t.Errorf("%s: tcp row %d differs under {tfc, tcp} and {tcp}", r.Name, k)
+			}
+		}
+		rows += len(want)
+		if r.Name != "fig13" && r.Name != "fig16" {
+			continue
+		}
+		bs := r.Data.([]*exp.BenchmarkResult)
+		for _, b := range bs[1:] {
+			if b.Flows != bs[0].Flows {
+				t.Errorf("%s: %s generated %d flows, %s %d", r.Name, b.Proto, b.Flows, bs[0].Proto, bs[0].Flows)
+			}
+		}
+	}
+	if rows == 0 {
+		t.Fatal("no tcp rows found: the comparison exercises nothing")
+	}
+	t.Logf("%d tcp rows compared", rows)
 }
 
 func TestVerifyAllClaims(t *testing.T) {
