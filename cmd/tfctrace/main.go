@@ -3,7 +3,7 @@
 // a transport's control machinery (TFC's RM-marked rounds and window
 // stamping, BFC's XOF/XON backpressure, DCTCP's CE marks) in action. It
 // is one more consumer of the simulator's event stream: a netsim.Probe
-// that prints the packet-lifecycle records.
+// subscribed to the packet-lifecycle records, which it prints.
 //
 // Usage:
 //
@@ -27,8 +27,12 @@ import (
 
 func main() { os.Exit(run(os.Stdout, os.Args[1:])) }
 
+// lifecycle is the packet-lifecycle kinds the printer subscribes to.
+var lifecycle = netsim.KindsOf(netsim.EvHostSend, netsim.EvEnqueue, netsim.EvDrop,
+	netsim.EvTx, netsim.EvDeliver, netsim.EvStray)
+
 // printer is the text view: it prints the first max packet-lifecycle
-// records (of one flow, if only is set) and ignores every other kind.
+// records (of one flow, if only is set).
 type printer struct {
 	w     io.Writer
 	lines int
@@ -38,11 +42,6 @@ type printer struct {
 
 // Observe implements netsim.Probe.
 func (p *printer) Observe(ev netsim.Event) {
-	switch ev.Kind {
-	case netsim.EvHostSend, netsim.EvEnqueue, netsim.EvDrop, netsim.EvTx, netsim.EvDeliver, netsim.EvStray:
-	default:
-		return
-	}
 	if p.lines >= p.max || (p.only != 0 && int64(ev.Flow) != p.only) {
 		return
 	}
@@ -97,7 +96,7 @@ func run(w io.Writer, args []string) int {
 	}
 
 	view := &printer{w: w, max: *max, only: *only}
-	net.Probe = view
+	net.SetProbe(view, lifecycle)
 
 	d := &tfcsim.Dialer{Sim: s, Proto: tfcsim.Proto(*proto)}
 	for _, h := range senders {

@@ -1,8 +1,8 @@
 // Package analysis is tfcvet's analyzer framework: a minimal,
 // dependency-free mirror of the golang.org/x/tools/go/analysis API plus
-// the four analyzers that machine-check this repository's determinism,
-// sim-time, and pool-lifetime contracts (see DESIGN.md, "Determinism &
-// pooling contracts").
+// the five analyzers that machine-check this repository's determinism,
+// sim-time, pool-lifetime and hot-path allocation contracts (see
+// DESIGN.md, "Determinism & pooling contracts").
 //
 // The build environment for this repository is fully offline, so the
 // framework deliberately reimplements the small slice of the x/tools API

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tfcsim/internal/netsim"
+	"tfcsim/internal/netsim/netsimtest"
 	"tfcsim/internal/sim"
 	"tfcsim/internal/transport"
 )
@@ -72,8 +73,7 @@ func TestBulkGoodputUnderBackpressure(t *testing.T) {
 	r := newRig(256 << 10)
 	const total = 20 << 20
 	snd, rcv := r.conn(1)
-	xof := &xofs{host: r.h1}
-	r.net.Probe = xof
+	xof := r.xofsTo(r.h1)
 	r.s.At(0, func() {
 		snd.Open()
 		snd.Send(total)
@@ -88,7 +88,7 @@ func TestBulkGoodputUnderBackpressure(t *testing.T) {
 	if goodput < 0.88e9 || goodput > 0.955e9 {
 		t.Fatalf("goodput = %.1f Mbps, want ~900-949", goodput/1e6)
 	}
-	if xof.n == 0 {
+	if len(xof.Recs) == 0 {
 		t.Fatal("rate mismatch never triggered a pause")
 	}
 }
@@ -98,8 +98,7 @@ func TestPauseKeepsQueueShallow(t *testing.T) {
 	// with a 256KB buffer available, the standing queue stays within a
 	// small multiple of the pause threshold and nothing is dropped.
 	r := newRig(256 << 10)
-	xof := &xofs{port: r.bott}
-	r.net.Probe = xof
+	pauses := netsimtest.Attach(r.net, &netsimtest.Tap{Kinds: netsim.KindsOf(netsim.EvPause), Port: r.bott})
 	snd, _ := r.conn(1)
 	r.s.At(0, func() { snd.Open(); snd.Send(20 << 20) })
 	r.s.RunUntil(50 * sim.Millisecond)
@@ -113,25 +112,18 @@ func TestPauseKeepsQueueShallow(t *testing.T) {
 		t.Fatalf("max queue %d bytes, want <= %d (pause threshold + window)",
 			r.bott.MaxQueue, limit)
 	}
-	if xof.n == 0 {
+	xofs := 0
+	for _, p := range pauses.Recs {
+		xofs += int(p.A)
+	}
+	if xofs == 0 {
 		t.Fatal("bottleneck hook emitted no XOFs")
 	}
 }
 
-// xofs is a probe that counts XOF signals: those one port's hook emits
-// (EvPause, A=1) or those delivered to one host — set port or host.
-type xofs struct {
-	port *netsim.Port
-	host *netsim.Host
-	n    int
-}
-
-func (x *xofs) Observe(ev netsim.Event) {
-	emitted := ev.Kind == netsim.EvPause && ev.A == 1 && ev.Port == x.port
-	received := ev.Kind == netsim.EvDeliver && ev.Host == x.host && ev.Pkt.Flags&netsim.FlagXOF != 0
-	if emitted || received {
-		x.n++
-	}
+// xofsTo keeps the XOFs delivered to host.
+func (r *rig) xofsTo(host *netsim.Host) *netsimtest.Tap {
+	return netsimtest.Attach(r.net, &netsimtest.Tap{Kinds: netsim.KindsOf(netsim.EvDeliver), Host: host, Flags: netsim.FlagXOF})
 }
 
 func (r *rig) swHook() *Hook {
@@ -233,11 +225,10 @@ func TestDeterminism(t *testing.T) {
 	run := func() (int64, int, sim.Time) {
 		r := newRig(256 << 10)
 		snd, _ := r.conn(1)
-		xof := &xofs{host: r.h1}
-		r.net.Probe = xof
+		xof := r.xofsTo(r.h1)
 		r.s.At(0, func() { snd.Open(); snd.Send(5 << 20); snd.Close() })
 		r.s.Run()
-		return snd.Acked(), xof.n, snd.Stats().Completed
+		return snd.Acked(), len(xof.Recs), snd.Stats().Completed
 	}
 	a1, p1, c1 := run()
 	a2, p2, c2 := run()

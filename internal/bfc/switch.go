@@ -166,12 +166,12 @@ func (h *Hook) drain(flow netsim.FlowID, fb int64) {
 // the gate's refresh XOFs cover both). One with no route drops at the
 // signalling port.
 func (h *Hook) signal(flow netsim.FlowID, dst netsim.NodeID, flag netsim.Flag) {
-	if pr := h.port.Network().Probe; pr != nil {
+	if n := h.port.Network(); n.Observes(netsim.EvPause) {
 		ev := netsim.Event{Kind: netsim.EvPause, At: h.sim.Now(), Port: h.port, Flow: flow}
 		if flag == netsim.FlagXOF {
 			ev.A = 1
 		}
-		pr.Observe(ev)
+		n.Emit(ev)
 	}
 	p := h.port.NewPacket()
 	*p = netsim.Packet{

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tfcsim/internal/netsim"
+	"tfcsim/internal/netsim/netsimtest"
 	"tfcsim/internal/sim"
 	"tfcsim/internal/transport"
 )
@@ -42,64 +43,24 @@ func newRig(nSenders, bufBytes int, scfg SwitchConfig) *rig {
 	return r
 }
 
-// portTap is a probe that counts one port's records by kind and keeps its
-// slot records. tapPort installs it on the port's network.
-type portTap struct {
-	port  *netsim.Port
-	n     [netsim.NumEventKinds]int64
-	slots []netsim.Event
+// tapPort keeps one port's records of the given kinds.
+func tapPort(p *netsim.Port, ks ...netsim.EventKind) *netsimtest.Tap {
+	return netsimtest.Attach(p.Network(), &netsimtest.Tap{Kinds: netsim.KindsOf(ks...), Port: p})
 }
 
-func tapPort(p *netsim.Port) *portTap {
-	t := &portTap{port: p}
-	p.Network().Probe = t
-	return t
-}
-
-func (t *portTap) Observe(ev netsim.Event) {
-	if ev.Port != t.port {
-		return
-	}
-	t.n[ev.Kind]++
-	if ev.Kind == netsim.EvSlot {
-		t.slots = append(t.slots, ev)
-	}
-}
-
-// lastE is the effective-flow count of the port's last slot (0 before any).
-func (t *portTap) lastE() int64 {
-	if len(t.slots) == 0 {
+// lastE is the effective-flow count of a slot tap's last record (0 before
+// any).
+func lastE(slots *netsimtest.Tap) int64 {
+	if len(slots.Recs) == 0 {
 		return 0
 	}
-	return t.slots[len(t.slots)-1].B
+	return slots.Recs[len(slots.Recs)-1].B
 }
 
-// senderTap is a probe that counts one sender's window-acquisition probes
-// (zero-payload RM packets its host sends, SYN and FIN aside) and the RMA
-// ACKs delivered to it. tapSender installs it on the sender's network.
-type senderTap struct {
-	host         *netsim.Host
-	flow         netsim.FlowID
-	probes, rmas int64
-}
-
-func tapSender(s *Sender) *senderTap {
-	t := &senderTap{host: s.Cfg.Local, flow: s.Cfg.Flow}
-	t.host.Network().Probe = t
-	return t
-}
-
-func (t *senderTap) Observe(ev netsim.Event) {
-	if ev.Host != t.host || ev.Flow != t.flow {
-		return
-	}
-	const rm = netsim.FlagRM | netsim.FlagSYN | netsim.FlagFIN
-	switch {
-	case ev.Kind == netsim.EvHostSend && ev.Pkt.Flags&rm == netsim.FlagRM && ev.Pkt.Payload == 0:
-		t.probes++
-	case ev.Kind == netsim.EvDeliver && ev.Pkt.Flags&netsim.FlagRMA != 0:
-		t.rmas++
-	}
+// tapRMAs keeps the RMA ACKs delivered to s.
+func tapRMAs(s *Sender) *netsimtest.Tap {
+	return netsimtest.Attach(s.Cfg.Local.Network(), &netsimtest.Tap{Kinds: netsim.KindsOf(netsim.EvDeliver),
+		Host: s.Cfg.Local, Flow: s.Cfg.Flow, Flags: netsim.FlagRMA})
 }
 
 func (r *rig) conn(i int, flow netsim.FlowID, opts ...func(*Config)) (*Sender, *transport.Receiver) {
@@ -113,7 +74,7 @@ func (r *rig) conn(i int, flow netsim.FlowID, opts ...func(*Config)) (*Sender, *
 func TestSingleFlowTransfer(t *testing.T) {
 	r := newRig(1, 256<<10, SwitchConfig{})
 	snd, rcv := r.conn(0, 1)
-	tap := tapSender(snd)
+	rmas := tapRMAs(snd)
 	done := false
 	r.s.At(0, func() {
 		snd.Cfg.OnComplete = func() { done = true }
@@ -131,7 +92,7 @@ func TestSingleFlowTransfer(t *testing.T) {
 	if snd.Stats().Timeouts != 0 {
 		t.Fatalf("timeouts = %d, want 0", snd.Stats().Timeouts)
 	}
-	if tap.rmas == 0 {
+	if len(rmas.Recs) == 0 {
 		t.Fatal("no RMA window updates received")
 	}
 }
@@ -142,7 +103,7 @@ func TestWindowAcquisitionBeforeData(t *testing.T) {
 	// leaves only after at least one RMA was received.
 	r := newRig(1, 256<<10, SwitchConfig{})
 	snd, _ := r.conn(0, 1)
-	tap := tapSender(snd)
+	rmas := tapRMAs(snd)
 	r.s.At(0, func() {
 		snd.Open()
 		snd.Send(100 * 1460)
@@ -151,11 +112,11 @@ func TestWindowAcquisitionBeforeData(t *testing.T) {
 	// already arrived.
 	for i := 0; i < 2000 && snd.Acked() < 100*1460; i++ {
 		r.s.RunUntil(r.s.Now() + 10*sim.Microsecond)
-		if snd.SndNxt > 0 && tap.rmas == 0 {
+		if snd.SndNxt > 0 && len(rmas.Recs) == 0 {
 			t.Fatal("data sent before window acquisition completed")
 		}
 	}
-	if tap.rmas == 0 {
+	if len(rmas.Recs) == 0 {
 		t.Fatal("flow never acquired a window")
 	}
 }
@@ -236,10 +197,10 @@ func TestEffectiveFlowCount(t *testing.T) {
 		snd, _ := r.conn(i, netsim.FlowID(i+1))
 		r.s.At(0, func() { snd.Open(); snd.Send(1 << 30) })
 	}
-	tap := tapPort(r.bott)
+	slots := tapPort(r.bott, netsim.EvSlot)
 	r.s.RunUntil(100 * sim.Millisecond)
 	// All senders share one RTT, so E should approach n.
-	if lastE := tap.lastE(); lastE < n-2 || lastE > n+2 {
+	if lastE := lastE(slots); lastE < n-2 || lastE > n+2 {
 		t.Fatalf("measured E = %d, want ~%d", lastE, n)
 	}
 }
@@ -263,9 +224,9 @@ func TestInactiveFlowsExcluded(t *testing.T) {
 	for ms := 10; ms < 300; ms += 10 {
 		r.s.At(sim.Time(ms)*sim.Millisecond, feed)
 	}
-	tap := tapPort(r.bott)
+	slots := tapPort(r.bott, netsim.EvSlot)
 	r.s.RunUntil(250 * sim.Millisecond)
-	if lastE := tap.lastE(); lastE < 3 || lastE > 5 {
+	if lastE := lastE(slots); lastE < 3 || lastE > 5 {
 		t.Fatalf("E with 4 active + 4 silent flows = %d, want ~4", lastE)
 	}
 }
@@ -296,7 +257,7 @@ func TestHighFanInNoLossWithDelayArbiter(t *testing.T) {
 	// (paper Fig 12: TFC keeps ~0 loss at 100 senders; DCTCP/TCP collapse).
 	const n = 100
 	r := newRig(n, 64<<10, SwitchConfig{})
-	tap := tapPort(r.bott)
+	holds := tapPort(r.bott, netsim.EvHold)
 	done := 0
 	for i := 0; i < n; i++ {
 		snd, _ := r.conn(i, netsim.FlowID(i+1), func(c *Config) {})
@@ -314,7 +275,7 @@ func TestHighFanInNoLossWithDelayArbiter(t *testing.T) {
 	if done != n {
 		t.Fatalf("completed %d of %d flows", done, n)
 	}
-	if tap.n[netsim.EvHold] == 0 {
+	if len(holds.Recs) == 0 {
 		t.Fatal("delay arbiter never engaged despite sub-MSS windows")
 	}
 }
@@ -367,14 +328,14 @@ func TestOnOffFlowReclaimsBandwidth(t *testing.T) {
 // rho (Z) positive; and the base RTT estimate in (0, initRTTB].
 func TestSlotRecordFields(t *testing.T) {
 	r := newRig(1, 256<<10, SwitchConfig{})
-	tap := tapPort(r.bott)
+	slots := tapPort(r.bott, netsim.EvSlot)
 	snd, _ := r.conn(0, 1)
 	r.s.At(0, func() { snd.Open(); snd.Send(10 << 20) })
 	r.s.RunUntil(50 * sim.Millisecond)
-	if len(tap.slots) < 10 {
-		t.Fatalf("only %d slots in 50ms", len(tap.slots))
+	if len(slots.Recs) < 10 {
+		t.Fatalf("only %d slots in 50ms", len(slots.Recs))
 	}
-	for _, ev := range tap.slots {
+	for _, ev := range slots.Recs {
 		if ev.A <= 0 || ev.B < 1 || ev.X <= 0 || ev.Y <= 0 || ev.Z <= 0 {
 			t.Fatalf("bad slot record: %+v", ev)
 		}
@@ -397,11 +358,11 @@ func TestDelimiterFailover(t *testing.T) {
 	r.s.At(0, func() { s1.Open(); s1.Send(1 << 20); s1.Close() })
 	r.s.At(sim.Millisecond, func() { s2.Open(); s2.Send(1 << 30) })
 	st := r.ss.PortState(r.bott)
-	tap := tapPort(r.bott)
+	slots := tapPort(r.bott, netsim.EvSlot)
 	r.s.RunUntil(50 * sim.Millisecond)
-	slotsMid := tap.n[netsim.EvSlot]
+	slotsMid := len(slots.Recs)
 	r.s.RunUntil(100 * sim.Millisecond)
-	if tap.n[netsim.EvSlot] <= slotsMid {
+	if len(slots.Recs) <= slotsMid {
 		t.Fatal("slots stopped ending after delimiter flow finished")
 	}
 	if !st.hasDelim || st.delim != 2 {

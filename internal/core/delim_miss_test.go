@@ -29,14 +29,14 @@ func TestUnitDelimiterMissBackoffBoundedAndRecovers(t *testing.T) {
 	s := sim.New(1)
 	st, p := mkPort(s, SwitchConfig{})
 	const rtt = 100 * sim.Microsecond
-	tap := tapPort(p)
+	slots := tapPort(p, netsim.EvSlot)
 
 	// Establish a delimiter with one completed slot so rtt_last = 100us.
 	s.At(0, func() { st.OnEnqueue(rmData(1, netsim.MSS), p) })
 	s.At(rtt, func() { st.OnEnqueue(rmData(1, netsim.MSS), p) })
 	s.RunUntil(rtt + 1)
-	if tap.n[netsim.EvSlot] != 1 || st.MissK() != 0 {
-		t.Fatalf("setup: slots=%d missK=%d", tap.n[netsim.EvSlot], st.MissK())
+	if len(slots.Recs) != 1 || st.MissK() != 0 {
+		t.Fatalf("setup: slots=%d missK=%d", len(slots.Recs), st.MissK())
 	}
 
 	// Kill the delimiter (no more RM packets from flow 1) and let the
@@ -90,7 +90,7 @@ func TestUnitDelimiterMissBackoffBoundedAndRecovers(t *testing.T) {
 	lastFlow := netsim.FlowID(100 + maxK + 3)
 	s.At(endAt, func() { st.OnEnqueue(rmData(lastFlow, netsim.MSS), p) })
 	s.RunUntil(endAt + 1)
-	if n := tap.n[netsim.EvSlot]; n != 2 {
+	if n := len(slots.Recs); n != 2 {
 		t.Fatalf("slots = %d after recovery, want 2", n)
 	}
 	if st.MissK() != 0 {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tfcsim/internal/netsim"
+	"tfcsim/internal/netsim/netsimtest"
 	"tfcsim/internal/sim"
 	"tfcsim/internal/transport"
 )
@@ -121,24 +122,41 @@ func TestTFCSurvivesRandomLoss(t *testing.T) {
 	}
 }
 
+// tapProbes keeps the RM packets of s's flow that its host sends, SYN and
+// FIN aside; probes counts the window-acquisition probes among them, the
+// zero-payload ones.
+func tapProbes(s *Sender) *netsimtest.Tap {
+	return netsimtest.Attach(s.Cfg.Local.Network(), &netsimtest.Tap{Kinds: netsim.KindsOf(netsim.EvHostSend),
+		Host: s.Cfg.Local, Flow: s.Cfg.Flow, Flags: netsim.FlagRM, NotFlags: netsim.FlagSYN | netsim.FlagFIN})
+}
+
+func probes(rms *netsimtest.Tap) (n int) {
+	for _, r := range rms.Recs {
+		if r.Packet.Payload == 0 {
+			n++
+		}
+	}
+	return n
+}
+
 func TestResumeProbeAfterIdle(t *testing.T) {
 	// A flow idle for >> minRTT must re-acquire its window via a probe
 	// instead of bursting the stale one.
 	r := newRig(1, 256<<10, SwitchConfig{})
 	snd, _ := r.conn(0, 1)
-	tap := tapSender(snd)
+	rms := tapProbes(snd)
 	r.s.At(0, func() { snd.Open(); snd.Send(1 << 20) })
 	r.s.RunUntil(50 * sim.Millisecond)
 	if snd.Acked() != 1<<20 {
 		t.Fatal("first message did not complete")
 	}
-	probesBefore := tap.probes
+	probesBefore := probes(rms)
 	// Resume after 50ms of silence.
 	r.s.At(r.s.Now(), func() { snd.Send(1 << 20) })
 	r.s.RunUntil(100 * sim.Millisecond)
-	if tap.probes != probesBefore+1 {
+	if n := probes(rms); n != probesBefore+1 {
 		t.Fatalf("probes = %d, want %d (resume must re-acquire window)",
-			tap.probes, probesBefore+1)
+			n, probesBefore+1)
 	}
 	if snd.Acked() != 2<<20 {
 		t.Fatal("second message did not complete")
@@ -156,14 +174,14 @@ func TestNoProbeOnHotResume(t *testing.T) {
 			}
 		}
 	})
-	tap := tapSender(snd)
+	rms := tapProbes(snd)
 	r.s.At(0, func() { snd.Open(); snd.Send(1 << 20) })
 	r.s.RunUntil(200 * sim.Millisecond)
 	if snd.Acked() != 10<<20 {
 		t.Fatalf("acked %d, want 10MB", snd.Acked())
 	}
-	if tap.probes != 1 {
-		t.Fatalf("probes = %d, want 1 (hot resumes must not probe)", tap.probes)
+	if n := probes(rms); n != 1 {
+		t.Fatalf("probes = %d, want 1 (hot resumes must not probe)", n)
 	}
 }
 
@@ -172,13 +190,13 @@ func TestArbiterWireCostPacing(t *testing.T) {
 	// rho0 * line rate in *wire* bytes — i.e. one grant per ~12.7us at
 	// 1 Gbps with rho0 = 0.97, not one per 11.7us (payload-only).
 	r := newRig(40, 256<<10, SwitchConfig{})
-	tap := tapPort(r.bott)
+	holds := tapPort(r.bott, netsim.EvHold)
 	for i := 0; i < 40; i++ {
 		snd, _ := r.conn(i, netsim.FlowID(i+1))
 		r.s.At(0, func() { snd.Open(); snd.Send(1 << 20) })
 	}
 	r.s.RunUntil(50 * sim.Millisecond)
-	if tap.n[netsim.EvHold] == 0 {
+	if len(holds.Recs) == 0 {
 		t.Fatal("arbiter never engaged with 40 flows")
 	}
 	// Measure aggregate arrival rate over the next 50ms: must be <= rho0*c

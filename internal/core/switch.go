@@ -166,8 +166,8 @@ func (st *PortState) OnEnqueue(pkt *netsim.Packet, port *netsim.Port) bool {
 			wi = 1
 		}
 		pkt.Window = wi
-		if pr := st.port.Network().Probe; pr != nil {
-			pr.Observe(netsim.Event{Kind: netsim.EvStamp, At: st.s.Now(), Port: st.port, Flow: pkt.Flow, A: wi})
+		if n := st.port.Network(); n.Observes(netsim.EvStamp) {
+			n.Emit(netsim.Event{Kind: netsim.EvStamp, At: st.s.Now(), Port: st.port, Flow: pkt.Flow, A: wi})
 		}
 	}
 	return true
@@ -206,8 +206,8 @@ func (st *PortState) endSlot(pkt *netsim.Packet) {
 	st.lastRhoAt = now
 	var rho float64
 	st.slotState, rho = slotUpdate(st.cfg, st.bps, st.slotState, m)
-	if pr := st.port.Network().Probe; pr != nil {
-		pr.Observe(netsim.Event{Kind: netsim.EvSlot, At: now, Port: st.port,
+	if n := st.port.Network(); n.Observes(netsim.EvSlot) {
+		n.Emit(netsim.Event{Kind: netsim.EvSlot, At: now, Port: st.port,
 			A: int64(rttm), B: int64(st.e), X: st.t, Y: st.w, Z: rho})
 	}
 	st.e = int(pkt.Weight)
@@ -376,8 +376,8 @@ func (st *PortState) handleRMA(pkt *netsim.Packet, out *netsim.Port) bool {
 		return false
 	}
 	st.arb.Hold(pkt, out)
-	if pr := st.port.Network().Probe; pr != nil {
-		pr.Observe(netsim.Event{Kind: netsim.EvHold, At: st.s.Now(), Port: st.port,
+	if n := st.port.Network(); n.Observes(netsim.EvHold) {
+		n.Emit(netsim.Event{Kind: netsim.EvHold, At: st.s.Now(), Port: st.port,
 			Flow: pkt.Flow, A: int64(st.arb.Len())})
 	}
 	return true
@@ -386,8 +386,8 @@ func (st *PortState) handleRMA(pkt *netsim.Packet, out *netsim.Port) bool {
 // grant is the arbiter's release hook: a held ACK leaves carrying one MSS.
 func (st *PortState) grant(pkt *netsim.Packet) {
 	pkt.Window = int64(netsim.MSS)
-	if pr := st.port.Network().Probe; pr != nil {
-		pr.Observe(netsim.Event{Kind: netsim.EvGrant, At: st.s.Now(), Port: st.port,
+	if n := st.port.Network(); n.Observes(netsim.EvGrant) {
+		n.Emit(netsim.Event{Kind: netsim.EvGrant, At: st.s.Now(), Port: st.port,
 			Flow: pkt.Flow, A: int64(st.arb.Len())})
 	}
 }

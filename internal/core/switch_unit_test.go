@@ -32,19 +32,19 @@ func rmData(flow netsim.FlowID, payload int) *netsim.Packet {
 func TestUnitDelimiterAdoptionAndSlotEnd(t *testing.T) {
 	s := sim.New(1)
 	st, p := mkPort(s, SwitchConfig{})
-	tap := tapPort(p)
+	slots := tapPort(p, netsim.EvSlot)
 	s.At(0, func() { st.OnEnqueue(rmData(1, netsim.MSS), p) })
 	s.RunUntil(1)
 	if !st.hasDelim || st.delim != 1 {
 		t.Fatal("first RM data not adopted as delimiter")
 	}
-	if tap.n[netsim.EvSlot] != 0 {
+	if len(slots.Recs) != 0 {
 		t.Fatal("adoption must not count as a slot")
 	}
 	// Second RM of the same flow one 100us "round" later ends the slot.
 	s.At(100*sim.Microsecond, func() { st.OnEnqueue(rmData(1, netsim.MSS), p) })
 	s.RunUntil(101 * sim.Microsecond)
-	if n := tap.n[netsim.EvSlot]; n != 1 {
+	if n := len(slots.Recs); n != 1 {
 		t.Fatalf("slots = %d, want 1", n)
 	}
 	if st.RTTB() != 100*sim.Microsecond {
@@ -55,12 +55,12 @@ func TestUnitDelimiterAdoptionAndSlotEnd(t *testing.T) {
 func TestUnitSmallFrameSlotsDoNotSetRTTB(t *testing.T) {
 	s := sim.New(1)
 	st, p := mkPort(s, SwitchConfig{})
-	tap := tapPort(p)
+	slots := tapPort(p, netsim.EvSlot)
 	// Delimited by 64-byte probes: rtt_b must stay at init.
 	s.At(0, func() { st.OnEnqueue(rmData(2, 0), p) })
 	s.At(30*sim.Microsecond, func() { st.OnEnqueue(rmData(2, 0), p) })
 	s.RunUntil(31 * sim.Microsecond)
-	if n := tap.n[netsim.EvSlot]; n != 1 {
+	if n := len(slots.Recs); n != 1 {
 		t.Fatalf("slots = %d", n)
 	}
 	if st.RTTB() != 160*sim.Microsecond {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tfcsim/internal/netsim"
+	"tfcsim/internal/netsim/netsimtest"
 	"tfcsim/internal/sim"
 	"tfcsim/internal/transport"
 )
@@ -41,33 +42,8 @@ func newRig(n, buf int) *rig {
 	return r
 }
 
-// credits is a probe that counts the receiver's credits (FlagCRD|FlagACK):
-// those its host sends, and those dropped anywhere — shaped away, in this
-// rig.
-type credits struct {
-	recv       *netsim.Host
-	sent, shed int64
-}
-
-// tapCredits installs a credits probe on the rig's network.
-func (r *rig) tapCredits() *credits {
-	c := &credits{recv: r.recv}
-	r.recv.Network().Probe = c
-	return c
-}
-
-func (c *credits) Observe(ev netsim.Event) {
-	const crd = netsim.FlagCRD | netsim.FlagACK
-	if ev.Pkt == nil || ev.Pkt.Flags&crd != crd {
-		return
-	}
-	switch {
-	case ev.Kind == netsim.EvHostSend && ev.Host == c.recv:
-		c.sent++
-	case ev.Kind == netsim.EvDrop:
-		c.shed++
-	}
-}
+// crd is the flags of the receiver's credits.
+const crd = netsim.FlagCRD | netsim.FlagACK
 
 func (r *rig) dial(i int, flow netsim.FlowID, opts ...func(*transport.DialConfig)) (*Sender, *Receiver) {
 	cfg := transport.DialConfig{Sim: r.s, Local: r.senders[i], Peer: r.recv, Flow: flow}
@@ -120,7 +96,7 @@ func TestIncastNoDataLoss(t *testing.T) {
 	// loss, because the shaper drops excess *credits* instead.
 	const n = 60
 	r := newRig(n, 64<<10)
-	crd := r.tapCredits()
+	shed := netsimtest.Attach(r.recv.Network(), &netsimtest.Tap{Kinds: netsim.KindsOf(netsim.EvDrop), Flags: crd})
 	done := 0
 	for i := 0; i < n; i++ {
 		snd, _ := r.dial(i, netsim.FlowID(i+1),
@@ -138,7 +114,7 @@ func TestIncastNoDataLoss(t *testing.T) {
 	if r.bott.Drops != 0 {
 		t.Fatalf("data drops = %d, want 0 (credits should be shed instead)", r.bott.Drops)
 	}
-	if crd.shed == 0 {
+	if len(shed.Recs) == 0 {
 		t.Fatal("shaper never shed credits at 60-way fan-in")
 	}
 }
@@ -177,18 +153,18 @@ func TestQueueStaysSmall(t *testing.T) {
 
 func TestSilentFlowStopsCredits(t *testing.T) {
 	r := newRig(1, 256<<10)
-	crd := r.tapCredits()
+	credits := netsimtest.Attach(r.recv.Network(), &netsimtest.Tap{Kinds: netsim.KindsOf(netsim.EvHostSend), Host: r.recv, Flags: crd})
 	snd, _ := r.dial(0, 1)
 	r.s.At(0, func() { snd.Open(); snd.Send(256 << 10) })
 	r.s.RunUntil(100 * sim.Millisecond)
 	if snd.Acked() != 256<<10 {
 		t.Fatalf("message not drained: %d", snd.Acked())
 	}
-	sent := crd.sent
+	sent := len(credits.Recs)
 	r.s.RunUntil(200 * sim.Millisecond)
 	// After drain, the credit stream must stop (no 100ms of wasted 64B
 	// frames on the reverse path).
-	if grew := crd.sent - sent; grew > 5 {
+	if grew := len(credits.Recs) - sent; grew > 5 {
 		t.Fatalf("%d credits sent to a silent flow", grew)
 	}
 	// Resume works.
@@ -251,24 +227,14 @@ func TestLostCreditRequestRecovers(t *testing.T) {
 	}
 }
 
-// retransmits records the bytes of every EvRetransmit a connection's
-// probe sees.
-type retransmits []int64
-
-func (r *retransmits) Observe(ev netsim.Event) {
-	if ev.Kind == netsim.EvRetransmit {
-		*r = append(*r, ev.A)
-	}
-}
-
 // A timeout with data in flight books one segment as retransmitted, as
 // every window sender's go-back-N does, and reports it to the probe.
 func TestTimeoutBooksOneSegment(t *testing.T) {
 	r := newRig(1, 256<<10)
-	var rtx retransmits
+	rtx := &netsimtest.Tap{Kinds: netsim.KindsOf(netsim.EvRetransmit)}
 	snd, rcv := r.dial(0, 1, func(c *transport.DialConfig) {
 		c.MinRTO = sim.Millisecond
-		c.Probe = &rtx
+		c.Probe = rtx
 	})
 	r.s.At(0, func() { snd.Open(); snd.Send(256 << 10) })
 	r.s.At(200*sim.Microsecond, r.bott.SetDown)
@@ -278,15 +244,15 @@ func TestTimeoutBooksOneSegment(t *testing.T) {
 	if st.Timeouts == 0 || rcv.Received() != 256<<10 {
 		t.Fatalf("timeouts=%d received=%d: want a timeout and a completed transfer", st.Timeouts, rcv.Received())
 	}
-	if len(rtx) == 0 || int64(len(rtx)) > st.Timeouts {
-		t.Fatalf("%d retransmit records for %d timeouts, want one per timeout with data in flight", len(rtx), st.Timeouts)
+	if len(rtx.Recs) == 0 || int64(len(rtx.Recs)) > st.Timeouts {
+		t.Fatalf("%d retransmit records for %d timeouts, want one per timeout with data in flight", len(rtx.Recs), st.Timeouts)
 	}
 	var sum int64
-	for _, n := range rtx {
-		if n != netsim.MSS {
-			t.Errorf("retransmit record of %d bytes, want one segment (%d)", n, netsim.MSS)
+	for _, r := range rtx.Recs {
+		if r.A != netsim.MSS {
+			t.Errorf("retransmit record of %d bytes, want one segment (%d)", r.A, netsim.MSS)
 		}
-		sum += n
+		sum += r.A
 	}
 	if sum != st.RtxBytes {
 		t.Errorf("records sum to %d bytes, Stats().RtxBytes = %d", sum, st.RtxBytes)

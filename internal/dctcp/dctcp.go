@@ -29,8 +29,8 @@ type MarkHook struct {
 func (h *MarkHook) OnEnqueue(pkt *netsim.Packet, port *netsim.Port) bool {
 	if pkt.Flags&netsim.FlagECT != 0 && port.QueueBytes() >= h.K {
 		pkt.Flags |= netsim.FlagCE
-		if pr := port.Network().Probe; pr != nil {
-			pr.Observe(netsim.Event{Kind: netsim.EvMark, At: port.Sim().Now(), Port: port, Flow: pkt.Flow})
+		if n := port.Network(); n.Observes(netsim.EvMark) {
+			n.Emit(netsim.Event{Kind: netsim.EvMark, At: port.Sim().Now(), Port: port, Flow: pkt.Flow})
 		}
 	}
 	return true

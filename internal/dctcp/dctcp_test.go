@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tfcsim/internal/netsim"
+	"tfcsim/internal/netsim/netsimtest"
 	"tfcsim/internal/sim"
 	"tfcsim/internal/tcp"
 	"tfcsim/internal/transport"
@@ -21,15 +22,6 @@ func TestKFor(t *testing.T) {
 	}
 }
 
-// marks is a probe that counts CE marks (EvMark records).
-type marks int64
-
-func (m *marks) Observe(ev netsim.Event) {
-	if ev.Kind == netsim.EvMark {
-		*m++
-	}
-}
-
 func TestMarkHookThreshold(t *testing.T) {
 	s := sim.New(1)
 	net := netsim.NewNetwork(s)
@@ -40,8 +32,7 @@ func TestMarkHookThreshold(t *testing.T) {
 	net.Connect(sw, h2, netsim.LinkConfig{Rate: netsim.Gbps, Delay: sim.Microsecond})
 	net.ComputeRoutes()
 	port := sw.PortTo(h2.ID())
-	var marked marks
-	net.Probe = &marked
+	marks := netsimtest.Attach(net, &netsimtest.Tap{Kinds: netsim.KindsOf(netsim.EvMark)})
 	hook := &MarkHook{K: 3000}
 	// Empty queue: no mark.
 	p := &netsim.Packet{Flags: netsim.FlagECT, Payload: netsim.MSS}
@@ -61,8 +52,8 @@ func TestMarkHookThreshold(t *testing.T) {
 	if p2.Flags&netsim.FlagCE == 0 {
 		t.Fatal("not marked above threshold")
 	}
-	if marked != 1 {
-		t.Fatalf("marks = %d, want 1", marked)
+	if n := len(marks.Recs); n != 1 {
+		t.Fatalf("marks = %d, want 1", n)
 	}
 }
 

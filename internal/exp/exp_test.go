@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tfcsim/internal/netsim"
+	"tfcsim/internal/netsim/netsimtest"
 	"tfcsim/internal/runner"
 	"tfcsim/internal/sim"
 	"tfcsim/internal/telemetry"
@@ -55,8 +56,8 @@ func TestFig07NeAccuracy(t *testing.T) {
 
 // TestSlotTapForwards runs Figs 6 and 7 short, bare and with a telemetry
 // trial. The rendered results must be equal, and the trial must have
-// counted slots (tfc.slots): the figures' slot tap forwards every record
-// to the probe the builder installed instead of replacing it.
+// counted slots (tfc.slots): the figures' slot tap forwards the records
+// the builder's probe subscribed to instead of replacing it.
 func TestSlotTapForwards(t *testing.T) {
 	c := telemetry.NewCollector(telemetry.Options{})
 	for _, fig := range []struct {
@@ -79,6 +80,27 @@ func TestSlotTapForwards(t *testing.T) {
 		if n := tr.Counter("tfc.slots").Value(); n == 0 {
 			t.Errorf("%s: the trial counted no slots: the tap did not forward them", fig.name)
 		}
+	}
+}
+
+// TestSlotTapSubscribes: the slot tap subscribes the network to slots
+// plus the kinds of the probe it wraps, and hands that probe only those.
+func TestSlotTapSubscribes(t *testing.T) {
+	e, hosts, recv, bott := Star(TopoConfig{Proto: TFC, Seed: 1}, 4, netsim.Gbps, 64<<10)
+	inner := &netsimtest.Tap{Kinds: netsim.AllKinds} // keeps whatever it is handed
+	e.Net.SetProbe(inner, netsim.KindsOf(netsim.EvDrop))
+	slots := 0
+	tapSlots(e, bott, func(netsim.Event) { slots++ })
+	if _, kinds := e.Net.Probe(); kinds != netsim.KindsOf(netsim.EvDrop, netsim.EvSlot) {
+		t.Fatalf("network subscribed to %b, want DROP and SLOT", kinds)
+	}
+	for _, h := range hosts {
+		newFaucet(e.Dialer, h, recv).Start()
+	}
+	e.Sim.At(5*sim.Millisecond, bott.SetDown)
+	e.Sim.RunUntil(10 * sim.Millisecond)
+	if drops := inner.Count(netsim.EvDrop); slots == 0 || drops == 0 || drops != len(inner.Recs) {
+		t.Fatalf("%d slots; the wrapped probe got %d records, %d of them drops", slots, len(inner.Recs), drops)
 	}
 }
 

@@ -293,25 +293,29 @@ func (f *faucet) Resume() {
 // "silent" in the paper's terms, not closed).
 func (f *faucet) Pause() { f.active = false }
 
-// tapSlots hands fn every TFC slot record (EvSlot) of port, then forwards
-// each record of e's network to the probe the builder installed there
-// (the trial's telemetry, or none).
+// tapSlots hands fn every TFC slot record (EvSlot) of port, and forwards
+// to the probe the builder installed on e's network (the trial's
+// telemetry, or none) the records of the kinds that probe subscribed to.
+// The network emits those kinds and EvSlot, nothing else: an untraced run
+// builds no packet record.
 func tapSlots(e *Env, port *netsim.Port, fn func(netsim.Event)) {
-	e.Net.Probe = &slotTap{next: e.Net.Probe, port: port, fn: fn}
+	next, kinds := e.Net.Probe()
+	e.Net.SetProbe(&slotTap{next: next, kinds: kinds, port: port, fn: fn}, kinds|netsim.KindsOf(netsim.EvSlot))
 }
 
 // slotTap is the probe tapSlots installs.
 type slotTap struct {
-	next netsim.Probe
-	port *netsim.Port
-	fn   func(netsim.Event)
+	next  netsim.Probe
+	kinds netsim.KindSet
+	port  *netsim.Port
+	fn    func(netsim.Event)
 }
 
 func (t *slotTap) Observe(ev netsim.Event) {
 	if ev.Kind == netsim.EvSlot && ev.Port == t.port {
 		t.fn(ev)
 	}
-	if t.next != nil {
+	if t.kinds.Has(ev.Kind) {
 		t.next.Observe(ev)
 	}
 }

@@ -83,30 +83,75 @@ func (e Event) Where() string {
 	return ""
 }
 
+// KindSet is a set of event kinds, one bit per EventKind: what a probe
+// reads, declared when it is installed (Network.SetProbe).
+type KindSet uint32
+
+// AllKinds holds every kind.
+const AllKinds KindSet = 1<<NumEventKinds - 1
+
+// KindsOf returns the set of the given kinds.
+func KindsOf(ks ...EventKind) KindSet {
+	var s KindSet
+	for _, k := range ks {
+		s |= 1 << k
+	}
+	return s
+}
+
+// Has reports whether k is in the set.
+func (s KindSet) Has(k EventKind) bool { return s&(1<<k) != 0 }
+
 // Probe is the simulator's one observer interface: telemetry, the
 // observatory's consumers and tfctrace all receive the same Event stream
-// through it. Implementations must treat the record's pointers as
-// read-only snapshots: copy any packet fields they need and do not retain
-// Pkt — with pooling on, the packet is recycled as soon as Observe
-// returns. Probes run on the simulation's virtual timeline and must not
-// mutate simulation state, schedule events or draw from its Rand
-// (TestTelemetryResultsNeutral and TestObservatoryResultsNeutral check
-// this). Observe runs on the trial's simulator goroutine: observed
-// trials are sequential (telemetry refuses a partitioned network), so
-// implementations keep their state unlocked.
+// through it. A network's probe is installed with the set of kinds it
+// reads (Network.SetProbe), and each emit point tests its own kind's bit
+// before it builds a record, so a probe sees only what it subscribed to
+// and the kinds nobody reads cost one mask test. The sender-side tap
+// (transport.DialConfig.Probe) is unmasked: it receives all five sender
+// kinds. Implementations must treat the record's pointers as read-only
+// snapshots: copy any packet fields they need and do not retain Pkt —
+// packets are recycled as soon as Observe returns. Probes run on the
+// simulation's virtual timeline and must not mutate simulation state,
+// schedule events or draw from its Rand (TestTelemetryResultsNeutral and
+// TestObservatoryResultsNeutral check this). Observe runs on the trial's
+// simulator goroutine: observed trials are sequential (telemetry refuses
+// a partitioned network), so implementations keep their state unlocked.
 type Probe interface {
 	Observe(Event)
 }
 
-// observe emits a packet-lifecycle record at port p. Callers check
-// p.net.Probe != nil first, so the disabled path is that one nil-check.
+// SetProbe installs p as the network's probe, subscribed to kinds: every
+// record the simulator emits on this network of a kind in the set — the
+// forwarding path's and, through Port.Network, the attached switch-side
+// schemes' — reaches p, and no other. A nil p removes the probe.
+func (n *Network) SetProbe(p Probe, kinds KindSet) {
+	if p == nil {
+		kinds = 0
+	}
+	n.probe, n.kinds = p, kinds
+}
+
+// Probe returns the installed probe and the kinds it subscribed to (nil
+// and the empty set when none is).
+func (n *Network) Probe() (Probe, KindSet) { return n.probe, n.kinds }
+
+// Observes reports whether the installed probe subscribed to k. An emit
+// point tests it before it builds a record for Emit.
+func (n *Network) Observes(k EventKind) bool { return n.kinds.Has(k) }
+
+// Emit hands ev to the probe. Callers test Observes(ev.Kind) first.
+func (n *Network) Emit(ev Event) { n.probe.Observe(ev) }
+
+// observe emits a packet-lifecycle record at port p. Callers test
+// p.net.Observes(k) first, so the disabled path is that one mask test.
 func (p *Port) observe(k EventKind, pkt *Packet) {
-	p.net.Probe.Observe(Event{Kind: k, At: p.sim.Now(), Port: p, Pkt: pkt,
+	p.net.probe.Observe(Event{Kind: k, At: p.sim.Now(), Port: p, Pkt: pkt,
 		Flow: pkt.Flow, A: pkt.Seq, B: int64(p.qBytes)})
 }
 
 // observe emits a packet-lifecycle record at host h (same contract).
 func (h *Host) observe(k EventKind, pkt *Packet) {
-	h.net.Probe.Observe(Event{Kind: k, At: h.sh.sim.Now(), Host: h, Pkt: pkt,
+	h.net.probe.Observe(Event{Kind: k, At: h.sh.sim.Now(), Host: h, Pkt: pkt,
 		Flow: pkt.Flow, A: pkt.Seq})
 }

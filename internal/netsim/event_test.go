@@ -6,44 +6,54 @@ import (
 
 	"tfcsim/internal/exp"
 	"tfcsim/internal/netsim"
+	"tfcsim/internal/netsim/netsimtest"
 	"tfcsim/internal/sim"
 	"tfcsim/internal/transport"
 	"tfcsim/internal/workload"
 )
 
-// recorder is a netsim.Probe that keeps what the stream tests check: the
-// records in order, which kinds were seen, and per-port clock monotonicity.
-type recorder struct {
-	t      *testing.T
-	evs    []netsim.Event
-	seen   *[netsim.NumEventKinds]bool
-	lastAt map[*netsim.Port]sim.Time
-}
-
-func newRecorder(t *testing.T, seen *[netsim.NumEventKinds]bool) *recorder {
-	return &recorder{t: t, seen: seen, lastAt: make(map[*netsim.Port]sim.Time)}
-}
-
-func (r *recorder) Observe(ev netsim.Event) {
-	r.seen[ev.Kind] = true
-	if ev.Port != nil {
-		if ev.At < r.lastAt[ev.Port] {
-			r.t.Errorf("%s at %s went back in time: %v after %v", ev.Kind, ev.Where(), ev.At, r.lastAt[ev.Port])
+// record returns a tap that keeps every record; when the (sub)test ends it
+// marks the kinds it kept in seen and checks that no port's records went
+// back in time.
+func record(t *testing.T, seen *[netsim.NumEventKinds]bool) *netsimtest.Tap {
+	tap := &netsimtest.Tap{Kinds: netsim.AllKinds}
+	t.Cleanup(func() {
+		lastAt := make(map[*netsim.Port]sim.Time)
+		for _, r := range tap.Recs {
+			seen[r.Kind] = true
+			if r.Port == nil {
+				continue
+			}
+			if r.At < lastAt[r.Port] {
+				t.Errorf("%s at %s went back in time: %v after %v", r.Kind, r.Where(), r.At, lastAt[r.Port])
+			}
+			lastAt[r.Port] = r.At
 		}
-		r.lastAt[ev.Port] = ev.At
-	}
-	ev.Pkt = nil // recycled once Observe returns
-	r.evs = append(r.evs, ev)
+	})
+	return tap
+}
+
+// placed is a record with its place named instead of pointed to, so
+// records of two runs compare.
+type placed struct {
+	where string
+	netsimtest.Record
+}
+
+func flat(r netsimtest.Record) placed {
+	where := r.Where()
+	r.Port, r.Host = nil, nil
+	return placed{where, r}
 }
 
 type sink struct{ pkts int }
 
 func (k *sink) Deliver(*netsim.Packet) { k.pkts++ }
 
-// line builds h1 - sw - h2 at 1 Gbps with rec (which may be nil) as probe
-// and a sink for flow 1 at h2.
-func line(rec netsim.Probe) (*sim.Simulator, *netsim.Host, *netsim.Host, *netsim.Switch, *sink) {
-	s := sim.New(1)
+// line builds h1 - sw - h2 at 1 Gbps on a simulator of the given seed,
+// with tap (which may be nil) attached and a sink for flow 1 at h2.
+func line(seed int64, tap *netsimtest.Tap) (*sim.Simulator, *netsim.Host, *netsim.Host, *netsim.Switch, *sink) {
+	s := sim.New(seed)
 	net := netsim.NewNetwork(s)
 	h1, h2 := net.NewHost("h1"), net.NewHost("h2")
 	sw := net.NewSwitch("sw")
@@ -51,7 +61,9 @@ func line(rec netsim.Probe) (*sim.Simulator, *netsim.Host, *netsim.Host, *netsim
 	net.Connect(h1, sw, cfg)
 	net.Connect(sw, h2, cfg)
 	net.ComputeRoutes()
-	net.Probe = rec
+	if tap != nil {
+		netsimtest.Attach(net, tap)
+	}
 	k := &sink{}
 	h2.Register(1, k)
 	return s, h1, h2, sw, k
@@ -66,15 +78,14 @@ func sendOne(s *sim.Simulator, from, to *netsim.Host, flow netsim.FlowID) {
 
 // starDigest runs senders flows of proto over a lossy star (1% loss and a
 // 64 KB buffer at the bottleneck, 1 ms MinRTO), optionally with a 1 ms
-// blackout of the bottleneck, under probe (nil: unobserved), and returns
-// everything the run's outcome consists of.
-func starDigest(proto exp.Proto, senders int, blackout bool, probe netsim.Probe) string {
+// blackout of the bottleneck, observed as observe (nil: unobserved) sets
+// up, and returns everything the run's outcome consists of.
+func starDigest(proto exp.Proto, senders int, blackout bool, observe func(*exp.Env)) string {
 	e, hosts, recv, bott := exp.Star(exp.TopoConfig{Proto: proto, Seed: 3}, senders, netsim.Gbps, 64<<10)
 	e.Dialer.MinRTO = sim.Millisecond
 	bott.SetLoss(netsim.UniformLoss(0.01))
-	if probe != nil {
-		e.Net.Probe = probe
-		e.Dialer.Probe = func(string) netsim.Probe { return probe }
+	if observe != nil {
+		observe(e)
 	}
 	if blackout {
 		e.Sim.At(2*sim.Millisecond, bott.SetDown)
@@ -104,23 +115,24 @@ func starDigest(proto exp.Proto, senders int, blackout bool, probe netsim.Probe)
 // packet-lifecycle order at a single path, the drop and stray kinds, the
 // kind names, the disabled path, and — over every transport on a lossy
 // star plus one blackout — that every EventKind is emitted, that a port's
-// records never go back in time, and that observing changes no result.
+// records never go back in time, that every emit point honours the
+// probe's kind set, and that observing changes no result.
 func TestEventStream(t *testing.T) {
 	var seen [netsim.NumEventKinds]bool
 
 	t.Run("lifecycle", func(t *testing.T) {
-		rec := newRecorder(t, &seen)
-		s, h1, h2, _, _ := line(rec)
+		rec := record(t, &seen)
+		s, h1, h2, _, _ := line(1, rec)
 		sendOne(s, h1, h2, 1)
 		want := []netsim.EventKind{
 			netsim.EvHostSend, netsim.EvEnqueue, netsim.EvDequeue, netsim.EvTx,
 			netsim.EvEnqueue, netsim.EvDequeue, netsim.EvTx, netsim.EvDeliver,
 		}
 		wheres := []string{"h1", "h1->sw", "h1->sw", "h1->sw", "sw->h2", "sw->h2", "sw->h2", "h2"}
-		if len(rec.evs) != len(want) {
-			t.Fatalf("got %d records, want %d: %v", len(rec.evs), len(want), rec.evs)
+		if len(rec.Recs) != len(want) {
+			t.Fatalf("got %d records, want %d: %v", len(rec.Recs), len(want), rec.Recs)
 		}
-		for i, ev := range rec.evs {
+		for i, ev := range rec.Recs {
 			if ev.Kind != want[i] || ev.Where() != wheres[i] {
 				t.Errorf("record %d = %s at %q, want %s at %q", i, ev.Kind, ev.Where(), want[i], wheres[i])
 			}
@@ -131,32 +143,28 @@ func TestEventStream(t *testing.T) {
 	})
 
 	t.Run("drop", func(t *testing.T) {
-		rec := newRecorder(t, &seen)
-		s, h1, h2, sw, k := line(rec)
+		rec := record(t, &seen)
+		s, h1, h2, sw, k := line(1, rec)
 		sw.PortTo(h2.ID()).SetLoss(netsim.UniformLoss(1))
 		sendOne(s, h1, h2, 1)
-		if first := rec.evs[0]; first.Kind != netsim.EvLoss || first.A != 1 || first.Where() != "sw->h2" {
+		if first := rec.Recs[0]; first.Kind != netsim.EvLoss || first.A != 1 || first.Where() != "sw->h2" {
 			t.Errorf("first record = %s (A=%d) at %q, want LOSS (A=1) at sw->h2", first.Kind, first.A, first.Where())
 		}
-		drops := 0
-		for _, ev := range rec.evs {
-			if ev.Kind == netsim.EvDrop {
-				drops++
-				if ev.Where() != "sw->h2" {
-					t.Errorf("drop at %q, want sw->h2", ev.Where())
-				}
+		for _, ev := range rec.Recs {
+			if ev.Kind == netsim.EvDrop && ev.Where() != "sw->h2" {
+				t.Errorf("drop at %q, want sw->h2", ev.Where())
 			}
 		}
-		if drops != 1 || k.pkts != 0 {
+		if drops := rec.Count(netsim.EvDrop); drops != 1 || k.pkts != 0 {
 			t.Fatalf("drop records = %d (delivered %d), want 1 (0)", drops, k.pkts)
 		}
 	})
 
 	t.Run("stray", func(t *testing.T) {
-		rec := newRecorder(t, &seen)
-		s, h1, h2, _, _ := line(rec)
+		rec := record(t, &seen)
+		s, h1, h2, _, _ := line(1, rec)
 		sendOne(s, h1, h2, 2) // no endpoint for flow 2 at h2
-		if last := rec.evs[len(rec.evs)-1]; last.Kind != netsim.EvStray || last.Where() != "h2" {
+		if last := rec.Recs[len(rec.Recs)-1]; last.Kind != netsim.EvStray || last.Where() != "h2" {
 			t.Fatalf("last record = %s at %q, want STRAY at h2", last.Kind, last.Where())
 		}
 	})
@@ -184,7 +192,7 @@ func TestEventStream(t *testing.T) {
 	t.Run("nil-probe", func(t *testing.T) {
 		// With no probe set, traffic must flow identically (smoke test that
 		// the nil-check path works everywhere).
-		s, h1, h2, _, k := line(nil)
+		s, h1, h2, _, k := line(1, nil)
 		sendOne(s, h1, h2, 1)
 		if k.pkts != 1 {
 			t.Fatal("delivery failed without a probe")
@@ -205,14 +213,46 @@ func TestEventStream(t *testing.T) {
 			name += "+blackout"
 		}
 		t.Run(name, func(t *testing.T) {
-			rec := newRecorder(t, &seen)
-			observed := starDigest(c.proto, 24, c.blackout, rec)
-			if plain := starDigest(c.proto, 24, c.blackout, nil); plain != observed {
+			rec := record(t, &seen)
+			observed := starDigest(c.proto, 24, c.blackout, func(e *exp.Env) {
+				netsimtest.Attach(e.Net, rec)
+				e.Dialer.Probe = func(string) netsim.Probe { return rec }
+			})
+			plain := starDigest(c.proto, 24, c.blackout, nil)
+			if plain != observed {
 				t.Errorf("observing changed the run:\nnil probe:\n%s\nrecording probe:\n%s", plain, observed)
 			}
-			if len(rec.evs) == 0 {
+			if len(rec.Recs) == 0 {
 				t.Error("no records observed")
 			}
+			// A probe subscribed to one kind receives exactly that kind's
+			// network records of the run above (those with a place; the
+			// sender side's came through the dialer), in order. One
+			// subscribed to no kind receives nothing. Neither changes the
+			// run. The probe keeps whatever it is handed, so an emit point
+			// that ignores the mask shows.
+			masked := func(name string, kinds netsim.KindSet) {
+				var want, got []placed
+				for _, r := range rec.Recs {
+					if kinds.Has(r.Kind) && (r.Port != nil || r.Host != nil) {
+						want = append(want, flat(r))
+					}
+				}
+				tap := &netsimtest.Tap{Kinds: netsim.AllKinds}
+				if d := starDigest(c.proto, 24, c.blackout, func(e *exp.Env) { e.Net.SetProbe(tap, kinds) }); d != plain {
+					t.Errorf("subscribing to %s changed the run:\nnil probe:\n%s\nmasked probe:\n%s", name, plain, d)
+				}
+				for _, r := range tap.Recs {
+					got = append(got, flat(r))
+				}
+				if i := firstDiff(got, want); i >= 0 {
+					t.Errorf("subscribed to %s: record %d of %d differs from the all-kinds run's (%d)", name, i, len(got), len(want))
+				}
+			}
+			for k := netsim.EventKind(0); k < netsim.NumEventKinds; k++ {
+				masked(k.String(), netsim.KindsOf(k))
+			}
+			masked("no kind", 0)
 		})
 	}
 
@@ -223,36 +263,31 @@ func TestEventStream(t *testing.T) {
 	}
 }
 
-// exits is a probe that counts the records a packet leaves the simulation
-// by — EvDeliver, EvStray and EvDrop — and, among the drops, the
-// receivers' credits (FlagCRD|FlagACK).
-type exits struct{ n, credits int }
-
-func (x *exits) Observe(ev netsim.Event) {
-	const crd = netsim.FlagCRD | netsim.FlagACK
-	switch ev.Kind {
-	case netsim.EvDrop:
-		if ev.Pkt.Flags&crd == crd {
-			x.credits++
-		}
-		x.n++
-	case netsim.EvDeliver, netsim.EvStray:
-		x.n++
+func TestStrayPackets(t *testing.T) {
+	strays := &netsimtest.Tap{Kinds: netsim.KindsOf(netsim.EvStray)}
+	s, h1, h2, _, _ := line(1, strays)
+	// A packet for a flow nobody registered is dropped as stray.
+	sendOne(s, h1, h2, 3)
+	if len(strays.Recs) != 1 || strays.Recs[0].Where() != "h2" {
+		t.Fatalf("strays %v, want one at h2", strays.Recs)
 	}
 }
 
+// exitKinds are the records a packet leaves the simulation by.
+var exitKinds = netsim.KindsOf(netsim.EvDeliver, netsim.EvStray, netsim.EvDrop)
+
 // checkExits asserts that every packet n's pools took back left through a
-// record: the releases counted while the pool check is armed equal x's
-// records.
-func checkExits(t *testing.T, n *netsim.Network, x *exits) {
+// record: the releases counted while the pool check is armed equal the
+// exit records x kept.
+func checkExits(t *testing.T, n *netsim.Network, x *netsimtest.Tap) {
 	t.Helper()
 	released := 0
 	for _, sh := range n.PoolShards() {
 		released += sh.Released
 	}
-	t.Logf("%d released, %d records, %d credits dropped", released, x.n, x.credits)
-	if released != x.n {
-		t.Errorf("%d packets released, %d DELIVER/STRAY/DROP records", released, x.n)
+	t.Logf("%d released, %d records", released, len(x.Recs))
+	if released != len(x.Recs) {
+		t.Errorf("%d packets released, %d DELIVER/STRAY/DROP records", released, len(x.Recs))
 	}
 }
 
@@ -263,11 +298,10 @@ func checkExits(t *testing.T, n *netsim.Network, x *exits) {
 // and one unroutable packet.
 func TestEveryReleaseIsRecorded(t *testing.T) {
 	defer netsim.ArmPoolCheck()()
-	star := func(t *testing.T, proto exp.Proto, senders int) *exits {
+	star := func(t *testing.T, proto exp.Proto, senders int) *netsimtest.Tap {
 		e, hosts, recv, bott := exp.Star(exp.TopoConfig{Proto: proto, Seed: 3}, senders, netsim.Gbps, 64<<10)
 		bott.SetLoss(netsim.UniformLoss(0.01))
-		x := &exits{}
-		e.Net.Probe = x
+		x := netsimtest.Attach(e.Net, &netsimtest.Tap{Kinds: exitKinds})
 		for _, h := range hosts {
 			greedy(e, h, recv)
 		}
@@ -279,17 +313,24 @@ func TestEveryReleaseIsRecorded(t *testing.T) {
 		t.Run(name, func(t *testing.T) { star(t, exp.Proto(name), 24) })
 	}
 	t.Run("credit-incast", func(t *testing.T) {
-		if x := star(t, exp.CREDIT, 60); x.credits == 0 {
+		const crd = netsim.FlagCRD | netsim.FlagACK
+		shed := 0
+		for _, r := range star(t, exp.CREDIT, 60).Recs {
+			if r.Kind == netsim.EvDrop && r.Packet.Flags&crd == crd {
+				shed++
+			}
+		}
+		if shed == 0 {
 			t.Fatal("the shaper shed no credit at 60-way fan-in")
 		}
 	})
 	t.Run("unroutable", func(t *testing.T) {
-		x := &exits{}
-		s, h1, _, _, _ := line(x)
+		x := &netsimtest.Tap{Kinds: exitKinds}
+		s, h1, _, _, _ := line(1, x)
 		s.At(0, func() { h1.Send(&netsim.Packet{Flow: 1, Src: h1.ID(), Dst: 99, Payload: netsim.MSS}) })
 		s.Run()
-		if x.n != 1 {
-			t.Fatalf("%d records, want the one DROP", x.n)
+		if len(x.Recs) != 1 {
+			t.Fatalf("%d records, want the one DROP", len(x.Recs))
 		}
 		checkExits(t, h1.Network(), x)
 	})

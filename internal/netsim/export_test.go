@@ -32,3 +32,10 @@ func (n *Network) PoolShards() []PoolShard {
 type UniformLoss float64
 
 func (p UniformLoss) Lose(r *rand.Rand) bool { return r.Float64() < float64(p) }
+
+// Loss returns the port's installed wire-loss model.
+func (p *Port) Loss() LossModel { return p.loss }
+
+// AlwaysBad returns a Gilbert–Elliott chain pinned in the bad state
+// (pgb=1, pbg=0): it loses every packet from the first draw on.
+func AlwaysBad() *GilbertElliott { return &GilbertElliott{pgb: 1} }

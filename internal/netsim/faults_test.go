@@ -2,8 +2,8 @@ package netsim
 
 // Tests for the wire-level fault machinery: link down/up (the queue is
 // kept, a frame mid-serialization is lost), loss injection ordering
-// relative to port hooks, fault windows under steady traffic with the
-// EvLink/EvLoss records they emit, and the Gilbert–Elliott loss model.
+// relative to port hooks, and the Gilbert–Elliott loss model. The fault
+// windows under steady traffic are in window_test.go.
 
 import (
 	"math/rand"
@@ -107,122 +107,6 @@ func TestPortDownCutsInFlightFrame(t *testing.T) {
 	}
 	if out.Drops != 1 {
 		t.Fatalf("drops = %d, want 1", out.Drops)
-	}
-}
-
-// faultLog is a Probe that keeps the fault transitions (EvLink, EvLoss).
-type faultLog struct{ evs []Event }
-
-func (l *faultLog) Observe(ev Event) {
-	if ev.Kind == EvLink || ev.Kind == EvLoss {
-		l.evs = append(l.evs, ev)
-	}
-}
-
-func sendEvery(s *sim.Simulator, h1, h2 *Host, n int, gap sim.Time) {
-	for i := 0; i < n; i++ {
-		pkt := mkPkt(h1, h2, int64(i)*MSS)
-		s.At(sim.Time(i)*gap, func() { h1.Send(pkt) })
-	}
-}
-
-func TestLinkDownWindow(t *testing.T) {
-	s := sim.New(1)
-	net, h1, h2, sw := buildPair(s, LinkConfig{Rate: Gbps, Delay: sim.Microsecond})
-	out := sw.PortTo(h2.ID())
-	k := &sink{s: s}
-	h2.Register(7, k)
-	log := &faultLog{}
-	net.Probe = log
-	s.At(1*sim.Millisecond, out.SetDown)
-	s.At(3*sim.Millisecond, out.SetUp)
-	// One packet every 100us for 5ms: those arriving at the switch inside
-	// [1ms, 3ms) are dropped at the wire, the rest deliver.
-	sendEvery(s, h1, h2, 50, 100*sim.Microsecond)
-	s.Run()
-	if out.Down() {
-		t.Fatal("port still down after restore")
-	}
-	if out.Drops == 0 {
-		t.Fatal("no drops during a 2ms blackout under steady traffic")
-	}
-	for _, at := range k.at {
-		if at >= 1*sim.Millisecond+20*sim.Microsecond && at < 3*sim.Millisecond {
-			t.Fatalf("packet delivered at %v, inside the blackout", at)
-		}
-	}
-	if len(k.pkts)+int(out.Drops) != 50 {
-		t.Fatalf("delivered %d + dropped %d != 50 sent", len(k.pkts), out.Drops)
-	}
-	// The probe sees both transitions, in order, at the port.
-	if len(log.evs) != 2 || log.evs[0].Kind != EvLink || log.evs[0].A != 1 ||
-		log.evs[1].Kind != EvLink || log.evs[1].A != 0 || log.evs[0].Port != out {
-		t.Fatalf("fault records = %+v", log.evs)
-	}
-	if log.evs[0].At != 1*sim.Millisecond || log.evs[1].At != 3*sim.Millisecond {
-		t.Fatalf("fault record times = %v, %v", log.evs[0].At, log.evs[1].At)
-	}
-}
-
-func TestBurstyLossWindow(t *testing.T) {
-	s := sim.New(1)
-	net, h1, h2, sw := buildPair(s, LinkConfig{Rate: Gbps, Delay: sim.Microsecond})
-	out := sw.PortTo(h2.ID())
-	k := &sink{s: s}
-	h2.Register(7, k)
-	log := &faultLog{}
-	net.Probe = log
-	// pgb=1, pbg=0 pins the chain in the bad state: total loss from the
-	// moment the model is installed to the end of the run.
-	m := &GilbertElliott{pgb: 1}
-	at := sim.Millisecond
-	s.At(at, func() { out.SetLoss(m) })
-	s.At(at-sim.Microsecond, func() {
-		if out.loss != nil {
-			t.Error("loss model installed before at")
-		}
-	})
-	// One packet every 100us for 3ms: the ten sent before at deliver,
-	// every later one is lost.
-	sendEvery(s, h1, h2, 30, 100*sim.Microsecond)
-	s.Run()
-	if out.loss != m {
-		t.Fatal("loss model not installed to the end of the run")
-	}
-	if len(k.pkts) != 10 || out.Drops != 20 {
-		t.Fatalf("delivered %d, dropped %d; want 10, 20", len(k.pkts), out.Drops)
-	}
-	if len(log.evs) != 1 || log.evs[0].Kind != EvLoss || log.evs[0].A != 1 ||
-		log.evs[0].At != at || log.evs[0].Port != out {
-		t.Fatalf("fault records = %+v", log.evs)
-	}
-}
-
-// TestFaultWindowDeterminism runs a lossy blackout scenario twice from
-// the same seed and compares every counter: the same seed drives the
-// same fault outcome.
-func TestFaultWindowDeterminism(t *testing.T) {
-	run := func() (int64, int64, int) {
-		s := sim.New(99)
-		_, h1, h2, sw := buildPair(s, LinkConfig{Rate: Gbps, Delay: sim.Microsecond})
-		out := sw.PortTo(h2.ID())
-		k := &sink{s: s}
-		h2.Register(7, k)
-		s.At(sim.Millisecond, out.SetDown)
-		s.At(1500*sim.Microsecond, out.SetUp)
-		m := NewGilbertElliott(0.3, 4)
-		s.At(2*sim.Millisecond, func() { out.SetLoss(m) })
-		sendEvery(s, h1, h2, 100, 40*sim.Microsecond)
-		s.Run()
-		return out.Drops, out.TxPackets, len(k.pkts)
-	}
-	d1, tx1, n1 := run()
-	d2, tx2, n2 := run()
-	if d1 != d2 || tx1 != tx2 || n1 != n2 {
-		t.Fatalf("runs diverged: (%d,%d,%d) vs (%d,%d,%d)", d1, tx1, n1, d2, tx2, n2)
-	}
-	if d1 == 0 {
-		t.Fatal("scenario injected no loss at all")
 	}
 }
 

@@ -223,33 +223,6 @@ func TestPortHookModify(t *testing.T) {
 	}
 }
 
-func TestStrayPackets(t *testing.T) {
-	s := sim.New(1)
-	net, h1, h2, _ := buildPair(s, LinkConfig{Rate: Gbps, Delay: sim.Microsecond})
-	strays := &kindLog{kind: EvStray}
-	net.Probe = strays
-	s.At(0, func() {
-		// A packet for a flow nobody registered is dropped as stray.
-		h1.Send(&Packet{Flow: 3, Src: h1.ID(), Dst: h2.ID(), Payload: MSS})
-	})
-	s.Run()
-	if len(strays.at) != 1 || strays.at[0] != "h2" {
-		t.Fatalf("strays at %v, want one at h2", strays.at)
-	}
-}
-
-// kindLog is a Probe that keeps where every record of one kind happened.
-type kindLog struct {
-	kind EventKind
-	at   []string
-}
-
-func (l *kindLog) Observe(ev Event) {
-	if ev.Kind == l.kind {
-		l.at = append(l.at, ev.Where())
-	}
-}
-
 func TestMultiHopRouting(t *testing.T) {
 	// h1 - s1 - s2 - s3 - h2 line topology.
 	s := sim.New(1)
@@ -318,23 +291,6 @@ func TestTreeRouting(t *testing.T) {
 	}
 	if delivered != 9*8 {
 		t.Fatalf("delivered %d of %d host pairs", delivered, 9*8)
-	}
-}
-
-func TestUnroutable(t *testing.T) {
-	s := sim.New(1)
-	net := NewNetwork(s)
-	h1 := net.NewHost("h1")
-	sw := net.NewSwitch("sw")
-	net.Connect(h1, sw, LinkConfig{Rate: Gbps, Delay: sim.Microsecond})
-	net.ComputeRoutes()
-	drops := &kindLog{kind: EvDrop}
-	net.Probe = drops
-	h1.Send(&Packet{Flow: 1, Src: h1.ID(), Dst: 99, Payload: 10})
-	s.Run()
-	// Charged to the port the packet arrived over.
-	if len(drops.at) != 1 || drops.at[0] != "h1->sw" || h1.NIC().Drops != 1 {
-		t.Fatalf("drops at %v (h1->sw counts %d), want one at h1->sw", drops.at, h1.NIC().Drops)
 	}
 }
 

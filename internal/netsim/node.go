@@ -195,7 +195,7 @@ func (h *Host) Network() *Network { return h.net }
 func (h *Host) Send(pkt *Packet) {
 	s := h.sh.sim
 	at := s.Now()
-	if h.net.Probe != nil {
+	if h.net.Observes(EvHostSend) {
 		h.observe(EvHostSend, pkt)
 	}
 	nic := h.NIC()
@@ -236,13 +236,13 @@ func (h *Host) Receive(pkt *Packet, from *Port) {
 	}
 	ep, ok := h.endpoints[pkt.Flow]
 	if !ok {
-		if h.net.Probe != nil {
+		if h.net.Observes(EvStray) {
 			h.observe(EvStray, pkt)
 		}
 		h.sh.release(pkt)
 		return
 	}
-	if h.net.Probe != nil {
+	if h.net.Observes(EvDeliver) {
 		h.observe(EvDeliver, pkt)
 	}
 	ep.Deliver(pkt)
@@ -261,11 +261,10 @@ type Network struct {
 	Sim    *sim.Simulator
 	nodes  []Node
 	nextID NodeID
-	// Probe, when set, receives every observation record the simulator
-	// emits on this network — the forwarding path's and, through
-	// Port.Network, the attached switch-side schemes'. The disabled path is
-	// one nil-check per emit point.
-	Probe Probe
+	// probe receives the records of the kinds in kinds (SetProbe); kinds
+	// is empty while no probe is installed.
+	probe Probe
+	kinds KindSet
 
 	// PoolPackets is ignored: packets are always recycled — NewPacket draws
 	// from a free list that release refills when a packet's single

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tfcsim/internal/netsim"
+	"tfcsim/internal/netsim/netsimtest"
 	"tfcsim/internal/sim"
 )
 
@@ -15,17 +16,6 @@ type arrival struct {
 	at  sim.Time
 	src int
 	seq int64
-}
-
-// deliverLog keeps the EvDeliver records only. Every delivery to the one
-// receiver runs on the receiver's shard, so the log has a single writer in
-// a partitioned network too.
-type deliverLog struct{ got []arrival }
-
-func (l *deliverLog) Observe(ev netsim.Event) {
-	if ev.Kind == netsim.EvDeliver {
-		l.got = append(l.got, arrival{ev.At, int(ev.Pkt.Src) - 1, ev.Pkt.Seq})
-	}
 }
 
 const (
@@ -58,8 +48,9 @@ func runDeliveryOrder(t *testing.T, shards int) []arrival {
 	t.Helper()
 	s := sim.New(1)
 	net := netsim.NewNetwork(s)
-	log := &deliverLog{}
-	net.Probe = log
+	// Every delivery to the one receiver runs on the receiver's shard, so
+	// the tap has a single writer in a partitioned network too.
+	log := netsimtest.Attach(net, &netsimtest.Tap{Kinds: netsim.KindsOf(netsim.EvDeliver)})
 	recv := net.NewHost("recv")
 	recv.Register(1, &sink{})
 	var src [orderSenders]*netsim.Host
@@ -83,7 +74,11 @@ func runDeliveryOrder(t *testing.T, shards int) []arrival {
 	}
 	s.At(10*orderFrameTime+1, func() { src[1].NIC().Rate = netsim.Gbps / 2 })
 	s.Run()
-	return log.got
+	var got []arrival
+	for _, r := range log.Recs {
+		got = append(got, arrival{r.At, int(r.Packet.Src) - 1, r.Packet.Seq})
+	}
+	return got
 }
 
 // TestDeliveryOrder: a port's deliveries are separate pooled events, so
@@ -150,13 +145,16 @@ func TestDeliveryOrder(t *testing.T) {
 	}
 }
 
-// firstDiff returns the first index at which two equally long logs differ,
-// or -1.
-func firstDiff(a, b []arrival) int {
+// firstDiff returns the first index at which two logs differ (the shorter
+// one's length when it is a prefix of the other), or -1.
+func firstDiff[T comparable](a, b []T) int {
 	for i := range a {
-		if a[i] != b[i] {
+		if i == len(b) || a[i] != b[i] {
 			return i
 		}
+	}
+	if len(b) > len(a) {
+		return len(a)
 	}
 	return -1
 }

@@ -114,7 +114,7 @@ func TestPoolCheckCatchesMisuse(t *testing.T) {
 		}()
 		f()
 	}
-	s, h1, h2, _, _ := line(nil)
+	s, h1, h2, _, _ := line(1, nil)
 	var kept *netsim.Packet
 	h2.Register(2, keep{&kept})
 	p := h1.NewPacket()

@@ -112,8 +112,8 @@ func (p *Port) SetDown() {
 	}
 	p.down = true
 	p.cutTx = p.busy
-	if p.net.Probe != nil {
-		p.net.Probe.Observe(Event{Kind: EvLink, At: p.sim.Now(), Port: p, A: 1})
+	if p.net.Observes(EvLink) {
+		p.net.Emit(Event{Kind: EvLink, At: p.sim.Now(), Port: p, A: 1})
 	}
 }
 
@@ -124,8 +124,8 @@ func (p *Port) SetUp() {
 		return
 	}
 	p.down = false
-	if p.net.Probe != nil {
-		p.net.Probe.Observe(Event{Kind: EvLink, At: p.sim.Now(), Port: p})
+	if p.net.Observes(EvLink) {
+		p.net.Emit(Event{Kind: EvLink, At: p.sim.Now(), Port: p})
 	}
 	if !p.busy && p.q.Len() > 0 {
 		p.startTx()
@@ -137,12 +137,12 @@ func (p *Port) SetUp() {
 // reaches the probe as an EvLoss record.
 func (p *Port) SetLoss(m LossModel) {
 	p.loss = m
-	if p.net.Probe != nil {
+	if p.net.Observes(EvLoss) {
 		ev := Event{Kind: EvLoss, At: p.sim.Now(), Port: p}
 		if m != nil {
 			ev.A = 1
 		}
-		p.net.Probe.Observe(ev)
+		p.net.Emit(ev)
 	}
 }
 
@@ -176,7 +176,7 @@ func (p *Port) NewPacket() *Packet { return p.sh.newPacket() }
 // arrivals.
 func (p *Port) ReleasePacket(pkt *Packet) {
 	p.Drops++
-	if p.net.Probe != nil {
+	if p.net.Observes(EvDrop) {
 		p.observe(EvDrop, pkt)
 	}
 	p.sh.release(pkt)
@@ -215,7 +215,7 @@ func (p *Port) Enqueue(pkt *Packet) {
 	if p.qBytes > p.MaxQueue {
 		p.MaxQueue = p.qBytes
 	}
-	if p.net.Probe != nil {
+	if p.net.Observes(EvEnqueue) {
 		p.observe(EvEnqueue, pkt)
 	}
 	if !p.busy {
@@ -279,7 +279,7 @@ func (p *Port) startTx() {
 	pkt := p.q.Pop()
 	p.qBytes -= pkt.FrameBytes()
 	p.busy = true
-	if p.net.Probe != nil {
+	if p.net.Observes(EvDequeue) {
 		p.observe(EvDequeue, pkt)
 	}
 	p.txEv.pkt = pkt
@@ -301,7 +301,7 @@ func (p *Port) finishTx(pkt *Packet) {
 	}
 	p.TxPackets++
 	p.TxFrames += int64(pkt.FrameBytes())
-	if p.net.Probe != nil {
+	if p.net.Observes(EvTx) {
 		p.observe(EvTx, pkt)
 	}
 	pkt.Hops++

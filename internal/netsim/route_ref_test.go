@@ -18,6 +18,7 @@ import (
 
 	"tfcsim/internal/exp"
 	"tfcsim/internal/netsim"
+	"tfcsim/internal/netsim/netsimtest"
 	"tfcsim/internal/sim"
 )
 
@@ -317,18 +318,30 @@ func TestRoutesDisconnected(t *testing.T) {
 	if sw1.PortTo(h1.ID()) == nil || sw2.PortTo(h2.ID()) == nil {
 		t.Fatal("routes inside an island are missing")
 	}
-	rec := newRecorder(t, new([netsim.NumEventKinds]bool))
-	n.Probe = rec
+	rec := netsimtest.Attach(n, &netsimtest.Tap{Kinds: netsim.KindsOf(netsim.EvDrop)})
 	h1.Send(&netsim.Packet{Flow: 1, Src: h1.ID(), Dst: h2.ID(), Payload: 10})
 	s.Run()
 	var drops []string
-	for _, ev := range rec.evs {
-		if ev.Kind == netsim.EvDrop {
-			drops = append(drops, ev.Where())
-		}
+	for _, ev := range rec.Recs {
+		drops = append(drops, ev.Where())
 	}
 	if len(drops) != 1 || drops[0] != "h1->sw1" {
 		t.Fatalf("drops at %v, want one at h1->sw1", drops)
+	}
+}
+
+func TestUnroutable(t *testing.T) {
+	s := sim.New(1)
+	n := netsim.NewNetwork(s)
+	h1, sw := n.NewHost("h1"), n.NewSwitch("sw")
+	n.Connect(h1, sw, refLink)
+	n.ComputeRoutes()
+	drops := netsimtest.Attach(n, &netsimtest.Tap{Kinds: netsim.KindsOf(netsim.EvDrop)})
+	h1.Send(&netsim.Packet{Flow: 1, Src: h1.ID(), Dst: 99, Payload: 10})
+	s.Run()
+	// Charged to the port the packet arrived over.
+	if len(drops.Recs) != 1 || drops.Recs[0].Where() != "h1->sw" || h1.NIC().Drops != 1 {
+		t.Fatalf("drops %v (h1->sw counts %d), want one at h1->sw", drops.Recs, h1.NIC().Drops)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package obs exists only so benchmark/ compiles unchanged: it names the
 // runtime observatory's four identifiers that benchmark/workloads.go
-// uses, which live in internal/telemetry. It goes with ROADMAP item 3's
-// next benchmark change, which imports telemetry instead.
+// uses, which live in internal/telemetry. It goes with ROADMAP item 4's
+// benchmark change, which imports telemetry instead.
 package obs
 
 import "tfcsim/internal/telemetry"

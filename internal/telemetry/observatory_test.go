@@ -58,7 +58,7 @@ func injectSlot(t *testing.T, T float64) {
 	}
 	port := sw.PortTo(b.ID())
 	s.At(60*sim.Millisecond, func() {
-		n.Probe.Observe(netsim.Event{Kind: netsim.EvSlot, At: s.Now(), Port: port,
+		n.Emit(netsim.Event{Kind: netsim.EvSlot, At: s.Now(), Port: port,
 			A: int64(20 * sim.Microsecond), B: 1, X: T, Y: T, Z: 1})
 	})
 	s.RunUntil(100 * sim.Millisecond)

@@ -265,7 +265,8 @@ func (t *Trial) portHist(port *netsim.Port) *Hist {
 
 // --- set-up: attaching the tap and registering metric families ---
 
-// InstrumentNetwork makes the trial the network's probe, formats every
+// InstrumentNetwork makes the trial the network's probe, subscribed to the
+// kinds it reads, formats every
 // port's label, and registers the forwarding-path counters and a
 // queue-occupancy gauge for every switch port; an observed trial also
 // keeps the switch ports for the endpoint's snapshots and sizes the
@@ -302,7 +303,19 @@ func InstrumentNetwork(t *Trial, n *netsim.Network) {
 	if t.flight != nil {
 		t.flight.ports = make([]portLast, n.NumPorts())
 	}
-	n.Probe = t
+	n.SetProbe(t, t.kinds())
+}
+
+// kinds is the set of records the trial reads off the network: every kind
+// when packet spans are on (a journey follows its packet through all of
+// them), else the kinds Observe's counters, histograms and spans read —
+// not host-side sends, deliveries and strays, nor serialization ends —
+// which cover what the flight ring keeps and the watchdogs check.
+func (t *Trial) kinds() netsim.KindSet {
+	if t.spanEvery > 0 {
+		return netsim.AllKinds
+	}
+	return netsim.AllKinds &^ netsim.KindsOf(netsim.EvHostSend, netsim.EvTx, netsim.EvDeliver, netsim.EvStray)
 }
 
 // InstrumentTransport registers the switch-side metric families of the
