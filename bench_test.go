@@ -185,9 +185,10 @@ func (e *engineBench) gate(t *testing.T) {
 }
 
 // BenchmarkEngineThroughput measures raw simulator event throughput with a
-// saturated dumbbell — the substrate cost every experiment pays. Every
-// probe field is nil here, so its figures also prove that the nil-check
-// fast path of the observation seam costs nothing.
+// saturated dumbbell — the substrate cost every experiment pays. No probe
+// is installed here (the network's kind set is empty, the per-dial taps
+// nil), so its figures also prove that the disabled path of the
+// observation seam costs nothing.
 func BenchmarkEngineThroughput(b *testing.B) { newEngineBench(engineBare).bench(b) }
 
 // BenchmarkEngineThroughputTelemetry runs the same saturated dumbbell

@@ -191,7 +191,7 @@ func TestEventStream(t *testing.T) {
 
 	t.Run("nil-probe", func(t *testing.T) {
 		// With no probe set, traffic must flow identically (smoke test that
-		// the nil-check path works everywhere).
+		// the disabled path works everywhere).
 		s, h1, h2, _, k := line(1, nil)
 		sendOne(s, h1, h2, 1)
 		if k.pkts != 1 {
